@@ -40,7 +40,7 @@ from .selection import (
     RelevanceModel,
     TrainingConfig,
     aggregate_sr,
-    select_sentences,
+    select_for_models,
     train_selector,
 )
 
@@ -143,16 +143,16 @@ def cmd_select(args) -> int:
     corpus, _, extractor = _load_corpus_bundle(args.corpus)
     claims = load_claims(args.claims)
     docs = load_docs(args.docs)
-    model = RelevanceModel.load(args.model)
-    second = RelevanceModel.load(args.model2) if args.model2 else None
+    models = {"model": RelevanceModel.load(args.model)}
+    if args.model2:
+        models["model2"] = RelevanceModel.load(args.model2)
     selections = {}
     for claim in claims:
-        pages = docs.get(claim.claim_id, [])
-        ranked = select_sentences(model, extractor, claim, pages, corpus, args.k)
-        if second is not None:
-            other = select_sentences(second, extractor, claim, pages, corpus, args.k)
-            ranked = aggregate_sr(ranked, other, args.k)
-        selections[claim.claim_id] = ranked
+        ranked = select_for_models(models, extractor, claim, docs.get(claim.claim_id, []), corpus, args.k)
+        if args.model2:
+            selections[claim.claim_id] = aggregate_sr(ranked["model"], ranked["model2"], args.k)
+        else:
+            selections[claim.claim_id] = ranked["model"]
     write_selections(Path(args.out), selections)
     print(f"selected evidence for {len(selections)} claims -> {args.out}")
     return 0

@@ -67,6 +67,12 @@ class Document:
 @dataclass
 class Corpus:
     documents: dict[str, Document] = field(default_factory=dict)
+    # page_id -> {line_index: text}, kept in step with documents by add().
+    _lines: dict[str, dict[int, str]] = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        for page_id, doc in self.documents.items():
+            self._lines[page_id] = doc.line_texts()
 
     def __len__(self) -> int:
         return len(self.documents)
@@ -75,13 +81,14 @@ class Corpus:
         if doc.page_id in self.documents:
             raise ValueError(f"duplicate page_id {doc.page_id!r}")
         self.documents[doc.page_id] = doc
+        self._lines[doc.page_id] = doc.line_texts()
 
     def get_sentence(self, sid: SentenceId) -> Optional[str]:
         """Sentence text for (page_id, line_index), or None if absent."""
-        doc = self.documents.get(sid.page_id)
-        if doc is None:
+        lines = self._lines.get(sid.page_id)
+        if lines is None:
             return None
-        return doc.line_texts().get(sid.line_index)
+        return lines.get(sid.line_index)
 
     def sentence_count(self) -> int:
         return sum(len(d.sentences) for d in self.documents.values())

@@ -28,6 +28,7 @@ from .selection import (
     Regime,
     TrainingConfig,
     aggregate_sr,
+    select_for_models,
     select_sentences,
     train_selector,
 )
@@ -280,20 +281,13 @@ def run_experiment(config: ExperimentConfig) -> dict:
     def select():
         for dataset, claims in datasets:
             docs = load_docs(out_dir / f"docs_{dataset}.jsonl")
-            per_model = {
-                name: {
-                    claim.claim_id: select_sentences(
-                        model,
-                        extractor,
-                        claim,
-                        docs.get(claim.claim_id, []),
-                        corpus,
-                        config.k_sentences,
-                    )
-                    for claim in claims
-                }
-                for name, model in models.items()
-            }
+            per_model = {name: {} for name in models}
+            for claim in claims:
+                ranked = select_for_models(
+                    models, extractor, claim, docs.get(claim.claim_id, []), corpus, config.k_sentences
+                )
+                for name, evidence in ranked.items():
+                    per_model[name][claim.claim_id] = evidence
             for regime_name in config.regimes:
                 if regime_name == "sr":
                     selections = {

@@ -3,13 +3,17 @@
 A candidate string is the page title (disambiguation suffix stripped)
 joined to the sentence text as "<title>. <sentence>", mirroring how
 candidates are presented everywhere in the pipeline.
+
+The claim side of every feature is computed once per claim
+(`FeatureExtractor.prepare_claim`); `candidate_features` does only the
+candidate side, and `selection_features` is the one-shot form of both.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Mapping
+from typing import Mapping, NamedTuple, Union
 
 from .corpus import InvertedIndex, token_spans, tokenize
 from .util import sha256_hex
@@ -78,7 +82,7 @@ def _capitalized_spans(text: str) -> list[tuple[str, ...]]:
 
 
 def contains_subsequence(haystack: list[str], needle: list[str]) -> bool:
-    if not needle or len(needle) > len(haystack):
+    if not needle or len(needle) > len(haystack) or needle[0] not in haystack:
         return False
     return any(haystack[i : i + len(needle)] == needle for i in range(len(haystack) - len(needle) + 1))
 
@@ -88,6 +92,20 @@ def _negation_cues(text: str, tokens: set[str]) -> set[str]:
     if "n't" in text.lower():
         cues.add("n't")
     return cues
+
+
+class PreparedClaim(NamedTuple):
+    """The claim side of every feature. tf lists (token, count, idf
+    squared) in first-occurrence order; norm is the TF-IDF vector length."""
+
+    text: str
+    tokens: list[str]
+    token_set: set[str]
+    bigrams: set[tuple[str, str]]
+    span_sets: list[set[str]]
+    idf_mass: float
+    tf: list[tuple[str, int, float]]
+    norm: float
 
 
 class FeatureExtractor:
@@ -105,56 +123,61 @@ class FeatureExtractor:
     def idf(self, token: str) -> float:
         return self._idf.get(token, self._default_idf)
 
-    def _cosine(self, left: list[str], right: list[str]) -> float:
-        left_tf, right_tf = Counter(left), Counter(right)
+    def prepare_claim(self, claim_text: str) -> PreparedClaim:
+        tokens = tokenize(claim_text)
+        token_set = set(tokens)
+        counts = Counter(tokens)
+        return PreparedClaim(
+            text=claim_text,
+            tokens=tokens,
+            token_set=token_set,
+            bigrams=_bigrams(tokens),
+            span_sets=[set(span) for span in _capitalized_spans(claim_text)],
+            idf_mass=sum(self.idf(t) for t in token_set),
+            tf=[(t, c, self.idf(t) ** 2) for t, c in counts.items()],
+            norm=math.sqrt(sum((c * self.idf(t)) ** 2 for t, c in counts.items())),
+        )
+
+    def _prepared(self, claim: Union[str, PreparedClaim]) -> PreparedClaim:
+        return claim if isinstance(claim, PreparedClaim) else self.prepare_claim(claim)
+
+    def _cosine(self, claim: PreparedClaim, candidate_tokens: list[str]) -> float:
+        candidate_tf = Counter(candidate_tokens)
         dot = 0.0
-        for token, count in left_tf.items():
-            if token in right_tf:
-                dot += count * right_tf[token] * self.idf(token) ** 2
+        for token, count, idf_squared in claim.tf:
+            if token in candidate_tf:
+                dot += count * candidate_tf[token] * idf_squared
         if dot == 0.0:
             return 0.0
-        left_norm = math.sqrt(sum((c * self.idf(t)) ** 2 for t, c in left_tf.items()))
-        right_norm = math.sqrt(sum((c * self.idf(t)) ** 2 for t, c in right_tf.items()))
-        return dot / (left_norm * right_norm)
+        candidate_norm = math.sqrt(sum((c * self.idf(t)) ** 2 for t, c in candidate_tf.items()))
+        return dot / (claim.norm * candidate_norm)
 
-    def selection_features(
-        self, claim_text: str, title: str, body: str, position: float = 0.0
+    def candidate_features(
+        self, claim: PreparedClaim, title: str, body: str, position: float = 0.0
     ) -> list[float]:
-        claim_tokens = tokenize(claim_text)
-        claim_set = set(claim_tokens)
+        """Selection features of one candidate against a prepared claim."""
         title_tokens = tokenize(title)
         body_tokens = tokenize(body)
         candidate_tokens = title_tokens + body_tokens
         candidate_set = set(candidate_tokens)
 
-        overlap = len(claim_set & candidate_set)
-        unigram = overlap / max(1, len(claim_set))
+        claim_size = max(1, len(claim.token_set))
+        # idf_overlap sums over this set, so its bits follow the set's iteration order (ROADMAP item 4).
+        shared = claim.token_set & candidate_set
+        unigram = len(shared) / claim_size
+        bigram = len(claim.bigrams & _bigrams(candidate_tokens)) / max(1, len(claim.bigrams))
+        # With no shared token the dot product, and so the cosine, is zero.
+        cosine = self._cosine(claim, candidate_tokens) if shared else 0.0
+        idf_overlap = sum(self.idf(t) for t in shared) / claim.idf_mass if claim.idf_mass > 0 else 0.0
 
-        claim_bigrams = _bigrams(claim_tokens)
-        bigram = len(claim_bigrams & _bigrams(candidate_tokens)) / max(1, len(claim_bigrams))
-
-        cosine = self._cosine(claim_tokens, candidate_tokens)
-
-        claim_idf_mass = sum(self.idf(t) for t in claim_set)
-        idf_overlap = (
-            sum(self.idf(t) for t in claim_set & candidate_set) / claim_idf_mass
-            if claim_idf_mass > 0
-            else 0.0
-        )
-
-        spans = _capitalized_spans(claim_text)
-        title_set = set(title_tokens)
-        body_set = set(body_tokens)
-        spans_in_title = (
-            sum(1 for s in spans if set(s) <= title_set) / len(spans) if spans else 0.0
-        )
-        spans_in_body = (
-            sum(1 for s in spans if set(s) <= body_set) / len(spans) if spans else 0.0
-        )
+        spans = claim.span_sets
+        title_set, body_set = set(title_tokens), set(body_tokens)
+        spans_in_title = sum(1 for s in spans if s <= title_set) / len(spans) if spans else 0.0
+        spans_in_body = sum(1 for s in spans if s <= body_set) / len(spans) if spans else 0.0
 
         log_body_len = math.log(1 + len(body_tokens))
-        title_in_claim = 1.0 if contains_subsequence(claim_tokens, title_tokens) else 0.0
-        missing = len(claim_set - candidate_set) / max(1, len(claim_set))
+        title_in_claim = 1.0 if contains_subsequence(claim.tokens, title_tokens) else 0.0
+        missing = (len(claim.token_set) - len(shared)) / claim_size
 
         return [
             unigram,
@@ -169,18 +192,24 @@ class FeatureExtractor:
             missing,
         ]
 
-    def selection_features_from_candidate(self, claim_text: str, candidate: str) -> list[float]:
+    def selection_features(
+        self, claim_text: str, title: str, body: str, position: float = 0.0
+    ) -> list[float]:
+        return self.candidate_features(self.prepare_claim(claim_text), title, body, position)
+
+    def selection_features_from_candidate(self, claim: Union[str, PreparedClaim], candidate: str) -> list[float]:
         """Contract form for callers that only have the combined string."""
         title, body = split_candidate(candidate)
-        return self.selection_features(claim_text, title, body, position=0.0)
+        return self.candidate_features(self._prepared(claim), title, body, position=0.0)
 
-    def pair_features(self, claim_text: str, candidate: str) -> list[float]:
+    def pair_features(self, claim: Union[str, PreparedClaim], candidate: str) -> list[float]:
         """Selection features plus polarity cues for claim classification."""
-        base = self.selection_features_from_candidate(claim_text, candidate)
+        claim = self._prepared(claim)
+        base = self.selection_features_from_candidate(claim, candidate)
 
-        claim_tokens = set(tokenize(claim_text))
+        claim_tokens = claim.token_set
         candidate_tokens = set(tokenize(candidate))
-        claim_cues = _negation_cues(claim_text, claim_tokens)
+        claim_cues = _negation_cues(claim.text, claim_tokens)
         candidate_cues = _negation_cues(candidate, candidate_tokens)
         negation = 1.0 if claim_cues != candidate_cues else 0.0
 

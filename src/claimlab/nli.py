@@ -18,7 +18,7 @@ from typing import Mapping, Sequence, Union
 
 from .claims import Claim, Label
 from .corpus import Corpus, SentenceId
-from .features import PAIR_FEATURE_NAMES, FeatureExtractor, feature_schema_hash
+from .features import PAIR_FEATURE_NAMES, FeatureExtractor, PreparedClaim, feature_schema_hash
 from .selection import RankedEvidence, TrainingConfig, candidate_text
 from .util import stable_seed
 
@@ -27,12 +27,6 @@ CLASS_ORDER = (Label.NOT_ENOUGH_INFO, Label.SUPPORTED, Label.REFUTED)
 
 # NEI training pairs come from each NEI claim's own top retrieved sentences.
 NEI_PAIRS_PER_CLAIM = 2
-
-
-def extract_pair_features(
-    extractor: FeatureExtractor, claim_text: str, evidence_candidate: str
-) -> list[float]:
-    return extractor.pair_features(claim_text, evidence_candidate)
 
 
 @dataclass
@@ -82,10 +76,10 @@ class NliModel:
 
 
 def classify_pair(
-    model: NliModel, extractor: FeatureExtractor, claim_text: str, evidence_text: str
+    model: NliModel, extractor: FeatureExtractor, claim: Union[str, PreparedClaim], evidence_text: str
 ) -> tuple[Label, list[float]]:
     """Argmax class for one pair; exact ties resolve by CLASS_ORDER."""
-    probs = model.probabilities(extract_pair_features(extractor, claim_text, evidence_text))
+    probs = model.probabilities(extractor.pair_features(claim, evidence_text))
     best = 0
     for i in range(1, len(CLASS_ORDER)):
         if probs[i] > probs[best]:
@@ -123,10 +117,11 @@ def _training_pairs(
         else:
             sids = sorted(claim.gold_sentences())
         target = CLASS_ORDER.index(claim.label)
+        prepared = extractor.prepare_claim(claim.text)
         for sid in sids:
             if corpus.get_sentence(sid) is None:
                 continue
-            features = extract_pair_features(extractor, claim.text, candidate_text(corpus, sid))
+            features = extractor.pair_features(prepared, candidate_text(corpus, sid))
             pairs.append((features, target))
     return pairs
 
@@ -186,10 +181,11 @@ def verdict_for_claim(
     """Classify each retrieved sentence separately, then majority-vote."""
     labels = []
     predicted = []
+    prepared = extractor.prepare_claim(claim.text)
     for sid, _ in evidence:
         if corpus.get_sentence(sid) is None:
             continue
-        label, _ = classify_pair(model, extractor, claim.text, candidate_text(corpus, sid))
+        label, _ = classify_pair(model, extractor, prepared, candidate_text(corpus, sid))
         labels.append(label)
         predicted.append(sid)
     return aggregate_verdict(labels), predicted

@@ -7,6 +7,10 @@ Training draws 15 negatives per positive from a TF-IDF ranker in three
 groups (same-document, other-document, fresh-document) and, each
 epoch, keeps only the hardest negatives so positives and negatives
 stay balanced.
+
+Ranking is one featurize pass over a claim's candidate sentences plus a
+top-k scoring step per model, so `select_for_models` scores every
+selector from the same feature vectors.
 """
 
 from __future__ import annotations
@@ -16,17 +20,14 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
+from operator import mul
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from .claims import Claim, Label
 from .corpus import Corpus, InvertedIndex, SentenceId, display_title, tfidf_rank
-from .features import SELECTION_FEATURE_NAMES, FeatureExtractor, feature_schema_hash
+from .features import SELECTION_FEATURE_NAMES, FeatureExtractor, PreparedClaim, feature_schema_hash
 from .util import stable_seed
-
-# Reference learning rate for a transformer-backed scorer; the linear
-# model default below is what this implementation actually trains with.
-TRANSFORMER_REFERENCE_LR = 2.5e-6
 
 
 class Regime(enum.Enum):
@@ -45,9 +46,7 @@ class Regime(enum.Enum):
 
 @dataclass(frozen=True)
 class TrainingConfig:
-    """Defaults suit the linear scorer (2 epochs, lr 0.1). A
-    transformer-backed scorer would instead fine-tune at
-    TRANSFORMER_REFERENCE_LR."""
+    """Defaults suit the linear scorer (2 epochs, lr 0.1)."""
 
     epochs: int = 2
     learning_rate: float = 0.1
@@ -78,7 +77,7 @@ class RelevanceModel:
 
     def score(self, features: Sequence[float]) -> float:
         """Relevance probability in (0, 1)."""
-        z = self.bias + sum(w * x for w, x in zip(self.weights, features))
+        z = self.bias + sum(map(mul, self.weights, features))
         return _sigmoid(z)
 
     def save(self, path: Union[str, Path]) -> None:
@@ -199,23 +198,12 @@ def _regime_claims(
 
 
 def _example_features(
-    extractor: FeatureExtractor, corpus: Corpus, claim: Claim, sid: SentenceId
+    extractor: FeatureExtractor, corpus: Corpus, claim: PreparedClaim, sid: SentenceId
 ) -> list[float]:
     doc = corpus.documents[sid.page_id]
-    position_of = {idx: i for i, (idx, _) in enumerate(doc.sentences)}
-    denom = max(1, len(doc.sentences) - 1)
-    position = position_of[sid.line_index] / denom
+    position = [idx for idx, _ in doc.sentences].index(sid.line_index) / max(1, len(doc.sentences) - 1)
     text = corpus.get_sentence(sid) or ""
-    return extractor.selection_features(claim.text, display_title(sid.page_id), text, position)
-
-
-def _mean_logistic_loss(model: RelevanceModel, batch: list[tuple[list[float], int]]) -> float:
-    eps = 1e-12
-    total = 0.0
-    for features, target in batch:
-        p = min(max(model.score(features), eps), 1 - eps)
-        total += -(target * math.log(p) + (1 - target) * math.log(1 - p))
-    return total / len(batch)
+    return extractor.candidate_features(claim, display_title(sid.page_id), text, position)
 
 
 def train_selector(
@@ -244,8 +232,9 @@ def train_selector(
         gold = sorted(sid for sid in claim.gold_sentences() if corpus.get_sentence(sid) is not None)
         if not gold:
             continue
+        prepared = extractor.prepare_claim(claim.text)
         for sid in gold:
-            positives.append(((claim.claim_id, sid), _example_features(extractor, corpus, claim, sid)))
+            positives.append(((claim.claim_id, sid), _example_features(extractor, corpus, prepared, sid)))
         sampled = sample_negatives(
             claim,
             corpus,
@@ -255,7 +244,7 @@ def train_selector(
             negatives_per_positive=config.negatives_per_positive,
         )
         for sid in sampled:
-            negatives.append(((claim.claim_id, sid), _example_features(extractor, corpus, claim, sid)))
+            negatives.append(((claim.claim_id, sid), _example_features(extractor, corpus, prepared, sid)))
     if not positives:
         raise ValueError(f"regime {regime.value!r} selected no trainable positives")
 
@@ -292,6 +281,41 @@ def train_selector(
 
 
 RankedEvidence = list[tuple[SentenceId, float]]
+FeaturizedCandidates = list[tuple[SentenceId, list[float]]]
+
+
+def featurize_candidates(
+    extractor: FeatureExtractor, claim: Claim, candidate_pages: Sequence[str], corpus: Corpus
+) -> FeaturizedCandidates:
+    """Feature vectors of every non-empty sentence of the candidate pages.
+
+    Duplicate pages are featurized once; unknown pages are skipped.
+    """
+    prepared = extractor.prepare_claim(claim.text)
+    featurized: FeaturizedCandidates = []
+    seen_pages = set()
+    for page_id in candidate_pages:
+        if page_id in seen_pages:
+            continue
+        seen_pages.add(page_id)
+        doc = corpus.documents.get(page_id)
+        if doc is None:
+            continue
+        denom = max(1, len(doc.sentences) - 1)
+        title = display_title(page_id)
+        for position, (line_index, text) in enumerate(doc.sentences):
+            if not text:
+                continue
+            features = extractor.candidate_features(prepared, title, text, position / denom)
+            featurized.append((SentenceId(page_id, line_index), features))
+    return featurized
+
+
+def top_k(model: RelevanceModel, featurized: FeaturizedCandidates, k: int) -> RankedEvidence:
+    """Score featurized candidates with one model; ties break by sentence id."""
+    scored = [(sid, model.score(features)) for sid, features in featurized]
+    scored.sort(key=lambda item: (-item[1], item[0]))
+    return scored[:k]
 
 
 def select_sentences(
@@ -306,24 +330,20 @@ def select_sentences(
 
     Duplicate pages are scored once; ties break by sentence id.
     """
-    scored: RankedEvidence = []
-    seen_pages = set()
-    for page_id in candidate_pages:
-        if page_id in seen_pages:
-            continue
-        seen_pages.add(page_id)
-        doc = corpus.documents.get(page_id)
-        if doc is None:
-            continue
-        denom = max(1, len(doc.sentences) - 1)
-        title = display_title(page_id)
-        for position, (line_index, text) in enumerate(doc.sentences):
-            if not text:
-                continue
-            features = extractor.selection_features(claim.text, title, text, position / denom)
-            scored.append((SentenceId(page_id, line_index), model.score(features)))
-    scored.sort(key=lambda item: (-item[1], item[0]))
-    return scored[:k]
+    return top_k(model, featurize_candidates(extractor, claim, candidate_pages, corpus), k)
+
+
+def select_for_models(
+    models: Mapping[str, RelevanceModel],
+    extractor: FeatureExtractor,
+    claim: Claim,
+    candidate_pages: Sequence[str],
+    corpus: Corpus,
+    k: int,
+) -> dict[str, RankedEvidence]:
+    """`select_sentences` for every model, from one featurize pass."""
+    featurized = featurize_candidates(extractor, claim, candidate_pages, corpus)
+    return {name: top_k(model, featurized, k) for name, model in models.items()}
 
 
 def aggregate_sr(sup: RankedEvidence, ref: RankedEvidence, k: int) -> RankedEvidence:

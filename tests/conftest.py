@@ -5,6 +5,7 @@ import pytest
 from claimlab.claims import Claim, Label
 from claimlab.corpus import Corpus, Document
 from claimlab.kb import EntityRecord, KnowledgeBase
+from claimlab.worldgen import WorldConfig, build_world, write_world
 
 
 def make_corpus(pages: dict[str, list[str]]) -> Corpus:
@@ -29,6 +30,14 @@ def write_jsonl(path, rows):
         for row in rows:
             handle.write(json.dumps(row) + "\n")
     return path
+
+
+@pytest.fixture(scope="session")
+def fixture_world(tmp_path_factory):
+    """The default generated world, written once per test session."""
+    out = tmp_path_factory.mktemp("accept_world")
+    write_world(build_world(WorldConfig()), out)
+    return out
 
 
 @pytest.fixture

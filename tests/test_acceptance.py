@@ -19,7 +19,6 @@ from claimlab.experiment import ExperimentConfig, run_experiment
 from claimlab.kb import EntityRecord, KnowledgeBase, link_entities
 from claimlab.nli import CLASS_ORDER, aggregate_verdict
 from claimlab.selection import sample_negatives
-from claimlab.worldgen import WorldConfig, build_world, write_world
 
 from conftest import make_claim, make_corpus
 
@@ -36,13 +35,6 @@ def criterion(number, summary):
         print(f"[acceptance] criterion {number}: FAIL - {summary}")
         raise
     print(f"[acceptance] criterion {number}: PASS - {summary}")
-
-
-@pytest.fixture(scope="module")
-def fixture_world(tmp_path_factory):
-    out = tmp_path_factory.mktemp("accept_world")
-    write_world(build_world(WorldConfig()), out)
-    return out
 
 
 def experiment_config(world, out_dir, seed):

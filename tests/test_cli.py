@@ -2,7 +2,12 @@ import json
 
 import pytest
 
+from claimlab.claims import load_claims
 from claimlab.cli import main
+from claimlab.corpus import build_index, ingest_corpus
+from claimlab.experiment import load_docs, write_selections
+from claimlab.features import FeatureExtractor
+from claimlab.selection import RelevanceModel, aggregate_sr, select_sentences
 from claimlab.worldgen import WorldConfig, build_world, write_world
 
 SMALL_WORLD = WorldConfig(
@@ -250,6 +255,26 @@ def test_selection_output_format(pipeline_artifacts):
     page, line, score = rows[0]["evidence"][0]
     assert isinstance(page, str) and isinstance(line, int) and 0.0 < score < 1.0
     assert all(len(row["evidence"]) <= 5 for row in rows)
+
+
+def test_select_model2_matches_per_model_merge(world_dir, pipeline_artifacts, tmp_path):
+    """`select --model2` writes exactly the SR merge of two separate rankings."""
+    corpus = ingest_corpus(world_dir / "corpus")
+    extractor = FeatureExtractor.from_index(build_index(corpus, "sentence"))
+    sup = RelevanceModel.load(pipeline_artifacts / "model_sup.json")
+    ref = RelevanceModel.load(pipeline_artifacts / "model_ref.json")
+    docs = load_docs(pipeline_artifacts / "docs_dev.jsonl")
+    k = 5
+    expected = {}
+    for claim in load_claims(world_dir / "dev.jsonl"):
+        pages = docs.get(claim.claim_id, [])
+        expected[claim.claim_id] = aggregate_sr(
+            select_sentences(sup, extractor, claim, pages, corpus, k),
+            select_sentences(ref, extractor, claim, pages, corpus, k),
+            k,
+        )
+    write_selections(tmp_path / "expected.jsonl", expected)
+    assert (pipeline_artifacts / "sel_sr.jsonl").read_bytes() == (tmp_path / "expected.jsonl").read_bytes()
 
 
 def test_verdict_output_format(pipeline_artifacts):

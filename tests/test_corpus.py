@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from claimlab.corpus import (
     Corpus,
+    Document,
     SentenceId,
     build_index,
     display_title,
@@ -95,6 +96,27 @@ class TestLookup:
     def test_unknown_index(self):
         corpus = make_corpus({"A": ["first."]})
         assert corpus.get_sentence(SentenceId("A", 9)) is None
+
+    def test_lookup_after_several_adds(self):
+        corpus = Corpus()
+        corpus.add(Document("A", ((0, "a zero."), (2, "a two."))))
+        assert corpus.get_sentence(SentenceId("B", 0)) is None
+        corpus.add(Document("B", ((0, "b zero."), (1, ""))))
+        corpus.add(Document("C", ()))
+        assert corpus.get_sentence(SentenceId("A", 2)) == "a two."
+        assert corpus.get_sentence(SentenceId("B", 0)) == "b zero."
+        assert corpus.get_sentence(SentenceId("B", 1)) == ""
+        assert corpus.get_sentence(SentenceId("A", 1)) is None
+        assert corpus.get_sentence(SentenceId("C", 0)) is None
+        assert corpus.get_sentence(SentenceId("D", 0)) is None
+        with pytest.raises(ValueError):
+            corpus.add(Document("A", ((0, "replacement."),)))
+        assert corpus.get_sentence(SentenceId("A", 0)) == "a zero."
+
+    def test_lookup_in_constructed_corpus(self):
+        corpus = Corpus(documents={"A": Document("A", ((3, "a three."),))})
+        assert corpus.get_sentence(SentenceId("A", 3)) == "a three."
+        assert corpus.get_sentence(SentenceId("A", 0)) is None
 
 
 class TestTokenize:

@@ -1,14 +1,20 @@
 import math
+from collections import Counter
 
 import pytest
 
-from claimlab.corpus import build_index
+from claimlab.claims import load_claims
+from claimlab.corpus import build_index, display_title, ingest_corpus, tokenize
 from claimlab.features import (
     PAIR_FEATURE_NAMES,
     SELECTION_FEATURE_NAMES,
     FeatureExtractor,
+    _bigrams,
+    _capitalized_spans,
+    contains_subsequence,
     split_candidate,
 )
+from claimlab.retrieval import DocRetrievalConfig, DocumentRetriever
 
 from conftest import make_corpus
 
@@ -126,3 +132,101 @@ class TestPairFeatures:
     def test_pair_length(self, extractor):
         features = extractor.pair_features("a claim", "A Title. the evidence")
         assert len(features) == len(PAIR_FEATURE_NAMES)
+
+
+def reference_selection_features(extractor, claim_text, title, body, position=0.0):
+    """The one-shot feature computation as it stood before claims were
+    prepared: every claim-side quantity is rebuilt for each candidate."""
+    claim_tokens = tokenize(claim_text)
+    claim_set = set(claim_tokens)
+    title_tokens = tokenize(title)
+    body_tokens = tokenize(body)
+    candidate_tokens = title_tokens + body_tokens
+    candidate_set = set(candidate_tokens)
+
+    unigram = len(claim_set & candidate_set) / max(1, len(claim_set))
+    claim_bigrams = _bigrams(claim_tokens)
+    bigram = len(claim_bigrams & _bigrams(candidate_tokens)) / max(1, len(claim_bigrams))
+
+    left_tf, right_tf = Counter(claim_tokens), Counter(candidate_tokens)
+    dot = 0.0
+    for token, count in left_tf.items():
+        if token in right_tf:
+            dot += count * right_tf[token] * extractor.idf(token) ** 2
+    if dot == 0.0:
+        cosine = 0.0
+    else:
+        left_norm = math.sqrt(sum((c * extractor.idf(t)) ** 2 for t, c in left_tf.items()))
+        right_norm = math.sqrt(sum((c * extractor.idf(t)) ** 2 for t, c in right_tf.items()))
+        cosine = dot / (left_norm * right_norm)
+
+    claim_idf_mass = sum(extractor.idf(t) for t in claim_set)
+    idf_overlap = (
+        sum(extractor.idf(t) for t in claim_set & candidate_set) / claim_idf_mass
+        if claim_idf_mass > 0
+        else 0.0
+    )
+    spans = _capitalized_spans(claim_text)
+    title_set, body_set = set(title_tokens), set(body_tokens)
+    spans_in_title = sum(1 for s in spans if set(s) <= title_set) / len(spans) if spans else 0.0
+    spans_in_body = sum(1 for s in spans if set(s) <= body_set) / len(spans) if spans else 0.0
+    return [
+        unigram,
+        bigram,
+        cosine,
+        idf_overlap,
+        spans_in_title,
+        spans_in_body,
+        math.log(1 + len(body_tokens)),
+        1.0 if contains_subsequence(claim_tokens, title_tokens) else 0.0,
+        float(position),
+        len(claim_set - candidate_set) / max(1, len(claim_set)),
+    ]
+
+
+class TestPreparedClaim:
+    """A prepared claim gives bit-identical vectors to the one-shot form."""
+
+    EDGE_CLAIMS = ("", "St. Louis is a town.", "Mary Jane Watson isn't in 1999's Spider Man.")
+    EDGE_CANDIDATES = (
+        ("St. Louis", "St. Louis is a town in the hills.", 0.0),
+        ("St. Louis", "", 1.0),
+        ("", "Mary Jane Watson. Spider Man", 0.5),
+        ("Spider Man", "Spider Man aired in 1999 and 1999.", 0.25),
+    )
+
+    def test_edge_inputs_match_reference(self, extractor):
+        for claim_text in self.EDGE_CLAIMS:
+            prepared = extractor.prepare_claim(claim_text)
+            for title, body, position in self.EDGE_CANDIDATES:
+                expected = reference_selection_features(extractor, claim_text, title, body, position)
+                assert extractor.candidate_features(prepared, title, body, position) == expected
+                assert extractor.selection_features(claim_text, title, body, position) == expected
+
+    def test_pair_features_accept_prepared_claim(self, extractor):
+        for claim_text in self.EDGE_CLAIMS:
+            prepared = extractor.prepare_claim(claim_text)
+            for title, body, _ in self.EDGE_CANDIDATES:
+                candidate = f"{title}. {body}"
+                assert extractor.pair_features(prepared, candidate) == extractor.pair_features(
+                    claim_text, candidate
+                )
+
+    def test_every_scored_pair_of_fixture_world(self, fixture_world):
+        """Every (dev claim, sentence) pair the select stage scores on the
+        default world: each claim against every sentence of its oracle
+        candidate pages."""
+        corpus = ingest_corpus(fixture_world / "corpus")
+        extractor = FeatureExtractor.from_index(build_index(corpus, "sentence"))
+        retriever = DocumentRetriever(corpus, build_index(corpus, "document"), DocRetrievalConfig(k=20))
+        pairs = 0
+        for claim in load_claims(fixture_world / "dev.jsonl"):
+            prepared = extractor.prepare_claim(claim.text)
+            for page_id in retriever.retrieve_oracle(claim):
+                doc = corpus.documents[page_id]
+                title = display_title(page_id)
+                for position, (_, body) in enumerate(doc.sentences):
+                    expected = reference_selection_features(extractor, claim.text, title, body, position)
+                    assert extractor.candidate_features(prepared, title, body, position) == expected
+                    pairs += 1
+        assert pairs > 10_000

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from claimlab.claims import Label
-from claimlab.corpus import SentenceId, build_index
+from claimlab.corpus import Document, SentenceId, build_index
 from claimlab.features import SELECTION_FEATURE_NAMES, FeatureExtractor
 from claimlab.selection import (
     Regime,
@@ -14,6 +14,7 @@ from claimlab.selection import (
     aggregate_sr,
     candidate_text,
     sample_negatives,
+    select_for_models,
     select_sentences,
     train_selector,
 )
@@ -259,6 +260,37 @@ class TestSelectSentences:
         corpus, index, extractor, claims = training_world
         model = RelevanceModel(weights=[0.0] * 10, bias=0.0)
         assert select_sentences(model, extractor, claims[0], ["Missing"], corpus, k=5) == []
+
+
+class TestSelectForModels:
+    def test_matches_select_sentences_per_model(self, training_world):
+        corpus, index, extractor, claims = training_world
+        corpus.add(Document("Hollow", ((0, ""), (1, "Ada Hartley visited Hollow."), (2, ""))))
+        models = {
+            "a": train_selector(claims, [], corpus, index, extractor, Regime.BASELINE, TrainingConfig(seed=1)),
+            "b": RelevanceModel(weights=[0.5 - i / 10 for i in range(len(SELECTION_FEATURE_NAMES))], bias=0.1),
+        }
+        page_lists = (
+            list(corpus.documents),
+            ["Ada Hartley", "Missing", "Ada Hartley", "Hollow", "Quillstone", "Hollow"],
+            ["Missing"],
+            [],
+        )
+        for claim in claims:
+            for pages in page_lists:
+                for k in (1, 3, 50):
+                    expected = {
+                        name: select_sentences(model, extractor, claim, pages, corpus, k)
+                        for name, model in models.items()
+                    }
+                    assert select_for_models(models, extractor, claim, pages, corpus, k) == expected
+
+    def test_empty_text_sentences_never_selected(self, training_world):
+        corpus, index, extractor, claims = training_world
+        corpus.add(Document("Hollow", ((0, ""), (1, "Ada Hartley visited Hollow."), (2, ""))))
+        model = RelevanceModel(weights=[0.0] * len(SELECTION_FEATURE_NAMES), bias=0.0)
+        ranked = select_for_models({"m": model}, extractor, claims[0], ["Hollow"], corpus, k=5)
+        assert ranked == {"m": [(SentenceId("Hollow", 1), 0.5)]}
 
 
 class TestAggregateSr:
