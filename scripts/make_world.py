@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import sys
 from pathlib import Path
 
 from claimlab.worldgen import WorldConfig, build_world, write_world
@@ -18,13 +19,16 @@ def main() -> None:
     parser.add_argument("--towns", type=int, default=72)
     args = parser.parse_args()
 
-    config = WorldConfig(
-        seed=args.seed,
-        n_persons=args.persons,
-        n_shows=args.shows,
-        n_networks=args.networks,
-        n_towns=args.towns,
-    )
+    try:
+        config = WorldConfig(
+            seed=args.seed,
+            n_persons=args.persons,
+            n_shows=args.shows,
+            n_networks=args.networks,
+            n_towns=args.towns,
+        )
+    except ValueError as exc:
+        sys.exit(f"error: {exc}")
     world = build_world(config)
     paths = write_world(world, args.out)
     print(f"world written under {args.out}")

@@ -8,13 +8,11 @@ refuting evidence of the generated claim.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence
 
-from .claims import Claim, Label, load_claims
+from .claims import Claim, Label
 from .kb import KnowledgeBase, link_entities
 from .util import stable_seed
 
@@ -90,22 +88,3 @@ def synthetic_to_claim(synthetic: SyntheticClaim) -> Claim:
         },
     )
 
-
-def save_synthetic(path: Union[str, Path], synthetics: Iterable[SyntheticClaim]) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for synthetic in synthetics:
-            claim = synthetic_to_claim(synthetic)
-            obj = {
-                "id": claim.claim_id,
-                "label": claim.label.value,
-                "claim": claim.text,
-                "evidence": [[list(item) for item in group] for group in claim.evidence],
-            }
-            obj.update(claim.extra)
-            handle.write(json.dumps(obj, ensure_ascii=False, sort_keys=True))
-            handle.write("\n")
-
-
-def load_synthetic_claims(path: Union[str, Path]) -> list[Claim]:
-    """Load a generated-claims file as plain claims (extras preserved)."""
-    return load_claims(path)

@@ -9,12 +9,12 @@ quadruples; null pages mark unverifiable claims.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Union
 
 from .corpus import SentenceId
+from .util import read_jsonl, write_jsonl
 
 
 class Label(enum.Enum):
@@ -97,17 +97,8 @@ def claim_to_json(claim: Claim) -> dict:
 
 
 def load_claims(path: Union[str, Path]) -> list[Claim]:
-    claims = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for raw in handle:
-            raw = raw.strip()
-            if raw:
-                claims.append(claim_from_json(json.loads(raw)))
-    return claims
+    return [claim_from_json(obj) for obj in read_jsonl(path)]
 
 
 def save_claims(path: Union[str, Path], claims: Iterable[Claim]) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for claim in claims:
-            handle.write(json.dumps(claim_to_json(claim), ensure_ascii=False, sort_keys=True))
-            handle.write("\n")
+    write_jsonl(path, map(claim_to_json, claims))

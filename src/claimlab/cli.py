@@ -1,72 +1,53 @@
 """Command-line interface for the fact verification pipeline.
 
-Subcommands: ingest, index, retrieve-docs, generate-claims,
-analyze-entities, train-selector, select, train-nli, verdict,
-evaluate, and run (the full experiment). Exit code 0 on success,
-nonzero with a stage-tagged message otherwise.
+Subcommands: ingest, retrieve-docs, generate-claims, analyze-entities,
+train-selector, select, train-nli, verdict, evaluate, and run (the full
+experiment). Each pipeline step runs through the same stage function
+as in `run`. Exit code 0 on success, nonzero with a stage-tagged
+message otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
-from pathlib import Path
 
-from .claim_gen import generate_augmentation_set, load_synthetic_claims, save_synthetic
-from .claims import Label, load_claims
+from .claim_gen import generate_augmentation_set, synthetic_to_claim
+from .claims import Label, load_claims, save_claims
 from .corpus import build_index, ingest_corpus
 from .entity_analysis import analyze_claims
-from .evaluation import build_report, count_mistakes, document_recall_at_k
+from .evaluation import count_mistakes, document_recall_at_k
 from .experiment import (
     ALL_REGIMES,
     ExperimentConfig,
     StageError,
+    evaluate_evidence,
     load_docs,
     load_selections,
     load_verdicts,
+    retrieve_docs,
     run_experiment,
+    select_evidence,
+    verdicts_for,
     write_docs,
     write_selections,
     write_verdicts,
 )
 from .features import FeatureExtractor
 from .kb import KnowledgeBase
-from .nli import NliModel, train_nli, verdict_for_claim
+from .nli import NliModel, train_nli
 from .retrieval import DocRetrievalConfig, DocumentRetriever
-from .selection import (
-    Regime,
-    RelevanceModel,
-    TrainingConfig,
-    aggregate_sr,
-    select_for_models,
-    train_selector,
-)
-
-
-def _write_json(path: str, payload) -> None:
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, ensure_ascii=False, sort_keys=True, indent=2)
-        handle.write("\n")
+from .selection import Regime, RelevanceModel, TrainingConfig, train_selector
+from .util import read_json, write_json
 
 
 def cmd_ingest(args) -> int:
     corpus = ingest_corpus(args.corpus)
     stats = {"pages": len(corpus), "sentences": corpus.sentence_count()}
     if args.out:
-        _write_json(args.out, stats)
+        write_json(args.out, stats)
     print(f"ingested {stats['pages']} pages, {stats['sentences']} sentences")
-    return 0
-
-
-def cmd_index(args) -> int:
-    corpus = ingest_corpus(args.corpus)
-    index = build_index(corpus, args.granularity)
-    _write_json(args.out, index.to_jsonable())
-    print(f"indexed {index.doc_count} units at {args.granularity} granularity -> {args.out}")
     return 0
 
 
@@ -76,14 +57,8 @@ def cmd_retrieve_docs(args) -> int:
     retriever = DocumentRetriever(
         corpus, index, DocRetrievalConfig(k=args.k, title_match_weight=args.title_match_weight)
     )
-    claims = load_claims(args.claims)
-    docs = {
-        claim.claim_id: (
-            retriever.retrieve_oracle(claim) if args.oracle_docs else retriever.retrieve(claim.text)
-        )
-        for claim in claims
-    }
-    write_docs(Path(args.out), docs)
+    docs = retrieve_docs(retriever, load_claims(args.claims), args.oracle_docs)
+    write_docs(args.out, docs)
     print(f"retrieved documents for {len(docs)} claims -> {args.out}")
     return 0
 
@@ -92,7 +67,7 @@ def cmd_generate_claims(args) -> int:
     claims = load_claims(args.claims)
     kb = KnowledgeBase.load(args.kb)
     synthetic = generate_augmentation_set(claims, kb, seed=args.seed)
-    save_synthetic(args.out, synthetic)
+    save_claims(args.out, map(synthetic_to_claim, synthetic))
     supported = sum(1 for c in claims if c.label is Label.SUPPORTED)
     print(f"generated {len(synthetic)} false claims from {supported} supported claims -> {args.out}")
     return 0
@@ -101,7 +76,7 @@ def cmd_generate_claims(args) -> int:
 def cmd_analyze_entities(args) -> int:
     claims = load_claims(args.claims)
     kb = KnowledgeBase.load(args.kb)
-    _write_json(args.out, analyze_claims(claims, kb))
+    write_json(args.out, analyze_claims(claims, kb))
     print(f"entity analysis over {len(claims)} claims -> {args.out}")
     return 0
 
@@ -115,7 +90,7 @@ def _load_corpus_bundle(corpus_path: str):
 def cmd_train_selector(args) -> int:
     corpus, sentence_index, extractor = _load_corpus_bundle(args.corpus)
     claims = load_claims(args.claims)
-    synthetic = load_synthetic_claims(args.synthetic) if args.synthetic else []
+    synthetic = load_claims(args.synthetic) if args.synthetic else []
     regime = Regime.from_string(args.regime)
     if regime is Regime.DATA_AUGMENTED and not synthetic:
         print("error: train-selector: regime 'da' needs --synthetic", file=sys.stderr)
@@ -146,14 +121,10 @@ def cmd_select(args) -> int:
     models = {"model": RelevanceModel.load(args.model)}
     if args.model2:
         models["model2"] = RelevanceModel.load(args.model2)
-    selections = {}
-    for claim in claims:
-        ranked = select_for_models(models, extractor, claim, docs.get(claim.claim_id, []), corpus, args.k)
-        if args.model2:
-            selections[claim.claim_id] = aggregate_sr(ranked["model"], ranked["model2"], args.k)
-        else:
-            selections[claim.claim_id] = ranked["model"]
-    write_selections(Path(args.out), selections)
+    sr = ("model", "model2") if args.model2 else None
+    selected = select_evidence(models, extractor, corpus, claims, docs, args.k, sr)
+    selections = selected["sr" if sr else "model"]
+    write_selections(args.out, selections)
     print(f"selected evidence for {len(selections)} claims -> {args.out}")
     return 0
 
@@ -178,14 +149,8 @@ def cmd_verdict(args) -> int:
     corpus, _, extractor = _load_corpus_bundle(args.corpus)
     claims = load_claims(args.claims)
     selections = load_selections(args.selections)
-    model = NliModel.load(args.model)
-    verdicts = {
-        claim.claim_id: verdict_for_claim(
-            model, extractor, corpus, claim, selections.get(claim.claim_id, [])
-        )
-        for claim in claims
-    }
-    write_verdicts(Path(args.out), verdicts)
+    verdicts = verdicts_for(NliModel.load(args.model), extractor, corpus, claims, selections)
+    write_verdicts(args.out, verdicts)
     print(f"verdicts for {len(verdicts)} claims -> {args.out}")
     return 0
 
@@ -196,64 +161,52 @@ def cmd_evaluate(args) -> int:
         print("error: evaluate: need --selections, --verdicts, or --docs", file=sys.stderr)
         return 1
     payload: dict = {"n_claims": len(claims)}
-    if args.selections:
-        selections = load_selections(args.selections)
-        predictions = {cid: [sid for sid, _ in ranked] for cid, ranked in selections.items()}
+    if args.selections or args.verdicts:
+        selections = load_selections(args.selections) if args.selections else None
         verdicts = load_verdicts(args.verdicts) if args.verdicts else None
-        report = build_report(claims, predictions, verdicts, k=args.k)
-        payload["sentence_level"] = report.to_jsonable()
-    elif args.verdicts:
-        verdicts = load_verdicts(args.verdicts)
-        predictions = {cid: evidence for cid, (label, evidence) in verdicts.items()}
-        report = build_report(claims, predictions, verdicts, k=args.k)
-        payload["sentence_level"] = report.to_jsonable()
+        payload["sentence_level"] = evaluate_evidence(claims, args.k, selections, verdicts).to_jsonable()
     if args.docs:
         docs = load_docs(args.docs)
         refuted, supported = count_mistakes(docs, claims, args.k_docs, level="document")
+        verifiable = any(claim.is_verifiable() for claim in claims)
         payload["document_level"] = {
             "k": args.k_docs,
-            "recall_at_k": document_recall_at_k(docs, claims, args.k_docs),
+            "recall_at_k": document_recall_at_k(docs, claims, args.k_docs) if verifiable else None,
             "refuted_mistakes": refuted,
             "supported_mistakes": supported,
         }
-    _write_json(args.out, payload)
+    write_json(args.out, payload)
     print(f"evaluation report -> {args.out}")
     return 0
 
 
+def _ratio(value) -> str:
+    return "n/a" if value is None else f"{value:.3f}"
+
+
+_RUN_REQUIRED = ("corpus", "train_claims", "dev_claims", "kb", "out_dir")
+
+
 def cmd_run(args) -> int:
-    overrides = {
-        "corpus": args.corpus,
-        "train_claims": args.train_claims,
-        "dev_claims": args.dev_claims,
-        "kb": args.kb,
-        "out_dir": args.out_dir,
-        "seed": args.seed,
-        "k_docs": args.k_docs,
-        "k_sentences": args.k_sentences,
-        "oracle_docs": args.oracle_docs,
-    }
+    fields = read_json(args.config) if args.config else {}
+    for name in _RUN_REQUIRED + ("seed", "k_docs", "k_sentences", "oracle_docs"):
+        if getattr(args, name) is not None:
+            fields[name] = getattr(args, name)
     if args.regimes:
-        overrides["regimes"] = tuple(args.regimes.split(","))
-    if args.config:
-        config = ExperimentConfig.from_file(args.config, **overrides)
-    else:
-        missing = [k for k in ("corpus", "train_claims", "dev_claims", "kb", "out_dir") if overrides.get(k) is None]
-        if missing:
-            print(f"error: run: missing required options: {', '.join(missing)}", file=sys.stderr)
-            return 1
-        filled = {k: v for k, v in overrides.items() if v is not None}
-        if "regimes" not in filled:
-            filled["regimes"] = ALL_REGIMES
-        config = ExperimentConfig(**filled)
+        fields["regimes"] = args.regimes.split(",")
+    missing = [name for name in _RUN_REQUIRED if name not in fields]
+    if missing:
+        print(f"error: run: missing required options: {', '.join(missing)}", file=sys.stderr)
+        return 1
+    config = ExperimentConfig(**{**fields, "regimes": tuple(fields.get("regimes", ALL_REGIMES))})
     report = run_experiment(config)
     for row in report["rows"]:
         line = (
-            f"{row['dataset']:<12} {row['regime']:<9} recall@{row['k']}={row['recall_at_k']:.3f} "
+            f"{row['dataset']:<12} {row['regime']:<9} recall@{row['k']}={_ratio(row['recall_at_k'])} "
             f"refuted_mistakes={row['refuted_mistakes']} supported_mistakes={row['supported_mistakes']}"
         )
         if "fever_score" in row:
-            line += f" fever={row['fever_score']:.3f} label_acc={row['label_accuracy']:.3f}"
+            line += f" fever={_ratio(row['fever_score'])} label_acc={_ratio(row['label_accuracy'])}"
         print(line)
     print(f"report bundle -> {config.out_dir}")
     return 0
@@ -267,12 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_ingest)
-
-    p = sub.add_parser("index", help="build and serialize a TF-IDF index")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--granularity", choices=("document", "sentence"), default="document")
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_index)
 
     p = sub.add_parser("retrieve-docs", help="top-k candidate pages per claim")
     p.add_argument("--corpus", required=True)

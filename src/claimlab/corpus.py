@@ -174,23 +174,6 @@ class InvertedIndex:
         df = self.vocabulary.get(token, 0)
         return math.log((self.doc_count + 1) / (df + 1)) + 1.0
 
-    def to_jsonable(self) -> dict:
-        """Canonical serialization; identical corpora serialize identically."""
-
-        def ident(i):
-            return list(i) if isinstance(i, tuple) else i
-
-        return {
-            "granularity": self.granularity,
-            "doc_count": self.doc_count,
-            "vocabulary": dict(sorted(self.vocabulary.items())),
-            "postings": {
-                tok: [[ident(i), tf] for i, tf in plist]
-                for tok, plist in sorted(self.postings.items())
-            },
-            "norms": [[ident(i), n] for i, n in sorted(self.norms.items())],
-        }
-
 
 def _iter_units(corpus: Corpus, granularity: str) -> Iterable[tuple[object, list[str]]]:
     if granularity == "document":

@@ -5,11 +5,15 @@ pipeline score require a COMPLETE evidence group inside the top-k,
 while mistake counting uses the looser rule that the top-k missed
 every individual gold sentence. Reports label which rule produced
 each number.
+
+A report over a set with nothing to measure degrades instead of
+failing: recall is None when no claim is verifiable, and the FEVER
+score and label accuracy are None when there are no claims.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping, Sequence
 
 from .claims import Claim, Label
@@ -129,7 +133,7 @@ def label_accuracy(
 @dataclass
 class EvaluationReport:
     k: int
-    recall_at_k: float
+    recall_at_k: float | None
     refuted_mistakes: int
     supported_mistakes: int
     fever_score: float | None
@@ -137,21 +141,22 @@ class EvaluationReport:
     n_claims: int
     n_verifiable: int
     per_claim: list[dict] = field(default_factory=list)
+    has_verdicts: bool = False
 
     def to_jsonable(self) -> dict:
-        return {
-            "k": self.k,
-            "recall_at_k": self.recall_at_k,
-            "recall_rule": "complete evidence group within top-k",
-            "refuted_mistakes": self.refuted_mistakes,
-            "supported_mistakes": self.supported_mistakes,
-            "mistake_rule": "no individual gold sentence within top-k",
-            "fever_score": self.fever_score,
-            "label_accuracy": self.label_accuracy,
-            "n_claims": self.n_claims,
-            "n_verifiable": self.n_verifiable,
-            "per_claim": self.per_claim,
-        }
+        payload = asdict(self)
+        del payload["has_verdicts"]
+        payload["recall_rule"] = "complete evidence group within top-k"
+        payload["mistake_rule"] = "no individual gold sentence within top-k"
+        return payload
+
+    def metrics_row(self) -> dict:
+        """The experiment report's per-(regime, dataset) numbers; the
+        verdict metrics appear only when verdicts were scored."""
+        names = ["k", "recall_at_k", "refuted_mistakes", "supported_mistakes"]
+        if self.has_verdicts:
+            names += ["fever_score", "label_accuracy"]
+        return {name: getattr(self, name) for name in names}
 
 
 def build_report(
@@ -173,14 +178,17 @@ def build_report(
         if verdicts is not None and claim.claim_id in verdicts:
             detail["predicted_label"] = verdicts[claim.claim_id][0].value
         per_claim.append(detail)
+    n_verifiable = len(_verifiable(claims))
+    scored = verdicts is not None and bool(claims)
     return EvaluationReport(
         k=k,
-        recall_at_k=recall_at_k(predictions, claims, k),
+        recall_at_k=recall_at_k(predictions, claims, k) if n_verifiable else None,
         refuted_mistakes=refuted,
         supported_mistakes=supported,
-        fever_score=fever_score(verdicts, claims, k) if verdicts is not None else None,
-        label_accuracy=label_accuracy(verdicts, claims) if verdicts is not None else None,
+        fever_score=fever_score(verdicts, claims, k) if scored else None,
+        label_accuracy=label_accuracy(verdicts, claims) if scored else None,
         n_claims=len(claims),
-        n_verifiable=len(_verifiable(claims)),
+        n_verifiable=n_verifiable,
         per_claim=per_claim,
+        has_verdicts=verdicts is not None,
     )

@@ -4,39 +4,44 @@ Produces one report row per requested regime per evaluation set (the
 original dev claims and the synthetic adversarial claims generated
 from them). All artifacts land under the output directory; reported
 numbers are recomputed from the persisted selection files, never from
-memory. Two runs with the same config and seed produce byte-identical
-bundles.
+memory, and a set with nothing to measure reports null metrics. Two
+runs with the same config and seed produce byte-identical bundles.
+
+The retrieve-docs, select, verdict and evaluate steps are plain
+functions here, shared with the CLI subcommands of the same names.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, TypeVar, Union
+from typing import Callable, Mapping, Optional, Sequence, TypeVar
 
-from .claim_gen import generate_augmentation_set, save_synthetic, synthetic_to_claim
-from .claims import Label, load_claims
-from .corpus import SentenceId, build_index, ingest_corpus
+from .claim_gen import generate_augmentation_set, synthetic_to_claim
+from .claims import Claim, Label, load_claims, save_claims
+from .corpus import Corpus, SentenceId, build_index, ingest_corpus
 from .entity_analysis import analyze_claims
-from .evaluation import count_mistakes, fever_score, label_accuracy, recall_at_k
+from .evaluation import EvaluationReport, build_report
 from .features import FeatureExtractor
 from .kb import KnowledgeBase
-from .nli import train_nli, verdict_for_claim
+from .nli import NliModel, train_nli, verdict_for_claim
 from .retrieval import DocRetrievalConfig, DocumentRetriever
 from .selection import (
+    RankedEvidence,
     Regime,
+    RelevanceModel,
     TrainingConfig,
     aggregate_sr,
     select_for_models,
     select_sentences,
     train_selector,
 )
-from .util import dumps_canonical, sha256_hex, stable_seed
+from .util import PathLike, dumps_canonical, read_jsonl, sha256_hex, stable_seed, write_json, write_jsonl
 
 ALL_REGIMES = ("baseline", "sup", "ref", "sr", "da")
 
 T = TypeVar("T")
+Verdict = tuple[Label, list[SentenceId]]
 
 
 class StageError(RuntimeError):
@@ -80,121 +85,133 @@ class ExperimentConfig:
 
     def hashable_dict(self) -> dict:
         """Config without the output directory, for the manifest hash."""
-        return {
-            "corpus": str(self.corpus),
-            "train_claims": str(self.train_claims),
-            "dev_claims": str(self.dev_claims),
-            "kb": str(self.kb),
-            "seed": self.seed,
-            "k_docs": self.k_docs,
-            "k_sentences": self.k_sentences,
-            "regimes": list(self.regimes),
-            "oracle_docs": self.oracle_docs,
-            "epochs": self.epochs,
-            "learning_rate": self.learning_rate,
-            "negatives_per_positive": self.negatives_per_positive,
+        fields = asdict(self)
+        del fields["out_dir"]
+        for name in ("corpus", "train_claims", "dev_claims", "kb"):
+            fields[name] = str(fields[name])
+        fields["regimes"] = list(self.regimes)
+        return fields
+
+
+# Artifact files: JSON lines keyed by claim id, written in claim-id order.
+
+
+def write_selections(path: PathLike, selections: Mapping[int, RankedEvidence]) -> None:
+    rows = (
+        {"claim_id": cid, "evidence": [[*sid, score] for sid, score in ranked]}
+        for cid, ranked in sorted(selections.items())
+    )
+    write_jsonl(path, rows)
+
+
+def load_selections(path: PathLike) -> dict[int, RankedEvidence]:
+    return {
+        int(obj["claim_id"]): [
+            (SentenceId(str(page), int(line)), float(score)) for page, line, score in obj["evidence"]
+        ]
+        for obj in read_jsonl(path)
+    }
+
+
+def write_docs(path: PathLike, docs: Mapping[int, list[str]]) -> None:
+    write_jsonl(path, ({"claim_id": cid, "pages": pages} for cid, pages in sorted(docs.items())))
+
+
+def load_docs(path: PathLike) -> dict[int, list[str]]:
+    return {int(obj["claim_id"]): [str(p) for p in obj["pages"]] for obj in read_jsonl(path)}
+
+
+def write_verdicts(path: PathLike, verdicts: Mapping[int, Verdict]) -> None:
+    rows = (
+        {
+            "claim_id": cid,
+            "predicted_label": label.value,
+            "predicted_evidence": [list(sid) for sid in evidence],
         }
-
-    @classmethod
-    def from_file(cls, path: Union[str, Path], **overrides) -> "ExperimentConfig":
-        with open(path, "r", encoding="utf-8") as handle:
-            raw = json.load(handle)
-        raw.update({k: v for k, v in overrides.items() if v is not None})
-        if "regimes" in raw:
-            raw["regimes"] = tuple(raw["regimes"])
-        return cls(**raw)
+        for cid, (label, evidence) in sorted(verdicts.items())
+    )
+    write_jsonl(path, rows)
 
 
-def _write_json(path: Path, payload) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, ensure_ascii=False, sort_keys=True, indent=2)
-        handle.write("\n")
+def load_verdicts(path: PathLike) -> dict[int, Verdict]:
+    return {
+        int(obj["claim_id"]): (
+            Label.from_string(obj["predicted_label"]),
+            [SentenceId(str(p), int(l)) for p, l in obj["predicted_evidence"]],
+        )
+        for obj in read_jsonl(path)
+    }
 
 
-def write_selections(path: Path, selections: dict[int, list[tuple[SentenceId, float]]]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        for claim_id in sorted(selections):
-            evidence = [[sid.page_id, sid.line_index, score] for sid, score in selections[claim_id]]
-            handle.write(json.dumps({"claim_id": claim_id, "evidence": evidence}, sort_keys=True))
-            handle.write("\n")
+# One function per pipeline step; the CLI subcommands call them too.
 
 
-def load_selections(path: Union[str, Path]) -> dict[int, list[tuple[SentenceId, float]]]:
-    selections: dict[int, list[tuple[SentenceId, float]]] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for raw in handle:
-            raw = raw.strip()
-            if not raw:
-                continue
-            obj = json.loads(raw)
-            selections[int(obj["claim_id"])] = [
-                (SentenceId(str(page), int(line)), float(score))
-                for page, line, score in obj["evidence"]
-            ]
-    return selections
+def retrieve_docs(
+    retriever: DocumentRetriever, claims: Sequence[Claim], oracle_docs: bool
+) -> dict[int, list[str]]:
+    """Candidate pages per claim; with oracle_docs the gold pages are appended."""
+    return {
+        claim.claim_id: retriever.retrieve_oracle(claim) if oracle_docs else retriever.retrieve(claim.text)
+        for claim in claims
+    }
 
 
-def write_docs(path: Path, docs: dict[int, list[str]]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        for claim_id in sorted(docs):
-            handle.write(json.dumps({"claim_id": claim_id, "pages": docs[claim_id]}, sort_keys=True))
-            handle.write("\n")
+def select_evidence(
+    models: Mapping[str, RelevanceModel],
+    extractor: FeatureExtractor,
+    corpus: Corpus,
+    claims: Sequence[Claim],
+    docs: Mapping[int, Sequence[str]],
+    k: int,
+    sr: Optional[tuple[str, str]] = None,
+) -> dict[str, dict[int, RankedEvidence]]:
+    """Top-k evidence per claim for every model, from one featurize pass
+    per claim. With sr=(first, second), the two models' rankings are also
+    merged by confidence under the key "sr"."""
+    per_model: dict[str, dict[int, RankedEvidence]] = {name: {} for name in models}
+    for claim in claims:
+        ranked = select_for_models(models, extractor, claim, docs.get(claim.claim_id, []), corpus, k)
+        for name, evidence in ranked.items():
+            per_model[name][claim.claim_id] = evidence
+    if sr is not None:
+        first, second = (per_model[name] for name in sr)
+        per_model["sr"] = {cid: aggregate_sr(first[cid], second[cid], k) for cid in first}
+    return per_model
 
 
-def load_docs(path: Union[str, Path]) -> dict[int, list[str]]:
-    docs: dict[int, list[str]] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for raw in handle:
-            raw = raw.strip()
-            if raw:
-                obj = json.loads(raw)
-                docs[int(obj["claim_id"])] = [str(p) for p in obj["pages"]]
-    return docs
+def verdicts_for(
+    model: NliModel,
+    extractor: FeatureExtractor,
+    corpus: Corpus,
+    claims: Sequence[Claim],
+    selections: Mapping[int, RankedEvidence],
+) -> dict[int, Verdict]:
+    return {
+        claim.claim_id: verdict_for_claim(model, extractor, corpus, claim, selections.get(claim.claim_id, []))
+        for claim in claims
+    }
 
 
-def write_verdicts(path: Path, verdicts: dict[int, tuple[Label, list[SentenceId]]]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        for claim_id in sorted(verdicts):
-            label, evidence = verdicts[claim_id]
-            handle.write(
-                json.dumps(
-                    {
-                        "claim_id": claim_id,
-                        "predicted_label": label.value,
-                        "predicted_evidence": [[sid.page_id, sid.line_index] for sid in evidence],
-                    },
-                    sort_keys=True,
-                )
-            )
-            handle.write("\n")
-
-
-def load_verdicts(path: Union[str, Path]) -> dict[int, tuple[Label, list[SentenceId]]]:
-    verdicts: dict[int, tuple[Label, list[SentenceId]]] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for raw in handle:
-            raw = raw.strip()
-            if not raw:
-                continue
-            obj = json.loads(raw)
-            verdicts[int(obj["claim_id"])] = (
-                Label.from_string(obj["predicted_label"]),
-                [SentenceId(str(p), int(l)) for p, l in obj["predicted_evidence"]],
-            )
-    return verdicts
+def evaluate_evidence(
+    claims: Sequence[Claim],
+    k: int,
+    selections: Optional[Mapping[int, RankedEvidence]] = None,
+    verdicts: Optional[Mapping[int, Verdict]] = None,
+) -> EvaluationReport:
+    """Sentence-level metrics of ranked evidence, or of the verdicts'
+    evidence when no selections are given."""
+    if selections is not None:
+        predictions = {cid: [sid for sid, _ in ranked] for cid, ranked in selections.items()}
+    else:
+        predictions = {cid: evidence for cid, (_, evidence) in verdicts.items()}
+    return build_report(claims, predictions, verdicts, k)
 
 
 def _trained_regimes(requested: tuple[str, ...]) -> list[Regime]:
     """Models to actually train; SR is an aggregation of sup and ref."""
     names = [r for r in requested if r != "sr"]
     if "sr" in requested:
-        for needed in ("sup", "ref"):
-            if needed not in names:
-                names.append(needed)
+        names += [needed for needed in ("sup", "ref") if needed not in names]
     return [Regime.from_string(name) for name in names]
 
 
@@ -221,46 +238,39 @@ def run_experiment(config: ExperimentConfig) -> dict:
     sentence_index, extractor, retriever = _run_stage("index", index)
 
     def generate():
-        synthetic_train = generate_augmentation_set(
-            train, kb, seed=stable_seed(config.seed, "augment", "train")
-        )
-        synthetic_dev = generate_augmentation_set(
-            dev, kb, seed=stable_seed(config.seed, "augment", "dev")
-        )
-        save_synthetic(out_dir / "synthetic_train.jsonl", synthetic_train)
-        save_synthetic(out_dir / "adversarial_dev.jsonl", synthetic_dev)
-        return synthetic_train, [synthetic_to_claim(s) for s in synthetic_dev]
+        synthetic_train = [
+            synthetic_to_claim(s)
+            for s in generate_augmentation_set(train, kb, seed=stable_seed(config.seed, "augment", "train"))
+        ]
+        adversarial = [
+            synthetic_to_claim(s)
+            for s in generate_augmentation_set(dev, kb, seed=stable_seed(config.seed, "augment", "dev"))
+        ]
+        save_claims(out_dir / "synthetic_train.jsonl", synthetic_train)
+        save_claims(out_dir / "adversarial_dev.jsonl", adversarial)
+        return synthetic_train, adversarial
 
     synthetic_train, adversarial = _run_stage("generate-claims", generate)
 
     _run_stage(
         "analyze-entities",
-        lambda: _write_json(out_dir / "entity_analysis.json", analyze_claims(dev, kb)),
+        lambda: write_json(out_dir / "entity_analysis.json", analyze_claims(dev, kb)),
     )
 
     datasets = (("dev", dev), ("adversarial", adversarial))
 
-    def retrieve_docs():
+    def retrieve():
         for name, claims in datasets:
-            docs = {
-                claim.claim_id: (
-                    retriever.retrieve_oracle(claim)
-                    if config.oracle_docs
-                    else retriever.retrieve(claim.text)
-                )
-                for claim in claims
-            }
-            write_docs(out_dir / f"docs_{name}.jsonl", docs)
+            write_docs(out_dir / f"docs_{name}.jsonl", retrieve_docs(retriever, claims, config.oracle_docs))
 
-    _run_stage("retrieve-docs", retrieve_docs)
+    _run_stage("retrieve-docs", retrieve)
 
     def train_selectors():
-        synthetic_claims = [synthetic_to_claim(s) for s in synthetic_train]
         models = {}
         for regime in _trained_regimes(config.regimes):
             model = train_selector(
                 train,
-                synthetic_claims,
+                synthetic_train,
                 corpus,
                 sentence_index,
                 extractor,
@@ -279,26 +289,12 @@ def run_experiment(config: ExperimentConfig) -> dict:
     models = _run_stage("train-selector", train_selectors)
 
     def select():
+        sr = ("sup", "ref") if "sr" in config.regimes else None
         for dataset, claims in datasets:
             docs = load_docs(out_dir / f"docs_{dataset}.jsonl")
-            per_model = {name: {} for name in models}
-            for claim in claims:
-                ranked = select_for_models(
-                    models, extractor, claim, docs.get(claim.claim_id, []), corpus, config.k_sentences
-                )
-                for name, evidence in ranked.items():
-                    per_model[name][claim.claim_id] = evidence
-            for regime_name in config.regimes:
-                if regime_name == "sr":
-                    selections = {
-                        cid: aggregate_sr(
-                            per_model["sup"][cid], per_model["ref"][cid], config.k_sentences
-                        )
-                        for cid in per_model["sup"]
-                    }
-                else:
-                    selections = per_model[regime_name]
-                write_selections(out_dir / "selections" / f"{dataset}_{regime_name}.jsonl", selections)
+            selected = select_evidence(models, extractor, corpus, claims, docs, config.k_sentences, sr)
+            for name in config.regimes:
+                write_selections(out_dir / "selections" / f"{dataset}_{name}.jsonl", selected[name])
 
     _run_stage("select", select)
 
@@ -331,13 +327,10 @@ def run_experiment(config: ExperimentConfig) -> dict:
     def verdicts_stage():
         for regime_name in config.regimes:
             selections = load_selections(out_dir / "selections" / f"dev_{regime_name}.jsonl")
-            verdicts = {
-                claim.claim_id: verdict_for_claim(
-                    nli_model, extractor, corpus, claim, selections.get(claim.claim_id, [])
-                )
-                for claim in dev
-            }
-            write_verdicts(out_dir / "verdicts" / f"dev_{regime_name}.jsonl", verdicts)
+            write_verdicts(
+                out_dir / "verdicts" / f"dev_{regime_name}.jsonl",
+                verdicts_for(nli_model, extractor, corpus, dev, selections),
+            )
 
     _run_stage("verdict", verdicts_stage)
 
@@ -345,24 +338,12 @@ def run_experiment(config: ExperimentConfig) -> dict:
         rows = []
         for regime_name in config.regimes:
             for dataset, claims in datasets:
-                selections = load_selections(
-                    out_dir / "selections" / f"{dataset}_{regime_name}.jsonl"
-                )
-                predictions = {cid: [sid for sid, _ in ranked] for cid, ranked in selections.items()}
-                refuted, supported = count_mistakes(predictions, claims, config.k_sentences)
-                row = {
-                    "regime": regime_name,
-                    "dataset": dataset,
-                    "recall_at_k": recall_at_k(predictions, claims, config.k_sentences),
-                    "k": config.k_sentences,
-                    "refuted_mistakes": refuted,
-                    "supported_mistakes": supported,
-                }
+                selections = load_selections(out_dir / "selections" / f"{dataset}_{regime_name}.jsonl")
+                verdicts = None
                 if dataset == "dev":
                     verdicts = load_verdicts(out_dir / "verdicts" / f"dev_{regime_name}.jsonl")
-                    row["fever_score"] = fever_score(verdicts, claims, config.k_sentences)
-                    row["label_accuracy"] = label_accuracy(verdicts, claims)
-                rows.append(row)
+                report = evaluate_evidence(claims, config.k_sentences, selections, verdicts)
+                rows.append({"regime": regime_name, "dataset": dataset, **report.metrics_row()})
         report = {
             "seed": config.seed,
             "oracle_docs": config.oracle_docs,
@@ -372,7 +353,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
             "n_adversarial_claims": len(adversarial),
             "n_synthetic_train": len(synthetic_train),
         }
-        _write_json(out_dir / "report.json", report)
+        write_json(out_dir / "report.json", report)
         return report
 
     report = _run_stage("evaluate", evaluate)
@@ -383,5 +364,5 @@ def run_experiment(config: ExperimentConfig) -> dict:
         "config_hash": sha256_hex(config_blob),
         "artifacts": sorted(str(p.relative_to(out_dir)) for p in out_dir.rglob("*") if p.is_file()),
     }
-    _write_json(out_dir / "manifest.json", manifest)
+    write_json(out_dir / "manifest.json", manifest)
     return report

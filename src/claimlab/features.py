@@ -1,8 +1,9 @@
 """Engineered lexical features for relevance scoring and claim classification.
 
-A candidate string is the page title (disambiguation suffix stripped)
-joined to the sentence text as "<title>. <sentence>", mirroring how
-candidates are presented everywhere in the pipeline.
+A candidate is a (title, body) record: the page's display title
+(disambiguation suffix stripped) and the sentence text, passed as two
+arguments everywhere in the pipeline. The title travels with each
+candidate so pronoun-heavy evidence keeps its subject.
 
 The claim side of every feature is computed once per claim
 (`FeatureExtractor.prepare_claim`); `candidate_features` does only the
@@ -16,7 +17,6 @@ from collections import Counter
 from typing import Mapping, NamedTuple, Union
 
 from .corpus import InvertedIndex, token_spans, tokenize
-from .util import sha256_hex
 
 SELECTION_FEATURE_NAMES = (
     "unigram_overlap",
@@ -39,18 +39,6 @@ PAIR_FEATURE_NAMES = SELECTION_FEATURE_NAMES + (
 
 # Cue words whose presence on one side but not the other often flips polarity.
 _NEGATION_CUES = ("not", "only", "never", "no")
-
-
-def feature_schema_hash(names: tuple[str, ...]) -> str:
-    return sha256_hex("\n".join(names))
-
-
-def split_candidate(candidate: str) -> tuple[str, str]:
-    """Recover (title, body) from a "<title>. <body>" candidate string."""
-    head, sep, tail = candidate.partition(". ")
-    if not sep:
-        return "", candidate
-    return head, tail
 
 
 def _bigrams(tokens: list[str]) -> set[tuple[str, str]]:
@@ -87,9 +75,9 @@ def contains_subsequence(haystack: list[str], needle: list[str]) -> bool:
     return any(haystack[i : i + len(needle)] == needle for i in range(len(haystack) - len(needle) + 1))
 
 
-def _negation_cues(text: str, tokens: set[str]) -> set[str]:
+def _negation_cues(tokens: set[str], *texts: str) -> set[str]:
     cues = {c for c in _NEGATION_CUES if c in tokens}
-    if "n't" in text.lower():
+    if any("n't" in text.lower() for text in texts):
         cues.add("n't")
     return cues
 
@@ -197,20 +185,15 @@ class FeatureExtractor:
     ) -> list[float]:
         return self.candidate_features(self.prepare_claim(claim_text), title, body, position)
 
-    def selection_features_from_candidate(self, claim: Union[str, PreparedClaim], candidate: str) -> list[float]:
-        """Contract form for callers that only have the combined string."""
-        title, body = split_candidate(candidate)
-        return self.candidate_features(self._prepared(claim), title, body, position=0.0)
-
-    def pair_features(self, claim: Union[str, PreparedClaim], candidate: str) -> list[float]:
-        """Selection features plus polarity cues for claim classification."""
+    def pair_features(self, claim: Union[str, PreparedClaim], title: str, body: str) -> list[float]:
+        """Selection features (at position 0) plus polarity cues for claim classification."""
         claim = self._prepared(claim)
-        base = self.selection_features_from_candidate(claim, candidate)
+        base = self.candidate_features(claim, title, body)
 
         claim_tokens = claim.token_set
-        candidate_tokens = set(tokenize(candidate))
-        claim_cues = _negation_cues(claim.text, claim_tokens)
-        candidate_cues = _negation_cues(candidate, candidate_tokens)
+        candidate_tokens = set(tokenize(title)) | set(tokenize(body))
+        claim_cues = _negation_cues(claim_tokens, claim.text)
+        candidate_cues = _negation_cues(candidate_tokens, title, body)
         negation = 1.0 if claim_cues != candidate_cues else 0.0
 
         claim_numerals = {t for t in claim_tokens if t.isdigit()}

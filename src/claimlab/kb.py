@@ -11,13 +11,13 @@ stands in for a neural linker and sits behind a small surface
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Union
 
 from .corpus import token_spans, tokenize
+from .util import read_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -75,28 +75,23 @@ class KnowledgeBase:
     @classmethod
     def load(cls, path: Union[str, Path]) -> "KnowledgeBase":
         records = []
-        with open(path, "r", encoding="utf-8") as handle:
-            for raw in handle:
-                raw = raw.strip()
-                if not raw:
-                    continue
-                obj = json.loads(raw)
-                eid = str(obj["id"])
-                name = obj["name"]
-                aliases = list(obj.get("aliases", []))
-                if name not in aliases:
-                    aliases.insert(0, name)
-                parents = tuple(p for p in obj.get("parents", []) if p != eid)
-                relations = tuple(r for r in obj.get("relations", []) if r != eid)
-                records.append(
-                    EntityRecord(
-                        entity_id=eid,
-                        canonical_name=name,
-                        aliases=tuple(aliases),
-                        parent_ids=parents,
-                        relation_ids=relations,
-                    )
+        for obj in read_jsonl(path):
+            eid = str(obj["id"])
+            name = obj["name"]
+            aliases = list(obj.get("aliases", []))
+            if name not in aliases:
+                aliases.insert(0, name)
+            parents = tuple(p for p in obj.get("parents", []) if p != eid)
+            relations = tuple(r for r in obj.get("relations", []) if r != eid)
+            records.append(
+                EntityRecord(
+                    entity_id=eid,
+                    canonical_name=name,
+                    aliases=tuple(aliases),
+                    parent_ids=parents,
+                    relation_ids=relations,
                 )
+            )
         return cls(records)
 
     def require(self, entity_id: str) -> EntityRecord:

@@ -8,7 +8,6 @@ NotEnoughInfo, Supported, Refuted.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from collections import Counter
@@ -17,10 +16,12 @@ from pathlib import Path
 from typing import Mapping, Sequence, Union
 
 from .claims import Claim, Label
-from .corpus import Corpus, SentenceId
-from .features import PAIR_FEATURE_NAMES, FeatureExtractor, PreparedClaim, feature_schema_hash
-from .selection import RankedEvidence, TrainingConfig, candidate_text
-from .util import stable_seed
+from .corpus import Corpus, SentenceId, display_title
+from .features import PAIR_FEATURE_NAMES, FeatureExtractor, PreparedClaim
+from .selection import RankedEvidence, TrainingConfig
+from .util import load_model, save_model, stable_seed
+
+MODEL_SCHEMA = "claimlab/nli-model/v1"
 
 # Argmax ties resolve in this order; it is also the vote tie-break.
 CLASS_ORDER = (Label.NOT_ENOUGH_INFO, Label.SUPPORTED, Label.REFUTED)
@@ -46,28 +47,21 @@ class NliModel:
         return [e / total for e in exps]
 
     def save(self, path: Union[str, Path]) -> None:
-        payload = {
-            "schema": "claimlab/nli-model/v1",
-            "classes": [label.value for label in CLASS_ORDER],
-            "feature_names": list(PAIR_FEATURE_NAMES),
-            "feature_schema_hash": feature_schema_hash(PAIR_FEATURE_NAMES),
-            "weights": self.weights,
-            "biases": self.biases,
-            "metadata": self.metadata,
-        }
-        Path(path).parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, ensure_ascii=False, sort_keys=True, indent=2)
-            handle.write("\n")
+        save_model(
+            path,
+            MODEL_SCHEMA,
+            PAIR_FEATURE_NAMES,
+            {
+                "classes": [label.value for label in CLASS_ORDER],
+                "weights": self.weights,
+                "biases": self.biases,
+                "metadata": self.metadata,
+            },
+        )
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "NliModel":
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-        if payload.get("schema") != "claimlab/nli-model/v1":
-            raise ValueError(f"unsupported model schema in {path}")
-        if payload.get("feature_schema_hash") != feature_schema_hash(PAIR_FEATURE_NAMES):
-            raise ValueError("model was trained with a different feature schema")
+        payload = load_model(path, MODEL_SCHEMA, PAIR_FEATURE_NAMES)
         return cls(
             weights=[list(ws) for ws in payload["weights"]],
             biases=list(payload["biases"]),
@@ -76,10 +70,10 @@ class NliModel:
 
 
 def classify_pair(
-    model: NliModel, extractor: FeatureExtractor, claim: Union[str, PreparedClaim], evidence_text: str
+    model: NliModel, extractor: FeatureExtractor, claim: Union[str, PreparedClaim], title: str, body: str
 ) -> tuple[Label, list[float]]:
-    """Argmax class for one pair; exact ties resolve by CLASS_ORDER."""
-    probs = model.probabilities(extractor.pair_features(claim, evidence_text))
+    """Argmax class for one (claim, candidate) pair; exact ties resolve by CLASS_ORDER."""
+    probs = model.probabilities(extractor.pair_features(claim, title, body))
     best = 0
     for i in range(1, len(CLASS_ORDER)):
         if probs[i] > probs[best]:
@@ -119,10 +113,10 @@ def _training_pairs(
         target = CLASS_ORDER.index(claim.label)
         prepared = extractor.prepare_claim(claim.text)
         for sid in sids:
-            if corpus.get_sentence(sid) is None:
+            body = corpus.get_sentence(sid)
+            if body is None:
                 continue
-            features = extractor.pair_features(prepared, candidate_text(corpus, sid))
-            pairs.append((features, target))
+            pairs.append((extractor.pair_features(prepared, display_title(sid.page_id), body), target))
     return pairs
 
 
@@ -178,14 +172,19 @@ def verdict_for_claim(
     claim: Claim,
     evidence: RankedEvidence,
 ) -> tuple[Label, list[SentenceId]]:
-    """Classify each retrieved sentence separately, then majority-vote."""
+    """Classify each retrieved sentence separately, then majority-vote.
+
+    Each sentence is classified together with its page title, so
+    pronoun-heavy evidence keeps its subject.
+    """
     labels = []
     predicted = []
     prepared = extractor.prepare_claim(claim.text)
     for sid, _ in evidence:
-        if corpus.get_sentence(sid) is None:
+        body = corpus.get_sentence(sid)
+        if body is None:
             continue
-        label, _ = classify_pair(model, extractor, prepared, candidate_text(corpus, sid))
+        label, _ = classify_pair(model, extractor, prepared, display_title(sid.page_id), body)
         labels.append(label)
         predicted.append(sid)
     return aggregate_verdict(labels), predicted

@@ -16,7 +16,6 @@ selector from the same feature vectors.
 from __future__ import annotations
 
 import enum
-import json
 import math
 import random
 from dataclasses import dataclass, field
@@ -26,8 +25,10 @@ from typing import Mapping, Sequence, Union
 
 from .claims import Claim, Label
 from .corpus import Corpus, InvertedIndex, SentenceId, display_title, tfidf_rank
-from .features import SELECTION_FEATURE_NAMES, FeatureExtractor, PreparedClaim, feature_schema_hash
-from .util import stable_seed
+from .features import SELECTION_FEATURE_NAMES, FeatureExtractor, PreparedClaim
+from .util import load_model, save_model, stable_seed
+
+MODEL_SCHEMA = "claimlab/relevance-model/v1"
 
 
 class Regime(enum.Enum):
@@ -81,38 +82,13 @@ class RelevanceModel:
         return _sigmoid(z)
 
     def save(self, path: Union[str, Path]) -> None:
-        payload = {
-            "schema": "claimlab/relevance-model/v1",
-            "feature_names": list(SELECTION_FEATURE_NAMES),
-            "feature_schema_hash": feature_schema_hash(SELECTION_FEATURE_NAMES),
-            "weights": self.weights,
-            "bias": self.bias,
-            "metadata": self.metadata,
-        }
-        Path(path).parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, ensure_ascii=False, sort_keys=True, indent=2)
-            handle.write("\n")
+        fields = {"weights": self.weights, "bias": self.bias, "metadata": self.metadata}
+        save_model(path, MODEL_SCHEMA, SELECTION_FEATURE_NAMES, fields)
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "RelevanceModel":
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-        if payload.get("schema") != "claimlab/relevance-model/v1":
-            raise ValueError(f"unsupported model schema in {path}")
-        expected = feature_schema_hash(SELECTION_FEATURE_NAMES)
-        if payload.get("feature_schema_hash") != expected:
-            raise ValueError("model was trained with a different feature schema")
+        payload = load_model(path, MODEL_SCHEMA, SELECTION_FEATURE_NAMES)
         return cls(weights=list(payload["weights"]), bias=payload["bias"], metadata=payload.get("metadata", {}))
-
-
-def candidate_text(corpus: Corpus, sid: SentenceId) -> str:
-    """"<title>. <sentence>": the page title is prepended to each candidate
-    so pronoun-heavy evidence keeps its subject."""
-    text = corpus.get_sentence(sid)
-    if text is None:
-        raise ValueError(f"unresolvable sentence id {tuple(sid)!r}")
-    return f"{display_title(sid.page_id)}. {text}"
 
 
 def sample_negatives(

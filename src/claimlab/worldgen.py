@@ -13,11 +13,12 @@ and the runnable scripts; everything derives from one seed.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
+
+from .util import write_jsonl
 
 _FIRST_NAMES = (
     "Alice", "Bruno", "Clara", "Derek", "Elena",
@@ -45,6 +46,20 @@ _NETWORK_NAMES = ("GBC", "NTV", "Astra", "Orbit", "Pinnacle", "Meridian", "Vista
 _TOWN_PREFIXES = ("Green", "Stone", "Mill", "Ash", "Bar", "Cold", "Dun", "East")
 _TOWN_SUFFIXES = ("ford", "bury", "brook", "mouth", "stead", "wick", "holt", "combe", "leigh")
 
+# Allowed range of each entity count; the upper ends are the name pools.
+# Refuted claims name a network other than the person's own, so two are needed.
+_COUNT_BOUNDS = {
+    "n_persons": (1, len(_FIRST_NAMES) * len(_LAST_NAMES)),
+    "n_shows": (1, len(_SHOW_NAMES)),
+    "n_networks": (2, len(_NETWORK_NAMES)),
+    "n_towns": (1, len(_TOWN_PREFIXES) * len(_TOWN_SUFFIXES)),
+}
+
+
+def _career_on_show_page(person_index: int, fraction: float) -> bool:
+    # Striped assignment: deterministic and evenly interleaved.
+    return (person_index * 17) % 100 < 100 * fraction
+
 
 @dataclass(frozen=True)
 class WorldConfig:
@@ -68,6 +83,24 @@ class WorldConfig:
     # which balances how strongly majority-class training can reward the
     # title-span signal. Dev two-entity supported claims use the others.
     show_gold_person_fraction: float = 0.2
+
+    def __post_init__(self):
+        """Reject configs the generator cannot honour, naming the field."""
+        for name, (low, high) in _COUNT_BOUNDS.items():
+            value = getattr(self, name)
+            if not low <= value <= high:
+                raise ValueError(f"{name} must be between {low} and {high}, got {value}")
+        if self.n_shows > self.n_persons:
+            raise ValueError(f"n_shows must not exceed n_persons ({self.n_persons}): every show needs a star")
+        # Person i stars in show i % n_shows; only a show's first person is
+        # named on its page, so later persons need their career on their own.
+        for i in range(self.n_shows, self.n_persons):
+            if _career_on_show_page(i, self.show_gold_person_fraction):
+                raise ValueError(f"n_persons must be at most {i} when n_shows is {self.n_shows}")
+        if self.dev_supported and all(
+            _career_on_show_page(i, self.show_gold_person_fraction) for i in range(self.n_persons)
+        ):
+            raise ValueError(f"n_persons ({self.n_persons}) leaves no person page to hold dev_supported gold")
 
 
 @dataclass
@@ -196,8 +229,7 @@ def build_world(config: WorldConfig = WorldConfig()) -> World:
             star_index_of_show[show_of[i]] = i
 
     def career_on_show_page(person_index: int) -> bool:
-        # Striped assignment: deterministic and evenly interleaved.
-        return (person_index * 17) % 100 < 100 * config.show_gold_person_fraction
+        return _career_on_show_page(person_index, config.show_gold_person_fraction)
 
     pages = []
     person_lines: dict[int, dict[str, int]] = {}
@@ -355,19 +387,13 @@ def build_world(config: WorldConfig = WorldConfig()) -> World:
 def write_world(world: World, out_dir: Union[str, Path]) -> dict[str, Path]:
     """Write corpus/, kb.jsonl, train.jsonl, dev.jsonl under out_dir."""
     out_dir = Path(out_dir)
-    corpus_dir = out_dir / "corpus"
-    corpus_dir.mkdir(parents=True, exist_ok=True)
     paths = {
-        "corpus": corpus_dir,
+        "corpus": out_dir / "corpus",
         "kb": out_dir / "kb.jsonl",
         "train": out_dir / "train.jsonl",
         "dev": out_dir / "dev.jsonl",
     }
-    with open(corpus_dir / "pages.jsonl", "w", encoding="utf-8") as handle:
-        for page in world.pages:
-            handle.write(json.dumps(page, ensure_ascii=False) + "\n")
+    write_jsonl(paths["corpus"] / "pages.jsonl", world.pages)
     for key, rows in (("kb", world.kb_rows), ("train", world.train_rows), ("dev", world.dev_rows)):
-        with open(paths[key], "w", encoding="utf-8") as handle:
-            for row in rows:
-                handle.write(json.dumps(row, ensure_ascii=False) + "\n")
+        write_jsonl(paths[key], rows)
     return paths

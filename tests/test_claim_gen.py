@@ -3,11 +3,9 @@ import pytest
 from claimlab.claim_gen import (
     generate_augmentation_set,
     generate_false_claim,
-    load_synthetic_claims,
-    save_synthetic,
     synthetic_to_claim,
 )
-from claimlab.claims import Label
+from claimlab.claims import Label, load_claims, save_claims
 from claimlab.kb import link_entities
 
 from conftest import make_claim
@@ -98,8 +96,8 @@ class TestAugmentationSet:
 def test_round_trip_file(tmp_path, tv_kb, galecki_claim):
     synthetics = generate_augmentation_set([galecki_claim], tv_kb, seed=5)
     path = tmp_path / "synthetic.jsonl"
-    save_synthetic(path, synthetics)
-    loaded = load_synthetic_claims(path)
+    save_claims(path, map(synthetic_to_claim, synthetics))
+    loaded = load_claims(path)
     assert len(loaded) == 1
     claim = loaded[0]
     assert claim.label is Label.REFUTED

@@ -47,14 +47,6 @@ def test_ingest(world_dir, capsys):
     assert "pages" in out
 
 
-def test_index_output(world_dir, tmp_path):
-    out = tmp_path / "index.json"
-    assert main(["index", "--corpus", str(world_dir / "corpus"), "--granularity", "sentence", "--out", str(out)]) == 0
-    payload = json.loads(out.read_text())
-    assert payload["granularity"] == "sentence"
-    assert payload["doc_count"] > 0
-
-
 def test_retrieve_docs_format(world_dir, tmp_path):
     out = tmp_path / "docs.jsonl"
     assert (
@@ -314,6 +306,24 @@ def test_evaluate_report(world_dir, pipeline_artifacts, tmp_path):
     assert 0.0 <= sentence["recall_at_k"] <= 1.0
     assert sentence["fever_score"] <= sentence["label_accuracy"]
     assert "document_level" in payload
+
+
+def test_evaluate_without_verifiable_claims(world_dir, pipeline_artifacts, tmp_path):
+    """A claims file with only NOT ENOUGH INFO claims reports null recall."""
+    nei = [row for row in read_jsonl(world_dir / "dev.jsonl") if row["label"] == "NOT ENOUGH INFO"]
+    ids = {row["id"] for row in nei}
+    inputs = {"claims": nei}
+    for name in ("sel_dev", "docs_dev"):
+        inputs[name] = [row for row in read_jsonl(pipeline_artifacts / f"{name}.jsonl") if row["claim_id"] in ids]
+    for name, rows in inputs.items():
+        (tmp_path / f"{name}.jsonl").write_text("".join(json.dumps(row) + "\n" for row in rows))
+    out = tmp_path / "report.json"
+    args = ["evaluate", "--claims", str(tmp_path / "claims.jsonl"), "--selections", str(tmp_path / "sel_dev.jsonl")]
+    assert main(args + ["--docs", str(tmp_path / "docs_dev.jsonl"), "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["sentence_level"]["recall_at_k"] is None
+    assert payload["sentence_level"]["n_verifiable"] == 0
+    assert payload["document_level"]["recall_at_k"] is None
 
 
 def test_evaluate_requires_inputs(world_dir, tmp_path, capsys):

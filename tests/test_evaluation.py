@@ -202,3 +202,21 @@ def test_report_fields():
     payload = report.to_jsonable()
     assert payload["recall_rule"].startswith("complete evidence group")
     assert len(payload["per_claim"]) == 3
+
+
+def test_report_without_verifiable_claims():
+    claims = [make_claim(3, NEI, "c")]
+    report = build_report(claims, {3: [sid("A", 0)]}, {3: (NEI, [])}, k=5)
+    assert report.recall_at_k is None
+    assert report.fever_score == report.label_accuracy == 1.0
+    empty = build_report([], {}, {}, k=5)
+    assert (empty.recall_at_k, empty.fever_score, empty.label_accuracy) == (None, None, None)
+    assert empty.metrics_row() == {
+        "k": 5,
+        "recall_at_k": None,
+        "refuted_mistakes": 0,
+        "supported_mistakes": 0,
+        "fever_score": None,
+        "label_accuracy": None,
+    }
+    assert "fever_score" not in build_report([], {}, None, k=5).metrics_row()

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from claimlab.claims import load_claims
+from claimlab.claims import Label, load_claims, save_claims
 from claimlab.evaluation import recall_at_k
 from claimlab.experiment import (
     ExperimentConfig,
@@ -107,6 +107,27 @@ def test_sr_absent_when_not_requested(world, tmp_path):
     report = run_experiment(config_for(world, tmp_path / "nobase", regimes=("baseline",)))
     assert all(row["regime"] == "baseline" for row in report["rows"])
     assert not (tmp_path / "nobase" / "selections" / "dev_sr.jsonl").exists()
+
+
+def test_empty_evaluation_sets_give_null_metrics(world, tmp_path):
+    """NOT ENOUGH INFO dev claims yield no adversarial claims and nothing
+    verifiable: recall is null, and the verdict metrics stay defined."""
+    nei_dev = tmp_path / "nei_dev.jsonl"
+    nei = [c for c in load_claims(world / "dev.jsonl") if c.label is Label.NOT_ENOUGH_INFO]
+    save_claims(nei_dev, nei)
+    report = run_experiment(config_for(world, tmp_path / "out", dev_claims=str(nei_dev)))
+    assert report["n_adversarial_claims"] == 0
+    assert report["n_dev_claims"] == len(nei)
+    assert len(report["rows"]) == 2 * len(report["regimes"])
+    for row in report["rows"]:
+        assert row["recall_at_k"] is None
+        assert (row["refuted_mistakes"], row["supported_mistakes"]) == (0, 0)
+        if row["dataset"] == "dev":
+            assert 0.0 <= row["fever_score"] == row["label_accuracy"] <= 1.0
+        else:
+            assert "fever_score" not in row
+    persisted = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert persisted["rows"] == report["rows"]
 
 
 def test_stage_error_carries_stage_name(tmp_path):

@@ -12,7 +12,6 @@ from claimlab.features import (
     _bigrams,
     _capitalized_spans,
     contains_subsequence,
-    split_candidate,
 )
 from claimlab.retrieval import DocRetrievalConfig, DocumentRetriever
 
@@ -37,7 +36,7 @@ def idx(name):
 class TestSelectionFeatures:
     def test_identical_candidate_full_overlap(self, extractor):
         claim = "Alice Fenwick starred in Halcyon."
-        features = extractor.selection_features_from_candidate(claim, claim)
+        features = extractor.selection_features(claim, "", claim)
         assert features[idx("unigram_overlap")] == 1.0
         assert features[idx("claim_tokens_missing")] == 0.0
         assert features[idx("tfidf_cosine")] == pytest.approx(1.0)
@@ -89,14 +88,6 @@ class TestSelectionFeatures:
         assert all(math.isfinite(x) for x in features)
 
 
-class TestSplitCandidate:
-    def test_round_trip(self):
-        assert split_candidate("Halcyon. It airs nightly.") == ("Halcyon", "It airs nightly.")
-
-    def test_no_separator(self):
-        assert split_candidate("just a sentence") == ("", "just a sentence")
-
-
 def pidx(name):
     return PAIR_FEATURE_NAMES.index(name)
 
@@ -105,32 +96,33 @@ class TestPairFeatures:
     def test_negation_cue_mismatch(self, extractor):
         features = extractor.pair_features(
             "Stan Beeman is only in shows on BBC.",
-            "Stan Beeman. Stan Beeman acts in a US TV series.",
+            "Stan Beeman",
+            "Stan Beeman acts in a US TV series.",
         )
         assert features[pidx("negation_cue_mismatch")] == 1.0
 
     def test_identical_texts_no_mismatch(self, extractor):
         text = "Alice Fenwick starred in Halcyon in 1999."
-        features = extractor.pair_features(text, text)
+        features = extractor.pair_features(text, "", text)
         assert features[pidx("negation_cue_mismatch")] == 0.0
         assert features[pidx("numeral_mismatch")] == 0.0
 
     def test_numeral_mismatch(self, extractor):
         features = extractor.pair_features(
-            "Alice Fenwick was born in 2001.", "Alice Fenwick. She was born in 1953."
+            "Alice Fenwick was born in 2001.", "Alice Fenwick", "She was born in 1953."
         )
         assert features[pidx("numeral_mismatch")] == 1.0
 
     def test_contraction_cue_detected(self, extractor):
-        features = extractor.pair_features("She isn't on stage.", "She. She is on stage.")
+        features = extractor.pair_features("She isn't on stage.", "She", "She is on stage.")
         assert features[pidx("negation_cue_mismatch")] == 1.0
 
     def test_evidence_subset_of_claim(self, extractor):
-        features = extractor.pair_features("alpha beta gamma delta", "alpha. beta gamma")
+        features = extractor.pair_features("alpha beta gamma delta", "alpha", "beta gamma")
         assert features[pidx("evidence_tokens_missing")] == 0.0
 
     def test_pair_length(self, extractor):
-        features = extractor.pair_features("a claim", "A Title. the evidence")
+        features = extractor.pair_features("a claim", "A Title", "the evidence")
         assert len(features) == len(PAIR_FEATURE_NAMES)
 
 
@@ -204,13 +196,14 @@ class TestPreparedClaim:
                 assert extractor.selection_features(claim_text, title, body, position) == expected
 
     def test_pair_features_accept_prepared_claim(self, extractor):
+        """Pair features start with the candidate's selection features at
+        position 0, even for titles such as "St. Louis" that contain ". "."""
         for claim_text in self.EDGE_CLAIMS:
             prepared = extractor.prepare_claim(claim_text)
             for title, body, _ in self.EDGE_CANDIDATES:
-                candidate = f"{title}. {body}"
-                assert extractor.pair_features(prepared, candidate) == extractor.pair_features(
-                    claim_text, candidate
-                )
+                features = extractor.pair_features(claim_text, title, body)
+                assert features[:10] == extractor.candidate_features(prepared, title, body, 0.0)
+                assert extractor.pair_features(prepared, title, body) == features
 
     def test_every_scored_pair_of_fixture_world(self, fixture_world):
         """Every (dev claim, sentence) pair the select stage scores on the

@@ -5,14 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from claimlab.claims import Label
-from claimlab.corpus import Document, SentenceId, build_index
-from claimlab.features import SELECTION_FEATURE_NAMES, FeatureExtractor
+from claimlab.corpus import Document, SentenceId, build_index, display_title
+from claimlab.features import PAIR_FEATURE_NAMES, SELECTION_FEATURE_NAMES, FeatureExtractor
+from claimlab.nli import CLASS_ORDER, NliModel, verdict_for_claim
 from claimlab.selection import (
     Regime,
     RelevanceModel,
     TrainingConfig,
     aggregate_sr,
-    candidate_text,
     sample_negatives,
     select_for_models,
     select_sentences,
@@ -22,27 +22,52 @@ from claimlab.selection import (
 from conftest import make_claim, make_corpus
 
 
+def classified_candidates(corpus, evidence):
+    """The (title, body) candidates verdict_for_claim classifies for the
+    given evidence ids, and the ids it reports as predicted evidence."""
+    seen = []
+
+    class Recording(FeatureExtractor):
+        def pair_features(self, claim, title, body):
+            seen.append((title, body))
+            return super().pair_features(claim, title, body)
+
+    extractor = Recording.from_index(build_index(corpus, "sentence"))
+    model = NliModel(
+        weights=[[0.0] * len(PAIR_FEATURE_NAMES) for _ in CLASS_ORDER], biases=[0.0] * len(CLASS_ORDER)
+    )
+    claim = make_claim(1, Label.SUPPORTED, "a claim")
+    _, predicted = verdict_for_claim(model, extractor, corpus, claim, [(sid, 1.0) for sid in evidence])
+    return seen, predicted
+
+
 class TestCandidateText:
+    """A candidate is its page's display title plus the sentence text."""
+
     def test_title_prepended(self):
-        corpus = make_corpus({"Johnny Galecki": ["bio line.", "He is known for playing."]})
-        assert candidate_text(corpus, SentenceId("Johnny Galecki", 1)) == (
-            "Johnny Galecki. He is known for playing."
+        """Titles containing ". " stay whole (no string is split again)."""
+        corpus = make_corpus(
+            {"Johnny Galecki": ["bio line.", "He is known for playing."], "St._Louis": ["It is a city."]}
         )
+        seen, _ = classified_candidates(corpus, [SentenceId("Johnny Galecki", 1), SentenceId("St._Louis", 0)])
+        assert seen == [("Johnny Galecki", "He is known for playing."), ("St. Louis", "It is a city.")]
 
     def test_disambiguation_suffix_stripped(self):
         corpus = make_corpus({"Blind_Faith_(miniseries)": ["A 1990 miniseries."]})
-        assert candidate_text(corpus, SentenceId("Blind_Faith_(miniseries)", 0)) == (
-            "Blind Faith. A 1990 miniseries."
-        )
+        seen, _ = classified_candidates(corpus, [SentenceId("Blind_Faith_(miniseries)", 0)])
+        assert seen == [("Blind Faith", "A 1990 miniseries.")]
 
     def test_empty_sentence(self):
-        corpus = make_corpus({"Page": [""]})
-        assert candidate_text(corpus, SentenceId("Page", 0)) == "Page. "
+        corpus = make_corpus({"Page": ["", "text."]})
+        seen, predicted = classified_candidates(corpus, [SentenceId("Page", 0)])
+        assert seen == [("Page", "")]
+        assert predicted == [SentenceId("Page", 0)]
 
-    def test_unresolvable_id_error(self):
+    def test_unresolvable_id_skipped(self):
         corpus = make_corpus({"Page": ["text."]})
-        with pytest.raises(ValueError):
-            candidate_text(corpus, SentenceId("Missing", 0))
+        seen, predicted = classified_candidates(corpus, [SentenceId("Missing", 0), SentenceId("Page", 0)])
+        assert seen == [("Page", "text.")]
+        assert predicted == [SentenceId("Page", 0)]
 
 
 @pytest.fixture
@@ -157,9 +182,7 @@ class TestTrainSelector:
                     doc = corpus.documents[page_id]
                     for line, text in doc.sentences:
                         sid = SentenceId(page_id, line)
-                        features = extractor.selection_features_from_candidate(
-                            claim.text, candidate_text(corpus, sid)
-                        )
+                        features = extractor.selection_features(claim.text, display_title(page_id), text)
                         p = min(max(m.score(features), 1e-9), 1 - 1e-9)
                         y = 1.0 if sid in gold else 0.0
                         total += -(y * math.log(p) + (1 - y) * math.log(1 - p))

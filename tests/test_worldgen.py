@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from claimlab.claims import Label, load_claims
 from claimlab.corpus import ingest_corpus
 from claimlab.kb import KnowledgeBase, link_entities
@@ -47,3 +49,24 @@ def test_dev_two_entity_supported_have_person_page_gold(tmp_path):
         if claim.label is Label.SUPPORTED and "sitcom" in claim.text:
             gold_page = claim.evidence_groups()[0][0].page_id
             assert claim.text.startswith(gold_page)
+
+
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        ({"n_persons": 0}, "n_persons"),
+        ({"n_persons": 200}, "n_persons"),
+        ({"n_shows": 0}, "n_shows"),
+        ({"n_shows": 120}, "n_shows"),
+        ({"n_networks": 1}, "n_networks"),
+        ({"n_networks": 9}, "n_networks"),
+        ({"n_towns": 0}, "n_towns"),
+        ({"n_towns": 73}, "n_towns"),
+        ({"n_persons": 59}, "n_shows"),
+        ({"n_persons": 66}, "n_persons"),
+        ({"n_persons": 2, "n_shows": 2}, "n_persons"),
+    ],
+)
+def test_unhonourable_config_rejected(overrides, field):
+    with pytest.raises(ValueError, match=field):
+        WorldConfig(**overrides)
