@@ -17,7 +17,7 @@ from .claim_gen import generate_augmentation_set, synthetic_to_claim
 from .claims import Label, load_claims, save_claims
 from .corpus import build_index, ingest_corpus
 from .entity_analysis import analyze_claims
-from .evaluation import count_mistakes, document_recall_at_k
+from .evaluation import build_report
 from .experiment import (
     ALL_REGIMES,
     ExperimentConfig,
@@ -167,14 +167,7 @@ def cmd_evaluate(args) -> int:
         payload["sentence_level"] = evaluate_evidence(claims, args.k, selections, verdicts).to_jsonable()
     if args.docs:
         docs = load_docs(args.docs)
-        refuted, supported = count_mistakes(docs, claims, args.k_docs, level="document")
-        verifiable = any(claim.is_verifiable() for claim in claims)
-        payload["document_level"] = {
-            "k": args.k_docs,
-            "recall_at_k": document_recall_at_k(docs, claims, args.k_docs) if verifiable else None,
-            "refuted_mistakes": refuted,
-            "supported_mistakes": supported,
-        }
+        payload["document_level"] = build_report(claims, docs, k=args.k_docs, level="document").metrics_row()
     write_json(args.out, payload)
     print(f"evaluation report -> {args.out}")
     return 0

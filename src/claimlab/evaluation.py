@@ -1,27 +1,33 @@
 """Evidence-retrieval and verdict metrics.
 
-Two evidence criteria coexist on purpose: recall and the overall
-pipeline score require a COMPLETE evidence group inside the top-k,
-while mistake counting uses the looser rule that the top-k missed
-every individual gold sentence. Reports label which rule produced
-each number.
+Every metric aggregates one per-claim judgement of a verifiable claim's
+top-k predictions, `(covered, hit)`:
 
-A report over a set with nothing to measure degrades instead of
-failing: recall is None when no claim is verifiable, and the FEVER
-score and label accuracy are None when there are no claims.
+- covered: a COMPLETE evidence group lies inside the top-k. Recall and
+  the evidence check of the FEVER score use it.
+- hit: at least one individual gold unit lies inside the top-k.
+  Mistake counting uses this looser rule: a mistake is a claim with no
+  hit. Reports label which rule produced each number.
+
+At the "sentence" level the units are sentence ids; at the "document"
+level both rules apply to each evidence group's pages, and predictions
+are page ids.
+
+A set with nothing to measure degrades instead of failing: a rate over
+an empty set is None. So recall is None when no claim is verifiable,
+and the FEVER score and label accuracy are None when there are no
+claims.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .claims import Claim, Label
 from .corpus import SentenceId
 
-
-def _verifiable(claims: Sequence[Claim]) -> list[Claim]:
-    return [c for c in claims if c.is_verifiable()]
+Verdicts = Mapping[int, tuple[Label, Sequence[SentenceId]]]
 
 
 def _check_ids(predicted_ids, claims: Sequence[Claim]) -> None:
@@ -31,103 +37,21 @@ def _check_ids(predicted_ids, claims: Sequence[Claim]) -> None:
         raise ValueError(f"predictions reference unknown claim ids: {unknown[:5]}")
 
 
-def _group_covered(claim: Claim, top_k: set) -> bool:
-    return any(set(group) <= top_k for group in claim.evidence_groups())
+def _judge(claim: Claim, predicted: Sequence, k: int, level: str) -> tuple[bool, bool]:
+    """(covered, hit) of a verifiable claim's top-k predicted units."""
+    if level == "sentence":
+        top_k = {SentenceId(*sid) for sid in list(predicted)[:k]}
+        groups = [set(group) for group in claim.evidence_groups()]
+    elif level == "document":
+        top_k = set(list(predicted)[:k])
+        groups = [{sid.page_id for sid in group} for group in claim.evidence_groups()]
+    else:
+        raise ValueError(f"unknown level {level!r}")
+    return any(group <= top_k for group in groups), any(group & top_k for group in groups)
 
 
-def recall_at_k(
-    predictions: Mapping[int, Sequence[SentenceId]], claims: Sequence[Claim], k: int
-) -> float:
-    """Fraction of verifiable claims with a complete evidence group
-    inside the top-k predicted sentences."""
-    _check_ids(predictions.keys(), claims)
-    verifiable = _verifiable(claims)
-    if not verifiable:
-        raise ValueError("no verifiable claims")
-    covered = 0
-    for claim in verifiable:
-        top_k = {SentenceId(*sid) for sid in list(predictions.get(claim.claim_id, []))[:k]}
-        if _group_covered(claim, top_k):
-            covered += 1
-    return covered / len(verifiable)
-
-
-def document_recall_at_k(
-    page_predictions: Mapping[int, Sequence[str]], claims: Sequence[Claim], k: int
-) -> float:
-    """Same complete-group rule applied to each group's set of pages."""
-    _check_ids(page_predictions.keys(), claims)
-    verifiable = _verifiable(claims)
-    if not verifiable:
-        raise ValueError("no verifiable claims")
-    covered = 0
-    for claim in verifiable:
-        top_pages = set(list(page_predictions.get(claim.claim_id, []))[:k])
-        groups = claim.evidence_groups()
-        if any({sid.page_id for sid in group} <= top_pages for group in groups):
-            covered += 1
-    return covered / len(verifiable)
-
-
-def count_mistakes(
-    predictions: Mapping[int, Sequence], claims: Sequence[Claim], k: int, level: str = "sentence"
-) -> tuple[int, int]:
-    """(refuted, supported) mistake counts over verifiable claims.
-
-    A mistake means the top-k retrieved evidence contains no gold
-    evidence at all, from any group.
-    """
-    _check_ids(predictions.keys(), claims)
-    refuted = supported = 0
-    for claim in _verifiable(claims):
-        top_k = list(predictions.get(claim.claim_id, []))[:k]
-        if level == "sentence":
-            hit = bool({SentenceId(*sid) for sid in top_k} & claim.gold_sentences())
-        elif level == "document":
-            gold_pages = {sid.page_id for group in claim.evidence_groups() for sid in group}
-            hit = bool(set(top_k) & gold_pages)
-        else:
-            raise ValueError(f"unknown level {level!r}")
-        if not hit:
-            if claim.label is Label.REFUTED:
-                refuted += 1
-            else:
-                supported += 1
-    return refuted, supported
-
-
-def fever_score(
-    verdicts: Mapping[int, tuple[Label, Sequence[SentenceId]]],
-    claims: Sequence[Claim],
-    k: int = 5,
-) -> float:
-    """Official-style score: label correct and, for verifiable claims,
-    a complete evidence group within the top-k predicted evidence."""
-    missing = [c.claim_id for c in claims if c.claim_id not in verdicts]
-    if missing:
-        raise ValueError(f"missing verdicts for claim ids: {missing[:5]}")
-    _check_ids(verdicts.keys(), claims)
-    points = 0
-    for claim in claims:
-        label, evidence = verdicts[claim.claim_id]
-        if label is not claim.label:
-            continue
-        if claim.is_verifiable():
-            top_k = {SentenceId(*sid) for sid in list(evidence)[:k]}
-            if not _group_covered(claim, top_k):
-                continue
-        points += 1
-    return points / len(claims)
-
-
-def label_accuracy(
-    verdicts: Mapping[int, tuple[Label, Sequence[SentenceId]]], claims: Sequence[Claim]
-) -> float:
-    missing = [c.claim_id for c in claims if c.claim_id not in verdicts]
-    if missing:
-        raise ValueError(f"missing verdicts for claim ids: {missing[:5]}")
-    correct = sum(1 for c in claims if verdicts[c.claim_id][0] is c.label)
-    return correct / len(claims)
+def _rate(flags: Sequence[bool]) -> Optional[float]:
+    return sum(flags) / len(flags) if flags else None
 
 
 @dataclass
@@ -161,34 +85,80 @@ class EvaluationReport:
 
 def build_report(
     claims: Sequence[Claim],
-    predictions: Mapping[int, Sequence[SentenceId]],
-    verdicts: Mapping[int, tuple[Label, Sequence[SentenceId]]] | None = None,
+    predictions: Mapping[int, Sequence],
+    verdicts: Optional[Verdicts] = None,
     k: int = 5,
+    level: str = "sentence",
 ) -> EvaluationReport:
-    refuted, supported = count_mistakes(predictions, claims, k)
-    per_claim = []
+    """Every metric from one pass over the claims.
+
+    predictions are ranked sentence ids per claim, or page ids at the
+    "document" level. The FEVER score judges each verdict's own
+    evidence; with verdicts, every claim needs one.
+    """
+    _check_ids(predictions.keys(), claims)
+    if verdicts is not None:
+        missing = [c.claim_id for c in claims if c.claim_id not in verdicts]
+        if missing:
+            raise ValueError(f"missing verdicts for claim ids: {missing[:5]}")
+        _check_ids(verdicts.keys(), claims)
+    per_claim, covered, correct, points = [], [], [], []
+    mistakes = {Label.REFUTED: 0, Label.SUPPORTED: 0}
     for claim in claims:
-        top_k = {SentenceId(*sid) for sid in list(predictions.get(claim.claim_id, []))[:k]}
-        detail = {
-            "claim_id": claim.claim_id,
-            "label": claim.label.value,
-            "covered": _group_covered(claim, top_k) if claim.is_verifiable() else None,
-            "mistake": (not bool(top_k & claim.gold_sentences())) if claim.is_verifiable() else None,
-        }
-        if verdicts is not None and claim.claim_id in verdicts:
-            detail["predicted_label"] = verdicts[claim.claim_id][0].value
-        per_claim.append(detail)
-    n_verifiable = len(_verifiable(claims))
-    scored = verdicts is not None and bool(claims)
+        verifiable = claim.is_verifiable()
+        row = {"claim_id": claim.claim_id, "label": claim.label.value, "covered": None, "mistake": None}
+        if verifiable:
+            is_covered, hit = _judge(claim, predictions.get(claim.claim_id, ()), k, level)
+            row["covered"], row["mistake"] = is_covered, not hit
+            covered.append(is_covered)
+            if not hit:
+                mistakes[claim.label] += 1
+        if verdicts is not None:
+            label, evidence = verdicts[claim.claim_id]
+            row["predicted_label"] = label.value
+            is_correct = label is claim.label
+            correct.append(is_correct)
+            points.append(is_correct and (not verifiable or _judge(claim, evidence, k, level)[0]))
+        per_claim.append(row)
     return EvaluationReport(
         k=k,
-        recall_at_k=recall_at_k(predictions, claims, k) if n_verifiable else None,
-        refuted_mistakes=refuted,
-        supported_mistakes=supported,
-        fever_score=fever_score(verdicts, claims, k) if scored else None,
-        label_accuracy=label_accuracy(verdicts, claims) if scored else None,
+        recall_at_k=_rate(covered),
+        refuted_mistakes=mistakes[Label.REFUTED],
+        supported_mistakes=mistakes[Label.SUPPORTED],
+        fever_score=_rate(points),
+        label_accuracy=_rate(correct),
         n_claims=len(claims),
-        n_verifiable=n_verifiable,
+        n_verifiable=len(covered),
         per_claim=per_claim,
         has_verdicts=verdicts is not None,
     )
+
+
+def recall_at_k(
+    predictions: Mapping[int, Sequence[SentenceId]], claims: Sequence[Claim], k: int
+) -> Optional[float]:
+    """Fraction of verifiable claims with a complete evidence group
+    inside the top-k predicted sentences; None when none is verifiable."""
+    return build_report(claims, predictions, k=k).recall_at_k
+
+
+def count_mistakes(
+    predictions: Mapping[int, Sequence[SentenceId]], claims: Sequence[Claim], k: int
+) -> tuple[int, int]:
+    """(refuted, supported) counts of verifiable claims whose top-k
+    predicted sentences contain no gold sentence from any group."""
+    report = build_report(claims, predictions, k=k)
+    return report.refuted_mistakes, report.supported_mistakes
+
+
+def fever_score(verdicts: Verdicts, claims: Sequence[Claim], k: int = 5) -> Optional[float]:
+    """Official-style score: label correct and, for verifiable claims,
+    a complete evidence group within the top-k predicted evidence.
+    None when there are no claims."""
+    return build_report(claims, {}, verdicts, k).fever_score
+
+
+def label_accuracy(verdicts: Verdicts, claims: Sequence[Claim]) -> Optional[float]:
+    """Fraction of claims whose predicted label is right; None when there
+    are no claims."""
+    return build_report(claims, {}, verdicts).label_accuracy

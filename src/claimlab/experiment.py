@@ -13,9 +13,10 @@ functions here, shared with the CLI subcommands of the same names.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Optional, Sequence, TypeVar
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .claim_gen import generate_augmentation_set, synthetic_to_claim
 from .claims import Claim, Label, load_claims, save_claims
@@ -32,15 +33,15 @@ from .selection import (
     RelevanceModel,
     TrainingConfig,
     aggregate_sr,
-    select_for_models,
+    featurize_candidates,
     select_sentences,
+    top_k,
     train_selector,
 )
 from .util import PathLike, dumps_canonical, read_jsonl, sha256_hex, stable_seed, write_json, write_jsonl
 
 ALL_REGIMES = ("baseline", "sup", "ref", "sr", "da")
 
-T = TypeVar("T")
 Verdict = tuple[Label, list[SentenceId]]
 
 
@@ -51,9 +52,11 @@ class StageError(RuntimeError):
         self.cause = cause
 
 
-def _run_stage(name: str, fn: Callable[[], T]) -> T:
+@contextmanager
+def _stage(name: str) -> Iterator[None]:
+    """Tag any failure inside the block with the stage name."""
     try:
-        return fn()
+        yield
     except StageError:
         raise
     except Exception as exc:
@@ -170,9 +173,9 @@ def select_evidence(
     merged by confidence under the key "sr"."""
     per_model: dict[str, dict[int, RankedEvidence]] = {name: {} for name in models}
     for claim in claims:
-        ranked = select_for_models(models, extractor, claim, docs.get(claim.claim_id, []), corpus, k)
-        for name, evidence in ranked.items():
-            per_model[name][claim.claim_id] = evidence
+        featurized = featurize_candidates(extractor, claim, docs.get(claim.claim_id, []), corpus)
+        for name, model in models.items():
+            per_model[name][claim.claim_id] = top_k(model, featurized, k)
     if sr is not None:
         first, second = (per_model[name] for name in sr)
         per_model["sr"] = {cid: aggregate_sr(first[cid], second[cid], k) for cid in first}
@@ -219,25 +222,19 @@ def run_experiment(config: ExperimentConfig) -> dict:
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    def ingest():
+    with _stage("ingest"):
         corpus = ingest_corpus(config.corpus)
         kb = KnowledgeBase.load(config.kb)
         train = load_claims(config.train_claims)
         dev = load_claims(config.dev_claims)
-        return corpus, kb, train, dev
 
-    corpus, kb, train, dev = _run_stage("ingest", ingest)
-
-    def index():
+    with _stage("index"):
         doc_index = build_index(corpus, "document")
         sentence_index = build_index(corpus, "sentence")
         extractor = FeatureExtractor.from_index(sentence_index)
         retriever = DocumentRetriever(corpus, doc_index, DocRetrievalConfig(k=config.k_docs))
-        return sentence_index, extractor, retriever
 
-    sentence_index, extractor, retriever = _run_stage("index", index)
-
-    def generate():
+    with _stage("generate-claims"):
         synthetic_train = [
             synthetic_to_claim(s)
             for s in generate_augmentation_set(train, kb, seed=stable_seed(config.seed, "augment", "train"))
@@ -248,24 +245,17 @@ def run_experiment(config: ExperimentConfig) -> dict:
         ]
         save_claims(out_dir / "synthetic_train.jsonl", synthetic_train)
         save_claims(out_dir / "adversarial_dev.jsonl", adversarial)
-        return synthetic_train, adversarial
 
-    synthetic_train, adversarial = _run_stage("generate-claims", generate)
-
-    _run_stage(
-        "analyze-entities",
-        lambda: write_json(out_dir / "entity_analysis.json", analyze_claims(dev, kb)),
-    )
+    with _stage("analyze-entities"):
+        write_json(out_dir / "entity_analysis.json", analyze_claims(dev, kb))
 
     datasets = (("dev", dev), ("adversarial", adversarial))
 
-    def retrieve():
+    with _stage("retrieve-docs"):
         for name, claims in datasets:
             write_docs(out_dir / f"docs_{name}.jsonl", retrieve_docs(retriever, claims, config.oracle_docs))
 
-    _run_stage("retrieve-docs", retrieve)
-
-    def train_selectors():
+    with _stage("train-selector"):
         models = {}
         for regime in _trained_regimes(config.regimes):
             model = train_selector(
@@ -284,11 +274,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
             )
             model.save(out_dir / "models" / f"selector_{regime.value}.json")
             models[regime.value] = model
-        return models
 
-    models = _run_stage("train-selector", train_selectors)
-
-    def select():
+    with _stage("select"):
         sr = ("sup", "ref") if "sr" in config.regimes else None
         for dataset, claims in datasets:
             docs = load_docs(out_dir / f"docs_{dataset}.jsonl")
@@ -296,18 +283,15 @@ def run_experiment(config: ExperimentConfig) -> dict:
             for name in config.regimes:
                 write_selections(out_dir / "selections" / f"{dataset}_{name}.jsonl", selected[name])
 
-    _run_stage("select", select)
-
-    def build_nli():
-        nei_claims = [c for c in train if c.label is Label.NOT_ENOUGH_INFO]
-        base_name = "baseline" if "baseline" in models else sorted(models)[0]
-        base_model = models[base_name]
-        nei_selections = {}
-        for claim in nei_claims:
-            pages = retriever.retrieve(claim.text)
-            nei_selections[claim.claim_id] = select_sentences(
-                base_model, extractor, claim, pages, corpus, config.k_sentences
+    with _stage("train-nli"):
+        base_model = models["baseline" if "baseline" in models else sorted(models)[0]]
+        nei_selections = {
+            claim.claim_id: select_sentences(
+                base_model, extractor, claim, retriever.retrieve(claim.text), corpus, config.k_sentences
             )
+            for claim in train
+            if claim.label is Label.NOT_ENOUGH_INFO
+        }
         nli_model = train_nli(
             train,
             nei_selections,
@@ -320,11 +304,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
             ),
         )
         nli_model.save(out_dir / "models" / "nli.json")
-        return nli_model
 
-    nli_model = _run_stage("train-nli", build_nli)
-
-    def verdicts_stage():
+    with _stage("verdict"):
         for regime_name in config.regimes:
             selections = load_selections(out_dir / "selections" / f"dev_{regime_name}.jsonl")
             write_verdicts(
@@ -332,9 +313,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
                 verdicts_for(nli_model, extractor, corpus, dev, selections),
             )
 
-    _run_stage("verdict", verdicts_stage)
-
-    def evaluate():
+    with _stage("evaluate"):
         rows = []
         for regime_name in config.regimes:
             for dataset, claims in datasets:
@@ -342,8 +321,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
                 verdicts = None
                 if dataset == "dev":
                     verdicts = load_verdicts(out_dir / "verdicts" / f"dev_{regime_name}.jsonl")
-                report = evaluate_evidence(claims, config.k_sentences, selections, verdicts)
-                rows.append({"regime": regime_name, "dataset": dataset, **report.metrics_row()})
+                metrics = evaluate_evidence(claims, config.k_sentences, selections, verdicts).metrics_row()
+                rows.append({"regime": regime_name, "dataset": dataset, **metrics})
         report = {
             "seed": config.seed,
             "oracle_docs": config.oracle_docs,
@@ -354,9 +333,6 @@ def run_experiment(config: ExperimentConfig) -> dict:
             "n_synthetic_train": len(synthetic_train),
         }
         write_json(out_dir / "report.json", report)
-        return report
-
-    report = _run_stage("evaluate", evaluate)
 
     config_blob = dumps_canonical(config.hashable_dict())
     manifest = {

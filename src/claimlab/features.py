@@ -83,8 +83,9 @@ def _negation_cues(tokens: set[str], *texts: str) -> set[str]:
 
 
 class PreparedClaim(NamedTuple):
-    """The claim side of every feature. tf lists (token, count, idf
-    squared) in first-occurrence order; norm is the TF-IDF vector length."""
+    """The claim side of every feature. tf lists (token, count, idf, idf
+    squared) in first-occurrence order, the order every float sum over
+    claim tokens follows; norm is the TF-IDF vector length."""
 
     text: str
     tokens: list[str]
@@ -92,7 +93,7 @@ class PreparedClaim(NamedTuple):
     bigrams: set[tuple[str, str]]
     span_sets: list[set[str]]
     idf_mass: float
-    tf: list[tuple[str, int, float]]
+    tf: list[tuple[str, int, float, float]]
     norm: float
 
 
@@ -121,24 +122,27 @@ class FeatureExtractor:
             token_set=token_set,
             bigrams=_bigrams(tokens),
             span_sets=[set(span) for span in _capitalized_spans(claim_text)],
-            idf_mass=sum(self.idf(t) for t in token_set),
-            tf=[(t, c, self.idf(t) ** 2) for t, c in counts.items()],
+            idf_mass=sum(self.idf(t) for t in counts),
+            tf=[(t, c, self.idf(t), self.idf(t) ** 2) for t, c in counts.items()],
             norm=math.sqrt(sum((c * self.idf(t)) ** 2 for t, c in counts.items())),
         )
 
     def _prepared(self, claim: Union[str, PreparedClaim]) -> PreparedClaim:
         return claim if isinstance(claim, PreparedClaim) else self.prepare_claim(claim)
 
-    def _cosine(self, claim: PreparedClaim, candidate_tokens: list[str]) -> float:
+    def _shared_sums(self, claim: PreparedClaim, candidate_tokens: list[str]) -> tuple[float, float]:
+        """(TF-IDF cosine, idf mass of the shared tokens). Both sums run in
+        the claim's token order, so their bits never follow a set's hash order."""
         candidate_tf = Counter(candidate_tokens)
-        dot = 0.0
-        for token, count, idf_squared in claim.tf:
+        dot = overlap = 0.0
+        for token, count, idf, idf_squared in claim.tf:
             if token in candidate_tf:
                 dot += count * candidate_tf[token] * idf_squared
+                overlap += idf
         if dot == 0.0:
-            return 0.0
+            return 0.0, overlap
         candidate_norm = math.sqrt(sum((c * self.idf(t)) ** 2 for t, c in candidate_tf.items()))
-        return dot / (claim.norm * candidate_norm)
+        return dot / (claim.norm * candidate_norm), overlap
 
     def candidate_features(
         self, claim: PreparedClaim, title: str, body: str, position: float = 0.0
@@ -150,13 +154,12 @@ class FeatureExtractor:
         candidate_set = set(candidate_tokens)
 
         claim_size = max(1, len(claim.token_set))
-        # idf_overlap sums over this set, so its bits follow the set's iteration order (ROADMAP item 4).
         shared = claim.token_set & candidate_set
         unigram = len(shared) / claim_size
         bigram = len(claim.bigrams & _bigrams(candidate_tokens)) / max(1, len(claim.bigrams))
-        # With no shared token the dot product, and so the cosine, is zero.
-        cosine = self._cosine(claim, candidate_tokens) if shared else 0.0
-        idf_overlap = sum(self.idf(t) for t in shared) / claim.idf_mass if claim.idf_mass > 0 else 0.0
+        # With no shared token both sums are zero.
+        cosine, overlap = self._shared_sums(claim, candidate_tokens) if shared else (0.0, 0.0)
+        idf_overlap = overlap / claim.idf_mass if claim.idf_mass > 0 else 0.0
 
         spans = claim.span_sets
         title_set, body_set = set(title_tokens), set(body_tokens)

@@ -9,8 +9,8 @@ epoch, keeps only the hardest negatives so positives and negatives
 stay balanced.
 
 Ranking is one featurize pass over a claim's candidate sentences plus a
-top-k scoring step per model, so `select_for_models` scores every
-selector from the same feature vectors.
+top-k scoring step per model, so several selectors can score the same
+feature vectors (see `experiment.select_evidence`).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass, field
 from operator import mul
 from pathlib import Path
-from typing import Mapping, Sequence, Union
+from typing import Sequence, Union
 
 from .claims import Claim, Label
 from .corpus import Corpus, InvertedIndex, SentenceId, display_title, tfidf_rank
@@ -307,19 +307,6 @@ def select_sentences(
     Duplicate pages are scored once; ties break by sentence id.
     """
     return top_k(model, featurize_candidates(extractor, claim, candidate_pages, corpus), k)
-
-
-def select_for_models(
-    models: Mapping[str, RelevanceModel],
-    extractor: FeatureExtractor,
-    claim: Claim,
-    candidate_pages: Sequence[str],
-    corpus: Corpus,
-    k: int,
-) -> dict[str, RankedEvidence]:
-    """`select_sentences` for every model, from one featurize pass."""
-    featurized = featurize_candidates(extractor, claim, candidate_pages, corpus)
-    return {name: top_k(model, featurized, k) for name, model in models.items()}
 
 
 def aggregate_sr(sup: RankedEvidence, ref: RankedEvidence, k: int) -> RankedEvidence:

@@ -7,7 +7,6 @@ from claimlab.corpus import SentenceId
 from claimlab.evaluation import (
     build_report,
     count_mistakes,
-    document_recall_at_k,
     fever_score,
     label_accuracy,
     recall_at_k,
@@ -35,9 +34,9 @@ class TestRecall:
         predictions = {1: [sid("A", 0)]}
         assert recall_at_k(predictions, [claim], k=5) == 0.0
 
-    def test_no_verifiable_claims_error(self):
-        with pytest.raises(ValueError, match="no verifiable"):
-            recall_at_k({}, [make_claim(1, NEI, "c")], k=5)
+    def test_no_verifiable_claims_is_none(self):
+        assert recall_at_k({}, [make_claim(1, NEI, "c")], k=5) is None
+        assert recall_at_k({}, [], k=5) is None
 
     def test_unknown_claim_id_error(self):
         claim = make_claim(1, SUP, "c", [[("A", 0)]])
@@ -68,8 +67,14 @@ class TestRecall:
 class TestDocumentRecall:
     def test_group_pages_must_all_appear(self):
         claim = make_claim(1, SUP, "c", [[("A", 0), ("B", 2)]])
-        assert document_recall_at_k({1: ["A"]}, [claim], k=20) == 0.0
-        assert document_recall_at_k({1: ["A", "B"]}, [claim], k=20) == 1.0
+        assert build_report([claim], {1: ["A"]}, k=20, level="document").recall_at_k == 0.0
+        assert build_report([claim], {1: ["A", "B"]}, k=20, level="document").recall_at_k == 1.0
+        assert build_report([claim], {1: ["C", "A", "B"]}, k=2, level="document").recall_at_k == 0.0
+
+    def test_unknown_level_error(self):
+        claim = make_claim(1, SUP, "c", [[("A", 0)]])
+        with pytest.raises(ValueError, match="unknown level"):
+            build_report([claim], {1: ["A"]}, k=20, level="page")
 
 
 class TestMistakes:
@@ -93,9 +98,15 @@ class TestMistakes:
         assert count_mistakes({}, claims, k=5) == (0, 0)
 
     def test_document_level(self):
-        claims = [make_claim(1, REF, "r", [[("A", 0)]])]
-        assert count_mistakes({1: ["B", "C"]}, claims, k=20, level="document") == (1, 0)
-        assert count_mistakes({1: ["A"]}, claims, k=20, level="document") == (0, 0)
+        claims = [make_claim(1, REF, "r", [[("A", 0), ("D", 1)]])]
+
+        def mistakes(pages):
+            report = build_report(claims, {1: pages}, k=20, level="document")
+            return report.refuted_mistakes, report.supported_mistakes
+
+        assert mistakes(["B", "C"]) == (1, 0)
+        assert mistakes(["A"]) == (0, 0)
+        assert mistakes(["D"]) == (0, 0)
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -220,3 +231,5 @@ def test_report_without_verifiable_claims():
         "label_accuracy": None,
     }
     assert "fever_score" not in build_report([], {}, None, k=5).metrics_row()
+    assert fever_score({}, [], 5) is None
+    assert label_accuracy({}, []) is None

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import claimlab
 from claimlab.claims import Label, load_claims, save_claims
 from claimlab.evaluation import recall_at_k
 from claimlab.experiment import (
@@ -149,3 +154,31 @@ def test_unknown_regime_rejected(tmp_path):
             corpus="c", train_claims="t", dev_claims="d", kb="k",
             out_dir=str(tmp_path), regimes=("baseline", "bogus"),
         )
+
+
+def test_bundle_independent_of_hash_seed(fixture_world, tmp_path):
+    """Two processes with different PYTHONHASHSEED values write the same
+    bundle bytes: no float result may follow a set's iteration order."""
+    script = """
+import sys
+from claimlab.experiment import ExperimentConfig, run_experiment
+world, out = sys.argv[1:]
+run_experiment(ExperimentConfig(
+    corpus=world + "/corpus", train_claims=world + "/train.jsonl", dev_claims=world + "/dev.jsonl",
+    kb=world + "/kb.jsonl", out_dir=out, seed=1, regimes=("baseline",),
+))
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(claimlab.__file__).parents[1])}
+    bundles = {}
+    for hash_seed in ("1", "2"):
+        out = tmp_path / f"hash{hash_seed}"
+        subprocess.run(
+            [sys.executable, "-c", script, str(fixture_world), str(out)],
+            env={**env, "PYTHONHASHSEED": hash_seed},
+            check=True,
+            timeout=120,
+        )
+        bundles[hash_seed] = {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+    assert sorted(bundles["1"]) == sorted(bundles["2"])
+    differing = [name for name in bundles["1"] if bundles["1"][name] != bundles["2"][name]]
+    assert differing == []

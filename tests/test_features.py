@@ -152,9 +152,11 @@ def reference_selection_features(extractor, claim_text, title, body, position=0.
         right_norm = math.sqrt(sum((c * extractor.idf(t)) ** 2 for t, c in right_tf.items()))
         cosine = dot / (left_norm * right_norm)
 
-    claim_idf_mass = sum(extractor.idf(t) for t in claim_set)
+    # Both idf sums run in first-occurrence order, independent of the hash seed.
+    claim_order = list(dict.fromkeys(claim_tokens))
+    claim_idf_mass = sum(extractor.idf(t) for t in claim_order)
     idf_overlap = (
-        sum(extractor.idf(t) for t in claim_set & candidate_set) / claim_idf_mass
+        sum(extractor.idf(t) for t in claim_order if t in candidate_set) / claim_idf_mass
         if claim_idf_mass > 0
         else 0.0
     )

@@ -116,7 +116,7 @@ class TestOracle:
 def test_refuted_doc_mistakes_exceed_supported_directionally():
     """Refuting evidence often lives on pages the claim never names, so
     document retrieval misses refuted claims more, checked directionally."""
-    from claimlab.evaluation import count_mistakes
+    from claimlab.evaluation import build_report
 
     corpus = make_corpus(
         {
@@ -135,8 +135,8 @@ def test_refuted_doc_mistakes_exceed_supported_directionally():
         make_claim(4, Label.REFUTED, "Alpha ignores the topic.", [[("Hidden", 0)]]),
     ]
     pages = {c.claim_id: retriever.retrieve(c.text) for c in claims}
-    refuted, supported = count_mistakes(pages, claims, k=2, level="document")
-    assert refuted > supported
+    report = build_report(claims, pages, k=2, level="document")
+    assert report.refuted_mistakes > report.supported_mistakes
 
 
 @settings(max_examples=40, deadline=None)

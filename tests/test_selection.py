@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from claimlab.claims import Label
 from claimlab.corpus import Document, SentenceId, build_index, display_title
+from claimlab.experiment import select_evidence
 from claimlab.features import PAIR_FEATURE_NAMES, SELECTION_FEATURE_NAMES, FeatureExtractor
 from claimlab.nli import CLASS_ORDER, NliModel, verdict_for_claim
 from claimlab.selection import (
@@ -14,7 +15,6 @@ from claimlab.selection import (
     TrainingConfig,
     aggregate_sr,
     sample_negatives,
-    select_for_models,
     select_sentences,
     train_selector,
 )
@@ -285,7 +285,7 @@ class TestSelectSentences:
         assert select_sentences(model, extractor, claims[0], ["Missing"], corpus, k=5) == []
 
 
-class TestSelectForModels:
+class TestSelectEvidence:
     def test_matches_select_sentences_per_model(self, training_world):
         corpus, index, extractor, claims = training_world
         corpus.add(Document("Hollow", ((0, ""), (1, "Ada Hartley visited Hollow."), (2, ""))))
@@ -303,17 +303,19 @@ class TestSelectForModels:
             for pages in page_lists:
                 for k in (1, 3, 50):
                     expected = {
-                        name: select_sentences(model, extractor, claim, pages, corpus, k)
+                        name: {claim.claim_id: select_sentences(model, extractor, claim, pages, corpus, k)}
                         for name, model in models.items()
                     }
-                    assert select_for_models(models, extractor, claim, pages, corpus, k) == expected
+                    docs = {claim.claim_id: pages}
+                    assert select_evidence(models, extractor, corpus, [claim], docs, k) == expected
 
     def test_empty_text_sentences_never_selected(self, training_world):
         corpus, index, extractor, claims = training_world
         corpus.add(Document("Hollow", ((0, ""), (1, "Ada Hartley visited Hollow."), (2, ""))))
         model = RelevanceModel(weights=[0.0] * len(SELECTION_FEATURE_NAMES), bias=0.0)
-        ranked = select_for_models({"m": model}, extractor, claims[0], ["Hollow"], corpus, k=5)
-        assert ranked == {"m": [(SentenceId("Hollow", 1), 0.5)]}
+        claim = claims[0]
+        ranked = select_evidence({"m": model}, extractor, corpus, [claim], {claim.claim_id: ["Hollow"]}, k=5)
+        assert ranked == {"m": {claim.claim_id: [(SentenceId("Hollow", 1), 0.5)]}}
 
 
 class TestAggregateSr:

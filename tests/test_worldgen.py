@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import claimlab
 from claimlab.claims import Label, load_claims
 from claimlab.corpus import ingest_corpus
 from claimlab.kb import KnowledgeBase, link_entities
@@ -70,3 +75,19 @@ def test_dev_two_entity_supported_have_person_page_gold(tmp_path):
 def test_unhonourable_config_rejected(overrides, field):
     with pytest.raises(ValueError, match=field):
         WorldConfig(**overrides)
+
+
+def test_make_world_script_rejects_unhonourable_config(tmp_path):
+    """The script reports the offending field and exits 1, writing nothing."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / "make_world.py"
+    env = {**os.environ, "PYTHONPATH": str(Path(claimlab.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, str(script), "--persons", "0", "--out", str(tmp_path / "w")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 1
+    assert "n_persons" in result.stderr
+    assert not (tmp_path / "w").exists()
