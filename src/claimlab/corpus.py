@@ -7,6 +7,7 @@ tab-separated fields: sentence index, sentence text, ignored anchors).
 
 from __future__ import annotations
 
+import heapq
 import json
 import logging
 import math
@@ -131,21 +132,26 @@ def document_to_dump_line(doc: Document) -> str:
     return json.dumps({"id": doc.page_id, "lines": lines}, ensure_ascii=False)
 
 
+def corpus_files(path: Union[str, Path]) -> list[Path]:
+    """The dump files a corpus path names: the path itself, or a
+    directory's *.jsonl and *.json files in name order."""
+    path = Path(path)
+    if not path.is_dir():
+        return [path]
+    files = sorted(p for p in path.iterdir() if p.suffix in (".jsonl", ".json"))
+    if not files:
+        raise FileNotFoundError(f"no .jsonl dump files under {path}")
+    return files
+
+
 def ingest_corpus(path: Union[str, Path]) -> Corpus:
     """Load a corpus from a dump file or a directory of *.jsonl files.
 
     Raises on unreadable paths and on duplicate page ids; malformed
     sentence lines inside a page are skipped, not fatal.
     """
-    path = Path(path)
-    if path.is_dir():
-        files = sorted(p for p in path.iterdir() if p.suffix in (".jsonl", ".json"))
-        if not files:
-            raise FileNotFoundError(f"no .jsonl dump files under {path}")
-    else:
-        files = [path]
     corpus = Corpus()
-    for file in files:
+    for file in corpus_files(path):
         with open(file, "r", encoding="utf-8") as handle:
             for raw in handle:
                 raw = raw.strip()
@@ -229,16 +235,13 @@ def build_index(corpus: Corpus, granularity: str = "document") -> InvertedIndex:
     return index
 
 
-def tfidf_rank(index: InvertedIndex, query: str, k: int) -> list[tuple]:
-    """Top-k units by TF-IDF cosine against the query.
+def tfidf_scores(index: InvertedIndex, query: str) -> dict:
+    """TF-IDF cosine of every unit sharing a token with the query, unsorted.
 
     tf is the raw count and idf = ln((N+1)/(df+1)) + 1. Only units
-    sharing at least one token with the query can score, so an
-    out-of-vocabulary query yields an empty list. Ties break by
-    identifier ascending.
+    sharing at least one token with the query (and with a non-zero
+    norm) appear, so an out-of-vocabulary query yields an empty map.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
     query_tf = Counter(tokenize(query))
     dots: dict = {}
     query_norm_sq = 0.0
@@ -249,13 +252,39 @@ def tfidf_rank(index: InvertedIndex, query: str, k: int) -> list[tuple]:
         for ident, tf in index.postings.get(token, ()):
             dots[ident] = dots.get(ident, 0.0) + qweight * tf * idf
     if not dots or query_norm_sq == 0.0:
-        return []
+        return {}
     query_norm = math.sqrt(query_norm_sq)
-    scored = []
+    scores = {}
     for ident, dot in dots.items():
         norm = index.norms.get(ident, 0.0)
         if norm == 0.0:
             continue
-        scored.append((ident, dot / (query_norm * norm)))
-    scored.sort(key=lambda item: (-item[1], item[0]))
-    return scored[:k]
+        scores[ident] = dot / (query_norm * norm)
+    return scores
+
+
+def rank_key(item: tuple) -> tuple:
+    """Order of scored (identifier, score) pairs: score descending, ties by
+    identifier ascending."""
+    return (-item[1], item[0])
+
+
+def top_k_scored(scores: dict, k: int) -> list[tuple]:
+    """The k best (identifier, score) pairs in rank_key order.
+
+    Exactly sorted(scores.items(), key=rank_key)[:k], but only the pairs
+    scoring at least the k-th best score are sorted.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    items = scores.items()
+    if len(scores) > k:
+        cut = heapq.nlargest(k, scores.values())[-1]
+        items = [item for item in items if item[1] >= cut]
+    return sorted(items, key=rank_key)[:k]
+
+
+def tfidf_rank(index: InvertedIndex, query: str, k: int) -> list[tuple]:
+    """Top-k units by TF-IDF cosine against the query (see tfidf_scores);
+    ties break by identifier ascending."""
+    return top_k_scored(tfidf_scores(index, query), k)

@@ -13,6 +13,8 @@ functions here, shared with the CLI subcommands of the same names.
 
 from __future__ import annotations
 
+import shutil
+import tempfile
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -20,7 +22,7 @@ from typing import Iterator, Mapping, Optional, Sequence
 
 from .claim_gen import generate_augmentation_set, synthetic_to_claim
 from .claims import Claim, Label, load_claims, save_claims
-from .corpus import Corpus, SentenceId, build_index, ingest_corpus
+from .corpus import Corpus, SentenceId, build_index, corpus_files, ingest_corpus
 from .entity_analysis import analyze_claims
 from .evaluation import EvaluationReport, build_report
 from .features import FeatureExtractor
@@ -38,7 +40,16 @@ from .selection import (
     top_k,
     train_selector,
 )
-from .util import PathLike, dumps_canonical, read_jsonl, sha256_hex, stable_seed, write_json, write_jsonl
+from .util import (
+    PathLike,
+    dumps_canonical,
+    read_jsonl,
+    sha256_files,
+    sha256_hex,
+    stable_seed,
+    write_json,
+    write_jsonl,
+)
 
 ALL_REGIMES = ("baseline", "sup", "ref", "sr", "da")
 
@@ -87,11 +98,11 @@ class ExperimentConfig:
             raise ValueError(f"unknown regimes: {unknown}")
 
     def hashable_dict(self) -> dict:
-        """Config without the output directory, for the manifest hash."""
+        """Config without any path, for the manifest hash; the inputs
+        enter the hash by content instead."""
         fields = asdict(self)
-        del fields["out_dir"]
-        for name in ("corpus", "train_claims", "dev_claims", "kb"):
-            fields[name] = str(fields[name])
+        for name in ("out_dir", "corpus", "train_claims", "dev_claims", "kb"):
+            del fields[name]
         fields["regimes"] = list(self.regimes)
         return fields
 
@@ -219,10 +230,41 @@ def _trained_regimes(requested: tuple[str, ...]) -> list[Regime]:
 
 
 def run_experiment(config: ExperimentConfig) -> dict:
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Run every stage and write the bundle to config.out_dir.
 
+    The bundle is built in a temporary sibling directory that replaces
+    out_dir only once every stage has succeeded: a rerun leaves no file
+    of the previous bundle behind, and a failed run leaves the previous
+    bundle as it was. An existing out_dir that holds files but no
+    manifest.json is not a bundle and is never replaced.
+    """
+    out_dir = Path(config.out_dir).resolve()
+    if out_dir.exists() and any(out_dir.iterdir()) and not (out_dir / "manifest.json").is_file():
+        raise FileExistsError(f"{out_dir} holds files but no bundle; not replacing it")
+    out_dir.parent.mkdir(parents=True, exist_ok=True)
+    work = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}-", dir=out_dir.parent))
+    try:
+        report = _write_bundle(config, work)
+        if out_dir.exists():
+            previous = work.with_name(work.name + "-previous")
+            out_dir.rename(previous)
+            work.rename(out_dir)
+            shutil.rmtree(previous)
+        else:
+            work.rename(out_dir)
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+    return report
+
+
+def _write_bundle(config: ExperimentConfig, out_dir: Path) -> dict:
     with _stage("ingest"):
+        inputs = {
+            "corpus": sha256_files(corpus_files(config.corpus)),
+            "train_claims": sha256_files([config.train_claims]),
+            "dev_claims": sha256_files([config.dev_claims]),
+            "kb": sha256_files([config.kb]),
+        }
         corpus = ingest_corpus(config.corpus)
         kb = KnowledgeBase.load(config.kb)
         train = load_claims(config.train_claims)
@@ -334,11 +376,16 @@ def run_experiment(config: ExperimentConfig) -> dict:
         }
         write_json(out_dir / "report.json", report)
 
-    config_blob = dumps_canonical(config.hashable_dict())
+    settings = config.hashable_dict()
     manifest = {
-        "config": config.hashable_dict(),
-        "config_hash": sha256_hex(config_blob),
-        "artifacts": sorted(str(p.relative_to(out_dir)) for p in out_dir.rglob("*") if p.is_file()),
+        "config": settings,
+        "inputs": inputs,
+        "config_hash": sha256_hex(dumps_canonical({"config": settings, "inputs": inputs})),
+        "artifacts": {
+            path.relative_to(out_dir).as_posix(): sha256_files([path])
+            for path in sorted(out_dir.rglob("*"))
+            if path.is_file()
+        },
     }
     write_json(out_dir / "manifest.json", manifest)
     return report

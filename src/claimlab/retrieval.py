@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .claims import Claim
-from .corpus import Corpus, InvertedIndex, display_title, tfidf_rank, tokenize
+from .corpus import Corpus, InvertedIndex, display_title, tfidf_scores, tokenize, top_k_scored
 from .features import contains_subsequence
 
 
@@ -37,29 +37,34 @@ class DocumentRetriever:
         self.corpus = corpus
         self.index = index
         self.config = config
-        self._title_tokens = {
-            page_id: tokenize(display_title(page_id)) for page_id in corpus.documents
-        }
+        # first title token -> [(page_id, title tokens)]: a title can only
+        # match a claim that contains its first token.
+        self._titles_by_first_token: dict[str, list[tuple[str, list[str]]]] = {}
+        for page_id in corpus.documents:
+            title_tokens = tokenize(display_title(page_id))
+            if title_tokens:
+                self._titles_by_first_token.setdefault(title_tokens[0], []).append((page_id, title_tokens))
 
-    def scored_candidates(self, claim_text: str) -> list[tuple[str, float]]:
-        """All candidate pages with combined scores, best first.
+    def scored_candidates(self, claim_text: str) -> dict[str, float]:
+        """Combined score of every candidate page, unsorted: its TF-IDF
+        cosine plus the bonus when its title occurs in the claim.
 
         Every page whose title matches gets the bonus, even when titles
         match overlapping claim spans; longest-match resolution belongs
         to entity linking, not retrieval.
         """
         claim_tokens = tokenize(claim_text)
-        scores = dict(tfidf_rank(self.index, claim_text, k=self.index.doc_count))
-        if claim_tokens:
-            for page_id, title_tokens in self._title_tokens.items():
-                if title_tokens and contains_subsequence(claim_tokens, title_tokens):
+        scores = tfidf_scores(self.index, claim_text)
+        # Each distinct token once, so no page gets the bonus twice.
+        for first in dict.fromkeys(claim_tokens):
+            for page_id, title_tokens in self._titles_by_first_token.get(first, ()):
+                if contains_subsequence(claim_tokens, title_tokens):
                     scores[page_id] = scores.get(page_id, 0.0) + self.config.title_match_weight
-        ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
-        return ranked
+        return scores
 
     def retrieve(self, claim_text: str) -> list[str]:
-        """Top-k page ids for the claim; empty when nothing matches."""
-        return [page_id for page_id, _ in self.scored_candidates(claim_text)[: self.config.k]]
+        """Top-k page ids for the claim, best first; empty when nothing matches."""
+        return [page_id for page_id, _ in top_k_scored(self.scored_candidates(claim_text), self.config.k)]
 
     def retrieve_oracle(self, claim: Claim) -> list[str]:
         """Plain retrieval with the claim's gold pages appended.

@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Sequence, Union
 
 from .claims import Claim, Label
-from .corpus import Corpus, InvertedIndex, SentenceId, display_title, tfidf_rank
+from .corpus import Corpus, InvertedIndex, SentenceId, display_title, rank_key, tfidf_scores, top_k_scored
 from .features import SELECTION_FEATURE_NAMES, FeatureExtractor, PreparedClaim
 from .util import load_model, save_model, stable_seed
 
@@ -108,47 +108,53 @@ def sample_negatives(
     positive-bearing nor previously sampled for this claim. Groups may
     run short when the corpus cannot supply them; no positive is ever
     returned and no sentence repeats. Output order is A, B, C per
-    positive, so callers can recover the partition.
+    positive, so callers can recover the partition. The index must be
+    the sentence index of the corpus.
+
+    Only what the groups can reach is ranked: the positive pages'
+    sentences (A), the best sentences elsewhere (B: earlier positives
+    use at most 2 * per_group of those each), and the sentences of the
+    pages group C draws.
     """
     if index.granularity != "sentence":
         raise ValueError("negative sampling needs a sentence-granularity index")
     if not positives:
         raise ValueError(f"claim {claim.claim_id} has no positive sentences")
     per_group = max(1, negatives_per_positive // 3)
-    ranked = tfidf_rank(index, claim.text, k=index.doc_count)
-    ranked_ids = [sid for sid, _ in ranked]
+    scores = tfidf_scores(index, claim.text)
+
+    def ranked_on(pages) -> list[SentenceId]:
+        units = (
+            SentenceId(page_id, line_index)
+            for page_id in pages
+            for line_index, _ in corpus.documents[page_id].sentences
+        )
+        return [sid for sid, _ in sorted(((sid, scores[sid]) for sid in units if sid in scores), key=rank_key)]
 
     positive_pages = {sid.page_id for sid in positives}
+    same_page_ids = ranked_on(page for page in positive_pages if page in corpus.documents)
+    reach = len(same_page_ids) + 2 * per_group * len(positives)
+    other_page_ids = [sid for sid, _ in top_k_scored(scores, reach) if sid.page_id not in positive_pages]
+    scored_pages = sorted({sid.page_id for sid in scores})
+
     used_sentences: set[SentenceId] = set(positives)
     used_documents: set[str] = set(positive_pages)
     rng = random.Random(rng_seed)
     out: list[SentenceId] = []
 
     for _ in sorted(positives):
-        group_a = [
-            sid
-            for sid in ranked_ids
-            if sid.page_id in positive_pages and sid not in used_sentences
-        ][:per_group]
+        group_a = [sid for sid in same_page_ids if sid not in used_sentences][:per_group]
         used_sentences.update(group_a)
 
-        group_b = [
-            sid
-            for sid in ranked_ids
-            if sid.page_id not in positive_pages and sid not in used_sentences
-        ][:per_group]
+        group_b = [sid for sid in other_page_ids if sid not in used_sentences][:per_group]
         used_sentences.update(group_b)
         used_documents.update(sid.page_id for sid in group_b)
 
-        # Eligible fresh documents, keyed to each one's best-ranked sentence.
-        fresh: dict[str, SentenceId] = {}
-        for sid in ranked_ids:
-            if sid.page_id in used_documents or sid in used_sentences:
-                continue
-            fresh.setdefault(sid.page_id, sid)
-        pages = sorted(fresh)
+        # Every used sentence lies on a used document, so each fresh
+        # document offers its best-ranked sentence.
+        pages = [page for page in scored_pages if page not in used_documents]
         chosen = rng.sample(pages, k=min(per_group, len(pages)))
-        group_c = [fresh[page] for page in sorted(chosen)]
+        group_c = [ranked_on([page])[0] for page in sorted(chosen)]
         used_sentences.update(group_c)
         used_documents.update(chosen)
 

@@ -30,6 +30,17 @@ def sha256_hex(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def sha256_files(paths: Iterable[PathLike]) -> str:
+    """sha256 of the files' bytes read one after another; of a single
+    file, its plain sha256."""
+    digest = hashlib.sha256()
+    for path in paths:
+        with open(path, "rb") as handle:
+            for block in iter(lambda: handle.read(1 << 20), b""):
+                digest.update(block)
+    return digest.hexdigest()
+
+
 def feature_schema_hash(names: tuple[str, ...]) -> str:
     return sha256_hex("\n".join(names))
 

@@ -14,8 +14,11 @@ from claimlab.corpus import (
     document_to_dump_line,
     ingest_corpus,
     parse_dump_line,
+    rank_key,
     tfidf_rank,
+    tfidf_scores,
     tokenize,
+    top_k_scored,
 )
 
 from conftest import make_corpus, write_jsonl
@@ -296,3 +299,31 @@ class TestTfidfRank:
             assert [ident for ident, _ in fast] == [ident for ident, _ in slow]
             for (_, a), (_, b) in zip(fast, slow):
                 assert a == pytest.approx(b, abs=1e-12)
+
+
+class TestTopKScored:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        values=st.lists(st.sampled_from([0.25, 0.5, 0.5, 0.75, 1.0]), min_size=0, max_size=30),
+        k=st.integers(min_value=1, max_value=35),
+    )
+    def test_equals_full_sort_with_ties_at_the_cut(self, values, k):
+        # Five distinct values over up to 30 ids: the k-th score is almost
+        # always shared by ids on both sides of the cut.
+        scores = {f"id{i:02d}": value for i, value in enumerate(values)}
+        assert top_k_scored(scores, k) == sorted(scores.items(), key=rank_key)[:k]
+
+    def test_ties_at_the_cut_break_by_identifier(self):
+        scores = {"e": 0.5, "a": 0.5, "c": 0.9, "d": 0.5, "b": 0.1}
+        assert top_k_scored(scores, 3) == [("c", 0.9), ("a", 0.5), ("d", 0.5)]
+
+    def test_k_must_be_positive(self):
+        with pytest.raises(ValueError):
+            top_k_scored({"a": 1.0}, 0)
+
+    def test_rank_is_top_k_of_scores(self):
+        corpus = make_corpus({f"P{i}": [f"shared word plus unique{i} token."] for i in range(6)})
+        index = build_index(corpus, "document")
+        scores = tfidf_scores(index, "shared word unique3")
+        assert len(scores) == 6
+        assert tfidf_rank(index, "shared word unique3", k=4) == sorted(scores.items(), key=rank_key)[:4]

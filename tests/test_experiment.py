@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -84,14 +86,80 @@ def test_reported_recall_matches_persisted_selections(bundle, world):
         assert recall_at_k(predictions, dev, row["k"]) == pytest.approx(row["recall_at_k"])
 
 
-def test_manifest_lists_artifacts(bundle):
+def bundle_files(out_dir):
+    return {p.relative_to(out_dir).as_posix(): p.read_bytes() for p in sorted(out_dir.rglob("*")) if p.is_file()}
+
+
+def test_manifest_lists_artifacts(bundle, world):
     out_dir, _ = bundle
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert "config_hash" in manifest
     assert "out_dir" not in manifest["config"]
-    listed = set(manifest["artifacts"])
-    assert "report.json" in listed
-    assert any(name.startswith("models/") for name in listed)
+    files = bundle_files(out_dir)
+    assert manifest["artifacts"] == {
+        name: hashlib.sha256(data).hexdigest() for name, data in files.items() if name != "manifest.json"
+    }
+    assert "report.json" in manifest["artifacts"]
+    assert any(name.startswith("models/") for name in manifest["artifacts"])
+    assert manifest["inputs"]["kb"] == hashlib.sha256((world / "kb.jsonl").read_bytes()).hexdigest()
+    corpus_bytes = b"".join(p.read_bytes() for p in sorted((world / "corpus").glob("*.jsonl")))
+    assert manifest["inputs"]["corpus"] == hashlib.sha256(corpus_bytes).hexdigest()
+
+
+def test_rerun_replaces_previous_bundle(world, tmp_path):
+    """A rerun with fewer regimes leaves none of the first run's files."""
+    out_dir = tmp_path / "runs" / "out"
+    run_experiment(config_for(world, out_dir, regimes=("baseline", "sup")))
+    assert (out_dir / "models" / "selector_sup.json").exists()
+    run_experiment(config_for(world, out_dir, regimes=("baseline",)))
+    fresh = tmp_path / "fresh"
+    run_experiment(config_for(world, fresh, regimes=("baseline",)))
+    assert bundle_files(out_dir) == bundle_files(fresh)
+    assert sorted(p.name for p in (tmp_path / "runs").iterdir()) == ["out"]
+
+
+def test_failed_run_keeps_previous_bundle(world, tmp_path):
+    """A run failing at ingest, or after earlier stages wrote files (no
+    trainable claim), leaves the previous bundle and no temporary files."""
+    out_dir = tmp_path / "runs" / "out"
+    run_experiment(config_for(world, out_dir, regimes=("baseline",)))
+    before = bundle_files(out_dir)
+    nei_train = tmp_path / "nei_train.jsonl"
+    save_claims(nei_train, [c for c in load_claims(world / "train.jsonl") if c.label is Label.NOT_ENOUGH_INFO])
+    failing = {"ingest": {"kb": str(tmp_path / "missing.jsonl")}, "train-selector": {"train_claims": str(nei_train)}}
+    for stage, change in failing.items():
+        with pytest.raises(StageError) as err:
+            run_experiment(config_for(world, out_dir, regimes=("baseline",), **change))
+        assert err.value.stage == stage
+        assert bundle_files(out_dir) == before
+        assert sorted(p.name for p in (tmp_path / "runs").iterdir()) == ["out"]
+
+
+def test_directory_without_bundle_not_replaced(world, tmp_path):
+    out_dir = tmp_path / "notes"
+    out_dir.mkdir()
+    (out_dir / "keep.txt").write_text("mine")
+    with pytest.raises(FileExistsError):
+        run_experiment(config_for(world, out_dir, regimes=("baseline",)))
+    assert bundle_files(out_dir) == {"keep.txt": b"mine"}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["notes"]
+
+
+def test_config_hash_follows_input_content(world, tmp_path):
+    """The same world in two directories gives the same manifest; other
+    input bytes give another config hash."""
+    manifests = []
+    for name in ("copy1", "copy2"):
+        shutil.copytree(world, tmp_path / name)
+        out_dir = tmp_path / f"out_{name}"
+        run_experiment(config_for(tmp_path / name, out_dir, regimes=("baseline",)))
+        manifests.append((out_dir / "manifest.json").read_bytes())
+    assert manifests[0] == manifests[1]
+    with open(tmp_path / "copy2" / "kb.jsonl", "a", encoding="utf-8") as handle:
+        handle.write("\n")
+    run_experiment(config_for(tmp_path / "copy2", tmp_path / "out_copy2", regimes=("baseline",)))
+    changed = json.loads((tmp_path / "out_copy2" / "manifest.json").read_text())
+    assert changed["config_hash"] != json.loads(manifests[0])["config_hash"]
 
 
 def test_oracle_flag_appends_gold_pages(world, tmp_path):

@@ -3,7 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from claimlab.claims import Label
-from claimlab.corpus import build_index
+from claimlab.corpus import build_index, display_title, tfidf_scores, tokenize
+from claimlab.features import contains_subsequence
 from claimlab.retrieval import DocRetrievalConfig, DocumentRetriever
 
 from conftest import make_claim, make_corpus
@@ -158,3 +159,47 @@ def test_bonus_dominates_when_weight_exceeds_cosine(data):
     claim_words = data.draw(st.lists(st.sampled_from(vocab), min_size=0, max_size=5))
     claim = "Goldpage " + " ".join(claim_words)
     assert "Goldpage" in retriever.retrieve(claim)[:3]
+
+
+def reference_retrieve(corpus, index, config, claim_text):
+    """Retrieval by brute force: every title scanned, every page sorted."""
+    claim_tokens = tokenize(claim_text)
+    scores = tfidf_scores(index, claim_text)
+    for page_id in corpus.documents:
+        title_tokens = tokenize(display_title(page_id))
+        if title_tokens and contains_subsequence(claim_tokens, title_tokens):
+            scores[page_id] = scores.get(page_id, 0.0) + config.title_match_weight
+    ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
+    return [page_id for page_id, _ in ranked[: config.k]]
+
+
+TITLE_WORDS = ["Red", "Red", "Stone", "River", "Lamp"]
+TEXT_WORDS = ["red", "stone", "lamp", "quartz", "maple", "the"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_retrieve_matches_brute_force(data):
+    """Titles share first tokens ("Red", "Red Stone", "Red Stone River")
+    and overlap in the claim; some pages' text lacks their title tokens
+    ("quartz maple"), some have no text at all, one title has no token;
+    identical texts tie at the k-th score; k may exceed the page count."""
+    titles = data.draw(
+        st.lists(st.lists(st.sampled_from(TITLE_WORDS), min_size=1, max_size=3), min_size=1, max_size=8, unique_by=tuple)
+    )
+    pages = {}
+    for i, words in enumerate(titles):
+        suffix = data.draw(st.sampled_from(["", f"_(v{i})"]))
+        text = data.draw(st.lists(st.sampled_from(TEXT_WORDS), min_size=0, max_size=3))
+        pages["_".join(words) + suffix] = [" ".join(text) + "." if text else ""]
+    if data.draw(st.booleans()):
+        pages["(untitled)"] = ["red lamp."]
+    corpus = make_corpus(pages)
+    index = build_index(corpus, "document")
+    config = DocRetrievalConfig(
+        k=data.draw(st.integers(min_value=1, max_value=len(pages) + 2)),
+        title_match_weight=data.draw(st.sampled_from([0.0, 0.5, 2.0])),
+    )
+    claim = " ".join(data.draw(st.lists(st.sampled_from(TITLE_WORDS + TEXT_WORDS + ["zz"]), max_size=8)))
+    retriever = DocumentRetriever(corpus, index, config)
+    assert retriever.retrieve(claim) == reference_retrieve(corpus, index, config, claim)

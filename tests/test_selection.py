@@ -1,23 +1,28 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from claimlab.claims import Label
-from claimlab.corpus import Document, SentenceId, build_index, display_title
-from claimlab.experiment import select_evidence
+from claimlab.claim_gen import generate_augmentation_set, synthetic_to_claim
+from claimlab.claims import Label, load_claims
+from claimlab.corpus import Document, SentenceId, build_index, display_title, ingest_corpus, tfidf_rank
+from claimlab.experiment import _trained_regimes, select_evidence
 from claimlab.features import PAIR_FEATURE_NAMES, SELECTION_FEATURE_NAMES, FeatureExtractor
+from claimlab.kb import KnowledgeBase
 from claimlab.nli import CLASS_ORDER, NliModel, verdict_for_claim
 from claimlab.selection import (
     Regime,
     RelevanceModel,
     TrainingConfig,
+    _regime_claims,
     aggregate_sr,
     sample_negatives,
     select_sentences,
     train_selector,
 )
+from claimlab.util import stable_seed
 
 from conftest import make_claim, make_corpus
 
@@ -132,6 +137,115 @@ class TestSampleNegatives:
         corpus, index = sampling_world
         with pytest.raises(ValueError):
             sample_negatives(self.claim(), corpus, index, set(), rng_seed=0)
+
+
+def reference_sample_negatives(claim, corpus, index, positives, rng_seed, negatives_per_positive=15):
+    """sample_negatives as it was before it stopped ranking the whole
+    index: one full TF-IDF sort, rescanned for every group."""
+    per_group = max(1, negatives_per_positive // 3)
+    ranked = tfidf_rank(index, claim.text, k=index.doc_count)
+    ranked_ids = [sid for sid, _ in ranked]
+
+    positive_pages = {sid.page_id for sid in positives}
+    used_sentences = set(positives)
+    used_documents = set(positive_pages)
+    rng = random.Random(rng_seed)
+    out = []
+
+    for _ in sorted(positives):
+        group_a = [
+            sid
+            for sid in ranked_ids
+            if sid.page_id in positive_pages and sid not in used_sentences
+        ][:per_group]
+        used_sentences.update(group_a)
+
+        group_b = [
+            sid
+            for sid in ranked_ids
+            if sid.page_id not in positive_pages and sid not in used_sentences
+        ][:per_group]
+        used_sentences.update(group_b)
+        used_documents.update(sid.page_id for sid in group_b)
+
+        fresh = {}
+        for sid in ranked_ids:
+            if sid.page_id in used_documents or sid in used_sentences:
+                continue
+            fresh.setdefault(sid.page_id, sid)
+        pages = sorted(fresh)
+        chosen = rng.sample(pages, k=min(per_group, len(pages)))
+        group_c = [fresh[page] for page in sorted(chosen)]
+        used_sentences.update(group_c)
+        used_documents.update(chosen)
+
+        out.extend(group_a + group_b + group_c)
+    return out
+
+
+def test_sample_negatives_matches_reference_on_default_world(fixture_world):
+    """Every (training claim, regime seed) pair that train_selector samples
+    for on the default world, with the default experiment seed."""
+    corpus = ingest_corpus(fixture_world / "corpus")
+    index = build_index(corpus, "sentence")
+    train = load_claims(fixture_world / "train.jsonl")
+    kb = KnowledgeBase.load(fixture_world / "kb.jsonl")
+    synthetic = [
+        synthetic_to_claim(s) for s in generate_augmentation_set(train, kb, seed=stable_seed(7, "augment", "train"))
+    ]
+    compared = 0
+    for regime in _trained_regimes(("baseline", "sup", "ref", "da")):
+        regime_seed = stable_seed(7, "selector", regime.value)
+        for claim in _regime_claims(train, synthetic, regime):
+            gold = {sid for sid in claim.gold_sentences() if corpus.get_sentence(sid) is not None}
+            if not gold:
+                continue
+            rng_seed = stable_seed(regime_seed, "negatives", claim.claim_id)
+            args = (claim, corpus, index, gold, rng_seed)
+            assert sample_negatives(*args) == reference_sample_negatives(*args)
+            compared += 1
+    assert compared > 200
+
+
+SAMPLING_WORDS = ["zeta", "quest", "path", "long", "the", "river"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_sample_negatives_matches_reference_on_random_corpora(data):
+    """Empty-text sentences, zero-norm units (no token in text or title),
+    several positives on several pages, and 1 or 3 negatives per positive."""
+    pages = {}
+    for i in range(data.draw(st.integers(min_value=1, max_value=9))):
+        texts = data.draw(
+            st.lists(
+                st.one_of(
+                    st.just(""),
+                    st.just("?!"),
+                    st.lists(st.sampled_from(SAMPLING_WORDS), min_size=1, max_size=4).map(" ".join),
+                ),
+                min_size=1,
+                max_size=5,
+            )
+        )
+        title = data.draw(st.sampled_from([f"Page{i}", f"({i})", f"Zeta_{i}"]))
+        pages[title] = texts
+    corpus = make_corpus(pages)
+    index = build_index(corpus, "sentence")
+    all_ids = sorted(SentenceId(page, line) for page, texts in pages.items() for line in range(len(texts)))
+    positives = data.draw(st.sets(st.sampled_from(all_ids), min_size=1, max_size=4))
+    claim = make_claim(1, Label.SUPPORTED, " ".join(data.draw(st.lists(st.sampled_from(SAMPLING_WORDS), max_size=5))))
+    args = (claim, corpus, index, positives, data.draw(st.integers(0, 1000)))
+    for per_positive in (1, 3):
+        if index.doc_count == 0:
+            # No sentence has text: the old full sort asked for k=0 and
+            # raised; there is nothing to sample, so the groups run short.
+            with pytest.raises(ValueError, match="k must be"):
+                reference_sample_negatives(*args, negatives_per_positive=per_positive)
+            assert sample_negatives(*args, negatives_per_positive=per_positive) == []
+            continue
+        expected = reference_sample_negatives(*args, negatives_per_positive=per_positive)
+        assert sample_negatives(*args, negatives_per_positive=per_positive) == expected
 
 
 @pytest.fixture
