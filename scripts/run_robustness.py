@@ -2,7 +2,8 @@
 
 Trains every selection regime on the fixture corpus, evaluates each on
 the original dev claims and on the synthetic adversarial claims, and
-checks the directional orderings over several seeds:
+checks the directional orderings over several seeds (as
+claimlab.evaluation.orderings defines them):
   a) refuted-only training makes no more refuted mistakes than baseline,
   b) supported-only makes no more supported mistakes than baseline,
   c) aggregating the two single-sided models matches or beats baseline
@@ -17,6 +18,7 @@ import argparse
 import tempfile
 from pathlib import Path
 
+from claimlab.evaluation import orderings
 from claimlab.experiment import ExperimentConfig, run_experiment
 from claimlab.worldgen import WorldConfig, build_world, write_world
 
@@ -48,7 +50,6 @@ def main() -> None:
             learning_rate=args.learning_rate,
         )
         report = run_experiment(config)
-        rows = {(r["dataset"], r["regime"]): r for r in report["rows"]}
 
         print(f"=== seed {seed}")
         for row in report["rows"]:
@@ -60,14 +61,7 @@ def main() -> None:
                 line += f" fever={row['fever_score']:.3f} label_acc={row['label_accuracy']:.3f}"
             print(line)
 
-        g = lambda d, r, key: rows[(d, r)][key]
-        outcomes = {
-            "a": g("dev", "ref", "refuted_mistakes") <= g("dev", "baseline", "refuted_mistakes"),
-            "b": g("dev", "sup", "supported_mistakes") <= g("dev", "baseline", "supported_mistakes"),
-            "c": g("dev", "sr", "recall_at_k") >= g("dev", "baseline", "recall_at_k"),
-            "d": g("adversarial", "da", "recall_at_k") >= g("adversarial", "baseline", "recall_at_k"),
-            "e": g("adversarial", "da", "refuted_mistakes") <= g("adversarial", "baseline", "refuted_mistakes"),
-        }
+        outcomes = orderings(report)
         for key, ok in outcomes.items():
             checks[key] += ok
         print("orderings:", " ".join(f"{k}={'ok' if ok else 'VIOLATED'}" for k, ok in outcomes.items()))

@@ -3,6 +3,12 @@
 The dump format is wiki-pages compatible JSON lines: each line is an
 object with "id" (page title) and "lines" (newline-joined sentences,
 tab-separated fields: sentence index, sentence text, ignored anchors).
+
+Postings map each token to {identifier: term frequency}, so one unit's
+score is a dict lookup per query token. `tfidf_scores` scores every
+unit that shares a token with a query; `SentenceScorer` scores single
+units of a sentence index and ranks an exact top-k with MaxScore
+pruning, scoring only the units that could still reach it.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import compress
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional, Union
 
@@ -166,14 +173,14 @@ class InvertedIndex:
     """Postings over documents or title-prefixed sentences.
 
     vocabulary maps token -> document frequency; postings maps token ->
-    [(identifier, term frequency), ...] sorted by identifier. Norms are
-    the TF-IDF vector lengths used by the cosine ranker.
+    {identifier: term frequency}, in identifier order. Norms are the
+    TF-IDF vector lengths used by the cosine ranker.
     """
 
     granularity: str
     doc_count: int
     vocabulary: dict[str, int]
-    postings: dict[str, list[tuple]]
+    postings: dict[str, dict]
     norms: dict
 
     def idf(self, token: str) -> float:
@@ -209,7 +216,7 @@ def build_index(corpus: Corpus, granularity: str = "document") -> InvertedIndex:
     units = list(_iter_units(corpus, granularity))
     doc_count = len(units)
     vocabulary: dict[str, int] = {}
-    postings: dict[str, list[tuple]] = {}
+    postings: dict[str, dict] = {}
     counts = []
     for ident, tokens in units:
         tf = Counter(tokens)
@@ -223,16 +230,41 @@ def build_index(corpus: Corpus, granularity: str = "document") -> InvertedIndex:
         postings=postings,
         norms={},
     )
+    idf = {token: index.idf(token) for token in vocabulary}
+    # Units come in identifier order, so each postings dict is in it too.
     for ident, tf in counts:
         norm_sq = 0.0
         for token, count in tf.items():
-            postings.setdefault(token, []).append((ident, count))
-            weight = count * index.idf(token)
+            postings.setdefault(token, {})[ident] = count
+            weight = count * idf[token]
             norm_sq += weight * weight
         index.norms[ident] = math.sqrt(norm_sq)
-    for plist in postings.values():
-        plist.sort(key=lambda item: item[0])
     return index
+
+
+class Query(NamedTuple):
+    """A query's TF-IDF vector against one index.
+
+    terms holds (token, query weight, idf, postings) per distinct token
+    in first-occurrence order, out-of-vocabulary tokens included (with
+    empty postings: they still count in the query's norm).
+    """
+
+    terms: list[tuple[str, float, float, dict]]
+    norm: float
+
+
+def parse_query(index: InvertedIndex, query: str) -> Query:
+    """The query text's Query against the index; tfidf_scores and
+    SentenceScorer score from it."""
+    terms = []
+    norm_sq = 0.0
+    for token, qcount in Counter(tokenize(query)).items():
+        idf = index.idf(token)
+        qweight = qcount * idf
+        norm_sq += qweight * qweight
+        terms.append((token, qweight, idf, index.postings.get(token, {})))
+    return Query(terms, math.sqrt(norm_sq))
 
 
 def tfidf_scores(index: InvertedIndex, query: str) -> dict:
@@ -242,24 +274,19 @@ def tfidf_scores(index: InvertedIndex, query: str) -> dict:
     sharing at least one token with the query (and with a non-zero
     norm) appear, so an out-of-vocabulary query yields an empty map.
     """
-    query_tf = Counter(tokenize(query))
+    parsed = parse_query(index, query)
     dots: dict = {}
-    query_norm_sq = 0.0
-    for token, qcount in query_tf.items():
-        idf = index.idf(token)
-        qweight = qcount * idf
-        query_norm_sq += qweight * qweight
-        for ident, tf in index.postings.get(token, ()):
+    for _, qweight, idf, postings in parsed.terms:
+        for ident, tf in postings.items():
             dots[ident] = dots.get(ident, 0.0) + qweight * tf * idf
-    if not dots or query_norm_sq == 0.0:
+    if not dots or parsed.norm == 0.0:
         return {}
-    query_norm = math.sqrt(query_norm_sq)
     scores = {}
     for ident, dot in dots.items():
         norm = index.norms.get(ident, 0.0)
         if norm == 0.0:
             continue
-        scores[ident] = dot / (query_norm * norm)
+        scores[ident] = dot / (parsed.norm * norm)
     return scores
 
 
@@ -284,7 +311,117 @@ def top_k_scored(scores: dict, k: int) -> list[tuple]:
     return sorted(items, key=rank_key)[:k]
 
 
-def tfidf_rank(index: InvertedIndex, query: str, k: int) -> list[tuple]:
-    """Top-k units by TF-IDF cosine against the query (see tfidf_scores);
-    ties break by identifier ascending."""
-    return top_k_scored(tfidf_scores(index, query), k)
+# b"0" -> 0 and b"1" -> 1, so a bin() string can select with compress().
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+# Relative slack on a sum of token bounds, far above the rounding error of
+# the few float operations that separate it from a score.
+_BOUND_SLACK = 1e-9
+
+
+class SentenceScorer:
+    """Exact TF-IDF cosines of chosen units of a sentence index.
+
+    Where tfidf_scores walks every posting of every query token, this
+    scores one unit at a time by dict lookups, with tfidf_scores' float
+    expressions in the same order, so every score equals tfidf_scores'
+    bit for bit. Each token's largest tf / norm (for top_k's bounds) and
+    its page bitmask (for pages) are computed the first time a query
+    uses the token and kept for later queries: one scorer should serve
+    a whole training pass.
+    """
+
+    def __init__(self, index: InvertedIndex):
+        if index.granularity != "sentence":
+            raise ValueError("SentenceScorer needs a sentence-granularity index")
+        self.index = index
+        self._max_impact: dict[str, float] = {}
+        self._page_mask: dict[str, int] = {}
+        self._pages: Optional[list[str]] = None  # bit -> page id, in page order
+        self._page_bit: dict[str, int] = {}
+
+    def score(self, query: Query, ident: SentenceId) -> Optional[float]:
+        """tfidf_scores(index, text).get(ident), without scoring other units."""
+        dot, shared = 0.0, False
+        for _, qweight, idf, postings in query.terms:
+            tf = postings.get(ident)
+            if tf is not None:
+                dot = dot + qweight * tf * idf
+                shared = True
+        norm = self.index.norms.get(ident, 0.0)
+        if not shared or norm == 0.0:
+            return None
+        return dot / (query.norm * norm)
+
+    def top_k(self, query: Query, k: int) -> list[tuple]:
+        """Exactly top_k_scored(tfidf_scores(index, text), k), MaxScore-pruned.
+
+        A token adds at most qweight * idf * max(tf / norm) / query_norm
+        to a unit's cosine. The units of the highest-bound tokens are
+        scored until there are k of them; the k-th best score is the
+        threshold theta. The longest prefix of lowest-bound tokens whose
+        bounds sum (times 1 + slack) to strictly less than theta is
+        skipped: a unit reached only by those tokens scores below theta,
+        so it cannot be in the top k, while one tying theta is kept.
+        Every other unit is scored exactly.
+        """
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        # Posted units have norm >= 1 (every idf is >= 1), so each scores.
+        bounded = sorted(
+            (
+                (qweight * idf * self._impact(token, postings) / query.norm, postings)
+                for token, qweight, idf, postings in query.terms
+                if postings
+            ),
+            key=lambda item: item[0],
+        )
+        scores: dict = {}
+        for _, postings in reversed(bounded):
+            for ident in postings:
+                if ident not in scores:
+                    scores[ident] = self.score(query, ident)
+            if len(scores) >= k:
+                break
+        if len(scores) >= k:
+            theta = heapq.nlargest(k, scores.values())[-1]
+            skipped, total = 0, 0.0
+            for bound, _ in bounded:
+                total += bound
+                if total * (1.0 + _BOUND_SLACK) >= theta:
+                    break
+                skipped += 1
+            for _, postings in bounded[skipped:]:
+                for ident in postings:
+                    if ident not in scores:
+                        scores[ident] = self.score(query, ident)
+        return top_k_scored(scores, k)
+
+    def pages(self, query: Query) -> list[str]:
+        """Sorted ids of the pages with a unit sharing a token with the
+        query: the pages of tfidf_scores' keys."""
+        if self._pages is None:
+            self._pages = sorted({sid.page_id for sid in self.index.norms})
+            self._page_bit = {page: bit for bit, page in enumerate(self._pages)}
+        mask = 0
+        for token, _, _, postings in query.terms:
+            if postings:
+                mask |= self._mask(token, postings)
+        # bin() is most significant bit first; reversed, position i is bit i.
+        return list(compress(self._pages, bin(mask)[:1:-1].encode().translate(_BIT_BYTES)))
+
+    def _impact(self, token: str, postings: dict) -> float:
+        impact = self._max_impact.get(token)
+        if impact is None:
+            norms = self.index.norms
+            impact = self._max_impact[token] = max(tf / norms[ident] for ident, tf in postings.items())
+        return impact
+
+    def _mask(self, token: str, postings: dict) -> int:
+        mask = self._page_mask.get(token)
+        if mask is None:
+            mask = 0
+            for bit in {self._page_bit[sid.page_id] for sid in postings}:
+                mask |= 1 << bit
+            self._page_mask[token] = mask
+        return mask

@@ -162,3 +162,32 @@ def label_accuracy(verdicts: Verdicts, claims: Sequence[Claim]) -> Optional[floa
     """Fraction of claims whose predicted label is right; None when there
     are no claims."""
     return build_report(claims, {}, verdicts).label_accuracy
+
+
+def orderings(report: Mapping) -> dict[str, bool]:
+    """The paper's directional results on one experiment report, each
+    held when the remedy does at least as well as the baseline (a tie
+    holds):
+
+    a) ref makes no more refuted mistakes than baseline on dev;
+    b) sup makes no more supported mistakes than baseline on dev;
+    c) sr's dev recall matches or beats baseline's;
+    d) da's adversarial recall matches or beats baseline's;
+    e) da makes no more refuted mistakes than baseline on adversarial.
+
+    The report needs the dev and adversarial rows of baseline, sup, ref,
+    sr and da.
+    """
+    rows = {(row["dataset"], row["regime"]): row for row in report["rows"]}
+
+    def value(dataset: str, regime: str, metric: str):
+        return rows[(dataset, regime)][metric]
+
+    return {
+        "a": value("dev", "ref", "refuted_mistakes") <= value("dev", "baseline", "refuted_mistakes"),
+        "b": value("dev", "sup", "supported_mistakes") <= value("dev", "baseline", "supported_mistakes"),
+        "c": value("dev", "sr", "recall_at_k") >= value("dev", "baseline", "recall_at_k"),
+        "d": value("adversarial", "da", "recall_at_k") >= value("adversarial", "baseline", "recall_at_k"),
+        "e": value("adversarial", "da", "refuted_mistakes")
+        <= value("adversarial", "baseline", "refuted_mistakes"),
+    }

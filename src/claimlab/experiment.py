@@ -38,7 +38,7 @@ from .selection import (
     featurize_candidates,
     select_sentences,
     top_k,
-    train_selector,
+    train_selectors,
 )
 from .util import (
     PathLike,
@@ -298,22 +298,18 @@ def _write_bundle(config: ExperimentConfig, out_dir: Path) -> dict:
             write_docs(out_dir / f"docs_{name}.jsonl", retrieve_docs(retriever, claims, config.oracle_docs))
 
     with _stage("train-selector"):
-        models = {}
-        for regime in _trained_regimes(config.regimes):
-            model = train_selector(
-                train,
-                synthetic_train,
-                corpus,
-                sentence_index,
-                extractor,
-                regime,
-                TrainingConfig(
-                    epochs=config.epochs,
-                    learning_rate=config.learning_rate,
-                    seed=stable_seed(config.seed, "selector", regime.value),
-                    negatives_per_positive=config.negatives_per_positive,
-                ),
+        configs = {
+            regime: TrainingConfig(
+                epochs=config.epochs,
+                learning_rate=config.learning_rate,
+                seed=stable_seed(config.seed, "selector", regime.value),
+                negatives_per_positive=config.negatives_per_positive,
             )
+            for regime in _trained_regimes(config.regimes)
+        }
+        trained = train_selectors(train, synthetic_train, corpus, sentence_index, extractor, configs)
+        models = {}
+        for regime, model in trained.items():
             model.save(out_dir / "models" / f"selector_{regime.value}.json")
             models[regime.value] = model
 

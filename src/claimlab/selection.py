@@ -8,6 +8,14 @@ groups (same-document, other-document, fresh-document) and, each
 epoch, keeps only the hardest negatives so positives and negatives
 stay balanced.
 
+Negatives come from a `NegativePool` per training claim, which ranks
+only what the groups can reach: the positive pages' sentences, an
+exact MaxScore-pruned top-k of the rest of the sentence index, and the
+pages group C draws. `train_selectors` trains several regimes in one
+pass: each distinct training claim gets one pool and one feature
+vector per (claim, sentence), and each regime's seed drives its own
+draws from the shared pools.
+
 Ranking is one featurize pass over a claim's candidate sentences plus a
 top-k scoring step per model, so several selectors can score the same
 feature vectors (see `experiment.select_evidence`).
@@ -21,10 +29,10 @@ import random
 from dataclasses import dataclass, field
 from operator import mul
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .claims import Claim, Label
-from .corpus import Corpus, InvertedIndex, SentenceId, display_title, rank_key, tfidf_scores, top_k_scored
+from .corpus import Corpus, InvertedIndex, SentenceId, SentenceScorer, display_title, parse_query, rank_key
 from .features import SELECTION_FEATURE_NAMES, FeatureExtractor, PreparedClaim
 from .util import load_model, save_model, stable_seed
 
@@ -91,6 +99,89 @@ class RelevanceModel:
         return cls(weights=list(payload["weights"]), bias=payload["bias"], metadata=payload.get("metadata", {}))
 
 
+class NegativePool:
+    """What one claim's negatives are drawn from, for a set of positives.
+
+    Built once: group A's ranking of the positive pages' sentences, group
+    B's reach list (the best sentences elsewhere, as many as draws of up
+    to per_group negatives per group can use), and group C's population
+    (the sorted pages with a sentence sharing a token with the claim).
+    Each draw then filters these lists with its own rng and ranks only
+    the pages it picks. Rankings are score descending, ties by sentence
+    id, exactly as a sort of the whole index would give.
+    """
+
+    def __init__(
+        self,
+        scorer: SentenceScorer,
+        corpus: Corpus,
+        claim: Claim,
+        positives: Iterable[SentenceId],
+        per_group: int,
+    ):
+        self.positives = sorted(positives)
+        self._scorer = scorer
+        self._corpus = corpus
+        self._query = parse_query(scorer.index, claim.text)
+        self._positive_pages = {sid.page_id for sid in self.positives}
+        self._same_page = self._ranked(page for page in self._positive_pages if page in corpus.documents)
+        # Per positive, groups B and C use at most 2 * per_group units of
+        # the reach list; the positive pages' units are filtered out of it.
+        reach = len(self._same_page) + 2 * per_group * len(self.positives)
+        self._other_page = [
+            sid for sid, _ in scorer.top_k(self._query, reach) if sid.page_id not in self._positive_pages
+        ]
+        self._population = scorer.pages(self._query)
+        self._best_on_page: dict[str, SentenceId] = {}
+
+    def _ranked(self, pages: Iterable[str]) -> list[SentenceId]:
+        scored = []
+        for page_id in pages:
+            for line_index, _ in self._corpus.documents[page_id].sentences:
+                sid = SentenceId(page_id, line_index)
+                score = self._scorer.score(self._query, sid)
+                if score is not None:
+                    scored.append((sid, score))
+        return [sid for sid, _ in sorted(scored, key=rank_key)]
+
+    def _best_on(self, page_id: str) -> SentenceId:
+        best = self._best_on_page.get(page_id)
+        if best is None:
+            best = self._best_on_page[page_id] = self._ranked([page_id])[0]
+        return best
+
+    def draw(self, rng_seed: int, per_group: int) -> list[SentenceId]:
+        """Up to 3 * per_group negatives per positive (see sample_negatives);
+        per_group must not exceed the pool's."""
+        used_sentences: set[SentenceId] = set(self.positives)
+        used_documents: set[str] = set(self._positive_pages)
+        rng = random.Random(rng_seed)
+        out: list[SentenceId] = []
+
+        for _ in self.positives:
+            group_a = [sid for sid in self._same_page if sid not in used_sentences][:per_group]
+            used_sentences.update(group_a)
+
+            group_b = [sid for sid in self._other_page if sid not in used_sentences][:per_group]
+            used_sentences.update(group_b)
+            used_documents.update(sid.page_id for sid in group_b)
+
+            # Every used sentence lies on a used document, so each fresh
+            # document offers its best-ranked sentence.
+            pages = [page for page in self._population if page not in used_documents]
+            chosen = rng.sample(pages, k=min(per_group, len(pages)))
+            group_c = [self._best_on(page) for page in sorted(chosen)]
+            used_sentences.update(group_c)
+            used_documents.update(chosen)
+
+            out.extend(group_a + group_b + group_c)
+        return out
+
+
+def _per_group(negatives_per_positive: int) -> int:
+    return max(1, negatives_per_positive // 3)
+
+
 def sample_negatives(
     claim: Claim,
     corpus: Corpus,
@@ -111,55 +202,13 @@ def sample_negatives(
     positive, so callers can recover the partition. The index must be
     the sentence index of the corpus.
 
-    Only what the groups can reach is ranked: the positive pages'
-    sentences (A), the best sentences elsewhere (B: earlier positives
-    use at most 2 * per_group of those each), and the sentences of the
-    pages group C draws.
+    This is one draw from a fresh NegativePool; train_selectors shares
+    the pools (and the scorer's per-token data) across its draws.
     """
-    if index.granularity != "sentence":
-        raise ValueError("negative sampling needs a sentence-granularity index")
     if not positives:
         raise ValueError(f"claim {claim.claim_id} has no positive sentences")
-    per_group = max(1, negatives_per_positive // 3)
-    scores = tfidf_scores(index, claim.text)
-
-    def ranked_on(pages) -> list[SentenceId]:
-        units = (
-            SentenceId(page_id, line_index)
-            for page_id in pages
-            for line_index, _ in corpus.documents[page_id].sentences
-        )
-        return [sid for sid, _ in sorted(((sid, scores[sid]) for sid in units if sid in scores), key=rank_key)]
-
-    positive_pages = {sid.page_id for sid in positives}
-    same_page_ids = ranked_on(page for page in positive_pages if page in corpus.documents)
-    reach = len(same_page_ids) + 2 * per_group * len(positives)
-    other_page_ids = [sid for sid, _ in top_k_scored(scores, reach) if sid.page_id not in positive_pages]
-    scored_pages = sorted({sid.page_id for sid in scores})
-
-    used_sentences: set[SentenceId] = set(positives)
-    used_documents: set[str] = set(positive_pages)
-    rng = random.Random(rng_seed)
-    out: list[SentenceId] = []
-
-    for _ in sorted(positives):
-        group_a = [sid for sid in same_page_ids if sid not in used_sentences][:per_group]
-        used_sentences.update(group_a)
-
-        group_b = [sid for sid in other_page_ids if sid not in used_sentences][:per_group]
-        used_sentences.update(group_b)
-        used_documents.update(sid.page_id for sid in group_b)
-
-        # Every used sentence lies on a used document, so each fresh
-        # document offers its best-ranked sentence.
-        pages = [page for page in scored_pages if page not in used_documents]
-        chosen = rng.sample(pages, k=min(per_group, len(pages)))
-        group_c = [ranked_on([page])[0] for page in sorted(chosen)]
-        used_sentences.update(group_c)
-        used_documents.update(chosen)
-
-        out.extend(group_a + group_b + group_c)
-    return out
+    per_group = _per_group(negatives_per_positive)
+    return NegativePool(SentenceScorer(index), corpus, claim, positives, per_group).draw(rng_seed, per_group)
 
 
 def _regime_claims(
@@ -188,48 +237,91 @@ def _example_features(
     return extractor.candidate_features(claim, display_title(sid.page_id), text, position)
 
 
-def train_selector(
+@dataclass
+class _TrainingClaim:
+    """A training claim prepared once for every regime that uses it."""
+
+    pool: NegativePool
+    prepared: PreparedClaim
+    vectors: dict[SentenceId, list[float]] = field(default_factory=dict)
+
+    def features(self, extractor: FeatureExtractor, corpus: Corpus, sid: SentenceId) -> list[float]:
+        vector = self.vectors.get(sid)
+        if vector is None:
+            vector = self.vectors[sid] = _example_features(extractor, corpus, self.prepared, sid)
+        return vector
+
+
+def train_selectors(
     claims: Sequence[Claim],
     synthetic_claims: Sequence[Claim],
     corpus: Corpus,
     index: InvertedIndex,
     extractor: FeatureExtractor,
-    regime: Regime,
-    config: TrainingConfig = TrainingConfig(),
-) -> RelevanceModel:
-    """Train the relevance scorer under one data regime.
+    configs: Mapping[Regime, TrainingConfig],
+) -> dict[Regime, RelevanceModel]:
+    """Train one relevance scorer per regime, in one pass over the claims.
 
-    Each epoch re-scores the whole negative pool, keeps the hardest
-    negatives so positive and negative counts match, and runs one full
-    pass of per-example gradient descent on the logistic loss in a
-    seeded shuffled order.
+    Each distinct training claim is prepared once, when the first regime
+    uses it: its NegativePool and, on first need, the feature vector of
+    each of its sentences. Each regime then draws every claim's negatives
+    with its own config's seed, in claim order, and trains as
+    train_selector describes, so each model equals a separate
+    train_selector call bit for bit.
     """
-    training_claims = _regime_claims(claims, synthetic_claims, regime)
-    if not training_claims:
-        raise ValueError(f"no training claims for regime {regime.value!r}")
+    scorer = SentenceScorer(index)
+    # A pool built for the largest per_group serves every smaller one: its
+    # reach list only grows at the end.
+    pool_per_group = max(_per_group(config.negatives_per_positive) for config in configs.values())
+    prepared: dict[Claim, Optional[_TrainingClaim]] = {}
+    models: dict[Regime, RelevanceModel] = {}
+    for regime, config in configs.items():
+        training_claims = _regime_claims(claims, synthetic_claims, regime)
+        if not training_claims:
+            raise ValueError(f"no training claims for regime {regime.value!r}")
+        positives: list[tuple[tuple, list[float]]] = []
+        negatives: list[tuple[tuple, list[float]]] = []
+        for claim in training_claims:
+            if claim not in prepared:
+                gold = [sid for sid in claim.gold_sentences() if corpus.get_sentence(sid) is not None]
+                prepared[claim] = (
+                    _TrainingClaim(
+                        NegativePool(scorer, corpus, claim, gold, pool_per_group),
+                        extractor.prepare_claim(claim.text),
+                    )
+                    if gold
+                    else None
+                )
+            entry = prepared[claim]
+            if entry is None:
+                continue
+            for sid in entry.pool.positives:
+                positives.append(((claim.claim_id, sid), entry.features(extractor, corpus, sid)))
+            seed = stable_seed(config.seed, "negatives", claim.claim_id)
+            for sid in entry.pool.draw(seed, _per_group(config.negatives_per_positive)):
+                negatives.append(((claim.claim_id, sid), entry.features(extractor, corpus, sid)))
+        if not positives:
+            raise ValueError(f"regime {regime.value!r} selected no trainable positives")
+        model = _fit(positives, negatives, config)
+        model.metadata = {
+            "regime": regime.value,
+            "seed": config.seed,
+            "epochs": config.epochs,
+            "learning_rate": config.learning_rate,
+            "negatives_per_positive": config.negatives_per_positive,
+            "n_claims": len(training_claims),
+            "n_positives": len(positives),
+            "n_negatives": len(negatives),
+        }
+        models[regime] = model
+    return models
 
-    positives: list[tuple[tuple, list[float]]] = []
-    negatives: list[tuple[tuple, list[float]]] = []
-    for claim in training_claims:
-        gold = sorted(sid for sid in claim.gold_sentences() if corpus.get_sentence(sid) is not None)
-        if not gold:
-            continue
-        prepared = extractor.prepare_claim(claim.text)
-        for sid in gold:
-            positives.append(((claim.claim_id, sid), _example_features(extractor, corpus, prepared, sid)))
-        sampled = sample_negatives(
-            claim,
-            corpus,
-            index,
-            set(gold),
-            rng_seed=stable_seed(config.seed, "negatives", claim.claim_id),
-            negatives_per_positive=config.negatives_per_positive,
-        )
-        for sid in sampled:
-            negatives.append(((claim.claim_id, sid), _example_features(extractor, corpus, prepared, sid)))
-    if not positives:
-        raise ValueError(f"regime {regime.value!r} selected no trainable positives")
 
+def _fit(
+    positives: list[tuple[tuple, list[float]]],
+    negatives: list[tuple[tuple, list[float]]],
+    config: TrainingConfig,
+) -> RelevanceModel:
     # Warm start from the TF-IDF ranker: before any update the scorer
     # orders candidates by cosine, so the first epoch's hardest
     # negatives are the lexically closest ones rather than ties.
@@ -249,17 +341,26 @@ def train_selector(
             for i, x in enumerate(features):
                 model.weights[i] -= lr * gradient * x
             model.bias -= lr * gradient
-    model.metadata = {
-        "regime": regime.value,
-        "seed": config.seed,
-        "epochs": config.epochs,
-        "learning_rate": config.learning_rate,
-        "negatives_per_positive": config.negatives_per_positive,
-        "n_claims": len(training_claims),
-        "n_positives": len(positives),
-        "n_negatives": len(negatives),
-    }
     return model
+
+
+def train_selector(
+    claims: Sequence[Claim],
+    synthetic_claims: Sequence[Claim],
+    corpus: Corpus,
+    index: InvertedIndex,
+    extractor: FeatureExtractor,
+    regime: Regime,
+    config: TrainingConfig = TrainingConfig(),
+) -> RelevanceModel:
+    """Train the relevance scorer under one data regime.
+
+    Each epoch re-scores the whole negative pool, keeps the hardest
+    negatives so positive and negative counts match, and runs one full
+    pass of per-example gradient descent on the logistic loss in a
+    seeded shuffled order. This is train_selectors for one regime.
+    """
+    return train_selectors(claims, synthetic_claims, corpus, index, extractor, {regime: config})[regime]
 
 
 RankedEvidence = list[tuple[SentenceId, float]]

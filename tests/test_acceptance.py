@@ -14,7 +14,7 @@ from claimlab.claim_gen import generate_augmentation_set
 from claimlab.claims import Label
 from claimlab.corpus import SentenceId, build_index
 from claimlab.entity_analysis import ContingencyTable2x2, chi_squared
-from claimlab.evaluation import count_mistakes, fever_score, label_accuracy, recall_at_k
+from claimlab.evaluation import count_mistakes, fever_score, label_accuracy, orderings, recall_at_k
 from claimlab.experiment import ExperimentConfig, run_experiment
 from claimlab.kb import EntityRecord, KnowledgeBase, link_entities
 from claimlab.nli import CLASS_ORDER, aggregate_verdict
@@ -345,13 +345,7 @@ def test_criterion_6_directional_robustness(fixture_world, tmp_path):
             report = run_experiment(experiment_config(fixture_world, tmp_path / f"seed{seed}", seed))
             rows = {(r["dataset"], r["regime"]): r for r in report["rows"]}
             g = lambda d, r, k: rows[(d, r)][k]
-            props = {
-                "a_ref_refuted": g("dev", "ref", "refuted_mistakes") <= g("dev", "baseline", "refuted_mistakes"),
-                "b_sup_supported": g("dev", "sup", "supported_mistakes") <= g("dev", "baseline", "supported_mistakes"),
-                "c_sr_recall": g("dev", "sr", "recall_at_k") >= g("dev", "baseline", "recall_at_k"),
-                "d_da_recall_adv": g("adversarial", "da", "recall_at_k") >= g("adversarial", "baseline", "recall_at_k"),
-                "e_da_refuted_adv": g("adversarial", "da", "refuted_mistakes") <= g("adversarial", "baseline", "refuted_mistakes"),
-            }
+            props = orderings(report)
             per_seed.append(props)
             print(
                 f"[acceptance]   seed {seed}: "

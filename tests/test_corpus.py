@@ -9,13 +9,14 @@ from claimlab.corpus import (
     Corpus,
     Document,
     SentenceId,
+    SentenceScorer,
     build_index,
     display_title,
     document_to_dump_line,
     ingest_corpus,
     parse_dump_line,
+    parse_query,
     rank_key,
-    tfidf_rank,
     tfidf_scores,
     tokenize,
     top_k_scored,
@@ -175,7 +176,7 @@ class TestIndex:
     def test_postings_sorted_no_duplicates(self):
         corpus = make_corpus({"B": ["tok tok."], "A": ["tok."], "C": ["tok!"]})
         index = build_index(corpus, "document")
-        idents = [ident for ident, _ in index.postings["tok"]]
+        idents = [ident for ident, _ in index.postings["tok"].items()]
         assert idents == sorted(idents)
         assert len(idents) == len(set(idents))
 
@@ -236,18 +237,18 @@ class TestTfidfRank:
             }
         )
         index = build_index(corpus, "document")
-        ranked = tfidf_rank(index, "quartz lantern festival.", k=3)
+        ranked = top_k_scored(tfidf_scores(index, "quartz lantern festival."), k=3)
         assert ranked[0][0] == "Target"
 
     def test_out_of_vocabulary_query_empty(self):
         corpus = make_corpus({"A": ["alpha beta."]})
         index = build_index(corpus, "document")
-        assert tfidf_rank(index, "zzz qqq", k=5) == []
+        assert top_k_scored(tfidf_scores(index, "zzz qqq"), k=5) == []
 
     def test_tie_broken_by_identifier(self):
         corpus = make_corpus({"B": ["same text."], "A": ["same text."]})
         index = build_index(corpus, "document")
-        ranked = tfidf_rank(index, "same text", k=2)
+        ranked = top_k_scored(tfidf_scores(index, "same text"), k=2)
         assert [ident for ident, _ in ranked] == ["A", "B"]
         assert ranked[0][1] == pytest.approx(ranked[1][1])
 
@@ -256,7 +257,7 @@ class TestTfidfRank:
             {f"P{i}": [f"shared word plus unique{i} token."] for i in range(6)}
         )
         index = build_index(corpus, "document")
-        ranked = tfidf_rank(index, "shared word unique3", k=10)
+        ranked = top_k_scored(tfidf_scores(index, "shared word unique3"), k=10)
         scores = [score for _, score in ranked]
         assert scores == sorted(scores, reverse=True)
         ids = [ident for ident, _ in ranked]
@@ -275,7 +276,7 @@ class TestTfidfRank:
     def test_matches_brute_force_oracle(self, docs, query, k):
         corpus = make_corpus({f"D{i:02d}": [" ".join(tokens) + "."] for i, tokens in enumerate(docs)})
         index = build_index(corpus, "document")
-        fast = tfidf_rank(index, " ".join(query), k=k)
+        fast = top_k_scored(tfidf_scores(index, " ".join(query)), k=k)
         slow = brute_force_cosine(corpus, " ".join(query), k=k)
         assert [ident for ident, _ in fast] == [ident for ident, _ in slow]
         for (_, a), (_, b) in zip(fast, slow):
@@ -294,7 +295,7 @@ class TestTfidfRank:
         )
         index = build_index(corpus, "document")
         for query in ("red lamp quartz", "stone stone maple", "drift onyx river green"):
-            fast = tfidf_rank(index, query, k=50)
+            fast = top_k_scored(tfidf_scores(index, query), k=50)
             slow = brute_force_cosine(corpus, query, k=50)
             assert [ident for ident, _ in fast] == [ident for ident, _ in slow]
             for (_, a), (_, b) in zip(fast, slow):
@@ -326,4 +327,96 @@ class TestTopKScored:
         index = build_index(corpus, "document")
         scores = tfidf_scores(index, "shared word unique3")
         assert len(scores) == 6
-        assert tfidf_rank(index, "shared word unique3", k=4) == sorted(scores.items(), key=rank_key)[:4]
+        assert top_k_scored(tfidf_scores(index, "shared word unique3"), k=4) == sorted(scores.items(), key=rank_key)[:4]
+
+
+COMMON_WORDS = ["the", "of", "is", "show"]
+RARE_WORDS = ["zeta", "quartz", "onyx", "maple", "drift", "lantern", "fjord", "ember"]
+
+
+class CountingScorer(SentenceScorer):
+    """Records every unit it scores."""
+
+    def __init__(self, index):
+        super().__init__(index)
+        self.scored = set()
+
+    def score(self, query, ident):
+        self.scored.add(ident)
+        return super().score(query, ident)
+
+
+class TestSentenceScorer:
+    def test_pruned_top_k_equals_full_sort(self):
+        """Common words in most sentences, rare ones in few; sentences reused
+        across pages (exact ties: untitled pages add no title token) and
+        reordered (near-equal scores: a unit's norm sums its tokens in
+        first-occurrence order, so a permutation can move its last bits)."""
+        pruned, ties_at_cut, near_equal = [], [], []
+
+        @settings(max_examples=200, deadline=None)
+        @given(st.data())
+        def check(data):
+            sentence = st.tuples(
+                st.lists(st.sampled_from(COMMON_WORDS), max_size=4),
+                st.lists(st.sampled_from(RARE_WORDS), max_size=2),
+            ).map(lambda parts: parts[0] + parts[1]).filter(bool)
+            shared = data.draw(st.lists(sentence, min_size=1, max_size=6))
+            pages = {}
+            for i in range(data.draw(st.integers(min_value=1, max_value=12))):
+                texts = []
+                for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
+                    tokens = data.draw(st.one_of(st.sampled_from(shared), sentence))
+                    texts.append(" ".join(data.draw(st.permutations(tokens))) + ".")
+                title = data.draw(st.sampled_from([f"({i})", f"Show_{i}", f"Zeta_{i}"]))
+                pages[title] = texts
+            index = build_index(make_corpus(pages), "sentence")
+            query_words = (
+                data.draw(st.lists(st.sampled_from(COMMON_WORDS), max_size=3))
+                + data.draw(st.lists(st.sampled_from(RARE_WORDS + ["unseen"]), min_size=1, max_size=3))
+            )
+            query = " ".join(data.draw(st.permutations(query_words)))
+            k = data.draw(st.integers(min_value=1, max_value=8))
+
+            scorer = CountingScorer(index)
+            parsed = parse_query(index, query)
+            scores = tfidf_scores(index, query)
+            assert scorer.top_k(parsed, k) == sorted(scores.items(), key=rank_key)[:k]
+            pruned.append(len(scorer.scored) < len(scores))
+            values = [score for _, score in sorted(scores.items(), key=rank_key)]
+            ties_at_cut.append(len(values) > k and values[k - 1] == values[k])
+            near_equal.append(any(a != b and a - b <= 1e-12 * a for a, b in zip(values, values[1:])))
+            for ident in index.norms:
+                assert scorer.score(parsed, ident) == scores.get(ident)
+            assert scorer.pages(parsed) == sorted({sid.page_id for sid in scores})
+
+        check()
+        # The generator must reach the cases the test is for.
+        assert sum(pruned) >= 10, f"pruning skipped units on {sum(pruned)} of {len(pruned)} examples"
+        assert sum(ties_at_cut) >= 5 and sum(near_equal) >= 2, (sum(ties_at_cut), sum(near_equal))
+
+    def test_ties_at_the_threshold_are_kept(self):
+        """A unit reached only by skippable tokens but tying the threshold
+        stays: "(1)" and "(2)" tie, "zeta" (the later of two equal bounds)
+        sets theta from "(2)", and "the" alone bounds "(1)" by exactly
+        theta, so only the kept tie puts "(1)" first."""
+        pages = {"(1)": ["the."], "(2)": ["zeta."], "(3)": ["quest."]}
+        index = build_index(make_corpus(pages), "sentence")
+        scorer = SentenceScorer(index)
+        for k in (1, 2):
+            ranked = scorer.top_k(parse_query(index, "the zeta"), k)
+            assert ranked == sorted(tfidf_scores(index, "the zeta").items(), key=rank_key)[:k]
+        assert scorer.top_k(parse_query(index, "the zeta"), 1)[0][0] == SentenceId("(1)", 0)
+
+    def test_empty_and_out_of_vocabulary_queries(self):
+        index = build_index(make_corpus({"A": ["alpha beta."]}), "sentence")
+        scorer = SentenceScorer(index)
+        for text in ("", "?!", "zzz qqq"):
+            query = parse_query(index, text)
+            assert scorer.top_k(query, 3) == []
+            assert scorer.pages(query) == []
+            assert scorer.score(query, SentenceId("A", 0)) is None
+
+    def test_needs_sentence_index(self):
+        with pytest.raises(ValueError):
+            SentenceScorer(build_index(make_corpus({"A": ["alpha."]}), "document"))

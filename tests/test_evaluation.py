@@ -9,6 +9,7 @@ from claimlab.evaluation import (
     count_mistakes,
     fever_score,
     label_accuracy,
+    orderings,
     recall_at_k,
 )
 
@@ -233,3 +234,42 @@ def test_report_without_verifiable_claims():
     assert "fever_score" not in build_report([], {}, None, k=5).metrics_row()
     assert fever_score({}, [], 5) is None
     assert label_accuracy({}, []) is None
+
+
+def ordering_report(**changes):
+    """A report whose remedies tie the baseline on every metric, except
+    for the (dataset, regime, metric) values given as dataset__regime__metric."""
+    rows = []
+    for dataset in ("dev", "adversarial"):
+        for regime in ("baseline", "sup", "ref", "sr", "da"):
+            row = {"dataset": dataset, "regime": regime, "recall_at_k": 0.5, "refuted_mistakes": 3, "supported_mistakes": 2}
+            for key, value in changes.items():
+                d, r, metric = key.split("__")
+                if (d, r) == (dataset, regime):
+                    row[metric] = value
+            rows.append(row)
+    return {"rows": rows}
+
+
+def test_orderings_count_ties_as_held():
+    assert orderings(ordering_report()) == dict.fromkeys("abcde", True)
+    worse = ordering_report(
+        dev__ref__refuted_mistakes=4,
+        dev__sup__supported_mistakes=3,
+        dev__sr__recall_at_k=0.25,
+        adversarial__da__recall_at_k=0.25,
+        adversarial__da__refuted_mistakes=4,
+    )
+    assert orderings(worse) == dict.fromkeys("abcde", False)
+    better = ordering_report(
+        dev__ref__refuted_mistakes=0,
+        dev__sup__supported_mistakes=0,
+        dev__sr__recall_at_k=1.0,
+        adversarial__da__recall_at_k=1.0,
+        adversarial__da__refuted_mistakes=0,
+    )
+    assert orderings(better) == dict.fromkeys("abcde", True)
+    # Each ordering reads its own rows only.
+    assert orderings(ordering_report(dev__baseline__refuted_mistakes=2)) == {
+        "a": False, "b": True, "c": True, "d": True, "e": True
+    }

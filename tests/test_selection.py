@@ -7,7 +7,15 @@ from hypothesis import strategies as st
 
 from claimlab.claim_gen import generate_augmentation_set, synthetic_to_claim
 from claimlab.claims import Label, load_claims
-from claimlab.corpus import Document, SentenceId, build_index, display_title, ingest_corpus, tfidf_rank
+from claimlab.corpus import (
+    Document,
+    SentenceId,
+    build_index,
+    display_title,
+    ingest_corpus,
+    tfidf_scores,
+    top_k_scored,
+)
 from claimlab.experiment import _trained_regimes, select_evidence
 from claimlab.features import PAIR_FEATURE_NAMES, SELECTION_FEATURE_NAMES, FeatureExtractor
 from claimlab.kb import KnowledgeBase
@@ -21,6 +29,7 @@ from claimlab.selection import (
     sample_negatives,
     select_sentences,
     train_selector,
+    train_selectors,
 )
 from claimlab.util import stable_seed
 
@@ -138,12 +147,35 @@ class TestSampleNegatives:
         with pytest.raises(ValueError):
             sample_negatives(self.claim(), corpus, index, set(), rng_seed=0)
 
+    def test_ties_at_the_cut_and_empty_vocabulary_claims_pinned(self):
+        """Outputs of the full-sort sampler, pinned. Five untitled pages tie
+        at cosine 1.0 for group B; with 3 negatives per positive the reach
+        list is cut at 4 units, inside the tie, so only identifier order
+        decides which tied units it keeps."""
+        pages = {"Pos": ["zeta quest.", "zeta."]}
+        pages.update({f"({i})": ["zeta quest.", "quest path."] for i in range(1, 6)})
+        pages["Far"] = ["quest."]
+        corpus = make_corpus(pages)
+        index = build_index(corpus, "sentence")
+        positives = {SentenceId("Pos", 0)}
+        claim = make_claim(5, Label.SUPPORTED, "zeta quest", [[("Pos", 0)]])
+        tied = [SentenceId(f"({i})", 0) for i in range(1, 6)]
+        assert sample_negatives(claim, corpus, index, positives, rng_seed=4, negatives_per_positive=3) == [
+            SentenceId("Pos", 1), tied[0], tied[2]
+        ]
+        assert sample_negatives(claim, corpus, index, positives, rng_seed=4) == [
+            SentenceId("Pos", 1), *tied, SentenceId("Far", 0)
+        ]
+        for text in ("?!", "xyzzy plugh"):
+            empty = make_claim(6, Label.SUPPORTED, text, [[("Pos", 0)]])
+            assert sample_negatives(empty, corpus, index, positives, rng_seed=4) == []
+
 
 def reference_sample_negatives(claim, corpus, index, positives, rng_seed, negatives_per_positive=15):
     """sample_negatives as it was before it stopped ranking the whole
     index: one full TF-IDF sort, rescanned for every group."""
     per_group = max(1, negatives_per_positive // 3)
-    ranked = tfidf_rank(index, claim.text, k=index.doc_count)
+    ranked = top_k_scored(tfidf_scores(index, claim.text), k=index.doc_count)
     ranked_ids = [sid for sid, _ in ranked]
 
     positive_pages = {sid.page_id for sid in positives}
@@ -183,16 +215,22 @@ def reference_sample_negatives(claim, corpus, index, positives, rng_seed, negati
     return out
 
 
-def test_sample_negatives_matches_reference_on_default_world(fixture_world):
-    """Every (training claim, regime seed) pair that train_selector samples
-    for on the default world, with the default experiment seed."""
+def default_training_inputs(fixture_world):
+    """Corpus, sentence index, training claims and synthetic training
+    claims of the default world, with the default experiment seed."""
     corpus = ingest_corpus(fixture_world / "corpus")
-    index = build_index(corpus, "sentence")
     train = load_claims(fixture_world / "train.jsonl")
     kb = KnowledgeBase.load(fixture_world / "kb.jsonl")
     synthetic = [
         synthetic_to_claim(s) for s in generate_augmentation_set(train, kb, seed=stable_seed(7, "augment", "train"))
     ]
+    return corpus, build_index(corpus, "sentence"), train, synthetic
+
+
+def test_sample_negatives_matches_reference_on_default_world(fixture_world):
+    """Every (training claim, regime seed) pair that train_selector samples
+    for on the default world, with the default experiment seed."""
+    corpus, index, train, synthetic = default_training_inputs(fixture_world)
     compared = 0
     for regime in _trained_regimes(("baseline", "sup", "ref", "da")):
         regime_seed = stable_seed(7, "selector", regime.value)
@@ -205,6 +243,26 @@ def test_sample_negatives_matches_reference_on_default_world(fixture_world):
             assert sample_negatives(*args) == reference_sample_negatives(*args)
             compared += 1
     assert compared > 200
+
+
+def test_train_selectors_equals_one_train_selector_call_per_regime(fixture_world):
+    """Shared pools and feature vectors change no model: every regime's
+    model equals, bit for bit, the one a separate train_selector call
+    trains, also when the regimes draw different numbers of negatives
+    from pools built for the largest."""
+    corpus, index, train, synthetic = default_training_inputs(fixture_world)
+    extractor = FeatureExtractor.from_index(index)
+    configs = {
+        regime: TrainingConfig(seed=stable_seed(7, "selector", regime.value), negatives_per_positive=per_positive)
+        for regime, per_positive in zip(Regime, (15, 6, 3, 15))
+    }
+    together = train_selectors(train, synthetic, corpus, index, extractor, configs)
+    assert list(together) == list(configs)
+    for regime, config in configs.items():
+        alone = train_selector(train, synthetic, corpus, index, extractor, regime, config)
+        assert together[regime].weights == alone.weights
+        assert together[regime].bias == alone.bias
+        assert together[regime].metadata == alone.metadata
 
 
 SAMPLING_WORDS = ["zeta", "quest", "path", "long", "the", "river"]
