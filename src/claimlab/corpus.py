@@ -172,20 +172,34 @@ def ingest_corpus(path: Union[str, Path]) -> Corpus:
 class InvertedIndex:
     """Postings over documents or title-prefixed sentences.
 
-    vocabulary maps token -> document frequency; postings maps token ->
-    {identifier: term frequency}, in identifier order. Norms are the
-    TF-IDF vector lengths used by the cosine ranker.
+    postings maps token -> {identifier: term frequency}, in identifier
+    order, so a token's df is len(postings[token]). idfs holds each posted
+    token's idf, unseen_idf every other token's; norms are tfidf_norm's.
     """
 
     granularity: str
     doc_count: int
-    vocabulary: dict[str, int]
     postings: dict[str, dict]
+    idfs: dict[str, float]
+    unseen_idf: float
     norms: dict
 
     def idf(self, token: str) -> float:
-        df = self.vocabulary.get(token, 0)
-        return math.log((self.doc_count + 1) / (df + 1)) + 1.0
+        return self.idfs.get(token, self.unseen_idf)
+
+
+def _idf(doc_count: int, df: int) -> float:
+    return math.log((doc_count + 1) / (df + 1)) + 1.0
+
+
+def tfidf_norm(weights: Iterable[float]) -> float:
+    """Length of a TF-IDF vector of weights (count * idf), squared as w * w
+    and added with += in order. Every TF-IDF norm in the package is this
+    expression, so two norms of one token stream are equal bit for bit."""
+    norm_sq = 0.0
+    for weight in weights:
+        norm_sq += weight * weight
+    return math.sqrt(norm_sq)
 
 
 def _iter_units(corpus: Corpus, granularity: str) -> Iterable[tuple[object, list[str]]]:
@@ -213,33 +227,18 @@ def build_index(corpus: Corpus, granularity: str = "document") -> InvertedIndex:
     tokens are prepended to each sentence's token stream."""
     if not corpus.documents:
         raise ValueError("cannot index an empty corpus")
-    units = list(_iter_units(corpus, granularity))
-    doc_count = len(units)
-    vocabulary: dict[str, int] = {}
     postings: dict[str, dict] = {}
     counts = []
-    for ident, tokens in units:
+    # Units come in identifier order, so each postings dict is in it too.
+    for ident, tokens in _iter_units(corpus, granularity):
         tf = Counter(tokens)
         counts.append((ident, tf))
-        for token in tf:
-            vocabulary[token] = vocabulary.get(token, 0) + 1
-    index = InvertedIndex(
-        granularity=granularity,
-        doc_count=doc_count,
-        vocabulary=vocabulary,
-        postings=postings,
-        norms={},
-    )
-    idf = {token: index.idf(token) for token in vocabulary}
-    # Units come in identifier order, so each postings dict is in it too.
-    for ident, tf in counts:
-        norm_sq = 0.0
         for token, count in tf.items():
             postings.setdefault(token, {})[ident] = count
-            weight = count * idf[token]
-            norm_sq += weight * weight
-        index.norms[ident] = math.sqrt(norm_sq)
-    return index
+    doc_count = len(counts)
+    idfs = {token: _idf(doc_count, len(posted)) for token, posted in postings.items()}
+    norms = {ident: tfidf_norm(count * idfs[token] for token, count in tf.items()) for ident, tf in counts}
+    return InvertedIndex(granularity, doc_count, postings, idfs, _idf(doc_count, 0), norms)
 
 
 class Query(NamedTuple):
@@ -258,13 +257,10 @@ def parse_query(index: InvertedIndex, query: str) -> Query:
     """The query text's Query against the index; tfidf_scores and
     SentenceScorer score from it."""
     terms = []
-    norm_sq = 0.0
     for token, qcount in Counter(tokenize(query)).items():
         idf = index.idf(token)
-        qweight = qcount * idf
-        norm_sq += qweight * qweight
-        terms.append((token, qweight, idf, index.postings.get(token, {})))
-    return Query(terms, math.sqrt(norm_sq))
+        terms.append((token, qcount * idf, idf, index.postings.get(token, {})))
+    return Query(terms, tfidf_norm(qweight for _, qweight, _, _ in terms))
 
 
 def tfidf_scores(index: InvertedIndex, query: str) -> dict:

@@ -96,6 +96,8 @@ def build_report(
     "document" level. The FEVER score judges each verdict's own
     evidence; with verdicts, every claim needs one.
     """
+    if k < 1:
+        raise ValueError("k must be >= 1")
     _check_ids(predictions.keys(), claims)
     if verdicts is not None:
         missing = [c.claim_id for c in claims if c.claim_id not in verdicts]

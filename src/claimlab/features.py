@@ -6,17 +6,18 @@ arguments everywhere in the pipeline. The title travels with each
 candidate so pronoun-heavy evidence keeps its subject.
 
 The claim side of every feature is computed once per claim
-(`FeatureExtractor.prepare_claim`); `candidate_features` does only the
-candidate side, and `selection_features` is the one-shot form of both.
+(`FeatureExtractor.prepare_claim`); `candidate_features` and
+`pair_features` do only the candidate side. Idf values come from the
+sentence index, and every TF-IDF norm is `corpus.tfidf_norm`.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Mapping, NamedTuple, Union
+from typing import NamedTuple
 
-from .corpus import InvertedIndex, token_spans, tokenize
+from .corpus import InvertedIndex, tfidf_norm, token_spans, tokenize
 
 SELECTION_FEATURE_NAMES = (
     "unigram_overlap",
@@ -85,7 +86,8 @@ def _negation_cues(tokens: set[str], *texts: str) -> set[str]:
 class PreparedClaim(NamedTuple):
     """The claim side of every feature. tf lists (token, count, idf, idf
     squared) in first-occurrence order, the order every float sum over
-    claim tokens follows; norm is the TF-IDF vector length."""
+    claim tokens follows; idf_mass is the idf sum in that order and norm
+    the TF-IDF vector length."""
 
     text: str
     tokens: list[str]
@@ -98,37 +100,33 @@ class PreparedClaim(NamedTuple):
 
 
 class FeatureExtractor:
-    """Deterministic feature vectors backed by a corpus idf table."""
+    """Deterministic feature vectors backed by a sentence index's idf table."""
 
-    def __init__(self, idf: Mapping[str, float], default_idf: float):
-        self._idf = dict(idf)
-        self._default_idf = default_idf
+    def __init__(self, index: InvertedIndex):
+        self.idf = index.idf
 
     @classmethod
     def from_index(cls, index: InvertedIndex) -> "FeatureExtractor":
-        idf = {token: index.idf(token) for token in index.vocabulary}
-        return cls(idf=idf, default_idf=index.idf("\x00never-a-token"))
-
-    def idf(self, token: str) -> float:
-        return self._idf.get(token, self._default_idf)
+        return cls(index)
 
     def prepare_claim(self, claim_text: str) -> PreparedClaim:
         tokens = tokenize(claim_text)
-        token_set = set(tokens)
-        counts = Counter(tokens)
+        tf = []
+        idf_mass = 0.0
+        for token, count in Counter(tokens).items():
+            idf = self.idf(token)
+            tf.append((token, count, idf, idf * idf))
+            idf_mass += idf
         return PreparedClaim(
             text=claim_text,
             tokens=tokens,
-            token_set=token_set,
+            token_set=set(tokens),
             bigrams=_bigrams(tokens),
             span_sets=[set(span) for span in _capitalized_spans(claim_text)],
-            idf_mass=sum(self.idf(t) for t in counts),
-            tf=[(t, c, self.idf(t), self.idf(t) ** 2) for t, c in counts.items()],
-            norm=math.sqrt(sum((c * self.idf(t)) ** 2 for t, c in counts.items())),
+            idf_mass=idf_mass,
+            tf=tf,
+            norm=tfidf_norm(count * idf for _, count, idf, _ in tf),
         )
-
-    def _prepared(self, claim: Union[str, PreparedClaim]) -> PreparedClaim:
-        return claim if isinstance(claim, PreparedClaim) else self.prepare_claim(claim)
 
     def _shared_sums(self, claim: PreparedClaim, candidate_tokens: list[str]) -> tuple[float, float]:
         """(TF-IDF cosine, idf mass of the shared tokens). Both sums run in
@@ -141,7 +139,7 @@ class FeatureExtractor:
                 overlap += idf
         if dot == 0.0:
             return 0.0, overlap
-        candidate_norm = math.sqrt(sum((c * self.idf(t)) ** 2 for t, c in candidate_tf.items()))
+        candidate_norm = tfidf_norm(count * self.idf(token) for token, count in candidate_tf.items())
         return dot / (claim.norm * candidate_norm), overlap
 
     def candidate_features(
@@ -183,14 +181,8 @@ class FeatureExtractor:
             missing,
         ]
 
-    def selection_features(
-        self, claim_text: str, title: str, body: str, position: float = 0.0
-    ) -> list[float]:
-        return self.candidate_features(self.prepare_claim(claim_text), title, body, position)
-
-    def pair_features(self, claim: Union[str, PreparedClaim], title: str, body: str) -> list[float]:
+    def pair_features(self, claim: PreparedClaim, title: str, body: str) -> list[float]:
         """Selection features (at position 0) plus polarity cues for claim classification."""
-        claim = self._prepared(claim)
         base = self.candidate_features(claim, title, body)
 
         claim_tokens = claim.token_set

@@ -70,7 +70,7 @@ class NliModel:
 
 
 def classify_pair(
-    model: NliModel, extractor: FeatureExtractor, claim: Union[str, PreparedClaim], title: str, body: str
+    model: NliModel, extractor: FeatureExtractor, claim: PreparedClaim, title: str, body: str
 ) -> tuple[Label, list[float]]:
     """Argmax class for one (claim, candidate) pair; exact ties resolve by CLASS_ORDER."""
     probs = model.probabilities(extractor.pair_features(claim, title, body))

@@ -396,8 +396,10 @@ def featurize_candidates(
 
 def top_k(model: RelevanceModel, featurized: FeaturizedCandidates, k: int) -> RankedEvidence:
     """Score featurized candidates with one model; ties break by sentence id."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
     scored = [(sid, model.score(features)) for sid, features in featurized]
-    scored.sort(key=lambda item: (-item[1], item[0]))
+    scored.sort(key=rank_key)
     return scored[:k]
 
 
@@ -422,5 +424,4 @@ def aggregate_sr(sup: RankedEvidence, ref: RankedEvidence, k: int) -> RankedEvid
     for sid, score in list(sup) + list(ref):
         if sid not in best or score > best[sid]:
             best[sid] = score
-    merged = sorted(best.items(), key=lambda item: (-item[1], item[0]))
-    return merged[:k]
+    return sorted(best.items(), key=rank_key)[:k]

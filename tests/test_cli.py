@@ -326,6 +326,27 @@ def test_evaluate_without_verifiable_claims(world_dir, pipeline_artifacts, tmp_p
     assert payload["document_level"]["recall_at_k"] is None
 
 
+@pytest.mark.parametrize("k", ["-1", "0"])
+def test_select_rejects_k_below_one(world_dir, pipeline_artifacts, tmp_path, capsys, k):
+    out = tmp_path / "sel.jsonl"
+    args = ["select", "--model", str(pipeline_artifacts / "model_baseline.json"), "--k", k, "--out", str(out)]
+    args += ["--claims", str(world_dir / "dev.jsonl"), "--corpus", str(world_dir / "corpus")]
+    assert main(args + ["--docs", str(pipeline_artifacts / "docs_dev.jsonl")]) == 1
+    assert "error: select: k must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("option", ["--k", "--k-docs"])
+def test_evaluate_rejects_k_below_one(world_dir, pipeline_artifacts, tmp_path, capsys, option):
+    out = tmp_path / "report.json"
+    args = ["evaluate", "--claims", str(world_dir / "dev.jsonl"), option, "-1", "--out", str(out)]
+    args += ["--selections", str(pipeline_artifacts / "sel_dev.jsonl")]
+    args += ["--docs", str(pipeline_artifacts / "docs_dev.jsonl")]
+    assert main(args) == 1
+    assert "error: evaluate: k must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_evaluate_requires_inputs(world_dir, tmp_path, capsys):
     code = main(["evaluate", "--claims", str(world_dir / "dev.jsonl"), "--out", str(tmp_path / "r.json")])
     assert code == 1

@@ -138,14 +138,14 @@ class TestIndex:
     def test_document_frequency(self):
         corpus = make_corpus({"A": ["the BBC reports."], "B": ["BBC drama airs."]})
         index = build_index(corpus, "document")
-        assert index.vocabulary["bbc"] == 2
+        assert len(index.postings["bbc"]) == 2
         assert index.doc_count == 2
 
     def test_absent_token_no_posting(self):
         corpus = make_corpus({"A": ["alpha beta."]})
         index = build_index(corpus, "document")
-        assert "gamma" not in index.vocabulary
         assert "gamma" not in index.postings
+        assert "gamma" not in index.idfs
 
     def test_term_frequency_within_sentence(self):
         corpus = make_corpus({"Page": ["BBC, bbc!"]})
@@ -156,7 +156,7 @@ class TestIndex:
     def test_sentence_granularity_prepends_title(self):
         corpus = make_corpus({"Kestrel": ["It airs nightly."]})
         index = build_index(corpus, "sentence")
-        assert "kestrel" in index.vocabulary
+        assert "kestrel" in index.postings
 
     def test_empty_sentences_not_candidates(self):
         corpus = make_corpus({"A": ["", "real text."]})
@@ -172,6 +172,7 @@ class TestIndex:
         index = build_index(corpus, "document")
         assert index.idf("x") == pytest.approx(math.log(3 / 3) + 1)
         assert index.idf("y") == pytest.approx(math.log(3 / 2) + 1)
+        assert index.idf("unseen") == pytest.approx(math.log(3 / 1) + 1)
 
     def test_postings_sorted_no_duplicates(self):
         corpus = make_corpus({"B": ["tok tok."], "A": ["tok."], "C": ["tok!"]})
@@ -188,7 +189,7 @@ class TestIndex:
         second = build_index(ingest_corpus(tmp_path / "two.jsonl"), "sentence")
         assert first.granularity == second.granularity
         assert first.doc_count == second.doc_count
-        assert list(first.vocabulary.items()) == list(second.vocabulary.items())
+        assert list(first.idfs.items()) == list(second.idfs.items())
         assert list(first.postings.items()) == list(second.postings.items())
         assert list(first.norms.items()) == list(second.norms.items())
 

@@ -44,6 +44,16 @@ class TestRecall:
         with pytest.raises(ValueError, match="unknown claim ids"):
             recall_at_k({99: []}, [claim], k=5)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, k):
+        claim = make_claim(1, SUP, "c", [[("A", 0)]])
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            recall_at_k({1: [sid("A", 0)]}, [claim], k=k)
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            build_report([claim], {1: ["A"]}, k=k, level="document")
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            fever_score({1: (SUP, [sid("A", 0)])}, [claim], k=k)
+
     def test_truncation_at_k(self):
         claim = make_claim(1, SUP, "c", [[("A", 9)]])
         predictions = {1: [sid("A", i) for i in range(10)]}

@@ -132,7 +132,9 @@ class TestClassifyPair:
     def test_probabilities_sum_to_one(self, nli_world):
         corpus, extractor, claims, selections = nli_world
         model = train_nli(claims, selections, corpus, extractor, TrainingConfig(seed=2))
-        _, probs = classify_pair(model, extractor, "Ada Hartley acts.", "Ada Hartley", "She acts.")
+        _, probs = classify_pair(
+            model, extractor, extractor.prepare_claim("Ada Hartley acts."), "Ada Hartley", "She acts."
+        )
         assert sum(probs) == pytest.approx(1.0, abs=1e-9)
         assert all(p > 0 for p in probs)
 
@@ -142,7 +144,7 @@ class TestClassifyPair:
             weights=[[0.0] * len(PAIR_FEATURE_NAMES) for _ in CLASS_ORDER],
             biases=[0.0] * len(CLASS_ORDER),
         )
-        label, probs = classify_pair(zero, extractor, "any claim", "Any", "text")
+        label, probs = classify_pair(zero, extractor, extractor.prepare_claim("any claim"), "Any", "text")
         assert label is NEI
         assert probs == pytest.approx([1 / 3, 1 / 3, 1 / 3])
 
@@ -159,7 +161,8 @@ class TestClassifyPair:
         model = train_nli(claims, selections, corpus, extractor, TrainingConfig(seed=4, epochs=16))
         claim = claims[2]  # refuted via numeral mismatch
         sid = sorted(claim.gold_sentences())[0]
-        label, _ = classify_pair(model, extractor, claim.text, display_title(sid.page_id), corpus.get_sentence(sid))
+        prepared = extractor.prepare_claim(claim.text)
+        label, _ = classify_pair(model, extractor, prepared, display_title(sid.page_id), corpus.get_sentence(sid))
         assert label is REF
 
 

@@ -350,11 +350,12 @@ class TestTrainSelector:
                 gold = claim.gold_sentences()
                 if not gold:
                     continue
+                prepared = extractor.prepare_claim(claim.text)
                 for page_id in corpus.documents:
                     doc = corpus.documents[page_id]
                     for line, text in doc.sentences:
                         sid = SentenceId(page_id, line)
-                        features = extractor.selection_features(claim.text, display_title(page_id), text)
+                        features = extractor.candidate_features(prepared, display_title(page_id), text)
                         p = min(max(m.score(features), 1e-9), 1 - 1e-9)
                         y = 1.0 if sid in gold else 0.0
                         total += -(y * math.log(p) + (1 - y) * math.log(1 - p))
@@ -455,6 +456,17 @@ class TestSelectSentences:
         corpus, index, extractor, claims = training_world
         model = RelevanceModel(weights=[0.0] * 10, bias=0.0)
         assert select_sentences(model, extractor, claims[0], ["Missing"], corpus, k=5) == []
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, training_world, k):
+        """Even with no candidate to score, k < 1 is an error, not a slice."""
+        corpus, index, extractor, claims = training_world
+        model = RelevanceModel(weights=[0.0] * 10, bias=0.0)
+        for pages in (list(corpus.documents), []):
+            with pytest.raises(ValueError, match="k must be >= 1"):
+                select_sentences(model, extractor, claims[0], pages, corpus, k)
+            with pytest.raises(ValueError, match="k must be >= 1"):
+                select_evidence({"m": model}, extractor, corpus, [claims[0]], {claims[0].claim_id: pages}, k)
 
 
 class TestSelectEvidence:
