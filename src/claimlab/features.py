@@ -1,23 +1,28 @@
 """Engineered lexical features for relevance scoring and claim classification.
 
 A candidate is a (title, body) record: the page's display title
-(disambiguation suffix stripped) and the sentence text, passed as two
-arguments everywhere in the pipeline. The title travels with each
-candidate so pronoun-heavy evidence keeps its subject.
+(disambiguation suffix stripped) and the sentence text. The title
+travels with each candidate so pronoun-heavy evidence keeps its subject.
 
-The claim side of every feature is computed once per claim
-(`FeatureExtractor.prepare_claim`); `candidate_features` and
-`pair_features` do only the candidate side. Idf values come from the
-sentence index, and every TF-IDF norm is `corpus.tfidf_norm`.
+Each side of a feature is computed once. The claim side once per claim
+(`FeatureExtractor.prepare_claim`, which keeps a reference to each claim
+token's postings dict); the title side (`page_title`) once per page when
+a page's sentences are featurized together. `sentence_features` does the
+body: an indexed sentence, named by its SentenceId, reads its
+shared-token counts from those postings and its norm from `index.norms`;
+other text (an empty sentence, a bare (title, body) pair) counts its own
+tokens. Both give equal bits: the index counted the same title and body
+tokens with the same idf table and `corpus.tfidf_norm`. Contract: the
+extractor's index is the sentence index of the corpus being featurized.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
-from .corpus import InvertedIndex, tfidf_norm, token_spans, tokenize
+from .corpus import InvertedIndex, SentenceId, tfidf_norm, token_spans, tokenize
 
 SELECTION_FEATURE_NAMES = (
     "unigram_overlap",
@@ -70,6 +75,11 @@ def _capitalized_spans(text: str) -> list[tuple[str, ...]]:
     return spans
 
 
+def _span_share(spans: list[set[str]], tokens: set[str]) -> float:
+    """Share of the claim's entity spans whose tokens all occur in tokens."""
+    return sum(1 for s in spans if s <= tokens) / len(spans) if spans else 0.0
+
+
 def contains_subsequence(haystack: list[str], needle: list[str]) -> bool:
     if not needle or len(needle) > len(haystack) or needle[0] not in haystack:
         return False
@@ -86,8 +96,9 @@ def _negation_cues(tokens: set[str], *texts: str) -> set[str]:
 class PreparedClaim(NamedTuple):
     """The claim side of every feature. tf lists (token, count, idf, idf
     squared) in first-occurrence order, the order every float sum over
-    claim tokens follows; idf_mass is the idf sum in that order and norm
-    the TF-IDF vector length."""
+    claim tokens follows, and postings each token's postings dict in the
+    index (the index's own dict, not a copy); idf_mass is the idf sum in
+    that order and norm the TF-IDF vector length."""
 
     text: str
     tokens: list[str]
@@ -96,14 +107,26 @@ class PreparedClaim(NamedTuple):
     span_sets: list[set[str]]
     idf_mass: float
     tf: list[tuple[str, int, float, float]]
+    postings: list[dict]
     norm: float
 
 
+class PageTitle(NamedTuple):
+    """The title side of every feature, for one page title against one claim."""
+
+    tokens: list[str]
+    spans_in_title: float
+    title_in_claim: float
+
+
 class FeatureExtractor:
-    """Deterministic feature vectors backed by a sentence index's idf table."""
+    """Deterministic feature vectors backed by the sentence index of the
+    corpus being featurized."""
 
     def __init__(self, index: InvertedIndex):
         self.idf = index.idf
+        self._postings = index.postings
+        self._norms = index.norms
 
     @classmethod
     def from_index(cls, index: InvertedIndex) -> "FeatureExtractor":
@@ -125,68 +148,80 @@ class FeatureExtractor:
             span_sets=[set(span) for span in _capitalized_spans(claim_text)],
             idf_mass=idf_mass,
             tf=tf,
+            postings=[self._postings.get(token, {}) for token, _, _, _ in tf],
             norm=tfidf_norm(count * idf for _, count, idf, _ in tf),
         )
 
-    def _shared_sums(self, claim: PreparedClaim, candidate_tokens: list[str]) -> tuple[float, float]:
-        """(TF-IDF cosine, idf mass of the shared tokens). Both sums run in
-        the claim's token order, so their bits never follow a set's hash order."""
-        candidate_tf = Counter(candidate_tokens)
-        dot = overlap = 0.0
-        for token, count, idf, idf_squared in claim.tf:
-            if token in candidate_tf:
-                dot += count * candidate_tf[token] * idf_squared
-                overlap += idf
-        if dot == 0.0:
-            return 0.0, overlap
-        candidate_norm = tfidf_norm(count * self.idf(token) for token, count in candidate_tf.items())
-        return dot / (claim.norm * candidate_norm), overlap
+    def page_title(self, claim: PreparedClaim, title: str) -> PageTitle:
+        tokens = tokenize(title)
+        in_claim = 1.0 if contains_subsequence(claim.tokens, tokens) else 0.0
+        return PageTitle(tokens, _span_share(claim.span_sets, set(tokens)), in_claim)
 
-    def candidate_features(
-        self, claim: PreparedClaim, title: str, body: str, position: float = 0.0
+    def sentence_features(
+        self, claim: PreparedClaim, page: PageTitle, body: str, position: float = 0.0, sid: Optional[SentenceId] = None
     ) -> list[float]:
-        """Selection features of one candidate against a prepared claim."""
-        title_tokens = tokenize(title)
+        """Selection features of one sentence of a page against a prepared
+        claim. sid names the sentence; if the index holds it, its counts
+        and norm are read from there."""
         body_tokens = tokenize(body)
-        candidate_tokens = title_tokens + body_tokens
-        candidate_set = set(candidate_tokens)
+        if sid in self._norms:
+            counts = [postings.get(sid) for postings in claim.postings]
+            candidate_norm = self._norms[sid]
+        else:
+            candidate_tf = Counter(page.tokens + body_tokens)
+            counts = [candidate_tf.get(token) for token, _, _, _ in claim.tf]
+            candidate_norm = tfidf_norm(count * self.idf(token) for token, count in candidate_tf.items())
+        # Both float sums run in the claim's token order, never a set's hash order.
+        dot = overlap = 0.0
+        shared = 0
+        for (_, count, idf, idf_squared), candidate_count in zip(claim.tf, counts):
+            if candidate_count is not None:
+                dot += count * candidate_count * idf_squared
+                overlap += idf
+                shared += 1
 
         claim_size = max(1, len(claim.token_set))
-        shared = claim.token_set & candidate_set
-        unigram = len(shared) / claim_size
-        bigram = len(claim.bigrams & _bigrams(candidate_tokens)) / max(1, len(claim.bigrams))
-        # With no shared token both sums are zero.
-        cosine, overlap = self._shared_sums(claim, candidate_tokens) if shared else (0.0, 0.0)
+        unigram = shared / claim_size
+        # A claim bigram can occur in the candidate only if its tokens do.
+        shared_bigrams = len(claim.bigrams & _bigrams(page.tokens + body_tokens)) if shared else 0
+        bigram = shared_bigrams / max(1, len(claim.bigrams))
+        cosine = dot / (claim.norm * candidate_norm) if dot != 0.0 else 0.0
         idf_overlap = overlap / claim.idf_mass if claim.idf_mass > 0 else 0.0
-
-        spans = claim.span_sets
-        title_set, body_set = set(title_tokens), set(body_tokens)
-        spans_in_title = sum(1 for s in spans if s <= title_set) / len(spans) if spans else 0.0
-        spans_in_body = sum(1 for s in spans if s <= body_set) / len(spans) if spans else 0.0
-
-        log_body_len = math.log(1 + len(body_tokens))
-        title_in_claim = 1.0 if contains_subsequence(claim.tokens, title_tokens) else 0.0
-        missing = (len(claim.token_set) - len(shared)) / claim_size
+        # Span tokens are lowered one by one, which can differ from tokenize
+        # (final sigma), so span features are not read from shared counts.
+        spans_in_body = _span_share(claim.span_sets, set(body_tokens))
+        missing = (len(claim.token_set) - shared) / claim_size
 
         return [
             unigram,
             bigram,
             cosine,
             idf_overlap,
-            spans_in_title,
+            page.spans_in_title,
             spans_in_body,
-            log_body_len,
-            title_in_claim,
+            math.log(1 + len(body_tokens)),
+            page.title_in_claim,
             float(position),
             missing,
         ]
 
-    def pair_features(self, claim: PreparedClaim, title: str, body: str) -> list[float]:
-        """Selection features (at position 0) plus polarity cues for claim classification."""
-        base = self.candidate_features(claim, title, body)
+    def candidate_features(
+        self, claim: PreparedClaim, title: str, body: str, position: float = 0.0, sid: Optional[SentenceId] = None
+    ) -> list[float]:
+        """Selection features of one (title, body) candidate against a
+        prepared claim; sid, if given, is the candidate's id in the index."""
+        return self.sentence_features(claim, self.page_title(claim, title), body, position, sid)
+
+    def pair_features(
+        self, claim: PreparedClaim, title: str, body: str, sid: Optional[SentenceId] = None
+    ) -> list[float]:
+        """Selection features (at position 0) plus polarity cues for claim
+        classification; sid, if given, is the sentence's id in the index."""
+        page = self.page_title(claim, title)
+        base = self.sentence_features(claim, page, body, 0.0, sid)
 
         claim_tokens = claim.token_set
-        candidate_tokens = set(tokenize(title)) | set(tokenize(body))
+        candidate_tokens = set(page.tokens) | set(tokenize(body))
         claim_cues = _negation_cues(claim_tokens, claim.text)
         candidate_cues = _negation_cues(candidate_tokens, title, body)
         negation = 1.0 if claim_cues != candidate_cues else 0.0

@@ -12,8 +12,10 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add, mul
 from pathlib import Path
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from .claims import Claim, Label
 from .corpus import Corpus, SentenceId, display_title
@@ -37,13 +39,11 @@ class NliModel:
     metadata: dict = field(default_factory=dict)
 
     def probabilities(self, features: Sequence[float]) -> list[float]:
-        logits = [
-            b + sum(w * x for w, x in zip(ws, features))
-            for ws, b in zip(self.weights, self.biases)
-        ]
+        # Adds with + in order: sum() is compensated from Python 3.12 on.
+        logits = [b + reduce(add, map(mul, ws, features), 0.0) for ws, b in zip(self.weights, self.biases)]
         peak = max(logits)
         exps = [math.exp(z - peak) for z in logits]
-        total = sum(exps)
+        total = reduce(add, exps, 0.0)
         return [e / total for e in exps]
 
     def save(self, path: Union[str, Path]) -> None:
@@ -70,10 +70,12 @@ class NliModel:
 
 
 def classify_pair(
-    model: NliModel, extractor: FeatureExtractor, claim: PreparedClaim, title: str, body: str
+    model: NliModel, extractor: FeatureExtractor, claim: PreparedClaim, title: str, body: str,
+    sid: Optional[SentenceId] = None,
 ) -> tuple[Label, list[float]]:
-    """Argmax class for one (claim, candidate) pair; exact ties resolve by CLASS_ORDER."""
-    probs = model.probabilities(extractor.pair_features(claim, title, body))
+    """Argmax class for one (claim, candidate) pair; exact ties resolve by
+    CLASS_ORDER. sid, if given, is the candidate's id in the index."""
+    probs = model.probabilities(extractor.pair_features(claim, title, body, sid))
     best = 0
     for i in range(1, len(CLASS_ORDER)):
         if probs[i] > probs[best]:
@@ -116,7 +118,7 @@ def _training_pairs(
             body = corpus.get_sentence(sid)
             if body is None:
                 continue
-            pairs.append((extractor.pair_features(prepared, display_title(sid.page_id), body), target))
+            pairs.append((extractor.pair_features(prepared, display_title(sid.page_id), body, sid), target))
     return pairs
 
 
@@ -184,7 +186,7 @@ def verdict_for_claim(
         body = corpus.get_sentence(sid)
         if body is None:
             continue
-        label, _ = classify_pair(model, extractor, prepared, display_title(sid.page_id), body)
+        label, _ = classify_pair(model, extractor, prepared, display_title(sid.page_id), body, sid)
         labels.append(label)
         predicted.append(sid)
     return aggregate_verdict(labels), predicted

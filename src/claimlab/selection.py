@@ -27,7 +27,8 @@ import enum
 import math
 import random
 from dataclasses import dataclass, field
-from operator import mul
+from functools import reduce
+from operator import add, mul
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -86,8 +87,8 @@ class RelevanceModel:
 
     def score(self, features: Sequence[float]) -> float:
         """Relevance probability in (0, 1)."""
-        z = self.bias + sum(map(mul, self.weights, features))
-        return _sigmoid(z)
+        # Adds with + in order: sum() is compensated from Python 3.12 on.
+        return _sigmoid(self.bias + reduce(add, map(mul, self.weights, features), 0.0))
 
     def save(self, path: Union[str, Path]) -> None:
         fields = {"weights": self.weights, "bias": self.bias, "metadata": self.metadata}
@@ -234,7 +235,7 @@ def _example_features(
     doc = corpus.documents[sid.page_id]
     position = [idx for idx, _ in doc.sentences].index(sid.line_index) / max(1, len(doc.sentences) - 1)
     text = corpus.get_sentence(sid) or ""
-    return extractor.candidate_features(claim, display_title(sid.page_id), text, position)
+    return extractor.candidate_features(claim, display_title(sid.page_id), text, position, sid)
 
 
 @dataclass
@@ -372,7 +373,8 @@ def featurize_candidates(
 ) -> FeaturizedCandidates:
     """Feature vectors of every non-empty sentence of the candidate pages.
 
-    Duplicate pages are featurized once; unknown pages are skipped.
+    Duplicate pages are featurized once, with the title side computed
+    once per page; unknown pages are skipped.
     """
     prepared = extractor.prepare_claim(claim.text)
     featurized: FeaturizedCandidates = []
@@ -385,12 +387,12 @@ def featurize_candidates(
         if doc is None:
             continue
         denom = max(1, len(doc.sentences) - 1)
-        title = display_title(page_id)
+        page = extractor.page_title(prepared, display_title(page_id))
         for position, (line_index, text) in enumerate(doc.sentences):
             if not text:
                 continue
-            features = extractor.candidate_features(prepared, title, text, position / denom)
-            featurized.append((SentenceId(page_id, line_index), features))
+            sid = SentenceId(page_id, line_index)
+            featurized.append((sid, extractor.sentence_features(prepared, page, text, position / denom, sid)))
     return featurized
 
 

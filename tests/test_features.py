@@ -2,20 +2,41 @@ import math
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from claimlab.claims import load_claims
-from claimlab.corpus import SentenceId, build_index, display_title, ingest_corpus, parse_query, tokenize
+from claimlab import features as features_module
+from claimlab.claims import Label, load_claims
+from claimlab.corpus import (
+    SentenceId,
+    SentenceScorer,
+    build_index,
+    display_title,
+    ingest_corpus,
+    parse_query,
+    tokenize,
+)
 from claimlab.features import (
     PAIR_FEATURE_NAMES,
     SELECTION_FEATURE_NAMES,
     FeatureExtractor,
     _bigrams,
     _capitalized_spans,
+    _negation_cues,
     contains_subsequence,
 )
+from claimlab.nli import NliModel, _training_pairs, verdict_for_claim
 from claimlab.retrieval import DocRetrievalConfig, DocumentRetriever
+from claimlab.selection import (
+    NegativePool,
+    Regime,
+    TrainingConfig,
+    _TrainingClaim,
+    featurize_candidates,
+    train_selector,
+)
 
-from conftest import make_corpus
+from conftest import make_claim, make_corpus
 
 
 @pytest.fixture
@@ -76,6 +97,15 @@ class TestSelectionFeatures:
         assert features[idx("entity_spans_in_title")] == 1.0
         assert features[idx("entity_spans_in_body")] == 1.0
         assert features[idx("sentence_position")] == 0.5
+
+    def test_span_tokens_differ_from_tokens(self, extractor):
+        """"ΟΔΟΣ.Α Bb" has the span token "οδος" but the token "οδοσ" (final
+        sigma), so span features follow the spans, not the shared tokens."""
+        claim = extractor.prepare_claim("ΟΔΟΣ.Α Bb")
+        features = extractor.candidate_features(claim, "ΟΔΟΣ.Α Bb", "ΟΔΟΣ Α Bb")
+        assert features[idx("unigram_overlap")] == 1.0
+        assert features[idx("entity_spans_in_title")] == 0.0
+        assert features[idx("entity_spans_in_body")] == 1.0
 
     def test_no_spans_gives_zero(self, extractor):
         claim = extractor.prepare_claim("lowercase claim only")
@@ -189,15 +219,96 @@ def reference_selection_features(extractor, claim_text, title, body, position=0.
     ]
 
 
+def reference_polarity_features(claim_text, title, body):
+    """The three polarity features of a pair, computed from scratch."""
+    claim_tokens = set(tokenize(claim_text))
+    candidate_tokens = set(tokenize(title)) | set(tokenize(body))
+    negation = _negation_cues(claim_tokens, claim_text) != _negation_cues(candidate_tokens, title, body)
+    numerals = {t for t in claim_tokens if t.isdigit()} != {t for t in candidate_tokens if t.isdigit()}
+    extra = len(candidate_tokens - claim_tokens) / max(1, len(candidate_tokens))
+    return [1.0 if negation else 0.0, 1.0 if numerals else 0.0, extra]
+
+
+def sentences_of(corpus, pages):
+    """Every non-empty sentence of the given pages, each page once."""
+    sids = []
+    for page_id in dict.fromkeys(pages):
+        doc = corpus.documents.get(page_id)
+        if doc is not None:
+            sids += [SentenceId(page_id, line) for line, text in doc.sentences if text]
+    return sids
+
+
+def assert_shipped_paths(corpus, index, claim, candidate_pages, pool_sids, evidence_sids):
+    """Every feature path the pipeline runs equals reference_selection_features
+    (plus the polarity features for pairs): featurize_candidates over the
+    candidate pages, selector training's vector of each pool sentence, and
+    the pairs verdict_for_claim and NLI training classify for the evidence.
+    Returns the number of vectors checked."""
+    extractor = FeatureExtractor(index)
+
+    def expected(sid, position):
+        doc = corpus.documents[sid.page_id]
+        body = corpus.get_sentence(sid)
+        if position is None:
+            position = [line for line, _ in doc.sentences].index(sid.line_index) / max(1, len(doc.sentences) - 1)
+        title = display_title(sid.page_id)
+        return reference_selection_features(extractor, claim.text, title, body, position, index.norms.get(sid))
+
+    featurized = featurize_candidates(extractor, claim, candidate_pages, corpus)
+    candidates = sentences_of(corpus, candidate_pages)
+    assert [sid for sid, _ in featurized] == candidates
+    for sid, features in featurized:
+        assert features == expected(sid, None)
+
+    training = _TrainingClaim(pool=None, prepared=extractor.prepare_claim(claim.text))
+    for sid in pool_sids:
+        assert training.features(extractor, corpus, sid) == expected(sid, None)
+
+    resolvable = [sid for sid in evidence_sids if corpus.get_sentence(sid) is not None]
+    pair_expected = [
+        expected(sid, 0.0)
+        + reference_polarity_features(claim.text, display_title(sid.page_id), corpus.get_sentence(sid))
+        for sid in resolvable
+    ]
+    classified = []
+
+    class Recording(NliModel):
+        def probabilities(self, features):
+            classified.append(features)
+            return super().probabilities(features)
+
+    n = len(PAIR_FEATURE_NAMES)
+    model = Recording(weights=[[0.0] * n for _ in range(3)], biases=[0.0] * 3)
+    _, predicted = verdict_for_claim(model, extractor, corpus, claim, [(sid, 1.0) for sid in evidence_sids])
+    assert predicted == resolvable
+    assert classified == pair_expected
+    gold_claim = make_claim(claim.claim_id, Label.SUPPORTED, claim.text, [evidence_sids])
+    training_pairs = _training_pairs([gold_claim], {}, corpus, extractor)
+    assert [features for features, _ in training_pairs] == [
+        pair_expected[resolvable.index(sid)] for sid in sorted(set(resolvable))
+    ]
+    return len(featurized) + len(pool_sids) + 2 * len(resolvable)
+
+
+WORDS = ("alpha", "beta", "Gamma", "Delta", "the", "1999", "ΟΔΟΣ.Α", "ΟΔΟΣ", "Α", "Bb", "isn't", "Foo")
+# Foo and its suffixed pages share the display title "Foo"; "..." has no token.
+PAGE_IDS = ("Foo", "Foo_(film)", "Foo_(band)", "Gamma_Delta", "ΟΔΟΣ.Α_Bb", "ΟΔΟΣ_Α", "St._Louis", "...")
+SENTENCE_TEXTS = st.one_of(
+    st.sampled_from(("", "...")), st.lists(st.sampled_from(WORDS), min_size=1, max_size=6).map(" ".join)
+)
+
+
 class TestPreparedClaim:
     """A prepared claim gives the same vectors as computing both sides from scratch."""
 
-    EDGE_CLAIMS = ("", "St. Louis is a town.", "Mary Jane Watson isn't in 1999's Spider Man.")
+    EDGE_CLAIMS = ("", "St. Louis is a town.", "Mary Jane Watson isn't in 1999's Spider Man.", "Town town.")
     EDGE_CANDIDATES = (
         ("St. Louis", "St. Louis is a town in the hills.", 0.0),
         ("St. Louis", "", 1.0),
         ("", "Mary Jane Watson. Spider Man", 0.5),
         ("Spider Man", "Spider Man aired in 1999 and 1999.", 0.25),
+        ("", "town town", 0.0),
     )
 
     def test_edge_inputs_match_reference(self, extractor):
@@ -218,26 +329,96 @@ class TestPreparedClaim:
                 assert len(features) == len(PAIR_FEATURE_NAMES)
 
     def test_every_scored_pair_of_fixture_world(self, fixture_world):
-        """Every (dev claim, sentence) pair the select stage scores on the
-        default world: each claim against every sentence of its oracle
-        candidate pages. The cosine of an indexed sentence is the one with
-        the index's own norm."""
+        """The shipped paths on the default world: every (dev claim,
+        sentence) pair the select stage featurizes, the pair features of
+        each dev claim's gold and top candidate sentences, and, per training
+        claim, every sentence of its negative pool and its NLI training
+        pairs. The cosine of an indexed sentence is the one with the
+        index's own norm."""
         corpus = ingest_corpus(fixture_world / "corpus")
         index = build_index(corpus, "sentence")
-        extractor = FeatureExtractor(index)
+        scorer = SentenceScorer(index)
         retriever = DocumentRetriever(corpus, build_index(corpus, "document"), DocRetrievalConfig(k=20))
         pairs = 0
         for claim in load_claims(fixture_world / "dev.jsonl"):
-            prepared = extractor.prepare_claim(claim.text)
-            for page_id in retriever.retrieve_oracle(claim):
-                doc = corpus.documents[page_id]
-                title = display_title(page_id)
-                for position, (line_index, body) in enumerate(doc.sentences):
-                    norm = index.norms.get(SentenceId(page_id, line_index))
-                    expected = reference_selection_features(extractor, claim.text, title, body, position, norm)
-                    assert extractor.candidate_features(prepared, title, body, position) == expected
-                    pairs += 1
+            pages = retriever.retrieve_oracle(claim)
+            evidence = sorted(claim.gold_sentences()) + sentences_of(corpus, pages)[:5]
+            pairs += assert_shipped_paths(corpus, index, claim, pages, [], evidence)
         assert pairs > 10_000
+        for claim in load_claims(fixture_world / "train.jsonl"):
+            gold = [sid for sid in claim.gold_sentences() if corpus.get_sentence(sid) is not None]
+            if not gold:
+                continue
+            pool = NegativePool(scorer, corpus, claim, gold, 5)
+            sids = pool.positives + pool._same_page + pool._other_page
+            sids += [pool._best_on(page) for page in pool._population]
+            pairs += assert_shipped_paths(corpus, index, claim, [], sids, [])
+        assert pairs > 20_000
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        pages=st.dictionaries(
+            st.sampled_from(PAGE_IDS), st.lists(SENTENCE_TEXTS, min_size=1, max_size=4), min_size=1
+        ),
+        claim_text=st.one_of(
+            st.sampled_from(("", "...", "ΟΔΟΣ.Α Bb", "Foo ΟΔΟΣ Α Bb isn't Gamma Delta")),
+            st.lists(st.sampled_from(WORDS), min_size=1, max_size=8).map(" ".join),
+        ),
+        candidate_pages=st.lists(st.sampled_from(PAGE_IDS + ("Unknown",)), max_size=8),
+    )
+    def test_shipped_paths_on_random_corpora(self, pages, claim_text, candidate_pages):
+        """Small corpora with empty and token-less sentences, titles that
+        collide once their suffix is stripped, duplicate and unknown
+        candidate pages, claims with repeated tokens or none, and Unicode
+        text whose span tokens differ from its tokens (final sigma)."""
+        corpus = make_corpus(pages)
+        index = build_index(corpus, "sentence")
+        every = [SentenceId(page, line) for page, texts in pages.items() for line in range(len(texts))]
+        claim = make_claim(1, Label.SUPPORTED, claim_text, [every])
+        assert_shipped_paths(corpus, index, claim, candidate_pages, every, every + [SentenceId("Unknown", 0)])
+
+    def test_training_with_empty_gold_sentence(self):
+        """A gold sentence with empty text is a training positive that is
+        not in the index, so its counts and norm come from its own tokens."""
+        corpus = make_corpus({"Ada Hartley": ["", "Ada Hartley acts in Fernbank."], "Fernbank": ["A sitcom."]})
+        index = build_index(corpus, "sentence")
+        claim = make_claim(1, Label.SUPPORTED, "Ada Hartley starred in Fernbank.", [[("Ada Hartley", 0)]])
+        assert SentenceId("Ada Hartley", 0) not in index.norms
+        sids = [SentenceId("Ada Hartley", 0), SentenceId("Ada Hartley", 1), SentenceId("Fernbank", 0)]
+        assert_shipped_paths(corpus, index, claim, [], sids, sids)
+        extractor = FeatureExtractor(index)
+        model = train_selector([claim], [], corpus, index, extractor, Regime.BASELINE, TrainingConfig(seed=1))
+        assert model.metadata["n_positives"] == 1
+        assert model.metadata["n_negatives"] == 2
+
+    def test_indexed_sentences_read_the_index(self, monkeypatch):
+        """Featurizing and classifying indexed sentences builds no Counter
+        and computes no norm beyond prepare_claim's one each; featurizing
+        tokenizes each page's title once (the duplicate "Foo" is skipped)."""
+        corpus = make_corpus(
+            {"Foo": ["Foo is alpha.", "It is beta.", ""], "Foo_(film)": ["A film."], "Bar": ["Bar alpha."]}
+        )
+        extractor = FeatureExtractor(build_index(corpus, "sentence"))
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        for name in ("Counter", "tfidf_norm", "tokenize"):
+            monkeypatch.setattr(features_module, name, counting(name, getattr(features_module, name)))
+        claim = make_claim(1, Label.SUPPORTED, "Foo is alpha.")
+        featurized = featurize_candidates(extractor, claim, ["Foo", "Foo_(film)", "Bar", "Foo"], corpus)
+        assert len(featurized) == 4
+        assert calls == {"Counter": 1, "tfidf_norm": 1, "tokenize": 1 + 3 + 4}
+        calls.clear()
+        n = len(PAIR_FEATURE_NAMES)
+        model = NliModel(weights=[[0.0] * n for _ in range(3)], biases=[0.0] * 3)
+        verdict_for_claim(model, extractor, corpus, claim, [(sid, 1.0) for sid, _ in featurized])
+        assert (calls["Counter"], calls["tfidf_norm"]) == (1, 1)
 
 
 class TestOneNorm:

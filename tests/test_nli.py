@@ -156,6 +156,15 @@ class TestClassifyPair:
         probs = model.probabilities([0.0] * len(PAIR_FEATURE_NAMES))
         assert CLASS_ORDER[probs.index(max(probs))] is SUP
 
+    def test_sums_add_in_order(self):
+        """Logits and the softmax total add with + in order. Python 3.12's
+        compensated sum() would give logit 1.0 and a total above 1.0 here."""
+        n = len(PAIR_FEATURE_NAMES)
+        cancelling = NliModel(weights=[[1e16, 1.0, -1e16] + [0.0] * (n - 3)] * 3, biases=[0.0] * 3)
+        assert cancelling.probabilities([1.0, 1.0, 1.0] + [0.0] * (n - 3)) == [1 / 3.0] * 3
+        tiny = math.log(1e-16)
+        assert NliModel(weights=[[0.0] * n] * 3, biases=[0.0, tiny, tiny]).probabilities([0.0] * n)[0] == 1.0
+
     def test_training_labels_recovered_on_separable_fixture(self, nli_world):
         corpus, extractor, claims, selections = nli_world
         model = train_nli(claims, selections, corpus, extractor, TrainingConfig(seed=4, epochs=16))

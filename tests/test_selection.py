@@ -42,9 +42,9 @@ def classified_candidates(corpus, evidence):
     seen = []
 
     class Recording(FeatureExtractor):
-        def pair_features(self, claim, title, body):
+        def pair_features(self, claim, title, body, sid=None):
             seen.append((title, body))
-            return super().pair_features(claim, title, body)
+            return super().pair_features(claim, title, body, sid)
 
     extractor = Recording.from_index(build_index(corpus, "sentence"))
     model = NliModel(
@@ -419,6 +419,12 @@ class TestTrainSelector:
             TrainingConfig(epochs=0)
         with pytest.raises(ValueError):
             TrainingConfig(learning_rate=0.0)
+
+
+def test_relevance_score_adds_in_order():
+    """The score adds its weight * feature terms with + in order. Python
+    3.12's compensated sum() would give sigmoid(1.0) here."""
+    assert RelevanceModel(weights=[1e16, 1.0, -1e16], bias=0.0).score([1.0, 1.0, 1.0]) == 0.5
 
 
 class TestSelectSentences:
