@@ -18,7 +18,7 @@ import argparse
 import tempfile
 from pathlib import Path
 
-from claimlab.evaluation import orderings
+from claimlab.evaluation import format_report_row, orderings
 from claimlab.experiment import ExperimentConfig, run_experiment
 from claimlab.worldgen import WorldConfig, build_world, write_world
 
@@ -53,13 +53,7 @@ def main() -> None:
 
         print(f"=== seed {seed}")
         for row in report["rows"]:
-            line = (
-                f"{row['dataset']:<12} {row['regime']:<9} recall@{row['k']}={row['recall_at_k']:.3f} "
-                f"refuted_mistakes={row['refuted_mistakes']:<3} supported_mistakes={row['supported_mistakes']}"
-            )
-            if "fever_score" in row:
-                line += f" fever={row['fever_score']:.3f} label_acc={row['label_accuracy']:.3f}"
-            print(line)
+            print(format_report_row(row))
 
         outcomes = orderings(report)
         for key, ok in outcomes.items():

@@ -17,7 +17,7 @@ from .claim_gen import generate_augmentation_set, synthetic_to_claim
 from .claims import Label, load_claims, save_claims
 from .corpus import build_index, ingest_corpus
 from .entity_analysis import analyze_claims
-from .evaluation import build_report
+from .evaluation import build_report, format_report_row
 from .experiment import (
     ALL_REGIMES,
     ExperimentConfig,
@@ -173,10 +173,6 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _ratio(value) -> str:
-    return "n/a" if value is None else f"{value:.3f}"
-
-
 _RUN_REQUIRED = ("corpus", "train_claims", "dev_claims", "kb", "out_dir")
 
 
@@ -194,13 +190,7 @@ def cmd_run(args) -> int:
     config = ExperimentConfig(**{**fields, "regimes": tuple(fields.get("regimes", ALL_REGIMES))})
     report = run_experiment(config)
     for row in report["rows"]:
-        line = (
-            f"{row['dataset']:<12} {row['regime']:<9} recall@{row['k']}={_ratio(row['recall_at_k'])} "
-            f"refuted_mistakes={row['refuted_mistakes']} supported_mistakes={row['supported_mistakes']}"
-        )
-        if "fever_score" in row:
-            line += f" fever={_ratio(row['fever_score'])} label_acc={_ratio(row['label_accuracy'])}"
-        print(line)
+        print(format_report_row(row))
     print(f"report bundle -> {config.out_dir}")
     return 0
 

@@ -5,10 +5,12 @@ object with "id" (page title) and "lines" (newline-joined sentences,
 tab-separated fields: sentence index, sentence text, ignored anchors).
 
 Postings map each token to {identifier: term frequency}, so one unit's
-score is a dict lookup per query token. `tfidf_scores` scores every
-unit that shares a token with a query; `SentenceScorer` scores single
-units of a sentence index and ranks an exact top-k with MaxScore
-pruning, scoring only the units that could still reach it.
+score is a dict lookup per query token. A claim's `Query` is the one
+vector retrieval, negative sampling and the feature pass all read.
+`tfidf_scores` scores every unit that shares a token with a query;
+`SentenceScorer` scores single units of a sentence index and ranks an
+exact top-k with MaxScore pruning, scoring only the units that could
+still reach it.
 """
 
 from __future__ import annotations
@@ -242,47 +244,47 @@ def build_index(corpus: Corpus, granularity: str = "document") -> InvertedIndex:
 
 
 class Query(NamedTuple):
-    """A query's TF-IDF vector against one index.
+    """A text's TF-IDF vector against one index.
 
-    terms holds (token, query weight, idf, postings) per distinct token
-    in first-occurrence order, out-of-vocabulary tokens included (with
-    empty postings: they still count in the query's norm).
+    tokens is the text's token stream. terms holds (token, count, idf,
+    postings) per distinct token in first-occurrence order, the order
+    of every float sum over the query; postings is the index's own dict,
+    empty for an out-of-vocabulary token (which still counts in norm).
     """
 
-    terms: list[tuple[str, float, float, dict]]
+    tokens: list[str]
+    terms: list[tuple[str, int, float, dict]]
     norm: float
 
 
-def parse_query(index: InvertedIndex, query: str) -> Query:
-    """The query text's Query against the index; tfidf_scores and
-    SentenceScorer score from it."""
-    terms = []
-    for token, qcount in Counter(tokenize(query)).items():
-        idf = index.idf(token)
-        terms.append((token, qcount * idf, idf, index.postings.get(token, {})))
-    return Query(terms, tfidf_norm(qweight for _, qweight, _, _ in terms))
+def parse_query(index: InvertedIndex, text: str) -> Query:
+    """The text's Query against the index: the only place a claim is
+    tokenized and its idfs and postings are looked up."""
+    tokens = tokenize(text)
+    terms = [(token, n, index.idf(token), index.postings.get(token, {})) for token, n in Counter(tokens).items()]
+    return Query(tokens, terms, tfidf_norm(n * idf for _, n, idf, _ in terms))
 
 
-def tfidf_scores(index: InvertedIndex, query: str) -> dict:
+def tfidf_scores(index: InvertedIndex, query: Query) -> dict:
     """TF-IDF cosine of every unit sharing a token with the query, unsorted.
 
     tf is the raw count and idf = ln((N+1)/(df+1)) + 1. Only units
     sharing at least one token with the query (and with a non-zero
     norm) appear, so an out-of-vocabulary query yields an empty map.
     """
-    parsed = parse_query(index, query)
     dots: dict = {}
-    for _, qweight, idf, postings in parsed.terms:
+    for _, count, idf, postings in query.terms:
+        weight = count * idf
         for ident, tf in postings.items():
-            dots[ident] = dots.get(ident, 0.0) + qweight * tf * idf
-    if not dots or parsed.norm == 0.0:
+            dots[ident] = dots.get(ident, 0.0) + weight * tf * idf
+    if not dots or query.norm == 0.0:
         return {}
     scores = {}
     for ident, dot in dots.items():
         norm = index.norms.get(ident, 0.0)
         if norm == 0.0:
             continue
-        scores[ident] = dot / (parsed.norm * norm)
+        scores[ident] = dot / (query.norm * norm)
     return scores
 
 
@@ -337,22 +339,21 @@ class SentenceScorer:
         self._page_bit: dict[str, int] = {}
 
     def score(self, query: Query, ident: SentenceId) -> Optional[float]:
-        """tfidf_scores(index, text).get(ident), without scoring other units."""
-        dot, shared = 0.0, False
-        for _, qweight, idf, postings in query.terms:
+        """tfidf_scores(index, query).get(ident), without scoring other units."""
+        dot = 0.0
+        for _, count, idf, postings in query.terms:
             tf = postings.get(ident)
             if tf is not None:
-                dot = dot + qweight * tf * idf
-                shared = True
+                dot = dot + count * idf * tf * idf
         norm = self.index.norms.get(ident, 0.0)
-        if not shared or norm == 0.0:
+        if dot == 0.0 or norm == 0.0:  # counts, tfs and idfs are >= 1: dot > 0 iff a token is shared
             return None
         return dot / (query.norm * norm)
 
     def top_k(self, query: Query, k: int) -> list[tuple]:
-        """Exactly top_k_scored(tfidf_scores(index, text), k), MaxScore-pruned.
+        """Exactly top_k_scored(tfidf_scores(index, query), k), MaxScore-pruned.
 
-        A token adds at most qweight * idf * max(tf / norm) / query_norm
+        A token adds at most count * idf * idf * max(tf / norm) / query.norm
         to a unit's cosine. The units of the highest-bound tokens are
         scored until there are k of them; the k-th best score is the
         threshold theta. The longest prefix of lowest-bound tokens whose
@@ -366,8 +367,8 @@ class SentenceScorer:
         # Posted units have norm >= 1 (every idf is >= 1), so each scores.
         bounded = sorted(
             (
-                (qweight * idf * self._impact(token, postings) / query.norm, postings)
-                for token, qweight, idf, postings in query.terms
+                (count * idf * idf * self._impact(token, postings) / query.norm, postings)
+                for token, count, idf, postings in query.terms
                 if postings
             ),
             key=lambda item: item[0],

@@ -193,3 +193,18 @@ def orderings(report: Mapping) -> dict[str, bool]:
         "e": value("adversarial", "da", "refuted_mistakes")
         <= value("adversarial", "baseline", "refuted_mistakes"),
     }
+
+
+def _ratio(value: Optional[float]) -> str:
+    return "n/a" if value is None else f"{value:.3f}"
+
+
+def format_report_row(row: Mapping) -> str:
+    """One report row as a line of `claimlab run` output; a None rate prints n/a."""
+    line = (
+        f"{row['dataset']:<12} {row['regime']:<9} recall@{row['k']}={_ratio(row['recall_at_k'])} "
+        f"refuted_mistakes={row['refuted_mistakes']} supported_mistakes={row['supported_mistakes']}"
+    )
+    if "fever_score" in row:
+        line += f" fever={_ratio(row['fever_score'])} label_acc={_ratio(row['label_accuracy'])}"
+    return line

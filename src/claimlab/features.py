@@ -5,14 +5,14 @@ A candidate is a (title, body) record: the page's display title
 travels with each candidate so pronoun-heavy evidence keeps its subject.
 
 Each side of a feature is computed once. The claim side once per claim
-(`FeatureExtractor.prepare_claim`, which keeps a reference to each claim
-token's postings dict); the title side (`page_title`) once per page when
-a page's sentences are featurized together. `sentence_features` does the
-body: an indexed sentence, named by its SentenceId, reads its
-shared-token counts from those postings and its norm from `index.norms`;
-other text (an empty sentence, a bare (title, body) pair) counts its own
-tokens. Both give equal bits: the index counted the same title and body
-tokens with the same idf table and `corpus.tfidf_norm`. Contract: the
+(`FeatureExtractor.prepare_claim`, around the claim's `corpus.Query`,
+the one claim vector retrieval and negative sampling also read); the
+title side (`page_title`) once per page. `sentence_features` does the
+body: an indexed sentence, named by its SentenceId, reads its counts
+from the query's postings and its norm from `index.norms`; other text
+(an empty sentence, a bare (title, body) pair) counts its own tokens.
+Both give equal bits: the index counted the same title and body tokens
+with the same idf table and `corpus.tfidf_norm`. Contract: the
 extractor's index is the sentence index of the corpus being featurized.
 """
 
@@ -22,7 +22,7 @@ import math
 from collections import Counter
 from typing import NamedTuple, Optional
 
-from .corpus import InvertedIndex, SentenceId, tfidf_norm, token_spans, tokenize
+from .corpus import InvertedIndex, Query, SentenceId, parse_query, tfidf_norm, token_spans, tokenize
 
 SELECTION_FEATURE_NAMES = (
     "unigram_overlap",
@@ -94,21 +94,16 @@ def _negation_cues(tokens: set[str], *texts: str) -> set[str]:
 
 
 class PreparedClaim(NamedTuple):
-    """The claim side of every feature. tf lists (token, count, idf, idf
-    squared) in first-occurrence order, the order every float sum over
-    claim tokens follows, and postings each token's postings dict in the
-    index (the index's own dict, not a copy); idf_mass is the idf sum in
-    that order and norm the TF-IDF vector length."""
+    """The claim side of every feature: the claim's Query against the
+    extractor's index, plus its token set, bigrams and entity spans.
+    idf_mass is the idf sum in the query's term order."""
 
     text: str
-    tokens: list[str]
+    query: Query
     token_set: set[str]
     bigrams: set[tuple[str, str]]
     span_sets: list[set[str]]
     idf_mass: float
-    tf: list[tuple[str, int, float, float]]
-    postings: list[dict]
-    norm: float
 
 
 class PageTitle(NamedTuple):
@@ -124,59 +119,51 @@ class FeatureExtractor:
     corpus being featurized."""
 
     def __init__(self, index: InvertedIndex):
-        self.idf = index.idf
-        self._postings = index.postings
-        self._norms = index.norms
+        self.index = index
 
     @classmethod
     def from_index(cls, index: InvertedIndex) -> "FeatureExtractor":
         return cls(index)
 
     def prepare_claim(self, claim_text: str) -> PreparedClaim:
-        tokens = tokenize(claim_text)
-        tf = []
+        query = parse_query(self.index, claim_text)
         idf_mass = 0.0
-        for token, count in Counter(tokens).items():
-            idf = self.idf(token)
-            tf.append((token, count, idf, idf * idf))
+        for _, _, idf, _ in query.terms:
             idf_mass += idf
         return PreparedClaim(
             text=claim_text,
-            tokens=tokens,
-            token_set=set(tokens),
-            bigrams=_bigrams(tokens),
+            query=query,
+            token_set=set(query.tokens),
+            bigrams=_bigrams(query.tokens),
             span_sets=[set(span) for span in _capitalized_spans(claim_text)],
             idf_mass=idf_mass,
-            tf=tf,
-            postings=[self._postings.get(token, {}) for token, _, _, _ in tf],
-            norm=tfidf_norm(count * idf for _, count, idf, _ in tf),
         )
 
     def page_title(self, claim: PreparedClaim, title: str) -> PageTitle:
         tokens = tokenize(title)
-        in_claim = 1.0 if contains_subsequence(claim.tokens, tokens) else 0.0
+        in_claim = 1.0 if contains_subsequence(claim.query.tokens, tokens) else 0.0
         return PageTitle(tokens, _span_share(claim.span_sets, set(tokens)), in_claim)
 
     def sentence_features(
-        self, claim: PreparedClaim, page: PageTitle, body: str, position: float = 0.0, sid: Optional[SentenceId] = None
+        self, claim: PreparedClaim, page: PageTitle, body_tokens: list[str], position: float, sid: Optional[SentenceId]
     ) -> list[float]:
-        """Selection features of one sentence of a page against a prepared
-        claim. sid names the sentence; if the index holds it, its counts
-        and norm are read from there."""
-        body_tokens = tokenize(body)
-        if sid in self._norms:
-            counts = [postings.get(sid) for postings in claim.postings]
-            candidate_norm = self._norms[sid]
+        """Selection features of one sentence of a page, given its body's
+        tokens, against a prepared claim. sid names the sentence; if the
+        index holds it, its counts and norm are read from there."""
+        terms = claim.query.terms
+        if sid in self.index.norms:
+            counts = [postings.get(sid) for _, _, _, postings in terms]
+            candidate_norm = self.index.norms[sid]
         else:
             candidate_tf = Counter(page.tokens + body_tokens)
-            counts = [candidate_tf.get(token) for token, _, _, _ in claim.tf]
-            candidate_norm = tfidf_norm(count * self.idf(token) for token, count in candidate_tf.items())
+            counts = [candidate_tf.get(token) for token, _, _, _ in terms]
+            candidate_norm = tfidf_norm(count * self.index.idf(token) for token, count in candidate_tf.items())
         # Both float sums run in the claim's token order, never a set's hash order.
         dot = overlap = 0.0
         shared = 0
-        for (_, count, idf, idf_squared), candidate_count in zip(claim.tf, counts):
+        for (_, count, idf, _), candidate_count in zip(terms, counts):
             if candidate_count is not None:
-                dot += count * candidate_count * idf_squared
+                dot += count * candidate_count * (idf * idf)
                 overlap += idf
                 shared += 1
 
@@ -185,7 +172,7 @@ class FeatureExtractor:
         # A claim bigram can occur in the candidate only if its tokens do.
         shared_bigrams = len(claim.bigrams & _bigrams(page.tokens + body_tokens)) if shared else 0
         bigram = shared_bigrams / max(1, len(claim.bigrams))
-        cosine = dot / (claim.norm * candidate_norm) if dot != 0.0 else 0.0
+        cosine = dot / (claim.query.norm * candidate_norm) if dot != 0.0 else 0.0
         idf_overlap = overlap / claim.idf_mass if claim.idf_mass > 0 else 0.0
         # Span tokens are lowered one by one, which can differ from tokenize
         # (final sigma), so span features are not read from shared counts.
@@ -210,7 +197,7 @@ class FeatureExtractor:
     ) -> list[float]:
         """Selection features of one (title, body) candidate against a
         prepared claim; sid, if given, is the candidate's id in the index."""
-        return self.sentence_features(claim, self.page_title(claim, title), body, position, sid)
+        return self.sentence_features(claim, self.page_title(claim, title), tokenize(body), position, sid)
 
     def pair_features(
         self, claim: PreparedClaim, title: str, body: str, sid: Optional[SentenceId] = None
@@ -218,10 +205,11 @@ class FeatureExtractor:
         """Selection features (at position 0) plus polarity cues for claim
         classification; sid, if given, is the sentence's id in the index."""
         page = self.page_title(claim, title)
-        base = self.sentence_features(claim, page, body, 0.0, sid)
+        body_tokens = tokenize(body)
+        base = self.sentence_features(claim, page, body_tokens, 0.0, sid)
 
         claim_tokens = claim.token_set
-        candidate_tokens = set(page.tokens) | set(tokenize(body))
+        candidate_tokens = set(page.tokens) | set(body_tokens)
         claim_cues = _negation_cues(claim_tokens, claim.text)
         candidate_cues = _negation_cues(candidate_tokens, title, body)
         negation = 1.0 if claim_cues != candidate_cues else 0.0

@@ -9,10 +9,11 @@ cosine score.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .claims import Claim
-from .corpus import Corpus, InvertedIndex, display_title, tfidf_scores, tokenize, top_k_scored
+from .corpus import Corpus, InvertedIndex, display_title, parse_query, tfidf_scores, tokenize, top_k_scored
 from .features import contains_subsequence
 
 
@@ -24,8 +25,8 @@ class DocRetrievalConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.title_match_weight < 0:
-            raise ValueError("title_match_weight must be non-negative")
+        if not (math.isfinite(self.title_match_weight) and self.title_match_weight >= 0):
+            raise ValueError(f"title_match_weight must be finite and non-negative, got {self.title_match_weight}")
 
 
 class DocumentRetriever:
@@ -53,12 +54,12 @@ class DocumentRetriever:
         match overlapping claim spans; longest-match resolution belongs
         to entity linking, not retrieval.
         """
-        claim_tokens = tokenize(claim_text)
-        scores = tfidf_scores(self.index, claim_text)
+        query = parse_query(self.index, claim_text)
+        scores = tfidf_scores(self.index, query)
         # Each distinct token once, so no page gets the bonus twice.
-        for first in dict.fromkeys(claim_tokens):
+        for first, _, _, _ in query.terms:
             for page_id, title_tokens in self._titles_by_first_token.get(first, ()):
-                if contains_subsequence(claim_tokens, title_tokens):
+                if contains_subsequence(query.tokens, title_tokens):
                     scores[page_id] = scores.get(page_id, 0.0) + self.config.title_match_weight
         return scores
 

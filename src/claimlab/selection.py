@@ -12,9 +12,9 @@ Negatives come from a `NegativePool` per training claim, which ranks
 only what the groups can reach: the positive pages' sentences, an
 exact MaxScore-pruned top-k of the rest of the sentence index, and the
 pages group C draws. `train_selectors` trains several regimes in one
-pass: each distinct training claim gets one pool and one feature
-vector per (claim, sentence), and each regime's seed drives its own
-draws from the shared pools.
+pass: each distinct training claim is parsed once into the `corpus.Query`
+its pool and its feature vectors both read, and each regime's seed
+drives its own draws from the shared pools.
 
 Ranking is one featurize pass over a claim's candidate sentences plus a
 top-k scoring step per model, so several selectors can score the same
@@ -33,7 +33,17 @@ from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .claims import Claim, Label
-from .corpus import Corpus, InvertedIndex, SentenceId, SentenceScorer, display_title, parse_query, rank_key
+from .corpus import (
+    Corpus,
+    InvertedIndex,
+    Query,
+    SentenceId,
+    SentenceScorer,
+    display_title,
+    parse_query,
+    rank_key,
+    tokenize,
+)
 from .features import SELECTION_FEATURE_NAMES, FeatureExtractor, PreparedClaim
 from .util import load_model, save_model, stable_seed
 
@@ -66,8 +76,8 @@ class TrainingConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
         if self.negatives_per_positive < 1:
             raise ValueError("negatives_per_positive must be >= 1")
 
@@ -101,7 +111,7 @@ class RelevanceModel:
 
 
 class NegativePool:
-    """What one claim's negatives are drawn from, for a set of positives.
+    """What one claim's negatives are drawn from, for its query and positives.
 
     Built once: group A's ranking of the positive pages' sentences, group
     B's reach list (the best sentences elsewhere, as many as draws of up
@@ -116,14 +126,14 @@ class NegativePool:
         self,
         scorer: SentenceScorer,
         corpus: Corpus,
-        claim: Claim,
+        query: Query,
         positives: Iterable[SentenceId],
         per_group: int,
     ):
         self.positives = sorted(positives)
         self._scorer = scorer
         self._corpus = corpus
-        self._query = parse_query(scorer.index, claim.text)
+        self._query = query
         self._positive_pages = {sid.page_id for sid in self.positives}
         self._same_page = self._ranked(page for page in self._positive_pages if page in corpus.documents)
         # Per positive, groups B and C use at most 2 * per_group units of
@@ -209,7 +219,8 @@ def sample_negatives(
     if not positives:
         raise ValueError(f"claim {claim.claim_id} has no positive sentences")
     per_group = _per_group(negatives_per_positive)
-    return NegativePool(SentenceScorer(index), corpus, claim, positives, per_group).draw(rng_seed, per_group)
+    pool = NegativePool(SentenceScorer(index), corpus, parse_query(index, claim.text), positives, per_group)
+    return pool.draw(rng_seed, per_group)
 
 
 def _regime_claims(
@@ -229,15 +240,6 @@ def _regime_claims(
     raise ValueError(f"unhandled regime {regime!r}")
 
 
-def _example_features(
-    extractor: FeatureExtractor, corpus: Corpus, claim: PreparedClaim, sid: SentenceId
-) -> list[float]:
-    doc = corpus.documents[sid.page_id]
-    position = [idx for idx, _ in doc.sentences].index(sid.line_index) / max(1, len(doc.sentences) - 1)
-    text = corpus.get_sentence(sid) or ""
-    return extractor.candidate_features(claim, display_title(sid.page_id), text, position, sid)
-
-
 @dataclass
 class _TrainingClaim:
     """A training claim prepared once for every regime that uses it."""
@@ -249,7 +251,11 @@ class _TrainingClaim:
     def features(self, extractor: FeatureExtractor, corpus: Corpus, sid: SentenceId) -> list[float]:
         vector = self.vectors.get(sid)
         if vector is None:
-            vector = self.vectors[sid] = _example_features(extractor, corpus, self.prepared, sid)
+            doc = corpus.documents[sid.page_id]
+            position = [idx for idx, _ in doc.sentences].index(sid.line_index) / max(1, len(doc.sentences) - 1)
+            text = corpus.get_sentence(sid) or ""
+            vector = extractor.candidate_features(self.prepared, display_title(sid.page_id), text, position, sid)
+            self.vectors[sid] = vector
         return vector
 
 
@@ -264,10 +270,11 @@ def train_selectors(
     """Train one relevance scorer per regime, in one pass over the claims.
 
     Each distinct training claim is prepared once, when the first regime
-    uses it: its NegativePool and, on first need, the feature vector of
-    each of its sentences. Each regime then draws every claim's negatives
-    with its own config's seed, in claim order, and trains as
-    train_selector describes, so each model equals a separate
+    uses it: its PreparedClaim, whose query its NegativePool ranks with
+    (so the extractor must be backed by index), and, on first need, the
+    feature vector of each of its sentences. Each regime then draws every
+    claim's negatives with its own config's seed, in claim order, and
+    trains as train_selector describes, so each model equals a separate
     train_selector call bit for bit.
     """
     scorer = SentenceScorer(index)
@@ -285,14 +292,11 @@ def train_selectors(
         for claim in training_claims:
             if claim not in prepared:
                 gold = [sid for sid in claim.gold_sentences() if corpus.get_sentence(sid) is not None]
-                prepared[claim] = (
-                    _TrainingClaim(
-                        NegativePool(scorer, corpus, claim, gold, pool_per_group),
-                        extractor.prepare_claim(claim.text),
-                    )
-                    if gold
-                    else None
-                )
+                prepared[claim] = None
+                if gold:
+                    claim_side = extractor.prepare_claim(claim.text)
+                    pool = NegativePool(scorer, corpus, claim_side.query, gold, pool_per_group)
+                    prepared[claim] = _TrainingClaim(pool, claim_side)
             entry = prepared[claim]
             if entry is None:
                 continue
@@ -392,7 +396,7 @@ def featurize_candidates(
             if not text:
                 continue
             sid = SentenceId(page_id, line_index)
-            featurized.append((sid, extractor.sentence_features(prepared, page, text, position / denom, sid)))
+            featurized.append((sid, extractor.sentence_features(prepared, page, tokenize(text), position / denom, sid)))
     return featurized
 
 

@@ -1,7 +1,10 @@
 import json
+import sys
+from collections import Counter
 
 import pytest
 
+from claimlab import corpus as corpus_module
 from claimlab.claims import Claim, Label
 from claimlab.corpus import Corpus, Document
 from claimlab.kb import EntityRecord, KnowledgeBase
@@ -23,6 +26,22 @@ def make_claim(claim_id, label, text, evidence=()):
     if label is Label.NOT_ENOUGH_INFO and not raw:
         raw = (((None, None, None, None),),)
     return Claim(claim_id=claim_id, label=label, text=text, evidence=raw)
+
+
+def count_tokenized(monkeypatch) -> Counter:
+    """Wrap tokenize in every claimlab module that binds it; the returned
+    Counter counts each text tokenized from then on."""
+    texts = Counter()
+    original = corpus_module.tokenize
+
+    def counting(text):
+        texts[text] += 1
+        return original(text)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("claimlab") and getattr(module, "tokenize", None) is original:
+            monkeypatch.setattr(module, "tokenize", counting)
+    return texts
 
 
 def write_jsonl(path, rows):

@@ -347,6 +347,25 @@ def test_evaluate_rejects_k_below_one(world_dir, pipeline_artifacts, tmp_path, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("weight", ["nan", "inf"])
+def test_retrieve_docs_rejects_non_finite_title_match_weight(world_dir, tmp_path, capsys, weight):
+    out = tmp_path / "docs.jsonl"
+    args = ["retrieve-docs", "--corpus", str(world_dir / "corpus"), "--claims", str(world_dir / "dev.jsonl")]
+    assert main(args + ["--title-match-weight", weight, "--out", str(out)]) == 1
+    assert "error: retrieve-docs: title_match_weight must be finite and non-negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rate", ["inf", "nan"])
+def test_train_selector_rejects_non_finite_learning_rate(world_dir, tmp_path, capsys, rate):
+    out = tmp_path / "model.json"
+    args = ["train-selector", "--regime", "baseline", "--claims", str(world_dir / "train.jsonl")]
+    args += ["--corpus", str(world_dir / "corpus"), "--learning-rate", rate, "--out", str(out)]
+    assert main(args) == 1
+    assert "error: train-selector: learning_rate must be finite and positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_evaluate_requires_inputs(world_dir, tmp_path, capsys):
     code = main(["evaluate", "--claims", str(world_dir / "dev.jsonl"), "--out", str(tmp_path / "r.json")])
     assert code == 1

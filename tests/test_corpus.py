@@ -238,18 +238,18 @@ class TestTfidfRank:
             }
         )
         index = build_index(corpus, "document")
-        ranked = top_k_scored(tfidf_scores(index, "quartz lantern festival."), k=3)
+        ranked = top_k_scored(tfidf_scores(index, parse_query(index, "quartz lantern festival.")), k=3)
         assert ranked[0][0] == "Target"
 
     def test_out_of_vocabulary_query_empty(self):
         corpus = make_corpus({"A": ["alpha beta."]})
         index = build_index(corpus, "document")
-        assert top_k_scored(tfidf_scores(index, "zzz qqq"), k=5) == []
+        assert top_k_scored(tfidf_scores(index, parse_query(index, "zzz qqq")), k=5) == []
 
     def test_tie_broken_by_identifier(self):
         corpus = make_corpus({"B": ["same text."], "A": ["same text."]})
         index = build_index(corpus, "document")
-        ranked = top_k_scored(tfidf_scores(index, "same text"), k=2)
+        ranked = top_k_scored(tfidf_scores(index, parse_query(index, "same text")), k=2)
         assert [ident for ident, _ in ranked] == ["A", "B"]
         assert ranked[0][1] == pytest.approx(ranked[1][1])
 
@@ -258,7 +258,7 @@ class TestTfidfRank:
             {f"P{i}": [f"shared word plus unique{i} token."] for i in range(6)}
         )
         index = build_index(corpus, "document")
-        ranked = top_k_scored(tfidf_scores(index, "shared word unique3"), k=10)
+        ranked = top_k_scored(tfidf_scores(index, parse_query(index, "shared word unique3")), k=10)
         scores = [score for _, score in ranked]
         assert scores == sorted(scores, reverse=True)
         ids = [ident for ident, _ in ranked]
@@ -277,7 +277,7 @@ class TestTfidfRank:
     def test_matches_brute_force_oracle(self, docs, query, k):
         corpus = make_corpus({f"D{i:02d}": [" ".join(tokens) + "."] for i, tokens in enumerate(docs)})
         index = build_index(corpus, "document")
-        fast = top_k_scored(tfidf_scores(index, " ".join(query)), k=k)
+        fast = top_k_scored(tfidf_scores(index, parse_query(index, " ".join(query))), k=k)
         slow = brute_force_cosine(corpus, " ".join(query), k=k)
         assert [ident for ident, _ in fast] == [ident for ident, _ in slow]
         for (_, a), (_, b) in zip(fast, slow):
@@ -296,7 +296,7 @@ class TestTfidfRank:
         )
         index = build_index(corpus, "document")
         for query in ("red lamp quartz", "stone stone maple", "drift onyx river green"):
-            fast = top_k_scored(tfidf_scores(index, query), k=50)
+            fast = top_k_scored(tfidf_scores(index, parse_query(index, query)), k=50)
             slow = brute_force_cosine(corpus, query, k=50)
             assert [ident for ident, _ in fast] == [ident for ident, _ in slow]
             for (_, a), (_, b) in zip(fast, slow):
@@ -326,9 +326,10 @@ class TestTopKScored:
     def test_rank_is_top_k_of_scores(self):
         corpus = make_corpus({f"P{i}": [f"shared word plus unique{i} token."] for i in range(6)})
         index = build_index(corpus, "document")
-        scores = tfidf_scores(index, "shared word unique3")
+        scores = tfidf_scores(index, parse_query(index, "shared word unique3"))
         assert len(scores) == 6
-        assert top_k_scored(tfidf_scores(index, "shared word unique3"), k=4) == sorted(scores.items(), key=rank_key)[:4]
+        ranked = top_k_scored(tfidf_scores(index, parse_query(index, "shared word unique3")), k=4)
+        assert ranked == sorted(scores.items(), key=rank_key)[:4]
 
 
 COMMON_WORDS = ["the", "of", "is", "show"]
@@ -381,7 +382,7 @@ class TestSentenceScorer:
 
             scorer = CountingScorer(index)
             parsed = parse_query(index, query)
-            scores = tfidf_scores(index, query)
+            scores = tfidf_scores(index, parsed)
             assert scorer.top_k(parsed, k) == sorted(scores.items(), key=rank_key)[:k]
             pruned.append(len(scorer.scored) < len(scores))
             values = [score for _, score in sorted(scores.items(), key=rank_key)]
@@ -406,7 +407,7 @@ class TestSentenceScorer:
         scorer = SentenceScorer(index)
         for k in (1, 2):
             ranked = scorer.top_k(parse_query(index, "the zeta"), k)
-            assert ranked == sorted(tfidf_scores(index, "the zeta").items(), key=rank_key)[:k]
+            assert ranked == sorted(tfidf_scores(index, parse_query(index, "the zeta")).items(), key=rank_key)[:k]
         assert scorer.top_k(parse_query(index, "the zeta"), 1)[0][0] == SentenceId("(1)", 0)
 
     def test_empty_and_out_of_vocabulary_queries(self):

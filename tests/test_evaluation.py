@@ -1,3 +1,7 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +12,7 @@ from claimlab.evaluation import (
     build_report,
     count_mistakes,
     fever_score,
+    format_report_row,
     label_accuracy,
     orderings,
     recall_at_k,
@@ -283,3 +288,33 @@ def test_orderings_count_ties_as_held():
     assert orderings(ordering_report(dev__baseline__refuted_mistakes=2)) == {
         "a": False, "b": True, "c": True, "d": True, "e": True
     }
+
+
+def test_format_report_row_prints_none_as_na():
+    row = {"dataset": "dev", "regime": "sr", "k": 5, "recall_at_k": None, "refuted_mistakes": 0}
+    row.update(supported_mistakes=12, fever_score=None, label_accuracy=2 / 3)
+    assert format_report_row(row) == (
+        "dev          sr        recall@5=n/a refuted_mistakes=0 supported_mistakes=12 fever=n/a label_acc=0.667"
+    )
+    del row["fever_score"]
+    assert format_report_row(row).endswith("supported_mistakes=12")
+
+
+def test_robustness_script_prints_rows_with_the_run_format(tmp_path, monkeypatch, capsys):
+    """scripts/run_robustness.py prints each report row as `claimlab run`
+    does, a None rate included."""
+    report = ordering_report()
+    for row in report["rows"]:
+        row["k"] = 5
+        if row["dataset"] == "dev":
+            row.update(fever_score=None, label_accuracy=0.25)
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_robustness.py"
+    spec = importlib.util.spec_from_file_location("run_robustness", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script, "run_experiment", lambda config: report)
+    monkeypatch.setattr(sys, "argv", [str(path), "--out", str(tmp_path), "--seeds", "1"])
+    script.main()
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1 : 1 + len(report["rows"])] == [format_report_row(row) for row in report["rows"]]
+    assert "fever=n/a" in lines[1]

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from claimlab import corpus as corpus_module
 from claimlab import features as features_module
+from claimlab import selection as selection_module
 from claimlab.claims import Label, load_claims
 from claimlab.corpus import (
     SentenceId,
@@ -20,6 +22,7 @@ from claimlab.features import (
     PAIR_FEATURE_NAMES,
     SELECTION_FEATURE_NAMES,
     FeatureExtractor,
+    PreparedClaim,
     _bigrams,
     _capitalized_spans,
     _negation_cues,
@@ -78,8 +81,8 @@ class TestSelectionFeatures:
         assert features[idx("unigram_overlap")] == pytest.approx(len(matched) / len(claim_tokens))
         # bigrams: claim has (hit, sitcom); candidate has (hit, sitcom) too.
         assert features[idx("bigram_overlap")] == pytest.approx(1 / 7)
-        expected_idf = sum(extractor.idf(t) for t in matched) / sum(
-            extractor.idf(t) for t in claim_tokens
+        expected_idf = sum(extractor.index.idf(t) for t in matched) / sum(
+            extractor.index.idf(t) for t in claim_tokens
         )
         assert features[idx("idf_weighted_overlap")] == pytest.approx(expected_idf)
         assert features[idx("entity_spans_in_title")] == 0.0  # span "Alice Fenwick" not in title
@@ -189,7 +192,7 @@ def reference_selection_features(extractor, claim_text, title, body, position=0.
     left_tf, right_tf = Counter(claim_tokens), Counter(candidate_tokens)
     dot = claim_idf_mass = shared_idf_mass = 0.0
     for token, count in left_tf.items():
-        idf = extractor.idf(token)
+        idf = extractor.index.idf(token)
         claim_idf_mass += idf
         if token in right_tf:
             dot += count * right_tf[token] * (idf * idf)
@@ -197,8 +200,8 @@ def reference_selection_features(extractor, claim_text, title, body, position=0.
     if dot == 0.0:
         cosine = 0.0
     else:
-        right_norm = reference_norm(extractor.idf, right_tf) if candidate_norm is None else candidate_norm
-        cosine = dot / (reference_norm(extractor.idf, left_tf) * right_norm)
+        right_norm = reference_norm(extractor.index.idf, right_tf) if candidate_norm is None else candidate_norm
+        cosine = dot / (reference_norm(extractor.index.idf, left_tf) * right_norm)
     idf_overlap = shared_idf_mass / claim_idf_mass if claim_idf_mass > 0 else 0.0
 
     spans = _capitalized_spans(claim_text)
@@ -311,6 +314,18 @@ class TestPreparedClaim:
         ("", "town town", 0.0),
     )
 
+    def test_claim_side_is_the_query(self, extractor):
+        """A prepared claim holds parse_query's Query, whose postings are
+        the index's own dicts, and no second copy of its tokens, counts,
+        postings or norm."""
+        index = extractor.index
+        assert PreparedClaim._fields == ("text", "query", "token_set", "bigrams", "span_sets", "idf_mass")
+        for claim_text in self.EDGE_CLAIMS + ("Alice Fenwick starred in Halcyon.", "halcyon HALCYON zzz"):
+            query = extractor.prepare_claim(claim_text).query
+            assert query == parse_query(index, claim_text)
+            for token, _, _, postings in query.terms:
+                assert postings is index.postings.get(token, postings)
+
     def test_edge_inputs_match_reference(self, extractor):
         for claim_text in self.EDGE_CLAIMS:
             prepared = extractor.prepare_claim(claim_text)
@@ -349,7 +364,7 @@ class TestPreparedClaim:
             gold = [sid for sid in claim.gold_sentences() if corpus.get_sentence(sid) is not None]
             if not gold:
                 continue
-            pool = NegativePool(scorer, corpus, claim, gold, 5)
+            pool = NegativePool(scorer, corpus, parse_query(index, claim.text), gold, 5)
             sids = pool.positives + pool._same_page + pool._other_page
             sids += [pool._best_on(page) for page in pool._population]
             pairs += assert_shipped_paths(corpus, index, claim, [], sids, [])
@@ -394,7 +409,8 @@ class TestPreparedClaim:
     def test_indexed_sentences_read_the_index(self, monkeypatch):
         """Featurizing and classifying indexed sentences builds no Counter
         and computes no norm beyond prepare_claim's one each; featurizing
-        tokenizes each page's title once (the duplicate "Foo" is skipped)."""
+        tokenizes each page's title once (the duplicate "Foo" is skipped),
+        and classifying tokenizes each pair's body once."""
         corpus = make_corpus(
             {"Foo": ["Foo is alpha.", "It is beta.", ""], "Foo_(film)": ["A film."], "Bar": ["Bar alpha."]}
         )
@@ -408,8 +424,10 @@ class TestPreparedClaim:
 
             return wrapper
 
-        for name in ("Counter", "tfidf_norm", "tokenize"):
-            monkeypatch.setattr(features_module, name, counting(name, getattr(features_module, name)))
+        for module in (corpus_module, features_module):
+            for name in ("Counter", "tfidf_norm", "tokenize"):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        monkeypatch.setattr(selection_module, "tokenize", counting("tokenize", selection_module.tokenize))
         claim = make_claim(1, Label.SUPPORTED, "Foo is alpha.")
         featurized = featurize_candidates(extractor, claim, ["Foo", "Foo_(film)", "Bar", "Foo"], corpus)
         assert len(featurized) == 4
@@ -419,11 +437,13 @@ class TestPreparedClaim:
         model = NliModel(weights=[[0.0] * n for _ in range(3)], biases=[0.0] * 3)
         verdict_for_claim(model, extractor, corpus, claim, [(sid, 1.0) for sid, _ in featurized])
         assert (calls["Counter"], calls["tfidf_norm"]) == (1, 1)
+        # The claim once, then each of the four pairs' title and body once.
+        assert calls["tokenize"] == 1 + 4 + 4
 
 
 class TestOneNorm:
-    """Every TF-IDF norm is corpus.tfidf_norm, so the claim side, the query
-    side and the index agree bit for bit on one token stream."""
+    """Every TF-IDF norm is corpus.tfidf_norm, so a query and the index
+    agree bit for bit on one token stream."""
 
     def test_five_page_corpus(self):
         corpus = make_corpus(
@@ -432,18 +452,16 @@ class TestOneNorm:
         index = build_index(corpus, "sentence")
         text = "P0 zeta zeta zeta"
         norm = index.norms[SentenceId("P0", 0)]
-        assert FeatureExtractor(index).prepare_claim(text).norm == parse_query(index, text).norm == norm
+        assert parse_query(index, text).norm == norm
         assert norm == reference_norm(index.idf, Counter(tokenize(text)))
 
     def test_every_sentence_of_fixture_world(self, fixture_world):
-        """A sentence's own text, title first, as a claim or a query has
-        exactly the sentence's index norm."""
+        """A sentence's own text, title first, as a query has exactly the
+        sentence's index norm."""
         corpus = ingest_corpus(fixture_world / "corpus")
         index = build_index(corpus, "sentence")
-        extractor = FeatureExtractor(index)
         for sid, norm in index.norms.items():
             text = f"{display_title(sid.page_id)} {corpus.get_sentence(sid)}"
-            assert extractor.prepare_claim(text).norm == norm
             assert parse_query(index, text).norm == norm
         assert len(index.norms) > 1000
 

@@ -1,13 +1,16 @@
+import math
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from claimlab.claims import Label
-from claimlab.corpus import build_index, display_title, tfidf_scores, tokenize
+from claimlab.corpus import build_index, display_title, parse_query, tfidf_scores, tokenize
 from claimlab.features import contains_subsequence
 from claimlab.retrieval import DocRetrievalConfig, DocumentRetriever
 
-from conftest import make_claim, make_corpus
+from conftest import count_tokenized, make_claim, make_corpus
 
 
 @pytest.fixture
@@ -81,6 +84,23 @@ def test_output_never_exceeds_k(beeman_world):
 def test_invalid_config_rejected():
     with pytest.raises(ValueError):
         DocRetrievalConfig(k=0)
+
+
+@pytest.mark.parametrize("weight", [math.nan, math.inf, -1.0])
+def test_title_match_weight_must_be_finite_and_non_negative(weight):
+    with pytest.raises(ValueError, match="title_match_weight must be finite and non-negative"):
+        DocRetrievalConfig(title_match_weight=weight)
+
+
+def test_retrieve_tokenizes_the_claim_once(beeman_world, monkeypatch):
+    """One Query per claim serves both the TF-IDF scores and the title
+    matches."""
+    corpus, index = beeman_world
+    retriever = DocumentRetriever(corpus, index)
+    claim = "Stan Beeman is only in shows on BBC."
+    texts = count_tokenized(monkeypatch)
+    assert set(retriever.retrieve(claim)[:2]) == {"BBC", "Stan_Beeman"}
+    assert texts == Counter({claim: 1})
 
 
 def test_document_index_required(beeman_world):
@@ -164,7 +184,7 @@ def test_bonus_dominates_when_weight_exceeds_cosine(data):
 def reference_retrieve(corpus, index, config, claim_text):
     """Retrieval by brute force: every title scanned, every page sorted."""
     claim_tokens = tokenize(claim_text)
-    scores = tfidf_scores(index, claim_text)
+    scores = tfidf_scores(index, parse_query(index, claim_text))
     for page_id in corpus.documents:
         title_tokens = tokenize(display_title(page_id))
         if title_tokens and contains_subsequence(claim_tokens, title_tokens):

@@ -1,10 +1,12 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from claimlab import features as features_module
 from claimlab.claim_gen import generate_augmentation_set, synthetic_to_claim
 from claimlab.claims import Label, load_claims
 from claimlab.corpus import (
@@ -13,6 +15,7 @@ from claimlab.corpus import (
     build_index,
     display_title,
     ingest_corpus,
+    parse_query,
     tfidf_scores,
     top_k_scored,
 )
@@ -33,7 +36,7 @@ from claimlab.selection import (
 )
 from claimlab.util import stable_seed
 
-from conftest import make_claim, make_corpus
+from conftest import count_tokenized, make_claim, make_corpus
 
 
 def classified_candidates(corpus, evidence):
@@ -175,7 +178,7 @@ def reference_sample_negatives(claim, corpus, index, positives, rng_seed, negati
     """sample_negatives as it was before it stopped ranking the whole
     index: one full TF-IDF sort, rescanned for every group."""
     per_group = max(1, negatives_per_positive // 3)
-    ranked = top_k_scored(tfidf_scores(index, claim.text), k=index.doc_count)
+    ranked = top_k_scored(tfidf_scores(index, parse_query(index, claim.text)), k=index.doc_count)
     ranked_ids = [sid for sid, _ in ranked]
 
     positive_pages = {sid.page_id for sid in positives}
@@ -419,6 +422,32 @@ class TestTrainSelector:
             TrainingConfig(epochs=0)
         with pytest.raises(ValueError):
             TrainingConfig(learning_rate=0.0)
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
+    def test_learning_rate_must_be_finite(self, rate):
+        with pytest.raises(ValueError, match="learning_rate must be finite and positive"):
+            TrainingConfig(learning_rate=rate)
+
+    def test_train_selectors_parses_each_training_claim_once(self, training_world, monkeypatch):
+        """Each distinct training claim is tokenized once, by the
+        parse_query behind its PreparedClaim, whose Query its negative pool
+        ranks with too, however many regimes train on it."""
+        corpus, index, extractor, claims = training_world
+        configs = {regime: TrainingConfig(seed=3) for regime in (Regime.BASELINE, Regime.SUP_ONLY, Regime.REF_ONLY)}
+        parsed = Counter()
+        original = features_module.parse_query
+
+        def counting(index, text):
+            parsed[text] += 1
+            return original(index, text)
+
+        monkeypatch.setattr(features_module, "parse_query", counting)
+        texts = count_tokenized(monkeypatch)
+        train_selectors(claims, [], corpus, index, extractor, configs)
+        trainable = {claim.text for claim in claims if claim.label is not Label.NOT_ENOUGH_INFO}
+        assert len(trainable) == 4
+        assert parsed == Counter(dict.fromkeys(trainable, 1))
+        assert {text: texts[text] for text in trainable} == dict.fromkeys(trainable, 1)
 
 
 def test_relevance_score_adds_in_order():
