@@ -10,6 +10,8 @@ claimlab.evaluation.orderings defines them):
      recall on dev,
   d-e) augmented training matches or beats baseline on the adversarial
      claims, in recall and in refuted mistakes.
+An ordering over a set with no verifiable claim prints n/a and is not
+counted as passing.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from pathlib import Path
 from claimlab.evaluation import format_report_row, orderings
 from claimlab.experiment import ExperimentConfig, run_experiment
 from claimlab.worldgen import WorldConfig, build_world, write_world
+
+_OUTCOMES = {True: "ok", False: "VIOLATED", None: "n/a"}
 
 
 def main() -> None:
@@ -57,8 +61,8 @@ def main() -> None:
 
         outcomes = orderings(report)
         for key, ok in outcomes.items():
-            checks[key] += ok
-        print("orderings:", " ".join(f"{k}={'ok' if ok else 'VIOLATED'}" for k, ok in outcomes.items()))
+            checks[key] += ok is True
+        print("orderings:", " ".join(f"{k}={_OUTCOMES[ok]}" for k, ok in outcomes.items()))
 
     print()
     print(f"seeds passing each ordering (of {len(seeds)}):", checks)

@@ -7,10 +7,11 @@ tab-separated fields: sentence index, sentence text, ignored anchors).
 Postings map each token to {identifier: term frequency}, so one unit's
 score is a dict lookup per query token. A claim's `Query` is the one
 vector retrieval, negative sampling and the feature pass all read.
-`tfidf_scores` scores every unit that shares a token with a query;
-`SentenceScorer` scores single units of a sentence index and ranks an
-exact top-k with MaxScore pruning, scoring only the units that could
-still reach it.
+`tfidf_scores` scores every unit that shares a token with a query, and
+is the reference the scorer is tested against. `IndexScorer` is the one
+exact top-k ranker, over pages (document retrieval) or sentences
+(negative sampling): with MaxScore pruning it scores only the units
+that could still reach the top k.
 """
 
 from __future__ import annotations
@@ -317,38 +318,45 @@ _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 _BOUND_SLACK = 1e-9
 
 
-class SentenceScorer:
-    """Exact TF-IDF cosines of chosen units of a sentence index.
+class IndexScorer:
+    """Exact TF-IDF cosines of chosen units of an index, of either granularity.
 
     Where tfidf_scores walks every posting of every query token, this
-    scores one unit at a time by dict lookups, with tfidf_scores' float
+    scores a list of units by dict lookups, with tfidf_scores' float
     expressions in the same order, so every score equals tfidf_scores'
-    bit for bit. Each token's largest tf / norm (for top_k's bounds) and
-    its page bitmask (for pages) are computed the first time a query
-    uses the token and kept for later queries: one scorer should serve
-    a whole training pass.
+    bit for bit. Each token's largest tf / norm (for top_k's bounds) and,
+    on a sentence index, its page bitmask (for pages) are computed the
+    first time a query uses the token and kept for later queries: one
+    scorer should serve a whole training pass or retriever.
     """
 
     def __init__(self, index: InvertedIndex):
-        if index.granularity != "sentence":
-            raise ValueError("SentenceScorer needs a sentence-granularity index")
         self.index = index
         self._max_impact: dict[str, float] = {}
         self._page_mask: dict[str, int] = {}
         self._pages: Optional[list[str]] = None  # bit -> page id, in page order
         self._page_bit: dict[str, int] = {}
 
-    def score(self, query: Query, ident: SentenceId) -> Optional[float]:
+    def score(self, query: Query, ident: Union[str, SentenceId]) -> Optional[float]:
         """tfidf_scores(index, query).get(ident), without scoring other units."""
-        dot = 0.0
-        for _, count, idf, postings in query.terms:
-            tf = postings.get(ident)
-            if tf is not None:
-                dot = dot + count * idf * tf * idf
-        norm = self.index.norms.get(ident, 0.0)
-        if dot == 0.0 or norm == 0.0:  # counts, tfs and idfs are >= 1: dot > 0 iff a token is shared
-            return None
-        return dot / (query.norm * norm)
+        return self._scores(query, [ident]).get(ident)
+
+    def _scores(self, query: Query, units: list) -> dict:
+        """{unit: cosine} of the units sharing a token with the query."""
+        weighted = [(count * idf, idf, postings) for _, count, idf, postings in query.terms if postings]
+        norms = self.index.norms
+        scores = {}
+        for ident in units:
+            dot = 0.0
+            for weight, idf, postings in weighted:
+                tf = postings.get(ident)
+                if tf is not None:
+                    dot += weight * tf * idf
+            norm = norms.get(ident, 0.0)
+            # counts, tfs and idfs are >= 1: dot > 0 iff a token is shared
+            if dot != 0.0 and norm != 0.0:
+                scores[ident] = dot / (query.norm * norm)
+        return scores
 
     def top_k(self, query: Query, k: int) -> list[tuple]:
         """Exactly top_k_scored(tfidf_scores(index, query), k), MaxScore-pruned.
@@ -375,9 +383,7 @@ class SentenceScorer:
         )
         scores: dict = {}
         for _, postings in reversed(bounded):
-            for ident in postings:
-                if ident not in scores:
-                    scores[ident] = self.score(query, ident)
+            scores.update(self._scores(query, [ident for ident in postings if ident not in scores]))
             if len(scores) >= k:
                 break
         if len(scores) >= k:
@@ -389,14 +395,14 @@ class SentenceScorer:
                     break
                 skipped += 1
             for _, postings in bounded[skipped:]:
-                for ident in postings:
-                    if ident not in scores:
-                        scores[ident] = self.score(query, ident)
+                scores.update(self._scores(query, [ident for ident in postings if ident not in scores]))
         return top_k_scored(scores, k)
 
     def pages(self, query: Query) -> list[str]:
         """Sorted ids of the pages with a unit sharing a token with the
-        query: the pages of tfidf_scores' keys."""
+        query: the pages of tfidf_scores' keys. Sentence index only."""
+        if self.index.granularity != "sentence":
+            raise ValueError("pages needs a sentence-granularity index")
         if self._pages is None:
             self._pages = sorted({sid.page_id for sid in self.index.norms})
             self._page_bit = {page: bit for bit, page in enumerate(self._pages)}

@@ -166,7 +166,7 @@ def label_accuracy(verdicts: Verdicts, claims: Sequence[Claim]) -> Optional[floa
     return build_report(claims, {}, verdicts).label_accuracy
 
 
-def orderings(report: Mapping) -> dict[str, bool]:
+def orderings(report: Mapping) -> dict[str, Optional[bool]]:
     """The paper's directional results on one experiment report, each
     held when the remedy does at least as well as the baseline (a tie
     holds):
@@ -177,21 +177,22 @@ def orderings(report: Mapping) -> dict[str, bool]:
     d) da's adversarial recall matches or beats baseline's;
     e) da makes no more refuted mistakes than baseline on adversarial.
 
-    The report needs the dev and adversarial rows of baseline, sup, ref,
-    sr and da.
+    An ordering that compares a None rate (a set with no verifiable
+    claim) is None: not measurable, and never held. The report needs the
+    dev and adversarial rows of baseline, sup, ref, sr and da.
     """
     rows = {(row["dataset"], row["regime"]): row for row in report["rows"]}
 
-    def value(dataset: str, regime: str, metric: str):
-        return rows[(dataset, regime)][metric]
+    def at_most(metric: str, dataset: str, lower: str, upper: str) -> Optional[bool]:
+        low, high = rows[(dataset, lower)][metric], rows[(dataset, upper)][metric]
+        return None if low is None or high is None else low <= high
 
     return {
-        "a": value("dev", "ref", "refuted_mistakes") <= value("dev", "baseline", "refuted_mistakes"),
-        "b": value("dev", "sup", "supported_mistakes") <= value("dev", "baseline", "supported_mistakes"),
-        "c": value("dev", "sr", "recall_at_k") >= value("dev", "baseline", "recall_at_k"),
-        "d": value("adversarial", "da", "recall_at_k") >= value("adversarial", "baseline", "recall_at_k"),
-        "e": value("adversarial", "da", "refuted_mistakes")
-        <= value("adversarial", "baseline", "refuted_mistakes"),
+        "a": at_most("refuted_mistakes", "dev", "ref", "baseline"),
+        "b": at_most("supported_mistakes", "dev", "sup", "baseline"),
+        "c": at_most("recall_at_k", "dev", "baseline", "sr"),
+        "d": at_most("recall_at_k", "adversarial", "baseline", "da"),
+        "e": at_most("refuted_mistakes", "adversarial", "da", "baseline"),
     }
 
 

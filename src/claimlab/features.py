@@ -151,17 +151,20 @@ class FeatureExtractor:
         tokens, against a prepared claim. sid names the sentence; if the
         index holds it, its counts and norm are read from there."""
         terms = claim.query.terms
-        if sid in self.index.norms:
-            counts = [postings.get(sid) for _, _, _, postings in terms]
-            candidate_norm = self.index.norms[sid]
-        else:
-            candidate_tf = Counter(page.tokens + body_tokens)
-            counts = [candidate_tf.get(token) for token, _, _, _ in terms]
+        tokens = page.tokens + body_tokens
+        candidate_norm = self.index.norms.get(sid)
+        if candidate_norm is None:
+            # Other text counts its own tokens: each term's postings become
+            # {None: the text's count of it, or None if absent}.
+            candidate_tf = Counter(tokens)
             candidate_norm = tfidf_norm(count * self.index.idf(token) for token, count in candidate_tf.items())
+            sid = None
+            terms = [(token, count, idf, {None: candidate_tf.get(token)}) for token, count, idf, _ in terms]
         # Both float sums run in the claim's token order, never a set's hash order.
         dot = overlap = 0.0
         shared = 0
-        for (_, count, idf, _), candidate_count in zip(terms, counts):
+        for _, count, idf, postings in terms:
+            candidate_count = postings.get(sid)
             if candidate_count is not None:
                 dot += count * candidate_count * (idf * idf)
                 overlap += idf
@@ -170,7 +173,7 @@ class FeatureExtractor:
         claim_size = max(1, len(claim.token_set))
         unigram = shared / claim_size
         # A claim bigram can occur in the candidate only if its tokens do.
-        shared_bigrams = len(claim.bigrams & _bigrams(page.tokens + body_tokens)) if shared else 0
+        shared_bigrams = len(claim.bigrams.intersection(zip(tokens, tokens[1:]))) if shared else 0
         bigram = shared_bigrams / max(1, len(claim.bigrams))
         cosine = dot / (claim.query.norm * candidate_norm) if dot != 0.0 else 0.0
         idf_overlap = overlap / claim.idf_mass if claim.idf_mass > 0 else 0.0

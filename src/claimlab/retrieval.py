@@ -4,7 +4,9 @@ A local, deterministic stand-in for search-API document retrieval. A
 page whose (suffix-stripped) title occurs as a contiguous token
 subsequence of the claim gets a fixed bonus on top of its cosine
 score; with the default weight a title match strictly dominates any
-cosine score.
+cosine score. The cosines come from `corpus.IndexScorer`'s exact
+MaxScore-pruned top-k, so no claim scores every page it shares a
+common token with.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .claims import Claim
-from .corpus import Corpus, InvertedIndex, display_title, parse_query, tfidf_scores, tokenize, top_k_scored
+from .corpus import Corpus, IndexScorer, InvertedIndex, display_title, parse_query, tokenize, top_k_scored
 from .features import contains_subsequence
 
 
@@ -38,6 +40,7 @@ class DocumentRetriever:
         self.corpus = corpus
         self.index = index
         self.config = config
+        self._scorer = IndexScorer(index)
         # first title token -> [(page_id, title tokens)]: a title can only
         # match a claim that contains its first token.
         self._titles_by_first_token: dict[str, list[tuple[str, list[str]]]] = {}
@@ -46,26 +49,31 @@ class DocumentRetriever:
             if title_tokens:
                 self._titles_by_first_token.setdefault(title_tokens[0], []).append((page_id, title_tokens))
 
-    def scored_candidates(self, claim_text: str) -> dict[str, float]:
-        """Combined score of every candidate page, unsorted: its TF-IDF
-        cosine plus the bonus when its title occurs in the claim.
+    def retrieve(self, claim_text: str) -> list[str]:
+        """Top-k page ids for the claim, best first; empty when nothing matches.
 
-        Every page whose title matches gets the bonus, even when titles
-        match overlapping claim spans; longest-match resolution belongs
-        to entity linking, not retrieval.
+        A page scores its TF-IDF cosine, plus the bonus when its title
+        occurs in the claim. Every page whose title matches gets the
+        bonus, even when titles match overlapping claim spans;
+        longest-match resolution belongs to entity linking, not retrieval.
         """
         query = parse_query(self.index, claim_text)
-        scores = tfidf_scores(self.index, query)
         # Each distinct token once, so no page gets the bonus twice.
-        for first, _, _, _ in query.terms:
-            for page_id, title_tokens in self._titles_by_first_token.get(first, ()):
-                if contains_subsequence(query.tokens, title_tokens):
-                    scores[page_id] = scores.get(page_id, 0.0) + self.config.title_match_weight
-        return scores
-
-    def retrieve(self, claim_text: str) -> list[str]:
-        """Top-k page ids for the claim, best first; empty when nothing matches."""
-        return [page_id for page_id, _ in top_k_scored(self.scored_candidates(claim_text), self.config.k)]
+        matched = [
+            page_id
+            for first, _, _, _ in query.terms
+            for page_id, title_tokens in self._titles_by_first_token.get(first, ())
+            if contains_subsequence(query.tokens, title_tokens)
+        ]
+        # A matched page scores at least its cosine (the weight is >= 0 and
+        # rounding is monotone) and unmatched pages keep theirs, so every
+        # page ahead of an unmatched one by cosine stays ahead of it: each
+        # unmatched page in the final top k is among the k best cosines.
+        scores = dict(self._scorer.top_k(query, self.config.k))
+        for page_id in matched:
+            # A matched page that shares no token with the claim has no cosine.
+            scores[page_id] = (self._scorer.score(query, page_id) or 0.0) + self.config.title_match_weight
+        return [page_id for page_id, _ in top_k_scored(scores, self.config.k)]
 
     def retrieve_oracle(self, claim: Claim) -> list[str]:
         """Plain retrieval with the claim's gold pages appended.

@@ -35,10 +35,10 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 from .claims import Claim, Label
 from .corpus import (
     Corpus,
+    IndexScorer,
     InvertedIndex,
     Query,
     SentenceId,
-    SentenceScorer,
     display_title,
     parse_query,
     rank_key,
@@ -124,7 +124,7 @@ class NegativePool:
 
     def __init__(
         self,
-        scorer: SentenceScorer,
+        scorer: IndexScorer,
         corpus: Corpus,
         query: Query,
         positives: Iterable[SentenceId],
@@ -219,7 +219,7 @@ def sample_negatives(
     if not positives:
         raise ValueError(f"claim {claim.claim_id} has no positive sentences")
     per_group = _per_group(negatives_per_positive)
-    pool = NegativePool(SentenceScorer(index), corpus, parse_query(index, claim.text), positives, per_group)
+    pool = NegativePool(IndexScorer(index), corpus, parse_query(index, claim.text), positives, per_group)
     return pool.draw(rng_seed, per_group)
 
 
@@ -277,7 +277,7 @@ def train_selectors(
     trains as train_selector describes, so each model equals a separate
     train_selector call bit for bit.
     """
-    scorer = SentenceScorer(index)
+    scorer = IndexScorer(index)
     # A pool built for the largest per_group serves every smaller one: its
     # reach list only grows at the end.
     pool_per_group = max(_per_group(config.negatives_per_positive) for config in configs.values())

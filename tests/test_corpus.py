@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from claimlab.corpus import (
     Corpus,
     Document,
+    IndexScorer,
     SentenceId,
-    SentenceScorer,
     build_index,
     display_title,
     document_to_dump_line,
@@ -336,25 +336,30 @@ COMMON_WORDS = ["the", "of", "is", "show"]
 RARE_WORDS = ["zeta", "quartz", "onyx", "maple", "drift", "lantern", "fjord", "ember"]
 
 
-class CountingScorer(SentenceScorer):
-    """Records every unit it scores."""
+class CountingScorer(IndexScorer):
+    """Records every unit it scores: top_k and score both score through
+    the batch method."""
 
     def __init__(self, index):
         super().__init__(index)
         self.scored = set()
 
-    def score(self, query, ident):
-        self.scored.add(ident)
-        return super().score(query, ident)
+    def _scores(self, query, units):
+        self.scored.update(units)
+        return super()._scores(query, units)
 
 
 class TestSentenceScorer:
+    """corpus.IndexScorer against tfidf_scores, at either granularity."""
+
     def test_pruned_top_k_equals_full_sort(self):
         """Common words in most sentences, rare ones in few; sentences reused
         across pages (exact ties: untitled pages add no title token) and
         reordered (near-equal scores: a unit's norm sums its tokens in
-        first-occurrence order, so a permutation can move its last bits)."""
-        pruned, ties_at_cut, near_equal = [], [], []
+        first-occurrence order, so a permutation can move its last bits).
+        Each corpus is ranked at both granularities."""
+        pruned = {"sentence": [], "document": []}
+        ties_at_cut, near_equal = [], []
 
         @settings(max_examples=200, deadline=None)
         @given(st.data())
@@ -372,7 +377,7 @@ class TestSentenceScorer:
                     texts.append(" ".join(data.draw(st.permutations(tokens))) + ".")
                 title = data.draw(st.sampled_from([f"({i})", f"Show_{i}", f"Zeta_{i}"]))
                 pages[title] = texts
-            index = build_index(make_corpus(pages), "sentence")
+            corpus = make_corpus(pages)
             query_words = (
                 data.draw(st.lists(st.sampled_from(COMMON_WORDS), max_size=3))
                 + data.draw(st.lists(st.sampled_from(RARE_WORDS + ["unseen"]), min_size=1, max_size=3))
@@ -380,21 +385,27 @@ class TestSentenceScorer:
             query = " ".join(data.draw(st.permutations(query_words)))
             k = data.draw(st.integers(min_value=1, max_value=8))
 
-            scorer = CountingScorer(index)
-            parsed = parse_query(index, query)
-            scores = tfidf_scores(index, parsed)
-            assert scorer.top_k(parsed, k) == sorted(scores.items(), key=rank_key)[:k]
-            pruned.append(len(scorer.scored) < len(scores))
-            values = [score for _, score in sorted(scores.items(), key=rank_key)]
-            ties_at_cut.append(len(values) > k and values[k - 1] == values[k])
-            near_equal.append(any(a != b and a - b <= 1e-12 * a for a, b in zip(values, values[1:])))
-            for ident in index.norms:
-                assert scorer.score(parsed, ident) == scores.get(ident)
-            assert scorer.pages(parsed) == sorted({sid.page_id for sid in scores})
+            for granularity, pruned_on in pruned.items():
+                index = build_index(corpus, granularity)
+                scorer = CountingScorer(index)
+                parsed = parse_query(index, query)
+                scores = tfidf_scores(index, parsed)
+                assert scorer.top_k(parsed, k) == sorted(scores.items(), key=rank_key)[:k]
+                pruned_on.append(len(scorer.scored) < len(scores))
+                values = [score for _, score in sorted(scores.items(), key=rank_key)]
+                ties_at_cut.append(len(values) > k and values[k - 1] == values[k])
+                near_equal.append(any(a != b and a - b <= 1e-12 * a for a, b in zip(values, values[1:])))
+                for ident in index.norms:
+                    assert scorer.score(parsed, ident) == scores.get(ident)
+                if granularity == "sentence":
+                    assert scorer.pages(parsed) == sorted({sid.page_id for sid in scores})
 
         check()
-        # The generator must reach the cases the test is for.
-        assert sum(pruned) >= 10, f"pruning skipped units on {sum(pruned)} of {len(pruned)} examples"
+        # The generator must reach the cases the test is for. Pages hold
+        # more common words than sentences, so fewer document rankings prune
+        # (8 to 24 of 200 in six runs).
+        for granularity, least in (("sentence", 10), ("document", 3)):
+            assert sum(pruned[granularity]) >= least, (granularity, sum(pruned[granularity]))
         assert sum(ties_at_cut) >= 5 and sum(near_equal) >= 2, (sum(ties_at_cut), sum(near_equal))
 
     def test_ties_at_the_threshold_are_kept(self):
@@ -404,15 +415,26 @@ class TestSentenceScorer:
         theta, so only the kept tie puts "(1)" first."""
         pages = {"(1)": ["the."], "(2)": ["zeta."], "(3)": ["quest."]}
         index = build_index(make_corpus(pages), "sentence")
-        scorer = SentenceScorer(index)
+        scorer = IndexScorer(index)
         for k in (1, 2):
             ranked = scorer.top_k(parse_query(index, "the zeta"), k)
             assert ranked == sorted(tfidf_scores(index, parse_query(index, "the zeta")).items(), key=rank_key)[:k]
         assert scorer.top_k(parse_query(index, "the zeta"), 1)[0][0] == SentenceId("(1)", 0)
 
+    def test_repeated_query_token_keeps_the_float_order(self):
+        """With "zeta" counted 5 times, count * idf * tf * idf and
+        count * (idf * tf * idf) round apart here, at both granularities:
+        a score equals tfidf_scores' only in its expression order."""
+        corpus = make_corpus({"A": ["zeta beta."], "P0": ["other."]})
+        for granularity in ("sentence", "document"):
+            index = build_index(corpus, granularity)
+            query = parse_query(index, "zeta zeta zeta zeta zeta beta")
+            scores = tfidf_scores(index, query)
+            assert IndexScorer(index).top_k(query, 2) == sorted(scores.items(), key=rank_key)
+
     def test_empty_and_out_of_vocabulary_queries(self):
         index = build_index(make_corpus({"A": ["alpha beta."]}), "sentence")
-        scorer = SentenceScorer(index)
+        scorer = IndexScorer(index)
         for text in ("", "?!", "zzz qqq"):
             query = parse_query(index, text)
             assert scorer.top_k(query, 3) == []
@@ -420,5 +442,9 @@ class TestSentenceScorer:
             assert scorer.score(query, SentenceId("A", 0)) is None
 
     def test_needs_sentence_index(self):
-        with pytest.raises(ValueError):
-            SentenceScorer(build_index(make_corpus({"A": ["alpha."]}), "document"))
+        """Only pages() is sentence-only: a page's units are its sentences."""
+        index = build_index(make_corpus({"A": ["alpha."]}), "document")
+        scorer = IndexScorer(index)
+        assert [ident for ident, _ in scorer.top_k(parse_query(index, "alpha"), 1)] == ["A"]
+        with pytest.raises(ValueError, match="sentence-granularity"):
+            scorer.pages(parse_query(index, "alpha"))

@@ -290,6 +290,17 @@ def test_orderings_count_ties_as_held():
     }
 
 
+def test_orderings_over_a_none_rate_are_not_measurable():
+    """A set with no verifiable claim has recall None: every ordering
+    that compares it is None, and the others still hold or fail."""
+    no_adversarial = {f"adversarial__{r}__recall_at_k": None for r in ("baseline", "sup", "ref", "sr", "da")}
+    assert orderings(ordering_report(**no_adversarial)) == {"a": True, "b": True, "c": True, "d": None, "e": True}
+    # One None operand is enough.
+    assert orderings(ordering_report(dev__sr__recall_at_k=None, dev__ref__refuted_mistakes=4)) == {
+        "a": False, "b": True, "c": None, "d": True, "e": True
+    }
+
+
 def test_format_report_row_prints_none_as_na():
     row = {"dataset": "dev", "regime": "sr", "k": 5, "recall_at_k": None, "refuted_mistakes": 0}
     row.update(supported_mistakes=12, fever_score=None, label_accuracy=2 / 3)
@@ -300,21 +311,37 @@ def test_format_report_row_prints_none_as_na():
     assert format_report_row(row).endswith("supported_mistakes=12")
 
 
-def test_robustness_script_prints_rows_with_the_run_format(tmp_path, monkeypatch, capsys):
-    """scripts/run_robustness.py prints each report row as `claimlab run`
-    does, a None rate included."""
-    report = ordering_report()
+def run_robustness_script(report, seeds, tmp_path, monkeypatch, capsys) -> list[str]:
+    """The output lines of scripts/run_robustness.py, with run_experiment
+    stubbed to return report for every seed."""
     for row in report["rows"]:
         row["k"] = 5
-        if row["dataset"] == "dev":
-            row.update(fever_score=None, label_accuracy=0.25)
     path = Path(__file__).resolve().parents[1] / "scripts" / "run_robustness.py"
     spec = importlib.util.spec_from_file_location("run_robustness", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     monkeypatch.setattr(script, "run_experiment", lambda config: report)
-    monkeypatch.setattr(sys, "argv", [str(path), "--out", str(tmp_path), "--seeds", "1"])
+    monkeypatch.setattr(sys, "argv", [str(path), "--out", str(tmp_path), "--seeds", seeds])
     script.main()
-    lines = capsys.readouterr().out.splitlines()
+    return capsys.readouterr().out.splitlines()
+
+
+def test_robustness_script_prints_rows_with_the_run_format(tmp_path, monkeypatch, capsys):
+    """scripts/run_robustness.py prints each report row as `claimlab run`
+    does, a None rate included."""
+    report = ordering_report()
+    for row in report["rows"]:
+        if row["dataset"] == "dev":
+            row.update(fever_score=None, label_accuracy=0.25)
+    lines = run_robustness_script(report, "1", tmp_path, monkeypatch, capsys)
     assert lines[1 : 1 + len(report["rows"])] == [format_report_row(row) for row in report["rows"]]
     assert "fever=n/a" in lines[1]
+
+
+def test_robustness_script_reports_unmeasurable_orderings(tmp_path, monkeypatch, capsys):
+    """scripts/run_robustness.py prints an ordering over a None rate as
+    n/a, counts it as not passing, and goes on to the next seed."""
+    report = ordering_report(adversarial__baseline__recall_at_k=None, adversarial__da__recall_at_k=None)
+    lines = run_robustness_script(report, "1,2", tmp_path, monkeypatch, capsys)
+    assert lines.count("orderings: a=ok b=ok c=ok d=n/a e=ok") == 2
+    assert "seeds passing each ordering (of 2): {'a': 2, 'b': 2, 'c': 2, 'd': 0, 'e': 2}" in lines

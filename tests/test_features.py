@@ -10,8 +10,8 @@ from claimlab import features as features_module
 from claimlab import selection as selection_module
 from claimlab.claims import Label, load_claims
 from claimlab.corpus import (
+    IndexScorer,
     SentenceId,
-    SentenceScorer,
     build_index,
     display_title,
     ingest_corpus,
@@ -352,7 +352,7 @@ class TestPreparedClaim:
         index's own norm."""
         corpus = ingest_corpus(fixture_world / "corpus")
         index = build_index(corpus, "sentence")
-        scorer = SentenceScorer(index)
+        scorer = IndexScorer(index)
         retriever = DocumentRetriever(corpus, build_index(corpus, "document"), DocRetrievalConfig(k=20))
         pairs = 0
         for claim in load_claims(fixture_world / "dev.jsonl"):

@@ -5,8 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from claimlab.claims import Label
-from claimlab.corpus import build_index, display_title, parse_query, tfidf_scores, tokenize
+from claimlab.claims import Label, load_claims
+from claimlab.corpus import (
+    Document,
+    IndexScorer,
+    build_index,
+    display_title,
+    ingest_corpus,
+    parse_query,
+    tfidf_scores,
+    tokenize,
+)
 from claimlab.features import contains_subsequence
 from claimlab.retrieval import DocRetrievalConfig, DocumentRetriever
 
@@ -36,11 +45,15 @@ def test_title_mentions_outrank_lexical_matches(beeman_world):
 
 
 def test_all_overlapping_title_matches_get_bonus(beeman_world):
-    corpus, index = beeman_world
-    retriever = DocumentRetriever(corpus, index)
-    scored = dict(retriever.scored_candidates("The Americans series is good"))
-    # "The Americans" matches as a contiguous token subsequence.
-    assert scored["The_Americans"] > retriever.config.title_match_weight
+    """"The Americans" and "Americans" both occur in the claim as contiguous
+    token subsequences, and both pages get the bonus: The_Americans on top
+    of its cosine, and Americans, which shares no token with the claim,
+    on top of 0.0. Americans would win a tie on its id, so The_Americans
+    ranking first shows that its score exceeds the weight."""
+    corpus, _ = beeman_world
+    corpus.add(Document("Americans", ((0, "Nothing to see here."),)))
+    retriever = DocumentRetriever(corpus, build_index(corpus, "document"))
+    assert retriever.retrieve("The Americans series is good")[:2] == ["The_Americans", "Americans"]
 
 
 def test_zero_overlap_claim_empty(beeman_world):
@@ -223,3 +236,27 @@ def test_retrieve_matches_brute_force(data):
     claim = " ".join(data.draw(st.lists(st.sampled_from(TITLE_WORDS + TEXT_WORDS + ["zz"]), max_size=8)))
     retriever = DocumentRetriever(corpus, index, config)
     assert retriever.retrieve(claim) == reference_retrieve(corpus, index, config, claim)
+
+
+def test_retrieve_matches_brute_force_on_fixture_world(fixture_world, monkeypatch):
+    """Every train and dev claim of the default world retrieves what the
+    brute-force reference does, and the scorer's pruning skips pages on
+    most of them."""
+    scored: set = set()
+
+    def counting_scores(self, query, units):
+        scored.update(units)
+        return original(self, query, units)
+
+    original = IndexScorer._scores
+    monkeypatch.setattr(IndexScorer, "_scores", counting_scores)
+    corpus = ingest_corpus(fixture_world / "corpus")
+    index = build_index(corpus, "document")
+    retriever = DocumentRetriever(corpus, index)
+    claims = load_claims(fixture_world / "train.jsonl") + load_claims(fixture_world / "dev.jsonl")
+    pruned = 0
+    for claim in claims:
+        scored.clear()
+        assert retriever.retrieve(claim.text) == reference_retrieve(corpus, index, retriever.config, claim.text)
+        pruned += len(scored) < len(tfidf_scores(index, parse_query(index, claim.text)))
+    assert pruned > len(claims) / 2, f"pruning skipped pages on {pruned} of {len(claims)} claims"
