@@ -4,14 +4,18 @@ The dump format is wiki-pages compatible JSON lines: each line is an
 object with "id" (page title) and "lines" (newline-joined sentences,
 tab-separated fields: sentence index, sentence text, ignored anchors).
 
-Postings map each token to {identifier: term frequency}, so one unit's
-score is a dict lookup per query token. A claim's `Query` is the one
-vector retrieval, negative sampling and the feature pass all read.
-`tfidf_scores` scores every unit that shares a token with a query, and
-is the reference the scorer is tested against. `IndexScorer` is the one
-exact top-k ranker, over pages (document retrieval) or sentences
-(negative sampling): with MaxScore pruning it scores only the units
-that could still reach the top k.
+Each `Document` splits its title and sentences into tokens once, when
+it is built; the indexes, document retrieval's title table, the feature
+pass, selector training and NLI pairs all read those tokens, so no
+corpus text is tokenized anywhere else. Postings map each token to
+{identifier: term frequency}, so one unit's score is a dict lookup per
+query token. A claim's `Query` is the one vector retrieval, negative
+sampling and the feature pass all read. `tfidf_scores` scores every
+unit that shares a token with a query, and is the reference the scorer
+is tested against. `IndexScorer` is the one exact top-k ranker, over
+pages (document retrieval) or sentences (negative sampling): with
+MaxScore pruning it scores only the units that could still reach the
+top k.
 """
 
 from __future__ import annotations
@@ -21,9 +25,10 @@ import json
 import logging
 import math
 import re
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import chain, compress
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional, Union
 
@@ -60,16 +65,34 @@ class SentenceId(NamedTuple):
     line_index: int
 
 
+def _interned_tokens(text: str) -> list[str]:
+    return [sys.intern(token) for token in tokenize(text)]
+
+
 @dataclass(frozen=True)
 class Document:
-    """A titled page with index-addressed sentences.
+    """A titled page with index-addressed sentences, tokenized once.
 
-    Empty-text sentences are retained (they exist in dumps) but are
-    never offered as retrieval candidates.
+    Built from page_id and sentences, a document derives title (the
+    display title), title_tokens and tokens (one token list per entry of
+    sentences, in the same order). These are the only tokens of corpus
+    text the package computes. Each token is interned, so a word that
+    recurs across the corpus is one string. Empty-text sentences are
+    retained (they exist in dumps) but are never offered as retrieval
+    candidates.
     """
 
     page_id: str
     sentences: tuple[tuple[int, str], ...]
+    title: str = field(init=False, repr=False, compare=False)
+    title_tokens: list[str] = field(init=False, repr=False, compare=False)
+    tokens: tuple[list[str], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        title = display_title(self.page_id)
+        object.__setattr__(self, "title", title)
+        object.__setattr__(self, "title_tokens", _interned_tokens(title))
+        object.__setattr__(self, "tokens", tuple(_interned_tokens(text) for _, text in self.sentences))
 
     def line_texts(self) -> dict[int, str]:
         return {idx: text for idx, text in self.sentences}
@@ -78,12 +101,13 @@ class Document:
 @dataclass
 class Corpus:
     documents: dict[str, Document] = field(default_factory=dict)
-    # page_id -> {line_index: text}, kept in step with documents by add().
-    _lines: dict[str, dict[int, str]] = field(default_factory=dict, init=False, repr=False, compare=False)
+    # page_id -> {line_index: position in the page's sentences}, kept in
+    # step with documents by add().
+    _positions: dict[str, dict[int, int]] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for page_id, doc in self.documents.items():
-            self._lines[page_id] = doc.line_texts()
+            self._positions[page_id] = _line_positions(doc)
 
     def __len__(self) -> int:
         return len(self.documents)
@@ -92,17 +116,31 @@ class Corpus:
         if doc.page_id in self.documents:
             raise ValueError(f"duplicate page_id {doc.page_id!r}")
         self.documents[doc.page_id] = doc
-        self._lines[doc.page_id] = doc.line_texts()
+        self._positions[doc.page_id] = _line_positions(doc)
+
+    def locate(self, sid: SentenceId) -> Optional[tuple[Document, int]]:
+        """The sentence's document and its position in the document's
+        sentences (and tokens), or None if absent."""
+        positions = self._positions.get(sid.page_id)
+        position = None if positions is None else positions.get(sid.line_index)
+        if position is None:
+            return None
+        return self.documents[sid.page_id], position
 
     def get_sentence(self, sid: SentenceId) -> Optional[str]:
         """Sentence text for (page_id, line_index), or None if absent."""
-        lines = self._lines.get(sid.page_id)
-        if lines is None:
+        located = self.locate(sid)
+        if located is None:
             return None
-        return lines.get(sid.line_index)
+        doc, position = located
+        return doc.sentences[position][1]
 
     def sentence_count(self) -> int:
         return sum(len(d.sentences) for d in self.documents.values())
+
+
+def _line_positions(doc: Document) -> dict[int, int]:
+    return {idx: position for position, (idx, _) in enumerate(doc.sentences)}
 
 
 def parse_dump_line(raw: str) -> Document:
@@ -205,39 +243,32 @@ def tfidf_norm(weights: Iterable[float]) -> float:
     return math.sqrt(norm_sq)
 
 
-def _iter_units(corpus: Corpus, granularity: str) -> Iterable[tuple[object, list[str]]]:
-    if granularity == "document":
-        for page_id in sorted(corpus.documents):
-            doc = corpus.documents[page_id]
-            tokens: list[str] = []
-            for _, text in doc.sentences:
-                tokens.extend(tokenize(text))
-            yield page_id, tokens
-    elif granularity == "sentence":
-        for page_id in sorted(corpus.documents):
-            doc = corpus.documents[page_id]
-            title_tokens = tokenize(display_title(page_id))
-            for idx, text in doc.sentences:
-                if not text:
-                    continue
-                yield SentenceId(page_id, idx), title_tokens + tokenize(text)
-    else:
-        raise ValueError(f"unknown granularity {granularity!r}")
-
-
 def build_index(corpus: Corpus, granularity: str = "document") -> InvertedIndex:
-    """Build a TF-IDF index; at sentence granularity the page title's
-    tokens are prepended to each sentence's token stream."""
+    """Build a TF-IDF index from the documents' tokens. A page's token
+    stream is its sentences' tokens in line order; at sentence
+    granularity each non-empty sentence is a unit whose stream is its
+    page's title tokens followed by its own."""
     if not corpus.documents:
         raise ValueError("cannot index an empty corpus")
+    if granularity not in ("document", "sentence"):
+        raise ValueError(f"unknown granularity {granularity!r}")
     postings: dict[str, dict] = {}
     counts = []
     # Units come in identifier order, so each postings dict is in it too.
-    for ident, tokens in _iter_units(corpus, granularity):
-        tf = Counter(tokens)
-        counts.append((ident, tf))
-        for token, count in tf.items():
-            postings.setdefault(token, {})[ident] = count
+    for page_id in sorted(corpus.documents):
+        doc = corpus.documents[page_id]
+        if granularity == "document":
+            units = [(page_id, Counter(chain.from_iterable(doc.tokens)))]
+        else:
+            units = [
+                (SentenceId(page_id, idx), Counter(chain(doc.title_tokens, tokens)))
+                for (idx, text), tokens in zip(doc.sentences, doc.tokens)
+                if text
+            ]
+        for ident, tf in units:
+            counts.append((ident, tf))
+            for token, count in tf.items():
+                postings.setdefault(token, {})[ident] = count
     doc_count = len(counts)
     idfs = {token: _idf(doc_count, len(posted)) for token, posted in postings.items()}
     norms = {ident: tfidf_norm(count * idfs[token] for token, count in tf.items()) for ident, tf in counts}
@@ -337,12 +368,10 @@ class IndexScorer:
         self._pages: Optional[list[str]] = None  # bit -> page id, in page order
         self._page_bit: dict[str, int] = {}
 
-    def score(self, query: Query, ident: Union[str, SentenceId]) -> Optional[float]:
-        """tfidf_scores(index, query).get(ident), without scoring other units."""
-        return self._scores(query, [ident]).get(ident)
-
-    def _scores(self, query: Query, units: list) -> dict:
-        """{unit: cosine} of the units sharing a token with the query."""
+    def scores(self, query: Query, units: Iterable) -> dict:
+        """{unit: cosine} of the given units that share a token with the
+        query: tfidf_scores(index, query) restricted to them, without
+        scoring any other unit."""
         weighted = [(count * idf, idf, postings) for _, count, idf, postings in query.terms if postings]
         norms = self.index.norms
         scores = {}
@@ -383,7 +412,7 @@ class IndexScorer:
         )
         scores: dict = {}
         for _, postings in reversed(bounded):
-            scores.update(self._scores(query, [ident for ident in postings if ident not in scores]))
+            scores.update(self.scores(query, [ident for ident in postings if ident not in scores]))
             if len(scores) >= k:
                 break
         if len(scores) >= k:
@@ -395,7 +424,7 @@ class IndexScorer:
                     break
                 skipped += 1
             for _, postings in bounded[skipped:]:
-                scores.update(self._scores(query, [ident for ident in postings if ident not in scores]))
+                scores.update(self.scores(query, [ident for ident in postings if ident not in scores]))
         return top_k_scored(scores, k)
 
     def pages(self, query: Query) -> list[str]:

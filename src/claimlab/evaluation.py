@@ -144,26 +144,11 @@ def recall_at_k(
     return build_report(claims, predictions, k=k).recall_at_k
 
 
-def count_mistakes(
-    predictions: Mapping[int, Sequence[SentenceId]], claims: Sequence[Claim], k: int
-) -> tuple[int, int]:
-    """(refuted, supported) counts of verifiable claims whose top-k
-    predicted sentences contain no gold sentence from any group."""
-    report = build_report(claims, predictions, k=k)
-    return report.refuted_mistakes, report.supported_mistakes
-
-
 def fever_score(verdicts: Verdicts, claims: Sequence[Claim], k: int = 5) -> Optional[float]:
     """Official-style score: label correct and, for verifiable claims,
     a complete evidence group within the top-k predicted evidence.
     None when there are no claims."""
     return build_report(claims, {}, verdicts, k).fever_score
-
-
-def label_accuracy(verdicts: Verdicts, claims: Sequence[Claim]) -> Optional[float]:
-    """Fraction of claims whose predicted label is right; None when there
-    are no claims."""
-    return build_report(claims, {}, verdicts).label_accuracy
 
 
 def orderings(report: Mapping) -> dict[str, Optional[bool]]:

@@ -1,28 +1,30 @@
 """Engineered lexical features for relevance scoring and claim classification.
 
-A candidate is a (title, body) record: the page's display title
-(disambiguation suffix stripped) and the sentence text. The title
-travels with each candidate so pronoun-heavy evidence keeps its subject.
+A candidate is a sentence of a `corpus.Document`: the page's display
+title (disambiguation suffix stripped) and the sentence, each read as
+the tokens the document split once. The title travels with each
+candidate so pronoun-heavy evidence keeps its subject.
 
 Each side of a feature is computed once. The claim side once per claim
 (`FeatureExtractor.prepare_claim`, around the claim's `corpus.Query`,
 the one claim vector retrieval and negative sampling also read); the
-title side (`page_title`) once per page. `sentence_features` does the
-body: an indexed sentence, named by its SentenceId, reads its counts
-from the query's postings and its norm from `index.norms`; other text
-(an empty sentence, a bare (title, body) pair) counts its own tokens.
-Both give equal bits: the index counted the same title and body tokens
-with the same idf table and `corpus.tfidf_norm`. Contract: the
-extractor's index is the sentence index of the corpus being featurized.
+title side (`page_title`, from the document's title tokens) once per
+page. `sentence_features` does the body: an indexed sentence, named by
+its SentenceId, reads its counts from the query's postings and its norm
+from `index.norms`; a sentence the index does not hold (an empty one)
+counts its own tokens. Both give equal bits: the index counted the same
+title and body tokens with the same idf table and `corpus.tfidf_norm`.
+Contract: the extractor's index is the sentence index of the corpus
+being featurized.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
-from .corpus import InvertedIndex, Query, SentenceId, parse_query, tfidf_norm, token_spans, tokenize
+from .corpus import Document, InvertedIndex, Query, SentenceId, parse_query, tfidf_norm, token_spans
 
 SELECTION_FEATURE_NAMES = (
     "unigram_overlap",
@@ -139,13 +141,12 @@ class FeatureExtractor:
             idf_mass=idf_mass,
         )
 
-    def page_title(self, claim: PreparedClaim, title: str) -> PageTitle:
-        tokens = tokenize(title)
-        in_claim = 1.0 if contains_subsequence(claim.query.tokens, tokens) else 0.0
-        return PageTitle(tokens, _span_share(claim.span_sets, set(tokens)), in_claim)
+    def page_title(self, claim: PreparedClaim, title_tokens: list[str]) -> PageTitle:
+        in_claim = 1.0 if contains_subsequence(claim.query.tokens, title_tokens) else 0.0
+        return PageTitle(title_tokens, _span_share(claim.span_sets, set(title_tokens)), in_claim)
 
     def sentence_features(
-        self, claim: PreparedClaim, page: PageTitle, body_tokens: list[str], position: float, sid: Optional[SentenceId]
+        self, claim: PreparedClaim, page: PageTitle, body_tokens: list[str], position: float, sid: SentenceId
     ) -> list[float]:
         """Selection features of one sentence of a page, given its body's
         tokens, against a prepared claim. sid names the sentence; if the
@@ -154,8 +155,8 @@ class FeatureExtractor:
         tokens = page.tokens + body_tokens
         candidate_norm = self.index.norms.get(sid)
         if candidate_norm is None:
-            # Other text counts its own tokens: each term's postings become
-            # {None: the text's count of it, or None if absent}.
+            # A sentence the index does not hold counts its own tokens: each
+            # term's postings become {None: its count of it, or None if absent}.
             candidate_tf = Counter(tokens)
             candidate_norm = tfidf_norm(count * self.index.idf(token) for token, count in candidate_tf.items())
             sid = None
@@ -195,26 +196,19 @@ class FeatureExtractor:
             missing,
         ]
 
-    def candidate_features(
-        self, claim: PreparedClaim, title: str, body: str, position: float = 0.0, sid: Optional[SentenceId] = None
-    ) -> list[float]:
-        """Selection features of one (title, body) candidate against a
-        prepared claim; sid, if given, is the candidate's id in the index."""
-        return self.sentence_features(claim, self.page_title(claim, title), tokenize(body), position, sid)
-
-    def pair_features(
-        self, claim: PreparedClaim, title: str, body: str, sid: Optional[SentenceId] = None
-    ) -> list[float]:
-        """Selection features (at position 0) plus polarity cues for claim
-        classification; sid, if given, is the sentence's id in the index."""
-        page = self.page_title(claim, title)
-        body_tokens = tokenize(body)
-        base = self.sentence_features(claim, page, body_tokens, 0.0, sid)
+    def pair_features(self, claim: PreparedClaim, document: Document, position: int) -> list[float]:
+        """Selection features (at sentence_position 0) plus polarity cues
+        for claim classification, of the sentence at position in the
+        document's sentences."""
+        line_index, body = document.sentences[position]
+        page = self.page_title(claim, document.title_tokens)
+        body_tokens = document.tokens[position]
+        base = self.sentence_features(claim, page, body_tokens, 0.0, SentenceId(document.page_id, line_index))
 
         claim_tokens = claim.token_set
         candidate_tokens = set(page.tokens) | set(body_tokens)
         claim_cues = _negation_cues(claim_tokens, claim.text)
-        candidate_cues = _negation_cues(candidate_tokens, title, body)
+        candidate_cues = _negation_cues(candidate_tokens, document.title, body)
         negation = 1.0 if claim_cues != candidate_cues else 0.0
 
         claim_numerals = {t for t in claim_tokens if t.isdigit()}

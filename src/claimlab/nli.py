@@ -3,7 +3,9 @@
 Each of a claim's top evidence sentences is classified independently as
 supported / refuted / not-enough-info; the claim verdict is the
 majority vote, with ties broken by the fixed precedence
-NotEnoughInfo, Supported, Refuted.
+NotEnoughInfo, Supported, Refuted. A pair's evidence is a sentence of a
+`corpus.Document`, located by its SentenceId and read as the document's
+title, text and tokens.
 """
 
 from __future__ import annotations
@@ -15,10 +17,10 @@ from dataclasses import dataclass, field
 from functools import reduce
 from operator import add, mul
 from pathlib import Path
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from .claims import Claim, Label
-from .corpus import Corpus, SentenceId, display_title
+from .corpus import Corpus, Document, SentenceId
 from .features import PAIR_FEATURE_NAMES, FeatureExtractor, PreparedClaim
 from .selection import RankedEvidence, TrainingConfig
 from .util import load_model, save_model, stable_seed
@@ -70,12 +72,11 @@ class NliModel:
 
 
 def classify_pair(
-    model: NliModel, extractor: FeatureExtractor, claim: PreparedClaim, title: str, body: str,
-    sid: Optional[SentenceId] = None,
+    model: NliModel, extractor: FeatureExtractor, claim: PreparedClaim, document: Document, position: int
 ) -> tuple[Label, list[float]]:
-    """Argmax class for one (claim, candidate) pair; exact ties resolve by
-    CLASS_ORDER. sid, if given, is the candidate's id in the index."""
-    probs = model.probabilities(extractor.pair_features(claim, title, body, sid))
+    """Argmax class for one (claim, candidate) pair, the candidate being the
+    sentence at position in the document; exact ties resolve by CLASS_ORDER."""
+    probs = model.probabilities(extractor.pair_features(claim, document, position))
     best = 0
     for i in range(1, len(CLASS_ORDER)):
         if probs[i] > probs[best]:
@@ -115,10 +116,10 @@ def _training_pairs(
         target = CLASS_ORDER.index(claim.label)
         prepared = extractor.prepare_claim(claim.text)
         for sid in sids:
-            body = corpus.get_sentence(sid)
-            if body is None:
+            located = corpus.locate(sid)
+            if located is None:
                 continue
-            pairs.append((extractor.pair_features(prepared, display_title(sid.page_id), body, sid), target))
+            pairs.append((extractor.pair_features(prepared, *located), target))
     return pairs
 
 
@@ -183,10 +184,10 @@ def verdict_for_claim(
     predicted = []
     prepared = extractor.prepare_claim(claim.text)
     for sid, _ in evidence:
-        body = corpus.get_sentence(sid)
-        if body is None:
+        located = corpus.locate(sid)
+        if located is None:
             continue
-        label, _ = classify_pair(model, extractor, prepared, display_title(sid.page_id), body, sid)
+        label, _ = classify_pair(model, extractor, prepared, *located)
         labels.append(label)
         predicted.append(sid)
     return aggregate_verdict(labels), predicted

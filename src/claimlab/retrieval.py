@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .claims import Claim
-from .corpus import Corpus, IndexScorer, InvertedIndex, display_title, parse_query, tokenize, top_k_scored
+from .corpus import Corpus, IndexScorer, InvertedIndex, parse_query, top_k_scored
 from .features import contains_subsequence
 
 
@@ -44,10 +44,9 @@ class DocumentRetriever:
         # first title token -> [(page_id, title tokens)]: a title can only
         # match a claim that contains its first token.
         self._titles_by_first_token: dict[str, list[tuple[str, list[str]]]] = {}
-        for page_id in corpus.documents:
-            title_tokens = tokenize(display_title(page_id))
-            if title_tokens:
-                self._titles_by_first_token.setdefault(title_tokens[0], []).append((page_id, title_tokens))
+        for page_id, doc in corpus.documents.items():
+            if doc.title_tokens:
+                self._titles_by_first_token.setdefault(doc.title_tokens[0], []).append((page_id, doc.title_tokens))
 
     def retrieve(self, claim_text: str) -> list[str]:
         """Top-k page ids for the claim, best first; empty when nothing matches.
@@ -70,9 +69,10 @@ class DocumentRetriever:
         # page ahead of an unmatched one by cosine stays ahead of it: each
         # unmatched page in the final top k is among the k best cosines.
         scores = dict(self._scorer.top_k(query, self.config.k))
+        cosines = self._scorer.scores(query, matched)
         for page_id in matched:
             # A matched page that shares no token with the claim has no cosine.
-            scores[page_id] = (self._scorer.score(query, page_id) or 0.0) + self.config.title_match_weight
+            scores[page_id] = cosines.get(page_id, 0.0) + self.config.title_match_weight
         return [page_id for page_id, _ in top_k_scored(scores, self.config.k)]
 
     def retrieve_oracle(self, claim: Claim) -> list[str]:

@@ -33,17 +33,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .claims import Claim, Label
-from .corpus import (
-    Corpus,
-    IndexScorer,
-    InvertedIndex,
-    Query,
-    SentenceId,
-    display_title,
-    parse_query,
-    rank_key,
-    tokenize,
-)
+from .corpus import Corpus, IndexScorer, InvertedIndex, Query, SentenceId, rank_key
 from .features import SELECTION_FEATURE_NAMES, FeatureExtractor, PreparedClaim
 from .util import load_model, save_model, stable_seed
 
@@ -119,7 +109,8 @@ class NegativePool:
     (the sorted pages with a sentence sharing a token with the claim).
     Each draw then filters these lists with its own rng and ranks only
     the pages it picks. Rankings are score descending, ties by sentence
-    id, exactly as a sort of the whole index would give.
+    id, exactly as a sort of the whole index would give. The scorer's
+    index must be the sentence index of the corpus.
     """
 
     def __init__(
@@ -146,14 +137,12 @@ class NegativePool:
         self._best_on_page: dict[str, SentenceId] = {}
 
     def _ranked(self, pages: Iterable[str]) -> list[SentenceId]:
-        scored = []
-        for page_id in pages:
-            for line_index, _ in self._corpus.documents[page_id].sentences:
-                sid = SentenceId(page_id, line_index)
-                score = self._scorer.score(self._query, sid)
-                if score is not None:
-                    scored.append((sid, score))
-        return [sid for sid, _ in sorted(scored, key=rank_key)]
+        sids = [
+            SentenceId(page_id, line_index)
+            for page_id in pages
+            for line_index, _ in self._corpus.documents[page_id].sentences
+        ]
+        return [sid for sid, _ in sorted(self._scorer.scores(self._query, sids).items(), key=rank_key)]
 
     def _best_on(self, page_id: str) -> SentenceId:
         best = self._best_on_page.get(page_id)
@@ -162,8 +151,19 @@ class NegativePool:
         return best
 
     def draw(self, rng_seed: int, per_group: int) -> list[SentenceId]:
-        """Up to 3 * per_group negatives per positive (see sample_negatives);
-        per_group must not exceed the pool's."""
+        """Up to 3 * per_group TF-IDF-ranked negatives per positive, in
+        three groups; per_group must not exceed the pool's.
+
+        Per positive: group A is the top per_group from documents
+        containing a positive sentence; group B the top per_group from
+        documents containing none; group C one top-ranked sentence from
+        each of up to per_group fresh documents (a seeded choice among the
+        eligible documents) that are neither positive-bearing nor already
+        drawn from. Groups may run short when the corpus cannot supply
+        them; no positive is ever returned and no sentence repeats. Output
+        order is A, B, C per positive, so callers can recover the
+        partition.
+        """
         used_sentences: set[SentenceId] = set(self.positives)
         used_documents: set[str] = set(self._positive_pages)
         rng = random.Random(rng_seed)
@@ -191,36 +191,6 @@ class NegativePool:
 
 def _per_group(negatives_per_positive: int) -> int:
     return max(1, negatives_per_positive // 3)
-
-
-def sample_negatives(
-    claim: Claim,
-    corpus: Corpus,
-    index: InvertedIndex,
-    positives: set[SentenceId],
-    rng_seed: int,
-    negatives_per_positive: int = 15,
-) -> list[SentenceId]:
-    """Up to 15 TF-IDF-ranked negatives per positive, in three groups.
-
-    Per positive: group A is the top third from documents containing a
-    positive sentence; group B the top third from documents containing
-    none; group C one top-ranked sentence from each of several fresh
-    documents (seeded choice among eligible documents) that are neither
-    positive-bearing nor previously sampled for this claim. Groups may
-    run short when the corpus cannot supply them; no positive is ever
-    returned and no sentence repeats. Output order is A, B, C per
-    positive, so callers can recover the partition. The index must be
-    the sentence index of the corpus.
-
-    This is one draw from a fresh NegativePool; train_selectors shares
-    the pools (and the scorer's per-token data) across its draws.
-    """
-    if not positives:
-        raise ValueError(f"claim {claim.claim_id} has no positive sentences")
-    per_group = _per_group(negatives_per_positive)
-    pool = NegativePool(IndexScorer(index), corpus, parse_query(index, claim.text), positives, per_group)
-    return pool.draw(rng_seed, per_group)
 
 
 def _regime_claims(
@@ -251,10 +221,10 @@ class _TrainingClaim:
     def features(self, extractor: FeatureExtractor, corpus: Corpus, sid: SentenceId) -> list[float]:
         vector = self.vectors.get(sid)
         if vector is None:
-            doc = corpus.documents[sid.page_id]
-            position = [idx for idx, _ in doc.sentences].index(sid.line_index) / max(1, len(doc.sentences) - 1)
-            text = corpus.get_sentence(sid) or ""
-            vector = extractor.candidate_features(self.prepared, display_title(sid.page_id), text, position, sid)
+            doc, position = corpus.locate(sid)
+            page = extractor.page_title(self.prepared, doc.title_tokens)
+            relative = position / max(1, len(doc.sentences) - 1)
+            vector = extractor.sentence_features(self.prepared, page, doc.tokens[position], relative, sid)
             self.vectors[sid] = vector
         return vector
 
@@ -391,12 +361,12 @@ def featurize_candidates(
         if doc is None:
             continue
         denom = max(1, len(doc.sentences) - 1)
-        page = extractor.page_title(prepared, display_title(page_id))
-        for position, (line_index, text) in enumerate(doc.sentences):
+        page = extractor.page_title(prepared, doc.title_tokens)
+        for position, ((line_index, text), tokens) in enumerate(zip(doc.sentences, doc.tokens)):
             if not text:
                 continue
             sid = SentenceId(page_id, line_index)
-            featurized.append((sid, extractor.sentence_features(prepared, page, tokenize(text), position / denom, sid)))
+            featurized.append((sid, extractor.sentence_features(prepared, page, tokens, position / denom, sid)))
     return featurized
 
 

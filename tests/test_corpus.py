@@ -122,6 +122,37 @@ class TestLookup:
         assert corpus.get_sentence(SentenceId("A", 3)) == "a three."
         assert corpus.get_sentence(SentenceId("A", 0)) is None
 
+    def test_locate_gives_document_and_position(self):
+        """Positions count entries of sentences, not line indices."""
+        doc = Document("A", ((0, "a zero."), (2, "a two.")))
+        corpus = Corpus(documents={"A": doc})
+        assert corpus.locate(SentenceId("A", 2)) == (doc, 1)
+        assert corpus.locate(SentenceId("A", 2))[0] is doc
+        assert doc.tokens[1] == ["a", "two"]
+        assert corpus.locate(SentenceId("A", 1)) is None
+        assert corpus.locate(SentenceId("B", 0)) is None
+
+
+class TestDocument:
+    def test_title_and_sentences_split_once(self):
+        doc = Document("Blind_Faith_(miniseries)", ((0, "A 1990 miniseries."), (3, ""), (4, "...")))
+        assert doc.title == "Blind Faith"
+        assert doc.title_tokens == ["blind", "faith"]
+        assert doc.tokens == (["a", "1990", "miniseries"], [], [])
+
+    def test_derived_fields_stay_out_of_equality(self):
+        doc = Document("A", ((0, "a zero."),))
+        assert doc == Document("A", ((0, "a zero."),))
+        assert hash(doc) == hash(Document("A", ((0, "a zero."),)))
+        assert repr(doc) == "Document(page_id='A', sentences=((0, 'a zero.'),))"
+
+    def test_tokens_are_interned(self):
+        """A word that recurs across documents is one string."""
+        first = Document("Zeta_Page", ((0, "the ZETA path."),))
+        second = Document("Other", ((0, "".join(["ze", "ta"])),))
+        assert second.tokens[0][0] is first.tokens[0][1]
+        assert first.title_tokens[0] is first.tokens[0][1]
+
 
 class TestTokenize:
     def test_lowercase_split_non_alnum(self):
@@ -337,16 +368,15 @@ RARE_WORDS = ["zeta", "quartz", "onyx", "maple", "drift", "lantern", "fjord", "e
 
 
 class CountingScorer(IndexScorer):
-    """Records every unit it scores: top_k and score both score through
-    the batch method."""
+    """Records every unit it scores: top_k scores through scores()."""
 
     def __init__(self, index):
         super().__init__(index)
         self.scored = set()
 
-    def _scores(self, query, units):
+    def scores(self, query, units):
         self.scored.update(units)
-        return super()._scores(query, units)
+        return super().scores(query, units)
 
 
 class TestSentenceScorer:
@@ -396,7 +426,8 @@ class TestSentenceScorer:
                 ties_at_cut.append(len(values) > k and values[k - 1] == values[k])
                 near_equal.append(any(a != b and a - b <= 1e-12 * a for a, b in zip(values, values[1:])))
                 for ident in index.norms:
-                    assert scorer.score(parsed, ident) == scores.get(ident)
+                    assert scorer.scores(parsed, [ident]).get(ident) == scores.get(ident)
+                assert scorer.scores(parsed, list(index.norms)) == scores
                 if granularity == "sentence":
                     assert scorer.pages(parsed) == sorted({sid.page_id for sid in scores})
 
@@ -439,7 +470,7 @@ class TestSentenceScorer:
             query = parse_query(index, text)
             assert scorer.top_k(query, 3) == []
             assert scorer.pages(query) == []
-            assert scorer.score(query, SentenceId("A", 0)) is None
+            assert scorer.scores(query, [SentenceId("A", 0)]) == {}
 
     def test_needs_sentence_index(self):
         """Only pages() is sentence-only: a page's units are its sentences."""

@@ -10,10 +10,8 @@ from claimlab.claims import Label
 from claimlab.corpus import SentenceId
 from claimlab.evaluation import (
     build_report,
-    count_mistakes,
     fever_score,
     format_report_row,
-    label_accuracy,
     orderings,
     recall_at_k,
 )
@@ -98,8 +96,9 @@ class TestMistakes:
         # Contrast with recall: one sentence of a two-sentence group.
         claim = make_claim(1, SUP, "c", [[("A", 0), ("A", 1)]])
         predictions = {1: [sid("A", 0)]}
-        assert recall_at_k(predictions, [claim], k=5) == 0.0
-        assert count_mistakes(predictions, [claim], k=5) == (0, 0)
+        report = build_report([claim], predictions, k=5)
+        assert report.recall_at_k == 0.0
+        assert (report.refuted_mistakes, report.supported_mistakes) == (0, 0)
 
     def test_total_miss_counts_by_label(self):
         claims = [
@@ -107,11 +106,13 @@ class TestMistakes:
             make_claim(2, SUP, "s", [[("B", 0)]]),
         ]
         predictions = {1: [sid("X", 0)], 2: [sid("B", 0)]}
-        assert count_mistakes(predictions, claims, k=5) == (1, 0)
+        report = build_report(claims, predictions, k=5)
+        assert (report.refuted_mistakes, report.supported_mistakes) == (1, 0)
 
     def test_nei_never_counts(self):
         claims = [make_claim(1, NEI, "n")]
-        assert count_mistakes({}, claims, k=5) == (0, 0)
+        report = build_report(claims, {}, k=5)
+        assert (report.refuted_mistakes, report.supported_mistakes) == (0, 0)
 
     def test_document_level(self):
         claims = [make_claim(1, REF, "r", [[("A", 0), ("D", 1)]])]
@@ -134,9 +135,9 @@ class TestMistakes:
             hit = data.draw(st.booleans())
             predictions[i] = [sid(f"P{i}", 0)] if hit else [sid("Other", 3)]
         k = data.draw(st.integers(1, 5))
-        covered = round(recall_at_k(predictions, claims, k) * n)
-        _, sup_mistakes = count_mistakes(predictions, claims, k)
-        assert covered + sup_mistakes == n
+        report = build_report(claims, predictions, k=k)
+        covered = round(report.recall_at_k * n)
+        assert covered + report.supported_mistakes == n
 
     @settings(max_examples=40, deadline=None)
     @given(k1=st.integers(1, 8), k2=st.integers(1, 8))
@@ -150,9 +151,8 @@ class TestMistakes:
             2: [sid("B", i) for i in (0, 1, 2, 3, 4, 5)],
         }
         lo, hi = min(k1, k2), max(k1, k2)
-        low_ref, low_sup = count_mistakes(predictions, claims, lo)
-        high_ref, high_sup = count_mistakes(predictions, claims, hi)
-        assert high_ref <= low_ref and high_sup <= low_sup
+        low, high = build_report(claims, predictions, k=lo), build_report(claims, predictions, k=hi)
+        assert high.refuted_mistakes <= low.refuted_mistakes and high.supported_mistakes <= low.supported_mistakes
 
 
 class TestFeverScore:
@@ -188,13 +188,14 @@ class TestFeverScore:
             predicted = data.draw(st.sampled_from([SUP, REF, NEI]))
             with_evidence = data.draw(st.booleans())
             verdicts[i] = (predicted, [sid(f"P{i}", 0)] if with_evidence else [])
-        assert fever_score(verdicts, claims) <= label_accuracy(verdicts, claims) + 1e-12
+        report = build_report(claims, {}, verdicts)
+        assert report.fever_score <= report.label_accuracy + 1e-12
 
 
 class TestLabelAccuracy:
     def test_all_correct(self):
         claims = [make_claim(1, SUP, "c", [[("A", 0)]])]
-        assert label_accuracy({1: (SUP, [])}, claims) == 1.0
+        assert build_report(claims, {}, {1: (SUP, [])}).label_accuracy == 1.0
 
     def test_all_nei_on_balanced_set(self):
         claims = [
@@ -203,12 +204,12 @@ class TestLabelAccuracy:
             make_claim(3, NEI, "c"),
         ]
         verdicts = {i: (NEI, []) for i in (1, 2, 3)}
-        assert label_accuracy(verdicts, claims) == pytest.approx(1 / 3)
+        assert build_report(claims, {}, verdicts).label_accuracy == pytest.approx(1 / 3)
 
     def test_seven_of_ten(self):
         claims = [make_claim(i, SUP, "c", [[("A", 0)]]) for i in range(10)]
         verdicts = {i: (SUP if i < 7 else REF, []) for i in range(10)}
-        assert label_accuracy(verdicts, claims) == pytest.approx(0.7)
+        assert build_report(claims, {}, verdicts).label_accuracy == pytest.approx(0.7)
 
 
 def test_report_fields():
@@ -248,7 +249,7 @@ def test_report_without_verifiable_claims():
     }
     assert "fever_score" not in build_report([], {}, None, k=5).metrics_row()
     assert fever_score({}, [], 5) is None
-    assert label_accuracy({}, []) is None
+    assert build_report([], {}, {}).label_accuracy is None
 
 
 def ordering_report(**changes):

@@ -6,19 +6,32 @@ import subprocess
 import sys
 from pathlib import Path
 
+from collections import Counter
+
 import pytest
 
 import claimlab
+from claimlab import corpus as corpus_module
 from claimlab.claims import Label, load_claims, save_claims
+from claimlab.corpus import build_index, ingest_corpus
 from claimlab.evaluation import recall_at_k
 from claimlab.experiment import (
     ExperimentConfig,
     StageError,
     load_docs,
     load_selections,
+    retrieve_docs,
     run_experiment,
+    select_evidence,
+    verdicts_for,
 )
+from claimlab.features import FeatureExtractor
+from claimlab.nli import train_nli
+from claimlab.retrieval import DocumentRetriever
+from claimlab.selection import Regime, TrainingConfig, train_selectors
 from claimlab.worldgen import WorldConfig, build_world, write_world
+
+from conftest import count_tokenized, make_claim, write_jsonl
 
 SMALL_WORLD = WorldConfig(
     seed=21,
@@ -250,3 +263,54 @@ run_experiment(ExperimentConfig(
     assert sorted(bundles["1"]) == sorted(bundles["2"])
     differing = [name for name in bundles["1"] if bundles["1"][name] != bundles["2"][name]]
     assert differing == []
+
+
+def test_corpus_text_is_tokenized_once(tmp_path, monkeypatch):
+    """Ingesting, both indexes, selector training, retrieval, selection,
+    NLI training and verdicts split each sentence text and display title
+    once, when its Document is built; a claim text is tokenized only by
+    parse_query, once per parse."""
+    pages = {
+        "Ada_Hartley": ["Ada Hartley is an actor.", "She starred in Quillstone for years.", "She was born in 1960."],
+        "Quillstone": ["Quillstone is a hit sitcom.", ""],
+        "Bo_Winters": ["Bo Winters is an actor.", "He starred in Fernbank for years.", "He was born in 1955."],
+        "Fernbank": ["Fernbank is a hit sitcom.", "Viewers adore the hit sitcom."],
+        "Granite_(town)": ["", "Granite is a town in the hills."],
+    }
+    dump = [{"id": page, "lines": "\n".join(f"{i}\t{t}" for i, t in enumerate(texts))} for page, texts in pages.items()]
+    claims = [
+        make_claim(1, Label.SUPPORTED, "Ada Hartley starred in Quillstone.", [[("Ada_Hartley", 1)]]),
+        make_claim(2, Label.SUPPORTED, "Bo Winters starred in Fernbank.", [[("Bo_Winters", 1)]]),
+        make_claim(3, Label.REFUTED, "Ada Hartley was born in 2001.", [[("Ada_Hartley", 2)]]),
+        make_claim(4, Label.REFUTED, "Bo Winters was born in 2002.", [[("Bo_Winters", 2)]]),
+        make_claim(5, Label.NOT_ENOUGH_INFO, "Ada Hartley is respected."),
+    ]
+    texts = count_tokenized(monkeypatch)
+    parsed = Counter()
+    original = corpus_module.parse_query
+
+    def counting(index, text):
+        parsed[text] += 1
+        return original(index, text)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("claimlab") and getattr(module, "parse_query", None) is original:
+            monkeypatch.setattr(module, "parse_query", counting)
+
+    corpus = ingest_corpus(write_jsonl(tmp_path / "corpus.jsonl", dump))
+    doc_index, sentence_index = build_index(corpus, "document"), build_index(corpus, "sentence")
+    extractor = FeatureExtractor.from_index(sentence_index)
+    configs = {regime: TrainingConfig(seed=1) for regime in (Regime.BASELINE, Regime.SUP_ONLY, Regime.REF_ONLY)}
+    models = train_selectors(claims, [], corpus, sentence_index, extractor, configs)
+    docs = retrieve_docs(DocumentRetriever(corpus, doc_index), claims, oracle_docs=True)
+    selections = select_evidence(
+        {regime.value: model for regime, model in models.items()}, extractor, corpus, claims, docs, 5, ("sup", "ref")
+    )
+    nli_model = train_nli(claims, selections["baseline"], corpus, extractor, TrainingConfig(seed=1))
+    verdicts_for(nli_model, extractor, corpus, claims, selections["sr"])
+
+    corpus_texts = Counter(doc.title for doc in corpus.documents.values())
+    corpus_texts.update(text for doc in corpus.documents.values() for _, text in doc.sentences)
+    assert {text: texts[text] for text in corpus_texts} == corpus_texts
+    assert texts - corpus_texts == parsed
+    assert set(parsed) == {claim.text for claim in claims}

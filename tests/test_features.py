@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from claimlab import corpus as corpus_module
 from claimlab import features as features_module
-from claimlab import selection as selection_module
 from claimlab.claims import Label, load_claims
 from claimlab.corpus import (
+    Document,
     IndexScorer,
     SentenceId,
     build_index,
@@ -57,24 +57,44 @@ def idx(name):
     return SELECTION_FEATURE_NAMES.index(name)
 
 
+def candidate(title, body):
+    """A one-sentence document with the given display title, at line -1,
+    which no index holds, so its features count its own tokens."""
+    doc = Document(title, ((-1, body),))
+    assert doc.title == title
+    return doc
+
+
+def candidate_features(extractor, claim, title, body, position=0.0):
+    """Selection features of a (title, body) candidate against a prepared claim."""
+    doc = candidate(title, body)
+    page = extractor.page_title(claim, doc.title_tokens)
+    return extractor.sentence_features(claim, page, doc.tokens[0], position, SentenceId(title, -1))
+
+
+def pair_features(extractor, claim, title, body):
+    """Pair features of a (title, body) candidate against a prepared claim."""
+    return extractor.pair_features(claim, candidate(title, body), 0)
+
+
 class TestSelectionFeatures:
     def test_identical_candidate_full_overlap(self, extractor):
         claim = "Alice Fenwick starred in Halcyon."
-        features = extractor.candidate_features(extractor.prepare_claim(claim), "", claim)
+        features = candidate_features(extractor, extractor.prepare_claim(claim), "", claim)
         assert features[idx("unigram_overlap")] == 1.0
         assert features[idx("claim_tokens_missing")] == 0.0
         assert features[idx("tfidf_cosine")] == pytest.approx(1.0)
 
     def test_disjoint_tokens_zero_overlap(self, extractor):
-        features = extractor.candidate_features(extractor.prepare_claim("alpha beta"), "Gamma", "delta epsilon.")
+        features = candidate_features(extractor, extractor.prepare_claim("alpha beta"), "Gamma", "delta epsilon.")
         for name in ("unigram_overlap", "bigram_overlap", "tfidf_cosine", "idf_weighted_overlap"):
             assert features[idx(name)] == 0.0
         assert features[idx("claim_tokens_missing")] == 1.0
 
     def test_hand_computed_vector(self, extractor):
         claim = "Alice Fenwick starred in the hit sitcom Halcyon."
-        features = extractor.candidate_features(
-            extractor.prepare_claim(claim), "Halcyon", "Halcyon is a hit sitcom.", position=0.0
+        features = candidate_features(
+            extractor, extractor.prepare_claim(claim), "Halcyon", "Halcyon is a hit sitcom.", position=0.0
         )
         claim_tokens = {"alice", "fenwick", "starred", "in", "the", "hit", "sitcom", "halcyon"}
         matched = {"halcyon", "hit", "sitcom"}
@@ -94,8 +114,8 @@ class TestSelectionFeatures:
 
     def test_entity_span_features(self, extractor):
         claim = "Alice Fenwick starred in Halcyon."
-        features = extractor.candidate_features(
-            extractor.prepare_claim(claim), "Alice Fenwick", "Alice Fenwick acts on stage.", position=0.5
+        features = candidate_features(
+            extractor, extractor.prepare_claim(claim), "Alice Fenwick", "Alice Fenwick acts on stage.", position=0.5
         )
         assert features[idx("entity_spans_in_title")] == 1.0
         assert features[idx("entity_spans_in_body")] == 1.0
@@ -105,19 +125,19 @@ class TestSelectionFeatures:
         """"ΟΔΟΣ.Α Bb" has the span token "οδος" but the token "οδοσ" (final
         sigma), so span features follow the spans, not the shared tokens."""
         claim = extractor.prepare_claim("ΟΔΟΣ.Α Bb")
-        features = extractor.candidate_features(claim, "ΟΔΟΣ.Α Bb", "ΟΔΟΣ Α Bb")
+        features = candidate_features(extractor, claim, "ΟΔΟΣ.Α Bb", "ΟΔΟΣ Α Bb")
         assert features[idx("unigram_overlap")] == 1.0
         assert features[idx("entity_spans_in_title")] == 0.0
         assert features[idx("entity_spans_in_body")] == 1.0
 
     def test_no_spans_gives_zero(self, extractor):
         claim = extractor.prepare_claim("lowercase claim only")
-        features = extractor.candidate_features(claim, "Title", "body words.")
+        features = candidate_features(extractor, claim, "Title", "body words.")
         assert features[idx("entity_spans_in_title")] == 0.0
         assert features[idx("entity_spans_in_body")] == 0.0
 
     def test_all_finite(self, extractor):
-        features = extractor.candidate_features(extractor.prepare_claim(""), "", "", position=0.0)
+        features = candidate_features(extractor, extractor.prepare_claim(""), "", "", position=0.0)
         assert len(features) == len(SELECTION_FEATURE_NAMES)
         assert all(math.isfinite(x) for x in features)
 
@@ -128,7 +148,8 @@ def pidx(name):
 
 class TestPairFeatures:
     def test_negation_cue_mismatch(self, extractor):
-        features = extractor.pair_features(
+        features = pair_features(
+            extractor,
             extractor.prepare_claim("Stan Beeman is only in shows on BBC."),
             "Stan Beeman",
             "Stan Beeman acts in a US TV series.",
@@ -137,28 +158,27 @@ class TestPairFeatures:
 
     def test_identical_texts_no_mismatch(self, extractor):
         text = "Alice Fenwick starred in Halcyon in 1999."
-        features = extractor.pair_features(extractor.prepare_claim(text), "", text)
+        features = pair_features(extractor, extractor.prepare_claim(text), "", text)
         assert features[pidx("negation_cue_mismatch")] == 0.0
         assert features[pidx("numeral_mismatch")] == 0.0
 
     def test_numeral_mismatch(self, extractor):
-        features = extractor.pair_features(
-            extractor.prepare_claim("Alice Fenwick was born in 2001."), "Alice Fenwick", "She was born in 1953."
-        )
+        claim = extractor.prepare_claim("Alice Fenwick was born in 2001.")
+        features = pair_features(extractor, claim, "Alice Fenwick", "She was born in 1953.")
         assert features[pidx("numeral_mismatch")] == 1.0
 
     def test_contraction_cue_detected(self, extractor):
         claim = extractor.prepare_claim("She isn't on stage.")
-        features = extractor.pair_features(claim, "She", "She is on stage.")
+        features = pair_features(extractor, claim, "She", "She is on stage.")
         assert features[pidx("negation_cue_mismatch")] == 1.0
 
     def test_evidence_subset_of_claim(self, extractor):
         claim = extractor.prepare_claim("alpha beta gamma delta")
-        features = extractor.pair_features(claim, "alpha", "beta gamma")
+        features = pair_features(extractor, claim, "alpha", "beta gamma")
         assert features[pidx("evidence_tokens_missing")] == 0.0
 
     def test_pair_length(self, extractor):
-        features = extractor.pair_features(extractor.prepare_claim("a claim"), "A Title", "the evidence")
+        features = pair_features(extractor, extractor.prepare_claim("a claim"), "A Title", "the evidence")
         assert len(features) == len(PAIR_FEATURE_NAMES)
 
 
@@ -331,7 +351,7 @@ class TestPreparedClaim:
             prepared = extractor.prepare_claim(claim_text)
             for title, body, position in self.EDGE_CANDIDATES:
                 expected = reference_selection_features(extractor, claim_text, title, body, position)
-                assert extractor.candidate_features(prepared, title, body, position) == expected
+                assert candidate_features(extractor, prepared, title, body, position) == expected
 
     def test_pair_features_accept_prepared_claim(self, extractor):
         """Pair features start with the candidate's selection features at
@@ -339,8 +359,8 @@ class TestPreparedClaim:
         for claim_text in self.EDGE_CLAIMS:
             prepared = extractor.prepare_claim(claim_text)
             for title, body, _ in self.EDGE_CANDIDATES:
-                features = extractor.pair_features(prepared, title, body)
-                assert features[:10] == extractor.candidate_features(prepared, title, body, 0.0)
+                features = pair_features(extractor, prepared, title, body)
+                assert features[:10] == candidate_features(extractor, prepared, title, body, 0.0)
                 assert len(features) == len(PAIR_FEATURE_NAMES)
 
     def test_every_scored_pair_of_fixture_world(self, fixture_world):
@@ -408,9 +428,10 @@ class TestPreparedClaim:
 
     def test_indexed_sentences_read_the_index(self, monkeypatch):
         """Featurizing and classifying indexed sentences builds no Counter
-        and computes no norm beyond prepare_claim's one each; featurizing
-        tokenizes each page's title once (the duplicate "Foo" is skipped),
-        and classifying tokenizes each pair's body once."""
+        and computes no norm beyond prepare_claim's one each, and tokenizes
+        only the claim: titles and bodies are the documents' own tokens,
+        split once when the corpus was built (the duplicate "Foo" page is
+        featurized once)."""
         corpus = make_corpus(
             {"Foo": ["Foo is alpha.", "It is beta.", ""], "Foo_(film)": ["A film."], "Bar": ["Bar alpha."]}
         )
@@ -424,21 +445,19 @@ class TestPreparedClaim:
 
             return wrapper
 
-        for module in (corpus_module, features_module):
-            for name in ("Counter", "tfidf_norm", "tokenize"):
-                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
-        monkeypatch.setattr(selection_module, "tokenize", counting("tokenize", selection_module.tokenize))
+        for name in ("Counter", "tfidf_norm", "tokenize"):
+            monkeypatch.setattr(corpus_module, name, counting(name, getattr(corpus_module, name)))
+        for name in ("Counter", "tfidf_norm"):
+            monkeypatch.setattr(features_module, name, counting(name, getattr(features_module, name)))
         claim = make_claim(1, Label.SUPPORTED, "Foo is alpha.")
         featurized = featurize_candidates(extractor, claim, ["Foo", "Foo_(film)", "Bar", "Foo"], corpus)
         assert len(featurized) == 4
-        assert calls == {"Counter": 1, "tfidf_norm": 1, "tokenize": 1 + 3 + 4}
+        assert calls == {"Counter": 1, "tfidf_norm": 1, "tokenize": 1}
         calls.clear()
         n = len(PAIR_FEATURE_NAMES)
         model = NliModel(weights=[[0.0] * n for _ in range(3)], biases=[0.0] * 3)
         verdict_for_claim(model, extractor, corpus, claim, [(sid, 1.0) for sid, _ in featurized])
-        assert (calls["Counter"], calls["tfidf_norm"]) == (1, 1)
-        # The claim once, then each of the four pairs' title and body once.
-        assert calls["tokenize"] == 1 + 4 + 4
+        assert calls == {"Counter": 1, "tfidf_norm": 1, "tokenize": 1}
 
 
 class TestOneNorm:
@@ -469,5 +488,5 @@ class TestOneNorm:
         corpus = ingest_corpus(fixture_world / "corpus")
         extractor = FeatureExtractor(build_index(corpus, "sentence"))
         for claim in load_claims(fixture_world / "dev.jsonl"):
-            features = extractor.candidate_features(extractor.prepare_claim(claim.text), "", claim.text)
+            features = candidate_features(extractor, extractor.prepare_claim(claim.text), "", claim.text)
             assert features[idx("idf_weighted_overlap")] == 1.0

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from claimlab.claims import Label
-from claimlab.corpus import SentenceId, build_index, display_title
+from claimlab.corpus import Document, SentenceId, build_index
 from claimlab.features import PAIR_FEATURE_NAMES, FeatureExtractor
 from claimlab.nli import (
     CLASS_ORDER,
@@ -132,9 +132,9 @@ class TestClassifyPair:
     def test_probabilities_sum_to_one(self, nli_world):
         corpus, extractor, claims, selections = nli_world
         model = train_nli(claims, selections, corpus, extractor, TrainingConfig(seed=2))
-        _, probs = classify_pair(
-            model, extractor, extractor.prepare_claim("Ada Hartley acts."), "Ada Hartley", "She acts."
-        )
+        # Line -1 is in no index, so the pair counts its own tokens.
+        candidate = Document("Ada Hartley", ((-1, "She acts."),))
+        _, probs = classify_pair(model, extractor, extractor.prepare_claim("Ada Hartley acts."), candidate, 0)
         assert sum(probs) == pytest.approx(1.0, abs=1e-9)
         assert all(p > 0 for p in probs)
 
@@ -144,7 +144,8 @@ class TestClassifyPair:
             weights=[[0.0] * len(PAIR_FEATURE_NAMES) for _ in CLASS_ORDER],
             biases=[0.0] * len(CLASS_ORDER),
         )
-        label, probs = classify_pair(zero, extractor, extractor.prepare_claim("any claim"), "Any", "text")
+        candidate = Document("Any", ((-1, "text"),))
+        label, probs = classify_pair(zero, extractor, extractor.prepare_claim("any claim"), candidate, 0)
         assert label is NEI
         assert probs == pytest.approx([1 / 3, 1 / 3, 1 / 3])
 
@@ -171,7 +172,7 @@ class TestClassifyPair:
         claim = claims[2]  # refuted via numeral mismatch
         sid = sorted(claim.gold_sentences())[0]
         prepared = extractor.prepare_claim(claim.text)
-        label, _ = classify_pair(model, extractor, prepared, display_title(sid.page_id), corpus.get_sentence(sid))
+        label, _ = classify_pair(model, extractor, prepared, *corpus.locate(sid))
         assert label is REF
 
 

@@ -248,8 +248,8 @@ def test_retrieve_matches_brute_force_on_fixture_world(fixture_world, monkeypatc
         scored.update(units)
         return original(self, query, units)
 
-    original = IndexScorer._scores
-    monkeypatch.setattr(IndexScorer, "_scores", counting_scores)
+    original = IndexScorer.scores
+    monkeypatch.setattr(IndexScorer, "scores", counting_scores)
     corpus = ingest_corpus(fixture_world / "corpus")
     index = build_index(corpus, "document")
     retriever = DocumentRetriever(corpus, index)

@@ -11,9 +11,9 @@ from claimlab.claim_gen import generate_augmentation_set, synthetic_to_claim
 from claimlab.claims import Label, load_claims
 from claimlab.corpus import (
     Document,
+    IndexScorer,
     SentenceId,
     build_index,
-    display_title,
     ingest_corpus,
     parse_query,
     tfidf_scores,
@@ -24,12 +24,13 @@ from claimlab.features import PAIR_FEATURE_NAMES, SELECTION_FEATURE_NAMES, Featu
 from claimlab.kb import KnowledgeBase
 from claimlab.nli import CLASS_ORDER, NliModel, verdict_for_claim
 from claimlab.selection import (
+    NegativePool,
     Regime,
     RelevanceModel,
     TrainingConfig,
+    _per_group,
     _regime_claims,
     aggregate_sr,
-    sample_negatives,
     select_sentences,
     train_selector,
     train_selectors,
@@ -45,9 +46,9 @@ def classified_candidates(corpus, evidence):
     seen = []
 
     class Recording(FeatureExtractor):
-        def pair_features(self, claim, title, body, sid=None):
-            seen.append((title, body))
-            return super().pair_features(claim, title, body, sid)
+        def pair_features(self, claim, document, position):
+            seen.append((document.title, document.sentences[position][1]))
+            return super().pair_features(claim, document, position)
 
     extractor = Recording.from_index(build_index(corpus, "sentence"))
     model = NliModel(
@@ -111,7 +112,7 @@ class TestSampleNegatives:
     def test_full_partition(self, sampling_world):
         corpus, index = sampling_world
         positives = {SentenceId("Pos", 0)}
-        negatives = sample_negatives(self.claim(), corpus, index, positives, rng_seed=11)
+        negatives = draw_negatives(self.claim(), corpus, index, positives, rng_seed=11)
         assert len(negatives) == 15
         group_a, group_b, group_c = negatives[:5], negatives[5:10], negatives[10:]
         assert all(sid.page_id == "Pos" for sid in group_a)
@@ -125,7 +126,7 @@ class TestSampleNegatives:
     def test_degenerate_single_document(self):
         corpus = make_corpus({"Pos": ["zeta one.", "zeta two.", "zeta three."]})
         index = build_index(corpus, "sentence")
-        negatives = sample_negatives(
+        negatives = draw_negatives(
             self.claim(), corpus, index, {SentenceId("Pos", 0)}, rng_seed=5
         )
         assert 0 < len(negatives) <= 5
@@ -134,21 +135,16 @@ class TestSampleNegatives:
     def test_same_seed_identical(self, sampling_world):
         corpus, index = sampling_world
         positives = {SentenceId("Pos", 0)}
-        first = sample_negatives(self.claim(), corpus, index, positives, rng_seed=3)
-        second = sample_negatives(self.claim(), corpus, index, positives, rng_seed=3)
+        first = draw_negatives(self.claim(), corpus, index, positives, rng_seed=3)
+        second = draw_negatives(self.claim(), corpus, index, positives, rng_seed=3)
         assert first == second
 
     def test_multiple_positives_extend_without_duplicates(self, sampling_world):
         corpus, index = sampling_world
         positives = {SentenceId("Pos", 0), SentenceId("Pos", 1)}
-        negatives = sample_negatives(self.claim(), corpus, index, positives, rng_seed=3)
+        negatives = draw_negatives(self.claim(), corpus, index, positives, rng_seed=3)
         assert not positives & set(negatives)
         assert len(negatives) == len(set(negatives))
-
-    def test_no_positives_rejected(self, sampling_world):
-        corpus, index = sampling_world
-        with pytest.raises(ValueError):
-            sample_negatives(self.claim(), corpus, index, set(), rng_seed=0)
 
     def test_ties_at_the_cut_and_empty_vocabulary_claims_pinned(self):
         """Outputs of the full-sort sampler, pinned. Five untitled pages tie
@@ -163,20 +159,28 @@ class TestSampleNegatives:
         positives = {SentenceId("Pos", 0)}
         claim = make_claim(5, Label.SUPPORTED, "zeta quest", [[("Pos", 0)]])
         tied = [SentenceId(f"({i})", 0) for i in range(1, 6)]
-        assert sample_negatives(claim, corpus, index, positives, rng_seed=4, negatives_per_positive=3) == [
+        assert draw_negatives(claim, corpus, index, positives, rng_seed=4, negatives_per_positive=3) == [
             SentenceId("Pos", 1), tied[0], tied[2]
         ]
-        assert sample_negatives(claim, corpus, index, positives, rng_seed=4) == [
+        assert draw_negatives(claim, corpus, index, positives, rng_seed=4) == [
             SentenceId("Pos", 1), *tied, SentenceId("Far", 0)
         ]
         for text in ("?!", "xyzzy plugh"):
             empty = make_claim(6, Label.SUPPORTED, text, [[("Pos", 0)]])
-            assert sample_negatives(empty, corpus, index, positives, rng_seed=4) == []
+            assert draw_negatives(empty, corpus, index, positives, rng_seed=4) == []
+
+
+def draw_negatives(claim, corpus, index, positives, rng_seed, negatives_per_positive=15):
+    """One draw from a fresh NegativePool for the claim, with per_group as
+    selector training derives it from negatives_per_positive."""
+    per_group = _per_group(negatives_per_positive)
+    pool = NegativePool(IndexScorer(index), corpus, parse_query(index, claim.text), positives, per_group)
+    return pool.draw(rng_seed, per_group)
 
 
 def reference_sample_negatives(claim, corpus, index, positives, rng_seed, negatives_per_positive=15):
-    """sample_negatives as it was before it stopped ranking the whole
-    index: one full TF-IDF sort, rescanned for every group."""
+    """draw_negatives as it was before negative sampling stopped ranking
+    the whole index: one full TF-IDF sort, rescanned for every group."""
     per_group = max(1, negatives_per_positive // 3)
     ranked = top_k_scored(tfidf_scores(index, parse_query(index, claim.text)), k=index.doc_count)
     ranked_ids = [sid for sid, _ in ranked]
@@ -243,7 +247,7 @@ def test_sample_negatives_matches_reference_on_default_world(fixture_world):
                 continue
             rng_seed = stable_seed(regime_seed, "negatives", claim.claim_id)
             args = (claim, corpus, index, gold, rng_seed)
-            assert sample_negatives(*args) == reference_sample_negatives(*args)
+            assert draw_negatives(*args) == reference_sample_negatives(*args)
             compared += 1
     assert compared > 200
 
@@ -303,10 +307,10 @@ def test_sample_negatives_matches_reference_on_random_corpora(data):
             # raised; there is nothing to sample, so the groups run short.
             with pytest.raises(ValueError, match="k must be"):
                 reference_sample_negatives(*args, negatives_per_positive=per_positive)
-            assert sample_negatives(*args, negatives_per_positive=per_positive) == []
+            assert draw_negatives(*args, negatives_per_positive=per_positive) == []
             continue
         expected = reference_sample_negatives(*args, negatives_per_positive=per_positive)
-        assert sample_negatives(*args, negatives_per_positive=per_positive) == expected
+        assert draw_negatives(*args, negatives_per_positive=per_positive) == expected
 
 
 @pytest.fixture
@@ -354,11 +358,11 @@ class TestTrainSelector:
                 if not gold:
                     continue
                 prepared = extractor.prepare_claim(claim.text)
-                for page_id in corpus.documents:
-                    doc = corpus.documents[page_id]
-                    for line, text in doc.sentences:
+                for page_id, doc in corpus.documents.items():
+                    page = extractor.page_title(prepared, doc.title_tokens)
+                    for (line, _), tokens in zip(doc.sentences, doc.tokens):
                         sid = SentenceId(page_id, line)
-                        features = extractor.candidate_features(prepared, display_title(page_id), text)
+                        features = extractor.sentence_features(prepared, page, tokens, 0.0, sid)
                         p = min(max(m.score(features), 1e-9), 1 - 1e-9)
                         y = 1.0 if sid in gold else 0.0
                         total += -(y * math.log(p) + (1 - y) * math.log(1 - p))
