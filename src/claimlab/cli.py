@@ -13,7 +13,6 @@ import argparse
 import logging
 import sys
 
-from .claim_gen import generate_augmentation_set, synthetic_to_claim
 from .claims import Label, load_claims, save_claims
 from .corpus import build_index, ingest_corpus
 from .entity_analysis import analyze_claims
@@ -23,6 +22,7 @@ from .experiment import (
     ExperimentConfig,
     StageError,
     evaluate_evidence,
+    generate_claims,
     load_docs,
     load_selections,
     load_verdicts,
@@ -38,7 +38,7 @@ from .features import FeatureExtractor
 from .kb import KnowledgeBase
 from .nli import NliModel, train_nli
 from .retrieval import DocRetrievalConfig, DocumentRetriever
-from .selection import Regime, RelevanceModel, TrainingConfig, train_selector
+from .selection import Regime, RelevanceModel, TrainingConfig, train_selectors
 from .util import read_json, write_json
 
 
@@ -66,8 +66,8 @@ def cmd_retrieve_docs(args) -> int:
 def cmd_generate_claims(args) -> int:
     claims = load_claims(args.claims)
     kb = KnowledgeBase.load(args.kb)
-    synthetic = generate_augmentation_set(claims, kb, seed=args.seed)
-    save_claims(args.out, map(synthetic_to_claim, synthetic))
+    synthetic = generate_claims(claims, kb, args.seed)
+    save_claims(args.out, synthetic)
     supported = sum(1 for c in claims if c.label is Label.SUPPORTED)
     print(f"generated {len(synthetic)} false claims from {supported} supported claims -> {args.out}")
     return 0
@@ -84,7 +84,7 @@ def cmd_analyze_entities(args) -> int:
 def _load_corpus_bundle(corpus_path: str):
     corpus = ingest_corpus(corpus_path)
     sentence_index = build_index(corpus, "sentence")
-    return corpus, sentence_index, FeatureExtractor.from_index(sentence_index)
+    return corpus, sentence_index, FeatureExtractor(sentence_index)
 
 
 def cmd_train_selector(args) -> int:
@@ -95,20 +95,13 @@ def cmd_train_selector(args) -> int:
     if regime is Regime.DATA_AUGMENTED and not synthetic:
         print("error: train-selector: regime 'da' needs --synthetic", file=sys.stderr)
         return 1
-    model = train_selector(
-        claims,
-        synthetic,
-        corpus,
-        sentence_index,
-        extractor,
-        regime,
-        TrainingConfig(
-            epochs=args.epochs,
-            learning_rate=args.learning_rate,
-            seed=args.seed,
-            negatives_per_positive=args.negatives_per_positive,
-        ),
+    config = TrainingConfig(
+        epochs=args.epochs,
+        learning_rate=args.learning_rate,
+        seed=args.seed,
+        negatives_per_positive=args.negatives_per_positive,
     )
+    model = train_selectors(claims, synthetic, corpus, sentence_index, extractor, {regime: config})[regime]
     model.save(args.out)
     print(f"trained {regime.value} selector on {model.metadata['n_claims']} claims -> {args.out}")
     return 0
@@ -207,8 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("retrieve-docs", help="top-k candidate pages per claim")
     p.add_argument("--corpus", required=True)
     p.add_argument("--claims", required=True)
-    p.add_argument("--k", type=int, default=20)
-    p.add_argument("--title-match-weight", type=float, default=2.0)
+    p.add_argument("--k", type=int, default=DocRetrievalConfig.k)
+    p.add_argument("--title-match-weight", type=float, default=DocRetrievalConfig.title_match_weight)
     p.add_argument("--oracle-docs", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_retrieve_docs)
@@ -231,10 +224,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--claims", required=True)
     p.add_argument("--synthetic")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epochs", type=int, default=2)
-    p.add_argument("--learning-rate", type=float, default=0.1)
-    p.add_argument("--negatives-per-positive", type=int, default=15)
+    p.add_argument("--seed", type=int, default=TrainingConfig.seed)
+    p.add_argument("--epochs", type=int, default=TrainingConfig.epochs)
+    p.add_argument("--learning-rate", type=float, default=TrainingConfig.learning_rate)
+    p.add_argument("--negatives-per-positive", type=int, default=TrainingConfig.negatives_per_positive)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_train_selector)
 
@@ -244,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--claims", required=True)
     p.add_argument("--docs", required=True)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--k", type=int, default=5)
+    p.add_argument("--k", type=int, default=ExperimentConfig.k_sentences)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_select)
 
@@ -252,9 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--claims", required=True)
     p.add_argument("--selections", help="ranked evidence for NEI training pairs")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epochs", type=int, default=2)
-    p.add_argument("--learning-rate", type=float, default=0.1)
+    p.add_argument("--seed", type=int, default=TrainingConfig.seed)
+    p.add_argument("--epochs", type=int, default=TrainingConfig.epochs)
+    p.add_argument("--learning-rate", type=float, default=TrainingConfig.learning_rate)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_train_nli)
 
@@ -271,8 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--selections")
     p.add_argument("--verdicts")
     p.add_argument("--docs")
-    p.add_argument("--k", type=int, default=5)
-    p.add_argument("--k-docs", type=int, default=20)
+    p.add_argument("--k", type=int, default=ExperimentConfig.k_sentences)
+    p.add_argument("--k-docs", type=int, default=DocRetrievalConfig.k)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_evaluate)
 

@@ -10,12 +10,12 @@ pass, selector training and NLI pairs all read those tokens, so no
 corpus text is tokenized anywhere else. Postings map each token to
 {identifier: term frequency}, so one unit's score is a dict lookup per
 query token. A claim's `Query` is the one vector retrieval, negative
-sampling and the feature pass all read. `tfidf_scores` scores every
-unit that shares a token with a query, and is the reference the scorer
-is tested against. `IndexScorer` is the one exact top-k ranker, over
-pages (document retrieval) or sentences (negative sampling): with
-MaxScore pruning it scores only the units that could still reach the
-top k.
+sampling and the feature pass all read. `IndexScorer` is the one exact
+TF-IDF scorer and top-k ranker, over pages (document retrieval) or
+sentences (negative sampling): with MaxScore pruning it scores only the
+units that could still reach the top k. The tests check it against a
+brute-force reference that scores every unit sharing a token with the
+query.
 """
 
 from __future__ import annotations
@@ -74,8 +74,9 @@ class Document:
     """A titled page with index-addressed sentences, tokenized once.
 
     Built from page_id and sentences, a document derives title (the
-    display title), title_tokens and tokens (one token list per entry of
-    sentences, in the same order). These are the only tokens of corpus
+    display title), title_tokens, tokens (one token list per entry of
+    sentences, in the same order) and positions (line index -> position
+    in sentences and tokens). These are the only tokens of corpus
     text the package computes. Each token is interned, so a word that
     recurs across the corpus is one string. Empty-text sentences are
     retained (they exist in dumps) but are never offered as retrieval
@@ -87,12 +88,14 @@ class Document:
     title: str = field(init=False, repr=False, compare=False)
     title_tokens: list[str] = field(init=False, repr=False, compare=False)
     tokens: tuple[list[str], ...] = field(init=False, repr=False, compare=False)
+    positions: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         title = display_title(self.page_id)
         object.__setattr__(self, "title", title)
         object.__setattr__(self, "title_tokens", _interned_tokens(title))
         object.__setattr__(self, "tokens", tuple(_interned_tokens(text) for _, text in self.sentences))
+        object.__setattr__(self, "positions", {idx: position for position, (idx, _) in enumerate(self.sentences)})
 
     def line_texts(self) -> dict[int, str]:
         return {idx: text for idx, text in self.sentences}
@@ -101,13 +104,6 @@ class Document:
 @dataclass
 class Corpus:
     documents: dict[str, Document] = field(default_factory=dict)
-    # page_id -> {line_index: position in the page's sentences}, kept in
-    # step with documents by add().
-    _positions: dict[str, dict[int, int]] = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        for page_id, doc in self.documents.items():
-            self._positions[page_id] = _line_positions(doc)
 
     def __len__(self) -> int:
         return len(self.documents)
@@ -116,16 +112,15 @@ class Corpus:
         if doc.page_id in self.documents:
             raise ValueError(f"duplicate page_id {doc.page_id!r}")
         self.documents[doc.page_id] = doc
-        self._positions[doc.page_id] = _line_positions(doc)
 
     def locate(self, sid: SentenceId) -> Optional[tuple[Document, int]]:
         """The sentence's document and its position in the document's
         sentences (and tokens), or None if absent."""
-        positions = self._positions.get(sid.page_id)
-        position = None if positions is None else positions.get(sid.line_index)
+        doc = self.documents.get(sid.page_id)
+        position = None if doc is None else doc.positions.get(sid.line_index)
         if position is None:
             return None
-        return self.documents[sid.page_id], position
+        return doc, position
 
     def get_sentence(self, sid: SentenceId) -> Optional[str]:
         """Sentence text for (page_id, line_index), or None if absent."""
@@ -137,10 +132,6 @@ class Corpus:
 
     def sentence_count(self) -> int:
         return sum(len(d.sentences) for d in self.documents.values())
-
-
-def _line_positions(doc: Document) -> dict[int, int]:
-    return {idx: position for position, (idx, _) in enumerate(doc.sentences)}
 
 
 def parse_dump_line(raw: str) -> Document:
@@ -297,29 +288,6 @@ def parse_query(index: InvertedIndex, text: str) -> Query:
     return Query(tokens, terms, tfidf_norm(n * idf for _, n, idf, _ in terms))
 
 
-def tfidf_scores(index: InvertedIndex, query: Query) -> dict:
-    """TF-IDF cosine of every unit sharing a token with the query, unsorted.
-
-    tf is the raw count and idf = ln((N+1)/(df+1)) + 1. Only units
-    sharing at least one token with the query (and with a non-zero
-    norm) appear, so an out-of-vocabulary query yields an empty map.
-    """
-    dots: dict = {}
-    for _, count, idf, postings in query.terms:
-        weight = count * idf
-        for ident, tf in postings.items():
-            dots[ident] = dots.get(ident, 0.0) + weight * tf * idf
-    if not dots or query.norm == 0.0:
-        return {}
-    scores = {}
-    for ident, dot in dots.items():
-        norm = index.norms.get(ident, 0.0)
-        if norm == 0.0:
-            continue
-        scores[ident] = dot / (query.norm * norm)
-    return scores
-
-
 def rank_key(item: tuple) -> tuple:
     """Order of scored (identifier, score) pairs: score descending, ties by
     identifier ascending."""
@@ -352,13 +320,14 @@ _BOUND_SLACK = 1e-9
 class IndexScorer:
     """Exact TF-IDF cosines of chosen units of an index, of either granularity.
 
-    Where tfidf_scores walks every posting of every query token, this
-    scores a list of units by dict lookups, with tfidf_scores' float
-    expressions in the same order, so every score equals tfidf_scores'
-    bit for bit. Each token's largest tf / norm (for top_k's bounds) and,
-    on a sentence index, its page bitmask (for pages) are computed the
-    first time a query uses the token and kept for later queries: one
-    scorer should serve a whole training pass or retriever.
+    tf is the raw count and idf = ln((N+1)/(df+1)) + 1. A unit's cosine
+    is dot / (query.norm * norm), its dot adding count * idf * tf * idf
+    over the query's terms in order, so the scores of one unit are equal
+    bit for bit however the unit was reached. Each token's largest
+    tf / norm (for top_k's bounds) and, on a sentence index, its page
+    bitmask (for pages) are computed the first time a query uses the
+    token and kept for later queries: one scorer should serve a whole
+    training pass or retriever.
     """
 
     def __init__(self, index: InvertedIndex):
@@ -370,8 +339,7 @@ class IndexScorer:
 
     def scores(self, query: Query, units: Iterable) -> dict:
         """{unit: cosine} of the given units that share a token with the
-        query: tfidf_scores(index, query) restricted to them, without
-        scoring any other unit."""
+        query (and have a non-zero norm), without scoring any other unit."""
         weighted = [(count * idf, idf, postings) for _, count, idf, postings in query.terms if postings]
         norms = self.index.norms
         scores = {}
@@ -388,7 +356,8 @@ class IndexScorer:
         return scores
 
     def top_k(self, query: Query, k: int) -> list[tuple]:
-        """Exactly top_k_scored(tfidf_scores(index, query), k), MaxScore-pruned.
+        """Exactly top_k_scored of the cosines of every unit sharing a token
+        with the query, MaxScore-pruned.
 
         A token adds at most count * idf * idf * max(tf / norm) / query.norm
         to a unit's cosine. The units of the highest-bound tokens are
@@ -429,7 +398,7 @@ class IndexScorer:
 
     def pages(self, query: Query) -> list[str]:
         """Sorted ids of the pages with a unit sharing a token with the
-        query: the pages of tfidf_scores' keys. Sentence index only."""
+        query. Sentence index only."""
         if self.index.granularity != "sentence":
             raise ValueError("pages needs a sentence-granularity index")
         if self._pages is None:

@@ -140,14 +140,16 @@ def recall_at_k(
     predictions: Mapping[int, Sequence[SentenceId]], claims: Sequence[Claim], k: int
 ) -> Optional[float]:
     """Fraction of verifiable claims with a complete evidence group
-    inside the top-k predicted sentences; None when none is verifiable."""
+    inside the top-k predicted sentences; None when none is verifiable.
+    Kept because bench/ calls it (ROADMAP item 12)."""
     return build_report(claims, predictions, k=k).recall_at_k
 
 
 def fever_score(verdicts: Verdicts, claims: Sequence[Claim], k: int = 5) -> Optional[float]:
     """Official-style score: label correct and, for verifiable claims,
     a complete evidence group within the top-k predicted evidence.
-    None when there are no claims."""
+    None when there are no claims. Kept because bench/ calls it (ROADMAP
+    item 12)."""
     return build_report(claims, {}, verdicts, k).fever_score
 
 

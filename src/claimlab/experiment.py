@@ -7,8 +7,12 @@ numbers are recomputed from the persisted selection files, never from
 memory, and a set with nothing to measure reports null metrics. Two
 runs with the same config and seed produce byte-identical bundles.
 
-The retrieve-docs, select, verdict and evaluate steps are plain
-functions here, shared with the CLI subcommands of the same names.
+Each pipeline step is one function that `run_experiment` and the CLI
+subcommand of the same name both call: `ingest_corpus`,
+`generate_claims`, `analyze_claims`, `retrieve_docs`, `train_selectors`,
+`select_evidence`, `train_nli`, `verdicts_for` and `evaluate_evidence`.
+The NEI training pairs of train-nli are the baseline selector's
+`select_evidence` ranking over plain (non-oracle) `retrieve_docs` pages.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ from .selection import (
     TrainingConfig,
     aggregate_sr,
     featurize_candidates,
-    select_sentences,
     top_k,
     train_selectors,
 )
@@ -82,20 +85,40 @@ class ExperimentConfig:
     kb: str
     out_dir: str
     seed: int = 7
-    k_docs: int = 20
+    k_docs: int = DocRetrievalConfig.k
     k_sentences: int = 5
     regimes: tuple[str, ...] = ALL_REGIMES
     oracle_docs: bool = True
-    epochs: int = 2
-    learning_rate: float = 0.1
-    negatives_per_positive: int = 15
+    epochs: int = TrainingConfig.epochs
+    learning_rate: float = TrainingConfig.learning_rate
+    negatives_per_positive: int = TrainingConfig.negatives_per_positive
 
     def __post_init__(self):
-        if self.k_docs < 1 or self.k_sentences < 1:
-            raise ValueError("k values must be >= 1")
+        """Reject a bad setting before any stage runs, naming the field.
+        The training and retrieval settings are checked by building the
+        configs they feed."""
+        if self.k_sentences < 1:
+            raise ValueError("k_sentences must be >= 1")
+        if not self.regimes:
+            raise ValueError("regimes must name at least one regime")
         unknown = [r for r in self.regimes if r not in ALL_REGIMES]
         if unknown:
             raise ValueError(f"unknown regimes: {unknown}")
+        if len(set(self.regimes)) < len(self.regimes):
+            raise ValueError(f"regimes must not repeat a regime, got {list(self.regimes)}")
+        self.training_config(self.seed)
+        self.retrieval_config()
+
+    def training_config(self, seed: int) -> TrainingConfig:
+        return TrainingConfig(
+            epochs=self.epochs,
+            learning_rate=self.learning_rate,
+            seed=seed,
+            negatives_per_positive=self.negatives_per_positive,
+        )
+
+    def retrieval_config(self) -> DocRetrievalConfig:
+        return DocRetrievalConfig(k=self.k_docs)
 
     def hashable_dict(self) -> dict:
         """Config without any path, for the manifest hash; the inputs
@@ -158,6 +181,11 @@ def load_verdicts(path: PathLike) -> dict[int, Verdict]:
 
 
 # One function per pipeline step; the CLI subcommands call them too.
+
+
+def generate_claims(claims: Sequence[Claim], kb: KnowledgeBase, seed: int) -> list[Claim]:
+    """Synthetic refuted claims from the supported ones, as Claim records."""
+    return [synthetic_to_claim(s) for s in generate_augmentation_set(claims, kb, seed=seed)]
 
 
 def retrieve_docs(
@@ -273,18 +301,12 @@ def _write_bundle(config: ExperimentConfig, out_dir: Path) -> dict:
     with _stage("index"):
         doc_index = build_index(corpus, "document")
         sentence_index = build_index(corpus, "sentence")
-        extractor = FeatureExtractor.from_index(sentence_index)
-        retriever = DocumentRetriever(corpus, doc_index, DocRetrievalConfig(k=config.k_docs))
+        extractor = FeatureExtractor(sentence_index)
+        retriever = DocumentRetriever(corpus, doc_index, config.retrieval_config())
 
     with _stage("generate-claims"):
-        synthetic_train = [
-            synthetic_to_claim(s)
-            for s in generate_augmentation_set(train, kb, seed=stable_seed(config.seed, "augment", "train"))
-        ]
-        adversarial = [
-            synthetic_to_claim(s)
-            for s in generate_augmentation_set(dev, kb, seed=stable_seed(config.seed, "augment", "dev"))
-        ]
+        synthetic_train = generate_claims(train, kb, stable_seed(config.seed, "augment", "train"))
+        adversarial = generate_claims(dev, kb, stable_seed(config.seed, "augment", "dev"))
         save_claims(out_dir / "synthetic_train.jsonl", synthetic_train)
         save_claims(out_dir / "adversarial_dev.jsonl", adversarial)
 
@@ -299,12 +321,7 @@ def _write_bundle(config: ExperimentConfig, out_dir: Path) -> dict:
 
     with _stage("train-selector"):
         configs = {
-            regime: TrainingConfig(
-                epochs=config.epochs,
-                learning_rate=config.learning_rate,
-                seed=stable_seed(config.seed, "selector", regime.value),
-                negatives_per_positive=config.negatives_per_positive,
-            )
+            regime: config.training_config(stable_seed(config.seed, "selector", regime.value))
             for regime in _trained_regimes(config.regimes)
         }
         trained = train_selectors(train, synthetic_train, corpus, sentence_index, extractor, configs)
@@ -322,25 +339,12 @@ def _write_bundle(config: ExperimentConfig, out_dir: Path) -> dict:
                 write_selections(out_dir / "selections" / f"{dataset}_{name}.jsonl", selected[name])
 
     with _stage("train-nli"):
-        base_model = models["baseline" if "baseline" in models else sorted(models)[0]]
-        nei_selections = {
-            claim.claim_id: select_sentences(
-                base_model, extractor, claim, retriever.retrieve(claim.text), corpus, config.k_sentences
-            )
-            for claim in train
-            if claim.label is Label.NOT_ENOUGH_INFO
-        }
-        nli_model = train_nli(
-            train,
-            nei_selections,
-            corpus,
-            extractor,
-            TrainingConfig(
-                epochs=config.epochs,
-                learning_rate=config.learning_rate,
-                seed=stable_seed(config.seed, "nli"),
-            ),
-        )
+        base = "baseline" if "baseline" in models else sorted(models)[0]
+        nei = [claim for claim in train if claim.label is Label.NOT_ENOUGH_INFO]
+        nei_docs = retrieve_docs(retriever, nei, oracle_docs=False)
+        nei_selections = select_evidence({base: models[base]}, extractor, corpus, nei, nei_docs, config.k_sentences)
+        nli_config = config.training_config(stable_seed(config.seed, "nli"))
+        nli_model = train_nli(train, nei_selections[base], corpus, extractor, nli_config)
         nli_model.save(out_dir / "models" / "nli.json")
 
     with _stage("verdict"):

@@ -125,6 +125,7 @@ class FeatureExtractor:
 
     @classmethod
     def from_index(cls, index: InvertedIndex) -> "FeatureExtractor":
+        """Kept because bench/ calls it (ROADMAP item 12)."""
         return cls(index)
 
     def prepare_claim(self, claim_text: str) -> PreparedClaim:

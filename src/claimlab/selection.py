@@ -34,7 +34,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .claims import Claim, Label
 from .corpus import Corpus, IndexScorer, InvertedIndex, Query, SentenceId, rank_key
-from .features import SELECTION_FEATURE_NAMES, FeatureExtractor, PreparedClaim
+from .features import SELECTION_FEATURE_NAMES, FeatureExtractor, PageTitle, PreparedClaim
 from .util import load_model, save_model, stable_seed
 
 MODEL_SCHEMA = "claimlab/relevance-model/v1"
@@ -217,12 +217,15 @@ class _TrainingClaim:
     pool: NegativePool
     prepared: PreparedClaim
     vectors: dict[SentenceId, list[float]] = field(default_factory=dict)
+    titles: dict[str, PageTitle] = field(default_factory=dict)
 
     def features(self, extractor: FeatureExtractor, corpus: Corpus, sid: SentenceId) -> list[float]:
         vector = self.vectors.get(sid)
         if vector is None:
             doc, position = corpus.locate(sid)
-            page = extractor.page_title(self.prepared, doc.title_tokens)
+            page = self.titles.get(sid.page_id)
+            if page is None:
+                page = self.titles[sid.page_id] = extractor.page_title(self.prepared, doc.title_tokens)
             relative = position / max(1, len(doc.sentences) - 1)
             vector = extractor.sentence_features(self.prepared, page, doc.tokens[position], relative, sid)
             self.vectors[sid] = vector
@@ -242,10 +245,13 @@ def train_selectors(
     Each distinct training claim is prepared once, when the first regime
     uses it: its PreparedClaim, whose query its NegativePool ranks with
     (so the extractor must be backed by index), and, on first need, the
-    feature vector of each of its sentences. Each regime then draws every
-    claim's negatives with its own config's seed, in claim order, and
-    trains as train_selector describes, so each model equals a separate
-    train_selector call bit for bit.
+    title side of each page and the feature vector of each sentence.
+    Each regime then draws every claim's negatives with its own config's
+    seed, in claim order, and trains on its examples: each epoch
+    re-scores the whole negative pool, keeps the hardest negatives so
+    positive and negative counts match, and runs one pass of per-example
+    gradient descent on the logistic loss in a seeded shuffled order. A
+    model does not depend on which other regimes train in the same call.
     """
     scorer = IndexScorer(index)
     # A pool built for the largest per_group serves every smaller one: its
@@ -328,13 +334,8 @@ def train_selector(
     regime: Regime,
     config: TrainingConfig = TrainingConfig(),
 ) -> RelevanceModel:
-    """Train the relevance scorer under one data regime.
-
-    Each epoch re-scores the whole negative pool, keeps the hardest
-    negatives so positive and negative counts match, and runs one full
-    pass of per-example gradient descent on the logistic loss in a
-    seeded shuffled order. This is train_selectors for one regime.
-    """
+    """train_selectors for one regime. Kept because bench/ calls it
+    (ROADMAP item 12)."""
     return train_selectors(claims, synthetic_claims, corpus, index, extractor, {regime: config})[regime]
 
 
@@ -389,7 +390,8 @@ def select_sentences(
 ) -> RankedEvidence:
     """Score every non-empty sentence of the candidate pages; top-k.
 
-    Duplicate pages are scored once; ties break by sentence id.
+    Duplicate pages are scored once; ties break by sentence id. Kept
+    because bench/ calls it (ROADMAP item 12).
     """
     return top_k(model, featurize_candidates(extractor, claim, candidate_pages, corpus), k)
 

@@ -14,7 +14,7 @@ and the runnable scripts; everything derives from one seed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Union
 
@@ -90,6 +90,13 @@ class WorldConfig:
             value = getattr(self, name)
             if not low <= value <= high:
                 raise ValueError(f"{name} must be between {low} and {high}, got {value}")
+        # Claim counts are the train_* and dev_* fields.
+        for name in (f.name for f in fields(self) if f.name.startswith(("train_", "dev_"))):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        # A NaN fails both comparisons.
+        if not 0.0 <= self.show_gold_person_fraction <= 1.0:
+            raise ValueError(f"show_gold_person_fraction must be between 0 and 1, got {self.show_gold_person_fraction}")
         if self.n_shows > self.n_persons:
             raise ValueError(f"n_shows must not exceed n_persons ({self.n_persons}): every show needs a star")
         # Person i stars in show i % n_shows; only a show's first person is

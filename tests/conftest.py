@@ -6,7 +6,7 @@ import pytest
 
 from claimlab import corpus as corpus_module
 from claimlab.claims import Claim, Label
-from claimlab.corpus import Corpus, Document
+from claimlab.corpus import Corpus, Document, InvertedIndex, Query
 from claimlab.kb import EntityRecord, KnowledgeBase
 from claimlab.worldgen import WorldConfig, build_world, write_world
 
@@ -16,6 +16,30 @@ def make_corpus(pages: dict[str, list[str]]) -> Corpus:
     for page_id, texts in pages.items():
         corpus.add(Document(page_id=page_id, sentences=tuple(enumerate(texts))))
     return corpus
+
+
+def tfidf_scores(index: InvertedIndex, query: Query) -> dict:
+    """Brute-force reference for corpus.IndexScorer: the TF-IDF cosine of
+    every unit sharing a token with the query, unsorted.
+
+    tf is the raw count and idf = ln((N+1)/(df+1)) + 1. Only units
+    sharing at least one token with the query (and with a non-zero
+    norm) appear, so an out-of-vocabulary query yields an empty map.
+    """
+    dots: dict = {}
+    for _, count, idf, postings in query.terms:
+        weight = count * idf
+        for ident, tf in postings.items():
+            dots[ident] = dots.get(ident, 0.0) + weight * tf * idf
+    if not dots or query.norm == 0.0:
+        return {}
+    scores = {}
+    for ident, dot in dots.items():
+        norm = index.norms.get(ident, 0.0)
+        if norm == 0.0:
+            continue
+        scores[ident] = dot / (query.norm * norm)
+    return scores
 
 
 def make_claim(claim_id, label, text, evidence=()):

@@ -5,9 +5,10 @@ import pytest
 from claimlab.claims import load_claims
 from claimlab.cli import main
 from claimlab.corpus import build_index, ingest_corpus
-from claimlab.experiment import load_docs, write_selections
+from claimlab.experiment import ALL_REGIMES, ExperimentConfig, load_docs, run_experiment, write_selections
 from claimlab.features import FeatureExtractor
 from claimlab.selection import RelevanceModel, aggregate_sr, select_sentences
+from claimlab.util import stable_seed
 from claimlab.worldgen import WorldConfig, build_world, write_world
 
 SMALL_WORLD = WorldConfig(
@@ -445,3 +446,83 @@ def test_stage_error_exit_code(tmp_path, capsys):
     )
     assert code == 1
     assert "stage 'ingest' failed" in capsys.readouterr().err
+
+
+def test_run_rejects_repeated_regimes(world_dir, tmp_path, capsys):
+    out_dir = tmp_path / "bundle"
+    args = ["run", "--corpus", str(world_dir / "corpus"), "--kb", str(world_dir / "kb.jsonl")]
+    args += ["--train-claims", str(world_dir / "train.jsonl"), "--dev-claims", str(world_dir / "dev.jsonl")]
+    assert main(args + ["--regimes", "baseline,baseline", "--out-dir", str(out_dir)]) == 1
+    assert "error: run: regimes must not repeat a regime" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def bundle_files(out_dir):
+    return {p.relative_to(out_dir).as_posix(): p.read_bytes() for p in sorted(out_dir.rglob("*")) if p.is_file()}
+
+
+def test_subcommand_chain_rebuilds_run_bundle(world_dir, tmp_path):
+    """The subcommands, chained with the seeds `run` derives from its own,
+    write every file of a `run` bundle but the report and the manifest
+    byte for byte, and `evaluate` reproduces the report's rows."""
+    seed, epochs, rate = 1, 6, 0.05
+    corpus, kb = str(world_dir / "corpus"), str(world_dir / "kb.jsonl")
+    train, dev = str(world_dir / "train.jsonl"), str(world_dir / "dev.jsonl")
+    config = ExperimentConfig(
+        corpus=corpus, train_claims=train, dev_claims=dev, kb=kb, out_dir=str(tmp_path / "run"),
+        seed=seed, epochs=epochs, learning_rate=rate,
+    )
+    report = run_experiment(config)
+    out = tmp_path / "chain"
+
+    def cli(*args):
+        assert main([str(arg) for arg in args]) == 0
+
+    def selections(dataset, regime):
+        return out / "selections" / f"{dataset}_{regime}.jsonl"
+
+    def selector(regime):
+        return out / "models" / f"selector_{regime}.json"
+
+    synthetic, adversarial = out / "synthetic_train.jsonl", out / "adversarial_dev.jsonl"
+    cli("generate-claims", "--claims", train, "--kb", kb, "--seed", stable_seed(seed, "augment", "train"), "--out", synthetic)
+    cli("generate-claims", "--claims", dev, "--kb", kb, "--seed", stable_seed(seed, "augment", "dev"), "--out", adversarial)
+    cli("analyze-entities", "--claims", dev, "--kb", kb, "--out", out / "entity_analysis.json")
+    datasets = {"dev": dev, "adversarial": adversarial}
+    for dataset, claims in datasets.items():
+        cli("retrieve-docs", "--corpus", corpus, "--claims", claims, "--oracle-docs", "--out", out / f"docs_{dataset}.jsonl")
+    training = ["--corpus", corpus, "--claims", train, "--epochs", epochs, "--learning-rate", rate]
+    for regime in ("baseline", "sup", "ref", "da"):
+        seed_args = ["--seed", stable_seed(seed, "selector", regime)]
+        cli("train-selector", *training, *seed_args, "--regime", regime, "--synthetic", synthetic, "--out", selector(regime))
+    for dataset, claims in datasets.items():
+        select = ["select", "--corpus", corpus, "--claims", claims, "--docs", out / f"docs_{dataset}.jsonl"]
+        for regime in ("baseline", "sup", "ref", "da"):
+            cli(*select, "--model", selector(regime), "--out", selections(dataset, regime))
+        cli(*select, "--model", selector("sup"), "--model2", selector("ref"), "--out", selections(dataset, "sr"))
+    # NEI training pairs: the baseline ranking over plain retrieval's pages.
+    nei = tmp_path / "nei"
+    cli("retrieve-docs", "--corpus", corpus, "--claims", train, "--out", nei / "docs.jsonl")
+    select = ["select", "--corpus", corpus, "--claims", train, "--docs", nei / "docs.jsonl"]
+    cli(*select, "--model", selector("baseline"), "--out", nei / "selections.jsonl")
+    nli_args = ["--seed", stable_seed(seed, "nli"), "--selections", nei / "selections.jsonl"]
+    cli("train-nli", *training, *nli_args, "--out", out / "models" / "nli.json")
+    for regime in ALL_REGIMES:
+        verdict = ["verdict", "--corpus", corpus, "--claims", dev, "--model", out / "models" / "nli.json"]
+        cli(*verdict, "--selections", selections("dev", regime), "--out", out / "verdicts" / f"dev_{regime}.jsonl")
+
+    expected = bundle_files(tmp_path / "run")
+    del expected["report.json"], expected["manifest.json"]
+    assert len(expected) == 25
+    assert bundle_files(out) == expected
+
+    for row in report["rows"]:
+        dataset, regime = row["dataset"], row["regime"]
+        evaluate = ["evaluate", "--claims", datasets[dataset], "--selections", selections(dataset, regime)]
+        if dataset == "dev":
+            evaluate += ["--verdicts", out / "verdicts" / f"dev_{regime}.jsonl"]
+        cli(*evaluate, "--out", tmp_path / "evaluation.json")
+        sentence = json.loads((tmp_path / "evaluation.json").read_text())["sentence_level"]
+        metrics = {name: value for name, value in row.items() if name not in ("regime", "dataset")}
+        assert {name: sentence[name] for name in metrics} == metrics
+        assert "recall_at_k" in metrics and ("fever_score" in metrics) == (dataset == "dev")

@@ -17,12 +17,11 @@ from claimlab.corpus import (
     parse_dump_line,
     parse_query,
     rank_key,
-    tfidf_scores,
     tokenize,
     top_k_scored,
 )
 
-from conftest import make_corpus, write_jsonl
+from conftest import make_corpus, tfidf_scores, write_jsonl
 
 
 class TestParsing:
@@ -139,6 +138,15 @@ class TestDocument:
         assert doc.title == "Blind Faith"
         assert doc.title_tokens == ["blind", "faith"]
         assert doc.tokens == (["a", "1990", "miniseries"], [], [])
+
+    def test_positions_map_line_indices(self):
+        """A document owns its line index -> position map, so a corpus finds
+        a sentence of any document it holds, however the document got in."""
+        doc = Document("A", ((0, "a zero."), (3, ""), (7, "a seven.")))
+        assert doc.positions == {0: 0, 3: 1, 7: 2}
+        corpus = Corpus()
+        corpus.documents["A"] = doc
+        assert corpus.locate(SentenceId("A", 7)) == (doc, 2)
 
     def test_derived_fields_stay_out_of_equality(self):
         doc = Document("A", ((0, "a zero."),))

@@ -237,6 +237,25 @@ def test_unknown_regime_rejected(tmp_path):
         )
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"regimes": ()}, "regimes must name at least one regime"),
+        ({"regimes": ("baseline", "baseline")}, "regimes must not repeat a regime"),
+        ({"epochs": 0}, "epochs must be >= 1"),
+        ({"learning_rate": float("nan")}, "learning_rate must be finite and positive"),
+        ({"negatives_per_positive": 0}, "negatives_per_positive must be >= 1"),
+        ({"k_sentences": 0}, "k_sentences must be >= 1"),
+        ({"k_docs": 0}, "k must be >= 1"),
+    ],
+)
+def test_bad_setting_rejected_at_construction(overrides, message):
+    """A setting no stage can use fails when the config is built, before
+    any stage runs."""
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(corpus="c", train_claims="t", dev_claims="d", kb="k", out_dir="out", **overrides)
+
+
 def test_bundle_independent_of_hash_seed(fixture_world, tmp_path):
     """Two processes with different PYTHONHASHSEED values write the same
     bundle bytes: no float result may follow a set's iteration order."""

@@ -13,13 +13,12 @@ from claimlab.corpus import (
     display_title,
     ingest_corpus,
     parse_query,
-    tfidf_scores,
     tokenize,
 )
 from claimlab.features import contains_subsequence
 from claimlab.retrieval import DocRetrievalConfig, DocumentRetriever
 
-from conftest import count_tokenized, make_claim, make_corpus
+from conftest import count_tokenized, make_claim, make_corpus, tfidf_scores
 
 
 @pytest.fixture

@@ -16,7 +16,6 @@ from claimlab.corpus import (
     build_index,
     ingest_corpus,
     parse_query,
-    tfidf_scores,
     top_k_scored,
 )
 from claimlab.experiment import _trained_regimes, select_evidence
@@ -37,7 +36,7 @@ from claimlab.selection import (
 )
 from claimlab.util import stable_seed
 
-from conftest import count_tokenized, make_claim, make_corpus
+from conftest import count_tokenized, make_claim, make_corpus, tfidf_scores
 
 
 def classified_candidates(corpus, evidence):

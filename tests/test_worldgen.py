@@ -70,6 +70,11 @@ def test_dev_two_entity_supported_have_person_page_gold(tmp_path):
         ({"n_persons": 59}, "n_shows"),
         ({"n_persons": 66}, "n_persons"),
         ({"n_persons": 2, "n_shows": 2}, "n_persons"),
+        ({"train_supported": -3}, "train_supported"),
+        ({"dev_nei": -1}, "dev_nei"),
+        ({"show_gold_person_fraction": -0.5}, "show_gold_person_fraction"),
+        ({"show_gold_person_fraction": float("nan")}, "show_gold_person_fraction"),
+        ({"show_gold_person_fraction": float("inf")}, "show_gold_person_fraction"),
     ],
 )
 def test_unhonourable_config_rejected(overrides, field):
