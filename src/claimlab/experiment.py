@@ -96,7 +96,7 @@ class ExperimentConfig:
     def __post_init__(self):
         """Reject a bad setting before any stage runs, naming the field.
         The training and retrieval settings are checked by building the
-        configs they feed."""
+        configs they feed; DocRetrievalConfig calls k_docs "k"."""
         if self.k_sentences < 1:
             raise ValueError("k_sentences must be >= 1")
         if not self.regimes:
@@ -107,7 +107,10 @@ class ExperimentConfig:
         if len(set(self.regimes)) < len(self.regimes):
             raise ValueError(f"regimes must not repeat a regime, got {list(self.regimes)}")
         self.training_config(self.seed)
-        self.retrieval_config()
+        try:
+            self.retrieval_config()
+        except ValueError as error:
+            raise ValueError(f"k_docs: {error}") from None
 
     def training_config(self, seed: int) -> TrainingConfig:
         return TrainingConfig(

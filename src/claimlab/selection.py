@@ -33,7 +33,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .claims import Claim, Label
-from .corpus import Corpus, IndexScorer, InvertedIndex, Query, SentenceId, rank_key
+from .corpus import Corpus, IndexScorer, InvertedIndex, Query, SentenceId, rank_key, top_k_scored
 from .features import SELECTION_FEATURE_NAMES, FeatureExtractor, PageTitle, PreparedClaim
 from .util import load_model, save_model, stable_seed
 
@@ -134,7 +134,6 @@ class NegativePool:
             sid for sid, _ in scorer.top_k(self._query, reach) if sid.page_id not in self._positive_pages
         ]
         self._population = scorer.pages(self._query)
-        self._best_on_page: dict[str, SentenceId] = {}
 
     def _ranked(self, pages: Iterable[str]) -> list[SentenceId]:
         sids = [
@@ -143,12 +142,6 @@ class NegativePool:
             for line_index, _ in self._corpus.documents[page_id].sentences
         ]
         return [sid for sid, _ in sorted(self._scorer.scores(self._query, sids).items(), key=rank_key)]
-
-    def _best_on(self, page_id: str) -> SentenceId:
-        best = self._best_on_page.get(page_id)
-        if best is None:
-            best = self._best_on_page[page_id] = self._ranked([page_id])[0]
-        return best
 
     def draw(self, rng_seed: int, per_group: int) -> list[SentenceId]:
         """Up to 3 * per_group TF-IDF-ranked negatives per positive, in
@@ -181,7 +174,7 @@ class NegativePool:
             # document offers its best-ranked sentence.
             pages = [page for page in self._population if page not in used_documents]
             chosen = rng.sample(pages, k=min(per_group, len(pages)))
-            group_c = [self._best_on(page) for page in sorted(chosen)]
+            group_c = [self._ranked([page])[0] for page in sorted(chosen)]
             used_sentences.update(group_c)
             used_documents.update(chosen)
 
@@ -372,12 +365,9 @@ def featurize_candidates(
 
 
 def top_k(model: RelevanceModel, featurized: FeaturizedCandidates, k: int) -> RankedEvidence:
-    """Score featurized candidates with one model; ties break by sentence id."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    scored = [(sid, model.score(features)) for sid, features in featurized]
-    scored.sort(key=rank_key)
-    return scored[:k]
+    """Score featurized candidates with one model; ties break by sentence id.
+    A pass's sentence ids are unique, so keying scores by id loses none."""
+    return top_k_scored({sid: model.score(features) for sid, features in featurized}, k)
 
 
 def select_sentences(
@@ -402,4 +392,4 @@ def aggregate_sr(sup: RankedEvidence, ref: RankedEvidence, k: int) -> RankedEvid
     for sid, score in list(sup) + list(ref):
         if sid not in best or score > best[sid]:
             best[sid] = score
-    return sorted(best.items(), key=rank_key)[:k]
+    return top_k_scored(best, k)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Union
+from typing import Optional, Union
 
 from .util import write_jsonl
 
@@ -133,15 +133,24 @@ def _page(page_id: str, sentences: list[str]) -> dict:
     return {"id": page_id, "lines": lines}
 
 
+def _shuffled_page(
+    page_id: str, roles: list[tuple[str, str]], rng: random.Random
+) -> tuple[dict, dict[str, int]]:
+    """Page of the (role, sentence) pairs in shuffled order, plus a map
+    from sentence role to its line index.
+
+    Line order is shuffled per page so position carries no signal.
+    """
+    rng.shuffle(roles)
+    line_of = {role: i for i, (role, _) in enumerate(roles)}
+    return _page(page_id, [text for _, text in roles]), line_of
+
+
 def _person_page(
     name: str, index: int, show: str, town: str, career_on_show_page: bool, rng: random.Random
 ) -> tuple[dict, dict[str, int]]:
-    """Person page plus a map from sentence role to its line index.
-
-    Line order is shuffled per page so position carries no signal. When
-    the person's career is documented on the show's page instead, the
-    person page has no sentence stating the role.
-    """
+    """Person page and its role lines. When the person's career is
+    documented on the show's page instead, no sentence states the role."""
     pronoun = "He" if index % 2 else "She"
     year = 1940 + (index % 45)
     roles = [
@@ -156,9 +165,7 @@ def _person_page(
         roles.append(("tour", f"{pronoun} tours with a theatre company each winter."))
     else:
         roles.append(("starred", f"{pronoun} starred in {show} for many years."))
-    rng.shuffle(roles)
-    line_of = {role: i for i, (role, _) in enumerate(roles)}
-    return _page(name, [text for _, text in roles]), line_of
+    return _shuffled_page(name, roles, rng)
 
 
 def _show_page(
@@ -176,9 +183,7 @@ def _show_page(
         roles.insert(0, ("stars", f"{star} starred in {show} for {network}."))
     else:
         roles.insert(0, ("origin", f"{show} began as a radio play years ago."))
-    rng.shuffle(roles)
-    line_of = {role: i for i, (role, _) in enumerate(roles)}
-    return _page(show, [text for _, text in roles]), line_of
+    return _shuffled_page(show, roles, rng)
 
 
 def _network_page(network: str, rng: random.Random) -> dict:
@@ -206,54 +211,55 @@ def _town_page(town: str) -> dict:
     )
 
 
-def _evidence(ann_id: int, page: str, line: int) -> list:
-    return [[[ann_id, ann_id * 10, page, line]]]
+def _entity(entity_id: str, name: str, parent: str, relations: list[str]) -> dict:
+    return {"id": entity_id, "name": name, "aliases": [name], "parents": [parent], "relations": relations}
 
 
-def _nei_evidence(ann_id: int) -> list:
-    return [[[ann_id, ann_id * 10, None, None]]]
+def _claim_row(claim_id: int, label: str, text: str, page: Optional[str], line: Optional[int]) -> dict:
+    """The one shape of a claim row; an NEI claim's gold is (None, None)."""
+    return {
+        "id": claim_id,
+        "label": label,
+        "claim": text,
+        "evidence": [[[claim_id, claim_id * 10, page, line]]],
+    }
 
 
 def build_world(config: WorldConfig = WorldConfig()) -> World:
+    """Build the world's pages, KB rows and claims from config.seed.
+
+    Person i is on show i % n_shows, and show j airs on network
+    j % n_networks. Since n_shows <= n_persons, show j's star (its first
+    person) is person j. The rng draws the person, show and network
+    pages in that order, then each claim kind's persons, train before dev.
+    """
     rng = random.Random(config.seed)
-    persons = _person_names(config.n_persons)
-    shows = list(_SHOW_NAMES[: config.n_shows])
-    networks = list(_NETWORK_NAMES[: config.n_networks])
+    n_persons, n_shows, n_networks = config.n_persons, config.n_shows, config.n_networks
+    persons = _person_names(n_persons)
+    shows = list(_SHOW_NAMES[:n_shows])
+    networks = list(_NETWORK_NAMES[:n_networks])
     towns = _town_names(config.n_towns)
 
     all_names = persons + shows + networks + towns
     if len(set(all_names)) != len(all_names):
         raise AssertionError("world name pools collide")
 
-    show_of = {i: shows[i % len(shows)] for i in range(len(persons))}
-    network_of_show = {show: networks[i % len(networks)] for i, show in enumerate(shows)}
-
-    star_of_show = {}
-    star_index_of_show = {}
-    for i in range(len(persons)):
-        if show_of[i] not in star_of_show:
-            star_of_show[show_of[i]] = persons[i]
-            star_index_of_show[show_of[i]] = i
-
-    def career_on_show_page(person_index: int) -> bool:
-        return _career_on_show_page(person_index, config.show_gold_person_fraction)
+    fraction = config.show_gold_person_fraction
+    on_show_page = [_career_on_show_page(i, fraction) for i in range(n_persons)]
 
     pages = []
-    person_lines: dict[int, dict[str, int]] = {}
-    show_lines: dict[str, dict[str, int]] = {}
+    person_lines: list[dict[str, int]] = []
+    show_lines: list[dict[str, int]] = []
     for i, person in enumerate(persons):
         page, line_of = _person_page(
-            person, i, show_of[i], towns[i % len(towns)], career_on_show_page(i), rng
+            person, i, shows[i % n_shows], towns[i % len(towns)], on_show_page[i], rng
         )
         pages.append(page)
-        person_lines[i] = line_of
-    for show in shows:
-        star_line = career_on_show_page(star_index_of_show[show])
-        page, line_of = _show_page(
-            show, star_of_show[show], star_line, network_of_show[show], rng
-        )
+        person_lines.append(line_of)
+    for j, show in enumerate(shows):
+        page, line_of = _show_page(show, persons[j], on_show_page[j], networks[j % n_networks], rng)
         pages.append(page)
-        show_lines[show] = line_of
+        show_lines.append(line_of)
     for network in networks:
         pages.append(_network_page(network, rng))
     for town in towns:
@@ -261,133 +267,71 @@ def build_world(config: WorldConfig = WorldConfig()) -> World:
 
     kb_rows = []
     for i, person in enumerate(persons):
-        kb_rows.append(
-            {
-                "id": f"P{i:03d}",
-                "name": person,
-                "aliases": [person],
-                "parents": ["OCC_ACTOR"],
-                "relations": [f"S{shows.index(show_of[i]):03d}"],
-            }
-        )
-    for i, show in enumerate(shows):
-        related_people = [f"P{j:03d}" for j in range(len(persons)) if show_of[j] == show]
-        kb_rows.append(
-            {
-                "id": f"S{i:03d}",
-                "name": show,
-                "aliases": [show],
-                "parents": ["GENRE_SITCOM"],
-                "relations": related_people + [f"N{networks.index(network_of_show[show])}"],
-            }
-        )
-    for i, network in enumerate(networks):
-        kb_rows.append(
-            {
-                "id": f"N{i}",
-                "name": network,
-                "aliases": [network],
-                "parents": ["ORG_BROADCASTER"],
-                "relations": [f"S{j:03d}" for j, show in enumerate(shows) if network_of_show[show] == network],
-            }
-        )
+        kb_rows.append(_entity(f"P{i:03d}", person, "OCC_ACTOR", [f"S{i % n_shows:03d}"]))
+    for j, show in enumerate(shows):
+        cast = [f"P{i:03d}" for i in range(j, n_persons, n_shows)]
+        kb_rows.append(_entity(f"S{j:03d}", show, "GENRE_SITCOM", cast + [f"N{j % n_networks}"]))
+    for n, network in enumerate(networks):
+        aired = [f"S{j:03d}" for j in range(n, n_shows, n_networks)]
+        kb_rows.append(_entity(f"N{n}", network, "ORG_BROADCASTER", aired))
     kb_rows.append({"id": "OCC_ACTOR", "name": "Stage Actor", "aliases": [], "parents": [], "relations": []})
     kb_rows.append({"id": "GENRE_SITCOM", "name": "Television Sitcom", "aliases": [], "parents": [], "relations": []})
     kb_rows.append({"id": "ORG_BROADCASTER", "name": "Broadcast Network", "aliases": [], "parents": [], "relations": []})
 
-    def unrelated_network(person_index: int) -> str:
-        own = network_of_show[show_of[person_index]]
-        candidates = [n for n in networks if n != own]
-        return candidates[person_index % len(candidates)]
+    # Each claim kind maps person i to (label, text, gold page, gold line).
+    def supported(i: int) -> tuple:
+        show = shows[i % n_shows]
+        text = f"{persons[i]} starred in the popular hit sitcom {show}."
+        if on_show_page[i]:
+            return "SUPPORTS", text, show, show_lines[i % n_shows]["stars"]
+        return "SUPPORTS", text, persons[i], person_lines[i]["starred"]
 
-    def supported_row(claim_id: int, person_index: int) -> dict:
-        person = persons[person_index]
-        show = show_of[person_index]
-        if career_on_show_page(person_index):
-            evidence = _evidence(claim_id, show, show_lines[show]["stars"])
-        else:
-            evidence = _evidence(claim_id, person, person_lines[person_index]["starred"])
-        return {
-            "id": claim_id,
-            "label": "SUPPORTS",
-            "claim": f"{person} starred in the popular hit sitcom {show}.",
-            "evidence": evidence,
-        }
+    def supported_single(i: int) -> tuple:
+        return "SUPPORTS", f"{persons[i]} is an actor.", persons[i], person_lines[i]["bio"]
 
-    def supported_single_row(claim_id: int, person_index: int) -> dict:
-        person = persons[person_index]
-        return {
-            "id": claim_id,
-            "label": "SUPPORTS",
-            "claim": f"{person} is an actor.",
-            "evidence": _evidence(claim_id, person, person_lines[person_index]["bio"]),
-        }
+    def refuted(i: int) -> tuple:
+        # A network other than the person's own, so the claim names an unrelated entity.
+        own = i % n_shows % n_networks
+        others = networks[:own] + networks[own + 1 :]
+        network = others[i % len(others)]
+        text = f"{persons[i]} is only in shows on {network}."
+        return "REFUTES", text, persons[i], person_lines[i]["works"]
 
-    def refuted_row(claim_id: int, person_index: int) -> dict:
-        person = persons[person_index]
-        network = unrelated_network(person_index)
-        return {
-            "id": claim_id,
-            "label": "REFUTES",
-            "claim": f"{person} is only in shows on {network}.",
-            "evidence": _evidence(claim_id, person, person_lines[person_index]["works"]),
-        }
+    def refuted_single(i: int) -> tuple:
+        wrong_year = 2001 + (i % 9)
+        return "REFUTES", f"{persons[i]} was born in {wrong_year}.", persons[i], person_lines[i]["born"]
 
-    def refuted_single_row(claim_id: int, person_index: int) -> dict:
-        person = persons[person_index]
-        wrong_year = 2001 + (person_index % 9)
-        return {
-            "id": claim_id,
-            "label": "REFUTES",
-            "claim": f"{person} was born in {wrong_year}.",
-            "evidence": _evidence(claim_id, person, person_lines[person_index]["born"]),
-        }
+    def nei(i: int) -> tuple:
+        return "NOT ENOUGH INFO", f"{persons[i]} is widely respected by critics.", None, None
 
-    def nei_row(claim_id: int, person_index: int) -> dict:
-        person = persons[person_index]
-        return {
-            "id": claim_id,
-            "label": "NOT ENOUGH INFO",
-            "claim": f"{person} is widely respected by critics.",
-            "evidence": _nei_evidence(claim_id),
-        }
-
-    person_gold_indices = [i for i in range(len(persons)) if not career_on_show_page(i)]
-
-    def pick(n: int) -> list[int]:
-        return [rng.randrange(len(persons)) for _ in range(n)]
-
-    def pick_person_gold(n: int) -> list[int]:
-        return [person_gold_indices[rng.randrange(len(person_gold_indices))] for _ in range(n)]
-
-    train_rows = []
-    next_id = 1000
-    for maker, count, chooser in (
-        (supported_row, config.train_supported, pick),
-        (supported_single_row, config.train_supported_single, pick),
-        (refuted_row, config.train_refuted, pick),
-        (refuted_single_row, config.train_refuted_single, pick),
-        (nei_row, config.train_nei, pick),
-    ):
-        for person_index in chooser(count):
-            train_rows.append(maker(next_id, person_index))
-            next_id += 1
-
+    everyone = range(n_persons)
     # Dev two-entity supported claims stick to persons with person-page
     # gold so the adversarial set derived from them has one shape.
-    dev_rows = []
-    next_id = 2000
-    for maker, count, chooser in (
-        (supported_row, config.dev_supported, pick_person_gold),
-        (supported_single_row, config.dev_supported_single, pick),
-        (refuted_row, config.dev_refuted, pick),
-        (refuted_single_row, config.dev_refuted_single, pick),
-        (nei_row, config.dev_nei, pick),
-    ):
-        for person_index in chooser(count):
-            dev_rows.append(maker(next_id, person_index))
-            next_id += 1
+    person_gold = [i for i in everyone if not on_show_page[i]]
 
+    def claim_rows(first_id: int, plan: list[tuple]) -> list[dict]:
+        """Rows for each (kind, count, person pool) step of the plan; a
+        kind draws all of its persons before the next kind draws."""
+        rows = []
+        for kind, count, pool in plan:
+            for i in [pool[rng.randrange(len(pool))] for _ in range(count)]:
+                rows.append(_claim_row(first_id + len(rows), *kind(i)))
+        return rows
+
+    train_rows = claim_rows(1000, [
+        (supported, config.train_supported, everyone),
+        (supported_single, config.train_supported_single, everyone),
+        (refuted, config.train_refuted, everyone),
+        (refuted_single, config.train_refuted_single, everyone),
+        (nei, config.train_nei, everyone),
+    ])
+    dev_rows = claim_rows(2000, [
+        (supported, config.dev_supported, person_gold),
+        (supported_single, config.dev_supported_single, everyone),
+        (refuted, config.dev_refuted, everyone),
+        (refuted_single, config.dev_refuted_single, everyone),
+        (nei, config.dev_nei, everyone),
+    ])
     return World(pages=pages, kb_rows=kb_rows, train_rows=train_rows, dev_rows=dev_rows)
 
 

@@ -457,6 +457,15 @@ def test_run_rejects_repeated_regimes(world_dir, tmp_path, capsys):
     assert not out_dir.exists()
 
 
+
+def test_run_rejects_k_docs_below_one(world_dir, tmp_path, capsys):
+    out_dir = tmp_path / "bundle"
+    args = ["run", "--corpus", str(world_dir / "corpus"), "--kb", str(world_dir / "kb.jsonl")]
+    args += ["--train-claims", str(world_dir / "train.jsonl"), "--dev-claims", str(world_dir / "dev.jsonl")]
+    assert main(args + ["--k-docs", "0", "--out-dir", str(out_dir)]) == 1
+    assert "error: run: k_docs: k must be >= 1" in capsys.readouterr().err
+    assert not out_dir.exists()
+
 def bundle_files(out_dir):
     return {p.relative_to(out_dir).as_posix(): p.read_bytes() for p in sorted(out_dir.rglob("*")) if p.is_file()}
 

@@ -246,7 +246,7 @@ def test_unknown_regime_rejected(tmp_path):
         ({"learning_rate": float("nan")}, "learning_rate must be finite and positive"),
         ({"negatives_per_positive": 0}, "negatives_per_positive must be >= 1"),
         ({"k_sentences": 0}, "k_sentences must be >= 1"),
-        ({"k_docs": 0}, "k must be >= 1"),
+        ({"k_docs": 0}, "k_docs: k must be >= 1"),
     ],
 )
 def test_bad_setting_rejected_at_construction(overrides, message):

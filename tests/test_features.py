@@ -386,7 +386,7 @@ class TestPreparedClaim:
                 continue
             pool = NegativePool(scorer, corpus, parse_query(index, claim.text), gold, 5)
             sids = pool.positives + pool._same_page + pool._other_page
-            sids += [pool._best_on(page) for page in pool._population]
+            sids += [pool._ranked([page])[0] for page in pool._population]
             pairs += assert_shipped_paths(corpus, index, claim, [], sids, [])
         assert pairs > 20_000
 

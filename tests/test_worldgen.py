@@ -10,6 +10,7 @@ import claimlab
 from claimlab.claims import Label, load_claims
 from claimlab.corpus import ingest_corpus
 from claimlab.kb import KnowledgeBase, link_entities
+from claimlab.util import sha256_files
 from claimlab.worldgen import WorldConfig, build_world, write_world
 
 
@@ -96,3 +97,23 @@ def test_make_world_script_rejects_unhonourable_config(tmp_path):
     assert result.returncode == 1
     assert "n_persons" in result.stderr
     assert not (tmp_path / "w").exists()
+
+
+@pytest.mark.parametrize(
+    "config, digest",
+    [
+        (WorldConfig(), "a7c6c2fa9a043afdef6de898dc71c90c605083296bada0cd29a9c04fc28d0ac6"),
+        (WorldConfig(seed=1), "4c0eb297f70b7083cc7a98dda694ef72ccbf38b417334e4c063cfb42be492a39"),
+        (
+            WorldConfig(
+                seed=2, n_shows=40, n_networks=3, n_towns=20, show_gold_person_fraction=0.0
+            ),
+            "ac36a811e89fc8336a8f68812633536bf9b5f82c1f68a6fc294221367f0ddf9b",
+        ),
+    ],
+)
+def test_world_bytes_pinned(tmp_path, config, digest):
+    """The generator's output is fixed byte for byte across versions and Pythons."""
+    paths = write_world(build_world(config), tmp_path)
+    files = [paths["corpus"] / "pages.jsonl", paths["kb"], paths["train"], paths["dev"]]
+    assert sha256_files(files) == digest
