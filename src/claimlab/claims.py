@@ -97,7 +97,14 @@ def claim_to_json(claim: Claim) -> dict:
 
 
 def load_claims(path: Union[str, Path]) -> list[Claim]:
-    return [claim_from_json(obj) for obj in read_jsonl(path)]
+    """The claims of a claims file; a repeated claim id raises a ValueError."""
+    claims: dict[int, Claim] = {}
+    for obj in read_jsonl(path):
+        claim = claim_from_json(obj)
+        if claim.claim_id in claims:
+            raise ValueError(f"{path}: repeated claim id {claim.claim_id}")
+        claims[claim.claim_id] = claim
+    return list(claims.values())
 
 
 def save_claims(path: Union[str, Path], claims: Iterable[Claim]) -> None:

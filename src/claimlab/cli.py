@@ -91,7 +91,7 @@ def cmd_train_selector(args) -> int:
     corpus, sentence_index, extractor = _load_corpus_bundle(args.corpus)
     claims = load_claims(args.claims)
     synthetic = load_claims(args.synthetic) if args.synthetic else []
-    regime = Regime.from_string(args.regime)
+    regime = Regime(args.regime)
     if regime is Regime.DATA_AUGMENTED and not synthetic:
         print("error: train-selector: regime 'da' needs --synthetic", file=sys.stderr)
         return 1

@@ -137,17 +137,22 @@ class Corpus:
 def parse_dump_line(raw: str) -> Document:
     """Parse one dump JSON line into a Document.
 
-    Malformed sentence entries (missing or non-integer index, or an
-    index that does not increase) are skipped with a warning. Fields
-    after the sentence text are anchor annotations and are discarded.
+    A row that is not an object, whose "id" is not a non-empty string,
+    or whose "lines" is not a string raises a ValueError. Malformed
+    sentence entries (missing or non-integer index, or an index that
+    does not increase) are skipped with a warning. Fields after the
+    sentence text are anchor annotations and are discarded.
     """
     obj = json.loads(raw)
-    page_id = obj["id"]
-    if not page_id:
-        raise ValueError("page with empty id")
+    page_id = obj.get("id") if isinstance(obj, dict) else None
+    if not isinstance(page_id, str) or not page_id:
+        raise ValueError(f"page id must be a non-empty string, got {page_id!r}")
+    lines = obj.get("lines", "")
+    if not isinstance(lines, str):
+        raise ValueError(f"page {page_id!r}: lines must be a string, got {lines!r}")
     sentences: list[tuple[int, str]] = []
     last_index = -1
-    for entry in obj.get("lines", "").split("\n"):
+    for entry in lines.split("\n"):
         if entry == "":
             continue
         fields = entry.split("\t")
@@ -186,17 +191,22 @@ def corpus_files(path: Union[str, Path]) -> list[Path]:
 def ingest_corpus(path: Union[str, Path]) -> Corpus:
     """Load a corpus from a dump file or a directory of *.jsonl files.
 
-    Raises on unreadable paths and on duplicate page ids; malformed
-    sentence lines inside a page are skipped, not fatal.
+    Raises on unreadable paths, on duplicate page ids and on malformed
+    rows (naming the file and the line); malformed sentence lines inside
+    a page are skipped, not fatal.
     """
     corpus = Corpus()
     for file in corpus_files(path):
         with open(file, "r", encoding="utf-8") as handle:
-            for raw in handle:
+            for line_number, raw in enumerate(handle, 1):
                 raw = raw.strip()
                 if not raw:
                     continue
-                corpus.add(parse_dump_line(raw))
+                try:
+                    doc = parse_dump_line(raw)
+                except ValueError as exc:
+                    raise ValueError(f"{file}:{line_number}: {exc}") from None
+                corpus.add(doc)
     return corpus
 
 

@@ -1,9 +1,9 @@
 """Entity-distribution analysis over labeled claims.
 
 Builds 2x2 contingency tables (rows = a claim condition, columns =
-refuted/supported) for entity counts and pairwise direct relatedness,
-and runs Pearson's chi-squared test with optional Yates continuity
-correction.
+refuted/supported) for linked-entity counts and pairwise direct
+relatedness, and runs Pearson's chi-squared test with optional Yates
+continuity correction.
 """
 
 from __future__ import annotations
@@ -32,37 +32,19 @@ class ContingencyTable2x2:
                 if value < 0:
                     raise ValueError("contingency cells must be non-negative")
 
-    @property
-    def row_totals(self) -> tuple[int, int]:
-        return (self.cells[0][0] + self.cells[0][1], self.cells[1][0] + self.cells[1][1])
 
-    @property
-    def col_totals(self) -> tuple[int, int]:
-        return (self.cells[0][0] + self.cells[1][0], self.cells[0][1] + self.cells[1][1])
-
-    @property
-    def total(self) -> int:
-        return sum(self.row_totals)
-
-
-@dataclass(frozen=True)
-class ChiSquaredResult:
-    statistic: float
-    degrees_of_freedom: int
-    yates_corrected: bool
-
-
-def chi_squared(table: ContingencyTable2x2, yates: bool = False) -> ChiSquaredResult:
-    """Pearson's chi-squared on a 2x2 table.
+def chi_squared(table: ContingencyTable2x2, yates: bool = False) -> float:
+    """Pearson's chi-squared statistic (one degree of freedom) on a 2x2 table.
 
     With Yates correction each |O - E| is reduced by 0.5, floored at
     zero. Expected counts come from the marginal products over the
     grand total; any zero marginal makes the table degenerate.
     """
-    rows, cols = table.row_totals, table.col_totals
+    (a, b), (c, d) = table.cells
+    rows, cols = (a + b, c + d), (a + c, b + d)
     if min(rows) == 0 or min(cols) == 0:
         raise ValueError("degenerate table: zero row or column marginal")
-    total = table.total
+    total = rows[0] + rows[1]
     correction = 0.5 if yates else 0.0
     statistic = 0.0
     for i in range(2):
@@ -70,7 +52,7 @@ def chi_squared(table: ContingencyTable2x2, yates: bool = False) -> ChiSquaredRe
             expected = rows[i] * cols[j] / total
             diff = max(abs(table.cells[i][j] - expected) - correction, 0.0)
             statistic += diff * diff / expected
-    return ChiSquaredResult(statistic=statistic, degrees_of_freedom=1, yates_corrected=yates)
+    return statistic
 
 
 def directly_related(entity_a: str, entity_b: str, kb: KnowledgeBase) -> bool:
@@ -80,51 +62,38 @@ def directly_related(entity_a: str, entity_b: str, kb: KnowledgeBase) -> bool:
     return entity_b in record_a.relation_ids or entity_a in record_b.relation_ids
 
 
-def _verifiable(claims: Sequence[Claim]) -> list[Claim]:
-    return [c for c in claims if c.label in (Label.REFUTED, Label.SUPPORTED)]
+def entity_tables(claims: Sequence[Claim], kb: KnowledgeBase) -> tuple[ContingencyTable2x2, ContingencyTable2x2]:
+    """The entity-count and relatedness tables; columns: refuted vs supported.
 
-
-def _column(label: Label) -> int:
-    return 0 if label is Label.REFUTED else 1
-
-
-def entity_count_table(claims: Sequence[Claim], kb: KnowledgeBase) -> ContingencyTable2x2:
-    """Rows: <=1 linked entity vs >=2; columns: refuted vs supported."""
-    cells = [[0, 0], [0, 0]]
-    for claim in _verifiable(claims):
-        row = 0 if len(link_entities(claim.text, kb)) <= 1 else 1
-        cells[row][_column(claim.label)] += 1
-    return ContingencyTable2x2(cells=(tuple(cells[0]), tuple(cells[1])))
-
-
-def relatedness_table(claims: Sequence[Claim], kb: KnowledgeBase) -> ContingencyTable2x2:
-    """Rows: directly related vs not; only claims with >=2 mentions count.
-
-    A claim is directly related when ANY pair of its linked entities
-    shares a relation edge.
+    Each refuted or supported claim is linked once, and its linked
+    entities are the distinct entities its mentions name. Entity-count
+    rows: <=1 linked entity vs >=2. Relatedness rows: directly related
+    vs not, over the claims with >=2 linked entities; a claim is directly
+    related when ANY pair of its linked entities shares a relation edge.
     """
-    cells = [[0, 0], [0, 0]]
-    for claim in _verifiable(claims):
-        mentions = link_entities(claim.text, kb)
-        if len(mentions) < 2:
+    counts = [[0, 0], [0, 0]]
+    related = [[0, 0], [0, 0]]
+    for claim in claims:
+        if claim.label is Label.NOT_ENOUGH_INFO:
             continue
-        entity_ids = sorted({m.entity_id for m in mentions})
-        related = any(
-            directly_related(a, b, kb) for a, b in itertools.combinations(entity_ids, 2)
-        )
-        cells[0 if related else 1][_column(claim.label)] += 1
-    return ContingencyTable2x2(cells=(tuple(cells[0]), tuple(cells[1])))
+        column = 0 if claim.label is Label.REFUTED else 1
+        entity_ids = {m.entity_id for m in link_entities(claim.text, kb)}
+        counts[0 if len(entity_ids) <= 1 else 1][column] += 1
+        if len(entity_ids) >= 2:
+            pairs = itertools.combinations(entity_ids, 2)
+            related[0 if any(directly_related(a, b, kb) for a, b in pairs) else 1][column] += 1
+    return tuple(ContingencyTable2x2(cells=(tuple(cells[0]), tuple(cells[1]))) for cells in (counts, related))
 
 
 def _chi_squared_entry(table: ContingencyTable2x2) -> dict:
     entry: dict = {}
     for key, yates in (("uncorrected", False), ("yates", True)):
         try:
-            result = chi_squared(table, yates=yates)
+            statistic = chi_squared(table, yates=yates)
             entry[key] = {
-                "statistic": result.statistic,
-                "significant_p_lt_0_01": result.statistic > CHI2_CRITICAL_P01,
-                "not_significant_p_gt_0_1": result.statistic < CHI2_CRITICAL_P10,
+                "statistic": statistic,
+                "significant_p_lt_0_01": statistic > CHI2_CRITICAL_P01,
+                "not_significant_p_gt_0_1": statistic < CHI2_CRITICAL_P10,
             }
         except ValueError as exc:
             entry[key] = {"statistic": None, "error": str(exc)}
@@ -133,8 +102,7 @@ def _chi_squared_entry(table: ContingencyTable2x2) -> dict:
 
 def analyze_claims(claims: Sequence[Claim], kb: KnowledgeBase) -> dict:
     """Full analysis payload: both tables, both statistics, significance flags."""
-    counts = entity_count_table(claims, kb)
-    related = relatedness_table(claims, kb)
+    counts, related = entity_tables(claims, kb)
     return {
         "entity_count_table": {
             "rows": ["<=1 entity", ">=2 entities"],

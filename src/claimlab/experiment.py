@@ -257,7 +257,7 @@ def _trained_regimes(requested: tuple[str, ...]) -> list[Regime]:
     names = [r for r in requested if r != "sr"]
     if "sr" in requested:
         names += [needed for needed in ("sup", "ref") if needed not in names]
-    return [Regime.from_string(name) for name in names]
+    return [Regime(name) for name in names]
 
 
 def run_experiment(config: ExperimentConfig) -> dict:

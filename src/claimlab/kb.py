@@ -11,15 +11,12 @@ stands in for a neural linker and sits behind a small surface
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Union
 
-from .corpus import token_spans, tokenize
+from .corpus import token_spans
 from .util import read_jsonl
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -50,20 +47,19 @@ class KnowledgeBase:
             self.entities[record.entity_id] = record
 
         # alias -> owning entity; collisions resolve to the lowest id.
-        self._alias_owner: dict[str, str] = {}
+        alias_owner: dict[str, str] = {}
         for eid in sorted(self.entities):
             for alias in self.entities[eid].aliases:
-                if alias and alias not in self._alias_owner:
-                    self._alias_owner[alias] = eid
+                if alias and alias not in alias_owner:
+                    alias_owner[alias] = eid
 
-        # first surface token -> aliases sorted longest first, for the scanner.
-        self._alias_by_first_token: dict[str, list[tuple[str, int]]] = {}
-        for alias in self._alias_owner:
-            token_count = len(tokenize(alias))
-            first = _first_token(alias)
-            if token_count == 0 or first is None:
-                continue
-            self._alias_by_first_token.setdefault(first, []).append((alias, token_count))
+        # first token -> (alias, token count, owner), longest alias first,
+        # split by the same token_spans the scanner reads claims with.
+        self._alias_by_first_token: dict[str, list[tuple[str, int, str]]] = {}
+        for alias, eid in alias_owner.items():
+            spans = token_spans(alias)
+            if spans:
+                self._alias_by_first_token.setdefault(spans[0][2], []).append((alias, len(spans), eid))
         for entries in self._alias_by_first_token.values():
             entries.sort(key=lambda item: (-len(item[0]), item[0]))
 
@@ -78,18 +74,17 @@ class KnowledgeBase:
         for obj in read_jsonl(path):
             eid = str(obj["id"])
             name = obj["name"]
-            aliases = list(obj.get("aliases", []))
-            if name not in aliases:
-                aliases.insert(0, name)
-            parents = tuple(p for p in obj.get("parents", []) if p != eid)
-            relations = tuple(r for r in obj.get("relations", []) if r != eid)
+            for key in ("aliases", "parents", "relations"):
+                if not isinstance(obj.get(key, []), list):
+                    raise ValueError(f"entity {eid!r}: {key} must be a list, got {obj[key]!r}")
+            aliases = obj.get("aliases", [])
             records.append(
                 EntityRecord(
                     entity_id=eid,
                     canonical_name=name,
-                    aliases=tuple(aliases),
-                    parent_ids=parents,
-                    relation_ids=relations,
+                    aliases=tuple(aliases if name in aliases else [name, *aliases]),
+                    parent_ids=tuple(p for p in obj.get("parents", []) if p != eid),
+                    relation_ids=tuple(r for r in obj.get("relations", []) if r != eid),
                 )
             )
         return cls(records)
@@ -109,16 +104,8 @@ class KnowledgeBase:
         out.discard(entity_id)
         return out
 
-    def alias_owner(self, alias: str) -> str:
-        return self._alias_owner[alias]
-
-    def aliases_starting_with(self, token: str) -> list[tuple[str, int]]:
+    def aliases_starting_with(self, token: str) -> list[tuple[str, int, str]]:
         return self._alias_by_first_token.get(token, [])
-
-
-def _first_token(alias: str) -> str | None:
-    spans = token_spans(alias)
-    return spans[0][2] if spans else None
 
 
 def link_entities(text: str, kb: KnowledgeBase) -> list[EntityMention]:
@@ -127,28 +114,13 @@ def link_entities(text: str, kb: KnowledgeBase) -> list[EntityMention]:
     mentions: list[EntityMention] = []
     i = 0
     while i < len(spans):
-        start_char = spans[i][0]
-        best: tuple[str, int] | None = None
-        for alias, token_count in kb.aliases_starting_with(spans[i][2]):
+        start = spans[i][0]
+        for alias, token_count, entity_id in kb.aliases_starting_with(spans[i][2]):
             j = i + token_count - 1
-            if j >= len(spans):
-                continue
-            end_char = spans[j][1]
-            if text[start_char:end_char] == alias:
-                best = (alias, j)
+            if j < len(spans) and text[start : spans[j][1]] == alias:
+                mentions.append(EntityMention(entity_id, start, spans[j][1], alias))
+                i = j + 1
                 break  # entries are longest-first
-        if best is None:
+        else:
             i += 1
-            continue
-        alias, j = best
-        end_char = spans[j][1]
-        mentions.append(
-            EntityMention(
-                entity_id=kb.alias_owner(alias),
-                start=start_char,
-                end=end_char,
-                surface=text[start_char:end_char],
-            )
-        )
-        i = j + 1
     return mentions

@@ -46,13 +46,6 @@ class Regime(enum.Enum):
     REF_ONLY = "ref"
     DATA_AUGMENTED = "da"
 
-    @classmethod
-    def from_string(cls, raw: str) -> "Regime":
-        for regime in cls:
-            if raw.lower() in (regime.value, regime.name.lower()):
-                return regime
-        raise ValueError(f"unknown training regime {raw!r}")
-
 
 @dataclass(frozen=True)
 class TrainingConfig:

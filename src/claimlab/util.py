@@ -69,13 +69,20 @@ def write_jsonl(path: PathLike, rows: Iterable[Any]) -> None:
             handle.write("\n")
 
 
-def read_jsonl(path: PathLike) -> Iterator[Any]:
-    """The parsed objects of a JSON-lines file; blank lines are skipped."""
+def read_jsonl(path: PathLike) -> Iterator[dict]:
+    """The parsed objects of a JSON-lines file; blank lines are skipped.
+
+    Every row must be a JSON object; a row that is not raises a
+    ValueError naming the file and the line.
+    """
     with open(path, "r", encoding="utf-8") as handle:
-        for raw in handle:
+        for line_number, raw in enumerate(handle, 1):
             raw = raw.strip()
             if raw:
-                yield json.loads(raw)
+                obj = json.loads(raw)
+                if not isinstance(obj, dict):
+                    raise ValueError(f"{path}:{line_number}: row is not a JSON object")
+                yield obj
 
 
 def save_model(path: PathLike, schema: str, feature_names: tuple[str, ...], fields: dict) -> None:

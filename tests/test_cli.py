@@ -466,6 +466,23 @@ def test_run_rejects_k_docs_below_one(world_dir, tmp_path, capsys):
     assert "error: run: k_docs: k must be >= 1" in capsys.readouterr().err
     assert not out_dir.exists()
 
+@pytest.mark.parametrize("row", [{"id": 5, "lines": ""}, [1, 2], {"id": "A", "lines": 7}])
+def test_ingest_malformed_row_is_an_error(tmp_path, capsys, row):
+    dump = tmp_path / "dump.jsonl"
+    dump.write_text(json.dumps(row) + "\n", encoding="utf-8")
+    assert main(["ingest", "--corpus", str(dump)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: ingest: {dump}:1: ")
+
+
+@pytest.mark.parametrize("command", ["analyze-entities", "generate-claims"])
+def test_claims_row_not_an_object_is_an_error(world_dir, tmp_path, capsys, command):
+    claims = tmp_path / "claims.jsonl"
+    claims.write_text("[1, 2]\n", encoding="utf-8")
+    args = [command, "--claims", str(claims), "--kb", str(world_dir / "kb.jsonl"), "--out", str(tmp_path / "out")]
+    assert main(args) == 1
+    assert capsys.readouterr().err.startswith(f"error: {command}: {claims}:1: row is not a JSON object")
+
+
 def bundle_files(out_dir):
     return {p.relative_to(out_dir).as_posix(): p.read_bytes() for p in sorted(out_dir.rglob("*")) if p.is_file()}
 

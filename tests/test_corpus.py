@@ -65,6 +65,19 @@ class TestParsing:
         with pytest.raises(ValueError, match="A"):
             ingest_corpus(tmp_path / "dump.jsonl")
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ({"id": 5, "lines": ""}, "page id must be a non-empty string"),
+            ([1, 2], "page id must be a non-empty string"),
+            ({"id": "A", "lines": 7}, "page 'A': lines must be a string"),
+        ],
+    )
+    def test_malformed_row_names_file_and_line(self, tmp_path, row, message):
+        path = write_jsonl(tmp_path / "dump.jsonl", [{"id": "B", "lines": "0\tbeta."}, row])
+        with pytest.raises(ValueError, match=f"dump.jsonl:2: {message}"):
+            ingest_corpus(path)
+
     def test_unreadable_path_fatal(self, tmp_path):
         with pytest.raises(OSError):
             ingest_corpus(tmp_path / "missing.jsonl")

@@ -10,8 +10,7 @@ from claimlab.entity_analysis import (
     analyze_claims,
     chi_squared,
     directly_related,
-    entity_count_table,
-    relatedness_table,
+    entity_tables,
 )
 from claimlab.kb import EntityRecord, KnowledgeBase
 
@@ -36,21 +35,18 @@ def shortcut_chi2(table: ContingencyTable2x2, yates: bool) -> float:
 class TestChiSquared:
     def test_published_entity_count_value_with_yates(self):
         table = ContingencyTable2x2(cells=((4090, 4166), (2576, 2500)))
-        result = chi_squared(table, yates=True)
-        assert result.statistic == pytest.approx(1.79, abs=0.01)
-        assert result.degrees_of_freedom == 1
-        assert result.yates_corrected
+        assert chi_squared(table, yates=True) == pytest.approx(1.79, abs=0.01)
 
     def test_relatedness_table_values(self):
         # Uncorrected Pearson value, frozen from the shortcut-formula
         # oracle; with Yates the same table gives ~195.91.
         table = ContingencyTable2x2(cells=((571, 998), (1928, 1404)))
-        assert chi_squared(table, yates=False).statistic == pytest.approx(196.77, abs=0.01)
-        assert chi_squared(table, yates=True).statistic == pytest.approx(195.91, abs=0.01)
+        assert chi_squared(table, yates=False) == pytest.approx(196.77, abs=0.01)
+        assert chi_squared(table, yates=True) == pytest.approx(195.91, abs=0.01)
 
     def test_uniform_table_zero(self):
         table = ContingencyTable2x2(cells=((10, 10), (10, 10)))
-        assert chi_squared(table, yates=False).statistic == 0.0
+        assert chi_squared(table, yates=False) == 0.0
 
     def test_degenerate_marginal_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
@@ -65,22 +61,22 @@ class TestChiSquared:
     @settings(max_examples=100, deadline=None)
     @given(table=tables, yates=st.booleans())
     def test_matches_shortcut_oracle(self, table, yates):
-        assert chi_squared(table, yates=yates).statistic == pytest.approx(
+        assert chi_squared(table, yates=yates) == pytest.approx(
             shortcut_chi2(table, yates), abs=1e-9, rel=1e-9
         )
 
     @settings(max_examples=60, deadline=None)
     @given(table=tables)
     def test_yates_never_exceeds_uncorrected(self, table):
-        assert chi_squared(table, yates=True).statistic <= chi_squared(table, yates=False).statistic + 1e-12
+        assert chi_squared(table, yates=True) <= chi_squared(table, yates=False) + 1e-12
 
     @settings(max_examples=60, deadline=None)
     @given(table=tables, yates=st.booleans())
     def test_invariant_under_row_and_column_swap(self, table, yates):
         (a, b), (c, d) = table.cells
         swapped = ContingencyTable2x2(cells=((d, c), (b, a)))
-        assert chi_squared(table, yates).statistic == pytest.approx(
-            chi_squared(swapped, yates).statistic, rel=1e-12
+        assert chi_squared(table, yates) == pytest.approx(
+            chi_squared(swapped, yates), rel=1e-12
         )
 
 
@@ -120,33 +116,40 @@ class TestTables:
             make_claim(3, Label.REFUTED, "Alpha Dog chased Beta Cat."),
             make_claim(4, Label.SUPPORTED, "Alpha Dog met Beta Cat and Gamma Fox."),
         ]
-        table = entity_count_table(claims, related_kb)
+        table = entity_tables(claims, related_kb)[0]
         assert table.cells == ((2, 0), (1, 1))
 
     def test_empty_claims_all_zero(self, related_kb):
-        assert entity_count_table([], related_kb).cells == ((0, 0), (0, 0))
+        assert entity_tables([], related_kb)[0].cells == ((0, 0), (0, 0))
 
     def test_all_single_entity(self, related_kb):
         claims = [make_claim(1, Label.SUPPORTED, "Alpha Dog sat.")]
-        assert entity_count_table(claims, related_kb).cells[1] == (0, 0)
+        assert entity_tables(claims, related_kb)[0].cells[1] == (0, 0)
 
     def test_nei_claims_ignored(self, related_kb):
         claims = [make_claim(1, Label.NOT_ENOUGH_INFO, "Alpha Dog chased Beta Cat.")]
-        assert entity_count_table(claims, related_kb).cells == ((0, 0), (0, 0))
+        assert entity_tables(claims, related_kb)[0].cells == ((0, 0), (0, 0))
 
     def test_relatedness_any_pair_rule(self, related_kb):
         # A-C related even though A-B and B-C are not.
         claims = [make_claim(1, Label.SUPPORTED, "Alpha Dog met Beta Cat and Gamma Fox.")]
-        table = relatedness_table(claims, related_kb)
+        table = entity_tables(claims, related_kb)[1]
         assert table.cells == ((0, 1), (0, 0))
 
     def test_single_entity_excluded(self, related_kb):
         claims = [make_claim(1, Label.REFUTED, "Alpha Dog sat alone.")]
-        assert relatedness_table(claims, related_kb).cells == ((0, 0), (0, 0))
+        assert entity_tables(claims, related_kb)[1].cells == ((0, 0), (0, 0))
 
     def test_unrelated_pair(self, related_kb):
         claims = [make_claim(1, Label.REFUTED, "Alpha Dog ignored Beta Cat.")]
-        assert relatedness_table(claims, related_kb).cells == ((0, 0), (1, 0))
+        assert entity_tables(claims, related_kb)[1].cells == ((0, 0), (1, 0))
+
+    def test_entity_named_twice_counts_once(self, related_kb):
+        # One linked entity: the <=1 row, and no pair to relate.
+        claims = [make_claim(1, Label.REFUTED, "Alpha Dog chased Alpha Dog.")]
+        counts, related = entity_tables(claims, related_kb)
+        assert counts.cells == ((1, 0), (0, 0))
+        assert related.cells == ((0, 0), (0, 0))
 
     def test_relatedness_contributors_bounded(self, related_kb):
         claims = [
@@ -154,8 +157,7 @@ class TestTables:
             make_claim(2, Label.REFUTED, "Alpha Dog sat."),
             make_claim(3, Label.SUPPORTED, "Alpha Dog met Gamma Fox."),
         ]
-        counts = entity_count_table(claims, related_kb)
-        related = relatedness_table(claims, related_kb)
+        counts, related = entity_tables(claims, related_kb)
         for column in (0, 1):
             contributed = related.cells[0][column] + related.cells[1][column]
             assert contributed <= counts.cells[1][column]

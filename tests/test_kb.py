@@ -48,6 +48,18 @@ class TestLinking:
         mentions = link_entities("Mercury rises.", kb)
         assert mentions[0].entity_id == "E1"
 
+    def test_alias_split_as_the_scanner_splits(self):
+        # Lowercasing turns U+0130 into "i" plus a combining dot, which
+        # the lowercasing tokenizer splits off; the alias is two tokens.
+        kb = KnowledgeBase(
+            [
+                EntityRecord("E1", "Bob Smith", ("Bob Smith",), (), ()),
+                EntityRecord("E2", "\u0130zmir Rovers", ("\u0130zmir Rovers",), (), ()),
+            ]
+        )
+        mentions = link_entities("Bob Smith played for \u0130zmir Rovers.", kb)
+        assert [(m.entity_id, m.surface) for m in mentions] == [("E1", "Bob Smith"), ("E2", "\u0130zmir Rovers")]
+
 
 class TestSiblings:
     def test_shared_parent(self, tv_kb):
@@ -101,4 +113,11 @@ class TestLoading:
             [{"id": "A", "name": "", "aliases": [], "parents": [], "relations": []}],
         )
         with pytest.raises(ValueError, match="empty name"):
+            KnowledgeBase.load(path)
+
+    @pytest.mark.parametrize("field", ["aliases", "parents", "relations"])
+    def test_list_field_given_as_string_rejected(self, tmp_path, field):
+        row = {"id": "E1", "name": "Alpha Dog", "aliases": [], "parents": [], "relations": []}
+        path = write_jsonl(tmp_path / "kb.jsonl", [{**row, field: "Alf"}])
+        with pytest.raises(ValueError, match=f"'E1': {field} must be a list"):
             KnowledgeBase.load(path)

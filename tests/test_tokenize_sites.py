@@ -1,6 +1,6 @@
-"""Corpus text is split into tokens in one place: corpus.Document
-tokenizes each title and sentence once, and every other module reads
-those tokens. Besides corpus, only kb's alias scan tokenizes text."""
+"""Text is split into tokens in one place: corpus.Document tokenizes
+each title and sentence once, and every other module reads those
+tokens; kb splits aliases and claims with corpus.token_spans."""
 
 import ast
 from pathlib import Path
@@ -23,10 +23,10 @@ def names_used(path: Path) -> set[str]:
     return used
 
 
-def test_only_corpus_and_kb_tokenize():
+def test_only_corpus_tokenizes():
     sources = sorted(PACKAGE.glob("*.py"))
     assert len(sources) > 10
     users = {
         name: [path.stem for path in sources if name in names_used(path)] for name in ("tokenize", "display_title")
     }
-    assert users == {"tokenize": ["corpus", "kb"], "display_title": ["corpus"]}
+    assert users == {"tokenize": ["corpus"], "display_title": ["corpus"]}
