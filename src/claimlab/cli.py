@@ -141,8 +141,8 @@ def cmd_train_nli(args) -> int:
 def cmd_verdict(args) -> int:
     corpus, _, extractor = _load_corpus_bundle(args.corpus)
     claims = load_claims(args.claims)
-    selections = load_selections(args.selections)
-    verdicts = verdicts_for(NliModel.load(args.model), extractor, corpus, claims, selections)
+    selections = {"verdict": load_selections(args.selections)}
+    verdicts = verdicts_for(NliModel.load(args.model), extractor, corpus, claims, selections)["verdict"]
     write_verdicts(args.out, verdicts)
     print(f"verdicts for {len(verdicts)} claims -> {args.out}")
     return 0

@@ -13,6 +13,9 @@ subcommand of the same name both call: `ingest_corpus`,
 `select_evidence`, `train_nli`, `verdicts_for` and `evaluate_evidence`.
 The NEI training pairs of train-nli are the baseline selector's
 `select_evidence` ranking over plain (non-oracle) `retrieve_docs` pages.
+As `select_evidence` featurizes each claim's candidates once for every
+model, `verdicts_for` classifies each distinct (claim, sentence) pair
+once for every regime's selections.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .entity_analysis import analyze_claims
 from .evaluation import EvaluationReport, build_report
 from .features import FeatureExtractor
 from .kb import KnowledgeBase
-from .nli import NliModel, train_nli, verdict_for_claim
+from .nli import NliModel, claim_verdicts, train_nli
 from .retrieval import DocRetrievalConfig, DocumentRetriever
 from .selection import (
     RankedEvidence,
@@ -229,12 +232,17 @@ def verdicts_for(
     extractor: FeatureExtractor,
     corpus: Corpus,
     claims: Sequence[Claim],
-    selections: Mapping[int, RankedEvidence],
-) -> dict[int, Verdict]:
-    return {
-        claim.claim_id: verdict_for_claim(model, extractor, corpus, claim, selections.get(claim.claim_id, []))
-        for claim in claims
-    }
+    selections: Mapping[str, Mapping[int, RankedEvidence]],
+) -> dict[str, dict[int, Verdict]]:
+    """Verdicts per claim for every named selection (one per regime), with
+    each distinct (claim, sentence) pair classified once across them, the
+    way select_evidence scores every model from one featurize pass."""
+    per_name: dict[str, dict[int, Verdict]] = {name: {} for name in selections}
+    for claim in claims:
+        evidence_lists = [ranked.get(claim.claim_id, []) for ranked in selections.values()]
+        for name, verdict in zip(selections, claim_verdicts(model, extractor, corpus, claim, evidence_lists)):
+            per_name[name][claim.claim_id] = verdict
+    return per_name
 
 
 def evaluate_evidence(
@@ -351,12 +359,9 @@ def _write_bundle(config: ExperimentConfig, out_dir: Path) -> dict:
         nli_model.save(out_dir / "models" / "nli.json")
 
     with _stage("verdict"):
-        for regime_name in config.regimes:
-            selections = load_selections(out_dir / "selections" / f"dev_{regime_name}.jsonl")
-            write_verdicts(
-                out_dir / "verdicts" / f"dev_{regime_name}.jsonl",
-                verdicts_for(nli_model, extractor, corpus, dev, selections),
-            )
+        selections = {name: load_selections(out_dir / "selections" / f"dev_{name}.jsonl") for name in config.regimes}
+        for name, verdicts in verdicts_for(nli_model, extractor, corpus, dev, selections).items():
+            write_verdicts(out_dir / "verdicts" / f"dev_{name}.jsonl", verdicts)
 
     with _stage("evaluate"):
         rows = []

@@ -9,11 +9,16 @@ Each side of a feature is computed once. The claim side once per claim
 (`FeatureExtractor.prepare_claim`, around the claim's `corpus.Query`,
 the one claim vector retrieval and negative sampling also read); the
 title side (`page_title`, from the document's title tokens) once per
-page. `sentence_features` does the body: an indexed sentence, named by
-its SentenceId, reads its counts from the query's postings and its norm
-from `index.norms`; a sentence the index does not hold (an empty one)
-counts its own tokens. Both give equal bits: the index counted the same
-title and body tokens with the same idf table and `corpus.tfidf_norm`.
+page. `page_features` is the one kernel for the body, a page at a time:
+the per-claim and per-page quantities are computed once per call, then
+each sentence, named by its SentenceId, reads its counts from the
+query's postings and its norm from `index.norms`; a sentence the index
+does not hold (an empty one) counts its own tokens. Both give equal
+bits: the index counted the same title and body tokens with the same
+idf table and `corpus.tfidf_norm`. Selection featurizes each candidate
+page once per claim, selector training each (claim, sentence) once, and
+the verdict stage classifies each distinct (claim, sentence) pair once
+(`nli.claim_verdicts`), whatever the number of regimes.
 Contract: the extractor's index is the sentence index of the corpus
 being featurized.
 """
@@ -22,7 +27,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .corpus import Document, InvertedIndex, Query, SentenceId, parse_query, tfidf_norm, token_spans
 
@@ -44,6 +49,8 @@ PAIR_FEATURE_NAMES = SELECTION_FEATURE_NAMES + (
     "numeral_mismatch",
     "evidence_tokens_missing",
 )
+
+_POSITION = SELECTION_FEATURE_NAMES.index("sentence_position")
 
 # Cue words whose presence on one side but not the other often flips polarity.
 _NEGATION_CUES = ("not", "only", "never", "no")
@@ -146,65 +153,97 @@ class FeatureExtractor:
         in_claim = 1.0 if contains_subsequence(claim.query.tokens, title_tokens) else 0.0
         return PageTitle(title_tokens, _span_share(claim.span_sets, set(title_tokens)), in_claim)
 
-    def sentence_features(
-        self, claim: PreparedClaim, page: PageTitle, body_tokens: list[str], position: float, sid: SentenceId
-    ) -> list[float]:
-        """Selection features of one sentence of a page, given its body's
-        tokens, against a prepared claim. sid names the sentence; if the
-        index holds it, its counts and norm are read from there."""
-        terms = claim.query.terms
-        tokens = page.tokens + body_tokens
-        candidate_norm = self.index.norms.get(sid)
-        if candidate_norm is None:
-            # A sentence the index does not hold counts its own tokens: each
-            # term's postings become {None: its count of it, or None if absent}.
-            candidate_tf = Counter(tokens)
-            candidate_norm = tfidf_norm(count * self.index.idf(token) for token, count in candidate_tf.items())
-            sid = None
-            terms = [(token, count, idf, {None: candidate_tf.get(token)}) for token, count, idf, _ in terms]
-        # Both float sums run in the claim's token order, never a set's hash order.
-        dot = overlap = 0.0
-        shared = 0
-        for _, count, idf, postings in terms:
-            candidate_count = postings.get(sid)
-            if candidate_count is not None:
-                dot += count * candidate_count * (idf * idf)
-                overlap += idf
-                shared += 1
-
-        claim_size = max(1, len(claim.token_set))
-        unigram = shared / claim_size
-        # A claim bigram can occur in the candidate only if its tokens do.
-        shared_bigrams = len(claim.bigrams.intersection(zip(tokens, tokens[1:]))) if shared else 0
-        bigram = shared_bigrams / max(1, len(claim.bigrams))
-        cosine = dot / (claim.query.norm * candidate_norm) if dot != 0.0 else 0.0
-        idf_overlap = overlap / claim.idf_mass if claim.idf_mass > 0 else 0.0
-        # Span tokens are lowered one by one, which can differ from tokenize
-        # (final sigma), so span features are not read from shared counts.
-        spans_in_body = _span_share(claim.span_sets, set(body_tokens))
-        missing = (len(claim.token_set) - shared) / claim_size
-
-        return [
-            unigram,
-            bigram,
-            cosine,
-            idf_overlap,
-            page.spans_in_title,
-            spans_in_body,
-            math.log(1 + len(body_tokens)),
-            page.title_in_claim,
-            float(position),
-            missing,
+    def page_features(
+        self, claim: PreparedClaim, page: PageTitle, document: Document, positions: Iterable[int]
+    ) -> list[tuple[SentenceId, list[float]]]:
+        """Selection features of the sentences at the given positions of the
+        document's sentences, each with its SentenceId, against a prepared
+        claim and the page's title side. An indexed sentence reads its
+        counts from the query's postings and its norm from the index."""
+        query = claim.query
+        terms = query.terms
+        # A span is in a body only if the sentence holds each of the span's
+        # query tokens (indices into terms), so only then is the body's token
+        # set built. Span tokens are lowered one by one, which can differ from
+        # tokenize (final sigma): a span token that is no query token has no
+        # postings to read, and only the set check sees it.
+        spans = [
+            (span, [i for i, (token, _, _, _) in enumerate(terms) if token in span]) for span in claim.span_sets
         ]
+        bigrams, n_bigrams = claim.bigrams, max(1, len(claim.bigrams))
+        n_claim = len(claim.token_set)
+        claim_size = max(1, n_claim)
+        query_norm, idf_mass = query.norm, claim.idf_mass
+        title_tokens, spans_in_title, title_in_claim = page
+        page_id, sentences, document_tokens = document.page_id, document.sentences, document.tokens
+        denom = max(1, len(sentences) - 1)
+        norms = self.index.norms
+        vectors = []
+        for position in positions:
+            body_tokens = document_tokens[position]
+            sid = SentenceId(page_id, sentences[position][0])
+            key, sentence_terms = sid, terms
+            candidate_norm = norms.get(sid)
+            if candidate_norm is None:
+                # A sentence the index does not hold counts its own tokens: each
+                # term's postings become {None: its count of it, or None if absent}.
+                candidate_tf = Counter(title_tokens + body_tokens)
+                candidate_norm = tfidf_norm(count * self.index.idf(token) for token, count in candidate_tf.items())
+                key = None
+                sentence_terms = [(token, count, idf, {None: candidate_tf.get(token)}) for token, count, idf, _ in terms]
+            # Both float sums run in the claim's token order, never a set's hash order.
+            dot = overlap = 0.0
+            shared = 0
+            for _, count, idf, postings in sentence_terms:
+                candidate_count = postings.get(key)
+                if candidate_count is not None:
+                    dot += count * candidate_count * (idf * idf)
+                    overlap += idf
+                    shared += 1
+            # A claim bigram can occur in the candidate only if its tokens do.
+            shared_bigrams = 0
+            if shared and bigrams:
+                tokens = title_tokens + body_tokens
+                shared_bigrams = len(bigrams.intersection(zip(tokens, tokens[1:])))
+            spans_in_body = 0.0
+            if spans:
+                body_set = None
+                in_body = 0
+                for span, span_terms in spans:
+                    # for-else, not all(): a generator costs more than the set it saves.
+                    for i in span_terms:
+                        if sentence_terms[i][3].get(key) is None:
+                            break
+                    else:
+                        if body_set is None:
+                            body_set = set(body_tokens)
+                        if span <= body_set:
+                            in_body += 1
+                spans_in_body = in_body / len(spans)
+            vector = [
+                shared / claim_size,
+                shared_bigrams / n_bigrams,
+                dot / (query_norm * candidate_norm) if dot != 0.0 else 0.0,
+                overlap / idf_mass if idf_mass > 0 else 0.0,
+                spans_in_title,
+                spans_in_body,
+                math.log(1 + len(body_tokens)),
+                title_in_claim,
+                position / denom,
+                (n_claim - shared) / claim_size,
+            ]
+            vectors.append((sid, vector))
+        return vectors
 
     def pair_features(self, claim: PreparedClaim, document: Document, position: int) -> list[float]:
         """Selection features (at sentence_position 0) plus polarity cues
         for claim classification, of the sentence at position in the
         document's sentences."""
-        line_index, body = document.sentences[position]
+        body = document.sentences[position][1]
         page = self.page_title(claim, document.title_tokens)
         body_tokens = document.tokens[position]
-        base = self.sentence_features(claim, page, body_tokens, 0.0, SentenceId(document.page_id, line_index))
+        [(_, base)] = self.page_features(claim, page, document, [position])
+        base[_POSITION] = 0.0
 
         claim_tokens = claim.token_set
         candidate_tokens = set(page.tokens) | set(body_tokens)

@@ -5,7 +5,9 @@ supported / refuted / not-enough-info; the claim verdict is the
 majority vote, with ties broken by the fixed precedence
 NotEnoughInfo, Supported, Refuted. A pair's evidence is a sentence of a
 `corpus.Document`, located by its SentenceId and read as the document's
-title, text and tokens.
+title, text and tokens. `claim_verdicts` votes over several evidence
+lists of one claim (one per regime) and classifies each distinct
+(claim, sentence) pair once.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from operator import add, mul
 from pathlib import Path
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from .claims import Claim, Label
 from .corpus import Corpus, Document, SentenceId
@@ -168,6 +170,39 @@ def train_nli(
     return model
 
 
+def claim_verdicts(
+    model: NliModel,
+    extractor: FeatureExtractor,
+    corpus: Corpus,
+    claim: Claim,
+    evidence_lists: Sequence[RankedEvidence],
+) -> list[tuple[Label, list[SentenceId]]]:
+    """One verdict per evidence list: each list's sentences that the corpus
+    holds, classified separately, then majority-voted.
+
+    The claim is prepared once and each distinct sentence is classified
+    once, however many lists rank it. Each sentence is classified
+    together with its page title, so pronoun-heavy evidence keeps its
+    subject.
+    """
+    prepared = extractor.prepare_claim(claim.text)
+    labels: dict[SentenceId, Optional[Label]] = {}
+    verdicts = []
+    for evidence in evidence_lists:
+        votes = []
+        predicted = []
+        for sid, _ in evidence:
+            if sid not in labels:
+                located = corpus.locate(sid)
+                labels[sid] = None if located is None else classify_pair(model, extractor, prepared, *located)[0]
+            label = labels[sid]
+            if label is not None:
+                votes.append(label)
+                predicted.append(sid)
+        verdicts.append((aggregate_verdict(votes), predicted))
+    return verdicts
+
+
 def verdict_for_claim(
     model: NliModel,
     extractor: FeatureExtractor,
@@ -175,19 +210,6 @@ def verdict_for_claim(
     claim: Claim,
     evidence: RankedEvidence,
 ) -> tuple[Label, list[SentenceId]]:
-    """Classify each retrieved sentence separately, then majority-vote.
-
-    Each sentence is classified together with its page title, so
-    pronoun-heavy evidence keeps its subject.
-    """
-    labels = []
-    predicted = []
-    prepared = extractor.prepare_claim(claim.text)
-    for sid, _ in evidence:
-        located = corpus.locate(sid)
-        if located is None:
-            continue
-        label, _ = classify_pair(model, extractor, prepared, *located)
-        labels.append(label)
-        predicted.append(sid)
-    return aggregate_verdict(labels), predicted
+    """claim_verdicts of one evidence list. Kept because bench/ calls it
+    (ROADMAP item 12)."""
+    return claim_verdicts(model, extractor, corpus, claim, [evidence])[0]

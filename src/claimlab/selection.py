@@ -212,8 +212,7 @@ class _TrainingClaim:
             page = self.titles.get(sid.page_id)
             if page is None:
                 page = self.titles[sid.page_id] = extractor.page_title(self.prepared, doc.title_tokens)
-            relative = position / max(1, len(doc.sentences) - 1)
-            vector = extractor.sentence_features(self.prepared, page, doc.tokens[position], relative, sid)
+            [(_, vector)] = extractor.page_features(self.prepared, page, doc, [position])
             self.vectors[sid] = vector
         return vector
 
@@ -347,20 +346,20 @@ def featurize_candidates(
         doc = corpus.documents.get(page_id)
         if doc is None:
             continue
-        denom = max(1, len(doc.sentences) - 1)
         page = extractor.page_title(prepared, doc.title_tokens)
-        for position, ((line_index, text), tokens) in enumerate(zip(doc.sentences, doc.tokens)):
-            if not text:
-                continue
-            sid = SentenceId(page_id, line_index)
-            featurized.append((sid, extractor.sentence_features(prepared, page, tokens, position / denom, sid)))
+        positions = [position for position, (_, text) in enumerate(doc.sentences) if text]
+        featurized += extractor.page_features(prepared, page, doc, positions)
     return featurized
 
 
 def top_k(model: RelevanceModel, featurized: FeaturizedCandidates, k: int) -> RankedEvidence:
     """Score featurized candidates with one model; ties break by sentence id.
     A pass's sentence ids are unique, so keying scores by id loses none."""
-    return top_k_scored({sid: model.score(features) for sid, features in featurized}, k)
+    weights, bias = model.weights, model.bias
+    # RelevanceModel.score with the model's fields bound once per call.
+    return top_k_scored(
+        {sid: _sigmoid(bias + reduce(add, map(mul, weights, features), 0.0)) for sid, features in featurized}, k
+    )
 
 
 def select_sentences(

@@ -72,14 +72,16 @@ def write_jsonl(path: PathLike, rows: Iterable[Any]) -> None:
 def read_jsonl(path: PathLike) -> Iterator[dict]:
     """The parsed objects of a JSON-lines file; blank lines are skipped.
 
-    Every row must be a JSON object; a row that is not raises a
-    ValueError naming the file and the line.
+    Every row must be a JSON object; a row that is not valid JSON, or
+    not an object, raises a ValueError naming the file and the line.
     """
     with open(path, "r", encoding="utf-8") as handle:
         for line_number, raw in enumerate(handle, 1):
-            raw = raw.strip()
-            if raw:
-                obj = json.loads(raw)
+            if raw.strip():
+                try:
+                    obj = json.loads(raw)
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"{path}:{line_number}: invalid JSON: {exc.msg} at column {exc.colno}") from None
                 if not isinstance(obj, dict):
                     raise ValueError(f"{path}:{line_number}: row is not a JSON object")
                 yield obj

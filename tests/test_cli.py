@@ -483,6 +483,18 @@ def test_claims_row_not_an_object_is_an_error(world_dir, tmp_path, capsys, comma
     assert capsys.readouterr().err.startswith(f"error: {command}: {claims}:1: row is not a JSON object")
 
 
+def test_claims_row_not_valid_json_names_file_and_line(world_dir, tmp_path, capsys):
+    """The error names the file's line, not the line inside the row."""
+    first = (world_dir / "dev.jsonl").read_text(encoding="utf-8").splitlines()[0]
+    claims = tmp_path / "claims.jsonl"
+    claims.write_text(first + "\n" + first.replace(",", "", 1) + "\n", encoding="utf-8")
+    args = ["analyze-entities", "--claims", str(claims), "--kb", str(world_dir / "kb.jsonl")]
+    assert main(args + ["--out", str(tmp_path / "out.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: analyze-entities: {claims}:2: invalid JSON: Expecting ',' delimiter at column ")
+    assert not (tmp_path / "out.json").exists()
+
+
 def bundle_files(out_dir):
     return {p.relative_to(out_dir).as_posix(): p.read_bytes() for p in sorted(out_dir.rglob("*")) if p.is_file()}
 

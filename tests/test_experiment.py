@@ -12,21 +12,24 @@ import pytest
 
 import claimlab
 from claimlab import corpus as corpus_module
+from claimlab import nli as nli_module
 from claimlab.claims import Label, load_claims, save_claims
 from claimlab.corpus import build_index, ingest_corpus
 from claimlab.evaluation import recall_at_k
 from claimlab.experiment import (
+    ALL_REGIMES,
     ExperimentConfig,
     StageError,
     load_docs,
     load_selections,
+    load_verdicts,
     retrieve_docs,
     run_experiment,
     select_evidence,
     verdicts_for,
 )
 from claimlab.features import FeatureExtractor
-from claimlab.nli import train_nli
+from claimlab.nli import NliModel, train_nli, verdict_for_claim
 from claimlab.retrieval import DocumentRetriever
 from claimlab.selection import Regime, TrainingConfig, train_selectors
 from claimlab.worldgen import WorldConfig, build_world, write_world
@@ -189,6 +192,42 @@ def test_oracle_flag_appends_gold_pages(world, tmp_path):
             assert page in oracle[cid]
 
 
+def test_verdict_stage_classifies_each_pair_once(world, tmp_path, monkeypatch):
+    """Across every regime's dev selections, the run classifies each
+    distinct (claim, located sentence) pair once, and each regime's
+    verdicts equal verdict_for_claim applied claim by claim."""
+    classified = []
+    original = nli_module.classify_pair
+
+    def counting(model, extractor, claim, document, position):
+        classified.append((claim.text, document.page_id, position))
+        return original(model, extractor, claim, document, position)
+
+    monkeypatch.setattr(nli_module, "classify_pair", counting)
+    out_dir = tmp_path / "out"
+    run_experiment(config_for(world, out_dir))
+    monkeypatch.undo()
+
+    corpus = ingest_corpus(world / "corpus")
+    dev = load_claims(world / "dev.jsonl")
+    selections = {name: load_selections(out_dir / "selections" / f"dev_{name}.jsonl") for name in ALL_REGIMES}
+    located = [
+        (cid, sid)
+        for ranked in selections.values()
+        for cid, evidence in ranked.items()
+        for sid, _ in evidence
+        if corpus.locate(sid) is not None
+    ]
+    assert len(classified) == len(set(located)) < len(located)
+    model = NliModel.load(out_dir / "models" / "nli.json")
+    extractor = FeatureExtractor(build_index(corpus, "sentence"))
+    for name, ranked in selections.items():
+        assert load_verdicts(out_dir / "verdicts" / f"dev_{name}.jsonl") == {
+            claim.claim_id: verdict_for_claim(model, extractor, corpus, claim, ranked.get(claim.claim_id, []))
+            for claim in dev
+        }
+
+
 def test_sr_absent_when_not_requested(world, tmp_path):
     report = run_experiment(config_for(world, tmp_path / "nobase", regimes=("baseline",)))
     assert all(row["regime"] == "baseline" for row in report["rows"])
@@ -284,6 +323,45 @@ run_experiment(ExperimentConfig(
     assert differing == []
 
 
+def bundle_digest(out_dir):
+    """sha256 over every bundle file's relative path and bytes, in path order."""
+    digest = hashlib.sha256()
+    for name, data in bundle_files(out_dir).items():
+        digest.update(name.encode() + b"\0" + hashlib.sha256(data).digest())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "config, digest",
+    [
+        (WorldConfig(), "d8d348b9fa186e2aea3205eb14e5b5392db1a2a5089167c7ffe080e4ea17f456"),
+        (SMALL_WORLD, "5db9cbd040c6af2929977f41c3f7cae8977866bfa6aafde28026a917480d3486"),
+    ],
+    ids=["default-world", "small-world"],
+)
+def test_bundle_bytes_pinned(tmp_path, config, digest):
+    """run_experiment with the benchmark's settings (experiment seed 1, 6
+    epochs, lr 0.05, every regime) writes the same bytes across versions:
+    a faster feature or verdict path must not move a model weight, a
+    score or a verdict."""
+    world = tmp_path / "world"
+    write_world(build_world(config), world)
+    out_dir = tmp_path / "out"
+    run_experiment(
+        ExperimentConfig(
+            corpus=str(world / "corpus"),
+            train_claims=str(world / "train.jsonl"),
+            dev_claims=str(world / "dev.jsonl"),
+            kb=str(world / "kb.jsonl"),
+            out_dir=str(out_dir),
+            seed=1,
+            epochs=6,
+            learning_rate=0.05,
+        )
+    )
+    assert bundle_digest(out_dir) == digest
+
+
 def test_corpus_text_is_tokenized_once(tmp_path, monkeypatch):
     """Ingesting, both indexes, selector training, retrieval, selection,
     NLI training and verdicts split each sentence text and display title
@@ -326,7 +404,7 @@ def test_corpus_text_is_tokenized_once(tmp_path, monkeypatch):
         {regime.value: model for regime, model in models.items()}, extractor, corpus, claims, docs, 5, ("sup", "ref")
     )
     nli_model = train_nli(claims, selections["baseline"], corpus, extractor, TrainingConfig(seed=1))
-    verdicts_for(nli_model, extractor, corpus, claims, selections["sr"])
+    verdicts_for(nli_model, extractor, corpus, claims, selections)
 
     corpus_texts = Counter(doc.title for doc in corpus.documents.values())
     corpus_texts.update(text for doc in corpus.documents.values() for _, text in doc.sentences)

@@ -2,7 +2,7 @@ import math
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from claimlab import corpus as corpus_module
@@ -66,10 +66,16 @@ def candidate(title, body):
 
 
 def candidate_features(extractor, claim, title, body, position=0.0):
-    """Selection features of a (title, body) candidate against a prepared claim."""
-    doc = candidate(title, body)
+    """Selection features of a (title, body) candidate against a prepared
+    claim. The body sits at the given relative position (a multiple of
+    1/4) of five sentences, the others empty, at lines no index holds."""
+    at = round(position * 4)
+    doc = Document(title, tuple((line - 5, body if line == at else "") for line in range(5)))
+    assert doc.title == title
     page = extractor.page_title(claim, doc.title_tokens)
-    return extractor.sentence_features(claim, page, doc.tokens[0], position, SentenceId(title, -1))
+    [(sid, features)] = extractor.page_features(claim, page, doc, [at])
+    assert sid == SentenceId(title, at - 5)
+    return features
 
 
 def pair_features(extractor, claim, title, body):
@@ -305,13 +311,14 @@ def assert_shipped_paths(corpus, index, claim, candidate_pages, pool_sids, evide
     model = Recording(weights=[[0.0] * n for _ in range(3)], biases=[0.0] * 3)
     _, predicted = verdict_for_claim(model, extractor, corpus, claim, [(sid, 1.0) for sid in evidence_sids])
     assert predicted == resolvable
-    assert classified == pair_expected
+    # A sentence listed twice is voted twice but classified once.
+    assert classified == [pair_expected[resolvable.index(sid)] for sid in dict.fromkeys(resolvable)]
     gold_claim = make_claim(claim.claim_id, Label.SUPPORTED, claim.text, [evidence_sids])
     training_pairs = _training_pairs([gold_claim], {}, corpus, extractor)
     assert [features for features, _ in training_pairs] == [
         pair_expected[resolvable.index(sid)] for sid in sorted(set(resolvable))
     ]
-    return len(featurized) + len(pool_sids) + 2 * len(resolvable)
+    return len(featurized) + len(pool_sids) + len(classified) + len(training_pairs)
 
 
 WORDS = ("alpha", "beta", "Gamma", "Delta", "the", "1999", "ΟΔΟΣ.Α", "ΟΔΟΣ", "Α", "Bb", "isn't", "Foo")
@@ -400,6 +407,19 @@ class TestPreparedClaim:
             st.lists(st.sampled_from(WORDS), min_size=1, max_size=8).map(" ".join),
         ),
         candidate_pages=st.lists(st.sampled_from(PAGE_IDS + ("Unknown",)), max_size=8),
+    )
+    # An empty sentence, which the index does not hold; the span "ΟΔΟΣ Α Bb",
+    # whose token "οδος" is no query token (the claim's is "οδοσ"), in a
+    # body; and a span whose query tokens the title alone holds.
+    @example(
+        pages={"ΟΔΟΣ.Α_Bb": ["", "ΟΔΟΣ Α Bb", "Bb"], "Gamma_Delta": ["alpha Gamma", ""]},
+        claim_text="ΟΔΟΣ.Α Bb",
+        candidate_pages=["ΟΔΟΣ.Α_Bb", "Gamma_Delta"],
+    )
+    @example(
+        pages={"Gamma_Delta": ["", "alpha beta", "Gamma Delta"]},
+        claim_text="Gamma Delta isn't alpha",
+        candidate_pages=["Gamma_Delta"],
     )
     def test_shipped_paths_on_random_corpora(self, pages, claim_text, candidate_pages):
         """Small corpora with empty and token-less sentences, titles that

@@ -357,11 +357,9 @@ class TestTrainSelector:
                 if not gold:
                     continue
                 prepared = extractor.prepare_claim(claim.text)
-                for page_id, doc in corpus.documents.items():
+                for doc in corpus.documents.values():
                     page = extractor.page_title(prepared, doc.title_tokens)
-                    for (line, _), tokens in zip(doc.sentences, doc.tokens):
-                        sid = SentenceId(page_id, line)
-                        features = extractor.sentence_features(prepared, page, tokens, 0.0, sid)
+                    for sid, features in extractor.page_features(prepared, page, doc, range(len(doc.sentences))):
                         p = min(max(m.score(features), 1e-9), 1 - 1e-9)
                         y = 1.0 if sid in gold else 0.0
                         total += -(y * math.log(p) + (1 - y) * math.log(1 - p))

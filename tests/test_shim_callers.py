@@ -1,7 +1,7 @@
 """One path per pipeline step: no claimlab module calls the one-regime,
-one-model or one-metric shims that remain only for the benchmark
-harness; the pipeline calls train_selectors, select_evidence,
-FeatureExtractor(index) and build_report."""
+one-model, one-list or one-metric shims that remain only for the
+benchmark harness; the pipeline calls train_selectors, select_evidence,
+FeatureExtractor(index), claim_verdicts and build_report."""
 
 import ast
 from pathlib import Path
@@ -10,7 +10,7 @@ import claimlab
 
 PACKAGE = Path(claimlab.__file__).resolve().parent
 
-SHIMS = ("select_sentences", "train_selector", "from_index", "recall_at_k", "fever_score")
+SHIMS = ("select_sentences", "train_selector", "from_index", "verdict_for_claim", "recall_at_k", "fever_score")
 
 
 def called_names(path: Path) -> set[str]:
