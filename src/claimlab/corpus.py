@@ -75,12 +75,13 @@ class Document:
 
     Built from page_id and sentences, a document derives title (the
     display title), title_tokens, tokens (one token list per entry of
-    sentences, in the same order) and positions (line index -> position
-    in sentences and tokens). These are the only tokens of corpus
-    text the package computes. Each token is interned, so a word that
-    recurs across the corpus is one string. Empty-text sentences are
-    retained (they exist in dumps) but are never offered as retrieval
-    candidates.
+    sentences, in the same order), sids (one SentenceId per entry of
+    sentences, the very objects the sentence index keys its units by)
+    and positions (line index -> position in sentences, tokens and
+    sids). These are the only tokens of corpus text the package
+    computes. Each token is interned, so a word that recurs across the
+    corpus is one string. Empty-text sentences are retained (they exist
+    in dumps) but are never offered as retrieval candidates.
     """
 
     page_id: str
@@ -88,6 +89,7 @@ class Document:
     title: str = field(init=False, repr=False, compare=False)
     title_tokens: list[str] = field(init=False, repr=False, compare=False)
     tokens: tuple[list[str], ...] = field(init=False, repr=False, compare=False)
+    sids: tuple[SentenceId, ...] = field(init=False, repr=False, compare=False)
     positions: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -95,6 +97,10 @@ class Document:
         object.__setattr__(self, "title", title)
         object.__setattr__(self, "title_tokens", _interned_tokens(title))
         object.__setattr__(self, "tokens", tuple(_interned_tokens(text) for _, text in self.sentences))
+        # tuple.__new__ is what SentenceId(page_id, idx) calls, minus its
+        # Python frame: ingest builds an id for every sentence of the corpus.
+        page_id, new = self.page_id, tuple.__new__
+        object.__setattr__(self, "sids", tuple([new(SentenceId, (page_id, idx)) for idx, _ in self.sentences]))
         object.__setattr__(self, "positions", {idx: position for position, (idx, _) in enumerate(self.sentences)})
 
     def line_texts(self) -> dict[int, str]:
@@ -262,8 +268,8 @@ def build_index(corpus: Corpus, granularity: str = "document") -> InvertedIndex:
             units = [(page_id, Counter(chain.from_iterable(doc.tokens)))]
         else:
             units = [
-                (SentenceId(page_id, idx), Counter(chain(doc.title_tokens, tokens)))
-                for (idx, text), tokens in zip(doc.sentences, doc.tokens)
+                (sid, Counter(chain(doc.title_tokens, tokens)))
+                for sid, (_, text), tokens in zip(doc.sids, doc.sentences, doc.tokens)
                 if text
             ]
         for ident, tf in units:

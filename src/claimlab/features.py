@@ -11,9 +11,10 @@ the one claim vector retrieval and negative sampling also read); the
 title side (`page_title`, from the document's title tokens) once per
 page. `page_features` is the one kernel for the body, a page at a time:
 the per-claim and per-page quantities are computed once per call, then
-each sentence, named by its SentenceId, reads its counts from the
-query's postings and its norm from `index.norms`; a sentence the index
-does not hold (an empty one) counts its own tokens. Both give equal
+each sentence, named by its document's own SentenceId
+(`Document.sids`, the objects the index keys by), reads its counts
+from the query's postings and its norm from `index.norms`; a sentence
+the index does not hold (an empty one) counts its own tokens. Both give equal
 bits: the index counted the same title and body tokens with the same
 idf table and `corpus.tfidf_norm`. Selection featurizes each candidate
 page once per claim, selector training each (claim, sentence) once, and
@@ -175,13 +176,13 @@ class FeatureExtractor:
         claim_size = max(1, n_claim)
         query_norm, idf_mass = query.norm, claim.idf_mass
         title_tokens, spans_in_title, title_in_claim = page
-        page_id, sentences, document_tokens = document.page_id, document.sentences, document.tokens
-        denom = max(1, len(sentences) - 1)
+        document_tokens, document_sids = document.tokens, document.sids
+        denom = max(1, len(document_sids) - 1)
         norms = self.index.norms
         vectors = []
         for position in positions:
             body_tokens = document_tokens[position]
-            sid = SentenceId(page_id, sentences[position][0])
+            sid = document_sids[position]
             key, sentence_terms = sid, terms
             candidate_norm = norms.get(sid)
             if candidate_norm is None:

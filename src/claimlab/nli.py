@@ -17,7 +17,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import reduce
-from operator import add, mul
+from operator import add
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
 
@@ -25,7 +25,7 @@ from .claims import Claim, Label
 from .corpus import Corpus, Document, SentenceId
 from .features import PAIR_FEATURE_NAMES, FeatureExtractor, PreparedClaim
 from .selection import RankedEvidence, TrainingConfig
-from .util import load_model, save_model, stable_seed
+from .util import linear_form, load_model, save_model, stable_seed
 
 MODEL_SCHEMA = "claimlab/nli-model/v1"
 
@@ -43,8 +43,9 @@ class NliModel:
     metadata: dict = field(default_factory=dict)
 
     def probabilities(self, features: Sequence[float]) -> list[float]:
-        # Adds with + in order: sum() is compensated from Python 3.12 on.
-        logits = [b + reduce(add, map(mul, ws, features), 0.0) for ws, b in zip(self.weights, self.biases)]
+        # Each logit adds with + in order through the one straight-line kernel
+        # (util.linear_form): sum() is compensated from Python 3.12 on.
+        logits = [b + linear_form(len(ws))(ws, features) for ws, b in zip(self.weights, self.biases)]
         peak = max(logits)
         exps = [math.exp(z - peak) for z in logits]
         total = reduce(add, exps, 0.0)

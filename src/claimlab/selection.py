@@ -27,15 +27,13 @@ import enum
 import math
 import random
 from dataclasses import dataclass, field
-from functools import reduce
-from operator import add, mul
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .claims import Claim, Label
 from .corpus import Corpus, IndexScorer, InvertedIndex, Query, SentenceId, rank_key, top_k_scored
 from .features import SELECTION_FEATURE_NAMES, FeatureExtractor, PageTitle, PreparedClaim
-from .util import load_model, save_model, stable_seed
+from .util import linear_form, load_model, save_model, stable_seed
 
 MODEL_SCHEMA = "claimlab/relevance-model/v1"
 
@@ -80,8 +78,9 @@ class RelevanceModel:
 
     def score(self, features: Sequence[float]) -> float:
         """Relevance probability in (0, 1)."""
-        # Adds with + in order: sum() is compensated from Python 3.12 on.
-        return _sigmoid(self.bias + reduce(add, map(mul, self.weights, features), 0.0))
+        # Adds with + in order through the one straight-line kernel
+        # (util.linear_form): sum() is compensated from Python 3.12 on.
+        return _sigmoid(self.bias + linear_form(len(self.weights))(self.weights, features))
 
     def save(self, path: Union[str, Path]) -> None:
         fields = {"weights": self.weights, "bias": self.bias, "metadata": self.metadata}
@@ -129,11 +128,8 @@ class NegativePool:
         self._population = scorer.pages(self._query)
 
     def _ranked(self, pages: Iterable[str]) -> list[SentenceId]:
-        sids = [
-            SentenceId(page_id, line_index)
-            for page_id in pages
-            for line_index, _ in self._corpus.documents[page_id].sentences
-        ]
+        documents = self._corpus.documents
+        sids = [sid for page_id in pages for sid in documents[page_id].sids]
         return [sid for sid, _ in sorted(self._scorer.scores(self._query, sids).items(), key=rank_key)]
 
     def draw(self, rng_seed: int, per_group: int) -> list[SentenceId]:
@@ -356,10 +352,9 @@ def top_k(model: RelevanceModel, featurized: FeaturizedCandidates, k: int) -> Ra
     """Score featurized candidates with one model; ties break by sentence id.
     A pass's sentence ids are unique, so keying scores by id loses none."""
     weights, bias = model.weights, model.bias
-    # RelevanceModel.score with the model's fields bound once per call.
-    return top_k_scored(
-        {sid: _sigmoid(bias + reduce(add, map(mul, weights, features), 0.0)) for sid, features in featurized}, k
-    )
+    dot = linear_form(len(weights))
+    # RelevanceModel.score with the model's fields and kernel bound once per call.
+    return top_k_scored({sid: _sigmoid(bias + dot(weights, features)) for sid, features in featurized}, k)
 
 
 def select_sentences(

@@ -480,6 +480,36 @@ class TestPreparedClaim:
         assert calls == {"Counter": 1, "tfidf_norm": 1, "tokenize": 1}
 
 
+def test_documents_share_their_sentence_ids_with_the_index(fixture_world):
+    """Each Document.sids entry is the very object the sentence index keys
+    the sentence's postings and norm by, and page_features returns it."""
+    corpus = ingest_corpus(fixture_world / "corpus")
+    index = build_index(corpus, "sentence")
+    keys = {sid: sid for sid in index.norms}
+    for doc in corpus.documents.values():
+        assert doc.sids == tuple(SentenceId(doc.page_id, idx) for idx, _ in doc.sentences)
+        for sid, (_, text) in zip(doc.sids, doc.sentences):
+            if text:
+                assert keys[sid] is sid
+            else:
+                assert sid not in keys
+    posted = 0
+    for postings in index.postings.values():
+        for sid in postings:
+            doc, position = corpus.locate(sid)
+            assert doc.sids[position] is sid
+            posted += 1
+    assert posted > 8000
+
+    extractor = FeatureExtractor(index)
+    claim = extractor.prepare_claim(load_claims(fixture_world / "dev.jsonl")[0].text)
+    for doc in corpus.documents.values():
+        page = extractor.page_title(claim, doc.title_tokens)
+        featurized = extractor.page_features(claim, page, doc, range(len(doc.sentences)))
+        assert [sid for sid, _ in featurized] == list(doc.sids)
+        assert all(sid is own for (sid, _), own in zip(featurized, doc.sids))
+
+
 class TestOneNorm:
     """Every TF-IDF norm is corpus.tfidf_norm, so a query and the index
     agree bit for bit on one token stream."""

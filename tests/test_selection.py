@@ -1,9 +1,11 @@
 import math
 import random
 from collections import Counter
+from functools import reduce
+from operator import add, mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from claimlab import features as features_module
@@ -34,7 +36,7 @@ from claimlab.selection import (
     train_selector,
     train_selectors,
 )
-from claimlab.util import stable_seed
+from claimlab.util import linear_form, stable_seed
 
 from conftest import count_tokenized, make_claim, make_corpus, tfidf_scores
 
@@ -455,6 +457,45 @@ def test_relevance_score_adds_in_order():
     """The score adds its weight * feature terms with + in order. Python
     3.12's compensated sum() would give sigmoid(1.0) here."""
     assert RelevanceModel(weights=[1e16, 1.0, -1e16], bias=0.0).score([1.0, 1.0, 1.0]) == 0.5
+
+
+# Signed zeros, subnormals, magnitudes whose products overflow to inf or
+# underflow to zero, and any other float, each with either sign.
+KERNEL_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e-300, 1e300, -1e300]),
+    st.sampled_from([1.7976931348623157e308, -1.7976931348623157e308, 1.0, -1.0]),
+    st.floats(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([3, 10, 13]).flatmap(
+        lambda n: st.tuples(
+            st.lists(KERNEL_FLOATS, min_size=n, max_size=n), st.lists(KERNEL_FLOATS, min_size=n, max_size=n)
+        )
+    )
+)
+@example(([1e300, 1e300, -1e300], [1e300, 1.0, 1e300]))
+@example(([-0.0] * 10, [1.0] * 10))
+@example(([5e-324, -5e-324] + [1e16, 1.0, -1e16] * 3 + [1e-300] * 2, [0.5] * 13))
+def test_linear_form_is_the_left_to_right_chain(vectors):
+    """linear_form(n) gives the bits of reduce(add, map(mul, w, f), 0.0)."""
+    weights, features = vectors
+    expected = reduce(add, map(mul, weights, features), 0.0)
+    assert linear_form(len(weights))(weights, features).hex() == expected.hex()
+
+
+def test_linear_form_is_built_once_per_width_and_reads_every_feature():
+    assert linear_form(10) is linear_form(10)
+    assert linear_form(0)([], []) == 0.0
+    # Extra features are ignored, as map(mul, ...) ignored them; a short
+    # vector, which map silently truncated, raises.
+    assert linear_form(2)([1.0, 2.0], [3.0, 4.0, 5.0]) == 11.0
+    with pytest.raises(IndexError):
+        linear_form(3)([1.0, 2.0, 3.0], [1.0, 2.0])
+    with pytest.raises(IndexError):
+        RelevanceModel(weights=[1.0, 2.0, 3.0], bias=0.0).score([1.0, 2.0])
 
 
 class TestSelectSentences:
