@@ -32,43 +32,41 @@ class Label(enum.Enum):
 
 @dataclass(frozen=True)
 class Claim:
+    """A claim, its label and its raw evidence structure as found in the
+    claims file. evidence_groups is derived from evidence when the claim
+    is built: the alternative evidence groups as sentence ids (a group
+    with a null page or line is dropped), empty for NEI."""
+
     claim_id: int
     label: Label
     text: str
-    # Raw evidence structure as found in the claims file.
     evidence: tuple = ()
     extra: dict = field(default_factory=dict, compare=False)
+    evidence_groups: tuple[tuple[SentenceId, ...], ...] = field(init=False, repr=False, compare=False)
 
-    def evidence_groups(self) -> list[list[SentenceId]]:
-        """Alternative evidence groups as sentence ids; empty for NEI."""
+    def __post_init__(self) -> None:
         groups = []
         for group in self.evidence:
             sids = []
-            complete = True
             for item in group:
                 page, line = item[2], item[3]
                 if page is None or line is None:
-                    complete = False
                     break
                 sids.append(SentenceId(str(page), int(line)))
-            if complete and sids:
-                groups.append(sids)
-        return groups
+            else:
+                if sids:
+                    groups.append(tuple(sids))
+        object.__setattr__(self, "evidence_groups", tuple(groups))
 
     def gold_sentences(self) -> set[SentenceId]:
-        return {sid for group in self.evidence_groups() for sid in group}
+        return {sid for group in self.evidence_groups for sid in group}
 
     def gold_pages(self) -> list[str]:
         """Evidence pages in first-appearance order, deduplicated."""
-        seen = []
-        for group in self.evidence_groups():
-            for sid in group:
-                if sid.page_id not in seen:
-                    seen.append(sid.page_id)
-        return seen
+        return list(dict.fromkeys(sid.page_id for group in self.evidence_groups for sid in group))
 
     def is_verifiable(self) -> bool:
-        return self.label is not Label.NOT_ENOUGH_INFO and bool(self.evidence_groups())
+        return self.label is not Label.NOT_ENOUGH_INFO and bool(self.evidence_groups)
 
 
 _KNOWN_KEYS = {"id", "label", "claim", "evidence"}

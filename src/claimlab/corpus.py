@@ -128,6 +128,17 @@ class Corpus:
             return None
         return doc, position
 
+    def pages_of(self, sids: Iterable[SentenceId]) -> list[tuple[Document, list[int]]]:
+        """The distinct sentences the corpus holds, as (document, positions)
+        per page; pages and positions in first-appearance order."""
+        pages: dict[str, tuple[Document, dict[int, None]]] = {}
+        for sid in sids:
+            located = self.locate(sid)
+            if located is not None:
+                doc, position = located
+                pages.setdefault(doc.page_id, (doc, {}))[1][position] = None
+        return [(doc, list(positions)) for doc, positions in pages.values()]
+
     def get_sentence(self, sid: SentenceId) -> Optional[str]:
         """Sentence text for (page_id, line_index), or None if absent."""
         located = self.locate(sid)

@@ -41,10 +41,10 @@ def _judge(claim: Claim, predicted: Sequence, k: int, level: str) -> tuple[bool,
     """(covered, hit) of a verifiable claim's top-k predicted units."""
     if level == "sentence":
         top_k = {SentenceId(*sid) for sid in list(predicted)[:k]}
-        groups = [set(group) for group in claim.evidence_groups()]
+        groups = [set(group) for group in claim.evidence_groups]
     elif level == "document":
         top_k = set(list(predicted)[:k])
-        groups = [{sid.page_id for sid in group} for group in claim.evidence_groups()]
+        groups = [{sid.page_id for sid in group} for group in claim.evidence_groups]
     else:
         raise ValueError(f"unknown level {level!r}")
     return any(group <= top_k for group in groups), any(group & top_k for group in groups)

@@ -7,19 +7,22 @@ candidate so pronoun-heavy evidence keeps its subject.
 
 Each side of a feature is computed once. The claim side once per claim
 (`FeatureExtractor.prepare_claim`, around the claim's `corpus.Query`,
-the one claim vector retrieval and negative sampling also read); the
-title side (`page_title`, from the document's title tokens) once per
-page. `page_features` is the one kernel for the body, a page at a time:
+the one claim vector retrieval and negative sampling also read, plus
+the negation cues and numerals pair features compare); the title side
+(`page_title`, from the document's title tokens) once per page.
+`page_features` is the one kernel for the body, a page at a time:
 the per-claim and per-page quantities are computed once per call, then
 each sentence, named by its document's own SentenceId
 (`Document.sids`, the objects the index keys by), reads its counts
 from the query's postings and its norm from `index.norms`; a sentence
 the index does not hold (an empty one) counts its own tokens. Both give equal
 bits: the index counted the same title and body tokens with the same
-idf table and `corpus.tfidf_norm`. Selection featurizes each candidate
-page once per claim, selector training each (claim, sentence) once, and
-the verdict stage classifies each distinct (claim, sentence) pair once
-(`nli.claim_verdicts`), whatever the number of regimes.
+idf table and `corpus.tfidf_norm`. `pair_features` adds the polarity
+cues to `page_features`' vectors, a page's positions per call too.
+Selection featurizes each candidate page once per claim, selector
+training each (claim, sentence) once, and the verdict stage classifies
+each distinct (claim, sentence) pair once (`nli.claim_verdicts`),
+whatever the number of regimes; all three call the kernel once per page.
 Contract: the extractor's index is the sentence index of the corpus
 being featurized.
 """
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import Document, InvertedIndex, Query, SentenceId, parse_query, tfidf_norm, token_spans
 
@@ -105,8 +108,9 @@ def _negation_cues(tokens: set[str], *texts: str) -> set[str]:
 
 class PreparedClaim(NamedTuple):
     """The claim side of every feature: the claim's Query against the
-    extractor's index, plus its token set, bigrams and entity spans.
-    idf_mass is the idf sum in the query's term order."""
+    extractor's index, plus its token set, bigrams and entity spans, and,
+    for pair features, its negation cues and numerals. idf_mass is the idf
+    sum in the query's term order."""
 
     text: str
     query: Query
@@ -114,6 +118,8 @@ class PreparedClaim(NamedTuple):
     bigrams: set[tuple[str, str]]
     span_sets: list[set[str]]
     idf_mass: float
+    negation_cues: set[str]
+    numerals: set[str]
 
 
 class PageTitle(NamedTuple):
@@ -141,13 +147,16 @@ class FeatureExtractor:
         idf_mass = 0.0
         for _, _, idf, _ in query.terms:
             idf_mass += idf
+        token_set = set(query.tokens)
         return PreparedClaim(
             text=claim_text,
             query=query,
-            token_set=set(query.tokens),
+            token_set=token_set,
             bigrams=_bigrams(query.tokens),
             span_sets=[set(span) for span in _capitalized_spans(claim_text)],
             idf_mass=idf_mass,
+            negation_cues=_negation_cues(token_set, claim_text),
+            numerals={t for t in token_set if t.isdigit()},
         )
 
     def page_title(self, claim: PreparedClaim, title_tokens: list[str]) -> PageTitle:
@@ -236,26 +245,25 @@ class FeatureExtractor:
             vectors.append((sid, vector))
         return vectors
 
-    def pair_features(self, claim: PreparedClaim, document: Document, position: int) -> list[float]:
+    def pair_features(
+        self, claim: PreparedClaim, document: Document, positions: Sequence[int]
+    ) -> list[tuple[SentenceId, list[float]]]:
         """Selection features (at sentence_position 0) plus polarity cues
-        for claim classification, of the sentence at position in the
-        document's sentences."""
-        body = document.sentences[position][1]
+        for claim classification, of the sentences at the given positions
+        of the document's sentences, each with its SentenceId. The title
+        side is computed once per call, the claim side once per claim."""
         page = self.page_title(claim, document.title_tokens)
-        body_tokens = document.tokens[position]
-        [(_, base)] = self.page_features(claim, page, document, [position])
-        base[_POSITION] = 0.0
-
+        featurized = self.page_features(claim, page, document, positions)
         claim_tokens = claim.token_set
-        candidate_tokens = set(page.tokens) | set(body_tokens)
-        claim_cues = _negation_cues(claim_tokens, claim.text)
-        candidate_cues = _negation_cues(candidate_tokens, document.title, body)
-        negation = 1.0 if claim_cues != candidate_cues else 0.0
-
-        claim_numerals = {t for t in claim_tokens if t.isdigit()}
-        candidate_numerals = {t for t in candidate_tokens if t.isdigit()}
-        numeral = 1.0 if claim_numerals != candidate_numerals else 0.0
-
-        extra = len(candidate_tokens - claim_tokens) / max(1, len(candidate_tokens))
-
-        return base + [negation, numeral, extra]
+        title_tokens = set(page.tokens)
+        for position, (_, vector) in zip(positions, featurized):
+            candidate_tokens = title_tokens.union(document.tokens[position])
+            candidate_cues = _negation_cues(candidate_tokens, document.title, document.sentences[position][1])
+            candidate_numerals = {t for t in candidate_tokens if t.isdigit()}
+            vector[_POSITION] = 0.0
+            vector += [
+                1.0 if claim.negation_cues != candidate_cues else 0.0,
+                1.0 if claim.numerals != candidate_numerals else 0.0,
+                len(candidate_tokens - claim_tokens) / max(1, len(candidate_tokens)),
+            ]
+        return featurized

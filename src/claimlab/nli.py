@@ -7,7 +7,9 @@ NotEnoughInfo, Supported, Refuted. A pair's evidence is a sentence of a
 `corpus.Document`, located by its SentenceId and read as the document's
 title, text and tokens. `claim_verdicts` votes over several evidence
 lists of one claim (one per regime) and classifies each distinct
-(claim, sentence) pair once.
+(claim, sentence) pair once. Pairs are featurized and classified a page
+at a time (`classify_pair` takes one page's positions), both there and
+in NLI training, with the claim side computed once per claim.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
 from pathlib import Path
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from .claims import Claim, Label
 from .corpus import Corpus, Document, SentenceId
@@ -75,16 +77,21 @@ class NliModel:
 
 
 def classify_pair(
-    model: NliModel, extractor: FeatureExtractor, claim: PreparedClaim, document: Document, position: int
-) -> tuple[Label, list[float]]:
-    """Argmax class for one (claim, candidate) pair, the candidate being the
-    sentence at position in the document; exact ties resolve by CLASS_ORDER."""
-    probs = model.probabilities(extractor.pair_features(claim, document, position))
-    best = 0
-    for i in range(1, len(CLASS_ORDER)):
-        if probs[i] > probs[best]:
-            best = i
-    return CLASS_ORDER[best], probs
+    model: NliModel, extractor: FeatureExtractor, claim: PreparedClaim, document: Document, positions: Sequence[int]
+) -> list[tuple[SentenceId, Label, list[float]]]:
+    """Argmax class of each (claim, candidate) pair of one page, the
+    candidates being the sentences at the given positions in the document,
+    each with its SentenceId and class probabilities; exact ties resolve
+    by CLASS_ORDER."""
+    classified = []
+    for sid, features in extractor.pair_features(claim, document, positions):
+        probs = model.probabilities(features)
+        best = 0
+        for i in range(1, len(CLASS_ORDER)):
+            if probs[i] > probs[best]:
+                best = i
+        classified.append((sid, CLASS_ORDER[best], probs))
+    return classified
 
 
 def aggregate_verdict(labels: Sequence[Label]) -> Label:
@@ -118,11 +125,10 @@ def _training_pairs(
             sids = sorted(claim.gold_sentences())
         target = CLASS_ORDER.index(claim.label)
         prepared = extractor.prepare_claim(claim.text)
-        for sid in sids:
-            located = corpus.locate(sid)
-            if located is None:
-                continue
-            pairs.append((extractor.pair_features(prepared, *located), target))
+        vectors: dict[SentenceId, list[float]] = {}
+        for document, positions in corpus.pages_of(sids):
+            vectors.update(extractor.pair_features(prepared, document, positions))
+        pairs += [(vectors[sid], target) for sid in sids if sid in vectors]
     return pairs
 
 
@@ -182,25 +188,19 @@ def claim_verdicts(
     holds, classified separately, then majority-voted.
 
     The claim is prepared once and each distinct sentence is classified
-    once, however many lists rank it. Each sentence is classified
-    together with its page title, so pronoun-heavy evidence keeps its
-    subject.
+    once, however many lists rank it, with one classify_pair call per
+    page. Each sentence is classified together with its page title, so
+    pronoun-heavy evidence keeps its subject.
     """
     prepared = extractor.prepare_claim(claim.text)
-    labels: dict[SentenceId, Optional[Label]] = {}
+    labels: dict[SentenceId, Label] = {}
+    for document, positions in corpus.pages_of(sid for evidence in evidence_lists for sid, _ in evidence):
+        for sid, label, _ in classify_pair(model, extractor, prepared, document, positions):
+            labels[sid] = label
     verdicts = []
     for evidence in evidence_lists:
-        votes = []
-        predicted = []
-        for sid, _ in evidence:
-            if sid not in labels:
-                located = corpus.locate(sid)
-                labels[sid] = None if located is None else classify_pair(model, extractor, prepared, *located)[0]
-            label = labels[sid]
-            if label is not None:
-                votes.append(label)
-                predicted.append(sid)
-        verdicts.append((aggregate_verdict(votes), predicted))
+        predicted = [sid for sid, _ in evidence if sid in labels]
+        verdicts.append((aggregate_verdict([labels[sid] for sid in predicted]), predicted))
     return verdicts
 
 

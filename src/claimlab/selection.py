@@ -6,19 +6,22 @@ encoder would use, so the pipeline treats the scorer as pluggable.
 Training draws 15 negatives per positive from a TF-IDF ranker in three
 groups (same-document, other-document, fresh-document) and, each
 epoch, keeps only the hardest negatives so positives and negatives
-stay balanced.
+stay balanced: one batch scoring of every negative, then
+`corpus.top_k_scored`, never a full sort.
 
 Negatives come from a `NegativePool` per training claim, which ranks
 only what the groups can reach: the positive pages' sentences, an
 exact MaxScore-pruned top-k of the rest of the sentence index, and the
-pages group C draws. `train_selectors` trains several regimes in one
-pass: each distinct training claim is parsed once into the `corpus.Query`
-its pool and its feature vectors both read, and each regime's seed
-drives its own draws from the shared pools.
+pages group C draws, each ranked once per pool. `train_selectors`
+trains several regimes in one pass: each distinct training claim is
+parsed once into the `corpus.Query` its pool and its feature vectors
+both read, each regime's seed drives its own draws from the shared
+pools, and each draw's new sentences are featurized a page at a time.
 
 Ranking is one featurize pass over a claim's candidate sentences plus a
-top-k scoring step per model, so several selectors can score the same
-feature vectors (see `experiment.select_evidence`).
+top-k scoring step per model, each one call of the batch kernel
+`util.logistic_scores`, so several selectors can score the same feature
+vectors (see `experiment.select_evidence`).
 """
 
 from __future__ import annotations
@@ -27,13 +30,14 @@ import enum
 import math
 import random
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .claims import Claim, Label
 from .corpus import Corpus, IndexScorer, InvertedIndex, Query, SentenceId, rank_key, top_k_scored
 from .features import SELECTION_FEATURE_NAMES, FeatureExtractor, PageTitle, PreparedClaim
-from .util import linear_form, load_model, save_model, stable_seed
+from .util import linear_form, load_model, logistic_scores, save_model, stable_seed
 
 MODEL_SCHEMA = "claimlab/relevance-model/v1"
 
@@ -126,11 +130,21 @@ class NegativePool:
             sid for sid, _ in scorer.top_k(self._query, reach) if sid.page_id not in self._positive_pages
         ]
         self._population = scorer.pages(self._query)
+        self._best: dict[str, SentenceId] = {}
 
     def _ranked(self, pages: Iterable[str]) -> list[SentenceId]:
         documents = self._corpus.documents
         sids = [sid for page_id in pages for sid in documents[page_id].sids]
         return [sid for sid, _ in sorted(self._scorer.scores(self._query, sids).items(), key=rank_key)]
+
+    def _best_of(self, page: str) -> SentenceId:
+        """The page's best-ranked sentence, _ranked([page])[0]; the pool's
+        query fixes it, so each page is ranked once per pool."""
+        best = self._best.get(page)
+        if best is None:
+            scores = self._scorer.scores(self._query, self._corpus.documents[page].sids)
+            best = self._best[page] = min(scores.items(), key=rank_key)[0]
+        return best
 
     def draw(self, rng_seed: int, per_group: int) -> list[SentenceId]:
         """Up to 3 * per_group TF-IDF-ranked negatives per positive, in
@@ -163,7 +177,7 @@ class NegativePool:
             # document offers its best-ranked sentence.
             pages = [page for page in self._population if page not in used_documents]
             chosen = rng.sample(pages, k=min(per_group, len(pages)))
-            group_c = [self._ranked([page])[0] for page in sorted(chosen)]
+            group_c = [self._best_of(page) for page in sorted(chosen)]
             used_sentences.update(group_c)
             used_documents.update(chosen)
 
@@ -201,16 +215,17 @@ class _TrainingClaim:
     vectors: dict[SentenceId, list[float]] = field(default_factory=dict)
     titles: dict[str, PageTitle] = field(default_factory=dict)
 
-    def features(self, extractor: FeatureExtractor, corpus: Corpus, sid: SentenceId) -> list[float]:
-        vector = self.vectors.get(sid)
-        if vector is None:
-            doc, position = corpus.locate(sid)
-            page = self.titles.get(sid.page_id)
+    def features(self, extractor: FeatureExtractor, corpus: Corpus, sids: Sequence[SentenceId]) -> list[list[float]]:
+        """The feature vectors of the (located) sentences, in order. The
+        sentences not featurized before are featurized a page at a time,
+        with one page_features call per page."""
+        vectors = self.vectors
+        for doc, positions in corpus.pages_of([sid for sid in sids if sid not in vectors]):
+            page = self.titles.get(doc.page_id)
             if page is None:
-                page = self.titles[sid.page_id] = extractor.page_title(self.prepared, doc.title_tokens)
-            [(_, vector)] = extractor.page_features(self.prepared, page, doc, [position])
-            self.vectors[sid] = vector
-        return vector
+                page = self.titles[doc.page_id] = extractor.page_title(self.prepared, doc.title_tokens)
+            vectors.update(extractor.page_features(self.prepared, page, doc, positions))
+        return [vectors[sid] for sid in sids]
 
 
 def train_selectors(
@@ -257,11 +272,11 @@ def train_selectors(
             entry = prepared[claim]
             if entry is None:
                 continue
-            for sid in entry.pool.positives:
-                positives.append(((claim.claim_id, sid), entry.features(extractor, corpus, sid)))
+            gold = entry.pool.positives
+            positives += zip([(claim.claim_id, sid) for sid in gold], entry.features(extractor, corpus, gold))
             seed = stable_seed(config.seed, "negatives", claim.claim_id)
-            for sid in entry.pool.draw(seed, _per_group(config.negatives_per_positive)):
-                negatives.append(((claim.claim_id, sid), entry.features(extractor, corpus, sid)))
+            drawn = entry.pool.draw(seed, _per_group(config.negatives_per_positive))
+            negatives += zip([(claim.claim_id, sid) for sid in drawn], entry.features(extractor, corpus, drawn))
         if not positives:
             raise ValueError(f"regime {regime.value!r} selected no trainable positives")
         model = _fit(positives, negatives, config)
@@ -291,9 +306,11 @@ def _fit(
     weights[SELECTION_FEATURE_NAMES.index("tfidf_cosine")] = 1.0
     model = RelevanceModel(weights=weights, bias=0.0)
     lr = config.learning_rate
+    # Sorted by key once, stably, as _hardest_negatives needs.
+    negatives = sorted(negatives, key=itemgetter(0))
     for epoch in range(config.epochs):
         keep = min(len(positives), len(negatives))
-        hardest = sorted(negatives, key=lambda item: (-model.score(item[1]), item[0]))[:keep]
+        hardest = _hardest_negatives(model, negatives, keep)
         batch = [(features, 1) for _, features in positives]
         batch += [(features, 0) for _, features in hardest]
         random.Random(stable_seed(config.seed, "shuffle", epoch)).shuffle(batch)
@@ -304,6 +321,19 @@ def _fit(
                 model.weights[i] -= lr * gradient * x
             model.bias -= lr * gradient
     return model
+
+
+def _hardest_negatives(
+    model: RelevanceModel, negatives: Sequence[tuple[tuple, list[float]]], keep: int
+) -> list[tuple[tuple, list[float]]]:
+    """The keep (key, features) negatives the model scores highest, score
+    descending. negatives must be sorted by key, stably, so ties break by
+    key and then by original order, as sorted() by (-score, key) does; a
+    repeated key is never merged away."""
+    if keep < 1:
+        return []
+    scores = logistic_scores(len(model.weights))(model.weights, model.bias, enumerate(map(itemgetter(1), negatives)))
+    return [negatives[i] for i, _ in top_k_scored(scores, keep)]
 
 
 def train_selector(
@@ -351,10 +381,9 @@ def featurize_candidates(
 def top_k(model: RelevanceModel, featurized: FeaturizedCandidates, k: int) -> RankedEvidence:
     """Score featurized candidates with one model; ties break by sentence id.
     A pass's sentence ids are unique, so keying scores by id loses none."""
-    weights, bias = model.weights, model.bias
-    dot = linear_form(len(weights))
-    # RelevanceModel.score with the model's fields and kernel bound once per call.
-    return top_k_scored({sid: _sigmoid(bias + dot(weights, features)) for sid, features in featurized}, k)
+    # One batch kernel call scores the whole list, each score with
+    # RelevanceModel.score's bits.
+    return top_k_scored(logistic_scores(len(model.weights))(model.weights, model.bias, featurized), k)
 
 
 def select_sentences(

@@ -6,6 +6,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence, Union
 
@@ -39,6 +40,38 @@ def linear_form(width: int) -> Callable[[Sequence[float], Sequence[float]], floa
     namespace: dict = {}
     exec(compile(f"def dot(w, f):\n    return 0.0{terms}\n", f"<linear_form {width}>", "exec"), namespace)
     return namespace["dot"]
+
+
+@functools.lru_cache(maxsize=None)
+def logistic_scores(width: int) -> Callable[[Sequence[float], float, Iterable[tuple[Any, Sequence[float]]]], dict]:
+    """scores(w, bias, items) = {key: sigmoid(bias + dot(w, f))} over the
+    (key, f) pairs of items, in one loop; w must have width weights.
+
+    The one batch kernel a linear relevance model ranks with, built once
+    per width like linear_form: the same left-to-right + chain, with the
+    weights bound once per call, and the same two-branch sigmoid as
+    selection.RelevanceModel.score, so each score has that method's bits.
+    A key repeated in items keeps its last score.
+    """
+    # The source depends only on the integer width.
+    unpack = "".join(f"w{i}, " for i in range(width))
+    terms = "".join(f" + w{i} * f[{i}]" for i in range(width))
+    source = (
+        "def scores(w, bias, items):\n"
+        f"    ({unpack}) = w\n"
+        "    out = {}\n"
+        "    for key, f in items:\n"
+        f"        z = bias + (0.0{terms})\n"
+        "        if z >= 0:\n"
+        "            out[key] = 1.0 / (1.0 + exp(-z))\n"
+        "        else:\n"
+        "            e = exp(z)\n"
+        "            out[key] = e / (1.0 + e)\n"
+        "    return out\n"
+    )
+    namespace: dict = {"exp": math.exp}
+    exec(compile(source, f"<logistic_scores {width}>", "exec"), namespace)
+    return namespace["scores"]
 
 
 def dumps_canonical(obj: Any) -> str:
@@ -79,13 +112,18 @@ def read_json(path: PathLike) -> Any:
         return json.load(handle)
 
 
+# What json.dumps(row, ensure_ascii=False, sort_keys=True) builds for every
+# call; an encoder keeps no state between encode() calls.
+_JSONL_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
+
+
 def write_jsonl(path: PathLike, rows: Iterable[Any]) -> None:
     """One key-sorted UTF-8 JSON object per line; parents are created."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as handle:
         for row in rows:
-            handle.write(json.dumps(row, ensure_ascii=False, sort_keys=True))
+            handle.write(_JSONL_ENCODER.encode(row))
             handle.write("\n")
 
 

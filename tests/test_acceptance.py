@@ -151,12 +151,12 @@ def _metric_fixture():
 
 def _reference_metrics(claims, predictions, verdicts, k):
     """Plain-loop reference implementations, kept independent on purpose."""
-    verifiable = [c for c in claims if c.label is not NEI and c.evidence_groups()]
+    verifiable = [c for c in claims if c.label is not NEI and c.evidence_groups]
     covered = 0
     ref_mistakes = sup_mistakes = 0
     for c in verifiable:
         top = [tuple(s) for s in list(predictions.get(c.claim_id, []))[:k]]
-        groups = [[tuple(s) for s in g] for g in c.evidence_groups()]
+        groups = [[tuple(s) for s in g] for g in c.evidence_groups]
         if any(all(member in top for member in group) for group in groups):
             covered += 1
         hit = any(member in top for group in groups for member in group)
@@ -173,11 +173,11 @@ def _reference_metrics(claims, predictions, verdicts, k):
         label, evidence = verdicts[c.claim_id]
         if label is not c.label:
             continue
-        if c.label is NEI or not c.evidence_groups():
+        if c.label is NEI or not c.evidence_groups:
             points += 1
             continue
         top = [tuple(s) for s in list(evidence)[:k]]
-        groups = [[tuple(s) for s in g] for g in c.evidence_groups()]
+        groups = [[tuple(s) for s in g] for g in c.evidence_groups]
         if any(all(member in top for member in group) for group in groups):
             points += 1
     return recall, ref_mistakes, sup_mistakes, points / len(claims), accuracy

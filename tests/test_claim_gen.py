@@ -103,7 +103,7 @@ def test_round_trip_file(tmp_path, tv_kb, galecki_claim):
     assert claim.label is Label.REFUTED
     assert claim.extra["source_claim_id"] == galecki_claim.claim_id
     assert claim.extra["replaced"] == "S01"
-    assert claim.evidence_groups() == galecki_claim.evidence_groups()
+    assert claim.evidence_groups == galecki_claim.evidence_groups
     assert claim.claim_id != galecki_claim.claim_id
 
 

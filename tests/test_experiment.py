@@ -194,14 +194,17 @@ def test_oracle_flag_appends_gold_pages(world, tmp_path):
 
 def test_verdict_stage_classifies_each_pair_once(world, tmp_path, monkeypatch):
     """Across every regime's dev selections, the run classifies each
-    distinct (claim, located sentence) pair once, and each regime's
-    verdicts equal verdict_for_claim applied claim by claim."""
+    distinct (claim, located sentence) pair once, with one classify_pair
+    call per (claim, page), and each regime's verdicts equal
+    verdict_for_claim applied claim by claim."""
     classified = []
+    calls = []
     original = nli_module.classify_pair
 
-    def counting(model, extractor, claim, document, position):
-        classified.append((claim.text, document.page_id, position))
-        return original(model, extractor, claim, document, position)
+    def counting(model, extractor, claim, document, positions):
+        calls.append((claim.text, document.page_id))
+        classified.extend((claim.text, document.page_id, position) for position in positions)
+        return original(model, extractor, claim, document, positions)
 
     monkeypatch.setattr(nli_module, "classify_pair", counting)
     out_dir = tmp_path / "out"
@@ -219,6 +222,7 @@ def test_verdict_stage_classifies_each_pair_once(world, tmp_path, monkeypatch):
         if corpus.locate(sid) is not None
     ]
     assert len(classified) == len(set(located)) < len(located)
+    assert len(calls) == len({(cid, sid.page_id) for cid, sid in located}) < len(classified)
     model = NliModel.load(out_dir / "models" / "nli.json")
     extractor = FeatureExtractor(build_index(corpus, "sentence"))
     for name, ranked in selections.items():

@@ -80,7 +80,10 @@ def candidate_features(extractor, claim, title, body, position=0.0):
 
 def pair_features(extractor, claim, title, body):
     """Pair features of a (title, body) candidate against a prepared claim."""
-    return extractor.pair_features(claim, candidate(title, body), 0)
+    doc = candidate(title, body)
+    [(sid, features)] = extractor.pair_features(claim, doc, [0])
+    assert sid is doc.sids[0]
+    return features
 
 
 class TestSelectionFeatures:
@@ -291,8 +294,7 @@ def assert_shipped_paths(corpus, index, claim, candidate_pages, pool_sids, evide
         assert features == expected(sid, None)
 
     training = _TrainingClaim(pool=None, prepared=extractor.prepare_claim(claim.text))
-    for sid in pool_sids:
-        assert training.features(extractor, corpus, sid) == expected(sid, None)
+    assert training.features(extractor, corpus, pool_sids) == [expected(sid, None) for sid in pool_sids]
 
     resolvable = [sid for sid in evidence_sids if corpus.get_sentence(sid) is not None]
     pair_expected = [
@@ -311,8 +313,11 @@ def assert_shipped_paths(corpus, index, claim, candidate_pages, pool_sids, evide
     model = Recording(weights=[[0.0] * n for _ in range(3)], biases=[0.0] * 3)
     _, predicted = verdict_for_claim(model, extractor, corpus, claim, [(sid, 1.0) for sid in evidence_sids])
     assert predicted == resolvable
-    # A sentence listed twice is voted twice but classified once.
-    assert classified == [pair_expected[resolvable.index(sid)] for sid in dict.fromkeys(resolvable)]
+    # A sentence listed twice is voted twice but classified once, a page at
+    # a time: pages, and sentences within a page, in first-appearance order.
+    pages = list(dict.fromkeys(sid.page_id for sid in resolvable))
+    by_page = sorted(dict.fromkeys(resolvable), key=lambda sid: pages.index(sid.page_id))
+    assert classified == [pair_expected[resolvable.index(sid)] for sid in by_page]
     gold_claim = make_claim(claim.claim_id, Label.SUPPORTED, claim.text, [evidence_sids])
     training_pairs = _training_pairs([gold_claim], {}, corpus, extractor)
     assert [features for features, _ in training_pairs] == [
@@ -346,7 +351,9 @@ class TestPreparedClaim:
         the index's own dicts, and no second copy of its tokens, counts,
         postings or norm."""
         index = extractor.index
-        assert PreparedClaim._fields == ("text", "query", "token_set", "bigrams", "span_sets", "idf_mass")
+        assert PreparedClaim._fields == (
+            "text", "query", "token_set", "bigrams", "span_sets", "idf_mass", "negation_cues", "numerals"
+        )
         for claim_text in self.EDGE_CLAIMS + ("Alice Fenwick starred in Halcyon.", "halcyon HALCYON zzz"):
             query = extractor.prepare_claim(claim_text).query
             assert query == parse_query(index, claim_text)

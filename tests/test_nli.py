@@ -134,7 +134,7 @@ class TestClassifyPair:
         model = train_nli(claims, selections, corpus, extractor, TrainingConfig(seed=2))
         # Line -1 is in no index, so the pair counts its own tokens.
         candidate = Document("Ada Hartley", ((-1, "She acts."),))
-        _, probs = classify_pair(model, extractor, extractor.prepare_claim("Ada Hartley acts."), candidate, 0)
+        [(_, _, probs)] = classify_pair(model, extractor, extractor.prepare_claim("Ada Hartley acts."), candidate, [0])
         assert sum(probs) == pytest.approx(1.0, abs=1e-9)
         assert all(p > 0 for p in probs)
 
@@ -145,7 +145,7 @@ class TestClassifyPair:
             biases=[0.0] * len(CLASS_ORDER),
         )
         candidate = Document("Any", ((-1, "text"),))
-        label, probs = classify_pair(zero, extractor, extractor.prepare_claim("any claim"), candidate, 0)
+        [(_, label, probs)] = classify_pair(zero, extractor, extractor.prepare_claim("any claim"), candidate, [0])
         assert label is NEI
         assert probs == pytest.approx([1 / 3, 1 / 3, 1 / 3])
 
@@ -172,7 +172,8 @@ class TestClassifyPair:
         claim = claims[2]  # refuted via numeral mismatch
         sid = sorted(claim.gold_sentences())[0]
         prepared = extractor.prepare_claim(claim.text)
-        label, _ = classify_pair(model, extractor, prepared, *corpus.locate(sid))
+        document, position = corpus.locate(sid)
+        [(_, label, _)] = classify_pair(model, extractor, prepared, document, [position])
         assert label is REF
 
 

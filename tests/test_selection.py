@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from claimlab import features as features_module
+from claimlab import selection as selection_module
 from claimlab.claim_gen import generate_augmentation_set, synthetic_to_claim
 from claimlab.claims import Label, load_claims
 from claimlab.corpus import (
@@ -29,6 +30,7 @@ from claimlab.selection import (
     Regime,
     RelevanceModel,
     TrainingConfig,
+    _fit,
     _per_group,
     _regime_claims,
     aggregate_sr,
@@ -36,7 +38,7 @@ from claimlab.selection import (
     train_selector,
     train_selectors,
 )
-from claimlab.util import linear_form, stable_seed
+from claimlab.util import linear_form, logistic_scores, stable_seed
 
 from conftest import count_tokenized, make_claim, make_corpus, tfidf_scores
 
@@ -47,9 +49,9 @@ def classified_candidates(corpus, evidence):
     seen = []
 
     class Recording(FeatureExtractor):
-        def pair_features(self, claim, document, position):
-            seen.append((document.title, document.sentences[position][1]))
-            return super().pair_features(claim, document, position)
+        def pair_features(self, claim, document, positions):
+            seen.extend((document.title, document.sentences[position][1]) for position in positions)
+            return super().pair_features(claim, document, positions)
 
     extractor = Recording.from_index(build_index(corpus, "sentence"))
     model = NliModel(
@@ -484,6 +486,88 @@ def test_linear_form_is_the_left_to_right_chain(vectors):
     weights, features = vectors
     expected = reduce(add, map(mul, weights, features), 0.0)
     assert linear_form(len(weights))(weights, features).hex() == expected.hex()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([3, 10, 13]).flatmap(
+        lambda n: st.tuples(
+            st.lists(KERNEL_FLOATS, min_size=n, max_size=n),
+            KERNEL_FLOATS,
+            st.lists(st.lists(KERNEL_FLOATS, min_size=n, max_size=n), max_size=4),
+        )
+    )
+)
+@example(([1e300, 1e300, -1e300], 0.0, [[1e300, 1.0, 1e300], [-1e300, 1.0, -1e300], [1.0, 1.0, 1.0]]))
+# The bias is added after the products: (1.0 + 1e16 + 1.0) - 1e16 would be 0.0.
+@example(([1e16, 1.0, -1e16], 1.0, [[1.0, 1.0, 1.0]]))
+@example(([-0.0] * 10, -0.0, [[1.0] * 10, [-0.0] * 10]))
+@example(([5e-324, -5e-324] + [1e16, 1.0, -1e16] * 3 + [1e-300] * 2, 1e-300, [[0.5] * 13, [-1e300] * 13]))
+def test_logistic_scores_are_relevance_scores(model_and_vectors):
+    """logistic_scores(n) gives each vector the bits of RelevanceModel.score."""
+    weights, bias, vectors = model_and_vectors
+    model = RelevanceModel(weights=weights, bias=bias)
+    scores = logistic_scores(len(weights))(weights, bias, enumerate(vectors))
+    assert [scores[i].hex() for i in range(len(vectors))] == [model.score(f).hex() for f in vectors]
+
+
+def test_logistic_scores_is_built_once_per_width():
+    assert logistic_scores(10) is logistic_scores(10)
+    assert logistic_scores(0)([], 0.0, [("a", [])]) == {"a": 0.5}
+    # A repeated key keeps its last score; a short vector raises.
+    last = RelevanceModel(weights=[1.0], bias=0.0).score([-50.0])
+    assert logistic_scores(1)([1.0], 0.0, [("a", [50.0]), ("a", [-50.0])]) == {"a": last}
+    with pytest.raises(IndexError):
+        logistic_scores(3)([1.0, 2.0, 3.0], 0.0, [("a", [1.0, 2.0])])
+
+
+# Few distinct keys and feature values, so keys repeat and scores tie.
+NEGATIVE_KEYS = st.tuples(
+    st.integers(1, 2), st.sampled_from([SentenceId("P", 0), SentenceId("P", 1), SentenceId("Q", 0)])
+)
+SMALL_VECTORS = st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.0]), min_size=10, max_size=10)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    positives=st.lists(SMALL_VECTORS, min_size=1, max_size=5),
+    negatives=st.lists(st.tuples(NEGATIVE_KEYS, SMALL_VECTORS), max_size=12),
+    epochs=st.integers(1, 3),
+)
+# No negatives (keep == 0); and the warm start scores by tfidf_cosine alone,
+# so vectors with equal cosines tie at the cut, some under one key.
+@example(positives=[[0.0] * 10], negatives=[], epochs=2)
+@example(
+    positives=[[1.0] * 10, [0.5] * 10],
+    negatives=[
+        ((2, SentenceId("P", 0)), [0.0, 1.0] + [0.5] * 8),
+        ((1, SentenceId("Q", 0)), [1.0] * 10),
+        ((2, SentenceId("P", 0)), [1.0, 0.0] + [0.5] * 8),
+        ((1, SentenceId("P", 1)), [0.5, 0.5] + [0.5] * 8),
+        ((1, SentenceId("P", 1)), [0.0] * 10),
+    ],
+    epochs=3,
+)
+def test_fit_keeps_the_sorted_hardest_negatives(positives, negatives, epochs):
+    """Each epoch of _fit trains on exactly the reference selection of the
+    negatives it was given, keys repeated or not, scores tied at the cut or
+    not."""
+    selected = []
+    original = selection_module._hardest_negatives
+
+    def checked(model, ranked, keep):
+        hardest = original(model, ranked, keep)
+        frozen = RelevanceModel(weights=list(model.weights), bias=model.bias)
+        assert keep == min(len(positives), len(negatives))
+        assert hardest == sorted(negatives, key=lambda item: (-frozen.score(item[1]), item[0]))[:keep]
+        selected.append(hardest)
+        return hardest
+
+    keyed = [((0, SentenceId("G", i)), vector) for i, vector in enumerate(positives)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(selection_module, "_hardest_negatives", checked)
+        _fit(keyed, negatives, TrainingConfig(epochs=epochs, seed=5))
+    assert len(selected) == epochs
 
 
 def test_linear_form_is_built_once_per_width_and_reads_every_feature():

@@ -41,7 +41,7 @@ def test_gold_evidence_resolves_and_claims_link(tmp_path):
     corpus = ingest_corpus(paths["corpus"])
     kb = KnowledgeBase.load(paths["kb"])
     for claim in load_claims(paths["train"]) + load_claims(paths["dev"]):
-        for group in claim.evidence_groups():
+        for group in claim.evidence_groups:
             for sid in group:
                 assert corpus.get_sentence(sid) is not None, claim
         if claim.label is not Label.NOT_ENOUGH_INFO and "sitcom" in claim.text:
@@ -53,7 +53,7 @@ def test_dev_two_entity_supported_have_person_page_gold(tmp_path):
     dev = load_claims(paths["dev"])
     for claim in dev:
         if claim.label is Label.SUPPORTED and "sitcom" in claim.text:
-            gold_page = claim.evidence_groups()[0][0].page_id
+            gold_page = claim.evidence_groups[0][0].page_id
             assert claim.text.startswith(gold_page)
 
 
