@@ -41,7 +41,7 @@ def main() -> None:
     paths = write_world(build_world(WorldConfig(seed=args.world_seed)), world_dir)
 
     seeds = [int(s) for s in args.seeds.split(",")]
-    checks = {k: 0 for k in "abcde"}
+    checks: dict[str, int] = {}
     for seed in seeds:
         config = ExperimentConfig(
             corpus=str(paths["corpus"]),
@@ -61,7 +61,7 @@ def main() -> None:
 
         outcomes = orderings(report)
         for key, ok in outcomes.items():
-            checks[key] += ok is True
+            checks[key] = checks.get(key, 0) + (ok is True)
         print("orderings:", " ".join(f"{k}={_OUTCOMES[ok]}" for k, ok in outcomes.items()))
 
     print()

@@ -2,14 +2,15 @@
 
 For a true claim with at least two linked entities, the second mention
 (by character offset) is replaced with a seeded-uniform sibling from
-the knowledge base. The source claim's evidence is carried over as the
-refuting evidence of the generated claim.
+the knowledge base. The generated claim is a REFUTED `Claim` whose id is
+the source's plus `SYNTHETIC_ID_OFFSET`; the source claim's evidence is
+carried over as its refuting evidence, and its `extra` names the source
+claim and the replaced and replacement entities.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .claims import Claim, Label
@@ -20,17 +21,7 @@ from .util import stable_seed
 SYNTHETIC_ID_OFFSET = 10_000_000
 
 
-@dataclass(frozen=True)
-class SyntheticClaim:
-    text: str
-    source_claim_id: int
-    replaced_entity_id: str
-    replacement_entity_id: str
-    evidence: tuple
-    label: Label = Label.REFUTED
-
-
-def generate_false_claim(claim: Claim, kb: KnowledgeBase, rng_seed: int) -> Optional[SyntheticClaim]:
+def generate_false_claim(claim: Claim, kb: KnowledgeBase, rng_seed: int) -> Optional[Claim]:
     """One synthetic refuted claim from a supported claim, or None.
 
     None covers every degenerate case: fewer than two linked mentions,
@@ -48,19 +39,20 @@ def generate_false_claim(claim: Claim, kb: KnowledgeBase, rng_seed: int) -> Opti
     replacement = random.Random(rng_seed).choice(siblings)
     replacement_name = kb.require(replacement).canonical_name
     text = claim.text[: target.start] + replacement_name + claim.text[target.end :]
-    return SyntheticClaim(
+    return Claim(
+        claim_id=claim.claim_id + SYNTHETIC_ID_OFFSET,
+        label=Label.REFUTED,
         text=text,
-        source_claim_id=claim.claim_id,
-        replaced_entity_id=target.entity_id,
-        replacement_entity_id=replacement,
         evidence=claim.evidence,
+        extra={"source_claim_id": claim.claim_id, "replaced": target.entity_id, "replacement": replacement},
     )
 
 
 def generate_augmentation_set(
     claims: Sequence[Claim], kb: KnowledgeBase, seed: int
-) -> list[SyntheticClaim]:
-    """Apply generate_false_claim to every supported claim, in order.
+) -> list[Claim]:
+    """The generate-claims stage: generate_false_claim applied to every
+    supported claim, in order.
 
     Per-claim seeds derive deterministically from (seed, claim_id), so
     generation is reproducible and parallelizable per claim.
@@ -75,16 +67,7 @@ def generate_augmentation_set(
     return out
 
 
-def synthetic_to_claim(synthetic: SyntheticClaim) -> Claim:
-    return Claim(
-        claim_id=synthetic.source_claim_id + SYNTHETIC_ID_OFFSET,
-        label=Label.REFUTED,
-        text=synthetic.text,
-        evidence=synthetic.evidence,
-        extra={
-            "source_claim_id": synthetic.source_claim_id,
-            "replaced": synthetic.replaced_entity_id,
-            "replacement": synthetic.replacement_entity_id,
-        },
-    )
-
+def synthetic_to_claim(claim: Claim) -> Claim:
+    """The claim itself: generated claims are Claims already. Kept because
+    bench/ calls it (ROADMAP item 12)."""
+    return claim

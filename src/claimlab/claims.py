@@ -35,7 +35,8 @@ class Claim:
     """A claim, its label and its raw evidence structure as found in the
     claims file. evidence_groups is derived from evidence when the claim
     is built: the alternative evidence groups as sentence ids (a group
-    with a null page or line is dropped), empty for NEI."""
+    with a null page or line is dropped), empty for NEI. An evidence item
+    with fewer than four fields raises a ValueError."""
 
     claim_id: int
     label: Label
@@ -49,6 +50,8 @@ class Claim:
         for group in self.evidence:
             sids = []
             for item in group:
+                if len(item) < 4:
+                    raise ValueError(f"claim {self.claim_id}: evidence item {list(item)} has fewer than four fields")
                 page, line = item[2], item[3]
                 if page is None or line is None:
                     break
@@ -97,8 +100,7 @@ def claim_to_json(claim: Claim) -> dict:
 def load_claims(path: Union[str, Path]) -> list[Claim]:
     """The claims of a claims file; a repeated claim id raises a ValueError."""
     claims: dict[int, Claim] = {}
-    for obj in read_jsonl(path):
-        claim = claim_from_json(obj)
+    for claim in read_jsonl(path, claim_from_json):
         if claim.claim_id in claims:
             raise ValueError(f"{path}: repeated claim id {claim.claim_id}")
         claims[claim.claim_id] = claim

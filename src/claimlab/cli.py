@@ -13,6 +13,7 @@ import argparse
 import logging
 import sys
 
+from .claim_gen import generate_augmentation_set
 from .claims import Label, load_claims, save_claims
 from .corpus import build_index, ingest_corpus
 from .entity_analysis import analyze_claims
@@ -22,7 +23,6 @@ from .experiment import (
     ExperimentConfig,
     StageError,
     evaluate_evidence,
-    generate_claims,
     load_docs,
     load_selections,
     load_verdicts,
@@ -38,7 +38,7 @@ from .features import FeatureExtractor
 from .kb import KnowledgeBase
 from .nli import NliModel, train_nli
 from .retrieval import DocRetrievalConfig, DocumentRetriever
-from .selection import Regime, RelevanceModel, TrainingConfig, train_selectors
+from .selection import REGIMES, RelevanceModel, TrainingConfig, train_selectors
 from .util import read_json, write_json
 
 
@@ -66,7 +66,7 @@ def cmd_retrieve_docs(args) -> int:
 def cmd_generate_claims(args) -> int:
     claims = load_claims(args.claims)
     kb = KnowledgeBase.load(args.kb)
-    synthetic = generate_claims(claims, kb, args.seed)
+    synthetic = generate_augmentation_set(claims, kb, args.seed)
     save_claims(args.out, synthetic)
     supported = sum(1 for c in claims if c.label is Label.SUPPORTED)
     print(f"generated {len(synthetic)} false claims from {supported} supported claims -> {args.out}")
@@ -91,9 +91,8 @@ def cmd_train_selector(args) -> int:
     corpus, sentence_index, extractor = _load_corpus_bundle(args.corpus)
     claims = load_claims(args.claims)
     synthetic = load_claims(args.synthetic) if args.synthetic else []
-    regime = Regime(args.regime)
-    if regime is Regime.DATA_AUGMENTED and not synthetic:
-        print("error: train-selector: regime 'da' needs --synthetic", file=sys.stderr)
+    if REGIMES[args.regime].synthetic and not synthetic:
+        print(f"error: train-selector: regime {args.regime!r} needs --synthetic", file=sys.stderr)
         return 1
     config = TrainingConfig(
         epochs=args.epochs,
@@ -101,9 +100,9 @@ def cmd_train_selector(args) -> int:
         seed=args.seed,
         negatives_per_positive=args.negatives_per_positive,
     )
-    model = train_selectors(claims, synthetic, corpus, sentence_index, extractor, {regime: config})[regime]
+    model = train_selectors(claims, synthetic, corpus, sentence_index, extractor, {args.regime: config})[args.regime]
     model.save(args.out)
-    print(f"trained {regime.value} selector on {model.metadata['n_claims']} claims -> {args.out}")
+    print(f"trained {args.regime} selector on {model.metadata['n_claims']} claims -> {args.out}")
     return 0
 
 
@@ -220,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_analyze_entities)
 
     p = sub.add_parser("train-selector", help="train the sentence relevance model")
-    p.add_argument("--regime", required=True, choices=[r.value for r in Regime])
+    p.add_argument("--regime", required=True, choices=[name for name, spec in REGIMES.items() if not spec.merges])
     p.add_argument("--claims", required=True)
     p.add_argument("--synthetic")
     p.add_argument("--corpus", required=True)
@@ -278,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--k-docs", type=int)
     p.add_argument("--k-sentences", type=int)
-    p.add_argument("--regimes", help="comma-separated subset of baseline,sup,ref,sr,da")
+    p.add_argument("--regimes", help=f"comma-separated subset of {','.join(ALL_REGIMES)}")
     p.add_argument("--oracle-docs", action=argparse.BooleanOptionalAction, default=None)
     p.add_argument("--out-dir")
     p.set_defaults(fn=cmd_run)

@@ -9,8 +9,10 @@ runs with the same config and seed produce byte-identical bundles.
 
 Each pipeline step is one function that `run_experiment` and the CLI
 subcommand of the same name both call: `ingest_corpus`,
-`generate_claims`, `analyze_claims`, `retrieve_docs`, `train_selectors`,
-`select_evidence`, `train_nli`, `verdicts_for` and `evaluate_evidence`.
+`generate_augmentation_set`, `analyze_claims`, `retrieve_docs`,
+`train_selectors`, `select_evidence`, `train_nli`, `verdicts_for` and
+`evaluate_evidence`. `selection.REGIMES` says what each regime is: the
+claims a trained one learns from, or the selectors a merged one merges.
 The NEI training pairs of train-nli are the baseline selector's
 `select_evidence` ranking over plain (non-oracle) `retrieve_docs` pages.
 As `select_evidence` featurizes each claim's candidates once for every
@@ -27,7 +29,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterator, Mapping, Optional, Sequence
 
-from .claim_gen import generate_augmentation_set, synthetic_to_claim
+from .claim_gen import generate_augmentation_set
 from .claims import Claim, Label, load_claims, save_claims
 from .corpus import Corpus, SentenceId, build_index, corpus_files, ingest_corpus
 from .entity_analysis import analyze_claims
@@ -37,8 +39,8 @@ from .kb import KnowledgeBase
 from .nli import NliModel, claim_verdicts, train_nli
 from .retrieval import DocRetrievalConfig, DocumentRetriever
 from .selection import (
+    REGIMES,
     RankedEvidence,
-    Regime,
     RelevanceModel,
     TrainingConfig,
     aggregate_sr,
@@ -57,7 +59,7 @@ from .util import (
     write_jsonl,
 )
 
-ALL_REGIMES = ("baseline", "sup", "ref", "sr", "da")
+ALL_REGIMES = tuple(REGIMES)
 
 Verdict = tuple[Label, list[SentenceId]]
 
@@ -148,12 +150,11 @@ def write_selections(path: PathLike, selections: Mapping[int, RankedEvidence]) -
 
 
 def load_selections(path: PathLike) -> dict[int, RankedEvidence]:
-    return {
-        int(obj["claim_id"]): [
-            (SentenceId(str(page), int(line)), float(score)) for page, line, score in obj["evidence"]
-        ]
-        for obj in read_jsonl(path)
-    }
+    def row(obj: dict) -> tuple[int, RankedEvidence]:
+        ranked = [(SentenceId(str(page), int(line)), float(score)) for page, line, score in obj["evidence"]]
+        return int(obj["claim_id"]), ranked
+
+    return dict(read_jsonl(path, row))
 
 
 def write_docs(path: PathLike, docs: Mapping[int, list[str]]) -> None:
@@ -161,7 +162,7 @@ def write_docs(path: PathLike, docs: Mapping[int, list[str]]) -> None:
 
 
 def load_docs(path: PathLike) -> dict[int, list[str]]:
-    return {int(obj["claim_id"]): [str(p) for p in obj["pages"]] for obj in read_jsonl(path)}
+    return dict(read_jsonl(path, lambda obj: (int(obj["claim_id"]), [str(p) for p in obj["pages"]])))
 
 
 def write_verdicts(path: PathLike, verdicts: Mapping[int, Verdict]) -> None:
@@ -177,21 +178,14 @@ def write_verdicts(path: PathLike, verdicts: Mapping[int, Verdict]) -> None:
 
 
 def load_verdicts(path: PathLike) -> dict[int, Verdict]:
-    return {
-        int(obj["claim_id"]): (
-            Label.from_string(obj["predicted_label"]),
-            [SentenceId(str(p), int(l)) for p, l in obj["predicted_evidence"]],
-        )
-        for obj in read_jsonl(path)
-    }
+    def row(obj: dict) -> tuple[int, Verdict]:
+        evidence = [SentenceId(str(p), int(l)) for p, l in obj["predicted_evidence"]]
+        return int(obj["claim_id"]), (Label.from_string(obj["predicted_label"]), evidence)
+
+    return dict(read_jsonl(path, row))
 
 
 # One function per pipeline step; the CLI subcommands call them too.
-
-
-def generate_claims(claims: Sequence[Claim], kb: KnowledgeBase, seed: int) -> list[Claim]:
-    """Synthetic refuted claims from the supported ones, as Claim records."""
-    return [synthetic_to_claim(s) for s in generate_augmentation_set(claims, kb, seed=seed)]
 
 
 def retrieve_docs(
@@ -260,12 +254,11 @@ def evaluate_evidence(
     return build_report(claims, predictions, verdicts, k)
 
 
-def _trained_regimes(requested: tuple[str, ...]) -> list[Regime]:
-    """Models to actually train; SR is an aggregation of sup and ref."""
-    names = [r for r in requested if r != "sr"]
-    if "sr" in requested:
-        names += [needed for needed in ("sup", "ref") if needed not in names]
-    return [Regime(name) for name in names]
+def _trained_regimes(requested: tuple[str, ...]) -> list[str]:
+    """Selectors to actually train: the requested trained regimes, then
+    those a requested merged regime merges."""
+    trained = [r for r in requested if not REGIMES[r].merges]
+    return list(dict.fromkeys(trained + [needed for r in requested for needed in REGIMES[r].merges]))
 
 
 def run_experiment(config: ExperimentConfig) -> dict:
@@ -316,8 +309,8 @@ def _write_bundle(config: ExperimentConfig, out_dir: Path) -> dict:
         retriever = DocumentRetriever(corpus, doc_index, config.retrieval_config())
 
     with _stage("generate-claims"):
-        synthetic_train = generate_claims(train, kb, stable_seed(config.seed, "augment", "train"))
-        adversarial = generate_claims(dev, kb, stable_seed(config.seed, "augment", "dev"))
+        synthetic_train = generate_augmentation_set(train, kb, stable_seed(config.seed, "augment", "train"))
+        adversarial = generate_augmentation_set(dev, kb, stable_seed(config.seed, "augment", "dev"))
         save_claims(out_dir / "synthetic_train.jsonl", synthetic_train)
         save_claims(out_dir / "adversarial_dev.jsonl", adversarial)
 
@@ -332,17 +325,15 @@ def _write_bundle(config: ExperimentConfig, out_dir: Path) -> dict:
 
     with _stage("train-selector"):
         configs = {
-            regime: config.training_config(stable_seed(config.seed, "selector", regime.value))
+            regime: config.training_config(stable_seed(config.seed, "selector", regime))
             for regime in _trained_regimes(config.regimes)
         }
-        trained = train_selectors(train, synthetic_train, corpus, sentence_index, extractor, configs)
-        models = {}
-        for regime, model in trained.items():
-            model.save(out_dir / "models" / f"selector_{regime.value}.json")
-            models[regime.value] = model
+        models = train_selectors(train, synthetic_train, corpus, sentence_index, extractor, configs)
+        for regime, model in models.items():
+            model.save(out_dir / "models" / f"selector_{regime}.json")
 
     with _stage("select"):
-        sr = ("sup", "ref") if "sr" in config.regimes else None
+        sr = REGIMES["sr"].merges if "sr" in config.regimes else None
         for dataset, claims in datasets:
             docs = load_docs(out_dir / f"docs_{dataset}.jsonl")
             selected = select_evidence(models, extractor, corpus, claims, docs, config.k_sentences, sr)

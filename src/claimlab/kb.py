@@ -36,6 +36,23 @@ class EntityMention:
     surface: str
 
 
+def _entity_record(obj: dict) -> EntityRecord:
+    """One KB row as a record; the name leads the aliases."""
+    eid = str(obj["id"])
+    name = obj["name"]
+    for key in ("aliases", "parents", "relations"):
+        if not isinstance(obj.get(key, []), list):
+            raise ValueError(f"entity {eid!r}: {key} must be a list, got {obj[key]!r}")
+    aliases = obj.get("aliases", [])
+    return EntityRecord(
+        entity_id=eid,
+        canonical_name=name,
+        aliases=tuple(aliases if name in aliases else [name, *aliases]),
+        parent_ids=tuple(p for p in obj.get("parents", []) if p != eid),
+        relation_ids=tuple(r for r in obj.get("relations", []) if r != eid),
+    )
+
+
 class KnowledgeBase:
     def __init__(self, records: Iterable[EntityRecord]):
         self.entities: dict[str, EntityRecord] = {}
@@ -70,24 +87,7 @@ class KnowledgeBase:
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "KnowledgeBase":
-        records = []
-        for obj in read_jsonl(path):
-            eid = str(obj["id"])
-            name = obj["name"]
-            for key in ("aliases", "parents", "relations"):
-                if not isinstance(obj.get(key, []), list):
-                    raise ValueError(f"entity {eid!r}: {key} must be a list, got {obj[key]!r}")
-            aliases = obj.get("aliases", [])
-            records.append(
-                EntityRecord(
-                    entity_id=eid,
-                    canonical_name=name,
-                    aliases=tuple(aliases if name in aliases else [name, *aliases]),
-                    parent_ids=tuple(p for p in obj.get("parents", []) if p != eid),
-                    relation_ids=tuple(r for r in obj.get("relations", []) if r != eid),
-                )
-            )
-        return cls(records)
+        return cls(read_jsonl(path, _entity_record))
 
     def require(self, entity_id: str) -> EntityRecord:
         record = self.entities.get(entity_id)

@@ -12,11 +12,12 @@ stay balanced: one batch scoring of every negative, then
 Negatives come from a `NegativePool` per training claim, which ranks
 only what the groups can reach: the positive pages' sentences, an
 exact MaxScore-pruned top-k of the rest of the sentence index, and the
-pages group C draws, each ranked once per pool. `train_selectors`
-trains several regimes in one pass: each distinct training claim is
-parsed once into the `corpus.Query` its pool and its feature vectors
-both read, each regime's seed drives its own draws from the shared
-pools, and each draw's new sentences are featurized a page at a time.
+pages group C draws, each ranked when drawn. `REGIMES` says what each
+regime is. `train_selectors` trains several regimes in one pass: each
+distinct training claim is parsed once into the `corpus.Query` its pool
+and its feature vectors both read, each regime's seed drives its own
+draws from the shared pools, and each draw's new sentences are
+featurized a page at a time.
 
 Ranking is one featurize pass over a claim's candidate sentences plus a
 top-k scoring step per model, each one call of the batch kernel
@@ -32,7 +33,7 @@ import random
 from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .claims import Claim, Label
 from .corpus import Corpus, IndexScorer, InvertedIndex, Query, SentenceId, rank_key, top_k_scored
@@ -42,7 +43,25 @@ from .util import linear_form, load_model, logistic_scores, save_model, stable_s
 MODEL_SCHEMA = "claimlab/relevance-model/v1"
 
 
-class Regime(enum.Enum):
+class RegimeSpec(NamedTuple):
+    """The labels of the claims a regime's selector trains on and whether
+    the synthetic claims join them, or the two selectors it merges."""
+
+    labels: tuple[Label, ...] = ()
+    synthetic: bool = False
+    merges: tuple[str, ...] = ()
+
+
+REGIMES = {  # in report order
+    "baseline": RegimeSpec((Label.SUPPORTED, Label.REFUTED)),
+    "sup": RegimeSpec((Label.SUPPORTED,)),
+    "ref": RegimeSpec((Label.REFUTED,)),
+    "sr": RegimeSpec(merges=("sup", "ref")),
+    "da": RegimeSpec((Label.SUPPORTED, Label.REFUTED), synthetic=True),
+}
+
+
+class Regime(enum.Enum):  # the train_selector shim's argument type only (ROADMAP item 12)
     BASELINE = "baseline"
     SUP_ONLY = "sup"
     REF_ONLY = "ref"
@@ -130,7 +149,6 @@ class NegativePool:
             sid for sid, _ in scorer.top_k(self._query, reach) if sid.page_id not in self._positive_pages
         ]
         self._population = scorer.pages(self._query)
-        self._best: dict[str, SentenceId] = {}
 
     def _ranked(self, pages: Iterable[str]) -> list[SentenceId]:
         documents = self._corpus.documents
@@ -138,13 +156,8 @@ class NegativePool:
         return [sid for sid, _ in sorted(self._scorer.scores(self._query, sids).items(), key=rank_key)]
 
     def _best_of(self, page: str) -> SentenceId:
-        """The page's best-ranked sentence, _ranked([page])[0]; the pool's
-        query fixes it, so each page is ranked once per pool."""
-        best = self._best.get(page)
-        if best is None:
-            scores = self._scorer.scores(self._query, self._corpus.documents[page].sids)
-            best = self._best[page] = min(scores.items(), key=rank_key)[0]
-        return best
+        """The page's best-ranked sentence, _ranked([page])[0]."""
+        return min(self._scorer.scores(self._query, self._corpus.documents[page].sids).items(), key=rank_key)[0]
 
     def draw(self, rng_seed: int, per_group: int) -> list[SentenceId]:
         """Up to 3 * per_group TF-IDF-ranked negatives per positive, in
@@ -189,21 +202,10 @@ def _per_group(negatives_per_positive: int) -> int:
     return max(1, negatives_per_positive // 3)
 
 
-def _regime_claims(
-    claims: Sequence[Claim], synthetic_claims: Sequence[Claim], regime: Regime
-) -> list[Claim]:
-    supported = [c for c in claims if c.label is Label.SUPPORTED]
-    refuted = [c for c in claims if c.label is Label.REFUTED]
-    if regime is Regime.BASELINE:
-        return [c for c in claims if c.label in (Label.SUPPORTED, Label.REFUTED)]
-    if regime is Regime.SUP_ONLY:
-        return supported
-    if regime is Regime.REF_ONLY:
-        return refuted
-    if regime is Regime.DATA_AUGMENTED:
-        base = [c for c in claims if c.label in (Label.SUPPORTED, Label.REFUTED)]
-        return base + list(synthetic_claims)
-    raise ValueError(f"unhandled regime {regime!r}")
+def _regime_claims(claims: Sequence[Claim], synthetic_claims: Sequence[Claim], regime: str) -> list[Claim]:
+    spec = REGIMES[regime]
+    chosen = [c for c in claims if c.label in spec.labels]
+    return chosen + list(synthetic_claims) if spec.synthetic else chosen
 
 
 @dataclass
@@ -234,9 +236,9 @@ def train_selectors(
     corpus: Corpus,
     index: InvertedIndex,
     extractor: FeatureExtractor,
-    configs: Mapping[Regime, TrainingConfig],
-) -> dict[Regime, RelevanceModel]:
-    """Train one relevance scorer per regime, in one pass over the claims.
+    configs: Mapping[str, TrainingConfig],
+) -> dict[str, RelevanceModel]:
+    """Train one relevance scorer per named regime, in one pass over the claims.
 
     Each distinct training claim is prepared once, when the first regime
     uses it: its PreparedClaim, whose query its NegativePool ranks with
@@ -254,11 +256,11 @@ def train_selectors(
     # reach list only grows at the end.
     pool_per_group = max(_per_group(config.negatives_per_positive) for config in configs.values())
     prepared: dict[Claim, Optional[_TrainingClaim]] = {}
-    models: dict[Regime, RelevanceModel] = {}
+    models: dict[str, RelevanceModel] = {}
     for regime, config in configs.items():
         training_claims = _regime_claims(claims, synthetic_claims, regime)
         if not training_claims:
-            raise ValueError(f"no training claims for regime {regime.value!r}")
+            raise ValueError(f"no training claims for regime {regime!r}")
         positives: list[tuple[tuple, list[float]]] = []
         negatives: list[tuple[tuple, list[float]]] = []
         for claim in training_claims:
@@ -278,10 +280,10 @@ def train_selectors(
             drawn = entry.pool.draw(seed, _per_group(config.negatives_per_positive))
             negatives += zip([(claim.claim_id, sid) for sid in drawn], entry.features(extractor, corpus, drawn))
         if not positives:
-            raise ValueError(f"regime {regime.value!r} selected no trainable positives")
+            raise ValueError(f"regime {regime!r} selected no trainable positives")
         model = _fit(positives, negatives, config)
         model.metadata = {
-            "regime": regime.value,
+            "regime": regime,
             "seed": config.seed,
             "epochs": config.epochs,
             "learning_rate": config.learning_rate,
@@ -347,7 +349,7 @@ def train_selector(
 ) -> RelevanceModel:
     """train_selectors for one regime. Kept because bench/ calls it
     (ROADMAP item 12)."""
-    return train_selectors(claims, synthetic_claims, corpus, index, extractor, {regime: config})[regime]
+    return train_selectors(claims, synthetic_claims, corpus, index, extractor, {regime.value: config})[regime.value]
 
 
 RankedEvidence = list[tuple[SentenceId, float]]

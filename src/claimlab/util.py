@@ -8,7 +8,7 @@ import hashlib
 import json
 import math
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Sequence, Union
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 PathLike = Union[str, Path]
 
@@ -127,22 +127,32 @@ def write_jsonl(path: PathLike, rows: Iterable[Any]) -> None:
             handle.write("\n")
 
 
-def read_jsonl(path: PathLike) -> Iterator[dict]:
-    """The parsed objects of a JSON-lines file; blank lines are skipped.
+def read_jsonl(path: PathLike, parse: Optional[Callable[[dict], Any]] = None) -> Iterator[Any]:
+    """The rows of a JSON-lines file, each passed through parse if given;
+    blank lines are skipped.
 
-    Every row must be a JSON object; a row that is not valid JSON, or
-    not an object, raises a ValueError naming the file and the line.
+    The one place a malformed row is reported: a row that is not valid
+    JSON, not a JSON object, or that parse rejects with a KeyError,
+    ValueError, TypeError or IndexError raises a ValueError naming the
+    file and the line.
     """
     with open(path, "r", encoding="utf-8") as handle:
         for line_number, raw in enumerate(handle, 1):
-            if raw.strip():
-                try:
-                    obj = json.loads(raw)
-                except json.JSONDecodeError as exc:
-                    raise ValueError(f"{path}:{line_number}: invalid JSON: {exc.msg} at column {exc.colno}") from None
-                if not isinstance(obj, dict):
-                    raise ValueError(f"{path}:{line_number}: row is not a JSON object")
-                yield obj
+            if not raw.strip():
+                continue
+            try:
+                row = json.loads(raw)
+                if not isinstance(row, dict):
+                    raise ValueError("row is not a JSON object")
+                if parse is not None:
+                    row = parse(row)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}:{line_number}: invalid JSON: {exc.msg} at column {exc.colno}") from None
+            except KeyError as exc:
+                raise ValueError(f"{path}:{line_number}: missing field {exc}") from None
+            except (ValueError, TypeError, IndexError) as exc:
+                raise ValueError(f"{path}:{line_number}: {exc}") from None
+            yield row
 
 
 def save_model(path: PathLike, schema: str, feature_names: tuple[str, ...], fields: dict) -> None:

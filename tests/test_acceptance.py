@@ -266,27 +266,27 @@ def test_criterion_4_generator_invariants():
         assert len(claims) == 50
         synthetics = generate_augmentation_set(claims, kb, seed=99)
         again = generate_augmentation_set(claims, kb, seed=99)
-        assert synthetics == again  # determinism
+        assert [(s, s.extra) for s in synthetics] == [(s, s.extra) for s in again]  # determinism
 
         by_id = {c.claim_id: c for c in claims}
         assert synthetics
         for synthetic in synthetics:
-            source = by_id[synthetic.source_claim_id]
+            source = by_id[synthetic.extra["source_claim_id"]]
             mentions = link_entities(source.text, kb)
             target = mentions[1]
-            assert target.entity_id == synthetic.replaced_entity_id
+            assert target.entity_id == synthetic.extra["replaced"]
             # identical outside the replaced span
             assert synthetic.text[: target.start] == source.text[: target.start]
             assert synthetic.text.endswith(source.text[target.end :])
-            replacement_name = kb.require(synthetic.replacement_entity_id).canonical_name
+            replacement_name = kb.require(synthetic.extra["replacement"]).canonical_name
             assert (
                 synthetic.text[target.start : target.start + len(replacement_name)]
                 == replacement_name
             )
             # sibling via a shared parent, never the replaced entity itself
-            assert synthetic.replacement_entity_id != synthetic.replaced_entity_id
-            replaced = kb.require(synthetic.replaced_entity_id)
-            replacement = kb.require(synthetic.replacement_entity_id)
+            assert synthetic.extra["replacement"] != synthetic.extra["replaced"]
+            replaced = kb.require(synthetic.extra["replaced"])
+            replacement = kb.require(synthetic.extra["replacement"])
             assert set(replaced.parent_ids) & set(replacement.parent_ids)
             # evidence carried over exactly
             assert synthetic.evidence == source.evidence
@@ -297,7 +297,7 @@ def test_criterion_4_generator_invariants():
         )
         assert len(synthetics) <= eligible
         # claims whose second entity has no siblings yield nothing
-        lonesome_sources = {s.source_claim_id for s in synthetics}
+        lonesome_sources = {s.extra["source_claim_id"] for s in synthetics}
         for c in claims:
             if "Lonesome" in c.text:
                 assert c.claim_id not in lonesome_sources

@@ -5,7 +5,7 @@ from claimlab.claim_gen import (
     generate_false_claim,
     synthetic_to_claim,
 )
-from claimlab.claims import Label, load_claims, save_claims
+from claimlab.claims import Claim, Label, load_claims, save_claims
 from claimlab.kb import link_entities
 
 from conftest import make_claim
@@ -27,9 +27,21 @@ def test_second_entity_replaced_with_sibling(tv_kb, galecki_claim):
     # The Big Bang Theory's only sibling in the fixture KB is Friends.
     assert synthetic.text == "Johnny Galecki acted in Friends on CBS."
     assert synthetic.label is Label.REFUTED
-    assert synthetic.replaced_entity_id == "S01"
-    assert synthetic.replacement_entity_id == "S02"
+    assert synthetic.extra["replaced"] == "S01"
+    assert synthetic.extra["replacement"] == "S02"
     assert synthetic.evidence == galecki_claim.evidence
+
+
+def test_false_claim_is_a_claim_record(tv_kb, galecki_claim):
+    synthetic = generate_false_claim(galecki_claim, tv_kb, rng_seed=0)
+    assert isinstance(synthetic, Claim)
+    assert synthetic.claim_id == 10_000_010
+    assert synthetic.label is Label.REFUTED
+    assert synthetic.text == "Johnny Galecki acted in Friends on CBS."
+    assert synthetic.evidence == galecki_claim.evidence
+    assert synthetic.evidence_groups == galecki_claim.evidence_groups
+    assert synthetic.extra == {"source_claim_id": 10, "replaced": "S01", "replacement": "S02"}
+    assert synthetic_to_claim(synthetic) is synthetic
 
 
 def test_single_entity_claim_yields_none(tv_kb):
@@ -72,7 +84,7 @@ class TestAugmentationSet:
         synthetics = generate_augmentation_set(self.make_claims(), tv_kb, seed=1)
         # claim 1: two mentions with a sibling; claim 2: single mention;
         # claim 5: second entity has no sibling; 3 and 4 are not supported.
-        assert [s.source_claim_id for s in synthetics] == [1]
+        assert [s.extra["source_claim_id"] for s in synthetics] == [1]
 
     def test_empty_input(self, tv_kb):
         assert generate_augmentation_set([], tv_kb, seed=1) == []
@@ -80,7 +92,7 @@ class TestAugmentationSet:
     def test_same_seed_identical(self, tv_kb):
         first = generate_augmentation_set(self.make_claims(), tv_kb, seed=9)
         second = generate_augmentation_set(self.make_claims(), tv_kb, seed=9)
-        assert first == second
+        assert [(s, s.extra) for s in first] == [(s, s.extra) for s in second]
 
     def test_yield_bounded_by_multi_mention_supported(self, tv_kb):
         claims = self.make_claims()
@@ -96,7 +108,7 @@ class TestAugmentationSet:
 def test_round_trip_file(tmp_path, tv_kb, galecki_claim):
     synthetics = generate_augmentation_set([galecki_claim], tv_kb, seed=5)
     path = tmp_path / "synthetic.jsonl"
-    save_claims(path, map(synthetic_to_claim, synthetics))
+    save_claims(path, synthetics)
     loaded = load_claims(path)
     assert len(loaded) == 1
     claim = loaded[0]
@@ -108,7 +120,6 @@ def test_round_trip_file(tmp_path, tv_kb, galecki_claim):
 
 
 def test_synthetic_to_claim_offsets_id(tv_kb, galecki_claim):
-    synthetic = generate_false_claim(galecki_claim, tv_kb, rng_seed=0)
-    claim = synthetic_to_claim(synthetic)
+    claim = synthetic_to_claim(generate_false_claim(galecki_claim, tv_kb, rng_seed=0))
     assert claim.claim_id == galecki_claim.claim_id + 10_000_000
     assert claim.label is Label.REFUTED

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import claimlab
 from claimlab.claims import load_claims
 from claimlab.cli import main
 from claimlab.corpus import build_index, ingest_corpus
@@ -493,6 +498,63 @@ def test_claims_row_not_valid_json_names_file_and_line(world_dir, tmp_path, caps
     err = capsys.readouterr().err
     assert err.startswith(f"error: analyze-entities: {claims}:2: invalid JSON: Expecting ',' delimiter at column ")
     assert not (tmp_path / "out.json").exists()
+
+
+GOOD_CLAIM = {"id": 1, "label": "SUPPORTS", "claim": "A b.", "evidence": [[[None, None, "A", 0]]]}
+
+
+@pytest.mark.parametrize(
+    "command, kind, row",
+    [
+        ("analyze-entities", "claims", {**GOOD_CLAIM, "id": 2, "evidence": [[[None, None, "A"]]]}),
+        ("analyze-entities", "claims", {"id": 2, "label": "SUPPORTS", "evidence": []}),
+        ("analyze-entities", "claims", {**GOOD_CLAIM, "id": "x1"}),
+        ("analyze-entities", "claims", {**GOOD_CLAIM, "id": 2, "label": "MAYBE"}),
+        ("analyze-entities", "kb", {"id": "E9", "aliases": []}),
+        ("evaluate", "selections", {"claim_id": 2, "evidence": [["A", 0]]}),
+        ("evaluate", "docs", {"claim_id": 2}),
+        ("evaluate", "verdicts", {"claim_id": 2, "predicted_label": "MAYBE", "predicted_evidence": []}),
+    ],
+    ids=["short-evidence-item", "no-text", "bad-id", "bad-label", "no-kb-name", "short-selection", "no-pages", "bad-verdict"],
+)
+def test_malformed_row_names_file_and_line(world_dir, tmp_path, command, kind, row):
+    """A row its reader cannot parse fails with the file and the line,
+    never with a traceback."""
+    first = {
+        "claims": GOOD_CLAIM,
+        "kb": {"id": "E8", "name": "Alpha Dog"},
+        "selections": {"claim_id": 1, "evidence": [["A", 0, 0.5]]},
+        "docs": {"claim_id": 1, "pages": ["A"]},
+        "verdicts": {"claim_id": 1, "predicted_label": "SUPPORTS", "predicted_evidence": [["A", 0]]},
+    }[kind]
+    bad = tmp_path / f"{kind}.jsonl"
+    bad.write_text(json.dumps(first) + "\n" + json.dumps(row) + "\n", encoding="utf-8")
+    paths = {"claims": world_dir / "dev.jsonl", "kb": world_dir / "kb.jsonl", kind: bad}
+    args = [command, "--claims", paths["claims"], "--out", tmp_path / "out.json"]
+    if command == "analyze-entities":
+        args += ["--kb", paths["kb"]]
+    else:
+        args += [f"--{kind}", bad]
+    env = {**os.environ, "PYTHONPATH": str(Path(claimlab.__file__).parents[1])}
+    cli = [sys.executable, "-m", "claimlab.cli", *map(str, args)]
+    done = subprocess.run(cli, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1
+    assert f"error: {command}: {bad}:2: " in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def test_train_selector_regime_choices(world_dir, tmp_path, capsys):
+    """--regime takes the trained regimes only; the merged sr is not one."""
+    args = ["train-selector", "--claims", str(world_dir / "train.jsonl"), "--corpus", str(world_dir / "corpus")]
+    args += ["--out", str(tmp_path / "model.json")]
+    with pytest.raises(SystemExit) as exited:
+        main(args + ["--regime", "sr"])
+    assert exited.value.code == 2
+    assert "invalid choice: 'sr'" in capsys.readouterr().err
+    assert main(args + ["--regime", "da"]) == 1
+    assert "error: train-selector: regime 'da' needs --synthetic" in capsys.readouterr().err
+    assert not (tmp_path / "model.json").exists()
+    assert ALL_REGIMES == ("baseline", "sup", "ref", "sr", "da")
 
 
 def bundle_files(out_dir):

@@ -31,7 +31,7 @@ from claimlab.experiment import (
 from claimlab.features import FeatureExtractor
 from claimlab.nli import NliModel, train_nli, verdict_for_claim
 from claimlab.retrieval import DocumentRetriever
-from claimlab.selection import Regime, TrainingConfig, train_selectors
+from claimlab.selection import TrainingConfig, train_selectors
 from claimlab.worldgen import WorldConfig, build_world, write_world
 
 from conftest import count_tokenized, make_claim, write_jsonl
@@ -401,12 +401,10 @@ def test_corpus_text_is_tokenized_once(tmp_path, monkeypatch):
     corpus = ingest_corpus(write_jsonl(tmp_path / "corpus.jsonl", dump))
     doc_index, sentence_index = build_index(corpus, "document"), build_index(corpus, "sentence")
     extractor = FeatureExtractor.from_index(sentence_index)
-    configs = {regime: TrainingConfig(seed=1) for regime in (Regime.BASELINE, Regime.SUP_ONLY, Regime.REF_ONLY)}
+    configs = {regime: TrainingConfig(seed=1) for regime in ("baseline", "sup", "ref")}
     models = train_selectors(claims, [], corpus, sentence_index, extractor, configs)
     docs = retrieve_docs(DocumentRetriever(corpus, doc_index), claims, oracle_docs=True)
-    selections = select_evidence(
-        {regime.value: model for regime, model in models.items()}, extractor, corpus, claims, docs, 5, ("sup", "ref")
-    )
+    selections = select_evidence(models, extractor, corpus, claims, docs, 5, ("sup", "ref"))
     nli_model = train_nli(claims, selections["baseline"], corpus, extractor, TrainingConfig(seed=1))
     verdicts_for(nli_model, extractor, corpus, claims, selections)
 

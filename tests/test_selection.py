@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from claimlab import features as features_module
 from claimlab import selection as selection_module
-from claimlab.claim_gen import generate_augmentation_set, synthetic_to_claim
+from claimlab.claim_gen import generate_augmentation_set
 from claimlab.claims import Label, load_claims
 from claimlab.corpus import (
     Document,
@@ -26,6 +26,7 @@ from claimlab.features import PAIR_FEATURE_NAMES, SELECTION_FEATURE_NAMES, Featu
 from claimlab.kb import KnowledgeBase
 from claimlab.nli import CLASS_ORDER, NliModel, verdict_for_claim
 from claimlab.selection import (
+    REGIMES,
     NegativePool,
     Regime,
     RelevanceModel,
@@ -231,9 +232,7 @@ def default_training_inputs(fixture_world):
     corpus = ingest_corpus(fixture_world / "corpus")
     train = load_claims(fixture_world / "train.jsonl")
     kb = KnowledgeBase.load(fixture_world / "kb.jsonl")
-    synthetic = [
-        synthetic_to_claim(s) for s in generate_augmentation_set(train, kb, seed=stable_seed(7, "augment", "train"))
-    ]
+    synthetic = generate_augmentation_set(train, kb, seed=stable_seed(7, "augment", "train"))
     return corpus, build_index(corpus, "sentence"), train, synthetic
 
 
@@ -243,7 +242,7 @@ def test_sample_negatives_matches_reference_on_default_world(fixture_world):
     corpus, index, train, synthetic = default_training_inputs(fixture_world)
     compared = 0
     for regime in _trained_regimes(("baseline", "sup", "ref", "da")):
-        regime_seed = stable_seed(7, "selector", regime.value)
+        regime_seed = stable_seed(7, "selector", regime)
         for claim in _regime_claims(train, synthetic, regime):
             gold = {sid for sid in claim.gold_sentences() if corpus.get_sentence(sid) is not None}
             if not gold:
@@ -255,6 +254,37 @@ def test_sample_negatives_matches_reference_on_default_world(fixture_world):
     assert compared > 200
 
 
+def reference_regime_claims(claims, synthetic_claims, regime):
+    """The per-regime if-chain the regime table replaced."""
+    supported = [c for c in claims if c.label is Label.SUPPORTED]
+    refuted = [c for c in claims if c.label is Label.REFUTED]
+    if regime == "baseline":
+        return [c for c in claims if c.label in (Label.SUPPORTED, Label.REFUTED)]
+    if regime == "sup":
+        return supported
+    if regime == "ref":
+        return refuted
+    if regime == "da":
+        base = [c for c in claims if c.label in (Label.SUPPORTED, Label.REFUTED)]
+        return base + list(synthetic_claims)
+    raise ValueError(f"unhandled regime {regime!r}")
+
+
+def test_regime_table_gives_the_reference_training_claims(fixture_world):
+    """Each trained regime's training claims, read from REGIMES, are the
+    if-chain's, in order; sr trains nothing and merges sup and ref."""
+    _, _, train, synthetic = default_training_inputs(fixture_world)
+    assert synthetic and {c.label for c in train} == set(Label)
+    assert _trained_regimes(tuple(REGIMES)) == ["baseline", "sup", "ref", "da"]
+    for regime in _trained_regimes(tuple(REGIMES)):
+        expected = reference_regime_claims(train, synthetic, regime)
+        assert [c.claim_id for c in _regime_claims(train, synthetic, regime)] == [c.claim_id for c in expected]
+    assert _regime_claims(train, synthetic, "sr") == []
+    assert REGIMES["sr"].merges == ("sup", "ref")
+    assert _trained_regimes(("sr",)) == ["sup", "ref"]
+    assert _trained_regimes(("ref", "sr", "baseline")) == ["ref", "baseline", "sup"]
+
+
 def test_train_selectors_equals_one_train_selector_call_per_regime(fixture_world):
     """Shared pools and feature vectors change no model: every regime's
     model equals, bit for bit, the one a separate train_selector call
@@ -263,13 +293,13 @@ def test_train_selectors_equals_one_train_selector_call_per_regime(fixture_world
     corpus, index, train, synthetic = default_training_inputs(fixture_world)
     extractor = FeatureExtractor.from_index(index)
     configs = {
-        regime: TrainingConfig(seed=stable_seed(7, "selector", regime.value), negatives_per_positive=per_positive)
-        for regime, per_positive in zip(Regime, (15, 6, 3, 15))
+        regime: TrainingConfig(seed=stable_seed(7, "selector", regime), negatives_per_positive=per_positive)
+        for regime, per_positive in zip(("baseline", "sup", "ref", "da"), (15, 6, 3, 15))
     }
     together = train_selectors(train, synthetic, corpus, index, extractor, configs)
     assert list(together) == list(configs)
     for regime, config in configs.items():
-        alone = train_selector(train, synthetic, corpus, index, extractor, regime, config)
+        alone = train_selector(train, synthetic, corpus, index, extractor, Regime(regime), config)
         assert together[regime].weights == alone.weights
         assert together[regime].bias == alone.bias
         assert together[regime].metadata == alone.metadata
@@ -438,7 +468,7 @@ class TestTrainSelector:
         parse_query behind its PreparedClaim, whose Query its negative pool
         ranks with too, however many regimes train on it."""
         corpus, index, extractor, claims = training_world
-        configs = {regime: TrainingConfig(seed=3) for regime in (Regime.BASELINE, Regime.SUP_ONLY, Regime.REF_ONLY)}
+        configs = {regime: TrainingConfig(seed=3) for regime in ("baseline", "sup", "ref")}
         parsed = Counter()
         original = features_module.parse_query
 
