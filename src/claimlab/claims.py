@@ -75,15 +75,19 @@ class Claim:
 _KNOWN_KEYS = {"id", "label", "claim", "evidence"}
 
 
-def claim_from_json(obj: dict) -> Claim:
-    extra = {k: v for k, v in obj.items() if k not in _KNOWN_KEYS}
-    return Claim(
+def _claim_row(obj: dict) -> tuple[int, Claim]:
+    """One claims-file row as (claim id, claim)."""
+    text = obj["claim"]
+    if not isinstance(text, str):
+        raise ValueError(f"claim text must be a string, got {text!r}")
+    claim = Claim(
         claim_id=int(obj["id"]),
         label=Label.from_string(obj["label"]),
-        text=obj["claim"],
+        text=text,
         evidence=tuple(tuple(tuple(item) for item in group) for group in obj.get("evidence", [])),
-        extra=extra,
+        extra={k: v for k, v in obj.items() if k not in _KNOWN_KEYS},
     )
+    return claim.claim_id, claim
 
 
 def claim_to_json(claim: Claim) -> dict:
@@ -98,13 +102,8 @@ def claim_to_json(claim: Claim) -> dict:
 
 
 def load_claims(path: Union[str, Path]) -> list[Claim]:
-    """The claims of a claims file; a repeated claim id raises a ValueError."""
-    claims: dict[int, Claim] = {}
-    for claim in read_jsonl(path, claim_from_json):
-        if claim.claim_id in claims:
-            raise ValueError(f"{path}: repeated claim id {claim.claim_id}")
-        claims[claim.claim_id] = claim
-    return list(claims.values())
+    """The claims of a claims file, in file order."""
+    return list(read_jsonl(path, _claim_row).values())
 
 
 def save_claims(path: Union[str, Path], claims: Iterable[Claim]) -> None:

@@ -83,12 +83,11 @@ def cmd_analyze_entities(args) -> int:
 
 def _load_corpus_bundle(corpus_path: str):
     corpus = ingest_corpus(corpus_path)
-    sentence_index = build_index(corpus, "sentence")
-    return corpus, sentence_index, FeatureExtractor(sentence_index)
+    return corpus, FeatureExtractor(build_index(corpus, "sentence"))
 
 
 def cmd_train_selector(args) -> int:
-    corpus, sentence_index, extractor = _load_corpus_bundle(args.corpus)
+    corpus, extractor = _load_corpus_bundle(args.corpus)
     claims = load_claims(args.claims)
     synthetic = load_claims(args.synthetic) if args.synthetic else []
     if REGIMES[args.regime].synthetic and not synthetic:
@@ -100,14 +99,14 @@ def cmd_train_selector(args) -> int:
         seed=args.seed,
         negatives_per_positive=args.negatives_per_positive,
     )
-    model = train_selectors(claims, synthetic, corpus, sentence_index, extractor, {args.regime: config})[args.regime]
+    model = train_selectors(claims, synthetic, corpus, extractor, {args.regime: config})[args.regime]
     model.save(args.out)
     print(f"trained {args.regime} selector on {model.metadata['n_claims']} claims -> {args.out}")
     return 0
 
 
 def cmd_select(args) -> int:
-    corpus, _, extractor = _load_corpus_bundle(args.corpus)
+    corpus, extractor = _load_corpus_bundle(args.corpus)
     claims = load_claims(args.claims)
     docs = load_docs(args.docs)
     models = {"model": RelevanceModel.load(args.model)}
@@ -122,7 +121,7 @@ def cmd_select(args) -> int:
 
 
 def cmd_train_nli(args) -> int:
-    corpus, _, extractor = _load_corpus_bundle(args.corpus)
+    corpus, extractor = _load_corpus_bundle(args.corpus)
     claims = load_claims(args.claims)
     selections = load_selections(args.selections) if args.selections else {}
     model = train_nli(
@@ -138,7 +137,7 @@ def cmd_train_nli(args) -> int:
 
 
 def cmd_verdict(args) -> int:
-    corpus, _, extractor = _load_corpus_bundle(args.corpus)
+    corpus, extractor = _load_corpus_bundle(args.corpus)
     claims = load_claims(args.claims)
     selections = {"verdict": load_selections(args.selections)}
     verdicts = verdicts_for(NliModel.load(args.model), extractor, corpus, claims, selections)["verdict"]

@@ -1,8 +1,10 @@
 """Corpus ingestion, sentence lookup, and TF-IDF inverted indexing.
 
-The dump format is wiki-pages compatible JSON lines: each line is an
-object with "id" (page title) and "lines" (newline-joined sentences,
-tab-separated fields: sentence index, sentence text, ignored anchors).
+The dump format is wiki-pages compatible JSON lines, read by
+`util.read_jsonl` keyed by page id: each line is an object with "id"
+(page title) and "lines" (newline-joined sentences, tab-separated
+fields: sentence index, sentence text, ignored anchors). A page id may
+not repeat, within a dump file or across a directory's files.
 
 Each `Document` splits its title and sentences into tokens once, when
 it is built; the indexes, document retrieval's title table, the feature
@@ -31,6 +33,8 @@ from dataclasses import dataclass, field
 from itertools import chain, compress
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional, Union
+
+from .util import read_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -114,11 +118,6 @@ class Corpus:
     def __len__(self) -> int:
         return len(self.documents)
 
-    def add(self, doc: Document) -> None:
-        if doc.page_id in self.documents:
-            raise ValueError(f"duplicate page_id {doc.page_id!r}")
-        self.documents[doc.page_id] = doc
-
     def locate(self, sid: SentenceId) -> Optional[tuple[Document, int]]:
         """The sentence's document and its position in the document's
         sentences (and tokens), or None if absent."""
@@ -151,17 +150,16 @@ class Corpus:
         return sum(len(d.sentences) for d in self.documents.values())
 
 
-def parse_dump_line(raw: str) -> Document:
-    """Parse one dump JSON line into a Document.
+def document_from_json(obj: dict) -> Document:
+    """One dump row as a Document.
 
-    A row that is not an object, whose "id" is not a non-empty string,
-    or whose "lines" is not a string raises a ValueError. Malformed
-    sentence entries (missing or non-integer index, or an index that
-    does not increase) are skipped with a warning. Fields after the
-    sentence text are anchor annotations and are discarded.
+    A row whose "id" is not a non-empty string, or whose "lines" is not
+    a string, raises a ValueError. Malformed sentence entries (missing
+    or non-integer index, or an index that does not increase) are
+    skipped with a warning. Fields after the sentence text are anchor
+    annotations and are discarded.
     """
-    obj = json.loads(raw)
-    page_id = obj.get("id") if isinstance(obj, dict) else None
+    page_id = obj.get("id")
     if not isinstance(page_id, str) or not page_id:
         raise ValueError(f"page id must be a non-empty string, got {page_id!r}")
     lines = obj.get("lines", "")
@@ -187,10 +185,9 @@ def parse_dump_line(raw: str) -> Document:
     return Document(page_id=page_id, sentences=tuple(sentences))
 
 
-def document_to_dump_line(doc: Document) -> str:
-    """Re-serialize a document; only anchor annotations are lost."""
-    lines = "\n".join(f"{idx}\t{text}" for idx, text in doc.sentences)
-    return json.dumps({"id": doc.page_id, "lines": lines}, ensure_ascii=False)
+def parse_dump_line(raw: str) -> Document:
+    """document_from_json of one dump line. Kept because bench/ calls it."""
+    return document_from_json(json.loads(raw))
 
 
 def corpus_files(path: Union[str, Path]) -> list[Path]:
@@ -208,23 +205,24 @@ def corpus_files(path: Union[str, Path]) -> list[Path]:
 def ingest_corpus(path: Union[str, Path]) -> Corpus:
     """Load a corpus from a dump file or a directory of *.jsonl files.
 
-    Raises on unreadable paths, on duplicate page ids and on malformed
-    rows (naming the file and the line); malformed sentence lines inside
+    Raises on unreadable paths, on malformed rows and on repeated page
+    ids (naming the file and the line); malformed sentence lines inside
     a page are skipped, not fatal.
     """
-    corpus = Corpus()
+    documents: dict[str, Document] = {}
+    first_file: dict[str, Path] = {}
+
+    def keyed(obj: dict) -> tuple[str, Document]:
+        doc = document_from_json(obj)
+        if doc.page_id in first_file:
+            raise ValueError(f"repeated key {doc.page_id!r}, first in {first_file[doc.page_id]}")
+        return doc.page_id, doc
+
     for file in corpus_files(path):
-        with open(file, "r", encoding="utf-8") as handle:
-            for line_number, raw in enumerate(handle, 1):
-                raw = raw.strip()
-                if not raw:
-                    continue
-                try:
-                    doc = parse_dump_line(raw)
-                except ValueError as exc:
-                    raise ValueError(f"{file}:{line_number}: {exc}") from None
-                corpus.add(doc)
-    return corpus
+        pages = read_jsonl(file, keyed)
+        documents.update(pages)
+        first_file.update(dict.fromkeys(pages, file))
+    return Corpus(documents)
 
 
 @dataclass

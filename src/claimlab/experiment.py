@@ -154,7 +154,7 @@ def load_selections(path: PathLike) -> dict[int, RankedEvidence]:
         ranked = [(SentenceId(str(page), int(line)), float(score)) for page, line, score in obj["evidence"]]
         return int(obj["claim_id"]), ranked
 
-    return dict(read_jsonl(path, row))
+    return read_jsonl(path, row)
 
 
 def write_docs(path: PathLike, docs: Mapping[int, list[str]]) -> None:
@@ -162,7 +162,7 @@ def write_docs(path: PathLike, docs: Mapping[int, list[str]]) -> None:
 
 
 def load_docs(path: PathLike) -> dict[int, list[str]]:
-    return dict(read_jsonl(path, lambda obj: (int(obj["claim_id"]), [str(p) for p in obj["pages"]])))
+    return read_jsonl(path, lambda obj: (int(obj["claim_id"]), [str(p) for p in obj["pages"]]))
 
 
 def write_verdicts(path: PathLike, verdicts: Mapping[int, Verdict]) -> None:
@@ -182,7 +182,7 @@ def load_verdicts(path: PathLike) -> dict[int, Verdict]:
         evidence = [SentenceId(str(p), int(l)) for p, l in obj["predicted_evidence"]]
         return int(obj["claim_id"]), (Label.from_string(obj["predicted_label"]), evidence)
 
-    return dict(read_jsonl(path, row))
+    return read_jsonl(path, row)
 
 
 # One function per pipeline step; the CLI subcommands call them too.
@@ -304,8 +304,7 @@ def _write_bundle(config: ExperimentConfig, out_dir: Path) -> dict:
 
     with _stage("index"):
         doc_index = build_index(corpus, "document")
-        sentence_index = build_index(corpus, "sentence")
-        extractor = FeatureExtractor(sentence_index)
+        extractor = FeatureExtractor(build_index(corpus, "sentence"))
         retriever = DocumentRetriever(corpus, doc_index, config.retrieval_config())
 
     with _stage("generate-claims"):
@@ -328,7 +327,7 @@ def _write_bundle(config: ExperimentConfig, out_dir: Path) -> dict:
             regime: config.training_config(stable_seed(config.seed, "selector", regime))
             for regime in _trained_regimes(config.regimes)
         }
-        models = train_selectors(train, synthetic_train, corpus, sentence_index, extractor, configs)
+        models = train_selectors(train, synthetic_train, corpus, extractor, configs)
         for regime, model in models.items():
             model.save(out_dir / "models" / f"selector_{regime}.json")
 

@@ -6,13 +6,12 @@ the tokens the document split once. The title travels with each
 candidate so pronoun-heavy evidence keeps its subject.
 
 Each side of a feature is computed once. The claim side once per claim
-(`FeatureExtractor.prepare_claim`, around the claim's `corpus.Query`,
-the one claim vector retrieval and negative sampling also read, plus
-the negation cues and numerals pair features compare); the title side
-(`page_title`, from the document's title tokens) once per page.
-`page_features` is the one kernel for the body, a page at a time:
-the per-claim and per-page quantities are computed once per call, then
-each sentence, named by its document's own SentenceId
+(`FeatureExtractor.prepare_claim`: the claim's `corpus.Query`, the one
+claim vector retrieval and negative sampling also read, its entity
+spans' query-term indices, and the negation cues and numerals pair
+features compare); the title side (`page_title`, from the document's
+title tokens) once per page. `page_features` is the one kernel for the
+body, a page at a time: each sentence, named by its document's own SentenceId
 (`Document.sids`, the objects the index keys by), reads its counts
 from the query's postings and its norm from `index.norms`; a sentence
 the index does not hold (an empty one) counts its own tokens. Both give equal
@@ -88,9 +87,9 @@ def _capitalized_spans(text: str) -> list[tuple[str, ...]]:
     return spans
 
 
-def _span_share(spans: list[set[str]], tokens: set[str]) -> float:
+def _span_share(spans: list[tuple[set[str], list[int]]], tokens: set[str]) -> float:
     """Share of the claim's entity spans whose tokens all occur in tokens."""
-    return sum(1 for s in spans if s <= tokens) / len(spans) if spans else 0.0
+    return sum(1 for span, _ in spans if span <= tokens) / len(spans) if spans else 0.0
 
 
 def contains_subsequence(haystack: list[str], needle: list[str]) -> bool:
@@ -109,14 +108,15 @@ def _negation_cues(tokens: set[str], *texts: str) -> set[str]:
 class PreparedClaim(NamedTuple):
     """The claim side of every feature: the claim's Query against the
     extractor's index, plus its token set, bigrams and entity spans, and,
-    for pair features, its negation cues and numerals. idf_mass is the idf
-    sum in the query's term order."""
+    for pair features, its negation cues and numerals. spans pairs each
+    entity span's tokens with their indices in query.terms. idf_mass is
+    the idf sum in the query's term order."""
 
     text: str
     query: Query
     token_set: set[str]
     bigrams: set[tuple[str, str]]
-    span_sets: list[set[str]]
+    spans: list[tuple[set[str], list[int]]]
     idf_mass: float
     negation_cues: set[str]
     numerals: set[str]
@@ -148,12 +148,17 @@ class FeatureExtractor:
         for _, _, idf, _ in query.terms:
             idf_mass += idf
         token_set = set(query.tokens)
+        # A span token is lowered alone, which can differ from tokenize (final
+        # sigma); one that is no query token gets no index, only a set check.
         return PreparedClaim(
             text=claim_text,
             query=query,
             token_set=token_set,
             bigrams=_bigrams(query.tokens),
-            span_sets=[set(span) for span in _capitalized_spans(claim_text)],
+            spans=[
+                (span, [i for i, (token, _, _, _) in enumerate(query.terms) if token in span])
+                for span in map(set, _capitalized_spans(claim_text))
+            ],
             idf_mass=idf_mass,
             negation_cues=_negation_cues(token_set, claim_text),
             numerals={t for t in token_set if t.isdigit()},
@@ -161,7 +166,7 @@ class FeatureExtractor:
 
     def page_title(self, claim: PreparedClaim, title_tokens: list[str]) -> PageTitle:
         in_claim = 1.0 if contains_subsequence(claim.query.tokens, title_tokens) else 0.0
-        return PageTitle(title_tokens, _span_share(claim.span_sets, set(title_tokens)), in_claim)
+        return PageTitle(title_tokens, _span_share(claim.spans, set(title_tokens)), in_claim)
 
     def page_features(
         self, claim: PreparedClaim, page: PageTitle, document: Document, positions: Iterable[int]
@@ -173,13 +178,8 @@ class FeatureExtractor:
         query = claim.query
         terms = query.terms
         # A span is in a body only if the sentence holds each of the span's
-        # query tokens (indices into terms), so only then is the body's token
-        # set built. Span tokens are lowered one by one, which can differ from
-        # tokenize (final sigma): a span token that is no query token has no
-        # postings to read, and only the set check sees it.
-        spans = [
-            (span, [i for i, (token, _, _, _) in enumerate(terms) if token in span]) for span in claim.span_sets
-        ]
+        # query tokens, so only then is the body's token set built.
+        spans = claim.spans
         bigrams, n_bigrams = claim.bigrams, max(1, len(claim.bigrams))
         n_claim = len(claim.token_set)
         claim_size = max(1, n_claim)

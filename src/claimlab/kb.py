@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Union
+from typing import Union
 
 from .corpus import token_spans
 from .util import read_jsonl
@@ -36,15 +36,19 @@ class EntityMention:
     surface: str
 
 
-def _entity_record(obj: dict) -> EntityRecord:
-    """One KB row as a record; the name leads the aliases."""
+def _entity_record(obj: dict) -> tuple[str, EntityRecord]:
+    """One KB row as (entity id, record); the name leads the aliases."""
     eid = str(obj["id"])
     name = obj["name"]
+    if not isinstance(name, str) or not name:
+        raise ValueError(f"entity {eid!r}: name must be a non-empty string, got {name!r}")
     for key in ("aliases", "parents", "relations"):
         if not isinstance(obj.get(key, []), list):
             raise ValueError(f"entity {eid!r}: {key} must be a list, got {obj[key]!r}")
     aliases = obj.get("aliases", [])
-    return EntityRecord(
+    if not all(isinstance(alias, str) for alias in aliases):
+        raise ValueError(f"entity {eid!r}: aliases must be strings, got {aliases!r}")
+    return eid, EntityRecord(
         entity_id=eid,
         canonical_name=name,
         aliases=tuple(aliases if name in aliases else [name, *aliases]),
@@ -54,14 +58,8 @@ def _entity_record(obj: dict) -> EntityRecord:
 
 
 class KnowledgeBase:
-    def __init__(self, records: Iterable[EntityRecord]):
-        self.entities: dict[str, EntityRecord] = {}
-        for record in records:
-            if record.entity_id in self.entities:
-                raise ValueError(f"duplicate entity id {record.entity_id!r}")
-            if not record.canonical_name:
-                raise ValueError(f"entity {record.entity_id!r} has an empty name")
-            self.entities[record.entity_id] = record
+    def __init__(self, entities: dict[str, EntityRecord]):
+        self.entities = entities
 
         # alias -> owning entity; collisions resolve to the lowest id.
         alias_owner: dict[str, str] = {}

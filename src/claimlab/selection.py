@@ -234,7 +234,6 @@ def train_selectors(
     claims: Sequence[Claim],
     synthetic_claims: Sequence[Claim],
     corpus: Corpus,
-    index: InvertedIndex,
     extractor: FeatureExtractor,
     configs: Mapping[str, TrainingConfig],
 ) -> dict[str, RelevanceModel]:
@@ -242,7 +241,7 @@ def train_selectors(
 
     Each distinct training claim is prepared once, when the first regime
     uses it: its PreparedClaim, whose query its NegativePool ranks with
-    (so the extractor must be backed by index), and, on first need, the
+    over the extractor's own index, and, on first need, the
     title side of each page and the feature vector of each sentence.
     Each regime then draws every claim's negatives with its own config's
     seed, in claim order, and trains on its examples: each epoch
@@ -251,7 +250,7 @@ def train_selectors(
     gradient descent on the logistic loss in a seeded shuffled order. A
     model does not depend on which other regimes train in the same call.
     """
-    scorer = IndexScorer(index)
+    scorer = IndexScorer(extractor.index)
     # A pool built for the largest per_group serves every smaller one: its
     # reach list only grows at the end.
     pool_per_group = max(_per_group(config.negatives_per_positive) for config in configs.values())
@@ -347,9 +346,9 @@ def train_selector(
     regime: Regime,
     config: TrainingConfig = TrainingConfig(),
 ) -> RelevanceModel:
-    """train_selectors for one regime. Kept because bench/ calls it
-    (ROADMAP item 12)."""
-    return train_selectors(claims, synthetic_claims, corpus, index, extractor, {regime.value: config})[regime.value]
+    """train_selectors for one regime; index is unused, as the extractor
+    holds it. Kept because bench/ calls it (ROADMAP item 12)."""
+    return train_selectors(claims, synthetic_claims, corpus, extractor, {regime.value: config})[regime.value]
 
 
 RankedEvidence = list[tuple[SentenceId, float]]

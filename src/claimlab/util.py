@@ -1,5 +1,7 @@
 """Small determinism helpers shared across the pipeline, and the one
-path every artifact is read and written through."""
+path every file is read and written through: `read_jsonl` reads every
+JSON-lines input and artifact (corpus dumps, claims, KB, docs,
+selections, verdicts), so it alone reports malformed rows and repeated keys."""
 
 from __future__ import annotations
 
@@ -8,7 +10,7 @@ import hashlib
 import json
 import math
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Any, Callable, Hashable, Iterable, Sequence, Union
 
 PathLike = Union[str, Path]
 
@@ -127,15 +129,17 @@ def write_jsonl(path: PathLike, rows: Iterable[Any]) -> None:
             handle.write("\n")
 
 
-def read_jsonl(path: PathLike, parse: Optional[Callable[[dict], Any]] = None) -> Iterator[Any]:
-    """The rows of a JSON-lines file, each passed through parse if given;
-    blank lines are skipped.
+def read_jsonl(path: PathLike, parse: Callable[[dict], tuple[Hashable, Any]]) -> dict:
+    """{key: value} of a JSON-lines file's rows in file order, parse
+    mapping each row to its (key, value); blank lines are skipped.
 
-    The one place a malformed row is reported: a row that is not valid
-    JSON, not a JSON object, or that parse rejects with a KeyError,
-    ValueError, TypeError or IndexError raises a ValueError naming the
-    file and the line.
+    A row that is not valid JSON, not a JSON object, that parse rejects
+    with a KeyError, ValueError, TypeError or IndexError, or that repeats
+    an earlier row's key (whose line is named too) raises a ValueError
+    naming the file and the line.
     """
+    rows: dict = {}
+    first_line: dict = {}
     with open(path, "r", encoding="utf-8") as handle:
         for line_number, raw in enumerate(handle, 1):
             if not raw.strip():
@@ -144,15 +148,18 @@ def read_jsonl(path: PathLike, parse: Optional[Callable[[dict], Any]] = None) ->
                 row = json.loads(raw)
                 if not isinstance(row, dict):
                     raise ValueError("row is not a JSON object")
-                if parse is not None:
-                    row = parse(row)
+                key, value = parse(row)
+                if key in first_line:
+                    raise ValueError(f"repeated key {key!r}, first on line {first_line[key]}")
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{line_number}: invalid JSON: {exc.msg} at column {exc.colno}") from None
             except KeyError as exc:
                 raise ValueError(f"{path}:{line_number}: missing field {exc}") from None
             except (ValueError, TypeError, IndexError) as exc:
                 raise ValueError(f"{path}:{line_number}: {exc}") from None
-            yield row
+            rows[key] = value
+            first_line[key] = line_number
+    return rows
 
 
 def save_model(path: PathLike, schema: str, feature_names: tuple[str, ...], fields: dict) -> None:

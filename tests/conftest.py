@@ -11,11 +11,12 @@ from claimlab.kb import EntityRecord, KnowledgeBase
 from claimlab.worldgen import WorldConfig, build_world, write_world
 
 
+def make_kb(records: list[EntityRecord]) -> KnowledgeBase:
+    return KnowledgeBase({record.entity_id: record for record in records})
+
+
 def make_corpus(pages: dict[str, list[str]]) -> Corpus:
-    corpus = Corpus()
-    for page_id, texts in pages.items():
-        corpus.add(Document(page_id=page_id, sentences=tuple(enumerate(texts))))
-    return corpus
+    return Corpus({page_id: Document(page_id, tuple(enumerate(texts))) for page_id, texts in pages.items()})
 
 
 def tfidf_scores(index: InvertedIndex, query: Query) -> dict:
@@ -101,4 +102,4 @@ def tv_kb() -> KnowledgeBase:
         EntityRecord("N01", "CBS", ("CBS",), ("NETWORK",), ("S01", "S02")),
         EntityRecord("N02", "BBC", ("BBC",), ("NETWORK",), ()),
     ]
-    return KnowledgeBase(records)
+    return make_kb(records)

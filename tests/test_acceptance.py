@@ -16,11 +16,11 @@ from claimlab.corpus import IndexScorer, SentenceId, build_index, parse_query
 from claimlab.entity_analysis import ContingencyTable2x2, chi_squared
 from claimlab.evaluation import build_report, fever_score, orderings, recall_at_k
 from claimlab.experiment import ExperimentConfig, run_experiment
-from claimlab.kb import EntityRecord, KnowledgeBase, link_entities
+from claimlab.kb import EntityRecord, link_entities
 from claimlab.nli import CLASS_ORDER, aggregate_verdict
 from claimlab.selection import NegativePool
 
-from conftest import make_claim, make_corpus
+from conftest import make_claim, make_corpus, make_kb
 
 SUP = Label.SUPPORTED
 REF = Label.REFUTED
@@ -228,7 +228,7 @@ def _generator_fixture():
     networks = ["KPX", "VTN", "RRO", "BLM", "QQC", "ZSF"]
     for i, net in enumerate(networks):
         records.append(EntityRecord(f"N{i:02d}", net, (net,), ("ORG",), ()))
-    kb = KnowledgeBase(records)
+    kb = make_kb(records)
     assert len(kb.entities) == 30
 
     claims = []

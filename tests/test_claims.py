@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -13,7 +14,7 @@ from conftest import make_claim
 def test_repeated_claim_id_rejected(tmp_path):
     path = tmp_path / "claims.jsonl"
     save_claims(path, [make_claim(7, Label.SUPPORTED, "One."), make_claim(7, Label.REFUTED, "Two.")])
-    with pytest.raises(ValueError, match="repeated claim id 7"):
+    with pytest.raises(ValueError, match="claims.jsonl:2: repeated key 7, first on line 1"):
         load_claims(path)
 
 
@@ -60,4 +61,5 @@ def test_write_jsonl_bytes_equal_json_dumps(tmp_path):
     write_jsonl(path, rows)
     expected = "".join(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n" for row in rows)
     assert path.read_bytes() == expected.encode("utf-8")
-    assert list(read_jsonl(path)) == rows
+    numbered = itertools.count()
+    assert list(read_jsonl(path, lambda row: (next(numbered), row)).values()) == rows

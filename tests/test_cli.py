@@ -511,11 +511,28 @@ GOOD_CLAIM = {"id": 1, "label": "SUPPORTS", "claim": "A b.", "evidence": [[[None
         ("analyze-entities", "claims", {**GOOD_CLAIM, "id": "x1"}),
         ("analyze-entities", "claims", {**GOOD_CLAIM, "id": 2, "label": "MAYBE"}),
         ("analyze-entities", "kb", {"id": "E9", "aliases": []}),
+        ("analyze-entities", "kb", {"id": "E9", "name": ""}),
+        ("analyze-entities", "kb", {"id": "E9", "name": 9}),
+        ("analyze-entities", "kb", {"id": "E9", "name": "Beta Cat", "aliases": ["Beta", 3]}),
+        ("retrieve-docs", "claims", {**GOOD_CLAIM, "id": 2, "claim": 7}),
         ("evaluate", "selections", {"claim_id": 2, "evidence": [["A", 0]]}),
         ("evaluate", "docs", {"claim_id": 2}),
         ("evaluate", "verdicts", {"claim_id": 2, "predicted_label": "MAYBE", "predicted_evidence": []}),
     ],
-    ids=["short-evidence-item", "no-text", "bad-id", "bad-label", "no-kb-name", "short-selection", "no-pages", "bad-verdict"],
+    ids=[
+        "short-evidence-item",
+        "no-text",
+        "bad-id",
+        "bad-label",
+        "no-kb-name",
+        "empty-kb-name",
+        "kb-name-not-text",
+        "kb-alias-not-text",
+        "claim-not-text",
+        "short-selection",
+        "no-pages",
+        "bad-verdict",
+    ],
 )
 def test_malformed_row_names_file_and_line(world_dir, tmp_path, command, kind, row):
     """A row its reader cannot parse fails with the file and the line,
@@ -533,6 +550,8 @@ def test_malformed_row_names_file_and_line(world_dir, tmp_path, command, kind, r
     args = [command, "--claims", paths["claims"], "--out", tmp_path / "out.json"]
     if command == "analyze-entities":
         args += ["--kb", paths["kb"]]
+    elif command == "retrieve-docs":
+        args += ["--corpus", world_dir / "corpus"]
     else:
         args += [f"--{kind}", bad]
     env = {**os.environ, "PYTHONPATH": str(Path(claimlab.__file__).parents[1])}

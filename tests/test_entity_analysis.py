@@ -12,9 +12,9 @@ from claimlab.entity_analysis import (
     directly_related,
     entity_tables,
 )
-from claimlab.kb import EntityRecord, KnowledgeBase
+from claimlab.kb import EntityRecord
 
-from conftest import make_claim
+from conftest import make_claim, make_kb
 
 cells = st.integers(min_value=1, max_value=5000)
 tables = st.tuples(cells, cells, cells, cells).map(
@@ -82,7 +82,7 @@ class TestChiSquared:
 
 @pytest.fixture
 def related_kb():
-    return KnowledgeBase(
+    return make_kb(
         [
             EntityRecord("A", "Alpha Dog", ("Alpha Dog",), (), ("C",)),
             EntityRecord("B", "Beta Cat", ("Beta Cat",), (), ()),

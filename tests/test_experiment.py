@@ -402,7 +402,7 @@ def test_corpus_text_is_tokenized_once(tmp_path, monkeypatch):
     doc_index, sentence_index = build_index(corpus, "document"), build_index(corpus, "sentence")
     extractor = FeatureExtractor.from_index(sentence_index)
     configs = {regime: TrainingConfig(seed=1) for regime in ("baseline", "sup", "ref")}
-    models = train_selectors(claims, [], corpus, sentence_index, extractor, configs)
+    models = train_selectors(claims, [], corpus, extractor, configs)
     docs = retrieve_docs(DocumentRetriever(corpus, doc_index), claims, oracle_docs=True)
     selections = select_evidence(models, extractor, corpus, claims, docs, 5, ("sup", "ref"))
     nli_model = train_nli(claims, selections["baseline"], corpus, extractor, TrainingConfig(seed=1))

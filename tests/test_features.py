@@ -352,7 +352,7 @@ class TestPreparedClaim:
         postings or norm."""
         index = extractor.index
         assert PreparedClaim._fields == (
-            "text", "query", "token_set", "bigrams", "span_sets", "idf_mass", "negation_cues", "numerals"
+            "text", "query", "token_set", "bigrams", "spans", "idf_mass", "negation_cues", "numerals"
         )
         for claim_text in self.EDGE_CLAIMS + ("Alice Fenwick starred in Halcyon.", "halcyon HALCYON zzz"):
             query = extractor.prepare_claim(claim_text).query

@@ -2,7 +2,7 @@ import pytest
 
 from claimlab.kb import EntityRecord, KnowledgeBase, link_entities
 
-from conftest import write_jsonl
+from conftest import make_kb, write_jsonl
 
 
 class TestLinking:
@@ -39,7 +39,7 @@ class TestLinking:
             assert text[mention.start : mention.end] == mention.surface
 
     def test_alias_collision_lowest_entity_id(self):
-        kb = KnowledgeBase(
+        kb = make_kb(
             [
                 EntityRecord("E2", "Mercury", ("Mercury",), (), ()),
                 EntityRecord("E1", "Mercury", ("Mercury",), (), ()),
@@ -51,7 +51,7 @@ class TestLinking:
     def test_alias_split_as_the_scanner_splits(self):
         # Lowercasing turns U+0130 into "i" plus a combining dot, which
         # the lowercasing tokenizer splits off; the alias is two tokens.
-        kb = KnowledgeBase(
+        kb = make_kb(
             [
                 EntityRecord("E1", "Bob Smith", ("Bob Smith",), (), ()),
                 EntityRecord("E2", "\u0130zmir Rovers", ("\u0130zmir Rovers",), (), ()),
@@ -67,7 +67,7 @@ class TestSiblings:
         assert "S01" in tv_kb.siblings("S02")
 
     def test_no_parents_empty(self):
-        kb = KnowledgeBase([EntityRecord("E1", "Lonely", ("Lonely",), (), ())])
+        kb = make_kb([EntityRecord("E1", "Lonely", ("Lonely",), (), ())])
         assert kb.siblings("E1") == set()
 
     def test_self_excluded(self, tv_kb):
@@ -104,7 +104,7 @@ class TestLoading:
                 {"id": "A", "name": "Two", "aliases": [], "parents": [], "relations": []},
             ],
         )
-        with pytest.raises(ValueError, match="duplicate"):
+        with pytest.raises(ValueError, match="kb.jsonl:2: repeated key 'A', first on line 1"):
             KnowledgeBase.load(path)
 
     def test_empty_name_rejected(self, tmp_path):
@@ -112,7 +112,7 @@ class TestLoading:
             tmp_path / "kb.jsonl",
             [{"id": "A", "name": "", "aliases": [], "parents": [], "relations": []}],
         )
-        with pytest.raises(ValueError, match="empty name"):
+        with pytest.raises(ValueError, match="kb.jsonl:1: entity 'A': name must be a non-empty string, got ''"):
             KnowledgeBase.load(path)
 
     @pytest.mark.parametrize("field", ["aliases", "parents", "relations"])

@@ -50,7 +50,7 @@ def test_all_overlapping_title_matches_get_bonus(beeman_world):
     on top of 0.0. Americans would win a tie on its id, so The_Americans
     ranking first shows that its score exceeds the weight."""
     corpus, _ = beeman_world
-    corpus.add(Document("Americans", ((0, "Nothing to see here."),)))
+    corpus.documents["Americans"] = Document("Americans", ((0, "Nothing to see here."),))
     retriever = DocumentRetriever(corpus, build_index(corpus, "document"))
     assert retriever.retrieve("The Americans series is good")[:2] == ["The_Americans", "Americans"]
 

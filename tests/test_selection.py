@@ -296,7 +296,7 @@ def test_train_selectors_equals_one_train_selector_call_per_regime(fixture_world
         regime: TrainingConfig(seed=stable_seed(7, "selector", regime), negatives_per_positive=per_positive)
         for regime, per_positive in zip(("baseline", "sup", "ref", "da"), (15, 6, 3, 15))
     }
-    together = train_selectors(train, synthetic, corpus, index, extractor, configs)
+    together = train_selectors(train, synthetic, corpus, extractor, configs)
     assert list(together) == list(configs)
     for regime, config in configs.items():
         alone = train_selector(train, synthetic, corpus, index, extractor, Regime(regime), config)
@@ -478,7 +478,7 @@ class TestTrainSelector:
 
         monkeypatch.setattr(features_module, "parse_query", counting)
         texts = count_tokenized(monkeypatch)
-        train_selectors(claims, [], corpus, index, extractor, configs)
+        train_selectors(claims, [], corpus, extractor, configs)
         trainable = {claim.text for claim in claims if claim.label is not Label.NOT_ENOUGH_INFO}
         assert len(trainable) == 4
         assert parsed == Counter(dict.fromkeys(trainable, 1))
@@ -663,7 +663,7 @@ class TestSelectSentences:
 class TestSelectEvidence:
     def test_matches_select_sentences_per_model(self, training_world):
         corpus, index, extractor, claims = training_world
-        corpus.add(Document("Hollow", ((0, ""), (1, "Ada Hartley visited Hollow."), (2, ""))))
+        corpus.documents["Hollow"] = Document("Hollow", ((0, ""), (1, "Ada Hartley visited Hollow."), (2, "")))
         models = {
             "a": train_selector(claims, [], corpus, index, extractor, Regime.BASELINE, TrainingConfig(seed=1)),
             "b": RelevanceModel(weights=[0.5 - i / 10 for i in range(len(SELECTION_FEATURE_NAMES))], bias=0.1),
@@ -686,7 +686,7 @@ class TestSelectEvidence:
 
     def test_empty_text_sentences_never_selected(self, training_world):
         corpus, index, extractor, claims = training_world
-        corpus.add(Document("Hollow", ((0, ""), (1, "Ada Hartley visited Hollow."), (2, ""))))
+        corpus.documents["Hollow"] = Document("Hollow", ((0, ""), (1, "Ada Hartley visited Hollow."), (2, "")))
         model = RelevanceModel(weights=[0.0] * len(SELECTION_FEATURE_NAMES), bias=0.0)
         claim = claims[0]
         ranked = select_evidence({"m": model}, extractor, corpus, [claim], {claim.claim_id: ["Hollow"]}, k=5)

@@ -1,8 +1,9 @@
 """One path per pipeline step: no claimlab module calls the one-regime,
 one-model, one-list, one-metric or claim-conversion shims that remain
 only for the benchmark harness; the pipeline calls train_selectors,
-select_evidence, FeatureExtractor(index), claim_verdicts, build_report
-and generate_augmentation_set. And one regime representation: only
+select_evidence, FeatureExtractor(index), claim_verdicts, build_report,
+generate_augmentation_set and ingest_corpus (not parse_dump_line). And
+one regime representation: only
 selection, whose train_selector shim takes it, names the Regime enum;
 every other module reads selection.REGIMES."""
 
@@ -21,6 +22,7 @@ SHIMS = (
     "recall_at_k",
     "fever_score",
     "synthetic_to_claim",
+    "parse_dump_line",
 )
 
 
