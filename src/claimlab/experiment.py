@@ -15,9 +15,14 @@ subcommand of the same name both call: `ingest_corpus`,
 claims a trained one learns from, or the selectors a merged one merges.
 The NEI training pairs of train-nli are the baseline selector's
 `select_evidence` ranking over plain (non-oracle) `retrieve_docs` pages.
-As `select_evidence` featurizes each claim's candidates once for every
-model, `verdicts_for` classifies each distinct (claim, sentence) pair
-once for every regime's selections.
+
+Within one stage-function call, work is done once per distinct claim
+content and handed to every claim id that shares it: `retrieve_docs`
+retrieves each claim text once, `select_evidence` featurizes each
+distinct (text, candidate pages) once for every model, and
+`verdicts_for` classifies each distinct (text, sentence) pair once for
+every claim and regime. The memos are locals of the call; nothing
+outlives it, so a claim served alone does the same work.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ import shutil
 import tempfile
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
+from itertools import product
 from pathlib import Path
 from typing import Iterator, Mapping, Optional, Sequence
 
@@ -37,7 +43,7 @@ from .evaluation import EvaluationReport, build_report
 from .features import FeatureExtractor
 from .kb import KnowledgeBase
 from .nli import NliModel, claim_verdicts, train_nli
-from .retrieval import DocRetrievalConfig, DocumentRetriever
+from .retrieval import DocRetrievalConfig, DocumentRetriever, with_gold_pages
 from .selection import (
     REGIMES,
     RankedEvidence,
@@ -191,11 +197,16 @@ def load_verdicts(path: PathLike) -> dict[int, Verdict]:
 def retrieve_docs(
     retriever: DocumentRetriever, claims: Sequence[Claim], oracle_docs: bool
 ) -> dict[int, list[str]]:
-    """Candidate pages per claim; with oracle_docs the gold pages are appended."""
-    return {
-        claim.claim_id: retriever.retrieve_oracle(claim) if oracle_docs else retriever.retrieve(claim.text)
-        for claim in claims
-    }
+    """Candidate pages per claim, each distinct claim text retrieved once;
+    with oracle_docs each claim's own gold pages are appended."""
+    retrieved: dict[str, list[str]] = {}
+    docs = {}
+    for claim in claims:
+        if claim.text not in retrieved:
+            retrieved[claim.text] = retriever.retrieve(claim.text)
+        pages = retrieved[claim.text]
+        docs[claim.claim_id] = with_gold_pages(pages, claim) if oracle_docs else list(pages)
+    return docs
 
 
 def select_evidence(
@@ -208,13 +219,19 @@ def select_evidence(
     sr: Optional[tuple[str, str]] = None,
 ) -> dict[str, dict[int, RankedEvidence]]:
     """Top-k evidence per claim for every model, from one featurize pass
-    per claim. With sr=(first, second), the two models' rankings are also
-    merged by confidence under the key "sr"."""
+    per distinct (claim text, candidate pages). With sr=(first, second),
+    the two models' rankings are also merged by confidence under the key
+    "sr", claim by claim."""
     per_model: dict[str, dict[int, RankedEvidence]] = {name: {} for name in models}
+    ranked: dict[tuple[str, tuple[str, ...]], dict[str, RankedEvidence]] = {}
     for claim in claims:
-        featurized = featurize_candidates(extractor, claim, docs.get(claim.claim_id, []), corpus)
-        for name, model in models.items():
-            per_model[name][claim.claim_id] = top_k(model, featurized, k)
+        pages = tuple(docs.get(claim.claim_id, ()))
+        key = (claim.text, pages)
+        if key not in ranked:
+            featurized = featurize_candidates(extractor, claim, pages, corpus)
+            ranked[key] = {name: top_k(model, featurized, k) for name, model in models.items()}
+        for name, evidence in ranked[key].items():
+            per_model[name][claim.claim_id] = evidence
     if sr is not None:
         first, second = (per_model[name] for name in sr)
         per_model["sr"] = {cid: aggregate_sr(first[cid], second[cid], k) for cid in first}
@@ -229,12 +246,18 @@ def verdicts_for(
     selections: Mapping[str, Mapping[int, RankedEvidence]],
 ) -> dict[str, dict[int, Verdict]]:
     """Verdicts per claim for every named selection (one per regime), with
-    each distinct (claim, sentence) pair classified once across them, the
-    way select_evidence scores every model from one featurize pass."""
-    per_name: dict[str, dict[int, Verdict]] = {name: {} for name in selections}
+    one claim_verdicts call per distinct claim text, over the evidence
+    lists of every claim that has it: each distinct (claim text, sentence)
+    pair is classified once across the claims and regimes."""
+    by_text: dict[str, list[Claim]] = {}
     for claim in claims:
-        evidence_lists = [ranked.get(claim.claim_id, []) for ranked in selections.values()]
-        for name, verdict in zip(selections, claim_verdicts(model, extractor, corpus, claim, evidence_lists)):
+        by_text.setdefault(claim.text, []).append(claim)
+    per_name: dict[str, dict[int, Verdict]] = {name: {} for name in selections}
+    for same_text in by_text.values():
+        slots = list(product(same_text, selections))
+        evidence_lists = [selections[name].get(claim.claim_id, []) for claim, name in slots]
+        verdicts = claim_verdicts(model, extractor, corpus, same_text[0], evidence_lists)
+        for (claim, name), verdict in zip(slots, verdicts):
             per_name[name][claim.claim_id] = verdict
     return per_name
 
@@ -349,18 +372,23 @@ def _write_bundle(config: ExperimentConfig, out_dir: Path) -> dict:
         nli_model.save(out_dir / "models" / "nli.json")
 
     with _stage("verdict"):
-        selections = {name: load_selections(out_dir / "selections" / f"dev_{name}.jsonl") for name in config.regimes}
-        for name, verdicts in verdicts_for(nli_model, extractor, corpus, dev, selections).items():
+        dev_selections = {
+            name: load_selections(out_dir / "selections" / f"dev_{name}.jsonl") for name in config.regimes
+        }
+        for name, verdicts in verdicts_for(nli_model, extractor, corpus, dev, dev_selections).items():
             write_verdicts(out_dir / "verdicts" / f"dev_{name}.jsonl", verdicts)
 
     with _stage("evaluate"):
         rows = []
         for regime_name in config.regimes:
             for dataset, claims in datasets:
-                selections = load_selections(out_dir / "selections" / f"{dataset}_{regime_name}.jsonl")
-                verdicts = None
+                # The dev selections are the files the verdict stage read.
                 if dataset == "dev":
+                    selections = dev_selections[regime_name]
                     verdicts = load_verdicts(out_dir / "verdicts" / f"dev_{regime_name}.jsonl")
+                else:
+                    selections = load_selections(out_dir / "selections" / f"{dataset}_{regime_name}.jsonl")
+                    verdicts = None
                 metrics = evaluate_evidence(claims, config.k_sentences, selections, verdicts).metrics_row()
                 rows.append({"regime": regime_name, "dataset": dataset, **metrics})
         report = {

@@ -6,10 +6,11 @@ majority vote, with ties broken by the fixed precedence
 NotEnoughInfo, Supported, Refuted. A pair's evidence is a sentence of a
 `corpus.Document`, located by its SentenceId and read as the document's
 title, text and tokens. `claim_verdicts` votes over several evidence
-lists of one claim (one per regime) and classifies each distinct
-(claim, sentence) pair once. Pairs are featurized and classified a page
-at a time (`classify_pair` takes one page's positions), both there and
-in NLI training, with the claim side computed once per claim.
+lists of one claim text (one per regime and per claim sharing the text)
+and classifies each distinct (claim text, sentence) pair once. Pairs
+are featurized and classified a page at a time (`classify_pair` takes
+one page's positions), both there and in NLI training, with the claim
+side computed once per distinct claim text in a call.
 """
 
 from __future__ import annotations
@@ -117,6 +118,7 @@ def _training_pairs(
     extractor: FeatureExtractor,
 ) -> list[tuple[list[float], int]]:
     pairs = []
+    prepared: dict[str, PreparedClaim] = {}
     for claim in claims:
         if claim.label is Label.NOT_ENOUGH_INFO:
             retrieved = selections.get(claim.claim_id, [])[:NEI_PAIRS_PER_CLAIM]
@@ -124,10 +126,11 @@ def _training_pairs(
         else:
             sids = sorted(claim.gold_sentences())
         target = CLASS_ORDER.index(claim.label)
-        prepared = extractor.prepare_claim(claim.text)
+        if claim.text not in prepared:
+            prepared[claim.text] = extractor.prepare_claim(claim.text)
         vectors: dict[SentenceId, list[float]] = {}
         for document, positions in corpus.pages_of(sids):
-            vectors.update(extractor.pair_features(prepared, document, positions))
+            vectors.update(extractor.pair_features(prepared[claim.text], document, positions))
         pairs += [(vectors[sid], target) for sid in sids if sid in vectors]
     return pairs
 
@@ -142,8 +145,9 @@ def train_nli(
     """Seeded gradient descent on softmax cross-entropy over pair features.
 
     Supported/refuted claims pair with each gold evidence sentence;
-    NEI claims pair with their own top retrieved sentences. All three
-    classes must be present.
+    NEI claims pair with their own top retrieved sentences. Each distinct
+    claim text is prepared once per call. All three classes must be
+    present.
     """
     pairs = _training_pairs(claims, selections, corpus, extractor)
     present = {target for _, target in pairs}
@@ -185,7 +189,8 @@ def claim_verdicts(
     evidence_lists: Sequence[RankedEvidence],
 ) -> list[tuple[Label, list[SentenceId]]]:
     """One verdict per evidence list: each list's sentences that the corpus
-    holds, classified separately, then majority-voted.
+    holds, classified separately, then majority-voted. The lists may come
+    from several claims with the claim's text; only the text is read.
 
     The claim is prepared once and each distinct sentence is classified
     once, however many lists rank it, with one classify_pair call per

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from .claims import Claim
 from .corpus import Corpus, IndexScorer, InvertedIndex, parse_query, top_k_scored
@@ -76,15 +77,13 @@ class DocumentRetriever:
         return [page_id for page_id, _ in top_k_scored(scores, self.config.k)]
 
     def retrieve_oracle(self, claim: Claim) -> list[str]:
-        """Plain retrieval with the claim's gold pages appended.
+        """Plain retrieval with the claim's gold pages appended."""
+        return with_gold_pages(self.retrieve(claim.text), claim)
 
-        Gold pages already present keep their ranked position; the rest
-        are appended after the retrieved pages, deduplicated.
-        """
-        pages = self.retrieve(claim.text)
-        present = set(pages)
-        for page_id in claim.gold_pages():
-            if page_id not in present:
-                pages.append(page_id)
-                present.add(page_id)
-        return pages
+
+def with_gold_pages(pages: Sequence[str], claim: Claim) -> list[str]:
+    """The retrieved pages, then the claim's gold pages that are not among
+    them, deduplicated: gold pages already present keep their ranked
+    position. A new list; pages is left as it was."""
+    present = set(pages)
+    return [*pages, *(page_id for page_id in claim.gold_pages() if page_id not in present)]

@@ -14,10 +14,10 @@ only what the groups can reach: the positive pages' sentences, an
 exact MaxScore-pruned top-k of the rest of the sentence index, and the
 pages group C draws, each ranked when drawn. `REGIMES` says what each
 regime is. `train_selectors` trains several regimes in one pass: each
-distinct training claim is parsed once into the `corpus.Query` its pool
-and its feature vectors both read, each regime's seed drives its own
-draws from the shared pools, and each draw's new sentences are
-featurized a page at a time.
+distinct (claim text, evidence groups) is parsed once into the
+`corpus.Query` its pool and its feature vectors both read, each regime's
+seed and each claim's own id drive that claim's draws from the shared
+pools, and each draw's new sentences are featurized a page at a time.
 
 Ranking is one featurize pass over a claim's candidate sentences plus a
 top-k scoring step per model, each one call of the batch kernel
@@ -239,12 +239,13 @@ def train_selectors(
 ) -> dict[str, RelevanceModel]:
     """Train one relevance scorer per named regime, in one pass over the claims.
 
-    Each distinct training claim is prepared once, when the first regime
-    uses it: its PreparedClaim, whose query its NegativePool ranks with
-    over the extractor's own index, and, on first need, the
-    title side of each page and the feature vector of each sentence.
-    Each regime then draws every claim's negatives with its own config's
-    seed, in claim order, and trains on its examples: each epoch
+    Each distinct (claim text, evidence groups) is prepared once, when the
+    first regime uses a claim that has it: its PreparedClaim, whose query
+    its NegativePool ranks with over the extractor's own index, and, on
+    first need, the title side of each page and the feature vector of each
+    sentence. Each regime then draws every claim's negatives from that
+    pool with a seed of its own config's seed and the claim's own id, in
+    claim order, and trains on its examples: each epoch
     re-scores the whole negative pool, keeps the hardest negatives so
     positive and negative counts match, and runs one pass of per-example
     gradient descent on the logistic loss in a seeded shuffled order. A
@@ -254,7 +255,7 @@ def train_selectors(
     # A pool built for the largest per_group serves every smaller one: its
     # reach list only grows at the end.
     pool_per_group = max(_per_group(config.negatives_per_positive) for config in configs.values())
-    prepared: dict[Claim, Optional[_TrainingClaim]] = {}
+    prepared: dict[tuple[str, tuple], Optional[_TrainingClaim]] = {}
     models: dict[str, RelevanceModel] = {}
     for regime, config in configs.items():
         training_claims = _regime_claims(claims, synthetic_claims, regime)
@@ -263,14 +264,15 @@ def train_selectors(
         positives: list[tuple[tuple, list[float]]] = []
         negatives: list[tuple[tuple, list[float]]] = []
         for claim in training_claims:
-            if claim not in prepared:
+            key = (claim.text, claim.evidence_groups)
+            if key not in prepared:
                 gold = [sid for sid in claim.gold_sentences() if corpus.get_sentence(sid) is not None]
-                prepared[claim] = None
+                prepared[key] = None
                 if gold:
                     claim_side = extractor.prepare_claim(claim.text)
                     pool = NegativePool(scorer, corpus, claim_side.query, gold, pool_per_group)
-                    prepared[claim] = _TrainingClaim(pool, claim_side)
-            entry = prepared[claim]
+                    prepared[key] = _TrainingClaim(pool, claim_side)
+            entry = prepared[key]
             if entry is None:
                 continue
             gold = entry.pool.positives

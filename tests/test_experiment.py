@@ -12,6 +12,7 @@ import pytest
 
 import claimlab
 from claimlab import corpus as corpus_module
+from claimlab import experiment as experiment_module
 from claimlab import nli as nli_module
 from claimlab.claims import Label, load_claims, save_claims
 from claimlab.corpus import build_index, ingest_corpus
@@ -193,10 +194,10 @@ def test_oracle_flag_appends_gold_pages(world, tmp_path):
 
 
 def test_verdict_stage_classifies_each_pair_once(world, tmp_path, monkeypatch):
-    """Across every regime's dev selections, the run classifies each
-    distinct (claim, located sentence) pair once, with one classify_pair
-    call per (claim, page), and each regime's verdicts equal
-    verdict_for_claim applied claim by claim."""
+    """Across every regime's dev selections and every dev claim, the run
+    classifies each distinct (claim text, located sentence) pair once,
+    with one classify_pair call per (claim text, page), and each regime's
+    verdicts equal verdict_for_claim applied claim by claim."""
     classified = []
     calls = []
     original = nli_module.classify_pair
@@ -214,15 +215,16 @@ def test_verdict_stage_classifies_each_pair_once(world, tmp_path, monkeypatch):
     corpus = ingest_corpus(world / "corpus")
     dev = load_claims(world / "dev.jsonl")
     selections = {name: load_selections(out_dir / "selections" / f"dev_{name}.jsonl") for name in ALL_REGIMES}
+    text_of = {claim.claim_id: claim.text for claim in dev}
     located = [
-        (cid, sid)
+        (text_of[cid], sid)
         for ranked in selections.values()
         for cid, evidence in ranked.items()
         for sid, _ in evidence
         if corpus.locate(sid) is not None
     ]
     assert len(classified) == len(set(located)) < len(located)
-    assert len(calls) == len({(cid, sid.page_id) for cid, sid in located}) < len(classified)
+    assert len(calls) == len({(text, sid.page_id) for text, sid in located}) < len(classified)
     model = NliModel.load(out_dir / "models" / "nli.json")
     extractor = FeatureExtractor(build_index(corpus, "sentence"))
     for name, ranked in selections.items():
@@ -230,6 +232,22 @@ def test_verdict_stage_classifies_each_pair_once(world, tmp_path, monkeypatch):
             claim.claim_id: verdict_for_claim(model, extractor, corpus, claim, ranked.get(claim.claim_id, []))
             for claim in dev
         }
+
+
+def test_each_selection_file_read_once_per_run(world, tmp_path, monkeypatch):
+    """The evaluate stage scores the dev selections the verdict stage read
+    from their files, so each persisted selection file is read once."""
+    read = Counter()
+    original = experiment_module.load_selections
+
+    def counting(path):
+        read[Path(path).name] += 1
+        return original(path)
+
+    monkeypatch.setattr(experiment_module, "load_selections", counting)
+    out_dir = tmp_path / "out"
+    run_experiment(config_for(world, out_dir))
+    assert read == Counter(path.name for path in (out_dir / "selections").iterdir())
 
 
 def test_sr_absent_when_not_requested(world, tmp_path):
