@@ -10,14 +10,16 @@ Each `Document` splits its title and sentences into tokens once, when
 it is built; the indexes, document retrieval's title table, the feature
 pass, selector training and NLI pairs all read those tokens, so no
 corpus text is tokenized anywhere else. Postings map each token to
-{identifier: term frequency}, so one unit's score is a dict lookup per
-query token. A claim's `Query` is the one vector retrieval, negative
-sampling and the feature pass all read. `IndexScorer` is the one exact
-TF-IDF scorer and top-k ranker, over pages (document retrieval) or
-sentences (negative sampling): with MaxScore pruning it scores only the
-units that could still reach the top k. The tests check it against a
-brute-force reference that scores every unit sharing a token with the
-query.
+{identifier: term frequency}, so one unit's score is at most a dict
+lookup per query token. A claim's `Query` is the one vector retrieval,
+negative sampling and the feature pass all read. `IndexScorer` is the
+one exact TF-IDF scorer and top-k ranker, over pages (document
+retrieval) or sentences (negative sampling), and `util.cosine_scores`
+its one cosine kernel: with MaxScore pruning it scores only the units
+that could still reach the top k, and it looks a unit up only in the
+postings of the tokens it can still hold (those ranked at or below the
+token that first reached it). The tests check it against a brute-force
+reference that scores every unit sharing a token with the query.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from itertools import chain, compress
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional, Union
 
-from .util import read_jsonl
+from .util import cosine_scores, read_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -347,8 +349,10 @@ class IndexScorer:
 
     tf is the raw count and idf = ln((N+1)/(df+1)) + 1. A unit's cosine
     is dot / (query.norm * norm), its dot adding count * idf * tf * idf
-    over the query's terms in order, so the scores of one unit are equal
-    bit for bit however the unit was reached. Each token's largest
+    over the query's terms in order that the unit holds; top_k leaves
+    out of a unit's terms only tokens it already knows the unit lacks
+    (the rank rule), so the scores of one unit are equal bit for bit
+    however the unit was reached. Each token's largest
     tf / norm (for top_k's bounds) and, on a sentence index, its page
     bitmask (for pages) are computed the first time a query uses the
     token and kept for later queries: one scorer should serve a whole
@@ -366,59 +370,55 @@ class IndexScorer:
         """{unit: cosine} of the given units that share a token with the
         query (and have a non-zero norm), without scoring any other unit."""
         weighted = [(count * idf, idf, postings) for _, count, idf, postings in query.terms if postings]
-        norms = self.index.norms
-        scores = {}
-        for ident in units:
-            dot = 0.0
-            for weight, idf, postings in weighted:
-                tf = postings.get(ident)
-                if tf is not None:
-                    dot += weight * tf * idf
-            norm = norms.get(ident, 0.0)
-            # counts, tfs and idfs are >= 1: dot > 0 iff a token is shared
-            if dot != 0.0 and norm != 0.0:
-                scores[ident] = dot / (query.norm * norm)
-        return scores
+        return self._cosines(weighted, query.norm, units)
 
     def top_k(self, query: Query, k: int) -> list[tuple]:
         """Exactly top_k_scored of the cosines of every unit sharing a token
-        with the query, MaxScore-pruned.
+        with the query, MaxScore-pruned and rank-restricted.
 
         A token adds at most count * idf * idf * max(tf / norm) / query.norm
-        to a unit's cosine. The units of the highest-bound tokens are
-        scored until there are k of them; the k-th best score is the
-        threshold theta. The longest prefix of lowest-bound tokens whose
-        bounds sum (times 1 + slack) to strictly less than theta is
-        skipped: a unit reached only by those tokens scores below theta,
-        so it cannot be in the top k, while one tying theta is kept.
-        Every other unit is scored exactly.
+        to a unit's cosine; rank the query's posted tokens by that bound,
+        ascending, ties in query order. Tokens are taken from the highest
+        rank down, each scoring the units of its postings not yet scored,
+        until there are k of them; the k-th best score is the threshold
+        theta. The longest prefix of lowest-bound tokens whose bounds sum
+        (times 1 + slack) to strictly less than theta is skipped: a unit
+        reached only by those tokens scores below theta, so it cannot be
+        in the top k, while one tying theta is kept. The other tokens are
+        then taken, still from the highest rank down.
+
+        A unit first reached by the token of rank r lacks every token taken
+        before it, all of higher rank, so it is scored over the tokens of
+        rank <= r only (skipped ones included), in query order: the tokens
+        left out would only have missed, and add nothing to its dot, so
+        its cosine keeps its bits.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
+        tokens = [token for token, _, _, postings in query.terms if postings]
+        weighted = [(count * idf, idf, postings) for _, count, idf, postings in query.terms if postings]
         # Posted units have norm >= 1 (every idf is >= 1), so each scores.
-        bounded = sorted(
-            (
-                (count * idf * idf * self._impact(token, postings) / query.norm, postings)
-                for token, count, idf, postings in query.terms
-                if postings
-            ),
-            key=lambda item: item[0],
-        )
+        bounds = [
+            weight * idf * self._impact(token, postings) / query.norm
+            for token, (weight, idf, postings) in zip(tokens, weighted)
+        ]
+        # order[rank] is the position in weighted of the token of that rank.
+        order = sorted(range(len(weighted)), key=bounds.__getitem__)
         scores: dict = {}
-        for _, postings in reversed(bounded):
-            scores.update(self.scores(query, [ident for ident in postings if ident not in scores]))
-            if len(scores) >= k:
-                break
-        if len(scores) >= k:
-            theta = heapq.nlargest(k, scores.values())[-1]
-            skipped, total = 0, 0.0
-            for bound, _ in bounded:
-                total += bound
-                if total * (1.0 + _BOUND_SLACK) >= theta:
-                    break
-                skipped += 1
-            for _, postings in bounded[skipped:]:
-                scores.update(self.scores(query, [ident for ident in postings if ident not in scores]))
+        rank, skipped, theta = len(order), 0, None
+        while rank > skipped:
+            rank -= 1
+            held = [weighted[position] for position in sorted(order[: rank + 1])]
+            postings = weighted[order[rank]][2]
+            scores.update(self._cosines(held, query.norm, [ident for ident in postings if ident not in scores]))
+            if theta is None and len(scores) >= k:
+                theta = heapq.nlargest(k, scores.values())[-1]
+                total = 0.0
+                for position in order:
+                    total += bounds[position]
+                    if total * (1.0 + _BOUND_SLACK) >= theta:
+                        break
+                    skipped += 1
         return top_k_scored(scores, k)
 
     def pages(self, query: Query) -> list[str]:
@@ -435,6 +435,11 @@ class IndexScorer:
                 mask |= self._mask(token, postings)
         # bin() is most significant bit first; reversed, position i is bit i.
         return list(compress(self._pages, bin(mask)[:1:-1].encode().translate(_BIT_BYTES)))
+
+    def _cosines(self, weighted: list[tuple[float, float, dict]], query_norm: float, units: Iterable) -> dict:
+        """The cosines of scores and top_k: weighted holds (count * idf, idf,
+        postings) per posted query token, in query order."""
+        return cosine_scores(len(weighted))(weighted, query_norm, self.index.norms, units)
 
     def _impact(self, token: str, postings: dict) -> float:
         impact = self._max_impact.get(token)

@@ -70,7 +70,9 @@ class DocumentRetriever:
         # page ahead of an unmatched one by cosine stays ahead of it: each
         # unmatched page in the final top k is among the k best cosines.
         scores = dict(self._scorer.top_k(query, self.config.k))
-        cosines = self._scorer.scores(query, matched)
+        # A matched page in the top k keeps the cosine top_k gave it.
+        cosines = self._scorer.scores(query, [page_id for page_id in matched if page_id not in scores])
+        cosines.update(scores)
         for page_id in matched:
             # A matched page that shares no token with the claim has no cosine.
             scores[page_id] = cosines.get(page_id, 0.0) + self.config.title_match_weight

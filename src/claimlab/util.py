@@ -76,6 +76,43 @@ def logistic_scores(width: int) -> Callable[[Sequence[float], float, Iterable[tu
     return namespace["scores"]
 
 
+@functools.lru_cache(maxsize=None)
+def cosine_scores(width: int) -> Callable[[Sequence[tuple[float, float, dict]], float, dict, Iterable], dict]:
+    """cosines(terms, query_norm, norms, units) = {unit: dot / (query_norm
+    * norm)} over the units with a non-zero dot and norm, where terms holds
+    width (weight, idf, postings) triples in query order, norm is
+    norms.get(unit, 0.0), and dot adds weight * tf * idf with += in terms'
+    order over the postings that hold the unit (tf = postings.get(unit)).
+
+    The one TF-IDF cosine kernel, built once per width like linear_form:
+    the loop over terms unrolled, each postings' get bound once per call,
+    so each cosine has the bits of that loop.
+    """
+    # The source depends only on the integer width.
+    unpack = "".join(f"(w{i}, i{i}, p{i}), " for i in range(width))
+    gets = "".join(f"    g{i} = p{i}.get\n" for i in range(width))
+    terms = "".join(
+        f"        tf = g{i}(unit)\n        if tf is not None:\n            dot += w{i} * tf * i{i}\n" for i in range(width)
+    )
+    source = (
+        "def cosines(terms, query_norm, norms, units):\n"
+        f"    [{unpack}] = terms\n"
+        f"{gets}"
+        "    norm_of = norms.get\n"
+        "    out = {}\n"
+        "    for unit in units:\n"
+        "        dot = 0.0\n"
+        f"{terms}"
+        "        norm = norm_of(unit, 0.0)\n"
+        "        if dot != 0.0 and norm != 0.0:\n"
+        "            out[unit] = dot / (query_norm * norm)\n"
+        "    return out\n"
+    )
+    namespace: dict = {}
+    exec(compile(source, f"<cosine_scores {width}>", "exec"), namespace)
+    return namespace["cosines"]
+
+
 def dumps_canonical(obj: Any) -> str:
     """Serialize to JSON with a canonical byte representation."""
     return json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"))

@@ -9,6 +9,7 @@ from claimlab.corpus import (
     Corpus,
     Document,
     IndexScorer,
+    Query,
     SentenceId,
     build_index,
     display_title,
@@ -19,6 +20,8 @@ from claimlab.corpus import (
     tokenize,
     top_k_scored,
 )
+
+from claimlab.util import cosine_scores
 
 from conftest import make_corpus, tfidf_scores, write_jsonl
 
@@ -385,16 +388,82 @@ COMMON_WORDS = ["the", "of", "is", "show"]
 RARE_WORDS = ["zeta", "quartz", "onyx", "maple", "drift", "lantern", "fjord", "ember"]
 
 
+def draw_scorer_case(data):
+    """(corpus, query text, k): common words in most sentences, rare ones
+    in few; sentences reused across pages and reordered."""
+    sentence = st.tuples(
+        st.lists(st.sampled_from(COMMON_WORDS), max_size=4),
+        st.lists(st.sampled_from(RARE_WORDS), max_size=2),
+    ).map(lambda parts: parts[0] + parts[1]).filter(bool)
+    shared = data.draw(st.lists(sentence, min_size=1, max_size=6))
+    pages = {}
+    for i in range(data.draw(st.integers(min_value=1, max_value=12))):
+        texts = []
+        for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
+            tokens = data.draw(st.one_of(st.sampled_from(shared), sentence))
+            texts.append(" ".join(data.draw(st.permutations(tokens))) + ".")
+        title = data.draw(st.sampled_from([f"({i})", f"Show_{i}", f"Zeta_{i}"]))
+        pages[title] = texts
+    corpus = make_corpus(pages)
+    query_words = (
+        data.draw(st.lists(st.sampled_from(COMMON_WORDS), max_size=3))
+        + data.draw(st.lists(st.sampled_from(RARE_WORDS + ["unseen"]), min_size=1, max_size=3))
+    )
+    query = " ".join(data.draw(st.permutations(query_words)))
+    k = data.draw(st.integers(min_value=1, max_value=8))
+    return corpus, query, k
+
+
+class RecordingPostings(dict):
+    """A token's postings that record every get(unit) as (token, unit)."""
+
+    def __init__(self, token, postings, lookups):
+        super().__init__(postings)
+        self.token = token
+        self.lookups = lookups
+
+    def get(self, unit, default=None):
+        self.lookups.append((self.token, unit))
+        return super().get(unit, default)
+
+
+def top_k_lookups(index, text, k):
+    """top_k of the text with recording postings: (ranking, lookups, the
+    rank of each posted token, and each unit's highest-ranked token's
+    rank). Ranks are by top_k's documented bound, ascending, ties in
+    query order."""
+    parsed = parse_query(index, text)
+    lookups = []
+    terms = [
+        (token, count, idf, RecordingPostings(token, postings, lookups) if postings else postings)
+        for token, count, idf, postings in parsed.terms
+    ]
+    query = Query(parsed.tokens, terms, parsed.norm)
+    ranked = IndexScorer(index).top_k(query, k)
+    bounds = {
+        token: count * idf * idf * max(tf / index.norms[ident] for ident, tf in postings.items()) / query.norm
+        for token, count, idf, postings in terms
+        if postings
+    }
+    rank_of = {token: rank for rank, token in enumerate(sorted(bounds, key=bounds.__getitem__))}
+    top_rank = {}
+    for token, _, _, postings in terms:
+        for ident in postings:
+            top_rank[ident] = max(top_rank.get(ident, -1), rank_of[token])
+    return ranked, lookups, rank_of, top_rank
+
+
 class CountingScorer(IndexScorer):
-    """Records every unit it scores: top_k scores through scores()."""
+    """Records every unit it scores: scores() and top_k score through
+    _cosines, always passing it a list."""
 
     def __init__(self, index):
         super().__init__(index)
         self.scored = set()
 
-    def scores(self, query, units):
+    def _cosines(self, weighted, query_norm, units):
         self.scored.update(units)
-        return super().scores(query, units)
+        return super()._cosines(weighted, query_norm, units)
 
 
 class TestSentenceScorer:
@@ -414,27 +483,7 @@ class TestSentenceScorer:
         @settings(derandomize=True, max_examples=200, deadline=None)
         @given(st.data())
         def check(data):
-            sentence = st.tuples(
-                st.lists(st.sampled_from(COMMON_WORDS), max_size=4),
-                st.lists(st.sampled_from(RARE_WORDS), max_size=2),
-            ).map(lambda parts: parts[0] + parts[1]).filter(bool)
-            shared = data.draw(st.lists(sentence, min_size=1, max_size=6))
-            pages = {}
-            for i in range(data.draw(st.integers(min_value=1, max_value=12))):
-                texts = []
-                for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
-                    tokens = data.draw(st.one_of(st.sampled_from(shared), sentence))
-                    texts.append(" ".join(data.draw(st.permutations(tokens))) + ".")
-                title = data.draw(st.sampled_from([f"({i})", f"Show_{i}", f"Zeta_{i}"]))
-                pages[title] = texts
-            corpus = make_corpus(pages)
-            query_words = (
-                data.draw(st.lists(st.sampled_from(COMMON_WORDS), max_size=3))
-                + data.draw(st.lists(st.sampled_from(RARE_WORDS + ["unseen"]), min_size=1, max_size=3))
-            )
-            query = " ".join(data.draw(st.permutations(query_words)))
-            k = data.draw(st.integers(min_value=1, max_value=8))
-
+            corpus, query, k = draw_scorer_case(data)
             for granularity, pruned_on in pruned.items():
                 index = build_index(corpus, granularity)
                 scorer = CountingScorer(index)
@@ -458,6 +507,45 @@ class TestSentenceScorer:
         for granularity, least in (("sentence", 10), ("document", 3)):
             assert sum(pruned[granularity]) >= least, (granularity, sum(pruned[granularity]))
         assert sum(ties_at_cut) >= 5 and sum(near_equal) >= 2, (sum(ties_at_cut), sum(near_equal))
+
+    def test_a_token_already_taken_is_never_looked_up(self):
+        """top_k takes tokens from the highest bound down, so a unit first
+        reached by a token lacks every token taken before it: it is looked
+        up only in the postings of tokens ranked at or below its
+        highest-ranked token (the one that first reached it), and the
+        ranking is still the full sort."""
+        restricted = []
+
+        @settings(derandomize=True, max_examples=200, deadline=None)
+        @given(st.data())
+        def check(data):
+            corpus, query, k = draw_scorer_case(data)
+            for granularity in ("sentence", "document"):
+                index = build_index(corpus, granularity)
+                ranked, lookups, rank_of, top_rank = top_k_lookups(index, query, k)
+                scores = tfidf_scores(index, parse_query(index, query))
+                assert ranked == sorted(scores.items(), key=rank_key)[:k]
+                assert {ident for _, ident in lookups} <= set(scores)
+                for token, ident in lookups:
+                    assert rank_of[token] <= top_rank[ident], (token, ident)
+                # Units the full lookup would have sought in a higher token.
+                restricted.append(any(top_rank[ident] < max(rank_of.values()) for _, ident in lookups))
+
+        check()
+        assert sum(restricted) >= 50, sum(restricted)
+
+    def test_rare_token_units_are_not_looked_up_again(self):
+        """"zeta" (rare) has the highest bound and reaches "A" first; "the"
+        then reaches "B" and "C", which are never looked up in zeta's
+        postings."""
+        pages = {"A": ["zeta the."], "B": ["the show."], "C": ["the of."]}
+        for granularity in ("sentence", "document"):
+            index = build_index(make_corpus(pages), granularity)
+            ranked, lookups, rank_of, _ = top_k_lookups(index, "the zeta", 3)
+            assert ranked == sorted(tfidf_scores(index, parse_query(index, "the zeta")).items(), key=rank_key)
+            assert rank_of["zeta"] > rank_of["the"]
+            looked_up = {(token, ident if granularity == "document" else ident.page_id) for token, ident in lookups}
+            assert looked_up == {("zeta", "A"), ("the", "A"), ("the", "B"), ("the", "C")}
 
     def test_ties_at_the_threshold_are_kept(self):
         """A unit reached only by skippable tokens but tying the threshold
@@ -499,3 +587,72 @@ class TestSentenceScorer:
         assert [ident for ident, _ in scorer.top_k(parse_query(index, "alpha"), 1)] == ["A"]
         with pytest.raises(ValueError, match="sentence-granularity"):
             scorer.pages(parse_query(index, "alpha"))
+
+
+def reference_cosines(weighted, query_norm, norms, units):
+    """The generic loop cosine_scores unrolls."""
+    scores = {}
+    for ident in units:
+        dot = 0.0
+        for weight, idf, postings in weighted:
+            tf = postings.get(ident)
+            if tf is not None:
+                dot += weight * tf * idf
+        norm = norms.get(ident, 0.0)
+        if dot != 0.0 and norm != 0.0:
+            scores[ident] = dot / (query_norm * norm)
+    return scores
+
+
+def hex_items(scores):
+    return [(ident, score.hex()) for ident, score in scores.items()]
+
+
+KERNEL_UNITS = [f"u{i}" for i in range(8)]
+
+
+class TestCosineKernel:
+    """util.cosine_scores(n) against the generic loop, bit for bit."""
+
+    @pytest.mark.parametrize("width", range(13))
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_bits_of_the_generic_loop(self, width, data):
+        """Counts up to 5, tfs up to 10**15, units holding no query token
+        ("u7" is in no postings) and units with no norm."""
+        weighted = []
+        for _ in range(width):
+            count = data.draw(st.integers(min_value=1, max_value=5))
+            idf = data.draw(st.floats(min_value=1.0, max_value=12.0))
+            postings = data.draw(
+                st.dictionaries(
+                    st.sampled_from(KERNEL_UNITS[:7]), st.integers(min_value=1, max_value=10**15), max_size=7
+                )
+            )
+            weighted.append((count * idf, idf, postings))
+        norms = data.draw(
+            st.dictionaries(st.sampled_from(KERNEL_UNITS), st.floats(min_value=1.0, max_value=1e6), max_size=8)
+        )
+        units = data.draw(st.lists(st.sampled_from(KERNEL_UNITS), unique=True))
+        query_norm = data.draw(st.floats(min_value=1.0, max_value=100.0))
+        expected = reference_cosines(weighted, query_norm, norms, units)
+        assert hex_items(cosine_scores(width)(weighted, query_norm, norms, units)) == hex_items(expected)
+
+    def test_repeated_query_token(self):
+        """"zeta" counted 5 times: the bits of the loop's expression order."""
+        corpus = make_corpus({"A": ["zeta beta."], "P0": ["other."]})
+        for granularity in ("sentence", "document"):
+            index = build_index(corpus, granularity)
+            query = parse_query(index, "zeta zeta zeta zeta zeta beta")
+            weighted = [(count * idf, idf, postings) for _, count, idf, postings in query.terms if postings]
+            units = list(index.norms) + ["no such unit"]
+            cosines = cosine_scores(len(weighted))(weighted, query.norm, index.norms, units)
+            assert hex_items(cosines) == hex_items(reference_cosines(weighted, query.norm, index.norms, units))
+            assert hex_items(cosines) == hex_items({ident: tfidf_scores(index, query)[ident] for ident in cosines})
+
+    def test_built_once_per_width(self):
+        assert cosine_scores(6) is cosine_scores(6)
+        assert cosine_scores(0)([], 1.0, {"a": 1.0}, ["a"]) == {}
+        # The terms must number exactly the width.
+        with pytest.raises(ValueError):
+            cosine_scores(2)([(1.0, 1.0, {"a": 1})], 1.0, {"a": 1.0}, ["a"])

@@ -239,16 +239,17 @@ def test_retrieve_matches_brute_force(data):
 
 def test_retrieve_matches_brute_force_on_fixture_world(fixture_world, monkeypatch):
     """Every train and dev claim of the default world retrieves what the
-    brute-force reference does, and the scorer's pruning skips pages on
-    most of them."""
+    brute-force reference does, no page is scored twice for one claim,
+    and the scorer's pruning skips pages on most of them."""
     scored: set = set()
 
-    def counting_scores(self, query, units):
+    def counting_cosines(self, weighted, query_norm, units):
+        assert scored.isdisjoint(units), "a page was scored twice"
         scored.update(units)
-        return original(self, query, units)
+        return original(self, weighted, query_norm, units)
 
-    original = IndexScorer.scores
-    monkeypatch.setattr(IndexScorer, "scores", counting_scores)
+    original = IndexScorer._cosines
+    monkeypatch.setattr(IndexScorer, "_cosines", counting_cosines)
     corpus = ingest_corpus(fixture_world / "corpus")
     index = build_index(corpus, "document")
     retriever = DocumentRetriever(corpus, index)
