@@ -83,11 +83,14 @@ class Document:
     display title), title_tokens, tokens (one token list per entry of
     sentences, in the same order), sids (one SentenceId per entry of
     sentences, the very objects the sentence index keys its units by)
-    and positions (line index -> position in sentences, tokens and
-    sids). These are the only tokens of corpus text the package
+    positions (line index -> position in sentences, tokens and sids)
+    and candidate_positions (the positions of the non-empty sentences,
+    ascending). These are the only tokens of corpus text the package
     computes. Each token is interned, so a word that recurs across the
     corpus is one string. Empty-text sentences are retained (they exist
-    in dumps) but are never offered as retrieval candidates.
+    in dumps) but are never offered as retrieval candidates: a candidate
+    sentence is one at a candidate position, the sentence index's units
+    and selection's candidates alike.
     """
 
     page_id: str
@@ -97,6 +100,7 @@ class Document:
     tokens: tuple[list[str], ...] = field(init=False, repr=False, compare=False)
     sids: tuple[SentenceId, ...] = field(init=False, repr=False, compare=False)
     positions: dict[int, int] = field(init=False, repr=False, compare=False)
+    candidate_positions: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         title = display_title(self.page_id)
@@ -108,6 +112,8 @@ class Document:
         page_id, new = self.page_id, tuple.__new__
         object.__setattr__(self, "sids", tuple([new(SentenceId, (page_id, idx)) for idx, _ in self.sentences]))
         object.__setattr__(self, "positions", {idx: position for position, (idx, _) in enumerate(self.sentences)})
+        candidates = tuple([position for position, (_, text) in enumerate(self.sentences) if text])
+        object.__setattr__(self, "candidate_positions", candidates)
 
     def line_texts(self) -> dict[int, str]:
         return {idx: text for idx, text in self.sentences}
@@ -264,8 +270,9 @@ def tfidf_norm(weights: Iterable[float]) -> float:
 def build_index(corpus: Corpus, granularity: str = "document") -> InvertedIndex:
     """Build a TF-IDF index from the documents' tokens. A page's token
     stream is its sentences' tokens in line order; at sentence
-    granularity each non-empty sentence is a unit whose stream is its
-    page's title tokens followed by its own."""
+    granularity each candidate sentence (Document.candidate_positions)
+    is a unit whose stream is its page's title tokens followed by its
+    own."""
     if not corpus.documents:
         raise ValueError("cannot index an empty corpus")
     if granularity not in ("document", "sentence"):
@@ -279,9 +286,8 @@ def build_index(corpus: Corpus, granularity: str = "document") -> InvertedIndex:
             units = [(page_id, Counter(chain.from_iterable(doc.tokens)))]
         else:
             units = [
-                (sid, Counter(chain(doc.title_tokens, tokens)))
-                for sid, (_, text), tokens in zip(doc.sids, doc.sentences, doc.tokens)
-                if text
+                (doc.sids[position], Counter(chain(doc.title_tokens, doc.tokens[position])))
+                for position in doc.candidate_positions
             ]
         for ident, tf in units:
             counts.append((ident, tf))

@@ -9,19 +9,37 @@ Each side of a feature is computed once. The claim side once per claim
 (`FeatureExtractor.prepare_claim`: the claim's `corpus.Query`, the one
 claim vector retrieval and negative sampling also read, its entity
 spans' query-term indices, and the negation cues and numerals pair
-features compare); the title side (`page_title`, from the document's
-title tokens) once per page. `page_features` is the one kernel for the
-body, a page at a time: each sentence, named by its document's own SentenceId
-(`Document.sids`, the objects the index keys by), reads its counts
-from the query's postings and its norm from `index.norms`; a sentence
-the index does not hold (an empty one) counts its own tokens. Both give equal
-bits: the index counted the same title and body tokens with the same
-idf table and `corpus.tfidf_norm`. `pair_features` adds the polarity
-cues to `page_features`' vectors, a page's positions per call too.
+features compare); the title side, from the document's title tokens,
+once per page of a `page_features` call. `page_features` is the one
+kernel, over pages given as (document, positions), the shape
+`Corpus.pages_of` returns: each sentence, named by its document's own
+SentenceId (`Document.sids`, the objects the index keys by), reads its
+counts from the query's postings and its norm from `index.norms`; a
+sentence the index does not hold (an empty one) counts its own tokens.
+Both give equal bits: the index counted the same title and body tokens
+with the same idf table and `corpus.tfidf_norm`. `pair_features` adds
+the polarity cues to copies of the selection vectors, a page's
+positions per call.
+
+The extractor keeps one slot: the last claim text prepared, its
+PreparedClaim, and the selection vectors `page_features` computed
+against that PreparedClaim, per page. `prepare_claim` of the slot's
+text returns the slot's claim, and `pair_features` reads a stored
+vector instead of featurizing the sentence again, so a claim served
+alone (select, then verdict) is prepared once and each of its sentences
+featurized once. The slot holds one claim, because a served claim's
+stages run back to back: a new text replaces the whole slot, so it
+holds one claim's candidates at most, and a stream that cycles its
+claims is never served from an earlier pass. Training interleaves
+claims, so it keeps its own per-claim memos.
+
 Selection featurizes each candidate page once per claim, selector
 training each (claim, sentence) once, and the verdict stage classifies
 each distinct (claim, sentence) pair once (`nli.claim_verdicts`),
-whatever the number of regimes; all three call the kernel once per page.
+whatever the number of regimes. Selection and training call the kernel
+once per call, over every page they need; the verdict stage once per
+page, for the sentences the slot lacks.
+
 Contract: the extractor's index is the sentence index of the corpus
 being featurized.
 """
@@ -30,7 +48,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .corpus import Document, InvertedIndex, Query, SentenceId, parse_query, tfidf_norm, token_spans
 
@@ -122,20 +140,16 @@ class PreparedClaim(NamedTuple):
     numerals: set[str]
 
 
-class PageTitle(NamedTuple):
-    """The title side of every feature, for one page title against one claim."""
-
-    tokens: list[str]
-    spans_in_title: float
-    title_in_claim: float
-
-
 class FeatureExtractor:
     """Deterministic feature vectors backed by the sentence index of the
-    corpus being featurized."""
+    corpus being featurized, with the one-claim slot the module docstring
+    describes."""
 
     def __init__(self, index: InvertedIndex):
         self.index = index
+        # The slot: the last claim prepared and, per page id, the document and
+        # the selection vectors, by SentenceId, computed against that claim on it.
+        self._slot: tuple[Optional[PreparedClaim], dict] = (None, {})
 
     @classmethod
     def from_index(cls, index: InvertedIndex) -> "FeatureExtractor":
@@ -143,6 +157,11 @@ class FeatureExtractor:
         return cls(index)
 
     def prepare_claim(self, claim_text: str) -> PreparedClaim:
+        """The claim side of claim_text: the slot's claim if it has this
+        text, else a new one, which replaces the whole slot."""
+        slot_claim = self._slot[0]
+        if slot_claim is not None and slot_claim.text == claim_text:
+            return slot_claim
         query = parse_query(self.index, claim_text)
         idf_mass = 0.0
         for _, _, idf, _ in query.terms:
@@ -150,7 +169,7 @@ class FeatureExtractor:
         token_set = set(query.tokens)
         # A span token is lowered alone, which can differ from tokenize (final
         # sigma); one that is no query token gets no index, only a set check.
-        return PreparedClaim(
+        claim = PreparedClaim(
             text=claim_text,
             query=query,
             token_set=token_set,
@@ -163,18 +182,19 @@ class FeatureExtractor:
             negation_cues=_negation_cues(token_set, claim_text),
             numerals={t for t in token_set if t.isdigit()},
         )
-
-    def page_title(self, claim: PreparedClaim, title_tokens: list[str]) -> PageTitle:
-        in_claim = 1.0 if contains_subsequence(claim.query.tokens, title_tokens) else 0.0
-        return PageTitle(title_tokens, _span_share(claim.spans, set(title_tokens)), in_claim)
+        self._slot = (claim, {})
+        return claim
 
     def page_features(
-        self, claim: PreparedClaim, page: PageTitle, document: Document, positions: Iterable[int]
+        self, claim: PreparedClaim, pages: Iterable[tuple[Document, Iterable[int]]]
     ) -> list[tuple[SentenceId, list[float]]]:
-        """Selection features of the sentences at the given positions of the
-        document's sentences, each with its SentenceId, against a prepared
-        claim and the page's title side. An indexed sentence reads its
-        counts from the query's postings and its norm from the index."""
+        """Selection features of the sentences at the given positions of each
+        page's document, each with its SentenceId, in page then position
+        order, against a prepared claim. Each page's title side is computed
+        once. An indexed sentence reads its counts from the query's
+        postings and its norm from the index. Vectors computed against the
+        slot's claim are also stored in the slot."""
+        slot_claim, slot_pages = self._slot
         query = claim.query
         terms = query.terms
         # A span is in a body only if the sentence holds each of the span's
@@ -184,65 +204,79 @@ class FeatureExtractor:
         n_claim = len(claim.token_set)
         claim_size = max(1, n_claim)
         query_norm, idf_mass = query.norm, claim.idf_mass
-        title_tokens, spans_in_title, title_in_claim = page
-        document_tokens, document_sids = document.tokens, document.sids
-        denom = max(1, len(document_sids) - 1)
         norms = self.index.norms
         vectors = []
-        for position in positions:
-            body_tokens = document_tokens[position]
-            sid = document_sids[position]
-            key, sentence_terms = sid, terms
-            candidate_norm = norms.get(sid)
-            if candidate_norm is None:
-                # A sentence the index does not hold counts its own tokens: each
-                # term's postings become {None: its count of it, or None if absent}.
-                candidate_tf = Counter(title_tokens + body_tokens)
-                candidate_norm = tfidf_norm(count * self.index.idf(token) for token, count in candidate_tf.items())
-                key = None
-                sentence_terms = [(token, count, idf, {None: candidate_tf.get(token)}) for token, count, idf, _ in terms]
-            # Both float sums run in the claim's token order, never a set's hash order.
-            dot = overlap = 0.0
-            shared = 0
-            for _, count, idf, postings in sentence_terms:
-                candidate_count = postings.get(key)
-                if candidate_count is not None:
-                    dot += count * candidate_count * (idf * idf)
-                    overlap += idf
-                    shared += 1
-            # A claim bigram can occur in the candidate only if its tokens do.
-            shared_bigrams = 0
-            if shared and bigrams:
-                tokens = title_tokens + body_tokens
-                shared_bigrams = len(bigrams.intersection(zip(tokens, tokens[1:])))
-            spans_in_body = 0.0
-            if spans:
-                body_set = None
-                in_body = 0
-                for span, span_terms in spans:
-                    # for-else, not all(): a generator costs more than the set it saves.
-                    for i in span_terms:
-                        if sentence_terms[i][3].get(key) is None:
-                            break
-                    else:
-                        if body_set is None:
-                            body_set = set(body_tokens)
-                        if span <= body_set:
-                            in_body += 1
-                spans_in_body = in_body / len(spans)
-            vector = [
-                shared / claim_size,
-                shared_bigrams / n_bigrams,
-                dot / (query_norm * candidate_norm) if dot != 0.0 else 0.0,
-                overlap / idf_mass if idf_mass > 0 else 0.0,
-                spans_in_title,
-                spans_in_body,
-                math.log(1 + len(body_tokens)),
-                title_in_claim,
-                position / denom,
-                (n_claim - shared) / claim_size,
-            ]
-            vectors.append((sid, vector))
+        for document, positions in pages:
+            title_tokens = document.title_tokens
+            spans_in_title = _span_share(spans, set(title_tokens))
+            title_in_claim = 1.0 if contains_subsequence(query.tokens, title_tokens) else 0.0
+            document_tokens, document_sids = document.tokens, document.sids
+            denom = max(1, len(document_sids) - 1)
+            stored = None
+            if claim is slot_claim:
+                # A page id met with another document starts afresh.
+                entry = slot_pages.get(document.page_id)
+                if entry is None or entry[0] is not document:
+                    entry = slot_pages[document.page_id] = (document, {})
+                stored = entry[1]
+            for position in positions:
+                body_tokens = document_tokens[position]
+                sid = document_sids[position]
+                key, sentence_terms = sid, terms
+                candidate_norm = norms.get(sid)
+                if candidate_norm is None:
+                    # A sentence the index does not hold counts its own tokens: each
+                    # term's postings become {None: its count of it, or None if absent}.
+                    candidate_tf = Counter(title_tokens + body_tokens)
+                    candidate_norm = tfidf_norm(count * self.index.idf(token) for token, count in candidate_tf.items())
+                    key = None
+                    sentence_terms = [
+                        (token, count, idf, {None: candidate_tf.get(token)}) for token, count, idf, _ in terms
+                    ]
+                # Both float sums run in the claim's token order, never a set's hash order.
+                dot = overlap = 0.0
+                shared = 0
+                for _, count, idf, postings in sentence_terms:
+                    candidate_count = postings.get(key)
+                    if candidate_count is not None:
+                        dot += count * candidate_count * (idf * idf)
+                        overlap += idf
+                        shared += 1
+                # A claim bigram can occur in the candidate only if its tokens do.
+                shared_bigrams = 0
+                if shared and bigrams:
+                    tokens = title_tokens + body_tokens
+                    shared_bigrams = len(bigrams.intersection(zip(tokens, tokens[1:])))
+                spans_in_body = 0.0
+                if spans:
+                    body_set = None
+                    in_body = 0
+                    for span, span_terms in spans:
+                        # for-else, not all(): a generator costs more than the set it saves.
+                        for i in span_terms:
+                            if sentence_terms[i][3].get(key) is None:
+                                break
+                        else:
+                            if body_set is None:
+                                body_set = set(body_tokens)
+                            if span <= body_set:
+                                in_body += 1
+                    spans_in_body = in_body / len(spans)
+                vector = [
+                    shared / claim_size,
+                    shared_bigrams / n_bigrams,
+                    dot / (query_norm * candidate_norm) if dot != 0.0 else 0.0,
+                    overlap / idf_mass if idf_mass > 0 else 0.0,
+                    spans_in_title,
+                    spans_in_body,
+                    math.log(1 + len(body_tokens)),
+                    title_in_claim,
+                    position / denom,
+                    (n_claim - shared) / claim_size,
+                ]
+                vectors.append((sid, vector))
+                if stored is not None:
+                    stored[sid] = vector
         return vectors
 
     def pair_features(
@@ -250,13 +284,23 @@ class FeatureExtractor:
     ) -> list[tuple[SentenceId, list[float]]]:
         """Selection features (at sentence_position 0) plus polarity cues
         for claim classification, of the sentences at the given positions
-        of the document's sentences, each with its SentenceId. The title
-        side is computed once per call, the claim side once per claim."""
-        page = self.page_title(claim, document.title_tokens)
-        featurized = self.page_features(claim, page, document, positions)
+        of the document's sentences, each with its SentenceId. A sentence
+        whose selection vector the slot holds (the claim is the slot's
+        claim, and the page's document the one it was computed on) starts
+        from a copy of it; page_features computes the others, in one call."""
+        slot_claim, slot_pages = self._slot
+        entry = slot_pages.get(document.page_id) if claim is slot_claim else None
+        vectors = dict(entry[1]) if entry is not None and entry[0] is document else {}
+        sids = document.sids
+        missing = [position for position in positions if sids[position] not in vectors]
+        if missing:
+            vectors.update(self.page_features(claim, [(document, missing)]))
         claim_tokens = claim.token_set
-        title_tokens = set(page.tokens)
-        for position, (_, vector) in zip(positions, featurized):
+        title_tokens = set(document.title_tokens)
+        featurized = []
+        for position in positions:
+            sid = sids[position]
+            vector = list(vectors[sid])
             candidate_tokens = title_tokens.union(document.tokens[position])
             candidate_cues = _negation_cues(candidate_tokens, document.title, document.sentences[position][1])
             candidate_numerals = {t for t in candidate_tokens if t.isdigit()}
@@ -266,4 +310,5 @@ class FeatureExtractor:
                 1.0 if claim.numerals != candidate_numerals else 0.0,
                 len(candidate_tokens - claim_tokens) / max(1, len(candidate_tokens)),
             ]
+            featurized.append((sid, vector))
         return featurized

@@ -11,6 +11,13 @@ and classifies each distinct (claim text, sentence) pair once. Pairs
 are featurized and classified a page at a time (`classify_pair` takes
 one page's positions), both there and in NLI training, with the claim
 side computed once per distinct claim text in a call.
+
+The claim side and the selection vectors come from the extractor's
+one-claim slot when the claim is the one selection featurized last (see
+`features`): a claim served alone, select then verdict, is prepared
+once, and its verdict copies the selected sentences' vectors instead of
+featurizing them again. Training interleaves claims, which a one-claim
+slot would not serve, so it keeps its own memo of prepared claims.
 """
 
 from __future__ import annotations
@@ -192,10 +199,11 @@ def claim_verdicts(
     holds, classified separately, then majority-voted. The lists may come
     from several claims with the claim's text; only the text is read.
 
-    The claim is prepared once and each distinct sentence is classified
-    once, however many lists rank it, with one classify_pair call per
-    page. Each sentence is classified together with its page title, so
-    pronoun-heavy evidence keeps its subject.
+    The claim is prepared once (or read from the extractor's slot) and
+    each distinct sentence is classified once, however many lists rank
+    it, with one classify_pair call per page. Each sentence is classified
+    together with its page title, so pronoun-heavy evidence keeps its
+    subject.
     """
     prepared = extractor.prepare_claim(claim.text)
     labels: dict[SentenceId, Label] = {}

@@ -22,7 +22,13 @@ pools, and each draw's new sentences are featurized a page at a time.
 Ranking is one featurize pass over a claim's candidate sentences plus a
 top-k scoring step per model, each one call of the batch kernel
 `util.logistic_scores`, so several selectors can score the same feature
-vectors (see `experiment.select_evidence`).
+vectors (see `experiment.select_evidence`). The featurize pass leaves
+the claim and its vectors in the extractor's slot (see `features`), so
+the verdict on a claim served alone, which follows at once, prepares
+nothing and featurizes none of its sentences again. The slot holds that
+one claim only: a run's stages each pass over every claim, so by the
+verdict stage the slot holds another claim, and each stage keeps its own
+per-call memos.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .claims import Claim, Label
 from .corpus import Corpus, IndexScorer, InvertedIndex, Query, SentenceId, rank_key, top_k_scored
-from .features import SELECTION_FEATURE_NAMES, FeatureExtractor, PageTitle, PreparedClaim
+from .features import SELECTION_FEATURE_NAMES, FeatureExtractor, PreparedClaim
 from .util import linear_form, load_model, logistic_scores, save_model, stable_seed
 
 MODEL_SCHEMA = "claimlab/relevance-model/v1"
@@ -215,18 +221,14 @@ class _TrainingClaim:
     pool: NegativePool
     prepared: PreparedClaim
     vectors: dict[SentenceId, list[float]] = field(default_factory=dict)
-    titles: dict[str, PageTitle] = field(default_factory=dict)
 
     def features(self, extractor: FeatureExtractor, corpus: Corpus, sids: Sequence[SentenceId]) -> list[list[float]]:
         """The feature vectors of the (located) sentences, in order. The
-        sentences not featurized before are featurized a page at a time,
-        with one page_features call per page."""
+        sentences not featurized before are featurized in one page_features
+        call."""
         vectors = self.vectors
-        for doc, positions in corpus.pages_of([sid for sid in sids if sid not in vectors]):
-            page = self.titles.get(doc.page_id)
-            if page is None:
-                page = self.titles[doc.page_id] = extractor.page_title(self.prepared, doc.title_tokens)
-            vectors.update(extractor.page_features(self.prepared, page, doc, positions))
+        pages = corpus.pages_of([sid for sid in sids if sid not in vectors])
+        vectors.update(extractor.page_features(self.prepared, pages))
         return [vectors[sid] for sid in sids]
 
 
@@ -242,14 +244,14 @@ def train_selectors(
     Each distinct (claim text, evidence groups) is prepared once, when the
     first regime uses a claim that has it: its PreparedClaim, whose query
     its NegativePool ranks with over the extractor's own index, and, on
-    first need, the title side of each page and the feature vector of each
-    sentence. Each regime then draws every claim's negatives from that
-    pool with a seed of its own config's seed and the claim's own id, in
-    claim order, and trains on its examples: each epoch
-    re-scores the whole negative pool, keeps the hardest negatives so
-    positive and negative counts match, and runs one pass of per-example
-    gradient descent on the logistic loss in a seeded shuffled order. A
-    model does not depend on which other regimes train in the same call.
+    first need, the feature vector of each sentence. Each regime then
+    draws every claim's negatives from that pool with a seed of its own
+    config's seed and the claim's own id, in claim order, and trains on
+    its examples: each epoch re-scores the whole negative pool, keeps the
+    hardest negatives so positive and negative counts match, and runs one
+    pass of per-example gradient descent on the logistic loss in a seeded
+    shuffled order. A model does not depend on which other regimes train
+    in the same call.
     """
     scorer = IndexScorer(extractor.index)
     # A pool built for the largest per_group serves every smaller one: its
@@ -360,25 +362,16 @@ FeaturizedCandidates = list[tuple[SentenceId, list[float]]]
 def featurize_candidates(
     extractor: FeatureExtractor, claim: Claim, candidate_pages: Sequence[str], corpus: Corpus
 ) -> FeaturizedCandidates:
-    """Feature vectors of every non-empty sentence of the candidate pages.
+    """Feature vectors of every candidate sentence of the candidate pages
+    (Document.candidate_positions), in one page_features call.
 
-    Duplicate pages are featurized once, with the title side computed
-    once per page; unknown pages are skipped.
+    Duplicate pages are featurized once; unknown pages are skipped. The
+    claim becomes the extractor's slot claim, so a verdict that follows
+    reads the claim and these vectors from the slot.
     """
-    prepared = extractor.prepare_claim(claim.text)
-    featurized: FeaturizedCandidates = []
-    seen_pages = set()
-    for page_id in candidate_pages:
-        if page_id in seen_pages:
-            continue
-        seen_pages.add(page_id)
-        doc = corpus.documents.get(page_id)
-        if doc is None:
-            continue
-        page = extractor.page_title(prepared, doc.title_tokens)
-        positions = [position for position, (_, text) in enumerate(doc.sentences) if text]
-        featurized += extractor.page_features(prepared, page, doc, positions)
-    return featurized
+    documents = [corpus.documents.get(page_id) for page_id in dict.fromkeys(candidate_pages)]
+    pages = [(doc, doc.candidate_positions) for doc in documents if doc is not None]
+    return extractor.page_features(extractor.prepare_claim(claim.text), pages)
 
 
 def top_k(model: RelevanceModel, featurized: FeaturizedCandidates, k: int) -> RankedEvidence:

@@ -72,8 +72,7 @@ def candidate_features(extractor, claim, title, body, position=0.0):
     at = round(position * 4)
     doc = Document(title, tuple((line - 5, body if line == at else "") for line in range(5)))
     assert doc.title == title
-    page = extractor.page_title(claim, doc.title_tokens)
-    [(sid, features)] = extractor.page_features(claim, page, doc, [at])
+    [(sid, features)] = extractor.page_features(claim, [(doc, [at])])
     assert sid == SentenceId(title, at - 5)
     return features
 
@@ -458,7 +457,9 @@ class TestPreparedClaim:
         and computes no norm beyond prepare_claim's one each, and tokenizes
         only the claim: titles and bodies are the documents' own tokens,
         split once when the corpus was built (the duplicate "Foo" page is
-        featurized once)."""
+        featurized once). A verdict that follows selection reads the claim
+        and the vectors from the extractor's slot and computes none; one on
+        a fresh extractor prepares the claim again, and nothing more."""
         corpus = make_corpus(
             {"Foo": ["Foo is alpha.", "It is beta.", ""], "Foo_(film)": ["A film."], "Bar": ["Bar alpha."]}
         )
@@ -483,7 +484,10 @@ class TestPreparedClaim:
         calls.clear()
         n = len(PAIR_FEATURE_NAMES)
         model = NliModel(weights=[[0.0] * n for _ in range(3)], biases=[0.0] * 3)
-        verdict_for_claim(model, extractor, corpus, claim, [(sid, 1.0) for sid, _ in featurized])
+        evidence = [(sid, 1.0) for sid, _ in featurized]
+        verdict = verdict_for_claim(model, extractor, corpus, claim, evidence)
+        assert calls == {}
+        assert verdict_for_claim(model, FeatureExtractor(extractor.index), corpus, claim, evidence) == verdict
         assert calls == {"Counter": 1, "tfidf_norm": 1, "tokenize": 1}
 
 
@@ -511,8 +515,7 @@ def test_documents_share_their_sentence_ids_with_the_index(fixture_world):
     extractor = FeatureExtractor(index)
     claim = extractor.prepare_claim(load_claims(fixture_world / "dev.jsonl")[0].text)
     for doc in corpus.documents.values():
-        page = extractor.page_title(claim, doc.title_tokens)
-        featurized = extractor.page_features(claim, page, doc, range(len(doc.sentences)))
+        featurized = extractor.page_features(claim, [(doc, range(len(doc.sentences)))])
         assert [sid for sid, _ in featurized] == list(doc.sids)
         assert all(sid is own for (sid, _), own in zip(featurized, doc.sids))
 

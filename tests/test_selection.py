@@ -391,13 +391,12 @@ class TestTrainSelector:
                 if not gold:
                     continue
                 prepared = extractor.prepare_claim(claim.text)
-                for doc in corpus.documents.values():
-                    page = extractor.page_title(prepared, doc.title_tokens)
-                    for sid, features in extractor.page_features(prepared, page, doc, range(len(doc.sentences))):
-                        p = min(max(m.score(features), 1e-9), 1 - 1e-9)
-                        y = 1.0 if sid in gold else 0.0
-                        total += -(y * math.log(p) + (1 - y) * math.log(1 - p))
-                        count += 1
+                pages = [(doc, range(len(doc.sentences))) for doc in corpus.documents.values()]
+                for sid, features in extractor.page_features(prepared, pages):
+                    p = min(max(m.score(features), 1e-9), 1 - 1e-9)
+                    y = 1.0 if sid in gold else 0.0
+                    total += -(y * math.log(p) + (1 - y) * math.log(1 - p))
+                    count += 1
             return total / count
 
         assert mean_loss(model) < mean_loss(init)
