@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from typing import get_type_hints
 
 from .claim_gen import generate_augmentation_set
 from .claims import Label, load_claims, save_claims
@@ -165,15 +166,42 @@ def cmd_evaluate(args) -> int:
 
 
 _RUN_REQUIRED = ("corpus", "train_claims", "dev_claims", "kb", "out_dir")
+_FIELD_KINDS = {
+    str: "a string",
+    int: "an integer",
+    float: "a number",
+    bool: "true or false",
+    tuple[str, ...]: "a list of regime names",
+}
+
+
+def _check_run_fields(fields: dict) -> None:
+    """Reject a field ExperimentConfig does not have, or a value of the
+    wrong JSON type for its field, naming the field."""
+    hints = get_type_hints(ExperimentConfig)
+    for name, value in fields.items():
+        if name not in hints:
+            raise ValueError(f"unknown config field {name!r}")
+        kind = hints[name]
+        if kind == tuple[str, ...]:  # regimes, a JSON list
+            valid = isinstance(value, list) and all(isinstance(regime, str) for regime in value)
+        else:  # true and false are no numbers; an integer is a valid float
+            accepted = (int, float) if kind is float else kind
+            valid = isinstance(value, accepted) and isinstance(value, bool) == (kind is bool)
+        if not valid:
+            raise ValueError(f"{name} must be {_FIELD_KINDS[kind]}, got {value!r}")
 
 
 def cmd_run(args) -> int:
     fields = read_json(args.config) if args.config else {}
+    if not isinstance(fields, dict):
+        raise ValueError(f"config {args.config} must hold a JSON object, not a {type(fields).__name__}")
     for name in _RUN_REQUIRED + ("seed", "k_docs", "k_sentences", "oracle_docs"):
         if getattr(args, name) is not None:
             fields[name] = getattr(args, name)
     if args.regimes:
         fields["regimes"] = args.regimes.split(",")
+    _check_run_fields(fields)
     missing = [name for name in _RUN_REQUIRED if name not in fields]
     if missing:
         print(f"error: run: missing required options: {', '.join(missing)}", file=sys.stderr)

@@ -24,7 +24,6 @@ reference that scores every unit sharing a token with the query.
 
 from __future__ import annotations
 
-import heapq
 import json
 import logging
 import math
@@ -337,7 +336,7 @@ def top_k_scored(scores: dict, k: int) -> list[tuple]:
         raise ValueError("k must be >= 1")
     items = scores.items()
     if len(scores) > k:
-        cut = heapq.nlargest(k, scores.values())[-1]
+        cut = sorted(scores.values())[-k]
         items = [item for item in items if item[1] >= cut]
     return sorted(items, key=rank_key)[:k]
 
@@ -418,7 +417,7 @@ class IndexScorer:
             postings = weighted[order[rank]][2]
             scores.update(self._cosines(held, query.norm, [ident for ident in postings if ident not in scores]))
             if theta is None and len(scores) >= k:
-                theta = heapq.nlargest(k, scores.values())[-1]
+                theta = sorted(scores.values())[-k]
                 total = 0.0
                 for position in order:
                     total += bounds[position]

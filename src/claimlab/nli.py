@@ -17,13 +17,14 @@ one-claim slot when the claim is the one selection featurized last (see
 `features`): a claim served alone, select then verdict, is prepared
 once, and its verdict copies the selected sentences' vectors instead of
 featurizing them again. Training interleaves claims, which a one-claim
-slot would not serve, so it keeps its own memo of prepared claims.
+slot would not serve, so it keeps its own memo of prepared claims, and
+it steps the three softmax rows through `selection.sgd_epochs`, the
+selector's SGD loop.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import reduce
@@ -34,8 +35,8 @@ from typing import Mapping, Sequence, Union
 from .claims import Claim, Label
 from .corpus import Corpus, Document, SentenceId
 from .features import PAIR_FEATURE_NAMES, FeatureExtractor, PreparedClaim
-from .selection import RankedEvidence, TrainingConfig
-from .util import linear_form, load_model, save_model, stable_seed
+from .selection import RankedEvidence, TrainingConfig, sgd_epochs
+from .util import linear_form, load_model, save_model
 
 MODEL_SCHEMA = "claimlab/nli-model/v1"
 
@@ -162,23 +163,8 @@ def train_nli(
     if missing:
         raise ValueError(f"training data has no pairs for class(es): {', '.join(missing)}")
 
-    n_features = len(PAIR_FEATURE_NAMES)
-    model = NliModel(
-        weights=[[0.0] * n_features for _ in CLASS_ORDER],
-        biases=[0.0] * len(CLASS_ORDER),
-    )
-    lr = config.learning_rate
-    for epoch in range(config.epochs):
-        batch = list(pairs)
-        random.Random(stable_seed(config.seed, "nli-shuffle", epoch)).shuffle(batch)
-        for features, target in batch:
-            probs = model.probabilities(features)
-            for c in range(len(CLASS_ORDER)):
-                gradient = probs[c] - (1.0 if c == target else 0.0)
-                weights = model.weights[c]
-                for i, x in enumerate(features):
-                    weights[i] -= lr * gradient * x
-                model.biases[c] -= lr * gradient
+    model = NliModel(weights=[[0.0] * len(PAIR_FEATURE_NAMES) for _ in CLASS_ORDER], biases=[0.0] * len(CLASS_ORDER))
+    sgd_epochs(model.weights, model.biases, lambda epoch: list(pairs), config, "nli-shuffle", model.probabilities)
     model.metadata = {
         "seed": config.seed,
         "epochs": config.epochs,

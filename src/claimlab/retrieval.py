@@ -78,10 +78,6 @@ class DocumentRetriever:
             scores[page_id] = cosines.get(page_id, 0.0) + self.config.title_match_weight
         return [page_id for page_id, _ in top_k_scored(scores, self.config.k)]
 
-    def retrieve_oracle(self, claim: Claim) -> list[str]:
-        """Plain retrieval with the claim's gold pages appended."""
-        return with_gold_pages(self.retrieve(claim.text), claim)
-
 
 def with_gold_pages(pages: Sequence[str], claim: Claim) -> list[str]:
     """The retrieved pages, then the claim's gold pages that are not among

@@ -7,7 +7,9 @@ Training draws 15 negatives per positive from a TF-IDF ranker in three
 groups (same-document, other-document, fresh-document) and, each
 epoch, keeps only the hardest negatives so positives and negatives
 stay balanced: one batch scoring of every negative, then
-`corpus.top_k_scored`, never a full sort.
+`corpus.top_k_scored`, never a full sort. That epoch's batch goes
+through `sgd_epochs`, the one SGD loop, which the NLI classifier
+trains through too.
 
 Negatives come from a `NegativePool` per training claim, which ranks
 only what the groups can reach: the positive pages' sentences, an
@@ -39,7 +41,7 @@ import random
 from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .claims import Claim, Label
 from .corpus import Corpus, IndexScorer, InvertedIndex, Query, SentenceId, rank_key, top_k_scored
@@ -90,6 +92,27 @@ class TrainingConfig:
             raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
         if self.negatives_per_positive < 1:
             raise ValueError("negatives_per_positive must be >= 1")
+
+
+def sgd_epochs(
+    rows: list, biases: list, epoch_batch: Callable, config: TrainingConfig, tag: str, probabilities: Callable
+) -> None:
+    """The one SGD loop: cross-entropy descent, in place, for a linear model
+    with a weight row and a bias per output. Each epoch shuffles the list
+    epoch_batch(epoch) with a seed of (config.seed, tag, epoch); for each
+    (features, target) in it, p = probabilities(features) and row c steps
+    by p[c] - (1.0 if c == target else 0.0): its weights in order, then its bias."""
+    lr = config.learning_rate
+    for epoch in range(config.epochs):
+        batch = epoch_batch(epoch)
+        random.Random(stable_seed(config.seed, tag, epoch)).shuffle(batch)
+        for features, target in batch:
+            probs = probabilities(features)
+            for c, weights in enumerate(rows):
+                gradient = probs[c] - (1.0 if c == target else 0.0)
+                for i, x in enumerate(features):
+                    weights[i] -= lr * gradient * x
+                biases[c] -= lr * gradient
 
 
 def _sigmoid(z: float) -> float:
@@ -309,23 +332,18 @@ def _fit(
     # negatives are the lexically closest ones rather than ties.
     weights = [0.0] * len(SELECTION_FEATURE_NAMES)
     weights[SELECTION_FEATURE_NAMES.index("tfidf_cosine")] = 1.0
-    model = RelevanceModel(weights=weights, bias=0.0)
-    lr = config.learning_rate
+    biases = [0.0]
+    dot = linear_form(len(weights))
     # Sorted by key once, stably, as _hardest_negatives needs.
     negatives = sorted(negatives, key=itemgetter(0))
-    for epoch in range(config.epochs):
-        keep = min(len(positives), len(negatives))
-        hardest = _hardest_negatives(model, negatives, keep)
-        batch = [(features, 1) for _, features in positives]
-        batch += [(features, 0) for _, features in hardest]
-        random.Random(stable_seed(config.seed, "shuffle", epoch)).shuffle(batch)
-        for features, target in batch:
-            predicted = model.score(features)
-            gradient = predicted - target
-            for i, x in enumerate(features):
-                model.weights[i] -= lr * gradient * x
-            model.bias -= lr * gradient
-    return model
+    keep = min(len(positives), len(negatives))
+
+    def epoch_batch(epoch: int) -> list:  # positives target row 0, negatives no row
+        hardest = _hardest_negatives(RelevanceModel(weights, biases[0]), negatives, keep)
+        return [(features, 0) for _, features in positives] + [(features, None) for _, features in hardest]
+
+    sgd_epochs([weights], biases, epoch_batch, config, "shuffle", lambda f: [_sigmoid(biases[0] + dot(weights, f))])
+    return RelevanceModel(weights=weights, bias=biases[0])
 
 
 def _hardest_negatives(

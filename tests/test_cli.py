@@ -428,6 +428,36 @@ def test_run_with_config_file(world_dir, tmp_path):
     assert {row["regime"] for row in report["rows"]} == {"baseline"}
 
 
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ({"epoch": 3}, "unknown config field 'epoch'"),
+        ({"k_docs": "20"}, "k_docs must be an integer, got '20'"),
+        ({"epochs": 2.5}, "epochs must be an integer, got 2.5"),
+        ({"regimes": "baseline"}, "regimes must be a list of regime names, got 'baseline'"),
+        (None, "must hold a JSON object, not a list"),
+    ],
+    ids=["unknown-field", "string-k-docs", "fractional-epochs", "string-regimes", "list-config"],
+)
+def test_run_rejects_a_bad_config_file(world_dir, tmp_path, capsys, override, message):
+    """Each bad config exits 1 naming the field before any stage runs; None
+    stands for a config file holding a JSON list of the good fields."""
+    out_dir = tmp_path / "bundle"
+    config = {
+        "corpus": str(world_dir / "corpus"),
+        "train_claims": str(world_dir / "train.jsonl"),
+        "dev_claims": str(world_dir / "dev.jsonl"),
+        "kb": str(world_dir / "kb.jsonl"),
+        "out_dir": str(out_dir),
+    }
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps([config] if override is None else {**config, **override}))
+    assert main(["run", "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: run: ") and message in err
+    assert not out_dir.exists()
+
+
 def test_run_missing_options(capsys):
     assert main(["run"]) == 1
     assert "missing required options" in capsys.readouterr().err

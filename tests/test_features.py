@@ -29,7 +29,7 @@ from claimlab.features import (
     contains_subsequence,
 )
 from claimlab.nli import NliModel, _training_pairs, verdict_for_claim
-from claimlab.retrieval import DocRetrievalConfig, DocumentRetriever
+from claimlab.retrieval import DocRetrievalConfig, DocumentRetriever, with_gold_pages
 from claimlab.selection import (
     NegativePool,
     Regime,
@@ -389,7 +389,7 @@ class TestPreparedClaim:
         retriever = DocumentRetriever(corpus, build_index(corpus, "document"), DocRetrievalConfig(k=20))
         pairs = 0
         for claim in load_claims(fixture_world / "dev.jsonl"):
-            pages = retriever.retrieve_oracle(claim)
+            pages = with_gold_pages(retriever.retrieve(claim.text), claim)
             evidence = sorted(claim.gold_sentences()) + sentences_of(corpus, pages)[:5]
             pairs += assert_shipped_paths(corpus, index, claim, pages, [], evidence)
         assert pairs > 10_000

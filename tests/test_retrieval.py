@@ -16,7 +16,7 @@ from claimlab.corpus import (
     tokenize,
 )
 from claimlab.features import contains_subsequence
-from claimlab.retrieval import DocRetrievalConfig, DocumentRetriever
+from claimlab.retrieval import DocRetrievalConfig, DocumentRetriever, with_gold_pages
 
 from conftest import count_tokenized, make_claim, make_corpus, tfidf_scores
 
@@ -129,13 +129,13 @@ class TestOracle:
         claim = make_claim(
             1, Label.REFUTED, "Stan Beeman is only in shows on BBC.", [[("Stan_Beeman", 0)]]
         )
-        assert retriever.retrieve_oracle(claim) == retriever.retrieve(claim.text)
+        assert with_gold_pages(retriever.retrieve(claim.text), claim) == retriever.retrieve(claim.text)
 
     def test_missing_gold_page_appended_last(self, beeman_world):
         corpus, index = beeman_world
         retriever = DocumentRetriever(corpus, index)
         claim = make_claim(2, Label.SUPPORTED, "The BBC airs shows.", [[("Unrelated", 0)]])
-        pages = retriever.retrieve_oracle(claim)
+        pages = with_gold_pages(retriever.retrieve(claim.text), claim)
         assert pages[-1] == "Unrelated"
         assert pages[:-1] == retriever.retrieve(claim.text)
 
@@ -143,7 +143,7 @@ class TestOracle:
         corpus, index = beeman_world
         retriever = DocumentRetriever(corpus, index)
         claim = make_claim(3, Label.NOT_ENOUGH_INFO, "The BBC airs shows.")
-        assert retriever.retrieve_oracle(claim) == retriever.retrieve(claim.text)
+        assert with_gold_pages(retriever.retrieve(claim.text), claim) == retriever.retrieve(claim.text)
 
 
 def test_refuted_doc_mistakes_exceed_supported_directionally():

@@ -1,8 +1,9 @@
-"""Linear models score through one kernel, util.linear_form, and rank
-lists through its batch form, util.logistic_scores, never by sorting with
-a per-item score call; the feature and selection kernels name sentences
-by the SentenceId objects each corpus.Document holds, never by ids built
-per candidate."""
+"""Linear models score through one kernel, util.linear_form, rank lists
+through its batch form, util.logistic_scores, never by sorting with a
+per-item score call, and train through one SGD loop,
+selection.sgd_epochs; the feature and selection kernels name sentences by
+the SentenceId objects each corpus.Document holds, never by ids built per
+candidate."""
 
 import ast
 from pathlib import Path
@@ -61,3 +62,34 @@ def test_no_module_sorts_by_a_score_call(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text("hardest = sorted(negatives, key=lambda item: (-model.score(item[1]), item[0]))[:keep]\n")
     assert sorts_by_score(probe)
+
+
+def weight_updaters(path: Path) -> list[str]:
+    """The module's functions that step a subscripted weight with -= in a
+    for loop, as a per-example SGD update does."""
+    found = []
+    for function in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(function, ast.FunctionDef) and any(
+            isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Sub) and isinstance(node.target, ast.Subscript)
+            for loop in ast.walk(function)
+            if isinstance(loop, ast.For)
+            for node in ast.walk(loop)
+        ):
+            found.append(f"{path.stem}.{function.name}")
+    return found
+
+
+def test_one_function_updates_weights(tmp_path):
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert [name for path in sources for name in weight_updaters(path)] == ["selection.sgd_epochs"]
+    # The check sees the update _fit used to run.
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "def fit(model, batch, lr):\n"
+        "    for features, target in batch:\n"
+        "        gradient = model.score(features) - target\n"
+        "        for i, x in enumerate(features):\n"
+        "            model.weights[i] -= lr * gradient * x\n"
+        "        model.bias -= lr * gradient\n"
+    )
+    assert weight_updaters(probe) == ["probe.fit"]

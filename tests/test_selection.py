@@ -36,6 +36,7 @@ from claimlab.selection import (
     _regime_claims,
     aggregate_sr,
     select_sentences,
+    sgd_epochs,
     train_selector,
     train_selectors,
 )
@@ -597,6 +598,38 @@ def test_fit_keeps_the_sorted_hardest_negatives(positives, negatives, epochs):
         patch.setattr(selection_module, "_hardest_negatives", checked)
         _fit(keyed, negatives, TrainingConfig(epochs=epochs, seed=5))
     assert len(selected) == epochs
+
+
+def test_sgd_epochs_steps_each_row_by_its_hand_worked_gradient():
+    """One epoch over two examples, lr 0.5, with dyadic numbers so every
+    float is exact. A = [1, 2], B = [2, 0]; the "shuffle" seed orders them
+    B, A."""
+    config = TrainingConfig(epochs=1, learning_rate=0.5, seed=0)
+    a, b = [1.0, 2.0], [2.0, 0.0]
+
+    # One logistic row, p = 0.5 + (w . f + bias) / 8, read as the row stands;
+    # A is a positive (row 0) and B a negative (no row).
+    rows, biases, seen = [[0.0, 0.0]], [0.0], []
+
+    def logistic(f):
+        seen.append(f)
+        return [0.5 + (rows[0][0] * f[0] + rows[0][1] * f[1] + biases[0]) / 8]
+
+    sgd_epochs(rows, biases, lambda epoch: [(a, 0), (b, None)], config, "shuffle", logistic)
+    assert seen == [b, a]
+    # B: p = 0.5, step 0.5 * 0.5 = 0.25: w = [-0.5, 0], bias = -0.25.
+    # A: p = 0.5 + (-0.5 - 0.25) / 8 = 0.40625, step 0.5 * -0.59375:
+    # w = [-0.5 + 0.296875, 0 + 0.59375], bias = -0.25 + 0.296875.
+    assert (rows, biases) == ([[-0.203125, 0.59375]], [0.046875])
+
+    # Three softmax rows with fixed p = [0.5, 0.25, 0.25]; A targets row 1,
+    # B row 2. Times lr, row 0 steps by 0.25 on both, row 1 by -0.375 on A
+    # and 0.125 on B, row 2 by 0.125 on A and -0.375 on B; the weights step
+    # by that times the features.
+    rows, biases = [[0.0, 0.0] for _ in range(3)], [0.0, 0.0, 0.0]
+    sgd_epochs(rows, biases, lambda epoch: [(a, 1), (b, 2)], config, "shuffle", lambda f: [0.5, 0.25, 0.25])
+    assert rows == [[-0.75, -0.5], [0.125, 0.75], [0.625, -0.25]]
+    assert biases == [-0.5, 0.25, 0.25]
 
 
 def test_linear_form_is_built_once_per_width_and_reads_every_feature():

@@ -20,7 +20,7 @@ from claimlab.corpus import build_index, ingest_corpus
 from claimlab.experiment import retrieve_docs, select_evidence, verdicts_for
 from claimlab.features import PAIR_FEATURE_NAMES, SELECTION_FEATURE_NAMES, FeatureExtractor
 from claimlab.nli import CLASS_ORDER, NliModel, train_nli, verdict_for_claim
-from claimlab.retrieval import DocRetrievalConfig, DocumentRetriever
+from claimlab.retrieval import DocRetrievalConfig, DocumentRetriever, with_gold_pages
 from claimlab.selection import (
     NegativePool,
     RelevanceModel,
@@ -109,7 +109,7 @@ def test_padded_text_is_the_same_claim_side(stack, lists):
 def test_retrieve_docs_retrieves_each_text_once(stack, lists, monkeypatch, oracle_docs):
     _, _, retriever, _ = stack
     expected = [
-        {c.claim_id: retriever.retrieve_oracle(c) if oracle_docs else retriever.retrieve(c.text) for c in claims}
+        {c.claim_id: with_gold_pages(retriever.retrieve(c.text), c) if oracle_docs else retriever.retrieve(c.text) for c in claims}
         for claims in lists
     ]
     calls = count_calls(monkeypatch, DocumentRetriever, "retrieve")
