@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from typing import get_type_hints
 
 from .claim_gen import generate_augmentation_set
 from .claims import Label, load_claims, save_claims
@@ -21,6 +20,7 @@ from .entity_analysis import analyze_claims
 from .evaluation import build_report, format_report_row
 from .experiment import (
     ALL_REGIMES,
+    PATH_FIELDS,
     ExperimentConfig,
     StageError,
     evaluate_evidence,
@@ -40,7 +40,7 @@ from .kb import KnowledgeBase
 from .nli import NliModel, train_nli
 from .retrieval import DocRetrievalConfig, DocumentRetriever
 from .selection import REGIMES, RelevanceModel, TrainingConfig, train_selectors
-from .util import read_json, write_json
+from .util import check_fields, read_json, write_json
 
 
 def cmd_ingest(args) -> int:
@@ -165,44 +165,17 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-_RUN_REQUIRED = ("corpus", "train_claims", "dev_claims", "kb", "out_dir")
-_FIELD_KINDS = {
-    str: "a string",
-    int: "an integer",
-    float: "a number",
-    bool: "true or false",
-    tuple[str, ...]: "a list of regime names",
-}
-
-
-def _check_run_fields(fields: dict) -> None:
-    """Reject a field ExperimentConfig does not have, or a value of the
-    wrong JSON type for its field, naming the field."""
-    hints = get_type_hints(ExperimentConfig)
-    for name, value in fields.items():
-        if name not in hints:
-            raise ValueError(f"unknown config field {name!r}")
-        kind = hints[name]
-        if kind == tuple[str, ...]:  # regimes, a JSON list
-            valid = isinstance(value, list) and all(isinstance(regime, str) for regime in value)
-        else:  # true and false are no numbers; an integer is a valid float
-            accepted = (int, float) if kind is float else kind
-            valid = isinstance(value, accepted) and isinstance(value, bool) == (kind is bool)
-        if not valid:
-            raise ValueError(f"{name} must be {_FIELD_KINDS[kind]}, got {value!r}")
-
-
 def cmd_run(args) -> int:
     fields = read_json(args.config) if args.config else {}
     if not isinstance(fields, dict):
         raise ValueError(f"config {args.config} must hold a JSON object, not a {type(fields).__name__}")
-    for name in _RUN_REQUIRED + ("seed", "k_docs", "k_sentences", "oracle_docs"):
+    for name in PATH_FIELDS + ("seed", "k_docs", "k_sentences", "oracle_docs"):
         if getattr(args, name) is not None:
             fields[name] = getattr(args, name)
     if args.regimes:
         fields["regimes"] = args.regimes.split(",")
-    _check_run_fields(fields)
-    missing = [name for name in _RUN_REQUIRED if name not in fields]
+    check_fields(ExperimentConfig, fields)
+    missing = [name for name in PATH_FIELDS if name not in fields]
     if missing:
         print(f"error: run: missing required options: {', '.join(missing)}", file=sys.stderr)
         return 1

@@ -14,12 +14,16 @@ corpus text is tokenized anywhere else. Postings map each token to
 lookup per query token. A claim's `Query` is the one vector retrieval,
 negative sampling and the feature pass all read. `IndexScorer` is the
 one exact TF-IDF scorer and top-k ranker, over pages (document
-retrieval) or sentences (negative sampling), and `util.cosine_scores`
-its one cosine kernel: with MaxScore pruning it scores only the units
-that could still reach the top k, and it looks a unit up only in the
-postings of the tokens it can still hold (those ranked at or below the
-token that first reached it). The tests check it against a brute-force
-reference that scores every unit sharing a token with the query.
+retrieval) or sentences (negative sampling), and `util.tfidf_dots` its
+one dot kernel: with MaxScore pruning it scores only the units that
+could still reach the top k, and it takes a unit's dot only over the
+tokens it can still hold (those ranked at or below the token that first
+reached it). Those dots depend on the token taken and that held list
+only, not on the claim, so the scorer keeps, per token, the held list
+it was last taken under and, once that recurs, the dots of the token's
+whole postings under it (the token's slot). The tests check it against
+a brute-force reference that scores every unit sharing a token with
+the query.
 """
 
 from __future__ import annotations
@@ -29,13 +33,14 @@ import logging
 import math
 import re
 import sys
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, compress
 from pathlib import Path
-from typing import Iterable, NamedTuple, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
-from .util import cosine_scores, read_jsonl
+from .util import read_jsonl, tfidf_dots
 
 logger = logging.getLogger(__name__)
 
@@ -362,20 +367,44 @@ class IndexScorer:
     bitmask (for pages) are computed the first time a query uses the
     token and kept for later queries: one scorer should serve a whole
     training pass or retriever.
+
+    top_k also keeps one slot per token. A slot holds the held list the
+    token was last taken under (the (token, count) pairs of rank <= r, in
+    query order) and, once the token has been taken under that held list
+    twice in a row, an array('d') of the dot of every unit of the token's
+    postings under it, in postings order; later takes under that held
+    list read those dots and look nothing up. A take under a held list
+    new to the slot scores only the units not yet scored, as a scorer
+    without slots would, and keeps only the held list: on a small corpus
+    most held lists do not recur, and a fill would cost more than it
+    saves. The key is index tokens and counts, never claim text: the
+    idfs and postings are the index's own, so it fixes every float of
+    each dot, and a query over other postings or idfs reads and fills no
+    slot. A slot holds at most one double per posting of its token, so
+    all slots together hold at most one per posting of the index (0.9 MB
+    for the two indexes of an 8x corpus). One slot per token, not one
+    per held list, bounds the memory by the index rather than by the
+    claims served; it suffices because a claim's last top-k places are
+    filled from near-tied pages reached only by common tokens, which a
+    stream of claims takes again and again under the same few held lists.
     """
 
     def __init__(self, index: InvertedIndex):
         self.index = index
         self._max_impact: dict[str, float] = {}
+        # token -> (held list, array of its postings' dots or None), top_k's slots.
+        self._slots: dict[str, tuple[tuple, Optional[array]]] = {}
         self._page_mask: dict[str, int] = {}
         self._pages: Optional[list[str]] = None  # bit -> page id, in page order
         self._page_bit: dict[str, int] = {}
 
-    def scores(self, query: Query, units: Iterable) -> dict:
+    def scores(self, query: Query, units: Sequence) -> dict:
         """{unit: cosine} of the given units that share a token with the
         query (and have a non-zero norm), without scoring any other unit."""
         weighted = [(count * idf, idf, postings) for _, count, idf, postings in query.terms if postings]
-        return self._cosines(weighted, query.norm, units)
+        scores: dict = {}
+        self._cosines(scores, query.norm, units, tfidf_dots(len(weighted))(weighted, units))
+        return scores
 
     def top_k(self, query: Query, k: int) -> list[tuple]:
         """Exactly top_k_scored of the cosines of every unit sharing a token
@@ -393,29 +422,45 @@ class IndexScorer:
         then taken, still from the highest rank down.
 
         A unit first reached by the token of rank r lacks every token taken
-        before it, all of higher rank, so it is scored over the tokens of
-        rank <= r only (skipped ones included), in query order: the tokens
-        left out would only have missed, and add nothing to its dot, so
-        its cosine keeps its bits.
+        before it, all of higher rank, so it is scored over the held list
+        of rank r, the tokens of rank <= r only (skipped ones included), in
+        query order: the tokens left out would only have missed, and add
+        nothing to its dot, so its cosine keeps its bits. Taking the token
+        of rank r reads its slot's dots when the slot holds them under the
+        same held list. Otherwise one kernel call scores the token's units
+        not scored yet, under a held list new to the slot (which keeps the
+        held list), or the token's whole postings, under the held list the
+        slot has (which keeps their dots).
         """
         if k < 1:
             raise ValueError("k must be >= 1")
-        tokens = [token for token, _, _, postings in query.terms if postings]
-        weighted = [(count * idf, idf, postings) for _, count, idf, postings in query.terms if postings]
+        index = self.index
+        terms = [term for term in query.terms if term[3]]
+        weighted = [(count * idf, idf, postings) for _, count, idf, postings in terms]
         # Posted units have norm >= 1 (every idf is >= 1), so each scores.
-        bounds = [
-            weight * idf * self._impact(token, postings) / query.norm
-            for token, (weight, idf, postings) in zip(tokens, weighted)
-        ]
-        # order[rank] is the position in weighted of the token of that rank.
-        order = sorted(range(len(weighted)), key=bounds.__getitem__)
+        bounds = [count * idf * idf * self._impact(token, postings) / query.norm for token, count, idf, postings in terms]
+        # A query over other postings or idfs than the index's own (one
+        # built by hand) neither reads nor fills a slot.
+        own = all(index.postings.get(token) is postings and index.idfs[token] == idf for token, _, idf, postings in terms)
+        slots = self._slots if own else {}
+        # order[rank] is the position in terms of the token of that rank.
+        order = sorted(range(len(terms)), key=bounds.__getitem__)
         scores: dict = {}
         rank, skipped, theta = len(order), 0, None
         while rank > skipped:
             rank -= 1
-            held = [weighted[position] for position in sorted(order[: rank + 1])]
-            postings = weighted[order[rank]][2]
-            scores.update(self._cosines(held, query.norm, [ident for ident in postings if ident not in scores]))
+            held = sorted(order[: rank + 1])
+            key = tuple([terms[position][:2] for position in held])
+            token, _, _, postings = terms[order[rank]]
+            slot = slots.get(token)
+            again = slot is not None and slot[0] == key
+            if again and slot[1] is not None:
+                units, dots = postings, slot[1]
+            else:
+                units = postings if again else [unit for unit in postings if unit not in scores]
+                dots = tfidf_dots(len(held))([weighted[position] for position in held], units)
+                slots[token] = (key, array("d", dots) if again else None)
+            self._cosines(scores, query.norm, units, dots)
             if theta is None and len(scores) >= k:
                 theta = sorted(scores.values())[-k]
                 total = 0.0
@@ -441,10 +486,17 @@ class IndexScorer:
         # bin() is most significant bit first; reversed, position i is bit i.
         return list(compress(self._pages, bin(mask)[:1:-1].encode().translate(_BIT_BYTES)))
 
-    def _cosines(self, weighted: list[tuple[float, float, dict]], query_norm: float, units: Iterable) -> dict:
-        """The cosines of scores and top_k: weighted holds (count * idf, idf,
-        postings) per posted query token, in query order."""
-        return cosine_scores(len(weighted))(weighted, query_norm, self.index.norms, units)
+    def _cosines(self, scores: dict, query_norm: float, units: Iterable, dots: Sequence[float]) -> None:
+        """Add to scores each unit of units not in it yet, with the cosine
+        dot / (query_norm * norm) of its dot in dots (in units' order) and
+        norm = norms.get(unit, 0.0), if both are non-zero: the one place
+        scores and top_k turn a dot into a cosine."""
+        norm_of = self.index.norms.get
+        for unit, dot in zip(units, dots):
+            if dot != 0.0 and unit not in scores:
+                norm = norm_of(unit, 0.0)
+                if norm != 0.0:
+                    scores[unit] = dot / (query_norm * norm)
 
     def _impact(self, token: str, postings: dict) -> float:
         impact = self._max_impact.get(token)

@@ -56,6 +56,7 @@ from .selection import (
 )
 from .util import (
     PathLike,
+    check_fields,
     dumps_canonical,
     read_jsonl,
     sha256_files,
@@ -88,6 +89,10 @@ def _stage(name: str) -> Iterator[None]:
         raise StageError(name, exc) from exc
 
 
+# The ExperimentConfig fields that name input files or the bundle directory.
+PATH_FIELDS = ("corpus", "train_claims", "dev_claims", "kb", "out_dir")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     corpus: str
@@ -105,9 +110,11 @@ class ExperimentConfig:
     negatives_per_positive: int = TrainingConfig.negatives_per_positive
 
     def __post_init__(self):
-        """Reject a bad setting before any stage runs, naming the field.
-        The training and retrieval settings are checked by building the
-        configs they feed; DocRetrievalConfig calls k_docs "k"."""
+        """Reject a bad setting before any stage runs, naming the field:
+        first its type (util.check_fields; a path may be any path-like),
+        then its range. The training and retrieval ranges are checked by
+        building the configs they feed; DocRetrievalConfig calls k_docs "k"."""
+        check_fields(ExperimentConfig, {name: value for name, value in vars(self).items() if name not in PATH_FIELDS})
         if self.k_sentences < 1:
             raise ValueError("k_sentences must be >= 1")
         if not self.regimes:
@@ -138,7 +145,7 @@ class ExperimentConfig:
         """Config without any path, for the manifest hash; the inputs
         enter the hash by content instead."""
         fields = asdict(self)
-        for name in ("out_dir", "corpus", "train_claims", "dev_claims", "kb"):
+        for name in PATH_FIELDS:
             del fields[name]
         fields["regimes"] = list(self.regimes)
         return fields

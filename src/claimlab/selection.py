@@ -46,7 +46,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, 
 from .claims import Claim, Label
 from .corpus import Corpus, IndexScorer, InvertedIndex, Query, SentenceId, rank_key, top_k_scored
 from .features import SELECTION_FEATURE_NAMES, FeatureExtractor, PreparedClaim
-from .util import linear_form, load_model, logistic_scores, save_model, stable_seed
+from .util import check_fields, linear_form, load_model, logistic_scores, save_model, stable_seed
 
 MODEL_SCHEMA = "claimlab/relevance-model/v1"
 
@@ -86,6 +86,7 @@ class TrainingConfig:
     negatives_per_positive: int = 15
 
     def __post_init__(self):
+        check_fields(TrainingConfig, vars(self))
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):

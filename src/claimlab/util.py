@@ -1,7 +1,8 @@
-"""Small determinism helpers shared across the pipeline, and the one
-path every file is read and written through: `read_jsonl` reads every
-JSON-lines input and artifact (corpus dumps, claims, KB, docs,
-selections, verdicts), so it alone reports malformed rows and repeated keys."""
+"""Small determinism helpers shared across the pipeline, the one type
+check of the config dataclasses (`check_fields`), and the one path every
+file is read and written through: `read_jsonl` reads every JSON-lines
+input and artifact (corpus dumps, claims, KB, docs, selections,
+verdicts), so it alone reports malformed rows and repeated keys."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ import hashlib
 import json
 import math
 from pathlib import Path
-from typing import Any, Callable, Hashable, Iterable, Sequence, Union
+from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence, Union, get_type_hints
 
 PathLike = Union[str, Path]
 
@@ -77,16 +78,16 @@ def logistic_scores(width: int) -> Callable[[Sequence[float], float, Iterable[tu
 
 
 @functools.lru_cache(maxsize=None)
-def cosine_scores(width: int) -> Callable[[Sequence[tuple[float, float, dict]], float, dict, Iterable], dict]:
-    """cosines(terms, query_norm, norms, units) = {unit: dot / (query_norm
-    * norm)} over the units with a non-zero dot and norm, where terms holds
-    width (weight, idf, postings) triples in query order, norm is
-    norms.get(unit, 0.0), and dot adds weight * tf * idf with += in terms'
-    order over the postings that hold the unit (tf = postings.get(unit)).
+def tfidf_dots(width: int) -> Callable[[Sequence[tuple[float, float, dict]], Iterable], list[float]]:
+    """dots(terms, units) = the list of each unit's TF-IDF dot, in units'
+    order, where terms holds width (weight, idf, postings) triples in query
+    order and a unit's dot adds weight * tf * idf with += in terms' order
+    over the postings that hold it (tf = postings.get(unit)), from 0.0.
 
-    The one TF-IDF cosine kernel, built once per width like linear_form:
-    the loop over terms unrolled, each postings' get bound once per call,
-    so each cosine has the bits of that loop.
+    The one TF-IDF kernel, built once per width like linear_form: the loop
+    over terms unrolled, each postings' get bound once per call, so each
+    dot has the bits of that loop. corpus.IndexScorer turns dots into
+    cosines.
     """
     # The source depends only on the integer width.
     unpack = "".join(f"(w{i}, i{i}, p{i}), " for i in range(width))
@@ -95,22 +96,52 @@ def cosine_scores(width: int) -> Callable[[Sequence[tuple[float, float, dict]], 
         f"        tf = g{i}(unit)\n        if tf is not None:\n            dot += w{i} * tf * i{i}\n" for i in range(width)
     )
     source = (
-        "def cosines(terms, query_norm, norms, units):\n"
+        "def dots(terms, units):\n"
         f"    [{unpack}] = terms\n"
         f"{gets}"
-        "    norm_of = norms.get\n"
-        "    out = {}\n"
+        "    out = []\n"
+        "    append = out.append\n"
         "    for unit in units:\n"
         "        dot = 0.0\n"
         f"{terms}"
-        "        norm = norm_of(unit, 0.0)\n"
-        "        if dot != 0.0 and norm != 0.0:\n"
-        "            out[unit] = dot / (query_norm * norm)\n"
+        "        append(dot)\n"
         "    return out\n"
     )
     namespace: dict = {}
-    exec(compile(source, f"<cosine_scores {width}>", "exec"), namespace)
-    return namespace["cosines"]
+    exec(compile(source, f"<tfidf_dots {width}>", "exec"), namespace)
+    return namespace["dots"]
+
+
+# What a config field of each annotated kind must be given, as messages say.
+_FIELD_KINDS = {
+    str: "a string",
+    int: "an integer",
+    float: "a number",
+    bool: "true or false",
+    tuple[str, ...]: "a list of regime names",
+}
+
+
+def check_fields(config_type: type, values: Mapping[str, Any]) -> None:
+    """Reject a name the dataclass config_type has no field for, or a value
+    not of its field's annotated kind, with a ValueError naming the field.
+
+    The one type rule of the package's configs: true and false are no
+    numbers, an integer is a valid float, and a tuple[str, ...] field takes
+    a list or tuple of strings.
+    """
+    kinds = get_type_hints(config_type)
+    for name, value in values.items():
+        if name not in kinds:
+            raise ValueError(f"unknown config field {name!r}")
+        kind = kinds[name]
+        if kind == tuple[str, ...]:
+            valid = isinstance(value, (list, tuple)) and all(isinstance(item, str) for item in value)
+        else:
+            accepted = (int, float) if kind is float else kind
+            valid = isinstance(value, accepted) and isinstance(value, bool) == (kind is bool)
+        if not valid:
+            raise ValueError(f"{name} must be {_FIELD_KINDS[kind]}, got {value!r}")
 
 
 def dumps_canonical(obj: Any) -> str:

@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from claimlab.corpus import (
     Corpus,
     Document,
     IndexScorer,
+    InvertedIndex,
     Query,
     SentenceId,
     build_index,
@@ -21,7 +23,7 @@ from claimlab.corpus import (
     top_k_scored,
 )
 
-from claimlab.util import cosine_scores
+from claimlab.util import tfidf_dots
 
 from conftest import make_corpus, tfidf_scores, write_jsonl
 
@@ -405,13 +407,38 @@ def draw_scorer_case(data):
         title = data.draw(st.sampled_from([f"({i})", f"Show_{i}", f"Zeta_{i}"]))
         pages[title] = texts
     corpus = make_corpus(pages)
+    query = " ".join(draw_query_words(data))
+    k = data.draw(st.integers(min_value=1, max_value=8))
+    return corpus, query, k
+
+
+def draw_query_words(data):
+    """Up to 3 common words and 1 to 3 rare or unseen ones, shuffled."""
     query_words = (
         data.draw(st.lists(st.sampled_from(COMMON_WORDS), max_size=3))
         + data.draw(st.lists(st.sampled_from(RARE_WORDS + ["unseen"]), min_size=1, max_size=3))
     )
-    query = " ".join(data.draw(st.permutations(query_words)))
-    k = data.draw(st.integers(min_value=1, max_value=8))
-    return corpus, query, k
+    return data.draw(st.permutations(query_words))
+
+
+def draw_query_stream(data):
+    """(corpus, [(query text, k)]): a scorer case's corpus and query, then
+    1 to 9 more queries, each fresh, a repeat of an earlier one, an earlier
+    one's words reordered, or an earlier one with one of its words added
+    again (so some token's count grows by one)."""
+    corpus, query, k = draw_scorer_case(data)
+    stream = [(query, k)]
+    for _ in range(data.draw(st.integers(min_value=1, max_value=9))):
+        words = data.draw(st.sampled_from(stream))[0].split()
+        kind = data.draw(st.sampled_from(["fresh", "repeat", "reorder", "recount"]))
+        if kind == "fresh":
+            words = draw_query_words(data)
+        elif kind == "reorder":
+            words = data.draw(st.permutations(words))
+        elif kind == "recount":
+            words = words + [data.draw(st.sampled_from(words))]
+        stream.append((" ".join(words), data.draw(st.integers(min_value=1, max_value=8))))
+    return corpus, stream
 
 
 class RecordingPostings(dict):
@@ -440,30 +467,38 @@ def top_k_lookups(index, text, k):
     ]
     query = Query(parsed.tokens, terms, parsed.norm)
     ranked = IndexScorer(index).top_k(query, k)
+    return (ranked, lookups, *token_ranks(index, query))
+
+
+def token_ranks(index, query):
+    """The rank of each posted token of the query, by top_k's documented
+    bound, ascending, ties in query order, and each unit's highest-ranked
+    token's rank."""
     bounds = {
         token: count * idf * idf * max(tf / index.norms[ident] for ident, tf in postings.items()) / query.norm
-        for token, count, idf, postings in terms
+        for token, count, idf, postings in query.terms
         if postings
     }
     rank_of = {token: rank for rank, token in enumerate(sorted(bounds, key=bounds.__getitem__))}
     top_rank = {}
-    for token, _, _, postings in terms:
+    for token, _, _, postings in query.terms:
         for ident in postings:
             top_rank[ident] = max(top_rank.get(ident, -1), rank_of[token])
-    return ranked, lookups, rank_of, top_rank
+    return rank_of, top_rank
 
 
 class CountingScorer(IndexScorer):
-    """Records every unit it scores: scores() and top_k score through
-    _cosines, always passing it a list."""
+    """Records every unit it reaches: scores() and top_k turn dots into
+    cosines through _cosines, passing it the given units or a taken
+    token's postings."""
 
     def __init__(self, index):
         super().__init__(index)
         self.scored = set()
 
-    def _cosines(self, weighted, query_norm, units):
+    def _cosines(self, scores, query_norm, units, dots):
         self.scored.update(units)
-        return super()._cosines(weighted, query_norm, units)
+        return super()._cosines(scores, query_norm, units, dots)
 
 
 class TestSentenceScorer:
@@ -589,18 +624,174 @@ class TestSentenceScorer:
             scorer.pages(parse_query(index, "alpha"))
 
 
+class TakingScorer(IndexScorer):
+    """Records the units of every _cosines call: top_k passes it the
+    postings of each token it takes when it reads or fills the token's
+    slot."""
+
+    def __init__(self, index):
+        super().__init__(index)
+        self.taken = []
+
+    def _cosines(self, scores, query_norm, units, dots):
+        self.taken.append(units)
+        return super()._cosines(scores, query_norm, units, dots)
+
+
+def check_slots(scorer):
+    """At most one slot per token of the index, keyed by the index's tokens
+    and counts; its dots, once filled, exactly the generic loop's over the
+    token's postings (so as long as them) under the held list of its key."""
+    index = scorer.index
+    for token, (key, dots) in scorer._slots.items():
+        postings = index.postings[token]
+        assert token in dict(key) and all(held in index.postings and type(count) is int for held, count in key)
+        if dots is not None:
+            assert dots.typecode == "d" and len(dots) == len(postings)
+            weighted = [(count * index.idfs[held], index.idfs[held], index.postings[held]) for held, count in key]
+            assert [dot.hex() for dot in dots] == [reference_dot(weighted, ident).hex() for ident in postings]
+    filled = [dots for _, dots in scorer._slots.values() if dots is not None]
+    assert sum(map(len, filled)) <= sum(map(len, index.postings.values()))
+
+
+class TestScorerSlots:
+    """top_k's per-token slots: a token's postings are scored once per run
+    of takes under one held list, and a ranking never depends on what a
+    scorer served before."""
+
+    def test_streams_rank_as_brute_force(self):
+        """Random query streams at both granularities, served twice: each
+        ranking equals the full sort and a fresh scorer's, through slots
+        met, filled (the second take in a row under one held list), read
+        (later takes) and replaced, including by held lists that differ
+        only in a count or in query order (which must not be read). A
+        hand-built query over other postings, or other idfs, than the
+        index's neither reads nor fills a slot."""
+        events = Counter()
+
+        @settings(derandomize=True, max_examples=150, deadline=None)
+        @given(st.data())
+        def check(data):
+            corpus, stream = draw_query_stream(data)
+            for granularity in ("sentence", "document"):
+                index = build_index(corpus, granularity)
+                scorer = TakingScorer(index)
+                for text, k in stream + stream:
+                    parsed = parse_query(index, text)
+                    before = dict(scorer._slots)
+                    scorer.taken.clear()
+                    ranked = scorer.top_k(parsed, k)
+                    assert ranked == sorted(tfidf_scores(index, parsed).items(), key=rank_key)[:k]
+                    assert ranked == IndexScorer(index).top_k(parsed, k)
+                    check_slots(scorer)
+                    for token, _, _, postings in parsed.terms:
+                        old, new = before.get(token), scorer._slots.get(token)
+                        # A read passes _cosines the postings; a slot met or
+                        # replaced passes a list and stores a new entry.
+                        if new is None or (old is new and not any(postings is units for units in scorer.taken)):
+                            continue
+                        if old is None:
+                            assert new[1] is None
+                            events["met"] += 1
+                        elif old is new:
+                            assert new[1] is not None
+                            events["read"] += 1
+                        elif old[0] == new[0]:
+                            assert old[1] is None and new[1] is not None
+                            events["filled"] += 1
+                        else:
+                            assert new[1] is None
+                            events["replaced"] += 1
+                            if sorted(old[0]) == sorted(new[0]):
+                                events["reordered"] += 1
+                            elif [held for held, _ in old[0]] == [held for held, _ in new[0]]:
+                                events["recounted"] += 1
+
+                parsed = parse_query(index, stream[-1][0])
+                before = dict(scorer._slots)
+                other_postings = Query(
+                    parsed.tokens,
+                    [(token, count, idf, {ident: tf + 1 for ident, tf in postings.items()}) for token, count, idf, postings in parsed.terms],
+                    parsed.norm,
+                )
+                # With k past the unit count nothing is pruned, so the bounds
+                # the scorer keeps from the index's postings cannot matter.
+                everything = len(index.norms) + 1
+                assert scorer.top_k(other_postings, everything) == sorted(
+                    tfidf_scores(index, other_postings).items(), key=rank_key
+                )
+                other_idfs = Query(
+                    parsed.tokens, [(token, count, 2 * idf, postings) for token, count, idf, postings in parsed.terms], parsed.norm
+                )
+                k = stream[-1][1]
+                assert scorer.top_k(other_idfs, k) == sorted(tfidf_scores(index, other_idfs).items(), key=rank_key)[:k]
+                assert scorer._slots.keys() == before.keys()
+                assert all(scorer._slots[token] is slot for token, slot in before.items())
+
+        check()
+        assert len(events) == 6 and min(events.values()) >= 100, events
+
+    def test_a_slot_read_looks_nothing_up(self):
+        """With the index's own postings recording every get(unit), each
+        query is served three times in a row: every lookup keeps the rank
+        rule, every serving ranks the same, and the third looks nothing up
+        (the second filled every slot it took)."""
+        reads = []
+
+        @settings(derandomize=True, max_examples=100, deadline=None)
+        @given(st.data())
+        def check(data):
+            corpus, stream = draw_query_stream(data)
+            for granularity in ("sentence", "document"):
+                index = build_index(corpus, granularity)
+                lookups = []
+                index.postings = {token: RecordingPostings(token, postings, lookups) for token, postings in index.postings.items()}
+                scorer = IndexScorer(index)
+                for text, k in stream:
+                    parsed = parse_query(index, text)
+                    expected = sorted(tfidf_scores(index, parsed).items(), key=rank_key)[:k]
+                    rank_of, top_rank = token_ranks(index, parsed)
+                    for _ in range(2):
+                        lookups.clear()
+                        assert scorer.top_k(parsed, k) == expected
+                        for token, ident in lookups:
+                            assert rank_of[token] <= top_rank[ident], (token, ident)
+                    lookups.clear()
+                    assert scorer.top_k(parsed, k) == expected
+                    assert lookups == []
+                    reads.append(bool(expected))
+
+        check()
+        assert sum(reads) >= 300, sum(reads)
+
+
+def reference_dot(weighted, ident):
+    """The generic loop tfidf_dots unrolls."""
+    dot = 0.0
+    for weight, idf, postings in weighted:
+        tf = postings.get(ident)
+        if tf is not None:
+            dot += weight * tf * idf
+    return dot
+
+
 def reference_cosines(weighted, query_norm, norms, units):
-    """The generic loop cosine_scores unrolls."""
+    """The cosine IndexScorer takes of each generic-loop dot."""
     scores = {}
     for ident in units:
-        dot = 0.0
-        for weight, idf, postings in weighted:
-            tf = postings.get(ident)
-            if tf is not None:
-                dot += weight * tf * idf
+        dot = reference_dot(weighted, ident)
         norm = norms.get(ident, 0.0)
         if dot != 0.0 and norm != 0.0:
             scores[ident] = dot / (query_norm * norm)
+    return scores
+
+
+def kernel_cosines(weighted, query_norm, norms, units):
+    """The cosines of tfidf_dots(len(weighted)) through IndexScorer's one
+    dot-to-cosine helper."""
+    scores = {}
+    scorer = IndexScorer(InvertedIndex("document", len(norms), {}, {}, 1.0, norms))
+    scorer._cosines(scores, query_norm, units, tfidf_dots(len(weighted))(weighted, units))
     return scores
 
 
@@ -612,7 +803,8 @@ KERNEL_UNITS = [f"u{i}" for i in range(8)]
 
 
 class TestCosineKernel:
-    """util.cosine_scores(n) against the generic loop, bit for bit."""
+    """util.tfidf_dots(n), and the cosines IndexScorer makes of its dots,
+    against the generic loop, bit for bit."""
 
     @pytest.mark.parametrize("width", range(13))
     @settings(derandomize=True, max_examples=25, deadline=None)
@@ -636,7 +828,11 @@ class TestCosineKernel:
         units = data.draw(st.lists(st.sampled_from(KERNEL_UNITS), unique=True))
         query_norm = data.draw(st.floats(min_value=1.0, max_value=100.0))
         expected = reference_cosines(weighted, query_norm, norms, units)
-        assert hex_items(cosine_scores(width)(weighted, query_norm, norms, units)) == hex_items(expected)
+        assert hex_items(kernel_cosines(weighted, query_norm, norms, units)) == hex_items(expected)
+        # A unit with no norm keeps its dot; one in no postings has 0.0.
+        dots = tfidf_dots(width)(weighted, units)
+        assert len(dots) == len(units)
+        assert [dots[units.index(ident)] / (query_norm * norms[ident]) for ident in expected] == list(expected.values())
 
     def test_repeated_query_token(self):
         """"zeta" counted 5 times: the bits of the loop's expression order."""
@@ -646,13 +842,13 @@ class TestCosineKernel:
             query = parse_query(index, "zeta zeta zeta zeta zeta beta")
             weighted = [(count * idf, idf, postings) for _, count, idf, postings in query.terms if postings]
             units = list(index.norms) + ["no such unit"]
-            cosines = cosine_scores(len(weighted))(weighted, query.norm, index.norms, units)
+            cosines = kernel_cosines(weighted, query.norm, index.norms, units)
             assert hex_items(cosines) == hex_items(reference_cosines(weighted, query.norm, index.norms, units))
             assert hex_items(cosines) == hex_items({ident: tfidf_scores(index, query)[ident] for ident in cosines})
 
     def test_built_once_per_width(self):
-        assert cosine_scores(6) is cosine_scores(6)
-        assert cosine_scores(0)([], 1.0, {"a": 1.0}, ["a"]) == {}
+        assert tfidf_dots(6) is tfidf_dots(6)
+        assert tfidf_dots(0)([], ["a"]) == [0.0]
         # The terms must number exactly the width.
         with pytest.raises(ValueError):
-            cosine_scores(2)([(1.0, 1.0, {"a": 1})], 1.0, {"a": 1.0}, ["a"])
+            tfidf_dots(2)([(1.0, 1.0, {"a": 1})], ["a"])

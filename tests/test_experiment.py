@@ -308,13 +308,26 @@ def test_unknown_regime_rejected(tmp_path):
         ({"negatives_per_positive": 0}, "negatives_per_positive must be >= 1"),
         ({"k_sentences": 0}, "k_sentences must be >= 1"),
         ({"k_docs": 0}, "k_docs: k must be >= 1"),
+        ({"epochs": 2.5}, "epochs must be an integer, got 2.5"),
+        ({"k_sentences": True}, "k_sentences must be an integer, got True"),
+        ({"k_docs": "20"}, "k_docs must be an integer, got '20'"),
+        ({"seed": None}, "seed must be an integer, got None"),
+        ({"negatives_per_positive": 4.5}, "negatives_per_positive must be an integer, got 4.5"),
+        ({"oracle_docs": 1}, "oracle_docs must be true or false, got 1"),
+        ({"regimes": "baseline"}, "regimes must be a list of regime names, got 'baseline'"),
     ],
 )
 def test_bad_setting_rejected_at_construction(overrides, message):
-    """A setting no stage can use fails when the config is built, before
-    any stage runs."""
+    """A setting no stage can use, or of the wrong type, fails when the
+    config is built, before any stage runs (a float epochs would fail only
+    at range(2.5))."""
     with pytest.raises(ValueError, match=message):
         ExperimentConfig(corpus="c", train_claims="t", dev_claims="d", kb="k", out_dir="out", **overrides)
+
+
+def test_paths_may_be_path_like(tmp_path):
+    config = ExperimentConfig(corpus=tmp_path / "c", train_claims="t", dev_claims="d", kb="k", out_dir=tmp_path / "o")
+    assert config.hashable_dict() == ExperimentConfig(corpus="c", train_claims="t", dev_claims="d", kb="k", out_dir="o").hashable_dict()
 
 
 def test_bundle_independent_of_hash_seed(fixture_world, tmp_path):

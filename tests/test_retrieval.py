@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from claimlab import corpus as corpus_module
 from claimlab.claims import Label, load_claims
 from claimlab.corpus import (
     Document,
@@ -239,24 +240,65 @@ def test_retrieve_matches_brute_force(data):
 
 def test_retrieve_matches_brute_force_on_fixture_world(fixture_world, monkeypatch):
     """Every train and dev claim of the default world retrieves what the
-    brute-force reference does, no page is scored twice for one claim,
-    and the scorer's pruning skips pages on most of them."""
-    scored: set = set()
+    brute-force reference does, no page is scored twice for one claim but
+    by a slot fill (which scores a token's whole postings), and the
+    scorer's pruning skips pages on most of them. A token's dots are
+    computed only when its slot does not hold them: the stream reads some
+    slots filled for earlier claims, and a claim retrieved a third time in
+    a row computes no dot in top_k."""
+    reached: set = set()  # the units top_k has passed _cosines for one claim
+    takes: list = []  # one entry per _cosines call inside top_k
+    computed: list = []  # the units of each kernel call inside top_k
+    in_top_k: list = []
 
-    def counting_cosines(self, weighted, query_norm, units):
-        assert scored.isdisjoint(units), "a page was scored twice"
-        scored.update(units)
-        return original(self, weighted, query_norm, units)
+    def counting_top_k(self, query, k):
+        in_top_k.append(True)
+        try:
+            return original_top_k(self, query, k)
+        finally:
+            in_top_k.pop()
 
-    original = IndexScorer._cosines
+    def counting_cosines(self, scores, query_norm, units, dots):
+        if in_top_k:
+            reached.update(units)
+            takes.append(units)
+        return original_cosines(self, scores, query_norm, units, dots)
+
+    def counting_dots(width):
+        kernel = original_dots(width)
+
+        def dots(terms, units):
+            if in_top_k:
+                # A list holds the units not yet scored; a fill gets the postings.
+                assert isinstance(units, dict) or reached.isdisjoint(units), "a page was scored twice"
+                computed.append(units)
+            return kernel(terms, units)
+
+        return dots
+
+    original_top_k, original_cosines = IndexScorer.top_k, IndexScorer._cosines
+    original_dots = corpus_module.tfidf_dots
+    monkeypatch.setattr(IndexScorer, "top_k", counting_top_k)
     monkeypatch.setattr(IndexScorer, "_cosines", counting_cosines)
+    monkeypatch.setattr(corpus_module, "tfidf_dots", counting_dots)
     corpus = ingest_corpus(fixture_world / "corpus")
     index = build_index(corpus, "document")
     retriever = DocumentRetriever(corpus, index)
     claims = load_claims(fixture_world / "train.jsonl") + load_claims(fixture_world / "dev.jsonl")
-    pruned = 0
+    pruned = reads = 0
     for claim in claims:
-        scored.clear()
-        assert retriever.retrieve(claim.text) == reference_retrieve(corpus, index, retriever.config, claim.text)
-        pruned += len(scored) < len(tfidf_scores(index, parse_query(index, claim.text)))
+        for serving in range(3):
+            reached.clear()
+            takes.clear()
+            computed.clear()
+            retrieved = retriever.retrieve(claim.text)
+            if serving == 0:
+                assert retrieved == reference_retrieve(corpus, index, retriever.config, claim.text)
+                pruned += len(reached) < len(tfidf_scores(index, parse_query(index, claim.text)))
+                # Each take makes at most one kernel call; a read makes none.
+                reads += len(takes) - len(computed)
+                first = retrieved
+            assert retrieved == first
+        assert computed == [], "a slot holding a held list's dots was computed again"
     assert pruned > len(claims) / 2, f"pruning skipped pages on {pruned} of {len(claims)} claims"
+    assert reads > len(claims) / 2, f"{reads} reads of slots filled for earlier claims"

@@ -1,9 +1,10 @@
 """Linear models score through one kernel, util.linear_form, rank lists
 through its batch form, util.logistic_scores, never by sorting with a
 per-item score call, and train through one SGD loop,
-selection.sgd_epochs; the feature and selection kernels name sentences by
-the SentenceId objects each corpus.Document holds, never by ids built per
-candidate."""
+selection.sgd_epochs; TF-IDF dots come from one kernel, util.tfidf_dots,
+and no other function compiles source; the feature and selection kernels
+name sentences by the SentenceId objects each corpus.Document holds,
+never by ids built per candidate."""
 
 import ast
 from pathlib import Path
@@ -93,3 +94,36 @@ def test_one_function_updates_weights(tmp_path):
         "        model.bias -= lr * gradient\n"
     )
     assert weight_updaters(probe) == ["probe.fit"]
+
+
+def source_compilers(path: Path) -> list[str]:
+    """The module's functions that call the builtin compile(), as a kernel
+    built from generated source does (re.compile is an attribute call)."""
+    return [
+        f"{path.stem}.{function.name}"
+        for function in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(function, ast.FunctionDef)
+        and any(
+            isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "compile"
+            for node in ast.walk(function)
+        )
+    ]
+
+
+KERNELS = ["util.linear_form", "util.logistic_scores", "util.tfidf_dots"]
+
+
+def test_three_compiled_kernels(tmp_path):
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sorted(name for path in sources for name in source_compilers(path)) == KERNELS
+    # The check sees a second cosine kernel kept beside the dots kernel.
+    probe = tmp_path / "util.py"
+    probe.write_text(
+        (PACKAGE / "util.py").read_text(encoding="utf-8")
+        + "\n\ndef cosine_scores(width):\n"
+        "    source = 'def cosines(terms, query_norm, norms, units):\\n    return {}\\n'\n"
+        "    namespace = {}\n"
+        "    exec(compile(source, f'<cosine_scores {width}>', 'exec'), namespace)\n"
+        "    return namespace['cosines']\n"
+    )
+    assert sorted(source_compilers(probe)) == sorted(KERNELS + ["util.cosine_scores"])

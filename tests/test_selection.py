@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from collections import Counter
 from functools import reduce
 from operator import add, mul
@@ -457,6 +458,17 @@ class TestTrainSelector:
             TrainingConfig(epochs=0)
         with pytest.raises(ValueError):
             TrainingConfig(learning_rate=0.0)
+        for overrides, message in (
+            ({"epochs": 2.5}, "epochs must be an integer, got 2.5"),
+            ({"epochs": True}, "epochs must be an integer, got True"),
+            ({"seed": "3"}, "seed must be an integer, got '3'"),
+            ({"negatives_per_positive": 4.5}, "negatives_per_positive must be an integer, got 4.5"),
+            ({"learning_rate": "0.1"}, "learning_rate must be a number, got '0.1'"),
+        ):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                TrainingConfig(**overrides)
+        # An integer is a valid learning rate.
+        assert TrainingConfig(learning_rate=1).learning_rate == 1
 
     @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
     def test_learning_rate_must_be_finite(self, rate):
