@@ -20,10 +20,11 @@ could still reach the top k, and it takes a unit's dot only over the
 tokens it can still hold (those ranked at or below the token that first
 reached it). Those dots depend on the token taken and that held list
 only, not on the claim, so the scorer keeps, per token, the held list
-it was last taken under and, once that recurs, the dots of the token's
-whole postings under it (the token's slot). The tests check it against
-a brute-force reference that scores every unit sharing a token with
-the query.
+it was last taken under and, once that recurs, the token's units with
+their dots under it, best first (the token's slot). A slot read stops
+at the first unit that cannot reach the k-th best cosine so far. The
+tests check it against a brute-force reference that scores every unit
+sharing a token with the query.
 """
 
 from __future__ import annotations
@@ -35,8 +36,10 @@ import re
 import sys
 from array import array
 from collections import Counter
+from heapq import heapreplace
 from dataclasses import dataclass, field
 from itertools import chain, compress
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
@@ -361,39 +364,42 @@ class IndexScorer:
     is dot / (query.norm * norm), its dot adding count * idf * tf * idf
     over the query's terms in order that the unit holds; top_k leaves
     out of a unit's terms only tokens it already knows the unit lacks
-    (the rank rule), so the scores of one unit are equal bit for bit
-    however the unit was reached. Each token's largest
-    tf / norm (for top_k's bounds) and, on a sentence index, its page
-    bitmask (for pages) are computed the first time a query uses the
-    token and kept for later queries: one scorer should serve a whole
-    training pass or retriever.
+    (the rank rule), so each unit it returns scores equal bit for bit
+    however it was reached. Each token's largest tf / norm (for top_k's
+    bounds) and, on a sentence index, its page bitmask (for pages) are
+    computed the first time a query uses the token and kept for later
+    queries: one scorer should serve a whole training pass or retriever.
 
     top_k also keeps one slot per token. A slot holds the held list the
     token was last taken under (the (token, count) pairs of rank <= r, in
     query order) and, once the token has been taken under that held list
-    twice in a row, an array('d') of the dot of every unit of the token's
-    postings under it, in postings order; later takes under that held
-    list read those dots and look nothing up. A take under a held list
-    new to the slot scores only the units not yet scored, as a scorer
-    without slots would, and keeps only the held list: on a small corpus
-    most held lists do not recur, and a fill would cost more than it
-    saves. The key is index tokens and counts, never claim text: the
-    idfs and postings are the index's own, so it fixes every float of
-    each dot, and a query over other postings or idfs reads and fills no
-    slot. A slot holds at most one double per posting of its token, so
-    all slots together hold at most one per posting of the index (0.9 MB
-    for the two indexes of an 8x corpus). One slot per token, not one
-    per held list, bounds the memory by the index rather than by the
-    claims served; it suffices because a claim's last top-k places are
-    filled from near-tied pages reached only by common tokens, which a
-    stream of claims takes again and again under the same few held lists.
+    twice in a row, the units of the token's postings with a non-zero dot
+    and norm under it, by falling dot / norm, and their dots in an
+    array('d'). dot / norm is the unit's cosine times query.norm, so the
+    order is the same for every claim taking the token under that held
+    list. Later takes under it read the slot best first, look nothing up,
+    and stop at the first unit that cannot reach the k-th best cosine so
+    far. A take under a held list new to the slot scores only the units
+    not yet scored, as a scorer without slots would, and keeps only the
+    held list: on a small corpus most held lists do not recur, and a fill
+    would cost more than it saves. The key is index tokens and counts,
+    never claim text: the idfs and postings are the index's own, so it
+    fixes every float of each dot, and a query over other postings or
+    idfs reads and fills no slot. A slot holds at most two 8-byte words
+    (a list pointer and a double) per posting of its token, so all slots
+    together hold at most two per posting of the index (1.8 MB for the
+    two indexes of an 8x corpus). One slot per token, not one per held
+    list, bounds the memory by the index rather than by the claims
+    served; it suffices because a claim's last top-k places are filled
+    from near-tied pages reached only by common tokens, which a stream of
+    claims takes again and again under the same few held lists.
     """
 
     def __init__(self, index: InvertedIndex):
         self.index = index
         self._max_impact: dict[str, float] = {}
-        # token -> (held list, array of its postings' dots or None), top_k's slots.
-        self._slots: dict[str, tuple[tuple, Optional[array]]] = {}
+        # token -> (held list, ordered units or None, their dots or None), top_k's slots.
+        self._slots: dict[str, tuple[tuple, Optional[list], Optional[array]]] = {}
         self._page_mask: dict[str, int] = {}
         self._pages: Optional[list[str]] = None  # bit -> page id, in page order
         self._page_bit: dict[str, int] = {}
@@ -426,11 +432,18 @@ class IndexScorer:
         of rank r, the tokens of rank <= r only (skipped ones included), in
         query order: the tokens left out would only have missed, and add
         nothing to its dot, so its cosine keeps its bits. Taking the token
-        of rank r reads its slot's dots when the slot holds them under the
-        same held list. Otherwise one kernel call scores the token's units
-        not scored yet, under a held list new to the slot (which keeps the
-        held list), or the token's whole postings, under the held list the
-        slot has (which keeps their dots).
+        of rank r reads its slot when the slot holds the same held list,
+        filling it first with one kernel call over the token's whole
+        postings if it holds no units yet; otherwise one kernel call scores
+        the token's units not scored yet, and the slot keeps the new held
+        list. A read walks the slot best first and stops at the first unit
+        whose dot / norm * (1 + slack) is below query.norm times the k-th
+        best cosine so far, which each cosine scored updates. That unit
+        and every later one score below that k-th best, which never
+        exceeds the final one, while a unit tying it is scored, so ties
+        are broken over every tied unit. Such a unit may still be reached
+        by a lower-ranked token and scored over fewer tokens than it holds,
+        which only lowers its score.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
@@ -446,6 +459,9 @@ class IndexScorer:
         # order[rank] is the position in terms of the token of that rank.
         order = sorted(range(len(terms)), key=bounds.__getitem__)
         scores: dict = {}
+        # A min-heap of the k best cosines so far; cosines are positive, so
+        # a zero stands for each place not filled yet.
+        best = [0.0] * k
         rank, skipped, theta = len(order), 0, None
         while rank > skipped:
             rank -= 1
@@ -453,16 +469,18 @@ class IndexScorer:
             key = tuple([terms[position][:2] for position in held])
             token, _, _, postings = terms[order[rank]]
             slot = slots.get(token)
-            again = slot is not None and slot[0] == key
-            if again and slot[1] is not None:
-                units, dots = postings, slot[1]
-            else:
-                units = postings if again else [unit for unit in postings if unit not in scores]
+            if slot is None or slot[0] != key:
+                units = [unit for unit in postings if unit not in scores]
                 dots = tfidf_dots(len(held))([weighted[position] for position in held], units)
-                slots[token] = (key, array("d", dots) if again else None)
-            self._cosines(scores, query.norm, units, dots)
+                self._cosines(scores, query.norm, units, dots, best)
+                slots[token] = (key, None, None)
+            else:
+                if slot[1] is None:
+                    dots = tfidf_dots(len(held))([weighted[position] for position in held], postings)
+                    slot = slots[token] = (key, *self._ordered(postings, dots))
+                self._cosines(scores, query.norm, slot[1], slot[2], best, ordered=True)
             if theta is None and len(scores) >= k:
-                theta = sorted(scores.values())[-k]
+                theta = best[0]
                 total = 0.0
                 for position in order:
                     total += bounds[position]
@@ -486,17 +504,51 @@ class IndexScorer:
         # bin() is most significant bit first; reversed, position i is bit i.
         return list(compress(self._pages, bin(mask)[:1:-1].encode().translate(_BIT_BYTES)))
 
-    def _cosines(self, scores: dict, query_norm: float, units: Iterable, dots: Sequence[float]) -> None:
+    def _cosines(
+        self,
+        scores: dict,
+        query_norm: float,
+        units: Iterable,
+        dots: Sequence[float],
+        best: Optional[list[float]] = None,
+        ordered: bool = False,
+    ) -> None:
         """Add to scores each unit of units not in it yet, with the cosine
         dot / (query_norm * norm) of its dot in dots (in units' order) and
         norm = norms.get(unit, 0.0), if both are non-zero: the one place
-        scores and top_k turn a dot into a cosine."""
+        scores and top_k turn a dot into a cosine.
+
+        top_k passes best, its heap of the k best cosines so far, and each
+        new cosine updates it. Units it passes ordered are a slot's, by
+        falling dot / norm: the walk stops at the first unit whose
+        dot / norm * (1 + slack) is below query_norm * best[0], as neither
+        it nor any unit after it can reach the k-th best cosine.
+        """
         norm_of = self.index.norms.get
+        limit = query_norm * best[0] if ordered else 0.0
         for unit, dot in zip(units, dots):
+            if ordered and dot / norm_of(unit) * (1.0 + _BOUND_SLACK) < limit:
+                break
             if dot != 0.0 and unit not in scores:
                 norm = norm_of(unit, 0.0)
                 if norm != 0.0:
-                    scores[unit] = dot / (query_norm * norm)
+                    score = scores[unit] = dot / (query_norm * norm)
+                    if best is not None and score > best[0]:
+                        heapreplace(best, score)
+                        limit = query_norm * best[0]
+
+    def _ordered(self, postings: dict, dots: Sequence[float]) -> tuple[list, array]:
+        """A slot's units and their array of dots, given the dots of a
+        token's postings in postings order: the units with a non-zero dot
+        and norm, by falling dot / norm, ties in postings order."""
+        norm_of = self.index.norms.get
+        kept = [
+            (dot / norm, unit, dot)
+            for unit, dot in zip(postings, dots)
+            if dot != 0.0 and (norm := norm_of(unit, 0.0)) != 0.0
+        ]
+        kept.sort(key=itemgetter(0), reverse=True)
+        return [unit for _, unit, _ in kept], array("d", [dot for _, _, dot in kept])
 
     def _impact(self, token: str, postings: dict) -> float:
         impact = self._max_impact.get(token)

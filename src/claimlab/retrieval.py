@@ -18,6 +18,7 @@ from typing import Sequence
 from .claims import Claim
 from .corpus import Corpus, IndexScorer, InvertedIndex, parse_query, top_k_scored
 from .features import contains_subsequence
+from .util import check_fields
 
 
 @dataclass(frozen=True)
@@ -26,6 +27,7 @@ class DocRetrievalConfig:
     title_match_weight: float = 2.0
 
     def __post_init__(self):
+        check_fields(DocRetrievalConfig, vars(self))
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if not (math.isfinite(self.title_match_weight) and self.title_match_weight >= 0):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional, Union
 
-from .util import write_jsonl
+from .util import check_fields, write_jsonl
 
 _FIRST_NAMES = (
     "Alice", "Bruno", "Clara", "Derek", "Elena",
@@ -85,7 +85,10 @@ class WorldConfig:
     show_gold_person_fraction: float = 0.2
 
     def __post_init__(self):
-        """Reject configs the generator cannot honour, naming the field."""
+        """Reject configs the generator cannot honour, naming the field:
+        first a value of the wrong type (util.check_fields), then one out
+        of range."""
+        check_fields(WorldConfig, vars(self))
         for name, (low, high) in _COUNT_BOUNDS.items():
             value = getattr(self, name)
             if not low <= value <= high:

@@ -1,5 +1,7 @@
+import heapq
 import json
 import math
+from array import array
 from collections import Counter
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from claimlab.corpus import (
+    _BOUND_SLACK,
     Corpus,
     Document,
     IndexScorer,
@@ -496,9 +499,9 @@ class CountingScorer(IndexScorer):
         super().__init__(index)
         self.scored = set()
 
-    def _cosines(self, scores, query_norm, units, dots):
+    def _cosines(self, scores, query_norm, units, dots, *args, **kwargs):
         self.scored.update(units)
-        return super()._cosines(scores, query_norm, units, dots)
+        return super()._cosines(scores, query_norm, units, dots, *args, **kwargs)
 
 
 class TestSentenceScorer:
@@ -626,31 +629,38 @@ class TestSentenceScorer:
 
 class TakingScorer(IndexScorer):
     """Records the units of every _cosines call: top_k passes it the
-    postings of each token it takes when it reads or fills the token's
-    slot."""
+    ordered units of a token's slot when it reads or fills the slot."""
 
     def __init__(self, index):
         super().__init__(index)
         self.taken = []
 
-    def _cosines(self, scores, query_norm, units, dots):
+    def _cosines(self, scores, query_norm, units, dots, *args, **kwargs):
         self.taken.append(units)
-        return super()._cosines(scores, query_norm, units, dots)
+        return super()._cosines(scores, query_norm, units, dots, *args, **kwargs)
 
 
 def check_slots(scorer):
     """At most one slot per token of the index, keyed by the index's tokens
-    and counts; its dots, once filled, exactly the generic loop's over the
-    token's postings (so as long as them) under the held list of its key."""
+    and counts; once filled, its units are every unit of the token's
+    postings (none has a zero dot or norm), by falling dot / norm, ties in
+    postings order, and its dots exactly the generic loop's under the held
+    list of its key; together the slots hold at most two 8-byte words per
+    posting of the index."""
     index = scorer.index
-    for token, (key, dots) in scorer._slots.items():
+    for token, (key, units, dots) in scorer._slots.items():
         postings = index.postings[token]
         assert token in dict(key) and all(held in index.postings and type(count) is int for held, count in key)
-        if dots is not None:
-            assert dots.typecode == "d" and len(dots) == len(postings)
-            weighted = [(count * index.idfs[held], index.idfs[held], index.postings[held]) for held, count in key]
-            assert [dot.hex() for dot in dots] == [reference_dot(weighted, ident).hex() for ident in postings]
-    filled = [dots for _, dots in scorer._slots.values() if dots is not None]
+        if units is None:
+            assert dots is None
+            continue
+        assert dots.typecode == "d" and len(dots) == len(units) and sorted(units) == list(postings)
+        weighted = [(count * index.idfs[held], index.idfs[held], index.postings[held]) for held, count in key]
+        assert [dot.hex() for dot in dots] == [reference_dot(weighted, ident).hex() for ident in units]
+        ratios = [(-dot / index.norms[ident], list(postings).index(ident)) for ident, dot in zip(units, dots)]
+        assert ratios == sorted(ratios)
+    # A kept unit costs one list pointer and one double.
+    filled = [units for _, units, _ in scorer._slots.values() if units is not None]
     assert sum(map(len, filled)) <= sum(map(len, index.postings.values()))
 
 
@@ -684,14 +694,14 @@ class TestScorerSlots:
                     assert ranked == sorted(tfidf_scores(index, parsed).items(), key=rank_key)[:k]
                     assert ranked == IndexScorer(index).top_k(parsed, k)
                     check_slots(scorer)
-                    for token, _, _, postings in parsed.terms:
+                    for token, _, _, _ in parsed.terms:
                         old, new = before.get(token), scorer._slots.get(token)
-                        # A read passes _cosines the postings; a slot met or
-                        # replaced passes a list and stores a new entry.
-                        if new is None or (old is new and not any(postings is units for units in scorer.taken)):
+                        # A read passes _cosines the slot's units; a slot met
+                        # or replaced passes a fresh list and stores a new entry.
+                        if new is None or (old is new and not any(new[1] is units for units in scorer.taken)):
                             continue
                         if old is None:
-                            assert new[1] is None
+                            assert new[1:] == (None, None)
                             events["met"] += 1
                         elif old is new:
                             assert new[1] is not None
@@ -700,7 +710,7 @@ class TestScorerSlots:
                             assert old[1] is None and new[1] is not None
                             events["filled"] += 1
                         else:
-                            assert new[1] is None
+                            assert new[1:] == (None, None)
                             events["replaced"] += 1
                             if sorted(old[0]) == sorted(new[0]):
                                 events["reordered"] += 1
@@ -763,6 +773,103 @@ class TestScorerSlots:
 
         check()
         assert sum(reads) >= 300, sum(reads)
+
+
+def draw_tiled_stream(data):
+    """draw_query_stream's queries over its corpus with every page copied 2
+    to 4 times, as the 8x world tiles its pages. Every copy tags its page
+    ids alike ("_za", "_zb", ...), so the tag tokens share one idf and each
+    unit of one copy ties its counterparts' cosines exactly."""
+    corpus, stream = draw_query_stream(data)
+    copies = data.draw(st.integers(min_value=2, max_value=4))
+    pages = {
+        f"{page_id}_z{tag}": [text for _, text in doc.sentences]
+        for tag in "abcd"[:copies]
+        for page_id, doc in corpus.documents.items()
+    }
+    return make_corpus(pages), stream
+
+
+class ReadingScorer(IndexScorer):
+    """Replays every slot read (a _cosines call with a slot's array of
+    dots) against the k best cosines before it: counts the reads, the
+    reads that stop before the slot's end, and the cosines a read adds
+    below the k-th best the read started from, or below the k-th best as
+    the read runs (its heap, updated by each cosine in the order the read
+    adds them). A cosine within the stop rule's slack of either counts as
+    reaching it."""
+
+    def __init__(self, index):
+        super().__init__(index)
+        self.k = None
+        self.counts = Counter()
+
+    def top_k(self, query, k):
+        self.k = k
+        return super().top_k(query, k)
+
+    def _cosines(self, scores, query_norm, units, dots, *args, **kwargs):
+        before = list(scores.values())
+        super()._cosines(scores, query_norm, units, dots, *args, **kwargs)
+        if not isinstance(dots, array):
+            return
+        best = sorted(before)[-self.k :]
+        best = [0.0] * (self.k - len(best)) + best
+        start = best[0]
+        for score in list(scores.values())[len(before) :]:
+            reach = score * (1.0 + 2 * _BOUND_SLACK)
+            self.counts["below the start"] += reach < start
+            self.counts["below the running k-th best"] += reach < best[0]
+            if score > best[0]:
+                heapq.heapreplace(best, score)
+        self.counts["reads"] += 1
+        self.counts["stopped"] += any(unit not in scores for unit in units)
+
+
+class TestOrderedSlots:
+    """A filled slot holds its token's units by falling dot / norm, and a
+    slot read stops at the first unit that cannot reach the k-th best
+    cosine so far: rankings stay exact however many units tie it."""
+
+    def test_tied_copies_rank_as_brute_force(self):
+        """Random query streams over corpora of copied pages, at both
+        granularities, each query served three times in a row and the
+        stream then once more: every ranking equals the full sort, many cut
+        through units tying the k-th score, and no slot read scores a unit
+        below the k-th best it started from or the one it has reached."""
+        seen = Counter()
+
+        @settings(derandomize=True, max_examples=150, deadline=None)
+        @given(st.data())
+        def check(data):
+            corpus, stream = draw_tiled_stream(data)
+            for granularity in ("sentence", "document"):
+                index = build_index(corpus, granularity)
+                scorer = ReadingScorer(index)
+                for text, k in [served for served in stream for _ in range(3)] + stream:
+                    parsed = parse_query(index, text)
+                    scores = tfidf_scores(index, parsed)
+                    assert scorer.top_k(parsed, k) == sorted(scores.items(), key=rank_key)[:k]
+                    values = sorted(scores.values(), reverse=True)
+                    seen["ties at the cut"] += len(values) > k and values[k - 1] == values[k]
+                check_slots(scorer)
+                seen.update(scorer.counts)
+
+        check()
+        assert seen["below the start"] == 0 and seen["below the running k-th best"] == 0, seen
+        assert min(seen["ties at the cut"], seen["stopped"]) >= 1000 and seen["reads"] >= 2000, seen
+
+    def test_a_unit_at_the_stop_bound_is_scored(self):
+        """The stop is strict: a unit whose dot / norm * (1 + slack) equals
+        query_norm times the k-th best is scored, as a unit tying the k-th
+        best must be, and the walk stops at the first unit below it."""
+        scorer = IndexScorer(InvertedIndex("document", 3, {}, {}, 1.0, {"a": 1.0, "b": 1.0, "c": 1.0}))
+        dot = 0.75
+        kth = dot * (1.0 + _BOUND_SLACK)
+        scores, best = {}, [kth]
+        # "c" is out of order on purpose: a read never looks past the stop.
+        scorer._cosines(scores, 1.0, ["a", "b", "c"], array("d", [dot, dot / 2, dot]), best, ordered=True)
+        assert scores == {"a": dot} and best == [kth]
 
 
 def reference_dot(weighted, ident):

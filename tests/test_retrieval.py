@@ -99,6 +99,21 @@ def test_invalid_config_rejected():
         DocRetrievalConfig(k=0)
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"k": 2.5}, "k must be an integer, got 2.5"),
+        ({"k": True}, "k must be an integer, got True"),
+        ({"title_match_weight": True}, "title_match_weight must be a number, got True"),
+        ({"title_match_weight": "2"}, "title_match_weight must be a number"),
+    ],
+)
+def test_config_of_the_wrong_type_rejected_at_construction(overrides, message):
+    """A float k used to construct and fail only at the top-k cut."""
+    with pytest.raises(ValueError, match=message):
+        DocRetrievalConfig(**overrides)
+
+
 @pytest.mark.parametrize("weight", [math.nan, math.inf, -1.0])
 def test_title_match_weight_must_be_finite_and_non_negative(weight):
     with pytest.raises(ValueError, match="title_match_weight must be finite and non-negative"):
@@ -240,13 +255,13 @@ def test_retrieve_matches_brute_force(data):
 
 def test_retrieve_matches_brute_force_on_fixture_world(fixture_world, monkeypatch):
     """Every train and dev claim of the default world retrieves what the
-    brute-force reference does, no page is scored twice for one claim but
-    by a slot fill (which scores a token's whole postings), and the
-    scorer's pruning skips pages on most of them. A token's dots are
+    brute-force reference does, no page's dot is computed twice for one
+    claim but by a slot fill (which computes a token's whole postings), and
+    the scorer's pruning skips pages on most of them. A token's dots are
     computed only when its slot does not hold them: the stream reads some
     slots filled for earlier claims, and a claim retrieved a third time in
     a row computes no dot in top_k."""
-    reached: set = set()  # the units top_k has passed _cosines for one claim
+    reached: set = set()  # the units top_k has scored for one claim
     takes: list = []  # one entry per _cosines call inside top_k
     computed: list = []  # the units of each kernel call inside top_k
     in_top_k: list = []
@@ -258,11 +273,12 @@ def test_retrieve_matches_brute_force_on_fixture_world(fixture_world, monkeypatc
         finally:
             in_top_k.pop()
 
-    def counting_cosines(self, scores, query_norm, units, dots):
+    def counting_cosines(self, scores, query_norm, units, dots, *args, **kwargs):
+        original_cosines(self, scores, query_norm, units, dots, *args, **kwargs)
         if in_top_k:
-            reached.update(units)
+            # A slot read may stop before the end of the slot's units.
+            reached.update(scores)
             takes.append(units)
-        return original_cosines(self, scores, query_norm, units, dots)
 
     def counting_dots(width):
         kernel = original_dots(width)

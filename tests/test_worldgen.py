@@ -76,6 +76,11 @@ def test_dev_two_entity_supported_have_person_page_gold(tmp_path):
         ({"show_gold_person_fraction": -0.5}, "show_gold_person_fraction"),
         ({"show_gold_person_fraction": float("nan")}, "show_gold_person_fraction"),
         ({"show_gold_person_fraction": float("inf")}, "show_gold_person_fraction"),
+        # Types are checked first: a string seed would build another world.
+        ({"seed": "1"}, "seed must be an integer"),
+        ({"dev_nei": True}, "dev_nei must be an integer"),
+        ({"n_towns": 2.5}, "n_towns must be an integer"),
+        ({"show_gold_person_fraction": "0.2"}, "show_gold_person_fraction must be a number"),
     ],
 )
 def test_unhonourable_config_rejected(overrides, field):
