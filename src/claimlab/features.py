@@ -21,24 +21,22 @@ with the same idf table and `corpus.tfidf_norm`. `pair_features` adds
 the polarity cues to copies of the selection vectors, a page's
 positions per call.
 
-The extractor keeps one slot: the last claim text prepared, its
-PreparedClaim, and the selection vectors `page_features` computed
-against that PreparedClaim, per page. `prepare_claim` of the slot's
-text returns the slot's claim, and `pair_features` reads a stored
-vector instead of featurizing the sentence again, so a claim served
+Selection vectors live on the claim: each `PreparedClaim` holds the
+memo `{SentenceId: vector}` of the indexed sentences featurized against
+it. `page_features` stores each such vector, whoever calls it, and never
+reads the memo; `selection_vectors`, which `pair_features` and selector
+training call, reads it and featurizes only the sentences it lacks, in
+one `page_features` call. Only the index pins what a SentenceId means
+(an indexed sentence's counts come from its postings), so a sentence the
+index does not hold is featurized on every call. The extractor keeps the last claim it
+prepared, which `prepare_claim` of that text returns: a claim served
 alone (select, then verdict) is prepared once and each of its sentences
-featurized once. The slot holds one claim, because a served claim's
-stages run back to back: a new text replaces the whole slot, so it
-holds one claim's candidates at most, and a stream that cycles its
-claims is never served from an earlier pass. Training interleaves
-claims, so it keeps its own per-claim memos.
+featurized once. A memo lives as long as its claim, never a whole run.
 
-Selection featurizes each candidate page once per claim, selector
-training each (claim, sentence) once, and the verdict stage classifies
-each distinct (claim, sentence) pair once (`nli.claim_verdicts`),
-whatever the number of regimes. Selection and training call the kernel
-once per call, over every page they need; the verdict stage once per
-page, for the sentences the slot lacks.
+Selection featurizes each candidate page once per claim, training each
+indexed sentence once per prepared claim, and the verdict stage
+classifies each distinct (claim, sentence) pair once
+(`nli.claim_verdicts`), whatever the number of regimes.
 
 Contract: the extractor's index is the sentence index of the corpus
 being featurized.
@@ -48,7 +46,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Iterable, NamedTuple, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Iterable, Optional, Sequence
 
 from .corpus import Document, InvertedIndex, Query, SentenceId, parse_query, tfidf_norm, token_spans
 
@@ -123,12 +122,16 @@ def _negation_cues(tokens: set[str], *texts: str) -> set[str]:
     return cues
 
 
-class PreparedClaim(NamedTuple):
+@dataclass(frozen=True)
+class PreparedClaim:
     """The claim side of every feature: the claim's Query against the
     extractor's index, plus its token set, bigrams and entity spans, and,
     for pair features, its negation cues and numerals. spans pairs each
     entity span's tokens with their indices in query.terms. idf_mass is
-    the idf sum in the query's term order."""
+    the idf sum in the query's term order. vectors is the claim's memo,
+    {SentenceId: selection vector} of the indexed sentences featurized
+    against it (see the module docstring); it is no part of the claim's
+    equality or repr."""
 
     text: str
     query: Query
@@ -138,18 +141,16 @@ class PreparedClaim(NamedTuple):
     idf_mass: float
     negation_cues: set[str]
     numerals: set[str]
+    vectors: dict[SentenceId, list[float]] = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 class FeatureExtractor:
     """Deterministic feature vectors backed by the sentence index of the
-    corpus being featurized, with the one-claim slot the module docstring
-    describes."""
+    corpus being featurized; it keeps the last claim it prepared."""
 
     def __init__(self, index: InvertedIndex):
         self.index = index
-        # The slot: the last claim prepared and, per page id, the document and
-        # the selection vectors, by SentenceId, computed against that claim on it.
-        self._slot: tuple[Optional[PreparedClaim], dict] = (None, {})
+        self._last_claim: Optional[PreparedClaim] = None
 
     @classmethod
     def from_index(cls, index: InvertedIndex) -> "FeatureExtractor":
@@ -157,11 +158,11 @@ class FeatureExtractor:
         return cls(index)
 
     def prepare_claim(self, claim_text: str) -> PreparedClaim:
-        """The claim side of claim_text: the slot's claim if it has this
-        text, else a new one, which replaces the whole slot."""
-        slot_claim = self._slot[0]
-        if slot_claim is not None and slot_claim.text == claim_text:
-            return slot_claim
+        """The claim side of claim_text: the last claim prepared if it has
+        this text, else a new one, which becomes the last."""
+        last = self._last_claim
+        if last is not None and last.text == claim_text:
+            return last
         query = parse_query(self.index, claim_text)
         idf_mass = 0.0
         for _, _, idf, _ in query.terms:
@@ -182,7 +183,7 @@ class FeatureExtractor:
             negation_cues=_negation_cues(token_set, claim_text),
             numerals={t for t in token_set if t.isdigit()},
         )
-        self._slot = (claim, {})
+        self._last_claim = claim
         return claim
 
     def page_features(
@@ -192,9 +193,9 @@ class FeatureExtractor:
         page's document, each with its SentenceId, in page then position
         order, against a prepared claim. Each page's title side is computed
         once. An indexed sentence reads its counts from the query's
-        postings and its norm from the index. Vectors computed against the
-        slot's claim are also stored in the slot."""
-        slot_claim, slot_pages = self._slot
+        postings and its norm from the index, and its vector is also
+        stored in the claim's memo, which this never reads."""
+        memo = claim.vectors
         query = claim.query
         terms = query.terms
         # A span is in a body only if the sentence holds each of the span's
@@ -212,13 +213,6 @@ class FeatureExtractor:
             title_in_claim = 1.0 if contains_subsequence(query.tokens, title_tokens) else 0.0
             document_tokens, document_sids = document.tokens, document.sids
             denom = max(1, len(document_sids) - 1)
-            stored = None
-            if claim is slot_claim:
-                # A page id met with another document starts afresh.
-                entry = slot_pages.get(document.page_id)
-                if entry is None or entry[0] is not document:
-                    entry = slot_pages[document.page_id] = (document, {})
-                stored = entry[1]
             for position in positions:
                 body_tokens = document_tokens[position]
                 sid = document_sids[position]
@@ -275,32 +269,41 @@ class FeatureExtractor:
                     (n_claim - shared) / claim_size,
                 ]
                 vectors.append((sid, vector))
-                if stored is not None:
-                    stored[sid] = vector
+                if key is not None:
+                    memo[sid] = vector
         return vectors
+
+    def selection_vectors(
+        self, claim: PreparedClaim, pages: Sequence[tuple[Document, Sequence[int]]]
+    ) -> list[tuple[SentenceId, list[float]]]:
+        """page_features' output for the pages, read from the claim's memo
+        where it holds a sentence: only the sentences it lacks are
+        featurized, in one page_features call, and none if it lacks none."""
+        memo = claim.vectors
+        missing = [
+            (document, lacking)
+            for document, positions in pages
+            if (lacking := [p for p in positions if document.sids[p] not in memo])
+        ]
+        fresh = dict(self.page_features(claim, missing)) if missing else {}
+        return [
+            (sid, fresh[sid] if sid in fresh else memo[sid])
+            for document, positions in pages
+            for sid in (document.sids[p] for p in positions)
+        ]
 
     def pair_features(
         self, claim: PreparedClaim, document: Document, positions: Sequence[int]
     ) -> list[tuple[SentenceId, list[float]]]:
         """Selection features (at sentence_position 0) plus polarity cues
         for claim classification, of the sentences at the given positions
-        of the document's sentences, each with its SentenceId. A sentence
-        whose selection vector the slot holds (the claim is the slot's
-        claim, and the page's document the one it was computed on) starts
-        from a copy of it; page_features computes the others, in one call."""
-        slot_claim, slot_pages = self._slot
-        entry = slot_pages.get(document.page_id) if claim is slot_claim else None
-        vectors = dict(entry[1]) if entry is not None and entry[0] is document else {}
-        sids = document.sids
-        missing = [position for position in positions if sids[position] not in vectors]
-        if missing:
-            vectors.update(self.page_features(claim, [(document, missing)]))
+        of the document's sentences, each with its SentenceId. Each starts
+        from a copy of its selection vector (selection_vectors')."""
         claim_tokens = claim.token_set
         title_tokens = set(document.title_tokens)
         featurized = []
-        for position in positions:
-            sid = sids[position]
-            vector = list(vectors[sid])
+        for position, (sid, selection) in zip(positions, self.selection_vectors(claim, [(document, positions)])):
+            vector = list(selection)
             candidate_tokens = title_tokens.union(document.tokens[position])
             candidate_cues = _negation_cues(candidate_tokens, document.title, document.sentences[position][1])
             candidate_numerals = {t for t in candidate_tokens if t.isdigit()}

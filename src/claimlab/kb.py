@@ -43,11 +43,12 @@ def _entity_record(obj: dict) -> tuple[str, EntityRecord]:
     if not isinstance(name, str) or not name:
         raise ValueError(f"entity {eid!r}: name must be a non-empty string, got {name!r}")
     for key in ("aliases", "parents", "relations"):
-        if not isinstance(obj.get(key, []), list):
-            raise ValueError(f"entity {eid!r}: {key} must be a list, got {obj[key]!r}")
+        values = obj.get(key, [])
+        if not isinstance(values, list):
+            raise ValueError(f"entity {eid!r}: {key} must be a list, got {values!r}")
+        if not all(isinstance(value, str) for value in values):
+            raise ValueError(f"entity {eid!r}: {key} must be strings, got {values!r}")
     aliases = obj.get("aliases", [])
-    if not all(isinstance(alias, str) for alias in aliases):
-        raise ValueError(f"entity {eid!r}: aliases must be strings, got {aliases!r}")
     return eid, EntityRecord(
         entity_id=eid,
         canonical_name=name,

@@ -12,14 +12,15 @@ are featurized and classified a page at a time (`classify_pair` takes
 one page's positions), both there and in NLI training, with the claim
 side computed once per distinct claim text in a call.
 
-The claim side and the selection vectors come from the extractor's
-one-claim slot when the claim is the one selection featurized last (see
-`features`): a claim served alone, select then verdict, is prepared
-once, and its verdict copies the selected sentences' vectors instead of
-featurizing them again. Training interleaves claims, which a one-claim
-slot would not serve, so it keeps its own memo of prepared claims, and
-it steps the three softmax rows through `selection.sgd_epochs`, the
-selector's SGD loop.
+Selection vectors live on the claim (see `features`): a pair starts
+from its prepared claim's memo, and only the sentences the memo lacks
+are featurized. A claim served alone, select then verdict, is the
+extractor's last claim, so it is prepared once, and its verdict copies
+the selected sentences' vectors instead of featurizing them again.
+Training interleaves claims, so it keeps its own memo of prepared
+claims, one per distinct text, and claims that share a text share their
+vectors; it steps the three softmax rows through `selection.sgd_epochs`,
+the selector's SGD loop.
 """
 
 from __future__ import annotations
@@ -154,8 +155,8 @@ def train_nli(
 
     Supported/refuted claims pair with each gold evidence sentence;
     NEI claims pair with their own top retrieved sentences. Each distinct
-    claim text is prepared once per call. All three classes must be
-    present.
+    claim text is prepared once per call, and each of its indexed
+    sentences featurized once. All three classes must be present.
     """
     pairs = _training_pairs(claims, selections, corpus, extractor)
     present = {target for _, target in pairs}
@@ -185,7 +186,7 @@ def claim_verdicts(
     holds, classified separately, then majority-voted. The lists may come
     from several claims with the claim's text; only the text is read.
 
-    The claim is prepared once (or read from the extractor's slot) and
+    The claim is prepared once (or is the extractor's last claim) and
     each distinct sentence is classified once, however many lists rank
     it, with one classify_pair call per page. Each sentence is classified
     together with its page title, so pronoun-heavy evidence keeps its

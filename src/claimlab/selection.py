@@ -24,13 +24,13 @@ pools, and each draw's new sentences are featurized a page at a time.
 Ranking is one featurize pass over a claim's candidate sentences plus a
 top-k scoring step per model, each one call of the batch kernel
 `util.logistic_scores`, so several selectors can score the same feature
-vectors (see `experiment.select_evidence`). The featurize pass leaves
-the claim and its vectors in the extractor's slot (see `features`), so
-the verdict on a claim served alone, which follows at once, prepares
-nothing and featurizes none of its sentences again. The slot holds that
-one claim only: a run's stages each pass over every claim, so by the
-verdict stage the slot holds another claim, and each stage keeps its own
-per-call memos.
+vectors (see `experiment.select_evidence`). Vectors live on the claim
+(see `features`): the featurize pass leaves each candidate's vector in
+the memo of the extractor's last claim, so the verdict on a claim served
+alone, which follows at once, prepares nothing and featurizes none of
+its sentences again. A run's stages each pass over every claim, so by
+the verdict stage the extractor holds another claim, and each stage
+keeps its own per-call memos.
 """
 
 from __future__ import annotations
@@ -238,24 +238,6 @@ def _regime_claims(claims: Sequence[Claim], synthetic_claims: Sequence[Claim], r
     return chosen + list(synthetic_claims) if spec.synthetic else chosen
 
 
-@dataclass
-class _TrainingClaim:
-    """A training claim prepared once for every regime that uses it."""
-
-    pool: NegativePool
-    prepared: PreparedClaim
-    vectors: dict[SentenceId, list[float]] = field(default_factory=dict)
-
-    def features(self, extractor: FeatureExtractor, corpus: Corpus, sids: Sequence[SentenceId]) -> list[list[float]]:
-        """The feature vectors of the (located) sentences, in order. The
-        sentences not featurized before are featurized in one page_features
-        call."""
-        vectors = self.vectors
-        pages = corpus.pages_of([sid for sid in sids if sid not in vectors])
-        vectors.update(extractor.page_features(self.prepared, pages))
-        return [vectors[sid] for sid in sids]
-
-
 def train_selectors(
     claims: Sequence[Claim],
     synthetic_claims: Sequence[Claim],
@@ -267,21 +249,23 @@ def train_selectors(
 
     Each distinct (claim text, evidence groups) is prepared once, when the
     first regime uses a claim that has it: its PreparedClaim, whose query
-    its NegativePool ranks with over the extractor's own index, and, on
-    first need, the feature vector of each sentence. Each regime then
-    draws every claim's negatives from that pool with a seed of its own
-    config's seed and the claim's own id, in claim order, and trains on
-    its examples: each epoch re-scores the whole negative pool, keeps the
-    hardest negatives so positive and negative counts match, and runs one
-    pass of per-example gradient descent on the logistic loss in a seeded
-    shuffled order. A model does not depend on which other regimes train
-    in the same call.
+    its NegativePool ranks with over the extractor's own index, and whose
+    memo keeps each indexed sentence's vector once first needed (see
+    `features`). Each regime then draws every claim's negatives from that
+    pool with a seed of its own config's seed and the claim's own id, in
+    claim order, reads the vectors of the claim's positives and negatives
+    through one selection_vectors call, and trains on its examples: each
+    epoch re-scores the whole negative pool, keeps the hardest negatives
+    so positive and negative counts match, and runs one pass of
+    per-example gradient descent on the logistic loss in a seeded shuffled
+    order. A model does not depend on which other regimes train in the
+    same call.
     """
     scorer = IndexScorer(extractor.index)
     # A pool built for the largest per_group serves every smaller one: its
     # reach list only grows at the end.
     pool_per_group = max(_per_group(config.negatives_per_positive) for config in configs.values())
-    prepared: dict[tuple[str, tuple], Optional[_TrainingClaim]] = {}
+    prepared: dict[tuple[str, tuple], Optional[tuple[NegativePool, PreparedClaim]]] = {}
     models: dict[str, RelevanceModel] = {}
     for regime, config in configs.items():
         training_claims = _regime_claims(claims, synthetic_claims, regime)
@@ -295,17 +279,16 @@ def train_selectors(
                 gold = [sid for sid in claim.gold_sentences() if corpus.get_sentence(sid) is not None]
                 prepared[key] = None
                 if gold:
-                    claim_side = extractor.prepare_claim(claim.text)
-                    pool = NegativePool(scorer, corpus, claim_side.query, gold, pool_per_group)
-                    prepared[key] = _TrainingClaim(pool, claim_side)
-            entry = prepared[key]
-            if entry is None:
+                    side = extractor.prepare_claim(claim.text)
+                    prepared[key] = (NegativePool(scorer, corpus, side.query, gold, pool_per_group), side)
+            if prepared[key] is None:
                 continue
-            gold = entry.pool.positives
-            positives += zip([(claim.claim_id, sid) for sid in gold], entry.features(extractor, corpus, gold))
+            pool, side = prepared[key]
             seed = stable_seed(config.seed, "negatives", claim.claim_id)
-            drawn = entry.pool.draw(seed, _per_group(config.negatives_per_positive))
-            negatives += zip([(claim.claim_id, sid) for sid in drawn], entry.features(extractor, corpus, drawn))
+            drawn = pool.draw(seed, _per_group(config.negatives_per_positive))
+            vectors = dict(extractor.selection_vectors(side, corpus.pages_of(pool.positives + drawn)))
+            positives += [((claim.claim_id, sid), vectors[sid]) for sid in pool.positives]
+            negatives += [((claim.claim_id, sid), vectors[sid]) for sid in drawn]
         if not positives:
             raise ValueError(f"regime {regime!r} selected no trainable positives")
         model = _fit(positives, negatives, config)
@@ -356,8 +339,7 @@ def _hardest_negatives(
     repeated key is never merged away."""
     if keep < 1:
         return []
-    scores = logistic_scores(len(model.weights))(model.weights, model.bias, enumerate(map(itemgetter(1), negatives)))
-    return [negatives[i] for i, _ in top_k_scored(scores, keep)]
+    return [negatives[i] for i, _ in top_k(model, enumerate(map(itemgetter(1), negatives)), keep)]
 
 
 def train_selector(
@@ -385,8 +367,8 @@ def featurize_candidates(
     (Document.candidate_positions), in one page_features call.
 
     Duplicate pages are featurized once; unknown pages are skipped. The
-    claim becomes the extractor's slot claim, so a verdict that follows
-    reads the claim and these vectors from the slot.
+    claim becomes the extractor's last claim, and these vectors stay in
+    its memo, so a verdict that follows reads both.
     """
     documents = [corpus.documents.get(page_id) for page_id in dict.fromkeys(candidate_pages)]
     pages = [(doc, doc.candidate_positions) for doc in documents if doc is not None]

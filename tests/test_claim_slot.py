@@ -1,6 +1,7 @@
-"""The extractor's one-claim slot: a claim served alone (retrieve, select,
-verdict) is prepared once and each of its sentences featurized once, with
-the outputs of the cold path, whatever order the claims come in.
+"""The extractor's last claim and its vector memo: a claim served alone
+(retrieve, select, verdict) is prepared once and each of its sentences
+featurized once, with the outputs of the cold path, whatever order the
+claims come in.
 
 The claims are the dev and adversarial claims of the small experiment
 world, shuffled. The cold path runs each stage on a fresh extractor over
@@ -83,7 +84,7 @@ def cold(served, claim):
 
 def test_served_claims_equal_the_cold_path(served):
     """Each claim served twice in a row, as a stream that repeats a claim
-    serves it: the second pass finds its text in the slot."""
+    serves it: the second pass finds its text in the last claim."""
     claims = served[3]
     extractor = FeatureExtractor(served[1])
     assert len(claims) >= 15
@@ -142,9 +143,10 @@ def test_preparing_another_claim_evicts_the_slot(served, monkeypatch):
 
 
 def test_another_document_under_a_stored_page_id_is_featurized_afresh(served):
-    """The slot holds each page's vectors with the document they were
-    computed on, so a document built again under the page id with other
-    text is featurized, not read from the slot."""
+    """A claim's memo holds indexed sentences only, as only the index pins
+    what a SentenceId means: a document built outside the corpus, at a
+    line the index does not hold, is featurized on every call, so other
+    text under the same SentenceId gets its own vector."""
     index = served[1]
     extractor = FeatureExtractor(index)
     claim = extractor.prepare_claim("Alice Fenwick starred in Halcyon.")
@@ -156,8 +158,8 @@ def test_another_document_under_a_stored_page_id_is_featurized_afresh(served):
 
 
 def test_verdict_leaves_the_slot_vectors_whole(served):
-    """featurize_candidates returns the vectors the slot stores; a verdict
-    on the top k of them copies them, so each keeps its length and its
+    """featurize_candidates returns the vectors the claim's memo stores; a
+    verdict on the top k of them copies them, so each keeps its length and its
     sentence_position, and a second verdict reads them unchanged."""
     corpus, index, _, claims, pages, selector, _ = served
     extractor = FeatureExtractor(index)

@@ -544,6 +544,9 @@ GOOD_CLAIM = {"id": 1, "label": "SUPPORTS", "claim": "A b.", "evidence": [[[None
         ("analyze-entities", "kb", {"id": "E9", "name": ""}),
         ("analyze-entities", "kb", {"id": "E9", "name": 9}),
         ("analyze-entities", "kb", {"id": "E9", "name": "Beta Cat", "aliases": ["Beta", 3]}),
+        ("analyze-entities", "kb", {"id": "E9", "name": "Beta Cat", "parents": [["a"]]}),
+        ("generate-claims", "kb", {"id": "E9", "name": "Beta Cat", "parents": [3]}),
+        ("analyze-entities", "kb", {"id": "E9", "name": "Beta Cat", "relations": [7]}),
         ("retrieve-docs", "claims", {**GOOD_CLAIM, "id": 2, "claim": 7}),
         ("evaluate", "selections", {"claim_id": 2, "evidence": [["A", 0]]}),
         ("evaluate", "docs", {"claim_id": 2}),
@@ -558,6 +561,9 @@ GOOD_CLAIM = {"id": 1, "label": "SUPPORTS", "claim": "A b.", "evidence": [[[None
         "empty-kb-name",
         "kb-name-not-text",
         "kb-alias-not-text",
+        "kb-parent-a-list",
+        "kb-parent-not-text",
+        "kb-relation-not-text",
         "claim-not-text",
         "short-selection",
         "no-pages",

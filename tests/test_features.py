@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from dataclasses import fields
 
 import pytest
 from hypothesis import example, given, settings
@@ -34,7 +35,6 @@ from claimlab.selection import (
     NegativePool,
     Regime,
     TrainingConfig,
-    _TrainingClaim,
     featurize_candidates,
     train_selector,
 )
@@ -292,8 +292,8 @@ def assert_shipped_paths(corpus, index, claim, candidate_pages, pool_sids, evide
     for sid, features in featurized:
         assert features == expected(sid, None)
 
-    training = _TrainingClaim(pool=None, prepared=extractor.prepare_claim(claim.text))
-    assert training.features(extractor, corpus, pool_sids) == [expected(sid, None) for sid in pool_sids]
+    training = dict(extractor.selection_vectors(extractor.prepare_claim(claim.text), corpus.pages_of(pool_sids)))
+    assert [training[sid] for sid in pool_sids] == [expected(sid, None) for sid in pool_sids]
 
     resolvable = [sid for sid in evidence_sids if corpus.get_sentence(sid) is not None]
     pair_expected = [
@@ -350,14 +350,48 @@ class TestPreparedClaim:
         the index's own dicts, and no second copy of its tokens, counts,
         postings or norm."""
         index = extractor.index
-        assert PreparedClaim._fields == (
-            "text", "query", "token_set", "bigrams", "spans", "idf_mass", "negation_cues", "numerals"
+        assert tuple(field.name for field in fields(PreparedClaim)) == (
+            "text", "query", "token_set", "bigrams", "spans", "idf_mass", "negation_cues", "numerals", "vectors"
         )
         for claim_text in self.EDGE_CLAIMS + ("Alice Fenwick starred in Halcyon.", "halcyon HALCYON zzz"):
             query = extractor.prepare_claim(claim_text).query
             assert query == parse_query(index, claim_text)
             for token, _, _, postings in query.terms:
                 assert postings is index.postings.get(token, postings)
+
+    def test_memo_holds_indexed_sentences_only(self, fixture_world, monkeypatch):
+        """A served claim's memo holds the very vectors featurize_candidates
+        returned, all of indexed sentences, and pair_features reads them
+        without featurizing again; a sentence the index does not hold is
+        never stored, and is featurized on every call."""
+        corpus = ingest_corpus(fixture_world / "corpus")
+        index = build_index(corpus, "sentence")
+        extractor = FeatureExtractor(index)
+        claim = load_claims(fixture_world / "dev.jsonl")[0]
+        pages = DocumentRetriever(corpus, build_index(corpus, "document")).retrieve(claim.text)
+        featurized = featurize_candidates(extractor, claim, pages, corpus)
+        prepared = extractor.prepare_claim(claim.text)
+        assert featurized and all(sid in index.norms for sid, _ in featurized)
+        assert list(prepared.vectors) == [sid for sid, _ in featurized]
+        assert all(prepared.vectors[sid] is vector for sid, vector in featurized)
+
+        calls = []
+        original = FeatureExtractor.page_features
+
+        def counting(self, claim, pages):
+            pages = list(pages)
+            calls.append([document.sids[position] for document, positions in pages for position in positions])
+            return original(self, claim, pages)
+
+        monkeypatch.setattr(FeatureExtractor, "page_features", counting)
+        for document, positions in corpus.pages_of([sid for sid, _ in featurized]):
+            extractor.pair_features(prepared, document, positions)
+        assert calls == []
+        outside = Document("Elsewhere", ((0, "Alice Fenwick acts on stage."), (1, "")))
+        for _ in range(2):
+            extractor.pair_features(prepared, outside, [0, 1])
+        assert calls == [list(outside.sids)] * 2
+        assert list(prepared.vectors) == [sid for sid, _ in featurized]
 
     def test_edge_inputs_match_reference(self, extractor):
         for claim_text in self.EDGE_CLAIMS:

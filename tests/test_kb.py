@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from claimlab.kb import EntityRecord, KnowledgeBase, link_entities
@@ -120,4 +122,16 @@ class TestLoading:
         row = {"id": "E1", "name": "Alpha Dog", "aliases": [], "parents": [], "relations": []}
         path = write_jsonl(tmp_path / "kb.jsonl", [{**row, field: "Alf"}])
         with pytest.raises(ValueError, match=f"'E1': {field} must be a list"):
+            KnowledgeBase.load(path)
+
+    @pytest.mark.parametrize(
+        "field, values", [("aliases", ["Alf", 3]), ("parents", [["a"]]), ("parents", [3]), ("relations", [7])]
+    )
+    def test_list_entry_not_a_string_rejected(self, tmp_path, field, values):
+        """Every alias, parent and relation is an entity name or id: a list
+        or a number there fails with the line, the entity and the field."""
+        row = {"id": "E1", "name": "Alpha Dog", "aliases": [], "parents": [], "relations": []}
+        path = write_jsonl(tmp_path / "kb.jsonl", [{**row, field: values}])
+        message = f"kb.jsonl:1: entity 'E1': {field} must be strings, got {values!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             KnowledgeBase.load(path)

@@ -19,7 +19,7 @@ from claimlab.claims import Label, load_claims
 from claimlab.corpus import build_index, ingest_corpus
 from claimlab.experiment import retrieve_docs, select_evidence, verdicts_for
 from claimlab.features import PAIR_FEATURE_NAMES, SELECTION_FEATURE_NAMES, FeatureExtractor
-from claimlab.nli import CLASS_ORDER, NliModel, train_nli, verdict_for_claim
+from claimlab.nli import CLASS_ORDER, NEI_PAIRS_PER_CLAIM, NliModel, train_nli, verdict_for_claim
 from claimlab.retrieval import DocRetrievalConfig, DocumentRetriever, with_gold_pages
 from claimlab.selection import (
     NegativePool,
@@ -102,7 +102,7 @@ def test_padded_text_is_the_same_claim_side(stack, lists):
     _, extractor, _, _ = stack
     for claim in lists[0]:
         prepared = extractor.prepare_claim(claim.text)
-        assert extractor.prepare_claim(claim.text + "  ")._replace(text=claim.text) == prepared
+        assert replace(extractor.prepare_claim(claim.text + "  "), text=claim.text) == prepared
 
 
 @pytest.mark.parametrize("oracle_docs", [True, False])
@@ -183,6 +183,35 @@ def test_train_selectors_pools_each_text_and_evidence_once(stack, lists, monkeyp
             reference[regime].bias,
             reference[regime].metadata,
         )
+
+
+def test_train_nli_featurizes_each_text_and_sentence_once(stack, lists, monkeypatch):
+    """Claims that share a text share their prepared claim's vectors: one
+    train_nli call featurizes each distinct (claim text, indexed sentence)
+    once, however the claims with that text interleave with others."""
+    corpus, extractor, retriever, _ = stack
+    source, same, other_evidence, unique, nei = lists[0]
+    claims = [source, unique, other_evidence, nei, same]
+    selections = select_evidence(models(), extractor, corpus, [nei], retrieve_docs(retriever, [nei], False), K)["sup"]
+    config = TrainingConfig(epochs=2, seed=4)
+    reference = train_nli(padded(claims), selections, corpus, FeatureExtractor(extractor.index), config)
+
+    featurized = []
+    original = FeatureExtractor.page_features
+
+    def counting(self, claim, pages):
+        pages = list(pages)
+        featurized.extend((claim.text, document.sids[p]) for document, positions in pages for p in positions)
+        return original(self, claim, pages)
+
+    monkeypatch.setattr(FeatureExtractor, "page_features", counting)
+    model = train_nli(claims, selections, corpus, FeatureExtractor(extractor.index), config)
+    paired = {(c.text, sid) for c in claims if c.label is not Label.NOT_ENOUGH_INFO for sid in c.gold_sentences()}
+    paired |= {(nei.text, sid) for sid, _ in selections[nei.claim_id][:NEI_PAIRS_PER_CLAIM]}
+    assert all(sid in extractor.index.norms for _, sid in paired)
+    assert sorted(featurized) == sorted(paired)
+    assert distinct_texts(claims) < len(claims)
+    assert (model.weights, model.biases, model.metadata) == (reference.weights, reference.biases, reference.metadata)
 
 
 def test_train_nli_prepares_each_text_once(stack, lists, monkeypatch):
