@@ -18,8 +18,8 @@ The NEI training pairs of train-nli are the baseline selector's
 
 Within one stage-function call, work is done once per distinct claim
 content and handed to every claim id that shares it: `retrieve_docs`
-retrieves each claim text once, `select_evidence` featurizes each
-distinct (text, candidate pages) once for every model, and
+retrieves each claim text once, `select_evidence` ranks each distinct
+(text, candidate pages) once for every model, and
 `verdicts_for` classifies each distinct (text, sentence) pair once for
 every claim and regime. The memos are locals of the call; nothing
 outlives it, so a claim served alone does the same work.
@@ -50,8 +50,7 @@ from .selection import (
     RelevanceModel,
     TrainingConfig,
     aggregate_sr,
-    featurize_candidates,
-    top_k,
+    rank_candidates,
     train_selectors,
 )
 from .util import (
@@ -225,8 +224,11 @@ def select_evidence(
     k: int,
     sr: Optional[tuple[str, str]] = None,
 ) -> dict[str, dict[int, RankedEvidence]]:
-    """Top-k evidence per claim for every model, from one featurize pass
-    per distinct (claim text, candidate pages). With sr=(first, second),
+    """Top-k evidence per claim for every model, from one
+    selection.rank_candidates call per distinct (claim text, candidate
+    pages): one held pass over the candidates, then a best-first walk per
+    model that finishes only the candidates whose bound can reach its
+    top k, each at most once for all the models. With sr=(first, second),
     the two models' rankings are also merged by confidence under the key
     "sr", claim by claim."""
     per_model: dict[str, dict[int, RankedEvidence]] = {name: {} for name in models}
@@ -235,8 +237,7 @@ def select_evidence(
         pages = tuple(docs.get(claim.claim_id, ()))
         key = (claim.text, pages)
         if key not in ranked:
-            featurized = featurize_candidates(extractor, claim, pages, corpus)
-            ranked[key] = {name: top_k(model, featurized, k) for name, model in models.items()}
+            ranked[key] = dict(zip(models, rank_candidates(list(models.values()), extractor, claim, pages, corpus, k)))
         for name, evidence in ranked[key].items():
             per_model[name][claim.claim_id] = evidence
     if sr is not None:

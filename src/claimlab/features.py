@@ -7,33 +7,48 @@ candidate so pronoun-heavy evidence keeps its subject.
 
 Each side of a feature is computed once. The claim side once per claim
 (`FeatureExtractor.prepare_claim`: the claim's `corpus.Query`, the one
-claim vector retrieval and negative sampling also read, its entity
-spans' query-term indices, and the negation cues and numerals pair
-features compare); the title side, from the document's title tokens,
-once per page of a `page_features` call. `page_features` is the one
-kernel, over pages given as (document, positions), the shape
-`Corpus.pages_of` returns: each sentence, named by its document's own
-SentenceId (`Document.sids`, the objects the index keys by), reads its
-counts from the query's postings and its norm from `index.norms`; a
-sentence the index does not hold (an empty one) counts its own tokens.
-Both give equal bits: the index counted the same title and body tokens
-with the same idf table and `corpus.tfidf_norm`. `pair_features` adds
-the polarity cues to copies of the selection vectors, a page's
-positions per call.
+claim vector retrieval and negative sampling also read, the mask of
+query terms each entity span holds, and the negation cues and numerals
+pair features compare); the title side, from the document's title
+tokens, once per page of a `held` call. Pages are given as (document,
+positions), the shape `Corpus.pages_of` returns, and each sentence is
+named by its document's own SentenceId (`Document.sids`, the objects
+the index keys by).
+
+A selection vector is made in two steps. The held pass
+(`FeatureExtractor.held`), cheap and run for every sentence, reads the
+sentence's counts of the claim's terms from the query's postings and
+its norm from `index.norms` (a sentence the index does not hold, such
+as an empty one, counts its own tokens; both give equal bits, as the
+index counted the same title and body tokens with the same idf table
+and `corpus.tfidf_norm`). It yields the TF-IDF dot and the mask of the
+claim terms the sentence holds. Each distinct mask is worked out once
+per call: the shared-term count and idf overlap, the features built
+from them, and upper counts of the claim bigrams and entity spans the
+sentence can contain, since one can occur only where the sentence holds
+all of its query tokens. So the held pass gives each sentence its
+ceiling: its vector with bigram_overlap and entity_spans_in_body at
+those upper counts, every other feature exact. `finish` counts the
+bigrams and spans where a ceiling is above 0 and gives the vector.
+`page_features` is the held pass then `finish` for every sentence;
+`selection.rank_candidates` finishes only the candidates whose ceiling
+can reach a model's top k. `pair_features` adds the polarity cues to
+copies of the selection vectors, a page's positions per call.
 
 Selection vectors live on the claim: each `PreparedClaim` holds the
-memo `{SentenceId: vector}` of the indexed sentences featurized against
-it. `page_features` stores each such vector, whoever calls it, and never
-reads the memo; `selection_vectors`, which `pair_features` and selector
-training call, reads it and featurizes only the sentences it lacks, in
-one `page_features` call. Only the index pins what a SentenceId means
-(an indexed sentence's counts come from its postings), so a sentence the
-index does not hold is featurized on every call. The extractor keeps the last claim it
-prepared, which `prepare_claim` of that text returns: a claim served
-alone (select, then verdict) is prepared once and each of its sentences
-featurized once. A memo lives as long as its claim, never a whole run.
+memo `{SentenceId: vector}` of the indexed sentences finished against
+it. `finish` stores each such vector, whoever calls it, and never reads
+the memo; `selection_vectors`, which `pair_features` and selector
+training call, and `selection.rank_candidates` read it, and finish only
+the sentences it lacks. Only the index pins what a SentenceId means (an
+indexed sentence's counts come from its postings), so a sentence the
+index does not hold is finished on every call. The extractor keeps the
+last claim it prepared, which `prepare_claim` of that text returns: a
+claim served alone (select, then verdict) is prepared once and each of
+its sentences finished at most once. A memo lives as long as its claim,
+never a whole run.
 
-Selection featurizes each candidate page once per claim, training each
+Ranking finishes each candidate at most once per claim, training each
 indexed sentence once per prepared claim, and the verdict stage
 classifies each distinct (claim, sentence) pair once
 (`nli.claim_verdicts`), whatever the number of regimes.
@@ -71,6 +86,11 @@ PAIR_FEATURE_NAMES = SELECTION_FEATURE_NAMES + (
 )
 
 _POSITION = SELECTION_FEATURE_NAMES.index("sentence_position")
+_BIGRAMS = SELECTION_FEATURE_NAMES.index("bigram_overlap")
+_SPANS_IN_BODY = SELECTION_FEATURE_NAMES.index("entity_spans_in_body")
+# The features a held sentence's ceiling holds as upper counts, which
+# finish counts (see FeatureExtractor.held).
+BOUNDED_FEATURES = (_BIGRAMS, _SPANS_IN_BODY)
 
 # Cue words whose presence on one side but not the other often flips polarity.
 _NEGATION_CUES = ("not", "only", "never", "no")
@@ -104,7 +124,7 @@ def _capitalized_spans(text: str) -> list[tuple[str, ...]]:
     return spans
 
 
-def _span_share(spans: list[tuple[set[str], list[int]]], tokens: set[str]) -> float:
+def _span_share(spans: list[tuple[set[str], int]], tokens: set[str]) -> float:
     """Share of the claim's entity spans whose tokens all occur in tokens."""
     return sum(1 for span, _ in spans if span <= tokens) / len(spans) if spans else 0.0
 
@@ -127,7 +147,8 @@ class PreparedClaim:
     """The claim side of every feature: the claim's Query against the
     extractor's index, plus its token set, bigrams and entity spans, and,
     for pair features, its negation cues and numerals. spans pairs each
-    entity span's tokens with their indices in query.terms. idf_mass is
+    entity span's tokens with the mask of their indices in query.terms
+    (bit i for terms[i]). idf_mass is
     the idf sum in the query's term order. vectors is the claim's memo,
     {SentenceId: selection vector} of the indexed sentences featurized
     against it (see the module docstring); it is no part of the claim's
@@ -137,11 +158,16 @@ class PreparedClaim:
     query: Query
     token_set: set[str]
     bigrams: set[tuple[str, str]]
-    spans: list[tuple[set[str], list[int]]]
+    spans: list[tuple[set[str], int]]
     idf_mass: float
     negation_cues: set[str]
     numerals: set[str]
     vectors: dict[SentenceId, list[float]] = field(default_factory=dict, init=False, compare=False, repr=False)
+
+
+# A held sentence: (sid, document, position, indexed, ceiling), see
+# FeatureExtractor.held.
+HeldSentence = tuple[SentenceId, Document, int, bool, list[float]]
 
 
 class FeatureExtractor:
@@ -169,14 +195,14 @@ class FeatureExtractor:
             idf_mass += idf
         token_set = set(query.tokens)
         # A span token is lowered alone, which can differ from tokenize (final
-        # sigma); one that is no query token gets no index, only a set check.
+        # sigma); one that is no query token gets no bit, only a set check.
         claim = PreparedClaim(
             text=claim_text,
             query=query,
             token_set=token_set,
             bigrams=_bigrams(query.tokens),
             spans=[
-                (span, [i for i, (token, _, _, _) in enumerate(query.terms) if token in span])
+                (span, sum(1 << i for i, (token, _, _, _) in enumerate(query.terms) if token in span))
                 for span in map(set, _capitalized_spans(claim_text))
             ],
             idf_mass=idf_mass,
@@ -186,27 +212,28 @@ class FeatureExtractor:
         self._last_claim = claim
         return claim
 
-    def page_features(
-        self, claim: PreparedClaim, pages: Iterable[tuple[Document, Iterable[int]]]
-    ) -> list[tuple[SentenceId, list[float]]]:
-        """Selection features of the sentences at the given positions of each
-        page's document, each with its SentenceId, in page then position
-        order, against a prepared claim. Each page's title side is computed
-        once. An indexed sentence reads its counts from the query's
-        postings and its norm from the index, and its vector is also
-        stored in the claim's memo, which this never reads."""
-        memo = claim.vectors
+    def held(self, claim: PreparedClaim, pages: Iterable[tuple[Document, Iterable[int]]]) -> list[HeldSentence]:
+        """The held pass over the sentences at the given positions of each
+        page's document, in page then position order: per sentence its
+        (sid, document, position, indexed, ceiling), against a prepared
+        claim (see the module docstring). Each page's title side, and each
+        distinct mask of held claim terms, is computed once per call."""
         query = claim.query
         terms = query.terms
-        # A span is in a body only if the sentence holds each of the span's
-        # query tokens, so only then is the body's token set built.
+        bits = {token: 1 << i for i, (token, _, _, _) in enumerate(terms)}
+        term_bits = [(idf, bits[token]) for token, _, idf, _ in terms]
+        bigram_masks = [bits[first] | bits[second] for first, second in claim.bigrams]
         spans = claim.spans
-        bigrams, n_bigrams = claim.bigrams, max(1, len(claim.bigrams))
+        span_masks = [needed for _, needed in spans]
+        n_bigrams = max(1, len(claim.bigrams))
         n_claim = len(claim.token_set)
         claim_size = max(1, n_claim)
         query_norm, idf_mass = query.norm, claim.idf_mass
+        # An out-of-vocabulary term has no postings, so no indexed sentence holds it.
+        posted = [(count, idf * idf, postings.get, bits[token]) for token, count, idf, postings in terms if postings]
+        per_mask: dict[int, tuple[float, float, float, float, float]] = {}
         norms = self.index.norms
-        vectors = []
+        held = []
         for document, positions in pages:
             title_tokens = document.title_tokens
             spans_in_title = _span_share(spans, set(title_tokens))
@@ -216,7 +243,7 @@ class FeatureExtractor:
             for position in positions:
                 body_tokens = document_tokens[position]
                 sid = document_sids[position]
-                key, sentence_terms = sid, terms
+                key, sentence_terms = sid, posted
                 candidate_norm = norms.get(sid)
                 if candidate_norm is None:
                     # A sentence the index does not hold counts its own tokens: each
@@ -225,53 +252,86 @@ class FeatureExtractor:
                     candidate_norm = tfidf_norm(count * self.index.idf(token) for token, count in candidate_tf.items())
                     key = None
                     sentence_terms = [
-                        (token, count, idf, {None: candidate_tf.get(token)}) for token, count, idf, _ in terms
+                        (count, idf * idf, {None: candidate_tf.get(token)}.get, bits[token])
+                        for token, count, idf, _ in terms
                     ]
-                # Both float sums run in the claim's token order, never a set's hash order.
-                dot = overlap = 0.0
-                shared = 0
-                for _, count, idf, postings in sentence_terms:
-                    candidate_count = postings.get(key)
+                # Every float sum runs in the claim's token order, never a set's hash order.
+                dot = 0.0
+                mask = 0
+                for count, idf_squared, get, bit in sentence_terms:
+                    candidate_count = get(key)
                     if candidate_count is not None:
-                        dot += count * candidate_count * (idf * idf)
-                        overlap += idf
-                        shared += 1
-                # A claim bigram can occur in the candidate only if its tokens do.
-                shared_bigrams = 0
-                if shared and bigrams:
-                    tokens = title_tokens + body_tokens
-                    shared_bigrams = len(bigrams.intersection(zip(tokens, tokens[1:])))
-                spans_in_body = 0.0
-                if spans:
-                    body_set = None
-                    in_body = 0
-                    for span, span_terms in spans:
-                        # for-else, not all(): a generator costs more than the set it saves.
-                        for i in span_terms:
-                            if sentence_terms[i][3].get(key) is None:
-                                break
-                        else:
-                            if body_set is None:
-                                body_set = set(body_tokens)
-                            if span <= body_set:
-                                in_body += 1
-                    spans_in_body = in_body / len(spans)
-                vector = [
-                    shared / claim_size,
-                    shared_bigrams / n_bigrams,
+                        dot += count * candidate_count * idf_squared
+                        mask |= bit
+                values = per_mask.get(mask)
+                if values is None:
+                    overlap = 0.0
+                    shared = 0
+                    for idf, bit in term_bits:
+                        if mask & bit:
+                            overlap += idf
+                            shared += 1
+                    # A claim bigram or span can occur in the sentence only if
+                    # the sentence holds each of its query tokens. Loops, not
+                    # sum() over generators: most masks are new in a training call.
+                    bigrams_in = spans_in = 0
+                    for needed in bigram_masks:
+                        if needed & mask == needed:
+                            bigrams_in += 1
+                    for needed in span_masks:
+                        if needed & mask == needed:
+                            spans_in += 1
+                    values = per_mask[mask] = (
+                        shared / claim_size,
+                        bigrams_in / n_bigrams,
+                        overlap / idf_mass if idf_mass > 0 else 0.0,
+                        spans_in / len(spans) if spans else 0.0,
+                        (n_claim - shared) / claim_size,
+                    )
+                unigram, bigram_ceiling, idf_overlap, spans_ceiling, missing = values
+                ceiling = [
+                    unigram,
+                    bigram_ceiling,
                     dot / (query_norm * candidate_norm) if dot != 0.0 else 0.0,
-                    overlap / idf_mass if idf_mass > 0 else 0.0,
+                    idf_overlap,
                     spans_in_title,
-                    spans_in_body,
+                    spans_ceiling,
                     math.log(1 + len(body_tokens)),
                     title_in_claim,
                     position / denom,
-                    (n_claim - shared) / claim_size,
+                    missing,
                 ]
-                vectors.append((sid, vector))
-                if key is not None:
-                    memo[sid] = vector
-        return vectors
+                held.append((sid, document, position, key is not None, ceiling))
+        return held
+
+    def finish(self, claim: PreparedClaim, sentence: HeldSentence) -> list[float]:
+        """The selection vector of a held sentence: its ceiling, with
+        bigram_overlap and entity_spans_in_body counted where their
+        ceiling is above 0 (at 0 the ceiling is the value). An indexed
+        sentence's vector is also stored in the claim's memo, which this
+        never reads."""
+        sid, document, position, indexed, vector = sentence
+        if vector[_BIGRAMS] or vector[_SPANS_IN_BODY]:
+            body_tokens = document.tokens[position]
+            vector = list(vector)
+            if vector[_BIGRAMS]:
+                tokens = document.title_tokens + body_tokens
+                vector[_BIGRAMS] = len(claim.bigrams.intersection(zip(tokens, tokens[1:]))) / max(1, len(claim.bigrams))
+            if vector[_SPANS_IN_BODY]:
+                vector[_SPANS_IN_BODY] = _span_share(claim.spans, set(body_tokens))
+        if indexed:
+            claim.vectors[sid] = vector
+        return vector
+
+    def page_features(
+        self, claim: PreparedClaim, pages: Iterable[tuple[Document, Iterable[int]]]
+    ) -> list[tuple[SentenceId, list[float]]]:
+        """Selection features of the sentences at the given positions of each
+        page's document, each with its SentenceId, in page then position
+        order, against a prepared claim: the held pass, then each sentence
+        finished, so each indexed sentence's vector is also stored in the
+        claim's memo, which this never reads."""
+        return [(sentence[0], self.finish(claim, sentence)) for sentence in self.held(claim, pages)]
 
     def selection_vectors(
         self, claim: PreparedClaim, pages: Sequence[tuple[Document, Sequence[int]]]

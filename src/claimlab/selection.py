@@ -21,12 +21,18 @@ distinct (claim text, evidence groups) is parsed once into the
 seed and each claim's own id drive that claim's draws from the shared
 pools, and each draw's new sentences are featurized a page at a time.
 
-Ranking is one featurize pass over a claim's candidate sentences plus a
-top-k scoring step per model, each one call of the batch kernel
-`util.logistic_scores`, so several selectors can score the same feature
-vectors (see `experiment.select_evidence`). Vectors live on the claim
-(see `features`): the featurize pass leaves each candidate's vector in
-the memo of the extractor's last claim, so the verdict on a claim served
+Ranking (`rank_candidates`) takes one held pass over a claim's candidate
+sentences (see `features`), which gives each candidate its ceiling, and
+then, per model, bounds every candidate's score by its ceiling's score,
+in one call of the batch kernel `util.logistic_scores`. It finishes
+candidates best bound first, and stops when the next bound, with a slack
+that covers rounding, is below the k-th best exact score: the top k are
+exactly those of a full featurize-and-score pass, ties by sentence id,
+from far fewer vectors. Several selectors rank one claim in one call
+(see `experiment.select_evidence`). Vectors live on the claim (see
+`features`): ranking reads the memo of the extractor's last claim before
+finishing and leaves each finished vector there, so a vector finished
+for one model serves the others, and the verdict on a claim served
 alone, which follows at once, prepares nothing and featurizes none of
 its sentences again. A run's stages each pass over every claim, so by
 the verdict stage the extractor holds another claim, and each stage
@@ -36,16 +42,18 @@ keeps its own per-call memos.
 from __future__ import annotations
 
 import enum
+import heapq
 import math
 import random
+import sys
 from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .claims import Claim, Label
 from .corpus import Corpus, IndexScorer, InvertedIndex, Query, SentenceId, rank_key, top_k_scored
-from .features import SELECTION_FEATURE_NAMES, FeatureExtractor, PreparedClaim
+from .features import BOUNDED_FEATURES, SELECTION_FEATURE_NAMES, FeatureExtractor, PreparedClaim
 from .util import check_fields, linear_form, load_model, logistic_scores, save_model, stable_seed
 
 MODEL_SCHEMA = "claimlab/relevance-model/v1"
@@ -357,30 +365,85 @@ def train_selector(
 
 
 RankedEvidence = list[tuple[SentenceId, float]]
-FeaturizedCandidates = list[tuple[SentenceId, list[float]]]
+
+# Relative slack on a bound's score, far above the rounding error that can
+# put a score above the score of its bound (see rank_candidates).
+_SCORE_SLACK = 1e-9
 
 
-def featurize_candidates(
-    extractor: FeatureExtractor, claim: Claim, candidate_pages: Sequence[str], corpus: Corpus
-) -> FeaturizedCandidates:
-    """Feature vectors of every candidate sentence of the candidate pages
-    (Document.candidate_positions), in one page_features call.
-
-    Duplicate pages are featurized once; unknown pages are skipped. The
-    claim becomes the extractor's last claim, and these vectors stay in
-    its memo, so a verdict that follows reads both.
-    """
-    documents = [corpus.documents.get(page_id) for page_id in dict.fromkeys(candidate_pages)]
-    pages = [(doc, doc.candidate_positions) for doc in documents if doc is not None]
-    return extractor.page_features(extractor.prepare_claim(claim.text), pages)
-
-
-def top_k(model: RelevanceModel, featurized: FeaturizedCandidates, k: int) -> RankedEvidence:
-    """Score featurized candidates with one model; ties break by sentence id.
-    A pass's sentence ids are unique, so keying scores by id loses none."""
+def top_k(model: RelevanceModel, featurized: Iterable[tuple[Any, Sequence[float]]], k: int) -> list[tuple]:
+    """Score (key, features) pairs with one model; top-k, ties by key.
+    Keys must be unique, as scores are keyed by them."""
     # One batch kernel call scores the whole list, each score with
     # RelevanceModel.score's bits.
     return top_k_scored(logistic_scores(len(model.weights))(model.weights, model.bias, featurized), k)
+
+
+def rank_candidates(
+    models: Sequence[RelevanceModel],
+    extractor: FeatureExtractor,
+    claim: Claim,
+    candidate_pages: Sequence[str],
+    corpus: Corpus,
+    k: int,
+) -> list[RankedEvidence]:
+    """Each model's top-k of the candidate sentences of the candidate pages
+    (Document.candidate_positions), best first: exactly top_k over every
+    candidate's page_features vector, ties by sentence id, though only
+    the candidates that can reach the top k are finished.
+
+    Duplicate pages are ranked once; unknown pages are skipped. The claim
+    becomes the extractor's last claim. One held pass gives every
+    candidate its ceiling (features.FeatureExtractor.held). A model bounds
+    each candidate's score by the score of its ceiling under the model's
+    weights with those of bigram_overlap and entity_spans_in_body raised
+    to 0 if negative, in one logistic_scores call: this z is the score's
+    chain of products and sums, left to right, with no term smaller (a
+    ceiling is at least its count, and a raised weight's term is 0.0
+    where the true one is at most 0), and rounding to nearest is
+    monotone, so it is no smaller than the score's z. Each sigmoid is
+    within a few units in the last place of its true value, or, below
+    the smallest normal float, within a few subnormal steps of it, so the
+    bound times 1 + _SCORE_SLACK, plus the smallest normal float, is no
+    smaller than the score. A sentence the index does not hold has an
+    unbounded score.
+
+    Candidates are taken by falling bound. Each is finished (its vector
+    read from the claim's memo, else FeatureExtractor.finish, which
+    stores it there) and scored, until the next bound, so slackened, is
+    below the k-th best score so far: no candidate left can then reach
+    the top k, while one that ties it is finished. A vector finished for
+    one model is read from the memo by the others and by the verdict.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    documents = [corpus.documents.get(page_id) for page_id in dict.fromkeys(candidate_pages)]
+    prepared = extractor.prepare_claim(claim.text)
+    held = extractor.held(prepared, [(doc, doc.candidate_positions) for doc in documents if doc is not None])
+    ceilings = [(i, ceiling) for i, (_, _, _, _, ceiling) in enumerate(held)]
+    unbounded = [i for i, (_, _, _, indexed, _) in enumerate(held) if not indexed]
+    memo = prepared.vectors
+    ranked = []
+    for model in models:
+        weights = list(model.weights)
+        for feature in BOUNDED_FEATURES:
+            weights[feature] = max(weights[feature], 0.0)
+        bounds = logistic_scores(len(weights))(weights, model.bias, ceilings)
+        bounds.update(dict.fromkeys(unbounded, math.inf))
+        scores: dict[SentenceId, float] = {}
+        best: list[float] = []  # the k best scores so far, a min-heap
+        for i, bound in sorted(bounds.items(), key=itemgetter(1), reverse=True):
+            if len(best) == k and bound + bound * _SCORE_SLACK + sys.float_info.min < best[0]:
+                break
+            sentence = held[i]
+            sid = sentence[0]
+            scores[sid] = score = model.score(memo.get(sid) or extractor.finish(prepared, sentence))
+            if len(best) < k:
+                heapq.heappush(best, score)
+            else:
+                heapq.heappushpop(best, score)
+        ranked.append(top_k_scored(scores, k))
+    return ranked
 
 
 def select_sentences(
@@ -391,12 +454,9 @@ def select_sentences(
     corpus: Corpus,
     k: int,
 ) -> RankedEvidence:
-    """Score every non-empty sentence of the candidate pages; top-k.
-
-    Duplicate pages are scored once; ties break by sentence id. Kept
-    because bench/ calls it (ROADMAP item 12).
-    """
-    return top_k(model, featurize_candidates(extractor, claim, candidate_pages, corpus), k)
+    """rank_candidates for one model. Kept because bench/ calls it
+    (ROADMAP item 12)."""
+    return rank_candidates([model], extractor, claim, candidate_pages, corpus, k)[0]
 
 
 def aggregate_sr(sup: RankedEvidence, ref: RankedEvidence, k: int) -> RankedEvidence:

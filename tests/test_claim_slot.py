@@ -1,7 +1,7 @@
 """The extractor's last claim and its vector memo: a claim served alone
-(retrieve, select, verdict) is prepared once and each of its sentences
-featurized once, with the outputs of the cold path, whatever order the
-claims come in.
+(retrieve, select, verdict) is prepared once, each candidate sentence is
+finished at most once and only while ranking, and the outputs are those
+of the cold path, whatever order the claims come in.
 
 The claims are the dev and adversarial claims of the small experiment
 world, shuffled. The cold path runs each stage on a fresh extractor over
@@ -21,7 +21,7 @@ from claimlab.features import PAIR_FEATURE_NAMES, SELECTION_FEATURE_NAMES, Featu
 from claimlab.kb import KnowledgeBase
 from claimlab.nli import CLASS_ORDER, NliModel, verdict_for_claim
 from claimlab.retrieval import DocRetrievalConfig, DocumentRetriever
-from claimlab.selection import RelevanceModel, featurize_candidates, select_sentences, top_k
+from claimlab.selection import RelevanceModel, select_sentences, top_k
 from claimlab.worldgen import build_world, write_world
 
 from test_experiment import SMALL_WORLD
@@ -157,27 +157,42 @@ def test_another_document_under_a_stored_page_id_is_featurized_afresh(served):
     assert extractor.pair_features(claim, after, [0]) != first
 
 
+def full_vectors(index, corpus, claim, pages):
+    """page_features of every candidate of the pages, each page once, on a
+    fresh extractor: the vectors a ranking without pruning scores."""
+    documents = [corpus.documents[page_id] for page_id in dict.fromkeys(pages)]
+    prepared = FeatureExtractor(index).prepare_claim(claim.text)
+    return FeatureExtractor(index).page_features(prepared, [(doc, doc.candidate_positions) for doc in documents])
+
+
 def test_verdict_leaves_the_slot_vectors_whole(served):
-    """featurize_candidates returns the vectors the claim's memo stores; a
-    verdict on the top k of them copies them, so each keeps its length and its
+    """The ranking is top_k over every candidate's vector, and the claim's
+    memo holds each ranked sentence's vector with page_features' bits; a
+    verdict on the ranking copies them, so each keeps its length and its
     sentence_position, and a second verdict reads them unchanged."""
     corpus, index, _, claims, pages, selector, _ = served
     extractor = FeatureExtractor(index)
     positioned = 0
     for claim in claims[:20]:
-        featurized = featurize_candidates(extractor, claim, pages[claim.claim_id], corpus)
-        ranked = top_k(selector, featurized, K)
+        full = full_vectors(index, corpus, claim, pages[claim.claim_id])
+        ranked = select(served, extractor, claim)
+        assert hexed(ranked) == hexed(top_k(selector, full, K))
+        memo = extractor.prepare_claim(claim.text).vectors
+        stored = dict(memo)
+        assert {sid for sid, _ in ranked} <= set(stored)
         first = verdict(served, extractor, claim, ranked)
-        assert featurized == featurize_candidates(FeatureExtractor(index), claim, pages[claim.claim_id], corpus)
+        assert memo == stored == {sid: vector for sid, vector in full if sid in stored}
+        assert all(memo[sid] is vector for sid, vector in stored.items())
         assert verdict(served, extractor, claim, ranked) == first
-        selected = {sid for sid, _ in ranked}
-        positioned += sum(1 for sid, vector in featurized if sid in selected and vector[POSITION] > 0.0)
+        positioned += sum(1 for sid, _ in ranked if memo[sid][POSITION] > 0.0)
     assert positioned > 0
 
 
 def test_served_claim_is_prepared_and_featurized_once(served, monkeypatch):
-    """One served claim parses its text once on the sentence index, and its
-    verdict featurizes none of the selected sentences again."""
+    """One served claim parses its text once on the sentence index. Its
+    ranking finishes each candidate at most once, fewer than there are
+    over the stream, and every ranked one; its verdict, and a second
+    serving of the claim, finish none again."""
     corpus, index, retriever, claims, _, selector, weights = served
     model = NliModel([list(ws) for ws in weights], [0.0, 0.1, -0.1])
 
@@ -193,19 +208,34 @@ def test_served_claim_is_prepared_and_featurized_once(served, monkeypatch):
         assert [p for p in parses if p is index] == [index]
     monkeypatch.undo()
 
-    featurized = []
-    original = FeatureExtractor.page_features
+    finished, featurized = [], []
+    original_finish, original_page_features = FeatureExtractor.finish, FeatureExtractor.page_features
 
-    def counting(self, claim, pages):
+    def counting_finish(self, claim, sentence):
+        finished.append(sentence[0])
+        return original_finish(self, claim, sentence)
+
+    def counting_page_features(self, claim, pages):
         pages = list(pages)
         featurized.extend(document.sids[position] for document, positions in pages for position in positions)
-        return original(self, claim, pages)
+        return original_page_features(self, claim, pages)
 
-    monkeypatch.setattr(FeatureExtractor, "page_features", counting)
+    monkeypatch.setattr(FeatureExtractor, "finish", counting_finish)
+    monkeypatch.setattr(FeatureExtractor, "page_features", counting_page_features)
+    total_finished = total_candidates = 0
     for claim in claims:
-        del featurized[:]
-        ranked, _ = serve(extractor, claim)
+        extractor = FeatureExtractor(index)
+        del finished[:]
+        ranked = select_sentences(selector, extractor, claim, retriever.retrieve(claim.text), corpus, K)
         documents = [corpus.documents[page_id] for page_id in dict.fromkeys(retriever.retrieve(claim.text))]
         candidates = [doc.sids[position] for doc in documents for position in doc.candidate_positions]
-        assert featurized == candidates
-        assert {sid for sid, _ in ranked} <= set(candidates)
+        assert len(set(finished)) == len(finished)
+        assert {sid for sid, _ in ranked} <= set(finished) <= set(candidates)
+        assert list(extractor.prepare_claim(claim.text).vectors) == finished
+        total_finished += len(finished)
+        total_candidates += len(candidates)
+        del finished[:]
+        verdict_for_claim(model, extractor, corpus, claim, ranked)
+        assert serve(extractor, claim)[0] == ranked
+        assert finished == featurized == []
+    assert 0 < total_finished < total_candidates

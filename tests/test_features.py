@@ -34,8 +34,10 @@ from claimlab.retrieval import DocRetrievalConfig, DocumentRetriever, with_gold_
 from claimlab.selection import (
     NegativePool,
     Regime,
+    RelevanceModel,
     TrainingConfig,
-    featurize_candidates,
+    rank_candidates,
+    select_sentences,
     train_selector,
 )
 
@@ -272,8 +274,10 @@ def sentences_of(corpus, pages):
 
 def assert_shipped_paths(corpus, index, claim, candidate_pages, pool_sids, evidence_sids):
     """Every feature path the pipeline runs equals reference_selection_features
-    (plus the polarity features for pairs): featurize_candidates over the
-    candidate pages, selector training's vector of each pool sentence, and
+    (plus the polarity features for pairs): the vector rank_candidates
+    finishes for each candidate of the candidate pages (k above their
+    number, so every one is finished), selector training's vector of each
+    pool sentence, and
     the pairs verdict_for_claim and NLI training classify for the evidence.
     Returns the number of vectors checked."""
     extractor = FeatureExtractor(index)
@@ -286,9 +290,12 @@ def assert_shipped_paths(corpus, index, claim, candidate_pages, pool_sids, evide
         title = display_title(sid.page_id)
         return reference_selection_features(extractor, claim.text, title, body, position, index.norms.get(sid))
 
-    featurized = featurize_candidates(extractor, claim, candidate_pages, corpus)
     candidates = sentences_of(corpus, candidate_pages)
-    assert [sid for sid, _ in featurized] == candidates
+    model = RelevanceModel([0.0] * len(SELECTION_FEATURE_NAMES), 0.0)
+    [ranked] = rank_candidates([model], extractor, claim, candidate_pages, corpus, len(candidates) + 1)
+    memo = extractor.prepare_claim(claim.text).vectors
+    assert sorted(memo) == sorted(sid for sid, _ in ranked) == sorted(candidates)
+    featurized = [(sid, memo[sid]) for sid in candidates]
     for sid, features in featurized:
         assert features == expected(sid, None)
 
@@ -360,20 +367,39 @@ class TestPreparedClaim:
                 assert postings is index.postings.get(token, postings)
 
     def test_memo_holds_indexed_sentences_only(self, fixture_world, monkeypatch):
-        """A served claim's memo holds the very vectors featurize_candidates
-        returned, all of indexed sentences, and pair_features reads them
-        without featurizing again; a sentence the index does not hold is
-        never stored, and is featurized on every call."""
+        """A served claim's memo holds the very vectors its ranking
+        finished, with page_features' bits, every ranked sentence among
+        them, all of indexed sentences and fewer than the candidates, and
+        pair_features reads them without featurizing again; a sentence the
+        index does not hold is never stored, and is featurized on every
+        call."""
         corpus = ingest_corpus(fixture_world / "corpus")
         index = build_index(corpus, "sentence")
         extractor = FeatureExtractor(index)
         claim = load_claims(fixture_world / "dev.jsonl")[0]
         pages = DocumentRetriever(corpus, build_index(corpus, "document")).retrieve(claim.text)
-        featurized = featurize_candidates(extractor, claim, pages, corpus)
+        finished = []
+        original_finish = FeatureExtractor.finish
+
+        def counting_finish(self, prepared, sentence):
+            vector = original_finish(self, prepared, sentence)
+            finished.append((sentence[0], vector))
+            return vector
+
+        monkeypatch.setattr(FeatureExtractor, "finish", counting_finish)
+        model = RelevanceModel([0.5 - i / 10 for i in range(len(SELECTION_FEATURE_NAMES))], 0.1)
+        ranked = select_sentences(model, extractor, claim, pages, corpus, 5)
+        monkeypatch.undo()
         prepared = extractor.prepare_claim(claim.text)
-        assert featurized and all(sid in index.norms for sid, _ in featurized)
-        assert list(prepared.vectors) == [sid for sid, _ in featurized]
-        assert all(prepared.vectors[sid] is vector for sid, vector in featurized)
+        fresh = FeatureExtractor(index)
+        pages_of = corpus.pages_of(sentences_of(corpus, pages))
+        candidates = dict(fresh.page_features(fresh.prepare_claim(claim.text), pages_of))
+        assert len(ranked) == 5 and all(sid in index.norms for sid, _ in finished)
+        assert list(prepared.vectors) == [sid for sid, _ in finished]
+        assert all(prepared.vectors[sid] is vector for sid, vector in finished)
+        assert all(vector == candidates[sid] for sid, vector in finished)
+        assert {sid for sid, _ in ranked} <= set(prepared.vectors)
+        assert len(finished) < len(candidates)
 
         calls = []
         original = FeatureExtractor.page_features
@@ -384,14 +410,14 @@ class TestPreparedClaim:
             return original(self, claim, pages)
 
         monkeypatch.setattr(FeatureExtractor, "page_features", counting)
-        for document, positions in corpus.pages_of([sid for sid, _ in featurized]):
+        for document, positions in corpus.pages_of([sid for sid, _ in finished]):
             extractor.pair_features(prepared, document, positions)
         assert calls == []
         outside = Document("Elsewhere", ((0, "Alice Fenwick acts on stage."), (1, "")))
         for _ in range(2):
             extractor.pair_features(prepared, outside, [0, 1])
         assert calls == [list(outside.sids)] * 2
-        assert list(prepared.vectors) == [sid for sid, _ in featurized]
+        assert list(prepared.vectors) == [sid for sid, _ in finished]
 
     def test_edge_inputs_match_reference(self, extractor):
         for claim_text in self.EDGE_CLAIMS:
@@ -512,7 +538,8 @@ class TestPreparedClaim:
         for name in ("Counter", "tfidf_norm"):
             monkeypatch.setattr(features_module, name, counting(name, getattr(features_module, name)))
         claim = make_claim(1, Label.SUPPORTED, "Foo is alpha.")
-        featurized = featurize_candidates(extractor, claim, ["Foo", "Foo_(film)", "Bar", "Foo"], corpus)
+        selector = RelevanceModel([0.0] * len(SELECTION_FEATURE_NAMES), 0.0)
+        featurized = select_sentences(selector, extractor, claim, ["Foo", "Foo_(film)", "Bar", "Foo"], corpus, 5)
         assert len(featurized) == 4
         assert calls == {"Counter": 1, "tfidf_norm": 1, "tokenize": 1}
         calls.clear()

@@ -122,7 +122,7 @@ def test_retrieve_docs_retrieves_each_text_once(stack, lists, monkeypatch, oracl
 
 def test_select_evidence_ranks_each_text_and_pages_once(stack, lists, monkeypatch):
     corpus, extractor, retriever, _ = stack
-    calls = count_calls(monkeypatch, experiment, "featurize_candidates")
+    calls = count_calls(monkeypatch, experiment, "rank_candidates")
     keys = []
     for claims in lists:
         docs = retrieve_docs(retriever, claims, oracle_docs=True)
