@@ -143,12 +143,12 @@ class Corpus:
         return doc, position
 
     def pages_of(self, sids: Iterable[SentenceId]) -> list[tuple[Document, list[int]]]:
-        """The distinct sentences the corpus holds, as (document, positions)
-        per page; pages and positions in first-appearance order."""
+        """The distinct candidate (non-empty) sentences the corpus holds, as
+        (document, positions) per page, in first-appearance order."""
         pages: dict[str, tuple[Document, dict[int, None]]] = {}
         for sid in sids:
             located = self.locate(sid)
-            if located is not None:
+            if located is not None and located[0].sentences[located[1]][1]:
                 doc, position = located
                 pages.setdefault(doc.page_id, (doc, {}))[1][position] = None
         return [(doc, list(positions)) for doc, positions in pages.values()]

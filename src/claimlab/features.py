@@ -2,26 +2,30 @@
 
 A candidate is a sentence of a `corpus.Document`: the page's display
 title (disambiguation suffix stripped) and the sentence, each read as
-the tokens the document split once. The title travels with each
-candidate so pronoun-heavy evidence keeps its subject.
+the tokens the document split once; the title keeps pronoun-heavy
+evidence's subject. A sentence the extractor featurizes is a candidate,
+a unit of its index: any other (an empty one, or one at a line the
+index does not hold) raises a ValueError that names it. Pages are given
+as (document, positions), as `Corpus.pages_of` returns them, and each
+sentence is named by its document's own SentenceId (`Document.sids`).
 
 Each side of a feature is computed once. The claim side once per claim
 (`FeatureExtractor.prepare_claim`: the claim's `corpus.Query`, the one
 claim vector retrieval and negative sampling also read, the mask of
 query terms each entity span holds, and the negation cues and numerals
-pair features compare); the title side, from the document's title
-tokens, once per page of a `held` call. Pages are given as (document,
-positions), the shape `Corpus.pages_of` returns, and each sentence is
-named by its document's own SentenceId (`Document.sids`, the objects
-the index keys by).
+pair features compare); the title side once per page of a `held` call;
+the sentence side once per page, as the page's columns, derived from the
+index's units the first time the extractor holds the page and kept
+(bounded by the corpus, not by the claims served): per token the bitmask
+of the candidate positions holding it (a title token is held by every
+candidate), and per position its norm (`index.norms`), log_body_length
+and sentence_position.
 
 A selection vector is made in two steps. The held pass
-(`FeatureExtractor.held`), cheap and run for every sentence, reads the
-sentence's counts of the claim's terms from the query's postings and
-its norm from `index.norms` (a sentence the index does not hold, such
-as an empty one, counts its own tokens; both give equal bits, as the
-index counted the same title and body tokens with the same idf table
-and `corpus.tfidf_norm`). It yields the TF-IDF dot and the mask of the
+(`FeatureExtractor.held`), cheap and run for every sentence, looks up
+each posted claim term's column once per page and reads a sentence's
+count from the term's postings only where its bit is set. That yields
+the TF-IDF dot, added in the claim's term order, and the mask of the
 claim terms the sentence holds. Each distinct mask is worked out once
 per call: the shared-term count and idf overlap, the features built
 from them, and upper counts of the claim bigrams and entity spans the
@@ -36,22 +40,16 @@ can reach a model's top k. `pair_features` adds the polarity cues to
 copies of the selection vectors, a page's positions per call.
 
 Selection vectors live on the claim: each `PreparedClaim` holds the
-memo `{SentenceId: vector}` of the indexed sentences finished against
-it. `finish` stores each such vector, whoever calls it, and never reads
-the memo; `selection_vectors`, which `pair_features` and selector
-training call, and `selection.rank_candidates` read it, and finish only
-the sentences it lacks. Only the index pins what a SentenceId means (an
-indexed sentence's counts come from its postings), so a sentence the
-index does not hold is finished on every call. The extractor keeps the
-last claim it prepared, which `prepare_claim` of that text returns: a
-claim served alone (select, then verdict) is prepared once and each of
-its sentences finished at most once. A memo lives as long as its claim,
-never a whole run.
-
-Ranking finishes each candidate at most once per claim, training each
-indexed sentence once per prepared claim, and the verdict stage
-classifies each distinct (claim, sentence) pair once
-(`nli.claim_verdicts`), whatever the number of regimes.
+memo `{SentenceId: vector}` of the sentences finished against it, which
+`finish` fills and never reads; `selection_vectors` (for `pair_features`
+and selector training) and `selection.rank_candidates` read it, and
+finish only the sentences it lacks. The extractor keeps the last claim
+it prepared, which `prepare_claim` of that text returns: a claim served
+alone (select, then verdict) is prepared once and each of its sentences
+finished at most once. A memo lives as long as its claim, never a whole
+run. Ranking finishes each candidate at most once per claim, training
+each sentence once per prepared claim, and the verdict stage classifies
+each distinct (claim, sentence) pair once (`nli.claim_verdicts`).
 
 Contract: the extractor's index is the sentence index of the corpus
 being featurized.
@@ -60,11 +58,10 @@ being featurized.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .corpus import Document, InvertedIndex, Query, SentenceId, parse_query, tfidf_norm, token_spans
+from .corpus import Document, InvertedIndex, Query, SentenceId, parse_query, token_spans
 
 SELECTION_FEATURE_NAMES = (
     "unigram_overlap",
@@ -148,11 +145,9 @@ class PreparedClaim:
     extractor's index, plus its token set, bigrams and entity spans, and,
     for pair features, its negation cues and numerals. spans pairs each
     entity span's tokens with the mask of their indices in query.terms
-    (bit i for terms[i]). idf_mass is
-    the idf sum in the query's term order. vectors is the claim's memo,
-    {SentenceId: selection vector} of the indexed sentences featurized
-    against it (see the module docstring); it is no part of the claim's
-    equality or repr."""
+    (bit i for terms[i]). idf_mass is the idf sum in the query's term
+    order. vectors is the claim's memo (see the module docstring), no part
+    of the claim's equality or repr."""
 
     text: str
     query: Query
@@ -165,18 +160,20 @@ class PreparedClaim:
     vectors: dict[SentenceId, list[float]] = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
-# A held sentence: (sid, document, position, indexed, ceiling), see
-# FeatureExtractor.held.
-HeldSentence = tuple[SentenceId, Document, int, bool, list[float]]
+# A held sentence, always an index unit: (sid, document, position,
+# ceiling), see FeatureExtractor.held.
+HeldSentence = tuple[SentenceId, Document, int, list[float]]
 
 
 class FeatureExtractor:
     """Deterministic feature vectors backed by the sentence index of the
-    corpus being featurized; it keeps the last claim it prepared."""
+    corpus being featurized; it keeps its last claim and held pages' columns."""
 
     def __init__(self, index: InvertedIndex):
         self.index = index
         self._last_claim: Optional[PreparedClaim] = None
+        self._pages: dict[str, tuple[Document, dict[str, int], list]] = {}  # page id -> _page's columns
+        self._floats: dict[float, float] = {}  # one object per distinct row float, to keep rows small
 
     @classmethod
     def from_index(cls, index: InvertedIndex) -> "FeatureExtractor":
@@ -215,9 +212,9 @@ class FeatureExtractor:
     def held(self, claim: PreparedClaim, pages: Iterable[tuple[Document, Iterable[int]]]) -> list[HeldSentence]:
         """The held pass over the sentences at the given positions of each
         page's document, in page then position order: per sentence its
-        (sid, document, position, indexed, ceiling), against a prepared
-        claim (see the module docstring). Each page's title side, and each
-        distinct mask of held claim terms, is computed once per call."""
+        (sid, document, position, ceiling), against a prepared claim (see
+        the module docstring). Each page's title side and term columns, and
+        each distinct mask of held claim terms, is worked out once per call."""
         query = claim.query
         terms = query.terms
         bits = {token: 1 << i for i, (token, _, _, _) in enumerate(terms)}
@@ -229,39 +226,26 @@ class FeatureExtractor:
         n_claim = len(claim.token_set)
         claim_size = max(1, n_claim)
         query_norm, idf_mass = query.norm, claim.idf_mass
-        # An out-of-vocabulary term has no postings, so no indexed sentence holds it.
-        posted = [(count, idf * idf, postings.get, bits[token]) for token, count, idf, postings in terms if postings]
+        # An out-of-vocabulary term has no postings, so no sentence holds it.
+        posted = [(token, (count, idf * idf, postings, bits[token])) for token, count, idf, postings in terms if postings]
         per_mask: dict[int, tuple[float, float, float, float, float]] = {}
-        norms = self.index.norms
         held = []
         for document, positions in pages:
-            title_tokens = document.title_tokens
-            spans_in_title = _span_share(spans, set(title_tokens))
-            title_in_claim = 1.0 if contains_subsequence(query.tokens, title_tokens) else 0.0
-            document_tokens, document_sids = document.tokens, document.sids
-            denom = max(1, len(document_sids) - 1)
+            columns, rows = self._page(document)
+            # One lookup per (page, posted term); a count is read only where a bit is set.
+            on_page = [(column, term) for token, term in posted if (column := columns.get(token))]
+            spans_in_title = _span_share(spans, set(document.title_tokens))
+            title_in_claim = 1.0 if contains_subsequence(query.tokens, document.title_tokens) else 0.0
             for position in positions:
-                body_tokens = document_tokens[position]
-                sid = document_sids[position]
-                key, sentence_terms = sid, posted
-                candidate_norm = norms.get(sid)
-                if candidate_norm is None:
-                    # A sentence the index does not hold counts its own tokens: each
-                    # term's postings become {None: its count of it, or None if absent}.
-                    candidate_tf = Counter(title_tokens + body_tokens)
-                    candidate_norm = tfidf_norm(count * self.index.idf(token) for token, count in candidate_tf.items())
-                    key = None
-                    sentence_terms = [
-                        (count, idf * idf, {None: candidate_tf.get(token)}.get, bits[token])
-                        for token, count, idf, _ in terms
-                    ]
+                row = rows[position]
+                if row is None:
+                    raise ValueError(f"sentence {document.sids[position]} is no unit of the extractor's index")
+                sid, candidate_norm, log_body_length, sentence_position, at = row
                 # Every float sum runs in the claim's token order, never a set's hash order.
-                dot = 0.0
-                mask = 0
-                for count, idf_squared, get, bit in sentence_terms:
-                    candidate_count = get(key)
-                    if candidate_count is not None:
-                        dot += count * candidate_count * idf_squared
+                dot, mask = 0.0, 0
+                for column, (count, idf_squared, postings, bit) in on_page:
+                    if column & at:
+                        dot += count * postings[sid] * idf_squared
                         mask |= bit
                 values = per_mask.get(mask)
                 if values is None:
@@ -296,21 +280,43 @@ class FeatureExtractor:
                     idf_overlap,
                     spans_in_title,
                     spans_ceiling,
-                    math.log(1 + len(body_tokens)),
+                    log_body_length,
                     title_in_claim,
-                    position / denom,
+                    sentence_position,
                     missing,
                 ]
-                held.append((sid, document, position, key is not None, ceiling))
+                held.append((sid, document, position, ceiling))
         return held
+
+    def _page(self, document: Document) -> tuple[dict[str, int], list]:
+        """The document's columns, built when first held and kept for this very
+        document: token -> bitmask (bit p for position p), and per position the
+        unit's (sid, norm, log_body_length, sentence_position, bit) or None."""
+        page = self._pages.get(document.page_id)
+        if page is None or page[0] is not document:
+            columns: dict[str, int] = {}
+            rows: list = [None] * len(document.sids)
+            every, share = 0, self._floats.setdefault
+            for position in document.candidate_positions:
+                sid, body_tokens = document.sids[position], document.tokens[position]
+                norm = self.index.norms.get(sid)
+                if norm is not None:
+                    every |= (bit := 1 << position)
+                    for token in body_tokens:
+                        columns[token] = columns.get(token, 0) | bit
+                    log_length, relative = math.log(1 + len(body_tokens)), position / max(1, len(rows) - 1)
+                    rows[position] = (sid, norm, share(log_length, log_length), share(relative, relative), bit)
+            if every:
+                columns.update(dict.fromkeys(document.title_tokens, every))
+            page = self._pages[document.page_id] = (document, columns, rows)
+        return page[1], page[2]
 
     def finish(self, claim: PreparedClaim, sentence: HeldSentence) -> list[float]:
         """The selection vector of a held sentence: its ceiling, with
         bigram_overlap and entity_spans_in_body counted where their
-        ceiling is above 0 (at 0 the ceiling is the value). An indexed
-        sentence's vector is also stored in the claim's memo, which this
-        never reads."""
-        sid, document, position, indexed, vector = sentence
+        ceiling is above 0 (at 0 the ceiling is the value), also stored in
+        the claim's memo, which this never reads."""
+        sid, document, position, vector = sentence
         if vector[_BIGRAMS] or vector[_SPANS_IN_BODY]:
             body_tokens = document.tokens[position]
             vector = list(vector)
@@ -319,8 +325,7 @@ class FeatureExtractor:
                 vector[_BIGRAMS] = len(claim.bigrams.intersection(zip(tokens, tokens[1:]))) / max(1, len(claim.bigrams))
             if vector[_SPANS_IN_BODY]:
                 vector[_SPANS_IN_BODY] = _span_share(claim.spans, set(body_tokens))
-        if indexed:
-            claim.vectors[sid] = vector
+        claim.vectors[sid] = vector
         return vector
 
     def page_features(
@@ -329,8 +334,7 @@ class FeatureExtractor:
         """Selection features of the sentences at the given positions of each
         page's document, each with its SentenceId, in page then position
         order, against a prepared claim: the held pass, then each sentence
-        finished, so each indexed sentence's vector is also stored in the
-        claim's memo, which this never reads."""
+        finished (and so stored in the claim's memo, which this never reads)."""
         return [(sentence[0], self.finish(claim, sentence)) for sentence in self.held(claim, pages)]
 
     def selection_vectors(
@@ -345,12 +349,9 @@ class FeatureExtractor:
             for document, positions in pages
             if (lacking := [p for p in positions if document.sids[p] not in memo])
         ]
-        fresh = dict(self.page_features(claim, missing)) if missing else {}
-        return [
-            (sid, fresh[sid] if sid in fresh else memo[sid])
-            for document, positions in pages
-            for sid in (document.sids[p] for p in positions)
-        ]
+        if missing:
+            self.page_features(claim, missing)
+        return [(sid, memo[sid]) for document, positions in pages for sid in (document.sids[p] for p in positions)]
 
     def pair_features(
         self, claim: PreparedClaim, document: Document, positions: Sequence[int]

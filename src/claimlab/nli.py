@@ -153,10 +153,10 @@ def train_nli(
 ) -> NliModel:
     """Seeded gradient descent on softmax cross-entropy over pair features.
 
-    Supported/refuted claims pair with each gold evidence sentence;
-    NEI claims pair with their own top retrieved sentences. Each distinct
-    claim text is prepared once per call, and each of its indexed
-    sentences featurized once. All three classes must be present.
+    Supported/refuted claims pair with each gold sentence that is a
+    candidate (Corpus.pages_of); NEI claims with their own top retrieved
+    sentences. Each distinct claim text is prepared once per call, and each
+    of its sentences featurized once. All three classes must be present.
     """
     pairs = _training_pairs(claims, selections, corpus, extractor)
     present = {target for _, target in pairs}
@@ -182,9 +182,9 @@ def claim_verdicts(
     claim: Claim,
     evidence_lists: Sequence[RankedEvidence],
 ) -> list[tuple[Label, list[SentenceId]]]:
-    """One verdict per evidence list: each list's sentences that the corpus
-    holds, classified separately, then majority-voted. The lists may come
-    from several claims with the claim's text; only the text is read.
+    """One verdict per evidence list: each list's candidate sentences
+    (Corpus.pages_of), classified separately, then majority-voted. The
+    lists may come from several claims with its text; only the text is read.
 
     The claim is prepared once (or is the extractor's last claim) and
     each distinct sentence is classified once, however many lists rank

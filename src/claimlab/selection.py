@@ -258,11 +258,12 @@ def train_selectors(
     Each distinct (claim text, evidence groups) is prepared once, when the
     first regime uses a claim that has it: its PreparedClaim, whose query
     its NegativePool ranks with over the extractor's own index, and whose
-    memo keeps each indexed sentence's vector once first needed (see
-    `features`). Each regime then draws every claim's negatives from that
-    pool with a seed of its own config's seed and the claim's own id, in
-    claim order, reads the vectors of the claim's positives and negatives
-    through one selection_vectors call, and trains on its examples: each
+    memo keeps each sentence's vector once first needed (see `features`);
+    a gold sentence that is no candidate (missing or empty) is skipped.
+    Each regime then draws every claim's negatives from that pool with a
+    seed of its own config's seed and the claim's own id, in claim order,
+    reads the vectors of the claim's positives and negatives through one
+    selection_vectors call, and trains on its examples: each
     epoch re-scores the whole negative pool, keeps the hardest negatives
     so positive and negative counts match, and runs one pass of
     per-example gradient descent on the logistic loss in a seeded shuffled
@@ -284,7 +285,7 @@ def train_selectors(
         for claim in training_claims:
             key = (claim.text, claim.evidence_groups)
             if key not in prepared:
-                gold = [sid for sid in claim.gold_sentences() if corpus.get_sentence(sid) is not None]
+                gold = [sid for sid in claim.gold_sentences() if corpus.get_sentence(sid)]
                 prepared[key] = None
                 if gold:
                     side = extractor.prepare_claim(claim.text)
@@ -394,7 +395,8 @@ def rank_candidates(
 
     Duplicate pages are ranked once; unknown pages are skipped. The claim
     becomes the extractor's last claim. One held pass gives every
-    candidate its ceiling (features.FeatureExtractor.held). A model bounds
+    candidate its ceiling (features.FeatureExtractor.held, page-major; a
+    sentence the index does not hold raises there). A model bounds
     each candidate's score by the score of its ceiling under the model's
     weights with those of bigram_overlap and entity_spans_in_body raised
     to 0 if negative, in one logistic_scores call: this z is the score's
@@ -405,8 +407,7 @@ def rank_candidates(
     within a few units in the last place of its true value, or, below
     the smallest normal float, within a few subnormal steps of it, so the
     bound times 1 + _SCORE_SLACK, plus the smallest normal float, is no
-    smaller than the score. A sentence the index does not hold has an
-    unbounded score.
+    smaller than the score.
 
     Candidates are taken by falling bound. Each is finished (its vector
     read from the claim's memo, else FeatureExtractor.finish, which
@@ -420,8 +421,7 @@ def rank_candidates(
     documents = [corpus.documents.get(page_id) for page_id in dict.fromkeys(candidate_pages)]
     prepared = extractor.prepare_claim(claim.text)
     held = extractor.held(prepared, [(doc, doc.candidate_positions) for doc in documents if doc is not None])
-    ceilings = [(i, ceiling) for i, (_, _, _, _, ceiling) in enumerate(held)]
-    unbounded = [i for i, (_, _, _, indexed, _) in enumerate(held) if not indexed]
+    ceilings = [(i, ceiling) for i, (_, _, _, ceiling) in enumerate(held)]
     memo = prepared.vectors
     ranked = []
     for model in models:
@@ -429,7 +429,6 @@ def rank_candidates(
         for feature in BOUNDED_FEATURES:
             weights[feature] = max(weights[feature], 0.0)
         bounds = logistic_scores(len(weights))(weights, model.bias, ceilings)
-        bounds.update(dict.fromkeys(unbounded, math.inf))
         scores: dict[SentenceId, float] = {}
         best: list[float] = []  # the k best scores so far, a min-heap
         for i, bound in sorted(bounds.items(), key=itemgetter(1), reverse=True):

@@ -9,6 +9,7 @@ the same index, so nothing carries over from an earlier call.
 """
 
 import random
+import re
 import sys
 
 import pytest
@@ -143,18 +144,29 @@ def test_preparing_another_claim_evicts_the_slot(served, monkeypatch):
 
 
 def test_another_document_under_a_stored_page_id_is_featurized_afresh(served):
-    """A claim's memo holds indexed sentences only, as only the index pins
-    what a SentenceId means: a document built outside the corpus, at a
-    line the index does not hold, is featurized on every call, so other
-    text under the same SentenceId gets its own vector."""
-    index = served[1]
+    """The extractor keeps a page's columns for the very document it was
+    built from: another document under the page id gets its own. One built
+    outside the corpus, at a line the index does not hold, is rejected on
+    every call, naming the sentence, and nothing of it enters the memo;
+    an equal copy of the page's document gets the page's vectors."""
+    corpus, index = served[0], served[1]
+    page = sorted(corpus.documents)[0]
+    document = corpus.documents[page]
+    positions = list(document.candidate_positions)
     extractor = FeatureExtractor(index)
     claim = extractor.prepare_claim("Alice Fenwick starred in Halcyon.")
-    before = Document("Halcyon", ((-1, "Halcyon is a hit sitcom."),))
-    after = Document("Halcyon", ((-1, "It airs nightly on GBC."),))
-    first = extractor.pair_features(claim, before, [0])
-    assert extractor.pair_features(claim, after, [0]) == FeatureExtractor(index).pair_features(claim, after, [0])
-    assert extractor.pair_features(claim, after, [0]) != first
+    first = extractor.page_features(claim, [(document, positions)])
+    stored = dict(claim.vectors)
+    for text in ("Halcyon is a hit sitcom.", "It airs nightly on GBC."):
+        outside = Document(page, ((-1, text),))
+        for fresh in (extractor, FeatureExtractor(index)):
+            with pytest.raises(ValueError, match=re.escape(f"sentence {outside.sids[0]} is no unit")):
+                fresh.pair_features(claim, outside, [0])
+    assert claim.vectors == stored
+    copy = Document(page, document.sentences)
+    assert copy is not document
+    assert extractor.page_features(claim, [(copy, positions)]) == first
+    assert extractor.page_features(claim, [(document, positions)]) == first
 
 
 def full_vectors(index, corpus, claim, pages):

@@ -7,11 +7,12 @@ from pathlib import Path
 import pytest
 
 import claimlab
-from claimlab.claims import load_claims
+from claimlab.claims import Claim, Label, load_claims, save_claims
 from claimlab.cli import main
-from claimlab.corpus import build_index, ingest_corpus
+from claimlab.corpus import SentenceId, build_index, ingest_corpus
 from claimlab.experiment import ALL_REGIMES, ExperimentConfig, load_docs, run_experiment, write_selections
-from claimlab.features import FeatureExtractor
+from claimlab.features import PAIR_FEATURE_NAMES, FeatureExtractor
+from claimlab.nli import CLASS_ORDER, NliModel
 from claimlab.selection import RelevanceModel, aggregate_sr, select_sentences
 from claimlab.util import stable_seed
 from claimlab.worldgen import WorldConfig, build_world, write_world
@@ -281,6 +282,26 @@ def test_verdict_output_format(pipeline_artifacts):
     assert all(
         row["predicted_label"] in ("SUPPORTS", "REFUTES", "NOT ENOUGH INFO") for row in rows
     )
+
+
+def test_verdict_drops_sentences_that_are_no_candidates(tmp_path):
+    """A selections file may name a sentence with empty text, which is no
+    candidate (no index unit): verdict drops it the way it drops one the
+    corpus lacks, and classifies only the candidate."""
+    page = {"id": "Halcyon", "lines": "0\t\n1\tHalcyon is a sitcom."}
+    (tmp_path / "corpus.jsonl").write_text(json.dumps(page) + "\n")
+    claim = Claim(claim_id=1, label=Label.SUPPORTED, text="Halcyon is a sitcom.", evidence=())
+    save_claims(tmp_path / "claims.jsonl", [claim])
+    model = NliModel([[0.0] * len(PAIR_FEATURE_NAMES) for _ in CLASS_ORDER], [0.0, 1.0, 0.0])
+    model.save(tmp_path / "nli.json")
+    evidence = [(SentenceId("Halcyon", 0), 0.9), (SentenceId("Missing", 0), 0.8), (SentenceId("Halcyon", 1), 0.7)]
+    write_selections(tmp_path / "selections.jsonl", {1: evidence})
+    args = ["verdict", "--model", str(tmp_path / "nli.json"), "--selections", str(tmp_path / "selections.jsonl")]
+    args += ["--claims", str(tmp_path / "claims.jsonl"), "--corpus", str(tmp_path / "corpus.jsonl")]
+    assert main(args + ["--out", str(tmp_path / "verdicts.jsonl")]) == 0
+    assert read_jsonl(tmp_path / "verdicts.jsonl") == [
+        {"claim_id": 1, "predicted_label": "SUPPORTS", "predicted_evidence": [["Halcyon", 1]]}
+    ]
 
 
 def test_evaluate_report(world_dir, pipeline_artifacts, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter
 from dataclasses import fields
 
@@ -44,68 +45,82 @@ from claimlab.selection import (
 from conftest import make_claim, make_corpus
 
 
+PAGES = {
+    "Halcyon": ["Halcyon is a hit sitcom.", "It airs nightly on GBC."],
+    "Alice Fenwick": ["Alice Fenwick is an actor.", "She starred in Halcyon."],
+}
+
+
 @pytest.fixture
 def extractor():
-    corpus = make_corpus(
-        {
-            "Halcyon": ["Halcyon is a hit sitcom.", "It airs nightly on GBC."],
-            "Alice Fenwick": ["Alice Fenwick is an actor.", "She starred in Halcyon."],
-        }
-    )
-    return FeatureExtractor(build_index(corpus, "sentence"))
+    return FeatureExtractor(build_index(make_corpus(PAGES), "sentence"))
 
 
 def idx(name):
     return SELECTION_FEATURE_NAMES.index(name)
 
 
-def candidate(title, body):
-    """A one-sentence document with the given display title, at line -1,
-    which no index holds, so its features count its own tokens."""
-    doc = Document(title, ((-1, body),))
+def candidate(title, bodies):
+    """A page with the given display title and sentences (lines 0, 1, ...),
+    added to PAGES, and an extractor over the sentence index of them all,
+    so each non-empty sentence of the page is an index unit."""
+    doc = Document(title.replace(" ", "_") + "_(candidate)", tuple(enumerate(bodies)))
     assert doc.title == title
-    return doc
+    corpus = make_corpus(PAGES)
+    corpus.documents[doc.page_id] = doc
+    return FeatureExtractor(build_index(corpus, "sentence")), doc
 
 
-def candidate_features(extractor, claim, title, body, position=0.0):
-    """Selection features of a (title, body) candidate against a prepared
-    claim. The body sits at the given relative position (a multiple of
-    1/4) of five sentences, the others empty, at lines no index holds."""
+def candidate_page(title, body, position=0.0):
+    """candidate() with the body at the given relative position (a multiple
+    of 1/4) of five sentences, the others empty: its extractor, document
+    and the body's position."""
     at = round(position * 4)
-    doc = Document(title, tuple((line - 5, body if line == at else "") for line in range(5)))
-    assert doc.title == title
-    [(sid, features)] = extractor.page_features(claim, [(doc, [at])])
-    assert sid == SentenceId(title, at - 5)
+    extractor, doc = candidate(title, [body if line == at else "" for line in range(5)])
+    return extractor, doc, at
+
+
+def candidate_features(claim_text, title, body, position=0.0):
+    """Selection features of a (title, body) candidate (candidate_page)
+    against the claim, prepared by the candidate's extractor."""
+    extractor, doc, at = candidate_page(title, body, position)
+    [(sid, features)] = extractor.page_features(extractor.prepare_claim(claim_text), [(doc, [at])])
+    assert sid is doc.sids[at]
     return features
 
 
-def pair_features(extractor, claim, title, body):
-    """Pair features of a (title, body) candidate against a prepared claim."""
-    doc = candidate(title, body)
-    [(sid, features)] = extractor.pair_features(claim, doc, [0])
+def pair_features(claim_text, title, body):
+    """Pair features of a one-sentence (title, body) candidate (candidate())
+    against the claim, prepared by the candidate's extractor."""
+    extractor, doc = candidate(title, [body])
+    [(sid, features)] = extractor.pair_features(extractor.prepare_claim(claim_text), doc, [0])
     assert sid is doc.sids[0]
     return features
 
 
+def rejected(sid):
+    """pytest.raises for a ValueError that names the sentence."""
+    return pytest.raises(ValueError, match=re.escape(f"sentence {sid} is no unit of the extractor's index"))
+
+
 class TestSelectionFeatures:
-    def test_identical_candidate_full_overlap(self, extractor):
+    def test_identical_candidate_full_overlap(self):
         claim = "Alice Fenwick starred in Halcyon."
-        features = candidate_features(extractor, extractor.prepare_claim(claim), "", claim)
+        features = candidate_features(claim, "", claim)
         assert features[idx("unigram_overlap")] == 1.0
         assert features[idx("claim_tokens_missing")] == 0.0
         assert features[idx("tfidf_cosine")] == pytest.approx(1.0)
 
-    def test_disjoint_tokens_zero_overlap(self, extractor):
-        features = candidate_features(extractor, extractor.prepare_claim("alpha beta"), "Gamma", "delta epsilon.")
+    def test_disjoint_tokens_zero_overlap(self):
+        features = candidate_features("alpha beta", "Gamma", "delta epsilon.")
         for name in ("unigram_overlap", "bigram_overlap", "tfidf_cosine", "idf_weighted_overlap"):
             assert features[idx(name)] == 0.0
         assert features[idx("claim_tokens_missing")] == 1.0
 
-    def test_hand_computed_vector(self, extractor):
+    def test_hand_computed_vector(self):
         claim = "Alice Fenwick starred in the hit sitcom Halcyon."
-        features = candidate_features(
-            extractor, extractor.prepare_claim(claim), "Halcyon", "Halcyon is a hit sitcom.", position=0.0
-        )
+        features = candidate_features(claim, "Halcyon", "Halcyon is a hit sitcom.", position=0.0)
+        extractor, _, _ = candidate_page("Halcyon", "Halcyon is a hit sitcom.", position=0.0)
         claim_tokens = {"alice", "fenwick", "starred", "in", "the", "hit", "sitcom", "halcyon"}
         matched = {"halcyon", "hit", "sitcom"}
         assert features[idx("unigram_overlap")] == pytest.approx(len(matched) / len(claim_tokens))
@@ -122,34 +137,34 @@ class TestSelectionFeatures:
         assert features[idx("sentence_position")] == 0.0
         assert features[idx("claim_tokens_missing")] == pytest.approx(5 / 8)
 
-    def test_entity_span_features(self, extractor):
+    def test_entity_span_features(self):
         claim = "Alice Fenwick starred in Halcyon."
-        features = candidate_features(
-            extractor, extractor.prepare_claim(claim), "Alice Fenwick", "Alice Fenwick acts on stage.", position=0.5
-        )
+        features = candidate_features(claim, "Alice Fenwick", "Alice Fenwick acts on stage.", position=0.5)
         assert features[idx("entity_spans_in_title")] == 1.0
         assert features[idx("entity_spans_in_body")] == 1.0
         assert features[idx("sentence_position")] == 0.5
 
-    def test_span_tokens_differ_from_tokens(self, extractor):
+    def test_span_tokens_differ_from_tokens(self):
         """"ΟΔΟΣ.Α Bb" has the span token "οδος" but the token "οδοσ" (final
         sigma), so span features follow the spans, not the shared tokens."""
-        claim = extractor.prepare_claim("ΟΔΟΣ.Α Bb")
-        features = candidate_features(extractor, claim, "ΟΔΟΣ.Α Bb", "ΟΔΟΣ Α Bb")
+        features = candidate_features("ΟΔΟΣ.Α Bb", "ΟΔΟΣ.Α Bb", "ΟΔΟΣ Α Bb")
         assert features[idx("unigram_overlap")] == 1.0
         assert features[idx("entity_spans_in_title")] == 0.0
         assert features[idx("entity_spans_in_body")] == 1.0
 
-    def test_no_spans_gives_zero(self, extractor):
-        claim = extractor.prepare_claim("lowercase claim only")
-        features = candidate_features(extractor, claim, "Title", "body words.")
+    def test_no_spans_gives_zero(self):
+        features = candidate_features("lowercase claim only", "Title", "body words.")
         assert features[idx("entity_spans_in_title")] == 0.0
         assert features[idx("entity_spans_in_body")] == 0.0
 
-    def test_all_finite(self, extractor):
-        features = candidate_features(extractor, extractor.prepare_claim(""), "", "", position=0.0)
+    def test_all_finite(self):
+        """A claim and a candidate without a token (the candidate a unit of
+        norm 0); an empty sentence is no unit, so featurizing it raises."""
+        features = candidate_features("", "", "...", position=0.0)
         assert len(features) == len(SELECTION_FEATURE_NAMES)
         assert all(math.isfinite(x) for x in features)
+        with rejected(candidate_page("", "")[1].sids[0]):
+            candidate_features("", "", "", position=0.0)
 
 
 def pidx(name):
@@ -157,38 +172,32 @@ def pidx(name):
 
 
 class TestPairFeatures:
-    def test_negation_cue_mismatch(self, extractor):
+    def test_negation_cue_mismatch(self):
         features = pair_features(
-            extractor,
-            extractor.prepare_claim("Stan Beeman is only in shows on BBC."),
-            "Stan Beeman",
-            "Stan Beeman acts in a US TV series.",
+            "Stan Beeman is only in shows on BBC.", "Stan Beeman", "Stan Beeman acts in a US TV series."
         )
         assert features[pidx("negation_cue_mismatch")] == 1.0
 
-    def test_identical_texts_no_mismatch(self, extractor):
+    def test_identical_texts_no_mismatch(self):
         text = "Alice Fenwick starred in Halcyon in 1999."
-        features = pair_features(extractor, extractor.prepare_claim(text), "", text)
+        features = pair_features(text, "", text)
         assert features[pidx("negation_cue_mismatch")] == 0.0
         assert features[pidx("numeral_mismatch")] == 0.0
 
-    def test_numeral_mismatch(self, extractor):
-        claim = extractor.prepare_claim("Alice Fenwick was born in 2001.")
-        features = pair_features(extractor, claim, "Alice Fenwick", "She was born in 1953.")
+    def test_numeral_mismatch(self):
+        features = pair_features("Alice Fenwick was born in 2001.", "Alice Fenwick", "She was born in 1953.")
         assert features[pidx("numeral_mismatch")] == 1.0
 
-    def test_contraction_cue_detected(self, extractor):
-        claim = extractor.prepare_claim("She isn't on stage.")
-        features = pair_features(extractor, claim, "She", "She is on stage.")
+    def test_contraction_cue_detected(self):
+        features = pair_features("She isn't on stage.", "She", "She is on stage.")
         assert features[pidx("negation_cue_mismatch")] == 1.0
 
-    def test_evidence_subset_of_claim(self, extractor):
-        claim = extractor.prepare_claim("alpha beta gamma delta")
-        features = pair_features(extractor, claim, "alpha", "beta gamma")
+    def test_evidence_subset_of_claim(self):
+        features = pair_features("alpha beta gamma delta", "alpha", "beta gamma")
         assert features[pidx("evidence_tokens_missing")] == 0.0
 
-    def test_pair_length(self, extractor):
-        features = pair_features(extractor, extractor.prepare_claim("a claim"), "A Title", "the evidence")
+    def test_pair_length(self):
+        features = pair_features("a claim", "A Title", "the evidence")
         assert len(features) == len(PAIR_FEATURE_NAMES)
 
 
@@ -277,9 +286,10 @@ def assert_shipped_paths(corpus, index, claim, candidate_pages, pool_sids, evide
     (plus the polarity features for pairs): the vector rank_candidates
     finishes for each candidate of the candidate pages (k above their
     number, so every one is finished), selector training's vector of each
-    pool sentence, and
-    the pairs verdict_for_claim and NLI training classify for the evidence.
-    Returns the number of vectors checked."""
+    candidate among the pool sentences, and the pairs verdict_for_claim and
+    NLI training classify for the evidence. A sentence the corpus lacks or
+    that is no candidate (empty text) is dropped by each path, never
+    featurized. Returns the number of vectors checked."""
     extractor = FeatureExtractor(index)
 
     def expected(sid, position):
@@ -288,7 +298,7 @@ def assert_shipped_paths(corpus, index, claim, candidate_pages, pool_sids, evide
         if position is None:
             position = [line for line, _ in doc.sentences].index(sid.line_index) / max(1, len(doc.sentences) - 1)
         title = display_title(sid.page_id)
-        return reference_selection_features(extractor, claim.text, title, body, position, index.norms.get(sid))
+        return reference_selection_features(extractor, claim.text, title, body, position, index.norms[sid])
 
     candidates = sentences_of(corpus, candidate_pages)
     model = RelevanceModel([0.0] * len(SELECTION_FEATURE_NAMES), 0.0)
@@ -299,10 +309,13 @@ def assert_shipped_paths(corpus, index, claim, candidate_pages, pool_sids, evide
     for sid, features in featurized:
         assert features == expected(sid, None)
 
-    training = dict(extractor.selection_vectors(extractor.prepare_claim(claim.text), corpus.pages_of(pool_sids)))
-    assert [training[sid] for sid in pool_sids] == [expected(sid, None) for sid in pool_sids]
+    pool_candidates = [sid for sid in dict.fromkeys(pool_sids) if corpus.get_sentence(sid)]
+    training = extractor.selection_vectors(extractor.prepare_claim(claim.text), corpus.pages_of(pool_sids))
+    assert sorted(sid for sid, _ in training) == sorted(pool_candidates)
+    training = dict(training)
+    assert [training[sid] for sid in pool_candidates] == [expected(sid, None) for sid in pool_candidates]
 
-    resolvable = [sid for sid in evidence_sids if corpus.get_sentence(sid) is not None]
+    resolvable = [sid for sid in evidence_sids if corpus.get_sentence(sid)]
     pair_expected = [
         expected(sid, 0.0)
         + reference_polarity_features(claim.text, display_title(sid.page_id), corpus.get_sentence(sid))
@@ -329,7 +342,7 @@ def assert_shipped_paths(corpus, index, claim, candidate_pages, pool_sids, evide
     assert [features for features, _ in training_pairs] == [
         pair_expected[resolvable.index(sid)] for sid in sorted(set(resolvable))
     ]
-    return len(featurized) + len(pool_sids) + len(classified) + len(training_pairs)
+    return len(featurized) + len(pool_candidates) + len(classified) + len(training_pairs)
 
 
 WORDS = ("alpha", "beta", "Gamma", "Delta", "the", "1999", "ΟΔΟΣ.Α", "ΟΔΟΣ", "Α", "Bb", "isn't", "Foo")
@@ -371,8 +384,8 @@ class TestPreparedClaim:
         finished, with page_features' bits, every ranked sentence among
         them, all of indexed sentences and fewer than the candidates, and
         pair_features reads them without featurizing again; a sentence the
-        index does not hold is never stored, and is featurized on every
-        call."""
+        index does not hold is rejected on every call, naming it, and never
+        stored."""
         corpus = ingest_corpus(fixture_world / "corpus")
         index = build_index(corpus, "sentence")
         extractor = FeatureExtractor(index)
@@ -415,25 +428,39 @@ class TestPreparedClaim:
         assert calls == []
         outside = Document("Elsewhere", ((0, "Alice Fenwick acts on stage."), (1, "")))
         for _ in range(2):
-            extractor.pair_features(prepared, outside, [0, 1])
+            with rejected(outside.sids[0]):
+                extractor.pair_features(prepared, outside, [0, 1])
         assert calls == [list(outside.sids)] * 2
         assert list(prepared.vectors) == [sid for sid, _ in finished]
 
-    def test_edge_inputs_match_reference(self, extractor):
+    def test_edge_inputs_match_reference(self):
+        """Each edge candidate with text matches the reference; the empty
+        one is no index unit and is rejected, naming it."""
         for claim_text in self.EDGE_CLAIMS:
-            prepared = extractor.prepare_claim(claim_text)
             for title, body, position in self.EDGE_CANDIDATES:
+                extractor, doc, at = candidate_page(title, body, position)
+                if not body:
+                    with rejected(doc.sids[at]):
+                        candidate_features(claim_text, title, body, position)
+                    continue
                 expected = reference_selection_features(extractor, claim_text, title, body, position)
-                assert candidate_features(extractor, prepared, title, body, position) == expected
+                assert candidate_features(claim_text, title, body, position) == expected
 
-    def test_pair_features_accept_prepared_claim(self, extractor):
+    def test_pair_features_accept_prepared_claim(self):
         """Pair features start with the candidate's selection features at
-        position 0, even for titles such as "St. Louis" that contain ". "."""
+        position 0, even for titles such as "St. Louis" that contain ". ";
+        the empty candidate is rejected by both, naming it."""
         for claim_text in self.EDGE_CLAIMS:
-            prepared = extractor.prepare_claim(claim_text)
             for title, body, _ in self.EDGE_CANDIDATES:
-                features = pair_features(extractor, prepared, title, body)
-                assert features[:10] == candidate_features(extractor, prepared, title, body, 0.0)
+                if not body:
+                    sid = candidate(title, [body])[1].sids[0]
+                    with rejected(sid):
+                        pair_features(claim_text, title, body)
+                    with rejected(sid):
+                        candidate_features(claim_text, title, body, 0.0)
+                    continue
+                features = pair_features(claim_text, title, body)
+                assert features[:10] == candidate_features(claim_text, title, body, 0.0)
                 assert len(features) == len(PAIR_FEATURE_NAMES)
 
     def test_every_scored_pair_of_fixture_world(self, fixture_world):
@@ -474,7 +501,7 @@ class TestPreparedClaim:
         ),
         candidate_pages=st.lists(st.sampled_from(PAGE_IDS + ("Unknown",)), max_size=8),
     )
-    # An empty sentence, which the index does not hold; the span "ΟΔΟΣ Α Bb",
+    # An empty sentence, which no path featurizes; the span "ΟΔΟΣ Α Bb",
     # whose token "οδος" is no query token (the claim's is "οδοσ"), in a
     # body; and a span whose query tokens the title alone holds.
     @example(
@@ -498,19 +525,36 @@ class TestPreparedClaim:
         claim = make_claim(1, Label.SUPPORTED, claim_text, [every])
         assert_shipped_paths(corpus, index, claim, candidate_pages, every, every + [SentenceId("Unknown", 0)])
 
-    def test_training_with_empty_gold_sentence(self):
-        """A gold sentence with empty text is a training positive that is
-        not in the index, so its counts and norm come from its own tokens."""
+    def test_training_with_empty_gold_sentence(self, monkeypatch):
+        """A gold sentence with empty text is no index unit, so selector and
+        NLI training skip it where they skip one the corpus lacks, and never
+        featurize it: a claim whose only gold sentence is empty has no
+        trainable positive."""
         corpus = make_corpus({"Ada Hartley": ["", "Ada Hartley acts in Fernbank."], "Fernbank": ["A sitcom."]})
         index = build_index(corpus, "sentence")
-        claim = make_claim(1, Label.SUPPORTED, "Ada Hartley starred in Fernbank.", [[("Ada Hartley", 0)]])
-        assert SentenceId("Ada Hartley", 0) not in index.norms
-        sids = [SentenceId("Ada Hartley", 0), SentenceId("Ada Hartley", 1), SentenceId("Fernbank", 0)]
+        text = "Ada Hartley starred in Fernbank."
+        empty = SentenceId("Ada Hartley", 0)
+        claim = make_claim(1, Label.SUPPORTED, text, [[("Ada Hartley", 0)]])
+        assert empty not in index.norms
+        sids = [empty, SentenceId("Ada Hartley", 1), SentenceId("Fernbank", 0)]
         assert_shipped_paths(corpus, index, claim, [], sids, sids)
+        assert _training_pairs([claim], {}, corpus, FeatureExtractor(index)) == []
+        finished = []
+        finish = FeatureExtractor.finish
+
+        def counting_finish(self, prepared, sentence):
+            finished.append(sentence[0])
+            return finish(self, prepared, sentence)
+
+        monkeypatch.setattr(FeatureExtractor, "finish", counting_finish)
         extractor = FeatureExtractor(index)
-        model = train_selector([claim], [], corpus, index, extractor, Regime.BASELINE, TrainingConfig(seed=1))
+        with pytest.raises(ValueError, match="no trainable positives"):
+            train_selector([claim], [], corpus, index, extractor, Regime.BASELINE, TrainingConfig(seed=1))
+        both = make_claim(1, Label.SUPPORTED, text, [[("Ada Hartley", 0)], [("Ada Hartley", 1)]])
+        model = train_selector([both], [], corpus, index, extractor, Regime.BASELINE, TrainingConfig(seed=1))
         assert model.metadata["n_positives"] == 1
-        assert model.metadata["n_negatives"] == 2
+        assert model.metadata["n_negatives"] == 1
+        assert sorted(finished) == sids[1:]
 
     def test_indexed_sentences_read_the_index(self, monkeypatch):
         """Featurizing and classifying indexed sentences builds no Counter
@@ -535,8 +579,8 @@ class TestPreparedClaim:
 
         for name in ("Counter", "tfidf_norm", "tokenize"):
             monkeypatch.setattr(corpus_module, name, counting(name, getattr(corpus_module, name)))
-        for name in ("Counter", "tfidf_norm"):
-            monkeypatch.setattr(features_module, name, counting(name, getattr(features_module, name)))
+        # The feature layer reads every count and norm from the index.
+        assert not hasattr(features_module, "Counter") and not hasattr(features_module, "tfidf_norm")
         claim = make_claim(1, Label.SUPPORTED, "Foo is alpha.")
         selector = RelevanceModel([0.0] * len(SELECTION_FEATURE_NAMES), 0.0)
         featurized = select_sentences(selector, extractor, claim, ["Foo", "Foo_(film)", "Bar", "Foo"], corpus, 5)
@@ -606,8 +650,55 @@ class TestOneNorm:
         assert len(index.norms) > 1000
 
     def test_full_overlap_is_exactly_one(self, fixture_world):
+        """Each dev claim's text, as an untitled sentence of a page added to
+        the corpus before indexing, holds every claim term."""
         corpus = ingest_corpus(fixture_world / "corpus")
+        claims = load_claims(fixture_world / "dev.jsonl")
+        page = Document("_(claims)", tuple(enumerate(claim.text for claim in claims)))
+        assert page.title == ""
+        corpus.documents[page.page_id] = page
         extractor = FeatureExtractor(build_index(corpus, "sentence"))
-        for claim in load_claims(fixture_world / "dev.jsonl"):
-            features = candidate_features(extractor, extractor.prepare_claim(claim.text), "", claim.text)
+        for position, claim in enumerate(claims):
+            [(_, features)] = extractor.page_features(extractor.prepare_claim(claim.text), [(page, [position])])
             assert features[idx("idf_weighted_overlap")] == 1.0
+
+
+def test_page_columns_are_the_index_units(fixture_world):
+    """On a generated world plus a page with empty lines and one with only
+    an empty line, each page's
+    columns are its index units: per token, the bitmask of the positions
+    whose sentence the token's postings hold, and per position the unit's
+    sid, own norm (bit for bit), log_body_length, sentence_position and
+    bit, or None where the index holds no unit. They are built once per
+    page."""
+    corpus = ingest_corpus(fixture_world / "corpus")
+    hollow = Document("Hollow", ((0, ""), (1, "Hollow is a quiet town."), (3, ""), (4, "It rains.")))
+    corpus.documents["Hollow"] = hollow
+    corpus.documents["Quiet"] = Document("Quiet", ((0, ""),))
+    index = build_index(corpus, "sentence")
+    expected = {page_id: {} for page_id in corpus.documents}
+    for token, postings in index.postings.items():
+        for sid in postings:
+            doc, position = corpus.locate(sid)
+            columns = expected[sid.page_id]
+            columns[token] = columns.get(token, 0) | 1 << position
+    extractor = FeatureExtractor(index)
+    units = 0
+    for doc in corpus.documents.values():
+        columns, rows = extractor._page(doc)
+        assert columns == expected[doc.page_id]
+        assert len(rows) == len(doc.sids)
+        denom = max(1, len(doc.sids) - 1)
+        for position, sid in enumerate(doc.sids):
+            if sid not in index.norms:
+                assert rows[position] is None
+                continue
+            own, norm, log_body_length, sentence_position, bit = rows[position]
+            assert own is sid and bit == 1 << position
+            assert norm.hex() == index.norms[sid].hex()
+            assert log_body_length == math.log(1 + len(doc.tokens[position]))
+            assert sentence_position == position / denom
+            units += 1
+        assert extractor._page(doc)[0] is columns
+    assert units == len(index.norms)
+    assert [row is None for row in extractor._page(hollow)[1]] == [True, False, True, False]

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -132,22 +133,29 @@ class TestClassifyPair:
     def test_probabilities_sum_to_one(self, nli_world):
         corpus, extractor, claims, selections = nli_world
         model = train_nli(claims, selections, corpus, extractor, TrainingConfig(seed=2))
-        # Line -1 is in no index, so the pair counts its own tokens.
-        candidate = Document("Ada Hartley", ((-1, "She acts."),))
-        [(_, _, probs)] = classify_pair(model, extractor, extractor.prepare_claim("Ada Hartley acts."), candidate, [0])
+        claim = extractor.prepare_claim("Ada Hartley acts.")
+        [(sid, _, probs)] = classify_pair(model, extractor, claim, corpus.documents["Ada Hartley"], [1])
+        assert sid == SentenceId("Ada Hartley", 1)
         assert sum(probs) == pytest.approx(1.0, abs=1e-9)
         assert all(p > 0 for p in probs)
+        # Line -1 is in no index, so the pair is rejected, naming it.
+        outside = Document("Ada Hartley", ((-1, "She acts."),))
+        with pytest.raises(ValueError, match=re.escape(f"sentence {outside.sids[0]} is no unit")):
+            classify_pair(model, extractor, claim, outside, [0])
 
     def test_zero_model_ties_break_to_nei(self, nli_world):
-        _, extractor, _, _ = nli_world
+        corpus, extractor, _, _ = nli_world
         zero = NliModel(
             weights=[[0.0] * len(PAIR_FEATURE_NAMES) for _ in CLASS_ORDER],
             biases=[0.0] * len(CLASS_ORDER),
         )
-        candidate = Document("Any", ((-1, "text"),))
-        [(_, label, probs)] = classify_pair(zero, extractor, extractor.prepare_claim("any claim"), candidate, [0])
+        claim = extractor.prepare_claim("any claim")
+        [(_, label, probs)] = classify_pair(zero, extractor, claim, corpus.documents["Quillstone"], [1])
         assert label is NEI
         assert probs == pytest.approx([1 / 3, 1 / 3, 1 / 3])
+        outside = Document("Any", ((-1, "text"),))
+        with pytest.raises(ValueError, match=re.escape(f"sentence {outside.sids[0]} is no unit")):
+            classify_pair(zero, extractor, claim, outside, [0])
 
     def test_argmax(self):
         model = NliModel(

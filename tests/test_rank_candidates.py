@@ -4,9 +4,12 @@ score bits, and every vector the walk finishes with page_features' bits.
 
 The models are every trained regime's selector on the default world and
 two other generated worlds, and random weights of both signs, some large
-enough to saturate the sigmoid. The candidate pages may repeat, name no
-page, or hold a sentence the index does not (added to a page after
-indexing), which must always be finished."""
+enough to saturate the sigmoid. The candidate pages may repeat or name
+no page. A page holding a sentence the index does not (added to the page
+after indexing) is rejected, naming the sentence, before any vector is
+finished."""
+
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -62,15 +65,14 @@ def assert_best_first(models, corpus, index, text, pages, k):
     assert [hexed(evidence) for evidence in ranked] == [hexed(top_k(model, full, k)) for model in models]
     reference = {sid: [x.hex() for x in vector] for sid, vector in full}
     finished = [sid for sid, _ in extractor.finished]
-    unindexed = [sid for sid in reference if sid not in index.norms]
+    assert all(sid in index.norms for sid in reference)
     assert all(reference[sid] == [x.hex() for x in vector] for sid, vector in extractor.finished)
-    # Each model finishes each unindexed candidate, which no memo keeps.
-    assert len(finished) == len(set(finished) - set(unindexed)) + len(models) * len(unindexed)
-    assert set(unindexed) <= set(finished)
+    # Each candidate is finished at most once, for every model, and kept.
+    assert len(finished) == len(set(finished))
     memo = extractor.prepare_claim(text).vectors
-    assert set(memo) == set(finished) - set(unindexed)
-    assert all(sid in memo for evidence in ranked for sid, _ in evidence if sid not in unindexed)
-    return len(set(finished)), len(full)
+    assert list(memo) == finished
+    assert all(sid in memo for evidence in ranked for sid, _ in evidence)
+    return len(finished), len(full)
 
 
 def trained_world(path, config):
@@ -117,13 +119,24 @@ def test_every_regime_on_generated_worlds(fixture_stack, tmp_path, world_seed):
 
 def with_unindexed_sentence(corpus):
     """The corpus with a last sentence added to its first page, copying the
-    page's first sentence at a line the index, built before, does not hold."""
+    page's first sentence at a line the index, built before, does not
+    hold; the page and the added sentence's id."""
     page = sorted(corpus.documents)[0]
     document = corpus.documents[page]
     line = document.sentences[-1][0] + 1
     documents = dict(corpus.documents)
     documents[page] = Document(page, document.sentences + ((line, document.sentences[0][1]),))
-    return Corpus(documents), page
+    return Corpus(documents), page, documents[page].sids[-1]
+
+
+def assert_rejected(models, corpus, index, text, pages, k, sid):
+    """rank_candidates raises a ValueError naming the sentence, having
+    finished no vector."""
+    extractor = Recording(index)
+    with pytest.raises(ValueError, match=re.escape(f"sentence {sid} is no unit of the extractor's index")):
+        rank_candidates(models, extractor, make_claim(1, Label.SUPPORTED, text), pages, corpus, k)
+    assert extractor.finished == []
+    assert extractor.prepare_claim(text).vectors == {}
 
 
 def edge_texts(claims):
@@ -134,11 +147,11 @@ def edge_texts(claims):
 
 def test_edge_claims_and_pages(fixture_stack):
     """Claims with no tokens, only out-of-vocabulary tokens, one token, no
-    bigrams or no entity spans; pages repeated, unknown, or holding a
-    sentence the index does not hold; weights that saturate the sigmoid,
-    so ties at 1.0 break by sentence id."""
+    bigrams or no entity spans; pages repeated or unknown; a page holding
+    a sentence the index does not hold, which is rejected; weights that
+    saturate the sigmoid, so ties at 1.0 break by sentence id."""
     corpus, index, models, claims = fixture_stack
-    patched, page = with_unindexed_sentence(corpus)
+    patched, page, added = with_unindexed_sentence(corpus)
     _, pages = claims[0]
     page_lists = ([], ["Missing"], pages + pages[:3] + ["Missing"], [page] + pages, [page, page])
     saturated = RelevanceModel([800.0] * WIDTH, 800.0)
@@ -146,7 +159,10 @@ def test_edge_claims_and_pages(fixture_stack):
     for text in edge_texts(claims):
         for candidate_pages in page_lists:
             for k in KS:
-                assert_best_first(list(models.values()) + [saturated, signed], patched, index, text, candidate_pages, k)
+                every = list(models.values()) + [saturated, signed]
+                assert_best_first(every, corpus, index, text, candidate_pages, k)
+                if page in candidate_pages:
+                    assert_rejected(every, patched, index, text, candidate_pages, k, added)
     claim = make_claim(1, Label.SUPPORTED, claims[0][0])
     [ranked] = rank_candidates([saturated], FeatureExtractor(index), claim, pages, corpus, 5)
     assert [score for _, score in ranked] == [1.0] * 5
@@ -172,14 +188,16 @@ WEIGHTS = st.lists(st.one_of(st.floats(-4, 4), st.floats(-1000, 1000)), min_size
 def test_random_weights(fixture_stack, weights, bias, claim_at, edge, extra, with_patched, k):
     """Random models of both signs on the default world: a claim text, or
     an edge text made from it, ranked over its candidate pages plus a few
-    more, with or without a sentence the index does not hold."""
+    more; with_patched puts first the page to which with_unindexed_sentence
+    adds a sentence, and the patched corpus is rejected."""
     corpus, index, _, claims = fixture_stack
     text, pages = claims[claim_at % len(claims)]
     text = edge_texts([(text, pages)])[edge]
     page_ids = sorted(corpus.documents)
     pages = pages + [page_ids[i % len(page_ids)] for i in extra]
-    if with_patched:
-        corpus, page = with_unindexed_sentence(corpus)
-        pages = [page] + pages
     models = [RelevanceModel(list(ws), bias) for ws in weights]
+    if with_patched:
+        patched, page, added = with_unindexed_sentence(corpus)
+        pages = [page] + pages
+        assert_rejected(models, patched, index, text, pages, k, added)
     assert_best_first(models, corpus, index, text, pages, k)

@@ -82,10 +82,15 @@ class TestCandidateText:
         assert seen == [("Blind Faith", "A 1990 miniseries.")]
 
     def test_empty_sentence(self):
+        """An empty sentence is no candidate, so it is dropped the way an
+        unknown one is: never classified, never predicted."""
         corpus = make_corpus({"Page": ["", "text."]})
         seen, predicted = classified_candidates(corpus, [SentenceId("Page", 0)])
-        assert seen == [("Page", "")]
-        assert predicted == [SentenceId("Page", 0)]
+        assert seen == []
+        assert predicted == []
+        seen, predicted = classified_candidates(corpus, [SentenceId("Page", 0), SentenceId("Page", 1)])
+        assert seen == [("Page", "text.")]
+        assert predicted == [SentenceId("Page", 1)]
 
     def test_unresolvable_id_skipped(self):
         corpus = make_corpus({"Page": ["text."]})
@@ -704,10 +709,22 @@ class TestSelectSentences:
                 select_evidence({"m": model}, extractor, corpus, [claims[0]], {claims[0].claim_id: pages}, k)
 
 
+def with_hollow(training_world):
+    """training_world with the page "Hollow" (empty lines 0 and 2) added
+    and indexed; the old extractor, whose index lacks its sentence, rejects
+    it, naming it."""
+    corpus, _, old, claims = training_world
+    corpus.documents["Hollow"] = Document("Hollow", ((0, ""), (1, "Ada Hartley visited Hollow."), (2, "")))
+    model = RelevanceModel(weights=[0.0] * len(SELECTION_FEATURE_NAMES), bias=0.0)
+    with pytest.raises(ValueError, match=re.escape(f"sentence {SentenceId('Hollow', 1)} is no unit")):
+        select_sentences(model, old, claims[0], ["Hollow"], corpus, 5)
+    index = build_index(corpus, "sentence")
+    return corpus, index, FeatureExtractor(index), claims
+
+
 class TestSelectEvidence:
     def test_matches_select_sentences_per_model(self, training_world):
-        corpus, index, extractor, claims = training_world
-        corpus.documents["Hollow"] = Document("Hollow", ((0, ""), (1, "Ada Hartley visited Hollow."), (2, "")))
+        corpus, index, extractor, claims = with_hollow(training_world)
         models = {
             "a": train_selector(claims, [], corpus, index, extractor, Regime.BASELINE, TrainingConfig(seed=1)),
             "b": RelevanceModel(weights=[0.5 - i / 10 for i in range(len(SELECTION_FEATURE_NAMES))], bias=0.1),
@@ -729,8 +746,7 @@ class TestSelectEvidence:
                     assert select_evidence(models, extractor, corpus, [claim], docs, k) == expected
 
     def test_empty_text_sentences_never_selected(self, training_world):
-        corpus, index, extractor, claims = training_world
-        corpus.documents["Hollow"] = Document("Hollow", ((0, ""), (1, "Ada Hartley visited Hollow."), (2, "")))
+        corpus, index, extractor, claims = with_hollow(training_world)
         model = RelevanceModel(weights=[0.0] * len(SELECTION_FEATURE_NAMES), bias=0.0)
         claim = claims[0]
         ranked = select_evidence({"m": model}, extractor, corpus, [claim], {claim.claim_id: ["Hollow"]}, k=5)
