@@ -4,10 +4,14 @@
 
 Prints, for bench's verify-8x stream on the given world seed (one pass,
 each claim served as bench/workload.py serves it), the vectors finished
-(`FeatureExtractor.finish` calls) per served claim against the candidates
-per claim; then, for the default run on the same world seed (experiment
-seed 1, 6 epochs, learning rate 0.05, k_docs 20), the vectors finished
-in each stage. The counts are exact and repeat from run to run.
+per served claim against the candidates per claim; then, for the default
+run on the same world seed (experiment seed 1, 6 epochs, learning rate
+0.05, k_docs 20), the vectors finished in each stage, and the
+`FeatureExtractor.prepare_claim` calls in each stage against the distinct
+claim texts prepared. A vector is finished when `FeatureExtractor.finish`
+computes it, for a sentence its claim's memo lacks; a call that returns
+the memo's vector computes nothing. The counts are exact and repeat from
+run to run.
 """
 
 from __future__ import annotations
@@ -28,6 +32,10 @@ import tiling  # noqa: E402
 import workload  # noqa: E402
 
 
+def per_stage(counts: Counter) -> str:
+    return ", ".join(f"{name} {count}" for name, count in counts.items())
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--seed", type=int, default=1, help="WorldConfig seed")
@@ -35,11 +43,19 @@ def main() -> None:
 
     stage = ["outside a stage"]
     finished: Counter = Counter()
-    finish, stage_of = FeatureExtractor.finish, experiment._stage
+    prepared: Counter = Counter()
+    texts: set[str] = set()
+    finish, prepare_claim, stage_of = FeatureExtractor.finish, FeatureExtractor.prepare_claim, experiment._stage
 
     def counting_finish(self, claim, sentence):
-        finished[stage[-1]] += 1
+        if sentence[0] not in claim.vectors:
+            finished[stage[-1]] += 1
         return finish(self, claim, sentence)
+
+    def counting_prepare_claim(self, claim_text):
+        prepared[stage[-1]] += 1
+        texts.add(claim_text)
+        return prepare_claim(self, claim_text)
 
     @contextlib.contextmanager
     def named_stage(name):
@@ -51,6 +67,7 @@ def main() -> None:
             stage.pop()
 
     FeatureExtractor.finish = counting_finish
+    FeatureExtractor.prepare_claim = counting_prepare_claim
     experiment._stage = named_stage
     with tempfile.TemporaryDirectory() as work:
         paths = write_world(tiling.tiled_world(args.seed, workload.VERIFY_COPIES), Path(work) / "tiled")
@@ -78,10 +95,13 @@ def main() -> None:
             learning_rate=0.05,
             k_docs=20,
         )
+        prepared.clear()
+        texts.clear()
         experiment.run_experiment(config)
-        print(f"default run on world seed {args.seed}: vectors finished per stage "
-              + ", ".join(f"{name} {count}" for name, count in finished.items())
-              + f"; {sum(finished.values())} in all")
+        print(f"default run on world seed {args.seed}: vectors finished per stage {per_stage(finished)}; "
+              f"{sum(finished.values())} in all")
+        print(f"default run on world seed {args.seed}: prepare_claim calls per stage {per_stage(prepared)}; "
+              f"{sum(prepared.values())} for {len(texts)} claim texts")
 
 
 if __name__ == "__main__":

@@ -39,7 +39,6 @@ from collections import Counter
 from heapq import heapreplace
 from dataclasses import dataclass, field
 from itertools import chain, compress
-from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
@@ -542,13 +541,15 @@ class IndexScorer:
         token's postings in postings order: the units with a non-zero dot
         and norm, by falling dot / norm, ties in postings order."""
         norm_of = self.index.norms.get
-        kept = [
-            (dot / norm, unit, dot)
-            for unit, dot in zip(postings, dots)
-            if dot != 0.0 and (norm := norm_of(unit, 0.0)) != 0.0
+        units = list(postings)
+        ratios = [
+            dot / norm if dot != 0.0 and (norm := norm_of(unit, 0.0)) != 0.0 else None
+            for unit, dot in zip(units, dots)
         ]
-        kept.sort(key=itemgetter(0), reverse=True)
-        return [unit for _, unit, _ in kept], array("d", [dot for _, _, dot in kept])
+        kept = [position for position, ratio in enumerate(ratios) if ratio is not None]
+        # A reverse sort is stable: tied positions keep postings order.
+        kept.sort(key=ratios.__getitem__, reverse=True)
+        return [units[position] for position in kept], array("d", [dots[position] for position in kept])
 
     def _impact(self, token: str, postings: dict) -> float:
         impact = self._max_impact.get(token)

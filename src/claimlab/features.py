@@ -34,22 +34,25 @@ all of its query tokens. So the held pass gives each sentence its
 ceiling: its vector with bigram_overlap and entity_spans_in_body at
 those upper counts, every other feature exact. `finish` counts the
 bigrams and spans where a ceiling is above 0 and gives the vector.
-`page_features` is the held pass then `finish` for every sentence;
-`selection.rank_candidates` finishes only the candidates whose ceiling
-can reach a model's top k. `pair_features` adds the polarity cues to
-copies of the selection vectors, a page's positions per call.
+`selection_vectors`, the one method that gives the vectors of listed
+pages, is the held pass then `finish`; `selection.rank_candidates` holds
+every candidate and finishes only those whose ceiling can reach a
+model's top k. `pair_features` adds the polarity cues to copies of the
+selection vectors, a page's positions per call.
 
 Selection vectors live on the claim: each `PreparedClaim` holds the
-memo `{SentenceId: vector}` of the sentences finished against it, which
-`finish` fills and never reads; `selection_vectors` (for `pair_features`
-and selector training) and `selection.rank_candidates` read it, and
-finish only the sentences it lacks. The extractor keeps the last claim
-it prepared, which `prepare_claim` of that text returns: a claim served
-alone (select, then verdict) is prepared once and each of its sentences
-finished at most once. A memo lives as long as its claim, never a whole
-run. Ranking finishes each candidate at most once per claim, training
-each sentence once per prepared claim, and the verdict stage classifies
-each distinct (claim, sentence) pair once (`nli.claim_verdicts`).
+memo `{SentenceId: vector}` of the sentences finished against it, and
+only this module reads or writes it. `finish` gives the memo's vector
+of a sentence the memo holds, and computes and stores any other;
+`selection_vectors` (for `pair_features` and selector training) holds
+and finishes only the sentences the memo lacks. The extractor keeps the
+last claim it prepared, which `prepare_claim` of that text returns: a
+claim served alone (select, then verdict) is prepared once and each of
+its sentences' vectors computed at most once. A memo lives as long as
+its claim, never a whole run. Ranking computes each candidate's vector
+at most once per claim, training each sentence's once per prepared
+claim, and the verdict stage classifies each distinct (claim, sentence)
+pair once (`nli.claim_verdicts`).
 
 Contract: the extractor's index is the sentence index of the corpus
 being featurized.
@@ -312,11 +315,13 @@ class FeatureExtractor:
         return page[1], page[2]
 
     def finish(self, claim: PreparedClaim, sentence: HeldSentence) -> list[float]:
-        """The selection vector of a held sentence: its ceiling, with
-        bigram_overlap and entity_spans_in_body counted where their
-        ceiling is above 0 (at 0 the ceiling is the value), also stored in
-        the claim's memo, which this never reads."""
+        """The selection vector of a held sentence: the claim's memo's if it
+        holds the sentence, else its ceiling with bigram_overlap and
+        entity_spans_in_body counted where their ceiling is above 0 (at 0
+        the ceiling is the value), which is stored in the memo."""
         sid, document, position, vector = sentence
+        if sid in claim.vectors:
+            return claim.vectors[sid]
         if vector[_BIGRAMS] or vector[_SPANS_IN_BODY]:
             body_tokens = document.tokens[position]
             vector = list(vector)
@@ -328,21 +333,13 @@ class FeatureExtractor:
         claim.vectors[sid] = vector
         return vector
 
-    def page_features(
-        self, claim: PreparedClaim, pages: Iterable[tuple[Document, Iterable[int]]]
-    ) -> list[tuple[SentenceId, list[float]]]:
-        """Selection features of the sentences at the given positions of each
-        page's document, each with its SentenceId, in page then position
-        order, against a prepared claim: the held pass, then each sentence
-        finished (and so stored in the claim's memo, which this never reads)."""
-        return [(sentence[0], self.finish(claim, sentence)) for sentence in self.held(claim, pages)]
-
     def selection_vectors(
         self, claim: PreparedClaim, pages: Sequence[tuple[Document, Sequence[int]]]
     ) -> list[tuple[SentenceId, list[float]]]:
-        """page_features' output for the pages, read from the claim's memo
-        where it holds a sentence: only the sentences it lacks are
-        featurized, in one page_features call, and none if it lacks none."""
+        """Selection features of the sentences at the given positions of each
+        page's document, each with its SentenceId, in page then position
+        order, against a prepared claim: read from the claim's memo where it
+        holds a sentence, and only the sentences it lacks held and finished."""
         memo = claim.vectors
         missing = [
             (document, lacking)
@@ -350,7 +347,8 @@ class FeatureExtractor:
             if (lacking := [p for p in positions if document.sids[p] not in memo])
         ]
         if missing:
-            self.page_features(claim, missing)
+            for sentence in self.held(claim, missing):
+                self.finish(claim, sentence)
         return [(sid, memo[sid]) for document, positions in pages for sid in (document.sids[p] for p in positions)]
 
     def pair_features(

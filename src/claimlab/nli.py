@@ -55,7 +55,7 @@ class NliModel:
     metadata: dict = field(default_factory=dict)
 
     def probabilities(self, features: Sequence[float]) -> list[float]:
-        # Each logit adds with + in order through the one straight-line kernel
+        # Each logit adds with + in order through the straight-line kernel
         # (util.linear_form): sum() is compensated from Python 3.12 on.
         logits = [b + linear_form(len(ws))(ws, features) for ws, b in zip(self.weights, self.biases)]
         peak = max(logits)

@@ -1,8 +1,10 @@
 """Trainable sentence selection: negative sampling, regimes, ranking.
 
 The relevance scorer is a logistic model over engineered lexical
-features. It stands behind the same train/score surface a heavier
-encoder would use, so the pipeline treats the scorer as pluggable.
+features; every score of one, a vector's or a batch's, and every
+probability its training steps by, comes from one kernel,
+`util.logistic_scores`. It stands behind the same train/score surface a
+heavier encoder would use, so the pipeline treats the scorer as pluggable.
 Training draws 15 negatives per positive from a TF-IDF ranker in three
 groups (same-document, other-document, fresh-document) and, each
 epoch, keeps only the hardest negatives so positives and negatives
@@ -30,13 +32,13 @@ that covers rounding, is below the k-th best exact score: the top k are
 exactly those of a full featurize-and-score pass, ties by sentence id,
 from far fewer vectors. Several selectors rank one claim in one call
 (see `experiment.select_evidence`). Vectors live on the claim (see
-`features`): ranking reads the memo of the extractor's last claim before
-finishing and leaves each finished vector there, so a vector finished
-for one model serves the others, and the verdict on a claim served
-alone, which follows at once, prepares nothing and featurizes none of
-its sentences again. A run's stages each pass over every claim, so by
-the verdict stage the extractor holds another claim, and each stage
-keeps its own per-call memos.
+`features`, which alone reads and writes the claim's memo): the
+extractor's last claim keeps each vector ranking finishes, so a vector
+computed for one model serves the others, and the verdict on a claim
+served alone, which follows at once, prepares nothing and featurizes
+none of its sentences again. A run's stages each pass over every claim,
+so by the verdict stage the extractor holds another claim, and each
+stage keeps its own per-call memos.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from typing import Any, Callable, Iterable, Mapping, NamedTuple, Optional, Seque
 from .claims import Claim, Label
 from .corpus import Corpus, IndexScorer, InvertedIndex, Query, SentenceId, rank_key, top_k_scored
 from .features import BOUNDED_FEATURES, SELECTION_FEATURE_NAMES, FeatureExtractor, PreparedClaim
-from .util import check_fields, linear_form, load_model, logistic_scores, save_model, stable_seed
+from .util import check_fields, load_model, logistic_scores, save_model, stable_seed
 
 MODEL_SCHEMA = "claimlab/relevance-model/v1"
 
@@ -124,13 +126,6 @@ def sgd_epochs(
                 biases[c] -= lr * gradient
 
 
-def _sigmoid(z: float) -> float:
-    if z >= 0:
-        return 1.0 / (1.0 + math.exp(-z))
-    e = math.exp(z)
-    return e / (1.0 + e)
-
-
 @dataclass
 class RelevanceModel:
     weights: list[float]
@@ -138,10 +133,9 @@ class RelevanceModel:
     metadata: dict = field(default_factory=dict)
 
     def score(self, features: Sequence[float]) -> float:
-        """Relevance probability in (0, 1)."""
-        # Adds with + in order through the one straight-line kernel
-        # (util.linear_form): sum() is compensated from Python 3.12 on.
-        return _sigmoid(self.bias + linear_form(len(self.weights))(self.weights, features))
+        """Relevance probability in (0, 1), from the one logistic kernel
+        (util.logistic_scores), which ranking's batches go through too."""
+        return logistic_scores(len(self.weights))(self.weights, self.bias, ((None, features),))[None]
 
     def save(self, path: Union[str, Path]) -> None:
         fields = {"weights": self.weights, "bias": self.bias, "metadata": self.metadata}
@@ -161,9 +155,10 @@ class NegativePool:
     to per_group negatives per group can use), and group C's population
     (the sorted pages with a sentence sharing a token with the claim).
     Each draw then filters these lists with its own rng and ranks only
-    the pages it picks. Rankings are score descending, ties by sentence
-    id, exactly as a sort of the whole index would give. The scorer's
-    index must be the sentence index of the corpus.
+    the pages it picks (group C takes the first of each one's _ranked).
+    Rankings are score descending, ties by sentence id, exactly as a sort
+    of the whole index would give. The scorer's index must be the
+    sentence index of the corpus.
     """
 
     def __init__(
@@ -192,10 +187,6 @@ class NegativePool:
         documents = self._corpus.documents
         sids = [sid for page_id in pages for sid in documents[page_id].sids]
         return [sid for sid, _ in sorted(self._scorer.scores(self._query, sids).items(), key=rank_key)]
-
-    def _best_of(self, page: str) -> SentenceId:
-        """The page's best-ranked sentence, _ranked([page])[0]."""
-        return min(self._scorer.scores(self._query, self._corpus.documents[page].sids).items(), key=rank_key)[0]
 
     def draw(self, rng_seed: int, per_group: int) -> list[SentenceId]:
         """Up to 3 * per_group TF-IDF-ranked negatives per positive, in
@@ -228,7 +219,7 @@ class NegativePool:
             # document offers its best-ranked sentence.
             pages = [page for page in self._population if page not in used_documents]
             chosen = rng.sample(pages, k=min(per_group, len(pages)))
-            group_c = [self._best_of(page) for page in sorted(chosen)]
+            group_c = [self._ranked([page])[0] for page in sorted(chosen)]
             used_sentences.update(group_c)
             used_documents.update(chosen)
 
@@ -258,17 +249,17 @@ def train_selectors(
     Each distinct (claim text, evidence groups) is prepared once, when the
     first regime uses a claim that has it: its PreparedClaim, whose query
     its NegativePool ranks with over the extractor's own index, and whose
-    memo keeps each sentence's vector once first needed (see `features`);
+    vectors are each computed once, when first needed (see `features`);
     a gold sentence that is no candidate (missing or empty) is skipped.
     Each regime then draws every claim's negatives from that pool with a
     seed of its own config's seed and the claim's own id, in claim order,
     reads the vectors of the claim's positives and negatives through one
-    selection_vectors call, and trains on its examples: each
-    epoch re-scores the whole negative pool, keeps the hardest negatives
-    so positive and negative counts match, and runs one pass of
+    FeatureExtractor.selection_vectors call, and trains on its examples:
+    each epoch re-scores the whole negative pool, keeps the hardest
+    negatives so positive and negative counts match, and runs one pass of
     per-example gradient descent on the logistic loss in a seeded shuffled
-    order. A model does not depend on which other regimes train in the
-    same call.
+    order, every score and probability from util.logistic_scores. A model
+    does not depend on which other regimes train in the same call.
     """
     scorer = IndexScorer(extractor.index)
     # A pool built for the largest per_group serves every smaller one: its
@@ -326,7 +317,7 @@ def _fit(
     weights = [0.0] * len(SELECTION_FEATURE_NAMES)
     weights[SELECTION_FEATURE_NAMES.index("tfidf_cosine")] = 1.0
     biases = [0.0]
-    dot = linear_form(len(weights))
+    scores = logistic_scores(len(weights))
     # Sorted by key once, stably, as _hardest_negatives needs.
     negatives = sorted(negatives, key=itemgetter(0))
     keep = min(len(positives), len(negatives))
@@ -335,7 +326,8 @@ def _fit(
         hardest = _hardest_negatives(RelevanceModel(weights, biases[0]), negatives, keep)
         return [(features, 0) for _, features in positives] + [(features, None) for _, features in hardest]
 
-    sgd_epochs([weights], biases, epoch_batch, config, "shuffle", lambda f: [_sigmoid(biases[0] + dot(weights, f))])
+    # {0: p} is row 0's probability, p[0], as sgd_epochs reads it.
+    sgd_epochs([weights], biases, epoch_batch, config, "shuffle", lambda f: scores(weights, biases[0], ((0, f),)))
     return RelevanceModel(weights=weights, bias=biases[0])
 
 
@@ -390,8 +382,9 @@ def rank_candidates(
 ) -> list[RankedEvidence]:
     """Each model's top-k of the candidate sentences of the candidate pages
     (Document.candidate_positions), best first: exactly top_k over every
-    candidate's page_features vector, ties by sentence id, though only
-    the candidates that can reach the top k are finished.
+    candidate's selection vector (FeatureExtractor.selection_vectors'),
+    ties by sentence id, though only the candidates that can reach the
+    top k are finished.
 
     Duplicate pages are ranked once; unknown pages are skipped. The claim
     becomes the extractor's last claim. One held pass gives every
@@ -409,12 +402,12 @@ def rank_candidates(
     bound times 1 + _SCORE_SLACK, plus the smallest normal float, is no
     smaller than the score.
 
-    Candidates are taken by falling bound. Each is finished (its vector
-    read from the claim's memo, else FeatureExtractor.finish, which
-    stores it there) and scored, until the next bound, so slackened, is
-    below the k-th best score so far: no candidate left can then reach
-    the top k, while one that ties it is finished. A vector finished for
-    one model is read from the memo by the others and by the verdict.
+    Candidates are taken by falling bound. Each is finished
+    (FeatureExtractor.finish, which computes its vector once per claim)
+    and scored with RelevanceModel.score, until the next bound, so
+    slackened, is below the k-th best score so far: no candidate left can
+    then reach the top k, while one that ties it is finished. A vector
+    computed for one model serves the others and the verdict.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -422,7 +415,6 @@ def rank_candidates(
     prepared = extractor.prepare_claim(claim.text)
     held = extractor.held(prepared, [(doc, doc.candidate_positions) for doc in documents if doc is not None])
     ceilings = [(i, ceiling) for i, (_, _, _, ceiling) in enumerate(held)]
-    memo = prepared.vectors
     ranked = []
     for model in models:
         weights = list(model.weights)
@@ -435,8 +427,7 @@ def rank_candidates(
             if len(best) == k and bound + bound * _SCORE_SLACK + sys.float_info.min < best[0]:
                 break
             sentence = held[i]
-            sid = sentence[0]
-            scores[sid] = score = model.score(memo.get(sid) or extractor.finish(prepared, sentence))
+            scores[sentence[0]] = score = model.score(extractor.finish(prepared, sentence))
             if len(best) < k:
                 heapq.heappush(best, score)
             else:

@@ -30,7 +30,8 @@ def stable_seed(*parts: Any) -> int:
 def linear_form(width: int) -> Callable[[Sequence[float], Sequence[float]], float]:
     """dot(w, f) = 0.0 + w[0] * f[0] + ... + w[width - 1] * f[width - 1].
 
-    The one straight-line kernel every linear model scores with, built
+    The straight-line kernel the NLI classifier's logits come from (a
+    relevance model's scores add the same chain in logistic_scores), built
     once per width. It adds the products with + left to right, the same
     chain a functools.reduce of operator.add over them from 0.0 makes,
     so its bits are the same on every Python version (sum() is
@@ -50,11 +51,12 @@ def logistic_scores(width: int) -> Callable[[Sequence[float], float, Iterable[tu
     """scores(w, bias, items) = {key: sigmoid(bias + dot(w, f))} over the
     (key, f) pairs of items, in one loop; w must have width weights.
 
-    The one batch kernel a linear relevance model ranks with, built once
-    per width like linear_form: the same left-to-right + chain, with the
-    weights bound once per call, and the same two-branch sigmoid as
-    selection.RelevanceModel.score, so each score has that method's bits.
-    A key repeated in items keeps its last score.
+    The one kernel a linear relevance model scores with, one vector
+    (selection.RelevanceModel.score) or a batch, and the package's one
+    sigmoid: z = bias + (0.0 + w[0] * f[0] + ...), the chain linear_form
+    adds, with the weights bound once per call; then 1 / (1 + exp(-z))
+    for z >= 0, else e / (1 + e) with e = exp(z). Built once per width
+    like linear_form. A key repeated in items keeps its last score.
     """
     # The source depends only on the integer width.
     unpack = "".join(f"w{i}, " for i in range(width))

@@ -7,6 +7,7 @@ import pytest
 from claimlab import corpus as corpus_module
 from claimlab.claims import Claim, Label
 from claimlab.corpus import Corpus, Document, InvertedIndex, Query
+from claimlab.features import FeatureExtractor
 from claimlab.kb import EntityRecord, KnowledgeBase
 from claimlab.worldgen import WorldConfig, build_world, write_world
 
@@ -67,6 +68,24 @@ def count_tokenized(monkeypatch) -> Counter:
         if name.startswith("claimlab") and getattr(module, "tokenize", None) is original:
             monkeypatch.setattr(module, "tokenize", counting)
     return texts
+
+
+def record_computed(monkeypatch) -> list:
+    """Wrap FeatureExtractor.finish; the returned list gets the (claim text,
+    SentenceId, vector) of each selection vector computed from then on: a
+    finish of a sentence its claim's memo lacks. A memo hit computes none."""
+    computed = []
+    original = FeatureExtractor.finish
+
+    def recording(self, claim, sentence):
+        lacked = sentence[0] not in claim.vectors
+        vector = original(self, claim, sentence)
+        if lacked:
+            computed.append((claim.text, sentence[0], vector))
+        return vector
+
+    monkeypatch.setattr(FeatureExtractor, "finish", recording)
+    return computed
 
 
 def write_jsonl(path, rows):

@@ -1,6 +1,6 @@
 """The extractor's last claim and its vector memo: a claim served alone
-(retrieve, select, verdict) is prepared once, each candidate sentence is
-finished at most once and only while ranking, and the outputs are those
+(retrieve, select, verdict) is prepared once, each candidate sentence's
+vector is computed at most once and only while ranking, and the outputs are those
 of the cold path, whatever order the claims come in.
 
 The claims are the dev and adversarial claims of the small experiment
@@ -25,6 +25,7 @@ from claimlab.retrieval import DocRetrievalConfig, DocumentRetriever
 from claimlab.selection import RelevanceModel, select_sentences, top_k
 from claimlab.worldgen import build_world, write_world
 
+from conftest import record_computed
 from test_experiment import SMALL_WORLD
 
 K = 5
@@ -148,14 +149,15 @@ def test_another_document_under_a_stored_page_id_is_featurized_afresh(served):
     built from: another document under the page id gets its own. One built
     outside the corpus, at a line the index does not hold, is rejected on
     every call, naming the sentence, and nothing of it enters the memo;
-    an equal copy of the page's document gets the page's vectors."""
+    an equal copy of the page's document gets the page's vectors, computed
+    for a claim of the same text whose memo is empty."""
     corpus, index = served[0], served[1]
     page = sorted(corpus.documents)[0]
     document = corpus.documents[page]
     positions = list(document.candidate_positions)
     extractor = FeatureExtractor(index)
     claim = extractor.prepare_claim("Alice Fenwick starred in Halcyon.")
-    first = extractor.page_features(claim, [(document, positions)])
+    first = extractor.selection_vectors(claim, [(document, positions)])
     stored = dict(claim.vectors)
     for text in ("Halcyon is a hit sitcom.", "It airs nightly on GBC."):
         outside = Document(page, ((-1, text),))
@@ -165,21 +167,23 @@ def test_another_document_under_a_stored_page_id_is_featurized_afresh(served):
     assert claim.vectors == stored
     copy = Document(page, document.sentences)
     assert copy is not document
-    assert extractor.page_features(claim, [(copy, positions)]) == first
-    assert extractor.page_features(claim, [(document, positions)]) == first
+    for held in (copy, document):
+        unread = FeatureExtractor(index).prepare_claim(claim.text)
+        assert extractor.selection_vectors(unread, [(held, positions)]) == first
+        assert list(unread.vectors) == list(stored)
 
 
 def full_vectors(index, corpus, claim, pages):
-    """page_features of every candidate of the pages, each page once, on a
-    fresh extractor: the vectors a ranking without pruning scores."""
+    """The selection vector of every candidate of the pages, each page once,
+    on a fresh extractor: the vectors a ranking without pruning scores."""
     documents = [corpus.documents[page_id] for page_id in dict.fromkeys(pages)]
     prepared = FeatureExtractor(index).prepare_claim(claim.text)
-    return FeatureExtractor(index).page_features(prepared, [(doc, doc.candidate_positions) for doc in documents])
+    return FeatureExtractor(index).selection_vectors(prepared, [(doc, doc.candidate_positions) for doc in documents])
 
 
 def test_verdict_leaves_the_slot_vectors_whole(served):
     """The ranking is top_k over every candidate's vector, and the claim's
-    memo holds each ranked sentence's vector with page_features' bits; a
+    memo holds each ranked sentence's vector with the fresh extractor's bits; a
     verdict on the ranking copies them, so each keeps its length and its
     sentence_position, and a second verdict reads them unchanged."""
     corpus, index, _, claims, pages, selector, _ = served
@@ -202,9 +206,10 @@ def test_verdict_leaves_the_slot_vectors_whole(served):
 
 def test_served_claim_is_prepared_and_featurized_once(served, monkeypatch):
     """One served claim parses its text once on the sentence index. Its
-    ranking finishes each candidate at most once, fewer than there are
-    over the stream, and every ranked one; its verdict, and a second
-    serving of the claim, finish none again."""
+    ranking computes each candidate's vector at most once, fewer than there
+    are over the stream, and every ranked one's; its verdict runs no held
+    pass and computes no vector, and a second serving of the claim
+    computes none again."""
     corpus, index, retriever, claims, _, selector, weights = served
     model = NliModel([list(ws) for ws in weights], [0.0, 0.1, -0.1])
 
@@ -220,34 +225,32 @@ def test_served_claim_is_prepared_and_featurized_once(served, monkeypatch):
         assert [p for p in parses if p is index] == [index]
     monkeypatch.undo()
 
-    finished, featurized = [], []
-    original_finish, original_page_features = FeatureExtractor.finish, FeatureExtractor.page_features
+    held = []
+    original_held = FeatureExtractor.held
 
-    def counting_finish(self, claim, sentence):
-        finished.append(sentence[0])
-        return original_finish(self, claim, sentence)
-
-    def counting_page_features(self, claim, pages):
+    def counting_held(self, claim, pages):
         pages = list(pages)
-        featurized.extend(document.sids[position] for document, positions in pages for position in positions)
-        return original_page_features(self, claim, pages)
+        held.extend(document.sids[position] for document, positions in pages for position in positions)
+        return original_held(self, claim, pages)
 
-    monkeypatch.setattr(FeatureExtractor, "finish", counting_finish)
-    monkeypatch.setattr(FeatureExtractor, "page_features", counting_page_features)
+    computed = record_computed(monkeypatch)
+    monkeypatch.setattr(FeatureExtractor, "held", counting_held)
     total_finished = total_candidates = 0
     for claim in claims:
         extractor = FeatureExtractor(index)
-        del finished[:]
+        del computed[:]
         ranked = select_sentences(selector, extractor, claim, retriever.retrieve(claim.text), corpus, K)
         documents = [corpus.documents[page_id] for page_id in dict.fromkeys(retriever.retrieve(claim.text))]
         candidates = [doc.sids[position] for doc in documents for position in doc.candidate_positions]
+        finished = [sid for _, sid, _ in computed]
         assert len(set(finished)) == len(finished)
         assert {sid for sid, _ in ranked} <= set(finished) <= set(candidates)
         assert list(extractor.prepare_claim(claim.text).vectors) == finished
         total_finished += len(finished)
         total_candidates += len(candidates)
-        del finished[:]
+        del computed[:], held[:]
         verdict_for_claim(model, extractor, corpus, claim, ranked)
+        assert computed == held == []
         assert serve(extractor, claim)[0] == ranked
-        assert finished == featurized == []
+        assert computed == []
     assert 0 < total_finished < total_candidates

@@ -42,7 +42,7 @@ from claimlab.selection import (
     train_selector,
 )
 
-from conftest import make_claim, make_corpus
+from conftest import make_claim, make_corpus, record_computed
 
 
 PAGES = {
@@ -84,7 +84,7 @@ def candidate_features(claim_text, title, body, position=0.0):
     """Selection features of a (title, body) candidate (candidate_page)
     against the claim, prepared by the candidate's extractor."""
     extractor, doc, at = candidate_page(title, body, position)
-    [(sid, features)] = extractor.page_features(extractor.prepare_claim(claim_text), [(doc, [at])])
+    [(sid, features)] = extractor.selection_vectors(extractor.prepare_claim(claim_text), [(doc, [at])])
     assert sid is doc.sids[at]
     return features
 
@@ -381,32 +381,25 @@ class TestPreparedClaim:
 
     def test_memo_holds_indexed_sentences_only(self, fixture_world, monkeypatch):
         """A served claim's memo holds the very vectors its ranking
-        finished, with page_features' bits, every ranked sentence among
-        them, all of indexed sentences and fewer than the candidates, and
-        pair_features reads them without featurizing again; a sentence the
-        index does not hold is rejected on every call, naming it, and never
-        stored."""
+        computed, with the bits of a fresh extractor's, every ranked
+        sentence among them, all of indexed sentences and fewer than the
+        candidates, and pair_features reads them without a held pass or a
+        vector computed again; a sentence the index does not hold is
+        rejected on every call, naming it, and never stored."""
         corpus = ingest_corpus(fixture_world / "corpus")
         index = build_index(corpus, "sentence")
         extractor = FeatureExtractor(index)
         claim = load_claims(fixture_world / "dev.jsonl")[0]
         pages = DocumentRetriever(corpus, build_index(corpus, "document")).retrieve(claim.text)
-        finished = []
-        original_finish = FeatureExtractor.finish
-
-        def counting_finish(self, prepared, sentence):
-            vector = original_finish(self, prepared, sentence)
-            finished.append((sentence[0], vector))
-            return vector
-
-        monkeypatch.setattr(FeatureExtractor, "finish", counting_finish)
+        computed = record_computed(monkeypatch)
         model = RelevanceModel([0.5 - i / 10 for i in range(len(SELECTION_FEATURE_NAMES))], 0.1)
         ranked = select_sentences(model, extractor, claim, pages, corpus, 5)
         monkeypatch.undo()
+        finished = [(sid, vector) for _, sid, vector in computed]
         prepared = extractor.prepare_claim(claim.text)
         fresh = FeatureExtractor(index)
         pages_of = corpus.pages_of(sentences_of(corpus, pages))
-        candidates = dict(fresh.page_features(fresh.prepare_claim(claim.text), pages_of))
+        candidates = dict(fresh.selection_vectors(fresh.prepare_claim(claim.text), pages_of))
         assert len(ranked) == 5 and all(sid in index.norms for sid, _ in finished)
         assert list(prepared.vectors) == [sid for sid, _ in finished]
         assert all(prepared.vectors[sid] is vector for sid, vector in finished)
@@ -415,22 +408,24 @@ class TestPreparedClaim:
         assert len(finished) < len(candidates)
 
         calls = []
-        original = FeatureExtractor.page_features
+        original = FeatureExtractor.held
 
         def counting(self, claim, pages):
             pages = list(pages)
             calls.append([document.sids[position] for document, positions in pages for position in positions])
             return original(self, claim, pages)
 
-        monkeypatch.setattr(FeatureExtractor, "page_features", counting)
+        computed = record_computed(monkeypatch)
+        monkeypatch.setattr(FeatureExtractor, "held", counting)
         for document, positions in corpus.pages_of([sid for sid, _ in finished]):
             extractor.pair_features(prepared, document, positions)
-        assert calls == []
+        assert calls == computed == []
         outside = Document("Elsewhere", ((0, "Alice Fenwick acts on stage."), (1, "")))
         for _ in range(2):
             with rejected(outside.sids[0]):
                 extractor.pair_features(prepared, outside, [0, 1])
         assert calls == [list(outside.sids)] * 2
+        assert computed == []
         assert list(prepared.vectors) == [sid for sid, _ in finished]
 
     def test_edge_inputs_match_reference(self):
@@ -539,14 +534,7 @@ class TestPreparedClaim:
         sids = [empty, SentenceId("Ada Hartley", 1), SentenceId("Fernbank", 0)]
         assert_shipped_paths(corpus, index, claim, [], sids, sids)
         assert _training_pairs([claim], {}, corpus, FeatureExtractor(index)) == []
-        finished = []
-        finish = FeatureExtractor.finish
-
-        def counting_finish(self, prepared, sentence):
-            finished.append(sentence[0])
-            return finish(self, prepared, sentence)
-
-        monkeypatch.setattr(FeatureExtractor, "finish", counting_finish)
+        computed = record_computed(monkeypatch)
         extractor = FeatureExtractor(index)
         with pytest.raises(ValueError, match="no trainable positives"):
             train_selector([claim], [], corpus, index, extractor, Regime.BASELINE, TrainingConfig(seed=1))
@@ -554,7 +542,7 @@ class TestPreparedClaim:
         model = train_selector([both], [], corpus, index, extractor, Regime.BASELINE, TrainingConfig(seed=1))
         assert model.metadata["n_positives"] == 1
         assert model.metadata["n_negatives"] == 1
-        assert sorted(finished) == sids[1:]
+        assert sorted(sid for _, sid, _ in computed) == sids[1:]
 
     def test_indexed_sentences_read_the_index(self, monkeypatch):
         """Featurizing and classifying indexed sentences builds no Counter
@@ -598,7 +586,7 @@ class TestPreparedClaim:
 
 def test_documents_share_their_sentence_ids_with_the_index(fixture_world):
     """Each Document.sids entry is the very object the sentence index keys
-    the sentence's postings and norm by, and page_features returns it."""
+    the sentence's postings and norm by, and selection_vectors returns it."""
     corpus = ingest_corpus(fixture_world / "corpus")
     index = build_index(corpus, "sentence")
     keys = {sid: sid for sid in index.norms}
@@ -620,7 +608,7 @@ def test_documents_share_their_sentence_ids_with_the_index(fixture_world):
     extractor = FeatureExtractor(index)
     claim = extractor.prepare_claim(load_claims(fixture_world / "dev.jsonl")[0].text)
     for doc in corpus.documents.values():
-        featurized = extractor.page_features(claim, [(doc, range(len(doc.sentences)))])
+        featurized = extractor.selection_vectors(claim, [(doc, range(len(doc.sentences)))])
         assert [sid for sid, _ in featurized] == list(doc.sids)
         assert all(sid is own for (sid, _), own in zip(featurized, doc.sids))
 
@@ -659,7 +647,7 @@ class TestOneNorm:
         corpus.documents[page.page_id] = page
         extractor = FeatureExtractor(build_index(corpus, "sentence"))
         for position, claim in enumerate(claims):
-            [(_, features)] = extractor.page_features(extractor.prepare_claim(claim.text), [(page, [position])])
+            [(_, features)] = extractor.selection_vectors(extractor.prepare_claim(claim.text), [(page, [position])])
             assert features[idx("idf_weighted_overlap")] == 1.0
 
 

@@ -10,10 +10,10 @@ generated world and compares the bundles byte for byte:
 - once as the package runs it;
 - once with `IndexScorer.top_k` replaced by `top_k_scored` over
   `scores()` of every unit sharing a token with the query, and
-  `rank_candidates` replaced by `page_features` of every candidate and
-  then `top_k` per model.
+  `rank_candidates` replaced by `selection_vectors` of every candidate,
+  on an extractor and claim of its own, and then `top_k` per model.
 
-The pruned side must finish fewer selection vectors than the reference
+The pruned side must compute fewer selection vectors than the reference
 side, so the two sides cannot silently run the same path.
 """
 
@@ -28,6 +28,8 @@ from claimlab.features import FeatureExtractor
 from claimlab.selection import top_k
 from claimlab.worldgen import WorldConfig, build_world, write_world
 
+from conftest import record_computed
+
 
 def brute_top_k(self, query, k):
     """top_k_scored over the cosine of every unit sharing a token with the query."""
@@ -36,10 +38,11 @@ def brute_top_k(self, query, k):
 
 
 def brute_rank_candidates(models, extractor, claim, candidate_pages, corpus, k):
-    """Each model's top_k over page_features of every candidate sentence."""
+    """Each model's top_k over the selection vector of every candidate
+    sentence, each computed on an extractor of its own."""
     documents = [corpus.documents[page] for page in dict.fromkeys(candidate_pages) if page in corpus.documents]
-    prepared = extractor.prepare_claim(claim.text)
-    full = extractor.page_features(prepared, [(doc, doc.candidate_positions) for doc in documents])
+    own = FeatureExtractor(extractor.index)
+    full = own.selection_vectors(own.prepare_claim(claim.text), [(doc, doc.candidate_positions) for doc in documents])
     return [top_k(model, full, k) for model in models]
 
 
@@ -49,18 +52,10 @@ def bundle_bytes(out_dir):
 
 
 def counted_run(monkeypatch, config):
-    """The bundle files of one run and the selection vectors it finished."""
-    finished = []
-    finish = FeatureExtractor.finish
-
-    def counting_finish(self, claim, sentence):
-        finished.append(sentence[0])
-        return finish(self, claim, sentence)
-
-    monkeypatch.setattr(FeatureExtractor, "finish", counting_finish)
+    """The bundle files of one run and the selection vectors it computed."""
+    computed = record_computed(monkeypatch)
     run_experiment(config)
-    monkeypatch.setattr(FeatureExtractor, "finish", finish)
-    return bundle_bytes(config.out_dir), len(finished)
+    return bundle_bytes(config.out_dir), len(computed)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """rank_candidates, the best-first ranking, against the brute force: per
-model, top_k over every candidate's page_features vector, in order and in
-score bits, and every vector the walk finishes with page_features' bits.
+model, top_k over every candidate's selection vector, computed on an
+extractor and claim of its own, in order and in score bits, and every
+vector the walk computes with the brute force's bits.
 
 The models are every trained regime's selector on the default world and
 two other generated worlds, and random weights of both signs, some large
@@ -38,15 +39,18 @@ SIGNED[BIGRAMS], SIGNED[SPANS_IN_BODY] = -4.0, 4.0
 
 
 class Recording(FeatureExtractor):
-    """A FeatureExtractor that records each (sid, vector) it finishes."""
+    """A FeatureExtractor that records the (sid, vector) of each selection
+    vector it computes: each finish of a sentence the claim's memo lacks."""
 
     def __init__(self, index):
         super().__init__(index)
         self.finished = []
 
     def finish(self, claim, sentence):
+        lacked = sentence[0] not in claim.vectors
         vector = super().finish(claim, sentence)
-        self.finished.append((sentence[0], vector))
+        if lacked:
+            self.finished.append((sentence[0], vector))
         return vector
 
 
@@ -56,18 +60,18 @@ def hexed(ranked):
 
 def assert_best_first(models, corpus, index, text, pages, k):
     """rank_candidates equals the brute force for each model; returns the
-    numbers of finished vectors and of candidates."""
+    numbers of computed vectors and of candidates."""
     extractor = Recording(index)
     ranked = rank_candidates(models, extractor, make_claim(1, Label.SUPPORTED, text), pages, corpus, k)
     fresh = FeatureExtractor(index)
     documents = [corpus.documents[page] for page in dict.fromkeys(pages) if page in corpus.documents]
-    full = fresh.page_features(fresh.prepare_claim(text), [(doc, doc.candidate_positions) for doc in documents])
+    full = fresh.selection_vectors(fresh.prepare_claim(text), [(doc, doc.candidate_positions) for doc in documents])
     assert [hexed(evidence) for evidence in ranked] == [hexed(top_k(model, full, k)) for model in models]
     reference = {sid: [x.hex() for x in vector] for sid, vector in full}
     finished = [sid for sid, _ in extractor.finished]
     assert all(sid in index.norms for sid in reference)
     assert all(reference[sid] == [x.hex() for x in vector] for sid, vector in extractor.finished)
-    # Each candidate is finished at most once, for every model, and kept.
+    # Each candidate is computed at most once, for every model, and kept.
     assert len(finished) == len(set(finished))
     memo = extractor.prepare_claim(text).vectors
     assert list(memo) == finished

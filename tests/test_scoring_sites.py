@@ -1,10 +1,12 @@
-"""Linear models score through one kernel, util.linear_form, rank lists
-through its batch form, util.logistic_scores, never by sorting with a
-per-item score call, and train through one SGD loop,
-selection.sgd_epochs; TF-IDF dots come from one kernel, util.tfidf_dots,
-and no other function compiles source; the feature and selection kernels
-name sentences by the SentenceId objects each corpus.Document holds,
-never by ids built per candidate."""
+"""A relevance model scores, one vector or a batch, through one kernel,
+util.logistic_scores, and no other module computes a sigmoid; the NLI
+classifier's logits come from util.linear_form. Lists are ranked by a
+batch scoring, never by sorting with a per-item score call; both models
+train through one SGD loop, selection.sgd_epochs; TF-IDF dots come from
+one kernel, util.tfidf_dots, and no other function compiles source. The
+feature and selection kernels name sentences by the SentenceId objects
+each corpus.Document holds, never by ids built per candidate, and only
+features reads or writes a claim's memo of selection vectors."""
 
 import ast
 from pathlib import Path
@@ -127,3 +129,61 @@ def test_three_compiled_kernels(tmp_path):
         "    return namespace['cosines']\n"
     )
     assert sorted(source_compilers(probe)) == sorted(KERNELS + ["util.cosine_scores"])
+
+
+def sigmoid_sites(path: Path) -> list[str]:
+    """The module's divisions by 1 + exp(...) (exp bare or an attribute),
+    as a logistic sigmoid computes, by line."""
+    sites = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+            denominator = node.right
+            if (
+                isinstance(denominator, ast.BinOp)
+                and isinstance(denominator.op, ast.Add)
+                and any(isinstance(side, ast.Constant) and side.value == 1 for side in (denominator.left, denominator.right))
+                and any(
+                    isinstance(call, ast.Call)
+                    and (getattr(call.func, "id", None) == "exp" or getattr(call.func, "attr", None) == "exp")
+                    for call in ast.walk(denominator)
+                )
+            ):
+                sites.append(f"{path.stem}:{node.lineno}")
+    return sites
+
+
+def test_only_the_kernel_computes_a_sigmoid(tmp_path):
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert [site for path in sources if path.stem != "util" for site in sigmoid_sites(path)] == []
+    # util's sigmoid is in the kernel's generated source.
+    assert "out[key] = 1.0 / (1.0 + exp(-z))" in (PACKAGE / "util.py").read_text(encoding="utf-8")
+    # The check sees the sigmoid RelevanceModel.score used to call.
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import math\n\n\n"
+        "def _sigmoid(z):\n"
+        "    if z >= 0:\n"
+        "        return 1.0 / (1.0 + math.exp(-z))\n"
+        "    e = math.exp(z)\n"
+        "    return e / (1.0 + e)\n"
+    )
+    assert sigmoid_sites(probe) == ["probe:6"]
+
+
+def memo_readers(path: Path) -> list[str]:
+    """The lines of the module that read or write an attribute named vectors."""
+    return [
+        f"{path.stem}:{node.lineno}"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "vectors"
+    ]
+
+
+def test_only_features_touches_the_memo(tmp_path):
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert memo_readers(PACKAGE / "features.py")
+    assert [site for path in sources if path.stem != "features" for site in memo_readers(path)] == []
+    # The check sees the memo read rank_candidates used to make.
+    probe = tmp_path / "probe.py"
+    probe.write_text("memo = prepared.vectors\nscore = model.score(memo.get(sid) or finish(prepared, sentence))\n")
+    assert memo_readers(probe) == ["probe:1"]

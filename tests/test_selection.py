@@ -399,7 +399,7 @@ class TestTrainSelector:
                     continue
                 prepared = extractor.prepare_claim(claim.text)
                 pages = [(doc, range(len(doc.sentences))) for doc in corpus.documents.values()]
-                for sid, features in extractor.page_features(prepared, pages):
+                for sid, features in extractor.selection_vectors(prepared, pages):
                     p = min(max(m.score(features), 1e-9), 1 - 1e-9)
                     y = 1.0 if sid in gold else 0.0
                     total += -(y * math.log(p) + (1 - y) * math.log(1 - p))
@@ -551,11 +551,22 @@ def test_linear_form_is_the_left_to_right_chain(vectors):
 @example(([-0.0] * 10, -0.0, [[1.0] * 10, [-0.0] * 10]))
 @example(([5e-324, -5e-324] + [1e16, 1.0, -1e16] * 3 + [1e-300] * 2, 1e-300, [[0.5] * 13, [-1e300] * 13]))
 def test_logistic_scores_are_relevance_scores(model_and_vectors):
-    """logistic_scores(n) gives each vector the bits of RelevanceModel.score."""
+    """logistic_scores(n), in a batch and through RelevanceModel.score,
+    gives each vector the bits of the two-branch sigmoid of bias plus
+    reduce(add, map(mul, w, f), 0.0)."""
     weights, bias, vectors = model_and_vectors
     model = RelevanceModel(weights=weights, bias=bias)
     scores = logistic_scores(len(weights))(weights, bias, enumerate(vectors))
-    assert [scores[i].hex() for i in range(len(vectors))] == [model.score(f).hex() for f in vectors]
+    expected = [reference_sigmoid(bias + reduce(add, map(mul, weights, f), 0.0)).hex() for f in vectors]
+    assert [scores[i].hex() for i in range(len(vectors))] == expected
+    assert [model.score(f).hex() for f in vectors] == expected
+
+
+def reference_sigmoid(z):
+    if z >= 0:
+        return 1.0 / (1.0 + math.exp(-z))
+    e = math.exp(z)
+    return e / (1.0 + e)
 
 
 def test_logistic_scores_is_built_once_per_width():

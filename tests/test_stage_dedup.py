@@ -30,6 +30,8 @@ from claimlab.selection import (
     train_selectors,
 )
 
+from conftest import record_computed
+
 K = 5
 
 
@@ -196,16 +198,9 @@ def test_train_nli_featurizes_each_text_and_sentence_once(stack, lists, monkeypa
     config = TrainingConfig(epochs=2, seed=4)
     reference = train_nli(padded(claims), selections, corpus, FeatureExtractor(extractor.index), config)
 
-    featurized = []
-    original = FeatureExtractor.page_features
-
-    def counting(self, claim, pages):
-        pages = list(pages)
-        featurized.extend((claim.text, document.sids[p]) for document, positions in pages for p in positions)
-        return original(self, claim, pages)
-
-    monkeypatch.setattr(FeatureExtractor, "page_features", counting)
+    computed = record_computed(monkeypatch)
     model = train_nli(claims, selections, corpus, FeatureExtractor(extractor.index), config)
+    featurized = [(text, sid) for text, sid, _ in computed]
     paired = {(c.text, sid) for c in claims if c.label is not Label.NOT_ENOUGH_INFO for sid in c.gold_sentences()}
     paired |= {(nei.text, sid) for sid, _ in selections[nei.claim_id][:NEI_PAIRS_PER_CLAIM]}
     assert all(sid in extractor.index.norms for _, sid in paired)
