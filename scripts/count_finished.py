@@ -4,7 +4,9 @@
 
 Prints, for bench's verify-8x stream on the given world seed (one pass,
 each claim served as bench/workload.py serves it), the vectors finished
-per served claim against the candidates per claim; then, for the default
+per served claim against the candidates per claim, and the size of the
+extractor's page store after the pass (set-up and pass together: the
+pages built and their (page, token) entries); then, for the default
 run on the same world seed (experiment seed 1, 6 epochs, learning rate
 0.05, k_docs 20), the vectors finished in each stage, and the
 `FeatureExtractor.prepare_claim` calls in each stage against the distinct
@@ -47,10 +49,10 @@ def main() -> None:
     texts: set[str] = set()
     finish, prepare_claim, stage_of = FeatureExtractor.finish, FeatureExtractor.prepare_claim, experiment._stage
 
-    def counting_finish(self, claim, sentence):
-        if sentence[0] not in claim.vectors:
+    def counting_finish(self, claim, masks, page, candidate):
+        if candidate[0][0] not in claim.vectors:
             finished[stage[-1]] += 1
-        return finish(self, claim, sentence)
+        return finish(self, claim, masks, page, candidate)
 
     def counting_prepare_claim(self, claim_text):
         prepared[stage[-1]] += 1
@@ -81,6 +83,9 @@ def main() -> None:
         served = finished.pop(stage[-1])
         print(f"verify-8x world seed {args.seed}: {len(stream)} claims served, {served} vectors finished, "
               f"{served / len(stream):.4f} per claim of {candidates / len(stream):.1f} candidates")
+        stores = server.loaded.extractor._pages.values()
+        print(f"verify-8x world seed {args.seed}: page store after the pass, {len(stores)} pages built, "
+              f"{sum(len(store) for _, store, _ in stores)} (page, token) entries")
 
         world = Path(work) / "world"
         write_world(build_world(WorldConfig(seed=args.seed)), world)

@@ -14,31 +14,38 @@ Each side of a feature is computed once. The claim side once per claim
 claim vector retrieval and negative sampling also read, the mask of
 query terms each entity span holds, and the negation cues and numerals
 pair features compare); the title side once per page of a `held` call;
-the sentence side once per page, as the page's columns, derived from the
+the sentence side once per page, as the page's store, derived from the
 index's units the first time the extractor holds the page and kept
-(bounded by the corpus, not by the claims served): per token the bitmask
-of the candidate positions holding it (a title token is held by every
-candidate), and per position its norm (`index.norms`), log_body_length
-and sentence_position.
+(bounded by the corpus, not by the claims served): per token, the flat
+(position, tf) pairs of the units holding it, packed in bytes (a title
+token is held by every unit, with the count its postings give), and per
+position the unit's row: its sid, position, norm (`index.norms`),
+log_body_length and sentence_position.
 
 A selection vector is made in two steps. The held pass
-(`FeatureExtractor.held`), cheap and run for every sentence, looks up
-each posted claim term's column once per page and reads a sentence's
-count from the term's postings only where its bit is set. That yields
-the TF-IDF dot, added in the claim's term order, and the mask of the
-claim terms the sentence holds. Each distinct mask is worked out once
-per call: the shared-term count and idf overlap, the features built
-from them, and upper counts of the claim bigrams and entity spans the
-sentence can contain, since one can occur only where the sentence holds
-all of its query tokens. So the held pass gives each sentence its
-ceiling: its vector with bigram_overlap and entity_spans_in_body at
-those upper counts, every other feature exact. `finish` counts the
-bigrams and spans where a ceiling is above 0 and gives the vector.
-`selection_vectors`, the one method that gives the vectors of listed
-pages, is the held pass then `finish`; `selection.rank_candidates` holds
-every candidate and finishes only those whose ceiling can reach a
-model's top k. `pair_features` adds the polarity cues to copies of the
-selection vectors, a page's positions per call.
+(`FeatureExtractor.held`), cheap and run for every sentence, goes term
+by term, in the claim's order: for each posted claim term it reads the
+term's pairs on the page once and adds count * tf * idf^2 into the dot
+of each position holding it, and ORs the term's bit into that
+position's mask. So each sentence's dot adds its terms in the claim's
+order, and the mask holds the claim terms the sentence holds. Each
+distinct mask is worked out once per call: the shared-term count and
+idf overlap, the features built from them, and upper counts of the
+claim bigrams and entity spans the sentence can contain, since one can
+occur only where the sentence holds all of its query tokens. The pass
+gives per page the title values once and per candidate its (row,
+cosine, mask), plus the per-mask values: no vector. A candidate's
+ceiling (`ceiling`) is its vector with bigram_overlap and
+entity_spans_in_body at those upper counts, every other feature exact;
+`util.logistic_bounds` scores ceilings from products shared per mask
+and per page without building them. `finish` builds a candidate's
+ceiling, counts the bigrams and spans where it is above 0, and gives
+the vector. `selection_vectors`, the one method that gives the vectors
+of listed pages, is the held pass then `finish`;
+`selection.rank_candidates` holds every candidate and finishes only
+those whose bound can reach a model's top k. `pair_features` adds the
+polarity cues to copies of the selection vectors, a page's positions
+per call.
 
 Selection vectors live on the claim: each `PreparedClaim` holds the
 memo `{SentenceId: vector}` of the sentences finished against it, and
@@ -62,6 +69,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 from .corpus import Document, InvertedIndex, Query, SentenceId, parse_query, token_spans
@@ -163,20 +171,53 @@ class PreparedClaim:
     vectors: dict[SentenceId, list[float]] = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
-# A held sentence, always an index unit: (sid, document, position,
-# ceiling), see FeatureExtractor.held.
-HeldSentence = tuple[SentenceId, Document, int, list[float]]
+# A held sentence, always an index unit: (row, cosine, mask), row the
+# page store's (sid, position, norm, log_body_length, sentence_position);
+# a held page: (document, entity_spans_in_title, title_in_claim, its held
+# sentences); and each mask's five mask features. See FeatureExtractor.held.
+HeldCandidate = tuple[tuple, float, int]
+HeldPage = tuple[Document, float, float, list[HeldCandidate]]
+MaskFeatures = dict[int, tuple[float, float, float, float, float]]
+
+
+def ceiling(masks: MaskFeatures, page: HeldPage, candidate: HeldCandidate) -> list[float]:
+    """A held sentence's ceiling: its selection vector with bigram_overlap
+    and entity_spans_in_body at their upper counts, every other feature exact."""
+    row, cosine, mask = candidate
+    unigram, bigram_ceiling, idf_overlap, spans_ceiling, missing = masks[mask]
+    _, spans_in_title, title_in_claim, _ = page
+    return [
+        unigram,
+        bigram_ceiling,
+        cosine,
+        idf_overlap,
+        spans_in_title,
+        spans_ceiling,
+        row[3],
+        title_in_claim,
+        row[4],
+        missing,
+    ]
+
+
+def _packed(pairs: list[int]) -> Sequence[int]:
+    """The flat (position, tf) pairs as bytes, or as a tuple when a value
+    does not fit in a byte."""
+    try:
+        return bytes(pairs)
+    except ValueError:
+        return tuple(pairs)
 
 
 class FeatureExtractor:
     """Deterministic feature vectors backed by the sentence index of the
-    corpus being featurized; it keeps its last claim and held pages' columns."""
+    corpus being featurized; it keeps its last claim and held pages' stores."""
 
     def __init__(self, index: InvertedIndex):
         self.index = index
         self._last_claim: Optional[PreparedClaim] = None
-        self._pages: dict[str, tuple[Document, dict[str, int], list]] = {}  # page id -> _page's columns
-        self._floats: dict[float, float] = {}  # one object per distinct row float, to keep rows small
+        self._pages: dict[str, tuple[Document, dict[str, Sequence[int]], list]] = {}  # page id -> _page's store
+        self._shared: dict = {}  # one object per distinct row float or packed pairs, to keep stores small
 
     @classmethod
     def from_index(cls, index: InvertedIndex) -> "FeatureExtractor":
@@ -212,12 +253,15 @@ class FeatureExtractor:
         self._last_claim = claim
         return claim
 
-    def held(self, claim: PreparedClaim, pages: Iterable[tuple[Document, Iterable[int]]]) -> list[HeldSentence]:
+    def held(
+        self, claim: PreparedClaim, pages: Iterable[tuple[Document, Iterable[int]]]
+    ) -> tuple[list[HeldPage], MaskFeatures]:
         """The held pass over the sentences at the given positions of each
-        page's document, in page then position order: per sentence its
-        (sid, document, position, ceiling), against a prepared claim (see
-        the module docstring). Each page's title side and term columns, and
-        each distinct mask of held claim terms, is worked out once per call."""
+        page's document, against a prepared claim (see the module
+        docstring): per page its HeldPage, the candidates in position
+        order, and the five mask features of each mask a candidate has.
+        Each page's title side, and each distinct mask, is worked out once
+        per call."""
         query = claim.query
         terms = query.terms
         bits = {token: 1 << i for i, (token, _, _, _) in enumerate(terms)}
@@ -230,28 +274,28 @@ class FeatureExtractor:
         claim_size = max(1, n_claim)
         query_norm, idf_mass = query.norm, claim.idf_mass
         # An out-of-vocabulary term has no postings, so no sentence holds it.
-        posted = [(token, (count, idf * idf, postings, bits[token])) for token, count, idf, postings in terms if postings]
-        per_mask: dict[int, tuple[float, float, float, float, float]] = {}
+        posted = [(token, count, idf * idf, bits[token]) for token, count, idf, postings in terms if postings]
+        masks: MaskFeatures = {}
         held = []
         for document, positions in pages:
-            columns, rows = self._page(document)
-            # One lookup per (page, posted term); a count is read only where a bit is set.
-            on_page = [(column, term) for token, term in posted if (column := columns.get(token))]
-            spans_in_title = _span_share(spans, set(document.title_tokens))
-            title_in_claim = 1.0 if contains_subsequence(query.tokens, document.title_tokens) else 0.0
+            store, rows = self._page(document)
+            # Term-major, in the claim's term order, so each sentence's dot
+            # adds its terms in that order, never in a set's hash order.
+            dots, held_masks = [0.0] * len(rows), [0] * len(rows)
+            for token, count, idf_squared, bit in posted:
+                pairs = store.get(token)
+                if pairs is not None:
+                    at = iter(pairs)
+                    for position, tf in zip(at, at):
+                        dots[position] += count * tf * idf_squared
+                        held_masks[position] |= bit
+            candidates = []
             for position in positions:
                 row = rows[position]
                 if row is None:
                     raise ValueError(f"sentence {document.sids[position]} is no unit of the extractor's index")
-                sid, candidate_norm, log_body_length, sentence_position, at = row
-                # Every float sum runs in the claim's token order, never a set's hash order.
-                dot, mask = 0.0, 0
-                for column, (count, idf_squared, postings, bit) in on_page:
-                    if column & at:
-                        dot += count * postings[sid] * idf_squared
-                        mask |= bit
-                values = per_mask.get(mask)
-                if values is None:
+                mask = held_masks[position]
+                if mask not in masks:
                     overlap = 0.0
                     shared = 0
                     for idf, bit in term_bits:
@@ -268,63 +312,67 @@ class FeatureExtractor:
                     for needed in span_masks:
                         if needed & mask == needed:
                             spans_in += 1
-                    values = per_mask[mask] = (
+                    masks[mask] = (
                         shared / claim_size,
                         bigrams_in / n_bigrams,
                         overlap / idf_mass if idf_mass > 0 else 0.0,
                         spans_in / len(spans) if spans else 0.0,
                         (n_claim - shared) / claim_size,
                     )
-                unigram, bigram_ceiling, idf_overlap, spans_ceiling, missing = values
-                ceiling = [
-                    unigram,
-                    bigram_ceiling,
-                    dot / (query_norm * candidate_norm) if dot != 0.0 else 0.0,
-                    idf_overlap,
-                    spans_in_title,
-                    spans_ceiling,
-                    log_body_length,
-                    title_in_claim,
-                    sentence_position,
-                    missing,
-                ]
-                held.append((sid, document, position, ceiling))
-        return held
+                dot = dots[position]
+                candidates.append((row, dot / (query_norm * row[2]) if dot != 0.0 else 0.0, mask))
+            held.append(
+                (
+                    document,
+                    _span_share(spans, set(document.title_tokens)),
+                    1.0 if contains_subsequence(query.tokens, document.title_tokens) else 0.0,
+                    candidates,
+                )
+            )
+        return held, masks
 
-    def _page(self, document: Document) -> tuple[dict[str, int], list]:
-        """The document's columns, built when first held and kept for this very
-        document: token -> bitmask (bit p for position p), and per position the
-        unit's (sid, norm, log_body_length, sentence_position, bit) or None."""
+    def _page(self, document: Document) -> tuple[dict[str, Sequence[int]], list]:
+        """The document's store, built when first held and kept for this
+        very document: token -> the flat (position, tf) pairs of the units
+        holding it, positions ascending (a title token is held by every
+        unit), tf as the unit's postings count it; and per position the
+        unit's row, (sid, position, norm, log_body_length,
+        sentence_position), or None."""
         page = self._pages.get(document.page_id)
         if page is None or page[0] is not document:
-            columns: dict[str, int] = {}
+            pairs: dict[str, list[int]] = {}
             rows: list = [None] * len(document.sids)
-            every, share = 0, self._floats.setdefault
+            postings, share = self.index.postings, self._shared.setdefault
             for position in document.candidate_positions:
                 sid, body_tokens = document.sids[position], document.tokens[position]
                 norm = self.index.norms.get(sid)
                 if norm is not None:
-                    every |= (bit := 1 << position)
-                    for token in body_tokens:
-                        columns[token] = columns.get(token, 0) | bit
+                    for token in dict.fromkeys(chain(document.title_tokens, body_tokens)):
+                        if token in pairs:
+                            pairs[token] += (position, postings[token][sid])
+                        else:
+                            pairs[token] = [position, postings[token][sid]]
                     log_length, relative = math.log(1 + len(body_tokens)), position / max(1, len(rows) - 1)
-                    rows[position] = (sid, norm, share(log_length, log_length), share(relative, relative), bit)
-            if every:
-                columns.update(dict.fromkeys(document.title_tokens, every))
-            page = self._pages[document.page_id] = (document, columns, rows)
+                    rows[position] = (sid, position, norm, share(log_length, log_length), share(relative, relative))
+            store = {token: share(packed := _packed(flat), packed) for token, flat in pairs.items()}
+            page = self._pages[document.page_id] = (document, store, rows)
         return page[1], page[2]
 
-    def finish(self, claim: PreparedClaim, sentence: HeldSentence) -> list[float]:
-        """The selection vector of a held sentence: the claim's memo's if it
-        holds the sentence, else its ceiling with bigram_overlap and
-        entity_spans_in_body counted where their ceiling is above 0 (at 0
-        the ceiling is the value), which is stored in the memo."""
-        sid, document, position, vector = sentence
+    def finish(
+        self, claim: PreparedClaim, masks: MaskFeatures, page: HeldPage, candidate: HeldCandidate
+    ) -> list[float]:
+        """The selection vector of a held candidate of the page: the claim's
+        memo's if it holds the sentence, else its ceiling with
+        bigram_overlap and entity_spans_in_body counted where their ceiling
+        is above 0 (at 0 the ceiling is the value), which is stored in the memo."""
+        row = candidate[0]
+        sid = row[0]
         if sid in claim.vectors:
             return claim.vectors[sid]
+        vector = ceiling(masks, page, candidate)
         if vector[_BIGRAMS] or vector[_SPANS_IN_BODY]:
-            body_tokens = document.tokens[position]
-            vector = list(vector)
+            document = page[0]
+            body_tokens = document.tokens[row[1]]
             if vector[_BIGRAMS]:
                 tokens = document.title_tokens + body_tokens
                 vector[_BIGRAMS] = len(claim.bigrams.intersection(zip(tokens, tokens[1:]))) / max(1, len(claim.bigrams))
@@ -347,8 +395,10 @@ class FeatureExtractor:
             if (lacking := [p for p in positions if document.sids[p] not in memo])
         ]
         if missing:
-            for sentence in self.held(claim, missing):
-                self.finish(claim, sentence)
+            held, masks = self.held(claim, missing)
+            for page in held:
+                for candidate in page[3]:
+                    self.finish(claim, masks, page, candidate)
         return [(sid, memo[sid]) for document, positions in pages for sid in (document.sids[p] for p in positions)]
 
     def pair_features(

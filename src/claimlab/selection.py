@@ -3,8 +3,10 @@
 The relevance scorer is a logistic model over engineered lexical
 features; every score of one, a vector's or a batch's, and every
 probability its training steps by, comes from one kernel,
-`util.logistic_scores`. It stands behind the same train/score surface a
-heavier encoder would use, so the pipeline treats the scorer as pluggable.
+`util.logistic_scores`, and the bounds ranking prunes by from
+`util.logistic_bounds`, with the bits the first gives a ceiling. It
+stands behind the same train/score surface a heavier encoder would use,
+so the pipeline treats the scorer as pluggable.
 Training draws 15 negatives per positive from a TF-IDF ranker in three
 groups (same-document, other-document, fresh-document) and, each
 epoch, keeps only the hardest negatives so positives and negatives
@@ -24,13 +26,16 @@ seed and each claim's own id drive that claim's draws from the shared
 pools, and each draw's new sentences are featurized a page at a time.
 
 Ranking (`rank_candidates`) takes one held pass over a claim's candidate
-sentences (see `features`), which gives each candidate its ceiling, and
-then, per model, bounds every candidate's score by its ceiling's score,
-in one call of the batch kernel `util.logistic_scores`. It finishes
-candidates best bound first, and stops when the next bound, with a slack
-that covers rounding, is below the k-th best exact score: the top k are
+sentences (see `features`), which gives each candidate its row, cosine
+and mask and each page its title values, but no vector. Per model it
+then bounds every candidate's score by the score of its ceiling, in one
+call of `util.logistic_bounds`, which adds products shared per mask and
+per page in the ceiling's own chain. It finishes candidates best bound
+first, from a heap, and stops when the next bound, with a slack that
+covers rounding, is below the k-th best exact score: the top k are
 exactly those of a full featurize-and-score pass, ties by sentence id,
-from far fewer vectors. Several selectors rank one claim in one call
+from far fewer vectors, and a vector is built only for a candidate that
+is finished. Several selectors rank one claim in one call
 (see `experiment.select_evidence`). Vectors live on the claim (see
 `features`, which alone reads and writes the claim's memo): the
 extractor's last claim keeps each vector ranking finishes, so a vector
@@ -48,7 +53,9 @@ import heapq
 import math
 import random
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
@@ -56,7 +63,7 @@ from typing import Any, Callable, Iterable, Mapping, NamedTuple, Optional, Seque
 from .claims import Claim, Label
 from .corpus import Corpus, IndexScorer, InvertedIndex, Query, SentenceId, rank_key, top_k_scored
 from .features import BOUNDED_FEATURES, SELECTION_FEATURE_NAMES, FeatureExtractor, PreparedClaim
-from .util import check_fields, load_model, logistic_scores, save_model, stable_seed
+from .util import check_fields, load_model, logistic_bounds, logistic_scores, save_model, stable_seed
 
 MODEL_SCHEMA = "claimlab/relevance-model/v1"
 
@@ -388,46 +395,61 @@ def rank_candidates(
 
     Duplicate pages are ranked once; unknown pages are skipped. The claim
     becomes the extractor's last claim. One held pass gives every
-    candidate its ceiling (features.FeatureExtractor.held, page-major; a
-    sentence the index does not hold raises there). A model bounds
-    each candidate's score by the score of its ceiling under the model's
-    weights with those of bigram_overlap and entity_spans_in_body raised
-    to 0 if negative, in one logistic_scores call: this z is the score's
-    chain of products and sums, left to right, with no term smaller (a
-    ceiling is at least its count, and a raised weight's term is 0.0
-    where the true one is at most 0), and rounding to nearest is
-    monotone, so it is no smaller than the score's z. Each sigmoid is
-    within a few units in the last place of its true value, or, below
-    the smallest normal float, within a few subnormal steps of it, so the
-    bound times 1 + _SCORE_SLACK, plus the smallest normal float, is no
-    smaller than the score.
+    candidate its row, cosine and mask (features.FeatureExtractor.held,
+    term-major; a sentence the index does not hold raises there). A model
+    bounds each candidate's score by the score of its ceiling
+    (features.ceiling) under the model's weights with those of
+    bigram_overlap and entity_spans_in_body raised to 0 if negative, all
+    in one util.logistic_bounds call. That kernel takes the products
+    logistic_scores would take of the ceiling, once per mask, page or
+    candidate, and adds them in the ceiling's feature order, left to
+    right from 0.0, then the bias: the same operations, so the same bits.
+    This z is the score's chain of products and sums, left to right, with
+    no term smaller (a ceiling is at least its count, and a raised
+    weight's term is 0.0 where the true one is at most 0), and rounding
+    to nearest is monotone, so it is no smaller than the score's z. Each
+    sigmoid is within a few units in the last place of its true value,
+    or, below the smallest normal float, within a few subnormal steps of
+    it, so the bound times 1 + _SCORE_SLACK, plus the smallest normal
+    float, is no smaller than the score.
 
-    Candidates are taken by falling bound. Each is finished
-    (FeatureExtractor.finish, which computes its vector once per claim)
-    and scored with RelevanceModel.score, until the next bound, so
-    slackened, is below the k-th best score so far: no candidate left can
-    then reach the top k, while one that ties it is finished. A vector
-    computed for one model serves the others and the verdict.
+    Candidates are taken by falling bound, ties in candidate order, from
+    a heap of the bounds, so only the candidates taken are ordered. Each
+    is finished (FeatureExtractor.finish, which builds its vector once
+    per claim) and scored with RelevanceModel.score, until the next
+    bound, so slackened, is below the k-th best score so far: no
+    candidate left can then reach the top k, while one that ties it is
+    finished. A vector computed for one model serves the others and the
+    verdict.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     documents = [corpus.documents.get(page_id) for page_id in dict.fromkeys(candidate_pages)]
     prepared = extractor.prepare_claim(claim.text)
-    held = extractor.held(prepared, [(doc, doc.candidate_positions) for doc in documents if doc is not None])
-    ceilings = [(i, ceiling) for i, (_, _, _, ceiling) in enumerate(held)]
+    pages, masks = extractor.held(prepared, [(doc, doc.candidate_positions) for doc in documents if doc is not None])
+    starts = list(accumulate((len(page[3]) for page in pages), initial=0))  # each page's first candidate index
     ranked = []
     for model in models:
         weights = list(model.weights)
         for feature in BOUNDED_FEATURES:
             weights[feature] = max(weights[feature], 0.0)
-        bounds = logistic_scores(len(weights))(weights, model.bias, ceilings)
+        bounds = logistic_bounds(weights, model.bias, pages, masks)
+        order = [-bound for bound in bounds]  # a min-heap: the best bound pops first
+        heapq.heapify(order)
         scores: dict[SentenceId, float] = {}
         best: list[float] = []  # the k best scores so far, a min-heap
-        for i, bound in sorted(bounds.items(), key=itemgetter(1), reverse=True):
+        taken = -1
+        while order:
+            bound = -heapq.heappop(order)
             if len(best) == k and bound + bound * _SCORE_SLACK + sys.float_info.min < best[0]:
                 break
-            sentence = held[i]
-            scores[sentence[0]] = score = model.score(extractor.finish(prepared, sentence))
+            # The first candidate with this bound, or the next one after the
+            # last taken if it had this bound too: ties go in candidate order.
+            taken = bounds.index(bound, taken + 1 if taken >= 0 and bounds[taken] == bound else 0)
+            p = bisect_right(starts, taken) - 1
+            page = pages[p]
+            candidate = page[3][taken - starts[p]]
+            scores[candidate[0][0]] = score = model.score(extractor.finish(prepared, masks, page, candidate))
             if len(best) < k:
                 heapq.heappush(best, score)
             else:

@@ -52,11 +52,12 @@ def logistic_scores(width: int) -> Callable[[Sequence[float], float, Iterable[tu
     (key, f) pairs of items, in one loop; w must have width weights.
 
     The one kernel a linear relevance model scores with, one vector
-    (selection.RelevanceModel.score) or a batch, and the package's one
-    sigmoid: z = bias + (0.0 + w[0] * f[0] + ...), the chain linear_form
-    adds, with the weights bound once per call; then 1 / (1 + exp(-z))
-    for z >= 0, else e / (1 + e) with e = exp(z). Built once per width
-    like linear_form. A key repeated in items keeps its last score.
+    (selection.RelevanceModel.score) or a batch, and the package's
+    sigmoid, which only logistic_bounds repeats: z = bias + (0.0 + w[0]
+    * f[0] + ...), the chain linear_form adds, with the weights bound
+    once per call; then 1 / (1 + exp(-z)) for z >= 0, else e / (1 + e)
+    with e = exp(z). Built once per width like linear_form. A key
+    repeated in items keeps its last score.
     """
     # The source depends only on the integer width.
     unpack = "".join(f"w{i}, " for i in range(width))
@@ -77,6 +78,39 @@ def logistic_scores(width: int) -> Callable[[Sequence[float], float, Iterable[tu
     namespace: dict = {"exp": math.exp}
     exec(compile(source, f"<logistic_scores {width}>", "exec"), namespace)
     return namespace["scores"]
+
+
+def logistic_bounds(w: Sequence[float], bias: float, pages: Iterable, masks: Mapping) -> list[float]:
+    """The score under (w, bias) of each held candidate's ceiling
+    (features.ceiling), in page then candidate order, with the bits
+    logistic_scores gives the ceiling, though no ceiling is built.
+
+    pages and masks are what features.FeatureExtractor.held returns; w has
+    one weight per selection feature. The products shared by a mask's
+    candidates (features 0, 1, 3, 5 and 9) or a page's (4 and 7) are taken
+    once per call, and z adds every product in feature order from 0.0,
+    left to right, as logistic_scores does: bias + (0.0 + p0 + p1 + ... +
+    p9). The sigmoid is logistic_scores' too.
+    """
+    w0, w1, w2, w3, w4, w5, w6, w7, w8, w9 = w
+    partials = {
+        mask: (0.0 + w0 * unigram + w1 * bigrams, w3 * overlap, w5 * spans, w9 * missing)
+        for mask, (unigram, bigrams, overlap, spans, missing) in masks.items()
+    }
+    exp = math.exp
+    out: list[float] = []
+    append = out.append
+    for _, spans_in_title, title_in_claim, candidates in pages:
+        p4, p7 = w4 * spans_in_title, w7 * title_in_claim
+        for row, cosine, mask in candidates:
+            head, p3, p5, p9 = partials[mask]
+            z = bias + (head + w2 * cosine + p3 + p4 + p5 + w6 * row[3] + p7 + w8 * row[4] + p9)
+            if z >= 0:
+                append(1.0 / (1.0 + exp(-z)))
+            else:
+                e = exp(z)
+                append(e / (1.0 + e))
+    return out
 
 
 @functools.lru_cache(maxsize=None)

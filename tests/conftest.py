@@ -77,11 +77,12 @@ def record_computed(monkeypatch) -> list:
     computed = []
     original = FeatureExtractor.finish
 
-    def recording(self, claim, sentence):
-        lacked = sentence[0] not in claim.vectors
-        vector = original(self, claim, sentence)
+    def recording(self, claim, masks, page, candidate):
+        sid = candidate[0][0]
+        lacked = sid not in claim.vectors
+        vector = original(self, claim, masks, page, candidate)
         if lacked:
-            computed.append((claim.text, sentence[0], vector))
+            computed.append((claim.text, sid, vector))
         return vector
 
     monkeypatch.setattr(FeatureExtractor, "finish", recording)

@@ -145,7 +145,7 @@ def test_preparing_another_claim_evicts_the_slot(served, monkeypatch):
 
 
 def test_another_document_under_a_stored_page_id_is_featurized_afresh(served):
-    """The extractor keeps a page's columns for the very document it was
+    """The extractor keeps a page's store for the very document it was
     built from: another document under the page id gets its own. One built
     outside the corpus, at a line the index does not hold, is rejected on
     every call, naming the sentence, and nothing of it enters the memo;

@@ -651,42 +651,57 @@ class TestOneNorm:
             assert features[idx("idf_weighted_overlap")] == 1.0
 
 
-def test_page_columns_are_the_index_units(fixture_world):
+def test_page_store_is_the_index_units(fixture_world):
     """On a generated world plus a page with empty lines and one with only
-    an empty line, each page's
-    columns are its index units: per token, the bitmask of the positions
-    whose sentence the token's postings hold, and per position the unit's
-    sid, own norm (bit for bit), log_body_length, sentence_position and
-    bit, or None where the index holds no unit. They are built once per
-    page."""
+    an empty line, each page's store is its index units: per token, the
+    (position, tf) pairs of the positions whose sentence the token's
+    postings hold, with the postings' count, positions ascending, so a
+    title token is held by every unit; and per position the unit's sid,
+    position, own norm (bit for bit), log_body_length and
+    sentence_position, or None where the index holds no unit. It is built
+    once per document. A page whose positions or counts pass 255 keeps
+    them whole, and its vectors are the reference's."""
     corpus = ingest_corpus(fixture_world / "corpus")
     hollow = Document("Hollow", ((0, ""), (1, "Hollow is a quiet town."), (3, ""), (4, "It rains.")))
     corpus.documents["Hollow"] = hollow
     corpus.documents["Quiet"] = Document("Quiet", ((0, ""),))
+    long = Document("Long", tuple((line, "It rains.") for line in range(299)) + ((299, "Rain " * 300),))
+    corpus.documents["Long"] = long
     index = build_index(corpus, "sentence")
     expected = {page_id: {} for page_id in corpus.documents}
     for token, postings in index.postings.items():
-        for sid in postings:
+        for sid, tf in postings.items():
             doc, position = corpus.locate(sid)
-            columns = expected[sid.page_id]
-            columns[token] = columns.get(token, 0) | 1 << position
+            expected[sid.page_id].setdefault(token, []).append((position, tf))
     extractor = FeatureExtractor(index)
-    units = 0
+    units = titled = 0
     for doc in corpus.documents.values():
-        columns, rows = extractor._page(doc)
-        assert columns == expected[doc.page_id]
+        store, rows = extractor._page(doc)
+        pairs = {token: list(zip(flat[::2], flat[1::2])) for token, flat in store.items()}
+        assert pairs == {token: sorted(held) for token, held in expected[doc.page_id].items()}
+        unit_positions = [position for position, sid in enumerate(doc.sids) if sid in index.norms]
+        for token in doc.title_tokens:
+            assert [position for position, _ in pairs.get(token, [])] == unit_positions
+            titled += bool(unit_positions)
         assert len(rows) == len(doc.sids)
         denom = max(1, len(doc.sids) - 1)
         for position, sid in enumerate(doc.sids):
             if sid not in index.norms:
                 assert rows[position] is None
                 continue
-            own, norm, log_body_length, sentence_position, bit = rows[position]
-            assert own is sid and bit == 1 << position
+            own, at, norm, log_body_length, sentence_position = rows[position]
+            assert own is sid and at == position
             assert norm.hex() == index.norms[sid].hex()
             assert log_body_length == math.log(1 + len(doc.tokens[position]))
             assert sentence_position == position / denom
             units += 1
-        assert extractor._page(doc)[0] is columns
-    assert units == len(index.norms)
+        assert extractor._page(doc)[0] is store
+    assert units == len(index.norms) and titled > 0
     assert [row is None for row in extractor._page(hollow)[1]] == [True, False, True, False]
+    assert max(extractor._page(long)[0]["rain"]) == 300
+    claim_text = "Long rain rains."
+    vectors = extractor.selection_vectors(extractor.prepare_claim(claim_text), [(long, [299, 0])])
+    assert vectors == [
+        (long.sids[position], reference_selection_features(extractor, claim_text, "Long", body, position / 299))
+        for position, body in ((299, "Rain " * 300), (0, "It rains."))
+    ]

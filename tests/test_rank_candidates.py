@@ -8,7 +8,8 @@ two other generated worlds, and random weights of both signs, some large
 enough to saturate the sigmoid. The candidate pages may repeat or name
 no page. A page holding a sentence the index does not (added to the page
 after indexing) is rejected, naming the sentence, before any vector is
-finished."""
+finished. Each bound the walk takes has the bits of the batch kernel's
+score of the candidate's ceiling, though no ceiling is built for it."""
 
 import re
 
@@ -16,14 +17,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from claimlab import selection as selection_module
 from claimlab.claim_gen import generate_augmentation_set
 from claimlab.claims import Label, load_claims
 from claimlab.corpus import Corpus, Document, build_index, ingest_corpus
 from claimlab.experiment import _trained_regimes
-from claimlab.features import SELECTION_FEATURE_NAMES, FeatureExtractor
+from claimlab.features import SELECTION_FEATURE_NAMES, FeatureExtractor, ceiling
 from claimlab.kb import KnowledgeBase
 from claimlab.retrieval import DocRetrievalConfig, DocumentRetriever, with_gold_pages
 from claimlab.selection import REGIMES, RelevanceModel, TrainingConfig, rank_candidates, top_k, train_selectors
+from claimlab.util import logistic_bounds, logistic_scores
 from claimlab.worldgen import WorldConfig, build_world, write_world
 
 from conftest import make_claim
@@ -46,11 +49,12 @@ class Recording(FeatureExtractor):
         super().__init__(index)
         self.finished = []
 
-    def finish(self, claim, sentence):
-        lacked = sentence[0] not in claim.vectors
-        vector = super().finish(claim, sentence)
+    def finish(self, claim, masks, page, candidate):
+        sid = candidate[0][0]
+        lacked = sid not in claim.vectors
+        vector = super().finish(claim, masks, page, candidate)
         if lacked:
-            self.finished.append((sentence[0], vector))
+            self.finished.append((sid, vector))
         return vector
 
 
@@ -171,6 +175,52 @@ def test_edge_claims_and_pages(fixture_stack):
     [ranked] = rank_candidates([saturated], FeatureExtractor(index), claim, pages, corpus, 5)
     assert [score for _, score in ranked] == [1.0] * 5
     assert [sid for sid, _ in ranked] == sorted(sid for sid, _ in ranked)
+
+
+def test_bounds_are_the_ceiling_scores(fixture_stack, monkeypatch):
+    """Every bound rank_candidates takes, ranking one model or several in
+    one call, has the bits of logistic_scores of the candidate's ceiling
+    (features.ceiling, built here) under the model's weights with those of
+    bigram_overlap and entity_spans_in_body raised to 0 if negative: for
+    every candidate of the fixture world's dev and adversarial claims, for
+    the trained selectors and for weights of both signs, some saturating
+    the sigmoid at 1.0 or at 0.0. A model ranked alone finishes candidates
+    by falling bound, ties in candidate order."""
+    corpus, index, models, claims = fixture_stack
+    calls = []
+
+    def recording(weights, bias, pages, masks):
+        bounds = logistic_bounds(weights, bias, pages, masks)
+        calls.append((weights, bias, pages, masks, bounds))
+        return bounds
+
+    monkeypatch.setattr(selection_module, "logistic_bounds", recording)
+    signed, saturated = RelevanceModel(list(SIGNED), -3.0), RelevanceModel([800.0] * WIDTH, 800.0)
+    every = list(models.values()) + [signed, saturated, RelevanceModel([-900.0] * WIDTH, 0.0)]
+    checked = tied = 0
+    for text, pages in claims:
+        documents = [corpus.documents[page] for page in dict.fromkeys(pages) if page in corpus.documents]
+        candidates = [doc.sids[position] for doc in documents for position in doc.candidate_positions]
+        for group in ([every[0]], [signed], [saturated], every):
+            del calls[:]
+            extractor = Recording(index)
+            rank_candidates(group, extractor, make_claim(1, Label.SUPPORTED, text), pages, corpus, 5)
+            assert len(calls) == len(group)
+            for model, (weights, bias, held, masks, bounds) in zip(group, calls):
+                raised = list(model.weights)
+                raised[BIGRAMS], raised[SPANS_IN_BODY] = max(raised[BIGRAMS], 0.0), max(raised[SPANS_IN_BODY], 0.0)
+                assert weights == raised and bias == model.bias
+                held = [(page, candidate) for page in held for candidate in page[3]]
+                assert [candidate[0][0] for _, candidate in held] == candidates
+                scores = logistic_scores(WIDTH)(raised, bias, enumerate(ceiling(masks, *sentence) for sentence in held))
+                assert [bound.hex() for bound in bounds] == [scores[i].hex() for i in range(len(held))]
+                checked += len(bounds)
+            if len(group) == 1:
+                finished = [sid for sid, _ in extractor.finished]
+                by_bound = sorted(range(len(bounds)), key=lambda i: (-bounds[i], i))
+                assert finished == [candidates[i] for i in by_bound[: len(finished)]]
+                tied += len(finished) - len({bounds[i] for i in by_bound[: len(finished)]})
+    assert len(claims) > 150 and checked > 100_000 and tied > 0
 
 
 WEIGHTS = st.lists(st.one_of(st.floats(-4, 4), st.floats(-1000, 1000)), min_size=WIDTH, max_size=WIDTH)
