@@ -6,7 +6,8 @@ Prints, for bench's verify-8x stream on the given world seed (one pass,
 each claim served as bench/workload.py serves it), the vectors finished
 per served claim against the candidates per claim, and the size of the
 extractor's page store after the pass (set-up and pass together: the
-pages built and their (page, token) entries); then, for the default
+pages built and their (page, token) entries) and the units that hold a
+stored pair side (negation cues and numerals); then, for the default
 run on the same world seed (experiment seed 1, 6 epochs, learning rate
 0.05, k_docs 20), the vectors finished in each stage, and the
 `FeatureExtractor.prepare_claim` calls in each stage against the distinct
@@ -86,6 +87,9 @@ def main() -> None:
         stores = server.loaded.extractor._pages.values()
         print(f"verify-8x world seed {args.seed}: page store after the pass, {len(stores)} pages built, "
               f"{sum(len(store) for _, store, _ in stores)} (page, token) entries")
+        sides = server.loaded.extractor._pair_sides.values()
+        print(f"verify-8x world seed {args.seed}: pair sides after the pass, "
+              f"{sum(side is not None for _, stored in sides for side in stored)} units hold one")
 
         world = Path(work) / "world"
         write_world(build_world(WorldConfig(seed=args.seed)), world)

@@ -13,39 +13,45 @@ Each side of a feature is computed once. The claim side once per claim
 (`FeatureExtractor.prepare_claim`: the claim's `corpus.Query`, the one
 claim vector retrieval and negative sampling also read, the mask of
 query terms each entity span holds, and the negation cues and numerals
-pair features compare); the title side once per page of a `held` call;
-the sentence side once per page, as the page's store, derived from the
-index's units the first time the extractor holds the page and kept
-(bounded by the corpus, not by the claims served): per token, the flat
-(position, tf) pairs of the units holding it, packed in bytes (a title
-token is held by every unit, with the count its postings give), and per
-position the unit's row: its sid, position, norm (`index.norms`),
-log_body_length and sentence_position.
+pair features compare); the title side once per page of a `held` call,
+and only where the title shares a token with the claim (a title that
+holds no claim span token has entity_spans_in_title 0.0, and one whose
+first token is no claim token title_in_claim 0.0, with no set built and
+no subsequence sought); a unit's pair side, its negation cues and
+numerals, once per unit, when `pair_features` first pairs it, kept for
+that very document (every empty one the one shared empty frozenset, and
+no token set kept); the sentence side once per page, as the page's
+store, derived from the index's units the first time the extractor holds
+the page and kept (bounded by the corpus, not by the claims served): per
+token, the flat (position, tf) pairs of the units holding it, packed in
+bytes (a title token is held by every unit, with the count its postings
+give), and per position the unit's row: its sid, position, norm
+(`index.norms`), log_body_length and sentence_position.
 
 A selection vector is made in two steps. The held pass
 (`FeatureExtractor.held`), cheap and run for every sentence, goes term
 by term, in the claim's order: for each posted claim term it reads the
 term's pairs on the page once and adds count * tf * idf^2 into the dot
-of each position holding it, and ORs the term's bit into that
-position's mask. So each sentence's dot adds its terms in the claim's
-order, and the mask holds the claim terms the sentence holds. Each
-distinct mask is worked out once per call: the shared-term count and
-idf overlap, the features built from them, and upper counts of the
-claim bigrams and entity spans the sentence can contain, since one can
-occur only where the sentence holds all of its query tokens. The pass
-gives per page the title values once and per candidate its (row,
-cosine, mask), plus the per-mask values: no vector. A candidate's
-ceiling (`ceiling`) is its vector with bigram_overlap and
-entity_spans_in_body at those upper counts, every other feature exact;
-`util.logistic_bounds` scores ceilings from products shared per mask
-and per page without building them. `finish` builds a candidate's
-ceiling, counts the bigrams and spans where it is above 0, and gives
-the vector. `selection_vectors`, the one method that gives the vectors
-of listed pages, is the held pass then `finish`;
-`selection.rank_candidates` holds every candidate and finishes only
-those whose bound can reach a model's top k. `pair_features` adds the
-polarity cues to copies of the selection vectors, a page's positions
-per call.
+of each position holding it, and ORs the term's bit into that position's
+mask. So each sentence's dot adds its terms in the claim's order, and
+the mask holds the claim terms the sentence holds. Each distinct mask is
+worked out once per call: the shared-term count and idf overlap, the
+features built from them, and upper counts of the claim bigrams and
+entity spans the sentence can contain, since one can occur only where
+the sentence holds all of its query tokens. The pass gives per page the
+title values once and per candidate its (row, cosine, mask), plus the
+per-mask values: no vector. A candidate's ceiling (`ceiling`) is its
+vector with bigram_overlap and entity_spans_in_body at those upper
+counts, every other feature exact; `util.logistic_bounds` gives the
+logits of ceilings from products shared per mask and per page without
+building them. `finish` builds a candidate's ceiling, counts the bigrams
+and spans where it is above 0, and gives the vector.
+`selection_vectors`, the one method that gives the vectors of listed
+pages, is the held pass then `finish`; `selection.rank_candidates` holds
+every candidate and finishes only those whose bound can reach a model's
+top k. `pair_features` adds the polarity cues, from the claim's and each
+unit's stored pair side, to copies of the selection vectors, a page's
+positions per call.
 
 Selection vectors live on the claim: each `PreparedClaim` holds the
 memo `{SentenceId: vector}` of the sentences finished against it, and
@@ -102,6 +108,8 @@ BOUNDED_FEATURES = (_BIGRAMS, _SPANS_IN_BODY)
 
 # Cue words whose presence on one side but not the other often flips polarity.
 _NEGATION_CUES = ("not", "only", "never", "no")
+# The one object every empty set of a unit's negation cues or numerals is.
+_EMPTY: frozenset = frozenset()
 
 
 def _bigrams(tokens: list[str]) -> set[tuple[str, str]]:
@@ -138,9 +146,22 @@ def _span_share(spans: list[tuple[set[str], int]], tokens: set[str]) -> float:
 
 
 def contains_subsequence(haystack: list[str], needle: list[str]) -> bool:
-    if not needle or len(needle) > len(haystack) or needle[0] not in haystack:
+    """Whether needle occurs in haystack as a contiguous run; an empty
+    needle never does. Only the offsets holding needle's first token are
+    compared, each found by list.index."""
+    n = len(needle)
+    if not n or n > len(haystack):
         return False
-    return any(haystack[i : i + len(needle)] == needle for i in range(len(haystack) - len(needle) + 1))
+    first, end = needle[0], len(haystack) - n + 1
+    at = 0
+    try:
+        while True:
+            at = haystack.index(first, at, end)
+            if haystack[at : at + n] == needle:
+                return True
+            at += 1
+    except ValueError:
+        return False
 
 
 def _negation_cues(tokens: set[str], *texts: str) -> set[str]:
@@ -211,13 +232,15 @@ def _packed(pairs: list[int]) -> Sequence[int]:
 
 class FeatureExtractor:
     """Deterministic feature vectors backed by the sentence index of the
-    corpus being featurized; it keeps its last claim and held pages' stores."""
+    corpus being featurized; it keeps its last claim, held pages' stores
+    and paired units' pair sides."""
 
     def __init__(self, index: InvertedIndex):
         self.index = index
         self._last_claim: Optional[PreparedClaim] = None
         self._pages: dict[str, tuple[Document, dict[str, Sequence[int]], list]] = {}  # page id -> _page's store
         self._shared: dict = {}  # one object per distinct row float or packed pairs, to keep stores small
+        self._pair_sides: dict[str, tuple[Document, list]] = {}  # page id -> (document, each position's pair side)
 
     @classmethod
     def from_index(cls, index: InvertedIndex) -> "FeatureExtractor":
@@ -261,7 +284,9 @@ class FeatureExtractor:
         docstring): per page its HeldPage, the candidates in position
         order, and the five mask features of each mask a candidate has.
         Each page's title side, and each distinct mask, is worked out once
-        per call."""
+        per call: entity_spans_in_title is 0.0 with no set built when no
+        claim span token is a title token, and title_in_claim 0.0 with no
+        subsequence sought when the title's first token is no claim token."""
         query = claim.query
         terms = query.terms
         bits = {token: 1 << i for i, (token, _, _, _) in enumerate(terms)}
@@ -269,8 +294,10 @@ class FeatureExtractor:
         bigram_masks = [bits[first] | bits[second] for first, second in claim.bigrams]
         spans = claim.spans
         span_masks = [needed for _, needed in spans]
+        span_tokens = set().union(*(span for span, _ in spans))
+        claim_tokens = claim.token_set
         n_bigrams = max(1, len(claim.bigrams))
-        n_claim = len(claim.token_set)
+        n_claim = len(claim_tokens)
         claim_size = max(1, n_claim)
         query_norm, idf_mass = query.norm, claim.idf_mass
         # An out-of-vocabulary term has no postings, so no sentence holds it.
@@ -321,14 +348,14 @@ class FeatureExtractor:
                     )
                 dot = dots[position]
                 candidates.append((row, dot / (query_norm * row[2]) if dot != 0.0 else 0.0, mask))
-            held.append(
-                (
-                    document,
-                    _span_share(spans, set(document.title_tokens)),
-                    1.0 if contains_subsequence(query.tokens, document.title_tokens) else 0.0,
-                    candidates,
-                )
-            )
+            # Most pages share no title token with the claim: no set is built,
+            # and no subsequence sought, for them.
+            title_tokens = document.title_tokens
+            spans_in_title = 0.0 if span_tokens.isdisjoint(title_tokens) else _span_share(spans, set(title_tokens))
+            title_in_claim = 0.0
+            if title_tokens and title_tokens[0] in claim_tokens and contains_subsequence(query.tokens, title_tokens):
+                title_in_claim = 1.0
+            held.append((document, spans_in_title, title_in_claim, candidates))
         return held, masks
 
     def _page(self, document: Document) -> tuple[dict[str, Sequence[int]], list]:
@@ -407,19 +434,30 @@ class FeatureExtractor:
         """Selection features (at sentence_position 0) plus polarity cues
         for claim classification, of the sentences at the given positions
         of the document's sentences, each with its SentenceId. Each starts
-        from a copy of its selection vector (selection_vectors')."""
+        from a copy of its selection vector (selection_vectors'). A unit's
+        pair side, its negation cues and numerals, is computed the first
+        time the unit is paired and kept for this very document, an empty
+        one as the one shared empty frozenset."""
         claim_tokens = claim.token_set
         title_tokens = set(document.title_tokens)
+        stored = self._pair_sides.get(document.page_id)
+        if stored is None or stored[0] is not document:
+            stored = self._pair_sides[document.page_id] = (document, [None] * len(document.sids))
+        sides = stored[1]
         featurized = []
         for position, (sid, selection) in zip(positions, self.selection_vectors(claim, [(document, positions)])):
             vector = list(selection)
             candidate_tokens = title_tokens.union(document.tokens[position])
-            candidate_cues = _negation_cues(candidate_tokens, document.title, document.sentences[position][1])
-            candidate_numerals = {t for t in candidate_tokens if t.isdigit()}
+            side = sides[position]
+            if side is None:
+                cues = frozenset(_negation_cues(candidate_tokens, document.title, document.sentences[position][1]))
+                numerals = frozenset([t for t in candidate_tokens if t.isdigit()])
+                side = sides[position] = (cues or _EMPTY, numerals or _EMPTY)
+            cues, numerals = side
             vector[_POSITION] = 0.0
             vector += [
-                1.0 if claim.negation_cues != candidate_cues else 0.0,
-                1.0 if claim.numerals != candidate_numerals else 0.0,
+                1.0 if claim.negation_cues != cues else 0.0,
+                1.0 if claim.numerals != numerals else 0.0,
                 len(candidate_tokens - claim_tokens) / max(1, len(candidate_tokens)),
             ]
             featurized.append((sid, vector))

@@ -20,16 +20,16 @@ the selected sentences' vectors instead of featurizing them again.
 Training interleaves claims, so it keeps its own memo of prepared
 claims, one per distinct text, and claims that share a text share their
 vectors; it steps the three softmax rows through `selection.sgd_epochs`,
-the selector's SGD loop.
+the selector's SGD loop. A pair's class probabilities, in training and
+in classification alike, come from one call of the generated softmax
+kernel, `util.softmax_probabilities`, which adds each logit's products
+left to right, so its bits are the same on every Python version.
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import reduce
-from operator import add
 from pathlib import Path
 from typing import Mapping, Sequence, Union
 
@@ -37,7 +37,7 @@ from .claims import Claim, Label
 from .corpus import Corpus, Document, SentenceId
 from .features import PAIR_FEATURE_NAMES, FeatureExtractor, PreparedClaim
 from .selection import RankedEvidence, TrainingConfig, sgd_epochs
-from .util import linear_form, load_model, save_model
+from .util import load_model, save_model, softmax_probabilities
 
 MODEL_SCHEMA = "claimlab/nli-model/v1"
 
@@ -55,13 +55,9 @@ class NliModel:
     metadata: dict = field(default_factory=dict)
 
     def probabilities(self, features: Sequence[float]) -> list[float]:
-        # Each logit adds with + in order through the straight-line kernel
-        # (util.linear_form): sum() is compensated from Python 3.12 on.
-        logits = [b + linear_form(len(ws))(ws, features) for ws, b in zip(self.weights, self.biases)]
-        peak = max(logits)
-        exps = [math.exp(z - peak) for z in logits]
-        total = reduce(add, exps, 0.0)
-        return [e / total for e in exps]
+        """Class probabilities in CLASS_ORDER, from the softmax kernel
+        (util.softmax_probabilities); features has one value per weight."""
+        return softmax_probabilities(len(features))(self.weights, self.biases, features)
 
     def save(self, path: Union[str, Path]) -> None:
         save_model(

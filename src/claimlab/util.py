@@ -2,7 +2,15 @@
 check of the config dataclasses (`check_fields`), and the one path every
 file is read and written through: `read_jsonl` reads every JSON-lines
 input and artifact (corpus dumps, claims, KB, docs, selections,
-verdicts), so it alone reports malformed rows and repeated keys."""
+verdicts), so it alone reports malformed rows and repeated keys.
+
+It also holds the package's float kernels, each adding its products
+with + left to right so its bits are the same on every Python version:
+three built once per width from generated source (`logistic_scores`,
+the relevance score; `softmax_probabilities`, the NLI probabilities;
+`tfidf_dots`, the TF-IDF dots), plus `sigmoid`, the score kernel's
+sigmoid of one logit, and `logistic_bounds`, the ceiling logits ranking
+bounds by."""
 
 from __future__ import annotations
 
@@ -27,37 +35,20 @@ def stable_seed(*parts: Any) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def linear_form(width: int) -> Callable[[Sequence[float], Sequence[float]], float]:
-    """dot(w, f) = 0.0 + w[0] * f[0] + ... + w[width - 1] * f[width - 1].
-
-    The straight-line kernel the NLI classifier's logits come from (a
-    relevance model's scores add the same chain in logistic_scores), built
-    once per width. It adds the products with + left to right, the same
-    chain a functools.reduce of operator.add over them from 0.0 makes,
-    so its bits are the same on every Python version (sum() is
-    compensated from Python 3.12 on); it runs as one expression instead
-    of two C calls per term. Elements past width are ignored, and a
-    sequence shorter than width raises IndexError.
-    """
-    # The source depends only on the integer width.
-    terms = "".join(f" + w[{i}] * f[{i}]" for i in range(width))
-    namespace: dict = {}
-    exec(compile(f"def dot(w, f):\n    return 0.0{terms}\n", f"<linear_form {width}>", "exec"), namespace)
-    return namespace["dot"]
-
-
-@functools.lru_cache(maxsize=None)
 def logistic_scores(width: int) -> Callable[[Sequence[float], float, Iterable[tuple[Any, Sequence[float]]]], dict]:
     """scores(w, bias, items) = {key: sigmoid(bias + dot(w, f))} over the
     (key, f) pairs of items, in one loop; w must have width weights.
 
     The one kernel a linear relevance model scores with, one vector
     (selection.RelevanceModel.score) or a batch, and the package's
-    sigmoid, which only logistic_bounds repeats: z = bias + (0.0 + w[0]
-    * f[0] + ...), the chain linear_form adds, with the weights bound
-    once per call; then 1 / (1 + exp(-z)) for z >= 0, else e / (1 + e)
-    with e = exp(z). Built once per width like linear_form. A key
-    repeated in items keeps its last score.
+    sigmoid, which only sigmoid repeats, for one logit: z = bias + (0.0
+    + w[0] * f[0] + ...), the products added with + left to right (the
+    chain a functools.reduce of operator.add makes from 0.0, so the bits
+    are the same on every Python version; sum() is compensated from
+    Python 3.12 on), with the weights bound once per call; then 1 / (1 +
+    exp(-z)) for z >= 0, else e / (1 + e) with e = exp(z). Built once per
+    width by compiling a source made from the width alone. A key repeated
+    in items keeps its last score.
     """
     # The source depends only on the integer width.
     unpack = "".join(f"w{i}, " for i in range(width))
@@ -80,37 +71,76 @@ def logistic_scores(width: int) -> Callable[[Sequence[float], float, Iterable[tu
     return namespace["scores"]
 
 
+def sigmoid(z: float) -> float:
+    """logistic_scores' sigmoid of one logit z, with its bits."""
+    if z >= 0:
+        return 1.0 / (1.0 + math.exp(-z))
+    e = math.exp(z)
+    return e / (1.0 + e)
+
+
 def logistic_bounds(w: Sequence[float], bias: float, pages: Iterable, masks: Mapping) -> list[float]:
-    """The score under (w, bias) of each held candidate's ceiling
-    (features.ceiling), in page then candidate order, with the bits
-    logistic_scores gives the ceiling, though no ceiling is built.
+    """The logit z under (w, bias) of each held candidate's ceiling
+    (features.ceiling), in page then candidate order, with the bits of the
+    z logistic_scores takes for the ceiling, though no ceiling is built:
+    sigmoid(z) has the bits of the ceiling's score.
 
     pages and masks are what features.FeatureExtractor.held returns; w has
     one weight per selection feature. The products shared by a mask's
     candidates (features 0, 1, 3, 5 and 9) or a page's (4 and 7) are taken
     once per call, and z adds every product in feature order from 0.0,
     left to right, as logistic_scores does: bias + (0.0 + p0 + p1 + ... +
-    p9). The sigmoid is logistic_scores' too.
+    p9). No exp is taken: a ranking takes the sigmoid only of the logits it
+    reaches.
     """
     w0, w1, w2, w3, w4, w5, w6, w7, w8, w9 = w
     partials = {
         mask: (0.0 + w0 * unigram + w1 * bigrams, w3 * overlap, w5 * spans, w9 * missing)
         for mask, (unigram, bigrams, overlap, spans, missing) in masks.items()
     }
-    exp = math.exp
     out: list[float] = []
     append = out.append
     for _, spans_in_title, title_in_claim, candidates in pages:
         p4, p7 = w4 * spans_in_title, w7 * title_in_claim
         for row, cosine, mask in candidates:
             head, p3, p5, p9 = partials[mask]
-            z = bias + (head + w2 * cosine + p3 + p4 + p5 + w6 * row[3] + p7 + w8 * row[4] + p9)
-            if z >= 0:
-                append(1.0 / (1.0 + exp(-z)))
-            else:
-                e = exp(z)
-                append(e / (1.0 + e))
+            append(bias + (head + w2 * cosine + p3 + p4 + p5 + w6 * row[3] + p7 + w8 * row[4] + p9))
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def softmax_probabilities(width: int) -> Callable[[Sequence[Sequence[float]], Sequence[float], Sequence[float]], list]:
+    """probabilities(rows, biases, f) = the softmax, as a list, of one
+    logit b + dot(w, f) per (w, b) of zip(rows, biases); f and each w
+    must hold width values.
+
+    The NLI classifier's kernel (nli.NliModel.probabilities, which its
+    training steps by too), built once per width like logistic_scores,
+    with its chain: each logit is b + (0.0 + w[0] * f[0] + ...), the
+    features bound once per call and each row's weights once per row;
+    then peak = max(logits), e = exp(z - peak) for each logit, their
+    total added with + left to right from 0.0, and e / total for each.
+    """
+    # The source depends only on the integer width.
+    features = "".join(f"f{i}, " for i in range(width))
+    weights = "".join(f"w{i}, " for i in range(width))
+    terms = "".join(f" + w{i} * f{i}" for i in range(width))
+    source = (
+        "def probabilities(rows, biases, f):\n"
+        f"    ({features}) = f\n"
+        "    logits = []\n"
+        f"    for ({weights}), b in zip(rows, biases):\n"
+        f"        logits.append(b + (0.0{terms}))\n"
+        "    peak = max(logits)\n"
+        "    exps = [exp(z - peak) for z in logits]\n"
+        "    total = 0.0\n"
+        "    for e in exps:\n"
+        "        total += e\n"
+        "    return [e / total for e in exps]\n"
+    )
+    namespace: dict = {"exp": math.exp}
+    exec(compile(source, f"<softmax_probabilities {width}>", "exec"), namespace)
+    return namespace["probabilities"]
 
 
 @functools.lru_cache(maxsize=None)
@@ -120,7 +150,7 @@ def tfidf_dots(width: int) -> Callable[[Sequence[tuple[float, float, dict]], Ite
     order and a unit's dot adds weight * tf * idf with += in terms' order
     over the postings that hold it (tf = postings.get(unit)), from 0.0.
 
-    The one TF-IDF kernel, built once per width like linear_form: the loop
+    The one TF-IDF kernel, built once per width like logistic_scores: the loop
     over terms unrolled, each postings' get bound once per call, so each
     dot has the bits of that loop. corpus.IndexScorer turns dots into
     cosines.

@@ -705,3 +705,124 @@ def test_page_store_is_the_index_units(fixture_world):
         (long.sids[position], reference_selection_features(extractor, claim_text, "Long", body, position / 299))
         for position, body in ((299, "Rain " * 300), (0, "It rains."))
     ]
+
+
+def brute_contains(haystack, needle):
+    """contains_subsequence's definition: a non-empty needle equal to the
+    slice at some offset of the haystack."""
+    n = len(needle)
+    return n > 0 and any(haystack[i : i + n] == needle for i in range(len(haystack) - n + 1))
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    haystack=st.lists(st.sampled_from("aab"), max_size=8),
+    needle=st.lists(st.sampled_from("abc"), max_size=4),
+)
+@example(haystack=list("aaab"), needle=list("ab"))  # a repeated first token
+@example(haystack=list("baab"), needle=list("ab"))  # the needle at the end
+@example(haystack=list("ba"), needle=list("aba"))  # longer than the haystack, its first token at the end
+@example(haystack=list("a"), needle=list("ab"))
+@example(haystack=[], needle=[])
+@example(haystack=list("ab"), needle=[])
+@example(haystack=[], needle=list("a"))
+def test_contains_subsequence_is_its_definition(haystack, needle):
+    assert contains_subsequence(haystack, needle) is brute_contains(haystack, needle)
+
+
+def assert_title_values(extractor, claim_text, documents):
+    """Each held page's entity_spans_in_title and title_in_claim equal the
+    set-based span share and the unshortened subsequence test; the number
+    of pages whose values are not both 0.0."""
+    claim = extractor.prepare_claim(claim_text)
+    held, _ = extractor.held(claim, [(doc, doc.candidate_positions) for doc in documents])
+    assert [page[0] for page in held] == documents
+    for document, spans_in_title, title_in_claim, _ in held:
+        assert spans_in_title == features_module._span_share(claim.spans, set(document.title_tokens))
+        assert title_in_claim == (1.0 if brute_contains(claim.query.tokens, document.title_tokens) else 0.0)
+    return sum(1 for page in held if page[1] or page[2])
+
+
+def test_held_title_values_are_their_definition(fixture_world):
+    """On every page of the fixture world, for each dev claim, and on pages
+    with odd titles: no title tokens, one token, a title holding a claim
+    span after a token of no span, and a title whose span token lowers
+    differently from tokenize (final sigma)."""
+    corpus = ingest_corpus(fixture_world / "corpus")
+    extractor = FeatureExtractor(build_index(corpus, "sentence"))
+    documents = [doc for doc in corpus.documents.values() if doc.candidate_positions]
+    claims = load_claims(fixture_world / "dev.jsonl")
+    matched = sum(assert_title_values(extractor, claim.text, documents) for claim in claims)
+    assert len(claims) > 100 and matched > len(claims)
+
+    odd = {
+        "..._(a)": ["Nothing here."],
+        "Halcyon_(b)": ["Halcyon airs."],
+        "Old_Alice_Fenwick": ["Old Alice Fenwick retired."],
+        "ΟΔΟΣ.Α_Bb": ["ΟΔΟΣ Α Bb is a road."],
+    }
+    corpus = make_corpus({**PAGES, **odd})
+    extractor = FeatureExtractor(build_index(corpus, "sentence"))
+    titles = [corpus.documents[page].title_tokens for page in odd]
+    assert titles == [[], ["halcyon"], ["old", "alice", "fenwick"], ["οδοσ", "α", "bb"]]
+    documents = list(corpus.documents.values())
+    texts = ("", "...", "Halcyon", "Alice Fenwick starred in Halcyon.", "ΟΔΟΣ.Α Bb", "ΟΔΟΣ Α Bb is in Halcyon")
+    assert sum(assert_title_values(extractor, text, documents) for text in texts) > 0
+
+
+def fresh_pair_side(document, position):
+    """A unit's negation cues and numerals, computed from scratch."""
+    tokens = set(document.title_tokens) | set(document.tokens[position])
+    cues = _negation_cues(tokens, document.title, document.sentences[position][1])
+    return cues, {t for t in tokens if t.isdigit()}
+
+
+def test_pair_sides_are_kept_per_unit_and_document(fixture_world, monkeypatch):
+    """Each unit's stored pair side equals a fresh computation and every
+    pair's polarity features the reference's; every empty side set is the
+    one shared frozenset; a unit is computed once, and again for another
+    document under the same page id."""
+    corpus = ingest_corpus(fixture_world / "corpus")
+    extractor = FeatureExtractor(build_index(corpus, "sentence"))
+    retriever = DocumentRetriever(corpus, build_index(corpus, "document"), DocRetrievalConfig(k=20))
+    pairs = 0
+    for claim in load_claims(fixture_world / "dev.jsonl"):
+        prepared = extractor.prepare_claim(claim.text)
+        evidence = sorted(claim.gold_sentences()) + sentences_of(corpus, retriever.retrieve(claim.text))[:5]
+        for document, positions in corpus.pages_of(evidence):
+            for position, (sid, vector) in zip(positions, extractor.pair_features(prepared, document, positions)):
+                body = document.sentences[position][1]
+                assert vector[10:] == reference_polarity_features(claim.text, document.title, body)
+                pairs += 1
+    assert pairs > 500
+    sides = [
+        (document, position, side)
+        for document, stored in extractor._pair_sides.values()
+        for position, side in enumerate(stored)
+        if side is not None
+    ]
+    assert all(corpus.documents[document.page_id] is document for document, _, _ in sides)
+    assert all(list(side) == list(fresh_pair_side(document, position)) for document, position, side in sides)
+    assert all(isinstance(part, frozenset) for _, _, side in sides for part in side)
+    empty = {id(part) for _, _, side in sides for part in side if not part}
+    assert empty == {id(features_module._EMPTY)}
+    assert any(part for _, _, side in sides for part in side)
+
+    corpus = make_corpus({"Stan": ["Stan isn't 5.", "Stan is here."]})
+    first = corpus.documents["Stan"]
+    extractor = FeatureExtractor(build_index(corpus, "sentence"))
+    # The same tokens at each line, but no "n't" in the text.
+    second = Document("Stan", ((0, "Stan isn t 5."), (1, "Stan is here.")))
+    claim = extractor.prepare_claim("Stan isn't 5.")
+    computed = []
+
+    def counting(tokens, *texts):
+        computed.append(texts)
+        return _negation_cues(tokens, *texts)
+
+    monkeypatch.setattr(features_module, "_negation_cues", counting)
+    for document, expected in ((first, 0.0), (first, 0.0), (second, 1.0), (second, 1.0), (first, 0.0)):
+        [(_, vector)] = extractor.pair_features(claim, document, [0])
+        assert vector[PAIR_FEATURE_NAMES.index("negation_cue_mismatch")] == expected
+    assert computed == [("Stan", "Stan isn't 5."), ("Stan", "Stan isn t 5."), ("Stan", "Stan isn't 5.")]
+    assert extractor._pair_sides["Stan"][0] is first

@@ -8,10 +8,13 @@ two other generated worlds, and random weights of both signs, some large
 enough to saturate the sigmoid. The candidate pages may repeat or name
 no page. A page holding a sentence the index does not (added to the page
 after indexing) is rejected, naming the sentence, before any vector is
-finished. Each bound the walk takes has the bits of the batch kernel's
-score of the candidate's ceiling, though no ceiling is built for it."""
+finished. Each logit the walk bounds by has the bits of the batch
+kernel's z for the candidate's ceiling, and its sigmoid those of the
+ceiling's score, though no ceiling is built for it."""
 
 import re
+from functools import reduce
+from operator import add, mul
 
 import pytest
 from hypothesis import example, given, settings
@@ -26,7 +29,7 @@ from claimlab.features import SELECTION_FEATURE_NAMES, FeatureExtractor, ceiling
 from claimlab.kb import KnowledgeBase
 from claimlab.retrieval import DocRetrievalConfig, DocumentRetriever, with_gold_pages
 from claimlab.selection import REGIMES, RelevanceModel, TrainingConfig, rank_candidates, top_k, train_selectors
-from claimlab.util import logistic_bounds, logistic_scores
+from claimlab.util import logistic_bounds, logistic_scores, sigmoid
 from claimlab.worldgen import WorldConfig, build_world, write_world
 
 from conftest import make_claim
@@ -178,26 +181,29 @@ def test_edge_claims_and_pages(fixture_stack):
 
 
 def test_bounds_are_the_ceiling_scores(fixture_stack, monkeypatch):
-    """Every bound rank_candidates takes, ranking one model or several in
-    one call, has the bits of logistic_scores of the candidate's ceiling
-    (features.ceiling, built here) under the model's weights with those of
-    bigram_overlap and entity_spans_in_body raised to 0 if negative: for
-    every candidate of the fixture world's dev and adversarial claims, for
-    the trained selectors and for weights of both signs, some saturating
-    the sigmoid at 1.0 or at 0.0. A model ranked alone finishes candidates
-    by falling bound, ties in candidate order."""
+    """Every logit rank_candidates bounds by, ranking one model or several
+    in one call, has the bits of the z logistic_scores takes for the
+    candidate's ceiling (features.ceiling, built here), bias + reduce(add,
+    map(mul, w, f), 0.0), and util.sigmoid of it the bits of the ceiling's
+    score, under the model's weights with those of bigram_overlap and
+    entity_spans_in_body raised to 0 if negative: for every candidate of
+    the fixture world's dev and adversarial claims, for the trained
+    selectors and for weights of both signs, some saturating the sigmoid
+    at 1.0 or at 0.0. A model ranked alone finishes candidates by falling
+    sigmoid, ties in candidate order, also where tied sigmoids have
+    different logits."""
     corpus, index, models, claims = fixture_stack
     calls = []
 
     def recording(weights, bias, pages, masks):
-        bounds = logistic_bounds(weights, bias, pages, masks)
-        calls.append((weights, bias, pages, masks, bounds))
-        return bounds
+        logits = logistic_bounds(weights, bias, pages, masks)
+        calls.append((weights, bias, pages, masks, logits))
+        return logits
 
     monkeypatch.setattr(selection_module, "logistic_bounds", recording)
     signed, saturated = RelevanceModel(list(SIGNED), -3.0), RelevanceModel([800.0] * WIDTH, 800.0)
     every = list(models.values()) + [signed, saturated, RelevanceModel([-900.0] * WIDTH, 0.0)]
-    checked = tied = 0
+    checked = tied = split = 0
     for text, pages in claims:
         documents = [corpus.documents[page] for page in dict.fromkeys(pages) if page in corpus.documents]
         candidates = [doc.sids[position] for doc in documents for position in doc.candidate_positions]
@@ -206,21 +212,26 @@ def test_bounds_are_the_ceiling_scores(fixture_stack, monkeypatch):
             extractor = Recording(index)
             rank_candidates(group, extractor, make_claim(1, Label.SUPPORTED, text), pages, corpus, 5)
             assert len(calls) == len(group)
-            for model, (weights, bias, held, masks, bounds) in zip(group, calls):
+            for model, (weights, bias, held, masks, logits) in zip(group, calls):
                 raised = list(model.weights)
                 raised[BIGRAMS], raised[SPANS_IN_BODY] = max(raised[BIGRAMS], 0.0), max(raised[SPANS_IN_BODY], 0.0)
                 assert weights == raised and bias == model.bias
                 held = [(page, candidate) for page in held for candidate in page[3]]
                 assert [candidate[0][0] for _, candidate in held] == candidates
-                scores = logistic_scores(WIDTH)(raised, bias, enumerate(ceiling(masks, *sentence) for sentence in held))
-                assert [bound.hex() for bound in bounds] == [scores[i].hex() for i in range(len(held))]
-                checked += len(bounds)
+                ceilings = [ceiling(masks, *sentence) for sentence in held]
+                zs = [bias + reduce(add, map(mul, raised, f), 0.0) for f in ceilings]
+                assert [z.hex() for z in logits] == [z.hex() for z in zs]
+                scores = logistic_scores(WIDTH)(raised, bias, enumerate(ceilings))
+                assert [sigmoid(z).hex() for z in logits] == [scores[i].hex() for i in range(len(held))]
+                checked += len(logits)
             if len(group) == 1:
                 finished = [sid for sid, _ in extractor.finished]
-                by_bound = sorted(range(len(bounds)), key=lambda i: (-bounds[i], i))
-                assert finished == [candidates[i] for i in by_bound[: len(finished)]]
-                tied += len(finished) - len({bounds[i] for i in by_bound[: len(finished)]})
-    assert len(claims) > 150 and checked > 100_000 and tied > 0
+                bounds = [sigmoid(z) for z in logits]
+                by_bound = sorted(range(len(bounds)), key=lambda i: (-bounds[i], i))[: len(finished)]
+                assert finished == [candidates[i] for i in by_bound]
+                tied += len(finished) - len({bounds[i] for i in by_bound})
+                split += len({logits[i] for i in by_bound}) - len({bounds[i] for i in by_bound})
+    assert len(claims) > 150 and checked > 100_000 and tied > 0 and split > 0
 
 
 WEIGHTS = st.lists(st.one_of(st.floats(-4, 4), st.floats(-1000, 1000)), min_size=WIDTH, max_size=WIDTH)

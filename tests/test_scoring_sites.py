@@ -1,9 +1,10 @@
 """A relevance model scores, one vector or a batch, through one kernel,
-util.logistic_scores, and no other module computes a sigmoid; the NLI
-classifier's logits come from util.linear_form. Lists are ranked by a
-batch scoring, never by sorting with a per-item score call; both models
-train through one SGD loop, selection.sgd_epochs; TF-IDF dots come from
-one kernel, util.tfidf_dots, and no other function compiles source. The
+util.logistic_scores, and no module but util computes a sigmoid; the NLI
+classifier's logits and probabilities come from one kernel,
+util.softmax_probabilities. Lists are ranked by a batch scoring, never
+by sorting with a per-item score call; both models train through one SGD
+loop, selection.sgd_epochs; TF-IDF dots come from one kernel,
+util.tfidf_dots; and no function but these three kernels compiles source. The
 feature and selection kernels name sentences by the SentenceId objects
 each corpus.Document holds, never by ids built per candidate, and only
 features reads or writes a claim's memo of selection vectors."""
@@ -112,7 +113,7 @@ def source_compilers(path: Path) -> list[str]:
     ]
 
 
-KERNELS = ["util.linear_form", "util.logistic_scores", "util.tfidf_dots"]
+KERNELS = ["util.logistic_scores", "util.softmax_probabilities", "util.tfidf_dots"]
 
 
 def test_three_compiled_kernels(tmp_path):

@@ -41,7 +41,7 @@ from claimlab.selection import (
     train_selector,
     train_selectors,
 )
-from claimlab.util import linear_form, logistic_scores, stable_seed
+from claimlab.util import logistic_scores, softmax_probabilities, stable_seed
 
 from conftest import count_tokenized, make_claim, make_corpus, tfidf_scores
 
@@ -517,22 +517,53 @@ KERNEL_FLOATS = st.one_of(
 )
 
 
+def reference_softmax(rows, biases, features):
+    """The NLI probabilities' chain: b + reduce(add, map(mul, w, f), 0.0)
+    per row, then max, exp(z - peak), reduce(add, exps, 0.0) and e / total."""
+    logits = [b + reduce(add, map(mul, w, features), 0.0) for w, b in zip(rows, biases)]
+    peak = max(logits)
+    exps = [math.exp(z - peak) for z in logits]
+    total = reduce(add, exps, 0.0)
+    return [e / total for e in exps]
+
+
+def hexed_or_raised(compute):
+    """The result's floats by float.hex, or the exception type it raised."""
+    try:
+        return [x.hex() for x in compute()]
+    except Exception as exc:  # noqa: BLE001 - both sides must fail alike
+        return type(exc)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.sampled_from([3, 10, 13]).flatmap(
         lambda n: st.tuples(
-            st.lists(KERNEL_FLOATS, min_size=n, max_size=n), st.lists(KERNEL_FLOATS, min_size=n, max_size=n)
+            st.lists(st.lists(KERNEL_FLOATS, min_size=n, max_size=n), min_size=1, max_size=4),
+            st.lists(KERNEL_FLOATS, min_size=4, max_size=4),
+            st.lists(KERNEL_FLOATS, min_size=n, max_size=n),
         )
     )
 )
-@example(([1e300, 1e300, -1e300], [1e300, 1.0, 1e300]))
-@example(([-0.0] * 10, [1.0] * 10))
-@example(([5e-324, -5e-324] + [1e16, 1.0, -1e16] * 3 + [1e-300] * 2, [0.5] * 13))
-def test_linear_form_is_the_left_to_right_chain(vectors):
-    """linear_form(n) gives the bits of reduce(add, map(mul, w, f), 0.0)."""
-    weights, features = vectors
-    expected = reduce(add, map(mul, weights, features), 0.0)
-    assert linear_form(len(weights))(weights, features).hex() == expected.hex()
+@example(([[1e300, 1e300, -1e300]] * 3, [0.0] * 4, [1e300, 1.0, 1e300]))
+@example(([[-0.0] * 10] * 3, [0.0] * 4, [1.0] * 10))
+@example(([[5e-324, -5e-324] + [1e16, 1.0, -1e16] * 3 + [1e-300] * 2] * 3, [1e-300] * 4, [0.5] * 13))
+# The zero model, as training starts from: every probability is 1/3.
+@example(([[0.0] * 13] * 3, [0.0] * 4, [1.0] * 13))
+# Logits far apart: exp(z - peak) underflows to 0.0 for the others.
+@example(([[0.0] * 3] * 3, [700.0, -700.0, 0.0, 0.0], [1.0] * 3))
+@example(([[700.0, 0.0, 0.0], [-700.0, 0.0, 0.0], [0.0, 0.0, 1.0]], [0.0] * 4, [1.0, 1.0, 1e-300]))
+@example(([[-700.0] * 3, [700.0] * 3, [-700.0] * 3], [-700.0, 700.0, 0.5, 0.0], [1.0, 1.0, 1.0]))
+def test_softmax_kernel_is_the_left_to_right_chain(case):
+    """softmax_probabilities(n), directly and through
+    NliModel.probabilities, gives the bits of reference_softmax, or fails
+    as it does."""
+    rows, biases, features = case
+    biases = biases[: len(rows)]
+    expected = hexed_or_raised(lambda: reference_softmax(rows, biases, features))
+    assert hexed_or_raised(lambda: softmax_probabilities(len(features))(rows, biases, features)) == expected
+    model = NliModel(weights=rows, biases=biases)
+    assert hexed_or_raised(lambda: model.probabilities(features)) == expected
 
 
 @settings(max_examples=300, deadline=None)
@@ -660,14 +691,22 @@ def test_sgd_epochs_steps_each_row_by_its_hand_worked_gradient():
     assert biases == [-0.5, 0.25, 0.25]
 
 
-def test_linear_form_is_built_once_per_width_and_reads_every_feature():
-    assert linear_form(10) is linear_form(10)
-    assert linear_form(0)([], []) == 0.0
-    # Extra features are ignored, as map(mul, ...) ignored them; a short
-    # vector, which map silently truncated, raises.
-    assert linear_form(2)([1.0, 2.0], [3.0, 4.0, 5.0]) == 11.0
-    with pytest.raises(IndexError):
-        linear_form(3)([1.0, 2.0, 3.0], [1.0, 2.0])
+def test_softmax_kernel_is_built_once_per_width_and_reads_every_feature():
+    assert softmax_probabilities(13) is softmax_probabilities(13)
+    assert softmax_probabilities(0)([[], []], [0.0, 0.0], []) == [0.5, 0.5]
+    # A weight on any one feature moves the probabilities.
+    features = [1.0] * 13
+    for i in range(13):
+        rows = [[0.0] * 13, [0.0] * 13]
+        rows[1][i] = 1.0
+        assert softmax_probabilities(13)(rows, [0.0, 0.0], features) == reference_softmax(rows, [0.0, 0.0], features)
+        assert softmax_probabilities(13)(rows, [0.0, 0.0], features)[1] > 0.5
+    # A feature vector or a weight row of another width raises.
+    for f, row in (([1.0, 2.0], [1.0, 2.0, 3.0]), ([1.0] * 4, [1.0, 2.0, 3.0]), ([1.0] * 3, [1.0, 2.0])):
+        with pytest.raises(ValueError):
+            softmax_probabilities(3)([row], [0.0], f)
+    with pytest.raises(ValueError):
+        NliModel(weights=[[0.0] * 13] * 3, biases=[0.0] * 3).probabilities([1.0] * 12)
     with pytest.raises(IndexError):
         RelevanceModel(weights=[1.0, 2.0, 3.0], bias=0.0).score([1.0, 2.0])
 
