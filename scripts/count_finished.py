@@ -4,10 +4,12 @@
 
 Prints, for bench's verify-8x stream on the given world seed (one pass,
 each claim served as bench/workload.py serves it), the vectors finished
-per served claim against the candidates per claim, and the size of the
-extractor's page store after the pass (set-up and pass together: the
-pages built and their (page, token) entries) and the units that hold a
-stored pair side (negation cues and numerals); then, for the default
+per served claim against the candidates per claim, the bound sigmoids
+ranking takes per served claim (`util.sigmoid` calls through
+`selection`), and the size of the extractor's page records after the
+pass (set-up and pass together: the pages built and their (page, token)
+entries) and the units that hold a stored pair side (negation cues and
+numerals); then, for the default
 run on the same world seed (experiment seed 1, 6 epochs, learning rate
 0.05, k_docs 20), the vectors finished in each stage, and the
 `FeatureExtractor.prepare_claim` calls in each stage against the distinct
@@ -26,7 +28,7 @@ import tempfile
 from collections import Counter
 from pathlib import Path
 
-from claimlab import experiment
+from claimlab import experiment, selection
 from claimlab.features import FeatureExtractor
 from claimlab.worldgen import WorldConfig, build_world, write_world
 
@@ -48,12 +50,18 @@ def main() -> None:
     finished: Counter = Counter()
     prepared: Counter = Counter()
     texts: set[str] = set()
+    sigmoids = [0]
     finish, prepare_claim, stage_of = FeatureExtractor.finish, FeatureExtractor.prepare_claim, experiment._stage
+    sigmoid = selection.sigmoid
 
-    def counting_finish(self, claim, masks, page, candidate):
+    def counting_finish(self, claim, candidate):
         if candidate[0][0] not in claim.vectors:
             finished[stage[-1]] += 1
-        return finish(self, claim, masks, page, candidate)
+        return finish(self, claim, candidate)
+
+    def counting_sigmoid(z):
+        sigmoids[0] += 1
+        return sigmoid(z)
 
     def counting_prepare_claim(self, claim_text):
         prepared[stage[-1]] += 1
@@ -71,11 +79,13 @@ def main() -> None:
 
     FeatureExtractor.finish = counting_finish
     FeatureExtractor.prepare_claim = counting_prepare_claim
+    selection.sigmoid = counting_sigmoid
     experiment._stage = named_stage
     with tempfile.TemporaryDirectory() as work:
         paths = write_world(tiling.tiled_world(args.seed, workload.VERIFY_COPIES), Path(work) / "tiled")
         server, stream = workload.setup_verify(paths, args.seed)
         finished.clear()
+        sigmoids[0] = 0
         candidates = 0
         for claim in stream:
             server.verify(claim)
@@ -84,12 +94,13 @@ def main() -> None:
         served = finished.pop(stage[-1])
         print(f"verify-8x world seed {args.seed}: {len(stream)} claims served, {served} vectors finished, "
               f"{served / len(stream):.4f} per claim of {candidates / len(stream):.1f} candidates")
-        stores = server.loaded.extractor._pages.values()
-        print(f"verify-8x world seed {args.seed}: page store after the pass, {len(stores)} pages built, "
-              f"{sum(len(store) for _, store, _ in stores)} (page, token) entries")
-        sides = server.loaded.extractor._pair_sides.values()
+        print(f"verify-8x world seed {args.seed}: {sigmoids[0]} bound sigmoids taken, "
+              f"{sigmoids[0] / len(stream):.4f} per served claim")
+        pages = server.loaded.extractor._pages.values()
+        print(f"verify-8x world seed {args.seed}: page store after the pass, {len(pages)} pages built, "
+              f"{sum(len(store) for _, store, _, _ in pages)} (page, token) entries")
         print(f"verify-8x world seed {args.seed}: pair sides after the pass, "
-              f"{sum(side is not None for _, stored in sides for side in stored)} units hold one")
+              f"{sum(side is not None for _, _, _, sides in pages for side in sides)} units hold one")
 
         world = Path(work) / "world"
         write_world(build_world(WorldConfig(seed=args.seed)), world)

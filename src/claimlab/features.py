@@ -17,16 +17,16 @@ pair features compare); the title side once per page of a `held` call,
 and only where the title shares a token with the claim (a title that
 holds no claim span token has entity_spans_in_title 0.0, and one whose
 first token is no claim token title_in_claim 0.0, with no set built and
-no subsequence sought); a unit's pair side, its negation cues and
-numerals, once per unit, when `pair_features` first pairs it, kept for
-that very document (every empty one the one shared empty frozenset, and
-no token set kept); the sentence side once per page, as the page's
-store, derived from the index's units the first time the extractor holds
-the page and kept (bounded by the corpus, not by the claims served): per
-token, the flat (position, tf) pairs of the units holding it, packed in
-bytes (a title token is held by every unit, with the count its postings
-give), and per position the unit's row: its sid, position, norm
-(`index.norms`), log_body_length and sentence_position.
+no subsequence sought); the sentence side once per page, in the page's
+record, built from the index's units the first time the extractor
+reads the page and kept for that very document (bounded by the corpus,
+not by the claims served): per token, the flat (position, tf) pairs of
+the units holding it, packed in bytes (a title token is held by every
+unit, with the count its postings give); per position the unit's row:
+its sid, position, norm (`index.norms`), log_body_length and
+sentence_position; and per position the unit's pair side, its negation
+cues and numerals, computed when `pair_features` first pairs the unit
+(every empty one the one shared empty frozenset, and no token set kept).
 
 A selection vector is made in two steps. The held pass
 (`FeatureExtractor.held`), cheap and run for every sentence, goes term
@@ -38,20 +38,23 @@ the mask holds the claim terms the sentence holds. Each distinct mask is
 worked out once per call: the shared-term count and idf overlap, the
 features built from them, and upper counts of the claim bigrams and
 entity spans the sentence can contain, since one can occur only where
-the sentence holds all of its query tokens. The pass gives per page the
-title values once and per candidate its (row, cosine, mask), plus the
-per-mask values: no vector. A candidate's ceiling (`ceiling`) is its
-vector with bigram_overlap and entity_spans_in_body at those upper
-counts, every other feature exact; `util.logistic_bounds` gives the
-logits of ceilings from products shared per mask and per page without
-building them. `finish` builds a candidate's ceiling, counts the bigrams
-and spans where it is above 0, and gives the vector.
-`selection_vectors`, the one method that gives the vectors of listed
-pages, is the held pass then `finish`; `selection.rank_candidates` holds
-every candidate and finishes only those whose bound can reach a model's
-top k. `pair_features` adds the polarity cues, from the claim's and each
-unit's stored pair side, to copies of the selection vectors, a page's
-positions per call.
+the sentence holds all of its query tokens. The pass gives one flat list
+of held candidates, in page then position order, and no vector: each
+is (row, cosine, mask record, page record), where the mask record (the
+mask and its five features) and the page record (the document and its
+two title values) are each one tuple shared by the candidates that have
+them. A candidate's ceiling (`ceiling`) is its vector with
+bigram_overlap and entity_spans_in_body at those upper counts, every
+other feature exact; `logistic_bounds` gives the logits of ceilings from
+products shared per mask and per page without building them. `finish`
+builds a candidate's ceiling, counts the bigrams and spans where it is
+above 0, and gives the vector. Only this module reads a mask or page
+record. `selection_vectors`, the one method that gives the vectors of
+listed pages, is the held pass then `finish`; `selection.rank_candidates`
+holds every candidate and finishes only those whose bound can reach a
+model's top k. `pair_features` adds the polarity cues, from the claim's
+and each unit's stored pair side, to copies of the selection vectors, a
+page's positions per call.
 
 Selection vectors live on the claim: each `PreparedClaim` holds the
 memo `{SentenceId: vector}` of the sentences finished against it, and
@@ -192,21 +195,21 @@ class PreparedClaim:
     vectors: dict[SentenceId, list[float]] = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
-# A held sentence, always an index unit: (row, cosine, mask), row the
-# page store's (sid, position, norm, log_body_length, sentence_position);
-# a held page: (document, entity_spans_in_title, title_in_claim, its held
-# sentences); and each mask's five mask features. See FeatureExtractor.held.
-HeldCandidate = tuple[tuple, float, int]
-HeldPage = tuple[Document, float, float, list[HeldCandidate]]
-MaskFeatures = dict[int, tuple[float, float, float, float, float]]
+# A held candidate, always an index unit: (row, cosine, mask record, page
+# record), row the page store's (sid, position, norm, log_body_length,
+# sentence_position), the mask record (mask, unigram_overlap, bigram_overlap's
+# upper count, idf_weighted_overlap, entity_spans_in_body's upper count,
+# claim_tokens_missing) and the page record (document,
+# entity_spans_in_title, title_in_claim). See FeatureExtractor.held.
+HeldCandidate = tuple[tuple, float, tuple, tuple]
 
 
-def ceiling(masks: MaskFeatures, page: HeldPage, candidate: HeldCandidate) -> list[float]:
-    """A held sentence's ceiling: its selection vector with bigram_overlap
+def ceiling(candidate: HeldCandidate) -> list[float]:
+    """A held candidate's ceiling: its selection vector with bigram_overlap
     and entity_spans_in_body at their upper counts, every other feature exact."""
-    row, cosine, mask = candidate
-    unigram, bigram_ceiling, idf_overlap, spans_ceiling, missing = masks[mask]
-    _, spans_in_title, title_in_claim, _ = page
+    row, cosine, mask, page = candidate
+    _, unigram, bigram_ceiling, idf_overlap, spans_ceiling, missing = mask
+    _, spans_in_title, title_in_claim = page
     return [
         unigram,
         bigram_ceiling,
@@ -221,6 +224,38 @@ def ceiling(masks: MaskFeatures, page: HeldPage, candidate: HeldCandidate) -> li
     ]
 
 
+def logistic_bounds(w: Sequence[float], bias: float, candidates: Iterable[HeldCandidate]) -> list[float]:
+    """The logit z under (w, bias) of each held candidate's ceiling, in
+    order, with the bits of the z util.logistic_scores takes for the
+    ceiling, though no ceiling is built: util.sigmoid(z) has the bits of
+    the ceiling's score.
+
+    w has one weight per selection feature. The products a mask record's
+    candidates share (features 0, 1, 3, 5 and 9) are taken once per mask,
+    and those a page record's share (4 and 7) once per run of its
+    candidates, which held gives together, and z adds every product in
+    feature order from 0.0, left to right, as logistic_scores does: bias +
+    (0.0 + p0 + p1 + ... + p9). No exp is taken: a ranking takes the
+    sigmoid only of the logits it reaches.
+    """
+    w0, w1, w2, w3, w4, w5, w6, w7, w8, w9 = w
+    partials: dict[int, tuple[float, float, float, float]] = {}
+    last = None
+    out: list[float] = []
+    append = out.append
+    for row, cosine, mask, page in candidates:
+        if page is not last:
+            last = page
+            p4, p7 = w4 * page[1], w7 * page[2]
+        partial = partials.get(mask[0])
+        if partial is None:
+            _, unigram, bigrams, overlap, spans, missing = mask
+            partial = partials[mask[0]] = (0.0 + w0 * unigram + w1 * bigrams, w3 * overlap, w5 * spans, w9 * missing)
+        head, p3, p5, p9 = partial
+        append(bias + (head + w2 * cosine + p3 + p4 + p5 + w6 * row[3] + p7 + w8 * row[4] + p9))
+    return out
+
+
 def _packed(pairs: list[int]) -> Sequence[int]:
     """The flat (position, tf) pairs as bytes, or as a tuple when a value
     does not fit in a byte."""
@@ -232,15 +267,14 @@ def _packed(pairs: list[int]) -> Sequence[int]:
 
 class FeatureExtractor:
     """Deterministic feature vectors backed by the sentence index of the
-    corpus being featurized; it keeps its last claim, held pages' stores
-    and paired units' pair sides."""
+    corpus being featurized; it keeps its last claim and each page's
+    record: its store, rows and units' pair sides."""
 
     def __init__(self, index: InvertedIndex):
         self.index = index
         self._last_claim: Optional[PreparedClaim] = None
-        self._pages: dict[str, tuple[Document, dict[str, Sequence[int]], list]] = {}  # page id -> _page's store
+        self._pages: dict[str, tuple[Document, dict[str, Sequence[int]], list, list]] = {}  # page id -> _page's record
         self._shared: dict = {}  # one object per distinct row float or packed pairs, to keep stores small
-        self._pair_sides: dict[str, tuple[Document, list]] = {}  # page id -> (document, each position's pair side)
 
     @classmethod
     def from_index(cls, index: InvertedIndex) -> "FeatureExtractor":
@@ -276,17 +310,15 @@ class FeatureExtractor:
         self._last_claim = claim
         return claim
 
-    def held(
-        self, claim: PreparedClaim, pages: Iterable[tuple[Document, Iterable[int]]]
-    ) -> tuple[list[HeldPage], MaskFeatures]:
+    def held(self, claim: PreparedClaim, pages: Iterable[tuple[Document, Iterable[int]]]) -> list[HeldCandidate]:
         """The held pass over the sentences at the given positions of each
         page's document, against a prepared claim (see the module
-        docstring): per page its HeldPage, the candidates in position
-        order, and the five mask features of each mask a candidate has.
-        Each page's title side, and each distinct mask, is worked out once
-        per call: entity_spans_in_title is 0.0 with no set built when no
-        claim span token is a title token, and title_in_claim 0.0 with no
-        subsequence sought when the title's first token is no claim token."""
+        docstring): each sentence's HeldCandidate, in page then position
+        order. Each page's record and each distinct mask's record are worked
+        out once per call and shared by their candidates: entity_spans_in_title
+        is 0.0 with no set built when no claim span token is a title token,
+        and title_in_claim 0.0 with no subsequence sought when the title's
+        first token is no claim token."""
         query = claim.query
         terms = query.terms
         bits = {token: 1 << i for i, (token, _, _, _) in enumerate(terms)}
@@ -302,10 +334,10 @@ class FeatureExtractor:
         query_norm, idf_mass = query.norm, claim.idf_mass
         # An out-of-vocabulary term has no postings, so no sentence holds it.
         posted = [(token, count, idf * idf, bits[token]) for token, count, idf, postings in terms if postings]
-        masks: MaskFeatures = {}
-        held = []
+        records: dict[int, tuple] = {}
+        held: list[HeldCandidate] = []
         for document, positions in pages:
-            store, rows = self._page(document)
+            _, store, rows, _ = self._page(document)
             # Term-major, in the claim's term order, so each sentence's dot
             # adds its terms in that order, never in a set's hash order.
             dots, held_masks = [0.0] * len(rows), [0] * len(rows)
@@ -316,13 +348,21 @@ class FeatureExtractor:
                     for position, tf in zip(at, at):
                         dots[position] += count * tf * idf_squared
                         held_masks[position] |= bit
-            candidates = []
+            # Most pages share no title token with the claim: no set is built,
+            # and no subsequence sought, for them.
+            title_tokens = document.title_tokens
+            spans_in_title = 0.0 if span_tokens.isdisjoint(title_tokens) else _span_share(spans, set(title_tokens))
+            title_in_claim = 0.0
+            if title_tokens and title_tokens[0] in claim_tokens and contains_subsequence(query.tokens, title_tokens):
+                title_in_claim = 1.0
+            page = (document, spans_in_title, title_in_claim)
             for position in positions:
                 row = rows[position]
                 if row is None:
                     raise ValueError(f"sentence {document.sids[position]} is no unit of the extractor's index")
                 mask = held_masks[position]
-                if mask not in masks:
+                record = records.get(mask)
+                if record is None:
                     overlap = 0.0
                     shared = 0
                     for idf, bit in term_bits:
@@ -339,7 +379,8 @@ class FeatureExtractor:
                     for needed in span_masks:
                         if needed & mask == needed:
                             spans_in += 1
-                    masks[mask] = (
+                    record = records[mask] = (
+                        mask,
                         shared / claim_size,
                         bigrams_in / n_bigrams,
                         overlap / idf_mass if idf_mass > 0 else 0.0,
@@ -347,24 +388,18 @@ class FeatureExtractor:
                         (n_claim - shared) / claim_size,
                     )
                 dot = dots[position]
-                candidates.append((row, dot / (query_norm * row[2]) if dot != 0.0 else 0.0, mask))
-            # Most pages share no title token with the claim: no set is built,
-            # and no subsequence sought, for them.
-            title_tokens = document.title_tokens
-            spans_in_title = 0.0 if span_tokens.isdisjoint(title_tokens) else _span_share(spans, set(title_tokens))
-            title_in_claim = 0.0
-            if title_tokens and title_tokens[0] in claim_tokens and contains_subsequence(query.tokens, title_tokens):
-                title_in_claim = 1.0
-            held.append((document, spans_in_title, title_in_claim, candidates))
-        return held, masks
+                held.append((row, dot / (query_norm * row[2]) if dot != 0.0 else 0.0, record, page))
+        return held
 
-    def _page(self, document: Document) -> tuple[dict[str, Sequence[int]], list]:
-        """The document's store, built when first held and kept for this
-        very document: token -> the flat (position, tf) pairs of the units
-        holding it, positions ascending (a title token is held by every
-        unit), tf as the unit's postings count it; and per position the
-        unit's row, (sid, position, norm, log_body_length,
-        sentence_position), or None."""
+    def _page(self, document: Document) -> tuple[Document, dict[str, Sequence[int]], list, list]:
+        """The document's record, (document, store, rows, sides), built when
+        the page is first read and kept for this very document: store maps
+        each token to the flat (position, tf) pairs of the units holding it,
+        positions ascending (a title token is held by every unit), tf as the
+        unit's postings count it; rows holds per position the unit's row,
+        (sid, position, norm, log_body_length, sentence_position), or None;
+        and sides per position the unit's pair side once pair_features has
+        paired it, else None."""
         page = self._pages.get(document.page_id)
         if page is None or page[0] is not document:
             pairs: dict[str, list[int]] = {}
@@ -382,23 +417,21 @@ class FeatureExtractor:
                     log_length, relative = math.log(1 + len(body_tokens)), position / max(1, len(rows) - 1)
                     rows[position] = (sid, position, norm, share(log_length, log_length), share(relative, relative))
             store = {token: share(packed := _packed(flat), packed) for token, flat in pairs.items()}
-            page = self._pages[document.page_id] = (document, store, rows)
-        return page[1], page[2]
+            page = self._pages[document.page_id] = (document, store, rows, [None] * len(rows))
+        return page
 
-    def finish(
-        self, claim: PreparedClaim, masks: MaskFeatures, page: HeldPage, candidate: HeldCandidate
-    ) -> list[float]:
-        """The selection vector of a held candidate of the page: the claim's
-        memo's if it holds the sentence, else its ceiling with
-        bigram_overlap and entity_spans_in_body counted where their ceiling
-        is above 0 (at 0 the ceiling is the value), which is stored in the memo."""
+    def finish(self, claim: PreparedClaim, candidate: HeldCandidate) -> list[float]:
+        """The selection vector of a held candidate: the claim's memo's if it
+        holds the sentence, else the candidate's ceiling with bigram_overlap
+        and entity_spans_in_body counted where their ceiling is above 0 (at
+        0 the ceiling is the value), which is stored in the memo."""
         row = candidate[0]
         sid = row[0]
         if sid in claim.vectors:
             return claim.vectors[sid]
-        vector = ceiling(masks, page, candidate)
+        vector = ceiling(candidate)
         if vector[_BIGRAMS] or vector[_SPANS_IN_BODY]:
-            document = page[0]
+            document = candidate[3][0]
             body_tokens = document.tokens[row[1]]
             if vector[_BIGRAMS]:
                 tokens = document.title_tokens + body_tokens
@@ -422,10 +455,8 @@ class FeatureExtractor:
             if (lacking := [p for p in positions if document.sids[p] not in memo])
         ]
         if missing:
-            held, masks = self.held(claim, missing)
-            for page in held:
-                for candidate in page[3]:
-                    self.finish(claim, masks, page, candidate)
+            for candidate in self.held(claim, missing):
+                self.finish(claim, candidate)
         return [(sid, memo[sid]) for document, positions in pages for sid in (document.sids[p] for p in positions)]
 
     def pair_features(
@@ -436,14 +467,11 @@ class FeatureExtractor:
         of the document's sentences, each with its SentenceId. Each starts
         from a copy of its selection vector (selection_vectors'). A unit's
         pair side, its negation cues and numerals, is computed the first
-        time the unit is paired and kept for this very document, an empty
+        time the unit is paired and kept in the page's record, an empty
         one as the one shared empty frozenset."""
         claim_tokens = claim.token_set
         title_tokens = set(document.title_tokens)
-        stored = self._pair_sides.get(document.page_id)
-        if stored is None or stored[0] is not document:
-            stored = self._pair_sides[document.page_id] = (document, [None] * len(document.sids))
-        sides = stored[1]
+        sides = self._page(document)[3]
         featurized = []
         for position, (sid, selection) in zip(positions, self.selection_vectors(claim, [(document, positions)])):
             vector = list(selection)

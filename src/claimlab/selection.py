@@ -4,7 +4,7 @@ The relevance scorer is a logistic model over engineered lexical
 features; every score of one, a vector's or a batch's, and every
 probability its training steps by, comes from one kernel,
 `util.logistic_scores`; the logits ranking bounds by come from
-`util.logistic_bounds`, with the bits of the z the first takes for a
+`features.logistic_bounds`, with the bits of the z the first takes for a
 ceiling, and a bound is `util.sigmoid` of one, with the bits of the
 ceiling's score. It stands behind the same train/score surface a heavier
 encoder would use, so the pipeline treats the scorer as pluggable.
@@ -27,18 +27,19 @@ seed and each claim's own id drive that claim's draws from the shared
 pools, and each draw's new sentences are featurized a page at a time.
 
 Ranking (`rank_candidates`) takes one held pass over a claim's candidate
-sentences (see `features`), which gives each candidate its row, cosine
-and mask and each page its title values, but no vector. Per model it
-then takes every candidate's ceiling logit, in one call of
-`util.logistic_bounds`, which adds products shared per mask and per page
-in the ceiling's own chain, and heaps the logits; a candidate's bound,
-the score of its ceiling, is the sigmoid of its logit, taken only when
-the logit is popped. It finishes candidates best bound first and stops
-when the next bound, with a slack that covers rounding, is below the
-k-th best exact score: the top k are exactly those of a full
-featurize-and-score pass, ties by sentence id, from far fewer vectors,
-and a vector is built only for a candidate that is finished. Several
-selectors rank one claim in one call (see `experiment.select_evidence`).
+sentences (see `features`), which gives one flat list of held
+candidates, each its row, cosine, mask record and page record, but no
+vector. Per model it then takes every candidate's ceiling logit, in one
+call of `features.logistic_bounds`, which adds products shared per mask
+and per page in the ceiling's own chain, and sorts the candidates by
+falling logit; a candidate's bound, the score of its ceiling, is the
+sigmoid of its logit, taken only when the candidate is reached. It
+finishes candidates in that order and stops when the next bound, with a
+slack that covers rounding, is below the k-th best exact score: the top
+k are exactly those of a full featurize-and-score pass, ties by sentence
+id, from far fewer vectors, and a vector is built only for a candidate
+that is finished. Several selectors rank one claim in one call (see
+`experiment.select_evidence`).
 Vectors live on the claim (see `features`, which alone reads and writes
 the claim's memo): the extractor's last claim keeps each vector ranking
 finishes, so a vector computed for one model serves the others, and the
@@ -55,17 +56,15 @@ import heapq
 import math
 import random
 import sys
-from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate
 from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .claims import Claim, Label
 from .corpus import Corpus, IndexScorer, InvertedIndex, Query, SentenceId, rank_key, top_k_scored
-from .features import BOUNDED_FEATURES, SELECTION_FEATURE_NAMES, FeatureExtractor, PreparedClaim
-from .util import check_fields, load_model, logistic_bounds, logistic_scores, save_model, sigmoid, stable_seed
+from .features import BOUNDED_FEATURES, SELECTION_FEATURE_NAMES, FeatureExtractor, PreparedClaim, logistic_bounds
+from .util import check_fields, load_model, logistic_scores, save_model, sigmoid, stable_seed
 
 MODEL_SCHEMA = "claimlab/relevance-model/v1"
 
@@ -397,82 +396,57 @@ def rank_candidates(
 
     Duplicate pages are ranked once; unknown pages are skipped. The claim
     becomes the extractor's last claim. One held pass gives every
-    candidate its row, cosine and mask (features.FeatureExtractor.held,
-    term-major; a sentence the index does not hold raises there). A model
-    bounds each candidate's score by the score of its ceiling
-    (features.ceiling) under the model's weights with those of
-    bigram_overlap and entity_spans_in_body raised to 0 if negative. One
-    util.logistic_bounds call gives every ceiling's logit: it takes the
-    products logistic_scores would take of the ceiling, once per mask,
-    page or candidate, and adds them in the ceiling's feature order, left
-    to right from 0.0, then the bias: the same operations, so the same
-    bits. This z is the score's chain of products and sums, left to
-    right, with no term smaller (a ceiling is at least its count, and a
-    raised weight's term is 0.0 where the true one is at most 0), and
-    rounding to nearest is monotone, so it is no smaller than the score's
-    z. The bound is util.sigmoid(z), the ceiling's score bit for bit.
-    Each sigmoid is within a few units in the last place of its true
-    value, or, below the smallest normal float, within a few subnormal
-    steps of it, so the bound times 1 + _SCORE_SLACK, plus the smallest
-    normal float, is no smaller than the score.
+    candidate its row, cosine, mask record and page record
+    (features.FeatureExtractor.held, term-major; a sentence the index does
+    not hold raises there). A model bounds each candidate's score by the
+    score of its ceiling (features.ceiling) under the model's weights with
+    those of bigram_overlap and entity_spans_in_body raised to 0 if
+    negative. One features.logistic_bounds call gives every ceiling's
+    logit: it takes the products logistic_scores would take of the
+    ceiling, once per mask, page or candidate, and adds them in the
+    ceiling's feature order, left to right from 0.0, then the bias: the
+    same operations, so the same bits. This z is the score's chain of
+    products and sums, left to right, with no term smaller (a ceiling is
+    at least its count, and a raised weight's term is 0.0 where the true
+    one is at most 0), and rounding to nearest is monotone, so it is no
+    smaller than the score's z. The bound is util.sigmoid(z), the
+    ceiling's score bit for bit. Each sigmoid is within a few units in the
+    last place of its true value, or, below the smallest normal float,
+    within a few subnormal steps of it, so the bound times 1 +
+    _SCORE_SLACK, plus the smallest normal float, is no smaller than the
+    score.
 
-    Candidates are taken by falling bound, ties in candidate order. The
-    logits are heaped, and a candidate's sigmoid is taken only when its
-    logit pops, into a second heap of (falling bound, candidate index).
-    The computed sigmoid falls with the logit up to rounding far below
-    _SCORE_SLACK, so no logit left in the first heap has a bound above
-    the last popped bound so slackened; the best popped candidate is
-    taken once that is below its bound. So each run of equal bounds (a
-    saturated sigmoid gives 1.0 for different logits) is taken in
-    candidate order, and only the candidates taken, and the next one,
-    get a sigmoid. Each taken candidate is finished
-    (FeatureExtractor.finish, which builds its vector once per claim)
-    and scored with RelevanceModel.score, until the next bound, so
-    slackened, is below the k-th best score so far: no candidate left
-    can then reach the top k, while one that ties it is finished. A
-    vector computed for one model serves the others and the verdict.
+    Candidates are taken by falling logit, ties in candidate order, and a
+    candidate's bound is taken when it is reached. Each taken candidate is
+    finished (FeatureExtractor.finish, which builds its vector once per
+    claim) and scored with RelevanceModel.score, until the bound reached,
+    so slackened, is below the k-th best score so far. Every candidate
+    left has a logit no larger, so a true sigmoid no larger, and the
+    slack covers the rounding of both computed sigmoids: none can then
+    reach the top k, while one that ties it is finished. A vector computed
+    for one model serves the others and the verdict.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     documents = [corpus.documents.get(page_id) for page_id in dict.fromkeys(candidate_pages)]
     prepared = extractor.prepare_claim(claim.text)
-    pages, masks = extractor.held(prepared, [(doc, doc.candidate_positions) for doc in documents if doc is not None])
-    starts = list(accumulate((len(page[3]) for page in pages), initial=0))  # each page's first candidate index
+    candidates = extractor.held(prepared, [(doc, doc.candidate_positions) for doc in documents if doc is not None])
     floor = sys.float_info.min
     ranked = []
     for model in models:
         weights = list(model.weights)
         for feature in BOUNDED_FEATURES:
             weights[feature] = max(weights[feature], 0.0)
-        logits = logistic_bounds(weights, model.bias, pages, masks)
-        order = [-z for z in logits]  # a min-heap: the largest logit pops first
-        heapq.heapify(order)
-        popped: list[tuple[float, int]] = []  # (-bound, candidate index) of those popped, not taken
-        rest = math.inf  # no bound of a logit left in order is above it
+        logits = logistic_bounds(weights, model.bias, candidates)
         scores: dict[SentenceId, float] = {}
         best: list[float] = []  # the k best scores so far, a min-heap
-        found = -1
-        while True:
-            # Pop until no logit left in order can give a bound that precedes
-            # the best popped one.
-            while order and (not popped or rest >= -popped[0][0]):
-                z = -heapq.heappop(order)
-                # The first candidate with this logit, or the next one after
-                # the last found if it had this logit too.
-                found = logits.index(z, found + 1 if found >= 0 and logits[found] == z else 0)
-                bound = sigmoid(z)
-                heapq.heappush(popped, (-bound, found))
-                rest = bound + bound * _SCORE_SLACK + floor
-            if not popped:
-                break
-            negative, taken = heapq.heappop(popped)
-            bound = -negative
+        # sorted is stable under reverse, so equal logits stay in candidate order.
+        for i in sorted(range(len(logits)), key=logits.__getitem__, reverse=True):
+            bound = sigmoid(logits[i])
             if len(best) == k and bound + bound * _SCORE_SLACK + floor < best[0]:
                 break
-            p = bisect_right(starts, taken) - 1
-            page = pages[p]
-            candidate = page[3][taken - starts[p]]
-            scores[candidate[0][0]] = score = model.score(extractor.finish(prepared, masks, page, candidate))
+            candidate = candidates[i]
+            scores[candidate[0][0]] = score = model.score(extractor.finish(prepared, candidate))
             if len(best) < k:
                 heapq.heappush(best, score)
             else:

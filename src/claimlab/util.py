@@ -9,8 +9,8 @@ with + left to right so its bits are the same on every Python version:
 three built once per width from generated source (`logistic_scores`,
 the relevance score; `softmax_probabilities`, the NLI probabilities;
 `tfidf_dots`, the TF-IDF dots), plus `sigmoid`, the score kernel's
-sigmoid of one logit, and `logistic_bounds`, the ceiling logits ranking
-bounds by."""
+sigmoid of one logit, which ranking takes of each bound's logit
+(`features.logistic_bounds` gives the logits)."""
 
 from __future__ import annotations
 
@@ -77,35 +77,6 @@ def sigmoid(z: float) -> float:
         return 1.0 / (1.0 + math.exp(-z))
     e = math.exp(z)
     return e / (1.0 + e)
-
-
-def logistic_bounds(w: Sequence[float], bias: float, pages: Iterable, masks: Mapping) -> list[float]:
-    """The logit z under (w, bias) of each held candidate's ceiling
-    (features.ceiling), in page then candidate order, with the bits of the
-    z logistic_scores takes for the ceiling, though no ceiling is built:
-    sigmoid(z) has the bits of the ceiling's score.
-
-    pages and masks are what features.FeatureExtractor.held returns; w has
-    one weight per selection feature. The products shared by a mask's
-    candidates (features 0, 1, 3, 5 and 9) or a page's (4 and 7) are taken
-    once per call, and z adds every product in feature order from 0.0,
-    left to right, as logistic_scores does: bias + (0.0 + p0 + p1 + ... +
-    p9). No exp is taken: a ranking takes the sigmoid only of the logits it
-    reaches.
-    """
-    w0, w1, w2, w3, w4, w5, w6, w7, w8, w9 = w
-    partials = {
-        mask: (0.0 + w0 * unigram + w1 * bigrams, w3 * overlap, w5 * spans, w9 * missing)
-        for mask, (unigram, bigrams, overlap, spans, missing) in masks.items()
-    }
-    out: list[float] = []
-    append = out.append
-    for _, spans_in_title, title_in_claim, candidates in pages:
-        p4, p7 = w4 * spans_in_title, w7 * title_in_claim
-        for row, cosine, mask in candidates:
-            head, p3, p5, p9 = partials[mask]
-            append(bias + (head + w2 * cosine + p3 + p4 + p5 + w6 * row[3] + p7 + w8 * row[4] + p9))
-    return out
 
 
 @functools.lru_cache(maxsize=None)

@@ -77,10 +77,10 @@ def record_computed(monkeypatch) -> list:
     computed = []
     original = FeatureExtractor.finish
 
-    def recording(self, claim, masks, page, candidate):
+    def recording(self, claim, candidate):
         sid = candidate[0][0]
         lacked = sid not in claim.vectors
-        vector = original(self, claim, masks, page, candidate)
+        vector = original(self, claim, candidate)
         if lacked:
             computed.append((claim.text, sid, vector))
         return vector

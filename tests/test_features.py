@@ -676,7 +676,7 @@ def test_page_store_is_the_index_units(fixture_world):
     extractor = FeatureExtractor(index)
     units = titled = 0
     for doc in corpus.documents.values():
-        store, rows = extractor._page(doc)
+        _, store, rows, _ = extractor._page(doc)
         pairs = {token: list(zip(flat[::2], flat[1::2])) for token, flat in store.items()}
         assert pairs == {token: sorted(held) for token, held in expected[doc.page_id].items()}
         unit_positions = [position for position, sid in enumerate(doc.sids) if sid in index.norms]
@@ -695,10 +695,10 @@ def test_page_store_is_the_index_units(fixture_world):
             assert log_body_length == math.log(1 + len(doc.tokens[position]))
             assert sentence_position == position / denom
             units += 1
-        assert extractor._page(doc)[0] is store
+        assert extractor._page(doc)[1] is store
     assert units == len(index.norms) and titled > 0
-    assert [row is None for row in extractor._page(hollow)[1]] == [True, False, True, False]
-    assert max(extractor._page(long)[0]["rain"]) == 300
+    assert [row is None for row in extractor._page(hollow)[2]] == [True, False, True, False]
+    assert max(extractor._page(long)[1]["rain"]) == 300
     claim_text = "Long rain rains."
     vectors = extractor.selection_vectors(extractor.prepare_claim(claim_text), [(long, [299, 0])])
     assert vectors == [
@@ -731,16 +731,19 @@ def test_contains_subsequence_is_its_definition(haystack, needle):
 
 
 def assert_title_values(extractor, claim_text, documents):
-    """Each held page's entity_spans_in_title and title_in_claim equal the
+    """Each held page record, one object shared by the page's candidates,
+    holds an entity_spans_in_title and title_in_claim equal to the
     set-based span share and the unshortened subsequence test; the number
     of pages whose values are not both 0.0."""
     claim = extractor.prepare_claim(claim_text)
-    held, _ = extractor.held(claim, [(doc, doc.candidate_positions) for doc in documents])
-    assert [page[0] for page in held] == documents
-    for document, spans_in_title, title_in_claim, _ in held:
+    held = extractor.held(claim, [(doc, doc.candidate_positions) for doc in documents])
+    pages = [page for at, (*_, page) in enumerate(held) if at == 0 or held[at - 1][3] is not page]
+    assert len({id(page) for page in pages}) == len(pages)
+    assert [page[0] for page in pages] == documents
+    for document, spans_in_title, title_in_claim in pages:
         assert spans_in_title == features_module._span_share(claim.spans, set(document.title_tokens))
         assert title_in_claim == (1.0 if brute_contains(claim.query.tokens, document.title_tokens) else 0.0)
-    return sum(1 for page in held if page[1] or page[2])
+    return sum(1 for page in pages if page[1] or page[2])
 
 
 def test_held_title_values_are_their_definition(fixture_world):
@@ -797,7 +800,7 @@ def test_pair_sides_are_kept_per_unit_and_document(fixture_world, monkeypatch):
     assert pairs > 500
     sides = [
         (document, position, side)
-        for document, stored in extractor._pair_sides.values()
+        for document, _, _, stored in extractor._pages.values()
         for position, side in enumerate(stored)
         if side is not None
     ]
@@ -825,4 +828,4 @@ def test_pair_sides_are_kept_per_unit_and_document(fixture_world, monkeypatch):
         [(_, vector)] = extractor.pair_features(claim, document, [0])
         assert vector[PAIR_FEATURE_NAMES.index("negation_cue_mismatch")] == expected
     assert computed == [("Stan", "Stan isn't 5."), ("Stan", "Stan isn t 5."), ("Stan", "Stan isn't 5.")]
-    assert extractor._pair_sides["Stan"][0] is first
+    assert extractor._pages["Stan"][0] is first

@@ -12,7 +12,9 @@ finished. Each logit the walk bounds by has the bits of the batch
 kernel's z for the candidate's ceiling, and its sigmoid those of the
 ceiling's score, though no ceiling is built for it."""
 
+import math
 import re
+import sys
 from functools import reduce
 from operator import add, mul
 
@@ -25,11 +27,19 @@ from claimlab.claim_gen import generate_augmentation_set
 from claimlab.claims import Label, load_claims
 from claimlab.corpus import Corpus, Document, build_index, ingest_corpus
 from claimlab.experiment import _trained_regimes
-from claimlab.features import SELECTION_FEATURE_NAMES, FeatureExtractor, ceiling
+from claimlab.features import SELECTION_FEATURE_NAMES, FeatureExtractor, ceiling, logistic_bounds
 from claimlab.kb import KnowledgeBase
 from claimlab.retrieval import DocRetrievalConfig, DocumentRetriever, with_gold_pages
-from claimlab.selection import REGIMES, RelevanceModel, TrainingConfig, rank_candidates, top_k, train_selectors
-from claimlab.util import logistic_bounds, logistic_scores, sigmoid
+from claimlab.selection import (
+    _SCORE_SLACK,
+    REGIMES,
+    RelevanceModel,
+    TrainingConfig,
+    rank_candidates,
+    top_k,
+    train_selectors,
+)
+from claimlab.util import logistic_scores, sigmoid
 from claimlab.worldgen import WorldConfig, build_world, write_world
 
 from conftest import make_claim
@@ -52,10 +62,10 @@ class Recording(FeatureExtractor):
         super().__init__(index)
         self.finished = []
 
-    def finish(self, claim, masks, page, candidate):
+    def finish(self, claim, candidate):
         sid = candidate[0][0]
         lacked = sid not in claim.vectors
-        vector = super().finish(claim, masks, page, candidate)
+        vector = super().finish(claim, candidate)
         if lacked:
             self.finished.append((sid, vector))
         return vector
@@ -190,14 +200,14 @@ def test_bounds_are_the_ceiling_scores(fixture_stack, monkeypatch):
     the fixture world's dev and adversarial claims, for the trained
     selectors and for weights of both signs, some saturating the sigmoid
     at 1.0 or at 0.0. A model ranked alone finishes candidates by falling
-    sigmoid, ties in candidate order, also where tied sigmoids have
+    logit, ties in candidate order, also where tied sigmoids have
     different logits."""
     corpus, index, models, claims = fixture_stack
     calls = []
 
-    def recording(weights, bias, pages, masks):
-        logits = logistic_bounds(weights, bias, pages, masks)
-        calls.append((weights, bias, pages, masks, logits))
+    def recording(weights, bias, candidates):
+        logits = logistic_bounds(weights, bias, candidates)
+        calls.append((weights, bias, candidates, logits))
         return logits
 
     monkeypatch.setattr(selection_module, "logistic_bounds", recording)
@@ -212,13 +222,12 @@ def test_bounds_are_the_ceiling_scores(fixture_stack, monkeypatch):
             extractor = Recording(index)
             rank_candidates(group, extractor, make_claim(1, Label.SUPPORTED, text), pages, corpus, 5)
             assert len(calls) == len(group)
-            for model, (weights, bias, held, masks, logits) in zip(group, calls):
+            for model, (weights, bias, held, logits) in zip(group, calls):
                 raised = list(model.weights)
                 raised[BIGRAMS], raised[SPANS_IN_BODY] = max(raised[BIGRAMS], 0.0), max(raised[SPANS_IN_BODY], 0.0)
                 assert weights == raised and bias == model.bias
-                held = [(page, candidate) for page in held for candidate in page[3]]
-                assert [candidate[0][0] for _, candidate in held] == candidates
-                ceilings = [ceiling(masks, *sentence) for sentence in held]
+                assert [candidate[0][0] for candidate in held] == candidates
+                ceilings = [ceiling(candidate) for candidate in held]
                 zs = [bias + reduce(add, map(mul, raised, f), 0.0) for f in ceilings]
                 assert [z.hex() for z in logits] == [z.hex() for z in zs]
                 scores = logistic_scores(WIDTH)(raised, bias, enumerate(ceilings))
@@ -227,11 +236,52 @@ def test_bounds_are_the_ceiling_scores(fixture_stack, monkeypatch):
             if len(group) == 1:
                 finished = [sid for sid, _ in extractor.finished]
                 bounds = [sigmoid(z) for z in logits]
-                by_bound = sorted(range(len(bounds)), key=lambda i: (-bounds[i], i))[: len(finished)]
-                assert finished == [candidates[i] for i in by_bound]
-                tied += len(finished) - len({bounds[i] for i in by_bound})
-                split += len({logits[i] for i in by_bound}) - len({bounds[i] for i in by_bound})
+                by_logit = sorted(range(len(logits)), key=lambda i: (-logits[i], i))[: len(finished)]
+                assert finished == [candidates[i] for i in by_logit]
+                tied += len(finished) - len({bounds[i] for i in by_logit})
+                split += len({logits[i] for i in by_logit}) - len({bounds[i] for i in by_logit})
     assert len(claims) > 150 and checked > 100_000 and tied > 0 and split > 0
+
+
+# Logits anywhere, near +-40 (where the sigmoid saturates at 1.0), near
+# +-700, and low enough that the sigmoid is subnormal (below about -708.4).
+LOGITS = st.one_of(
+    st.floats(-1000, 1000),
+    st.floats(-41, -39),
+    st.floats(39, 41),
+    st.floats(-710, -690),
+    st.floats(690, 710),
+    st.floats(-746, -708),
+)
+
+
+def stepped_up(z, steps):
+    """z moved steps floats up."""
+    for _ in range(steps):
+        z = math.nextafter(z, math.inf)
+    return z
+
+
+@settings(max_examples=2000, deadline=None)
+@given(
+    pair=st.one_of(
+        st.tuples(LOGITS, LOGITS).map(sorted),
+        st.tuples(LOGITS, st.integers(0, 3)).map(lambda drawn: (drawn[0], stepped_up(*drawn))),
+    )
+)
+@example(pair=(-0.0, 0.0))
+@example(pair=(-708.5, stepped_up(-708.5, 1)))
+@example(pair=(-745.0, -744.0))
+@example(pair=(36.0, 40.0))
+def test_a_larger_logit_bounds_a_smaller_ones_sigmoid(pair):
+    """The premise of rank_candidates' sorted take: for logits z1 <= z2,
+    util.sigmoid(z1) is at most util.sigmoid(z2) times 1 + _SCORE_SLACK,
+    plus the smallest normal float, so the bound reached stops every
+    candidate left, whose logit is no larger."""
+    z1, z2 = pair
+    assert z1 <= z2
+    bound = sigmoid(z2)
+    assert sigmoid(z1) <= bound + bound * _SCORE_SLACK + sys.float_info.min
 
 
 WEIGHTS = st.lists(st.one_of(st.floats(-4, 4), st.floats(-1000, 1000)), min_size=WIDTH, max_size=WIDTH)
