@@ -11,9 +11,12 @@ pass (set-up and pass together: the pages built and their (page, token)
 entries) and the units that hold a stored pair side (negation cues and
 numerals); then, for the default
 run on the same world seed (experiment seed 1, 6 epochs, learning rate
-0.05, k_docs 20), the vectors finished in each stage, and the
-`FeatureExtractor.prepare_claim` calls in each stage against the distinct
-claim texts prepared. A vector is finished when `FeatureExtractor.finish`
+0.05, k_docs 20), the vectors finished and the claims prepared in each
+stage that reads claims through the extractor, from the run's stage log
+(`run_experiment(config, stage_log)`), and the claim preparations
+(`parse_query` calls through `features`) against the distinct claim
+texts parsed; it exits with an error if the log's totals are not the
+finishes and parses it counted itself. A vector is finished when `FeatureExtractor.finish`
 computes it, for a sentence its claim's memo lacks; a call that returns
 the memo's vector computes nothing. The counts are exact and repeat from
 run to run.
@@ -22,13 +25,12 @@ run to run.
 from __future__ import annotations
 
 import argparse
-import contextlib
+import json
 import sys
 import tempfile
-from collections import Counter
 from pathlib import Path
 
-from claimlab import experiment, selection
+from claimlab import experiment, features, selection
 from claimlab.features import FeatureExtractor
 from claimlab.worldgen import WorldConfig, build_world, write_world
 
@@ -37,8 +39,20 @@ import tiling  # noqa: E402
 import workload  # noqa: E402
 
 
-def per_stage(counts: Counter) -> str:
-    return ", ".join(f"{name} {count}" for name, count in counts.items())
+# The stages of a run that read claims through the extractor.
+CLAIM_STAGES = ("train-selector", "select", "train-nli", "verdict")
+
+
+def per_stage(log: list[dict], field: str) -> tuple[str, int]:
+    """The stage log's field as per-stage increments over CLAIM_STAGES, and
+    its total by the end of the run, which no other stage may add to."""
+    increments, before = {}, 0
+    for row in log:
+        increments[row["stage"]] = row[field] - before
+        before = row[field]
+    if sum(increments[name] for name in CLAIM_STAGES) != before:
+        raise SystemExit(f"a stage outside {CLAIM_STAGES} added {field}: {increments}")
+    return ", ".join(f"{name} {increments[name]}" for name in CLAIM_STAGES), before
 
 
 def main() -> None:
@@ -46,52 +60,38 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=1, help="WorldConfig seed")
     args = parser.parse_args()
 
-    stage = ["outside a stage"]
-    finished: Counter = Counter()
-    prepared: Counter = Counter()
-    texts: set[str] = set()
+    finished = [0]
+    parsed: list[str] = []
     sigmoids = [0]
-    finish, prepare_claim, stage_of = FeatureExtractor.finish, FeatureExtractor.prepare_claim, experiment._stage
-    sigmoid = selection.sigmoid
+    finish, parse_query, sigmoid = FeatureExtractor.finish, features.parse_query, selection.sigmoid
 
     def counting_finish(self, claim, candidate):
         if candidate[0][0] not in claim.vectors:
-            finished[stage[-1]] += 1
+            finished[0] += 1
         return finish(self, claim, candidate)
 
     def counting_sigmoid(z):
         sigmoids[0] += 1
         return sigmoid(z)
 
-    def counting_prepare_claim(self, claim_text):
-        prepared[stage[-1]] += 1
-        texts.add(claim_text)
-        return prepare_claim(self, claim_text)
-
-    @contextlib.contextmanager
-    def named_stage(name):
-        stage.append(name)
-        try:
-            with stage_of(name):
-                yield
-        finally:
-            stage.pop()
+    def counting_parse_query(index, text):
+        parsed.append(text)
+        return parse_query(index, text)
 
     FeatureExtractor.finish = counting_finish
-    FeatureExtractor.prepare_claim = counting_prepare_claim
+    features.parse_query = counting_parse_query
     selection.sigmoid = counting_sigmoid
-    experiment._stage = named_stage
     with tempfile.TemporaryDirectory() as work:
         paths = write_world(tiling.tiled_world(args.seed, workload.VERIFY_COPIES), Path(work) / "tiled")
         server, stream = workload.setup_verify(paths, args.seed)
-        finished.clear()
+        finished[0] = 0
         sigmoids[0] = 0
         candidates = 0
         for claim in stream:
             server.verify(claim)
             pages = dict.fromkeys(server.loaded.retriever.retrieve(claim.text))
             candidates += sum(len(server.loaded.corpus.documents[page].candidate_positions) for page in pages)
-        served = finished.pop(stage[-1])
+        served = finished[0]
         print(f"verify-8x world seed {args.seed}: {len(stream)} claims served, {served} vectors finished, "
               f"{served / len(stream):.4f} per claim of {candidates / len(stream):.1f} candidates")
         print(f"verify-8x world seed {args.seed}: {sigmoids[0]} bound sigmoids taken, "
@@ -115,13 +115,20 @@ def main() -> None:
             learning_rate=0.05,
             k_docs=20,
         )
-        prepared.clear()
-        texts.clear()
-        experiment.run_experiment(config)
-        print(f"default run on world seed {args.seed}: vectors finished per stage {per_stage(finished)}; "
-              f"{sum(finished.values())} in all")
-        print(f"default run on world seed {args.seed}: prepare_claim calls per stage {per_stage(prepared)}; "
-              f"{sum(prepared.values())} for {len(texts)} claim texts")
+        finished[0] = 0
+        parsed.clear()
+        stage_log = Path(work) / "stages.jsonl"
+        experiment.run_experiment(config, stage_log)
+        log = [json.loads(line) for line in stage_log.read_text(encoding="utf-8").splitlines()]
+        vectors, total = per_stage(log, "vectors_finished")
+        if total != finished[0]:
+            raise SystemExit(f"the stage log counts {total} vectors finished, FeatureExtractor.finish {finished[0]}")
+        print(f"default run on world seed {args.seed}: vectors finished per stage {vectors}; {total} in all")
+        claims, total = per_stage(log, "claims_prepared")
+        if total != len(parsed):
+            raise SystemExit(f"the stage log counts {total} claims prepared, parse_query {len(parsed)}")
+        print(f"default run on world seed {args.seed}: claims prepared per stage {claims}; "
+              f"{total} for {len(set(parsed))} claim texts")
 
 
 if __name__ == "__main__":

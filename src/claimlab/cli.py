@@ -180,7 +180,7 @@ def cmd_run(args) -> int:
         print(f"error: run: missing required options: {', '.join(missing)}", file=sys.stderr)
         return 1
     config = ExperimentConfig(**{**fields, "regimes": tuple(fields.get("regimes", ALL_REGIMES))})
-    report = run_experiment(config)
+    report = run_experiment(config, args.stage_log)
     for row in report["rows"]:
         print(format_report_row(row))
     print(f"report bundle -> {config.out_dir}")
@@ -280,6 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--regimes", help=f"comma-separated subset of {','.join(ALL_REGIMES)}")
     p.add_argument("--oracle-docs", action=argparse.BooleanOptionalAction, default=None)
     p.add_argument("--out-dir")
+    p.add_argument("--stage-log", help="per-stage JSON lines (seconds, claims prepared, vectors finished), outside --out-dir")
     p.set_defaults(fn=cmd_run)
 
     return parser

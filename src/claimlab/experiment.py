@@ -21,16 +21,27 @@ content and handed to every claim id that shares it: `retrieve_docs`
 retrieves each claim text once, `select_evidence` ranks each distinct
 (text, candidate pages) once for every model, and
 `verdicts_for` classifies each distinct (text, sentence) pair once for
-every claim and regime. The memos are locals of the call; nothing
-outlives it, so a claim served alone does the same work.
+every claim and regime. These memos are locals of the call.
+
+Across the stages of one run, the claims are prepared once:
+`run_experiment` hands its extractor one dict of prepared claims, one
+per claim text (see `features`), so a selection vector computed for a
+text in `train-selector`, `select` or `train-nli` serves every later
+stage, and the verdict stage computes none. The dict dies with the run.
+A stage function called on its own, as each CLI subcommand calls it,
+takes an extractor that keeps only its last claim. The run's stage log
+(see `run_experiment`) counts the claims and vectors the dict holds
+after each stage.
 """
 
 from __future__ import annotations
 
 import shutil
 import tempfile
+import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
+from functools import partial
 from itertools import product
 from pathlib import Path
 from typing import Iterator, Mapping, Optional, Sequence
@@ -40,7 +51,7 @@ from .claims import Claim, Label, load_claims, save_claims
 from .corpus import Corpus, SentenceId, build_index, corpus_files, ingest_corpus
 from .entity_analysis import analyze_claims
 from .evaluation import EvaluationReport, build_report
-from .features import FeatureExtractor
+from .features import FeatureExtractor, PreparedClaim, prepared_counts
 from .kb import KnowledgeBase
 from .nli import NliModel, claim_verdicts, train_nli
 from .retrieval import DocRetrievalConfig, DocumentRetriever, with_gold_pages
@@ -78,14 +89,21 @@ class StageError(RuntimeError):
 
 
 @contextmanager
-def _stage(name: str) -> Iterator[None]:
-    """Tag any failure inside the block with the stage name."""
+def _stage(name: str, stages: list[dict], claims: Mapping[str, PreparedClaim]) -> Iterator[None]:
+    """Tag any failure inside the block with the stage name; once the block
+    succeeds, append its stage log row to stages: its wall seconds, and the
+    claims prepared and selection vectors finished by its end, read from
+    the run's claims."""
+    start = time.perf_counter()
     try:
         yield
     except StageError:
         raise
     except Exception as exc:
         raise StageError(name, exc) from exc
+    seconds = time.perf_counter() - start
+    prepared, finished = prepared_counts(claims)
+    stages.append({"stage": name, "seconds": seconds, "claims_prepared": prepared, "vectors_finished": finished})
 
 
 # The ExperimentConfig fields that name input files or the bundle directory.
@@ -292,7 +310,7 @@ def _trained_regimes(requested: tuple[str, ...]) -> list[str]:
     return list(dict.fromkeys(trained + [needed for r in requested for needed in REGIMES[r].merges]))
 
 
-def run_experiment(config: ExperimentConfig) -> dict:
+def run_experiment(config: ExperimentConfig, stage_log: Optional[PathLike] = None) -> dict:
     """Run every stage and write the bundle to config.out_dir.
 
     The bundle is built in a temporary sibling directory that replaces
@@ -300,14 +318,23 @@ def run_experiment(config: ExperimentConfig) -> dict:
     of the previous bundle behind, and a failed run leaves the previous
     bundle as it was. An existing out_dir that holds files but no
     manifest.json is not a bundle and is never replaced.
+
+    With stage_log, the run ends, failed or not, by writing there one JSON
+    line per stage that succeeded, in run order: the stage, its wall
+    seconds, and the claims prepared and selection vectors finished by
+    its end. The log is no part of the bundle, so a path inside out_dir
+    is refused.
     """
     out_dir = Path(config.out_dir).resolve()
+    if stage_log is not None and Path(stage_log).resolve().is_relative_to(out_dir):
+        raise ValueError(f"stage log {stage_log} is inside the bundle directory {out_dir}")
     if out_dir.exists() and any(out_dir.iterdir()) and not (out_dir / "manifest.json").is_file():
         raise FileExistsError(f"{out_dir} holds files but no bundle; not replacing it")
     out_dir.parent.mkdir(parents=True, exist_ok=True)
     work = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}-", dir=out_dir.parent))
+    stages: list[dict] = []
     try:
-        report = _write_bundle(config, work)
+        report = _write_bundle(config, work, stages)
         if out_dir.exists():
             previous = work.with_name(work.name + "-previous")
             out_dir.rename(previous)
@@ -317,11 +344,17 @@ def run_experiment(config: ExperimentConfig) -> dict:
             work.rename(out_dir)
     finally:
         shutil.rmtree(work, ignore_errors=True)
+        if stage_log is not None:
+            write_jsonl(stage_log, stages)
     return report
 
 
-def _write_bundle(config: ExperimentConfig, out_dir: Path) -> dict:
-    with _stage("ingest"):
+def _write_bundle(config: ExperimentConfig, out_dir: Path, stages: list[dict]) -> dict:
+    # The run's claims, one per text, each with its vector memo (see features).
+    run_claims: dict[str, PreparedClaim] = {}
+    stage = partial(_stage, stages=stages, claims=run_claims)
+
+    with stage("ingest"):
         inputs = {
             "corpus": sha256_files(corpus_files(config.corpus)),
             "train_claims": sha256_files([config.train_claims]),
@@ -333,27 +366,27 @@ def _write_bundle(config: ExperimentConfig, out_dir: Path) -> dict:
         train = load_claims(config.train_claims)
         dev = load_claims(config.dev_claims)
 
-    with _stage("index"):
+    with stage("index"):
         doc_index = build_index(corpus, "document")
-        extractor = FeatureExtractor(build_index(corpus, "sentence"))
+        extractor = FeatureExtractor(build_index(corpus, "sentence"), run_claims)
         retriever = DocumentRetriever(corpus, doc_index, config.retrieval_config())
 
-    with _stage("generate-claims"):
+    with stage("generate-claims"):
         synthetic_train = generate_augmentation_set(train, kb, stable_seed(config.seed, "augment", "train"))
         adversarial = generate_augmentation_set(dev, kb, stable_seed(config.seed, "augment", "dev"))
         save_claims(out_dir / "synthetic_train.jsonl", synthetic_train)
         save_claims(out_dir / "adversarial_dev.jsonl", adversarial)
 
-    with _stage("analyze-entities"):
+    with stage("analyze-entities"):
         write_json(out_dir / "entity_analysis.json", analyze_claims(dev, kb))
 
     datasets = (("dev", dev), ("adversarial", adversarial))
 
-    with _stage("retrieve-docs"):
+    with stage("retrieve-docs"):
         for name, claims in datasets:
             write_docs(out_dir / f"docs_{name}.jsonl", retrieve_docs(retriever, claims, config.oracle_docs))
 
-    with _stage("train-selector"):
+    with stage("train-selector"):
         configs = {
             regime: config.training_config(stable_seed(config.seed, "selector", regime))
             for regime in _trained_regimes(config.regimes)
@@ -362,7 +395,7 @@ def _write_bundle(config: ExperimentConfig, out_dir: Path) -> dict:
         for regime, model in models.items():
             model.save(out_dir / "models" / f"selector_{regime}.json")
 
-    with _stage("select"):
+    with stage("select"):
         sr = REGIMES["sr"].merges if "sr" in config.regimes else None
         for dataset, claims in datasets:
             docs = load_docs(out_dir / f"docs_{dataset}.jsonl")
@@ -370,7 +403,7 @@ def _write_bundle(config: ExperimentConfig, out_dir: Path) -> dict:
             for name in config.regimes:
                 write_selections(out_dir / "selections" / f"{dataset}_{name}.jsonl", selected[name])
 
-    with _stage("train-nli"):
+    with stage("train-nli"):
         base = "baseline" if "baseline" in models else sorted(models)[0]
         nei = [claim for claim in train if claim.label is Label.NOT_ENOUGH_INFO]
         nei_docs = retrieve_docs(retriever, nei, oracle_docs=False)
@@ -379,14 +412,14 @@ def _write_bundle(config: ExperimentConfig, out_dir: Path) -> dict:
         nli_model = train_nli(train, nei_selections[base], corpus, extractor, nli_config)
         nli_model.save(out_dir / "models" / "nli.json")
 
-    with _stage("verdict"):
+    with stage("verdict"):
         dev_selections = {
             name: load_selections(out_dir / "selections" / f"dev_{name}.jsonl") for name in config.regimes
         }
         for name, verdicts in verdicts_for(nli_model, extractor, corpus, dev, dev_selections).items():
             write_verdicts(out_dir / "verdicts" / f"dev_{name}.jsonl", verdicts)
 
-    with _stage("evaluate"):
+    with stage("evaluate"):
         rows = []
         for regime_name in config.regimes:
             for dataset, claims in datasets:

@@ -61,13 +61,18 @@ memo `{SentenceId: vector}` of the sentences finished against it, and
 only this module reads or writes it. `finish` gives the memo's vector
 of a sentence the memo holds, and computes and stores any other;
 `selection_vectors` (for `pair_features` and selector training) holds
-and finishes only the sentences the memo lacks. The extractor keeps the
+and finishes only the sentences the memo lacks. A memo lives as long as
+its claim. An extractor built with a run's dict of claims
+(`experiment.run_experiment` builds one per run) keeps every claim it
+prepares there, one per text, so each text is prepared once per run and
+each of its sentences' vectors computed at most once in the run,
+whichever stage asked first; `prepared_counts` reads how many claims
+and vectors the dict holds. Any other extractor (the served path, a
+CLI subcommand, a stage function called on its own) keeps only the
 last claim it prepared, which `prepare_claim` of that text returns: a
 claim served alone (select, then verdict) is prepared once and each of
-its sentences' vectors computed at most once. A memo lives as long as
-its claim, never a whole run. Ranking computes each candidate's vector
-at most once per claim, training each sentence's once per prepared
-claim, and the verdict stage classifies each distinct (claim, sentence)
+its sentences' vectors computed at most once, and serving another claim
+frees it. The verdict stage classifies each distinct (claim, sentence)
 pair once (`nli.claim_verdicts`).
 
 Contract: the extractor's index is the sentence index of the corpus
@@ -79,7 +84,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .corpus import Document, InvertedIndex, Query, SentenceId, parse_query, token_spans
 
@@ -195,6 +200,11 @@ class PreparedClaim:
     vectors: dict[SentenceId, list[float]] = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
+def prepared_counts(claims: Mapping[str, PreparedClaim]) -> tuple[int, int]:
+    """The claims a run's dict holds and the selection vectors in their memos."""
+    return len(claims), sum(len(claim.vectors) for claim in claims.values())
+
+
 # A held candidate, always an index unit: (row, cosine, mask record, page
 # record), row the page store's (sid, position, norm, log_body_length,
 # sentence_position), the mask record (mask, unigram_overlap, bigram_overlap's
@@ -267,12 +277,16 @@ def _packed(pairs: list[int]) -> Sequence[int]:
 
 class FeatureExtractor:
     """Deterministic feature vectors backed by the sentence index of the
-    corpus being featurized; it keeps its last claim and each page's
-    record: its store, rows and units' pair sides."""
+    corpus being featurized; it keeps each page's record (its store, rows
+    and units' pair sides) and either a run's dict of claims, when given
+    one, or its last claim."""
 
-    def __init__(self, index: InvertedIndex):
+    def __init__(self, index: InvertedIndex, claims: Optional[dict[str, PreparedClaim]] = None):
         self.index = index
-        self._last_claim: Optional[PreparedClaim] = None
+        # The claims prepared, by text: a run's dict keeps every one, a dict
+        # of the extractor's own only the last.
+        self._claims: dict[str, PreparedClaim] = {} if claims is None else claims
+        self._keeps_every_claim = claims is not None
         self._pages: dict[str, tuple[Document, dict[str, Sequence[int]], list, list]] = {}  # page id -> _page's record
         self._shared: dict = {}  # one object per distinct row float or packed pairs, to keep stores small
 
@@ -282,11 +296,12 @@ class FeatureExtractor:
         return cls(index)
 
     def prepare_claim(self, claim_text: str) -> PreparedClaim:
-        """The claim side of claim_text: the last claim prepared if it has
-        this text, else a new one, which becomes the last."""
-        last = self._last_claim
-        if last is not None and last.text == claim_text:
-            return last
+        """The claim side of claim_text: the extractor's claim of this text
+        if it holds one, else a new one, which joins a run's dict or, with
+        none, replaces the last claim."""
+        claim = self._claims.get(claim_text)
+        if claim is not None:
+            return claim
         query = parse_query(self.index, claim_text)
         idf_mass = 0.0
         for _, _, idf, _ in query.terms:
@@ -307,7 +322,9 @@ class FeatureExtractor:
             negation_cues=_negation_cues(token_set, claim_text),
             numerals={t for t in token_set if t.isdigit()},
         )
-        self._last_claim = claim
+        if not self._keeps_every_claim:
+            self._claims.clear()
+        self._claims[claim_text] = claim
         return claim
 
     def held(self, claim: PreparedClaim, pages: Iterable[tuple[Document, Iterable[int]]]) -> list[HeldCandidate]:

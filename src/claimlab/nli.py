@@ -15,11 +15,12 @@ side computed once per distinct claim text in a call.
 Selection vectors live on the claim (see `features`): a pair starts
 from its prepared claim's memo, and only the sentences the memo lacks
 are featurized. A claim served alone, select then verdict, is the
-extractor's last claim, so it is prepared once, and its verdict copies
-the selected sentences' vectors instead of featurizing them again.
-Training interleaves claims, so it keeps its own memo of prepared
-claims, one per distinct text, and claims that share a text share their
-vectors; it steps the three softmax rows through `selection.sgd_epochs`,
+extractor's last claim, and a claim in a run is in the run's dict of
+claims, so either is prepared once, and its verdict copies the selected
+sentences' vectors instead of featurizing them again. Training
+interleaves claims, so it keeps its own memo of prepared claims, one per
+distinct text, and claims that share a text share their vectors; it
+steps the three softmax rows through `selection.sgd_epochs`,
 the selector's SGD loop. A pair's class probabilities, in training and
 in classification alike, come from one call of the generated softmax
 kernel, `util.softmax_probabilities`, which adds each logit's products
@@ -182,7 +183,7 @@ def claim_verdicts(
     (Corpus.pages_of), classified separately, then majority-voted. The
     lists may come from several claims with its text; only the text is read.
 
-    The claim is prepared once (or is the extractor's last claim) and
+    The claim is prepared once (or is the extractor's prepared claim) and
     each distinct sentence is classified once, however many lists rank
     it, with one classify_pair call per page. Each sentence is classified
     together with its page title, so pronoun-heavy evidence keeps its

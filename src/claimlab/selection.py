@@ -41,12 +41,13 @@ id, from far fewer vectors, and a vector is built only for a candidate
 that is finished. Several selectors rank one claim in one call (see
 `experiment.select_evidence`).
 Vectors live on the claim (see `features`, which alone reads and writes
-the claim's memo): the extractor's last claim keeps each vector ranking
+the claim's memo): the prepared claim keeps each vector ranking
 finishes, so a vector computed for one model serves the others, and the
-verdict on a claim served alone, which follows at once, prepares nothing
-and featurizes none of its sentences again. A run's stages each pass
-over every claim, so by the verdict stage the extractor holds another
-claim, and each stage keeps its own per-call memos.
+verdict on the claim prepares nothing and featurizes none of its
+sentences again. A claim served alone is the extractor's last claim
+until the next is served; in a run, every claim stays in the run's dict
+of claims, so the vectors training finished serve ranking, and those
+ranking finished serve NLI training and the verdict stage.
 """
 
 from __future__ import annotations
@@ -395,7 +396,7 @@ def rank_candidates(
     top k are finished.
 
     Duplicate pages are ranked once; unknown pages are skipped. The claim
-    becomes the extractor's last claim. One held pass gives every
+    side is FeatureExtractor.prepare_claim's. One held pass gives every
     candidate its row, cosine, mask record and page record
     (features.FeatureExtractor.held, term-major; a sentence the index does
     not hold raises there). A model bounds each candidate's score by the

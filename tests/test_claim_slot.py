@@ -8,9 +8,11 @@ world, shuffled. The cold path runs each stage on a fresh extractor over
 the same index, so nothing carries over from an earlier call.
 """
 
+import gc
 import random
 import re
 import sys
+import weakref
 
 import pytest
 
@@ -18,6 +20,7 @@ from claimlab import corpus as corpus_module
 from claimlab.claim_gen import generate_augmentation_set
 from claimlab.claims import load_claims
 from claimlab.corpus import Document, build_index, ingest_corpus
+from claimlab.experiment import select_evidence, verdicts_for
 from claimlab.features import PAIR_FEATURE_NAMES, SELECTION_FEATURE_NAMES, FeatureExtractor
 from claimlab.kb import KnowledgeBase
 from claimlab.nli import CLASS_ORDER, NliModel, verdict_for_claim
@@ -254,3 +257,25 @@ def test_served_claim_is_prepared_and_featurized_once(served, monkeypatch):
         assert serve(extractor, claim)[0] == ranked
         assert computed == []
     assert 0 < total_finished < total_candidates
+
+
+def test_serving_keeps_only_the_last_claim(served):
+    """Claims served one at a time through the stage functions, on a plain
+    extractor: serving another claim frees the earlier claim's
+    PreparedClaim and its vectors, so a stream keeps one claim's at most."""
+    corpus, index, _, claims, pages, selector, weights = served
+    model = NliModel([list(ws) for ws in weights], [0.0, 0.1, -0.1])
+    extractor = FeatureExtractor(index)
+    distinct = list({claim.text: claim for claim in claims}.values())
+    assert len(distinct) >= 10
+    earlier = None
+    for claim in distinct[:10]:
+        selections = select_evidence({"m": selector}, extractor, corpus, [claim], pages, K)
+        verdicts_for(model, extractor, corpus, [claim], selections)
+        gc.collect()
+        if earlier is not None:
+            assert earlier() is None
+        last = extractor.prepare_claim(claim.text)
+        assert last.vectors
+        earlier = weakref.ref(last)
+        del last

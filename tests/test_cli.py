@@ -522,6 +522,22 @@ def test_run_rejects_k_docs_below_one(world_dir, tmp_path, capsys):
     assert "error: run: k_docs: k must be >= 1" in capsys.readouterr().err
     assert not out_dir.exists()
 
+
+def test_run_writes_a_stage_log_outside_the_bundle(world_dir, tmp_path, capsys):
+    out_dir = tmp_path / "bundle"
+    args = ["run", "--corpus", str(world_dir / "corpus"), "--kb", str(world_dir / "kb.jsonl")]
+    args += ["--train-claims", str(world_dir / "train.jsonl"), "--dev-claims", str(world_dir / "dev.jsonl")]
+    args += ["--regimes", "baseline", "--out-dir", str(out_dir)]
+    assert main(args + ["--stage-log", str(out_dir / "stages.jsonl")]) == 1
+    assert "error: run: stage log" in capsys.readouterr().err
+    assert not out_dir.exists()
+    assert main(args + ["--stage-log", str(tmp_path / "stages.jsonl")]) == 0
+    rows = read_jsonl(tmp_path / "stages.jsonl")
+    assert [row["stage"] for row in rows][:2] == ["ingest", "index"] and rows[-1]["stage"] == "evaluate"
+    assert set(rows[-1]) == {"stage", "seconds", "claims_prepared", "vectors_finished"}
+    assert rows[-1]["claims_prepared"] > 0 and rows[-1]["vectors_finished"] > 0
+    assert "stages.jsonl" not in json.loads((out_dir / "manifest.json").read_text())["artifacts"]
+
 @pytest.mark.parametrize("row", [{"id": 5, "lines": ""}, [1, 2], {"id": "A", "lines": 7}])
 def test_ingest_malformed_row_is_an_error(tmp_path, capsys, row):
     dump = tmp_path / "dump.jsonl"
