@@ -25,6 +25,13 @@ their dots under it, best first (the token's slot). A slot read stops
 at the first unit that cannot reach the k-th best cosine so far. The
 tests check it against a brute-force reference that scores every unit
 sharing a token with the query.
+
+`tokenize` gives the runs of Unicode letters and digits of the lowered
+text; ASCII text reaches the same tokens through a translation table
+and str.split, any other text through the regex. `build_index` counts
+a unit's token stream, and `parse_query` a claim's, into one plain dict
+in first-occurrence order (`_token_counts`), the order every TF-IDF
+norm adds its squares in.
 """
 
 from __future__ import annotations
@@ -35,7 +42,6 @@ import math
 import re
 import sys
 from array import array
-from collections import Counter
 from heapq import heapreplace
 from dataclasses import dataclass, field
 from itertools import chain, compress
@@ -49,11 +55,25 @@ logger = logging.getLogger(__name__)
 # Unicode alphanumerics; underscores split (page ids use them as spaces).
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
+# Entry i is the image of chr(i) on tokenize's ASCII path: A-Z lowered, a-z
+# and 0-9 kept, every other ASCII character a space. Every code point has
+# an entry, as a missing one costs str.translate a failed lookup per call.
+_ASCII_TABLE = "".join(char.lower() if char.isalnum() else " " for char in map(chr, range(128)))
+
 _DISAMBIGUATION_RE = re.compile(r"\s*\([^()]*\)\s*$")
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase and split on any non-alphanumeric character."""
+    r"""Lowercase and split on any non-alphanumeric character: exactly
+    re.findall(r"[^\W_]+", text.lower()).
+
+    ASCII text takes text.translate(_ASCII_TABLE).split(), which is that
+    by construction: on lowered ASCII, [^\W_]+ matches the runs of
+    [a-z0-9], and the table makes every other character a space. Other
+    text takes the regex itself.
+    """
+    if text.isascii():
+        return text.translate(_ASCII_TABLE).split()
     return _TOKEN_RE.findall(text.lower())
 
 
@@ -273,12 +293,21 @@ def tfidf_norm(weights: Iterable[float]) -> float:
     return math.sqrt(norm_sq)
 
 
+def _token_counts(tokens: Iterable[str]) -> dict[str, int]:
+    """{token: count} of a token stream, in first-occurrence order: how
+    build_index counts a unit and parse_query a claim."""
+    counts: dict[str, int] = {}
+    for token in tokens:
+        counts[token] = counts.get(token, 0) + 1
+    return counts
+
+
 def build_index(corpus: Corpus, granularity: str = "document") -> InvertedIndex:
     """Build a TF-IDF index from the documents' tokens. A page's token
     stream is its sentences' tokens in line order; at sentence
     granularity each candidate sentence (Document.candidate_positions)
     is a unit whose stream is its page's title tokens followed by its
-    own."""
+    own. A unit's counts are _token_counts of its stream."""
     if not corpus.documents:
         raise ValueError("cannot index an empty corpus")
     if granularity not in ("document", "sentence"):
@@ -289,16 +318,21 @@ def build_index(corpus: Corpus, granularity: str = "document") -> InvertedIndex:
     for page_id in sorted(corpus.documents):
         doc = corpus.documents[page_id]
         if granularity == "document":
-            units = [(page_id, Counter(chain.from_iterable(doc.tokens)))]
+            units = [(page_id, chain.from_iterable(doc.tokens))]
         else:
             units = [
-                (doc.sids[position], Counter(chain(doc.title_tokens, doc.tokens[position])))
+                (doc.sids[position], chain(doc.title_tokens, doc.tokens[position]))
                 for position in doc.candidate_positions
             ]
-        for ident, tf in units:
+        for ident, stream in units:
+            tf = _token_counts(stream)
             counts.append((ident, tf))
             for token, count in tf.items():
-                postings.setdefault(token, {})[ident] = count
+                posted = postings.get(token)
+                if posted is None:
+                    postings[token] = {ident: count}
+                else:
+                    posted[ident] = count
     doc_count = len(counts)
     idfs = {token: _idf(doc_count, len(posted)) for token, posted in postings.items()}
     norms = {ident: tfidf_norm(count * idfs[token] for token, count in tf.items()) for ident, tf in counts}
@@ -323,7 +357,7 @@ def parse_query(index: InvertedIndex, text: str) -> Query:
     """The text's Query against the index: the only place a claim is
     tokenized and its idfs and postings are looked up."""
     tokens = tokenize(text)
-    terms = [(token, n, index.idf(token), index.postings.get(token, {})) for token, n in Counter(tokens).items()]
+    terms = [(token, n, index.idf(token), index.postings.get(token, {})) for token, n in _token_counts(tokens).items()]
     return Query(tokens, terms, tfidf_norm(n * idf for _, n, idf, _ in terms))
 
 

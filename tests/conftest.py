@@ -1,4 +1,6 @@
 import json
+import math
+import re
 import sys
 from collections import Counter
 
@@ -6,7 +8,7 @@ import pytest
 
 from claimlab import corpus as corpus_module
 from claimlab.claims import Claim, Label
-from claimlab.corpus import Corpus, Document, InvertedIndex, Query
+from claimlab.corpus import Corpus, Document, InvertedIndex, Query, display_title
 from claimlab.features import FeatureExtractor
 from claimlab.kb import EntityRecord, KnowledgeBase
 from claimlab.worldgen import WorldConfig, build_world, write_world
@@ -18,6 +20,56 @@ def make_kb(records: list[EntityRecord]) -> KnowledgeBase:
 
 def make_corpus(pages: dict[str, list[str]]) -> Corpus:
     return Corpus({page_id: Document(page_id, tuple(enumerate(texts))) for page_id, texts in pages.items()})
+
+
+def reference_tokens(text: str) -> list[str]:
+    """tokenize's definition."""
+    return re.findall(r"[^\W_]+", text.lower())
+
+
+def reference_index(corpus: Corpus, granularity: str) -> InvertedIndex:
+    """Counter-based reference for corpus.build_index, tokenizing each text
+    again by reference_tokens.
+
+    Units in identifier order: a page's stream is its sentences' tokens in
+    line order; at sentence granularity each sentence with text is a unit
+    whose stream is the display title's tokens, then its own. A unit's
+    counts are a Counter of its stream, postings are added by setdefault,
+    and a norm adds (count * idf) ** 2 with += over the unit's tokens in
+    first-occurrence order.
+    """
+    postings: dict[str, dict] = {}
+    counts = []
+    for page_id in sorted(corpus.documents):
+        doc = corpus.documents[page_id]
+        streams = [reference_tokens(text) for _, text in doc.sentences]
+        if granularity == "document":
+            units = [(page_id, Counter(token for stream in streams for token in stream))]
+        else:
+            title = reference_tokens(display_title(page_id))
+            units = [
+                (doc.sids[position], Counter(title + streams[position]))
+                for position, (_, text) in enumerate(doc.sentences)
+                if text
+            ]
+        for ident, tf in units:
+            counts.append((ident, tf))
+            for token, count in tf.items():
+                postings.setdefault(token, {})[ident] = count
+    doc_count = len(counts)
+
+    def idf(df: int) -> float:
+        return math.log((doc_count + 1) / (df + 1)) + 1.0
+
+    idfs = {token: idf(len(posted)) for token, posted in postings.items()}
+    norms = {}
+    for ident, tf in counts:
+        norm_sq = 0.0
+        for token, count in tf.items():
+            weight = count * idfs[token]
+            norm_sq += weight * weight
+        norms[ident] = math.sqrt(norm_sq)
+    return InvertedIndex(granularity, doc_count, postings, idfs, idf(0), norms)
 
 
 def tfidf_scores(index: InvertedIndex, query: Query) -> dict:

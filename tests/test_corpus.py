@@ -1,6 +1,7 @@
 import heapq
 import json
 import math
+import string
 from array import array
 from collections import Counter
 
@@ -28,7 +29,7 @@ from claimlab.corpus import (
 
 from claimlab.util import tfidf_dots
 
-from conftest import make_corpus, tfidf_scores, write_jsonl
+from conftest import make_corpus, reference_index, reference_tokens, tfidf_scores, write_jsonl
 
 
 class TestParsing:
@@ -190,6 +191,31 @@ class TestTokenize:
     def test_display_title_strips_suffix(self):
         assert display_title("Blind_Faith_(miniseries)") == "Blind Faith"
 
+    @pytest.mark.parametrize(
+        "text, tokens",
+        [
+            ("İstanbul", ["i", "stanbul"]),  # lowers to "i" + U+0307, a combining mark
+            ("ΟΔΟΣ σοφίας", ["οδος", "σοφίας"]),  # a word-final Σ lowers to ς
+            ("x² + 10_000", ["x²", "10", "000"]),
+            ("tab\there\x00nul\x1fus\x7fdel", ["tab", "here", "nul", "us", "del"]),
+        ],
+    )
+    def test_non_ascii_neighbours(self, text, tokens):
+        assert tokenize(text) == reference_tokens(text) == tokens
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.one_of(
+            st.text(),
+            st.text(alphabet=st.characters(max_codepoint=127)),
+            st.text(alphabet=string.printable + "_\x00\x01\x1c\x1f\x7fİΣς²"),
+        )
+    )
+    def test_equals_its_definition(self, text):
+        """ASCII text is split by a translation table, other text by the
+        regex: both give reference_tokens(text)."""
+        assert tokenize(text) == reference_tokens(text)
+
 
 class TestIndex:
     def test_document_frequency(self):
@@ -237,6 +263,40 @@ class TestIndex:
         idents = [ident for ident, _ in index.postings["tok"].items()]
         assert idents == sorted(idents)
         assert len(idents) == len(set(idents))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_equals_counter_reference(self, data):
+        """Postings (each dict's key order too), idfs, unseen_idf, norms and
+        doc_count equal reference_index's bit for bit, at both
+        granularities, on corpora with non-ASCII titles and sentences;
+        parse_query's terms keep Counter's first-occurrence order."""
+        words = ["the", "The", "BBC", "x²", "İstanbul", "ΣΟΦΙΑ", "σοφίας", "naïve", "Straße", "10_000", "a-b"]
+        word_lists = st.lists(st.sampled_from(words), max_size=8)
+        pages = {}
+        for i in range(data.draw(st.integers(min_value=1, max_value=6))):
+            title = "_".join(data.draw(st.lists(st.sampled_from(words), min_size=1, max_size=3)))
+            texts = data.draw(st.lists(word_lists.map(" ".join), min_size=1, max_size=4))
+            pages[f"{title}_{i}"] = texts
+        corpus = make_corpus(pages)
+        for granularity in ("document", "sentence"):
+            index, reference = build_index(corpus, granularity), reference_index(corpus, granularity)
+            assert index.doc_count == reference.doc_count
+            assert [(token, list(posted.items())) for token, posted in index.postings.items()] == [
+                (token, list(posted.items())) for token, posted in reference.postings.items()
+            ]
+            assert [(token, idf.hex()) for token, idf in index.idfs.items()] == [
+                (token, idf.hex()) for token, idf in reference.idfs.items()
+            ]
+            assert index.unseen_idf.hex() == reference.unseen_idf.hex()
+            assert [(ident, norm.hex()) for ident, norm in index.norms.items()] == [
+                (ident, norm.hex()) for ident, norm in reference.norms.items()
+            ]
+            text = " ".join(data.draw(word_lists))
+            assert parse_query(index, text).terms == [
+                (token, count, index.idf(token), index.postings.get(token, {}))
+                for token, count in Counter(reference_tokens(text)).items()
+            ]
 
     def test_canonical_serialization_deterministic(self, tmp_path):
         rows = [{"id": "A", "lines": "0\talpha beta."}, {"id": "B", "lines": "0\tbeta gamma."}]

@@ -545,9 +545,9 @@ class TestPreparedClaim:
         assert sorted(sid for _, sid, _ in computed) == sids[1:]
 
     def test_indexed_sentences_read_the_index(self, monkeypatch):
-        """Featurizing and classifying indexed sentences builds no Counter
-        and computes no norm beyond prepare_claim's one each, and tokenizes
-        only the claim: titles and bodies are the documents' own tokens,
+        """Featurizing and classifying indexed sentences counts no token
+        stream and computes no norm beyond prepare_claim's one each, and
+        tokenizes only the claim: titles and bodies are the documents' own tokens,
         split once when the corpus was built (the duplicate "Foo" page is
         featurized once). A verdict that follows selection reads the claim
         and the vectors from the extractor's slot and computes none; one on
@@ -565,7 +565,7 @@ class TestPreparedClaim:
 
             return wrapper
 
-        for name in ("Counter", "tfidf_norm", "tokenize"):
+        for name in ("_token_counts", "tfidf_norm", "tokenize"):
             monkeypatch.setattr(corpus_module, name, counting(name, getattr(corpus_module, name)))
         # The feature layer reads every count and norm from the index.
         assert not hasattr(features_module, "Counter") and not hasattr(features_module, "tfidf_norm")
@@ -573,7 +573,7 @@ class TestPreparedClaim:
         selector = RelevanceModel([0.0] * len(SELECTION_FEATURE_NAMES), 0.0)
         featurized = select_sentences(selector, extractor, claim, ["Foo", "Foo_(film)", "Bar", "Foo"], corpus, 5)
         assert len(featurized) == 4
-        assert calls == {"Counter": 1, "tfidf_norm": 1, "tokenize": 1}
+        assert calls == {"_token_counts": 1, "tfidf_norm": 1, "tokenize": 1}
         calls.clear()
         n = len(PAIR_FEATURE_NAMES)
         model = NliModel(weights=[[0.0] * n for _ in range(3)], biases=[0.0] * 3)
@@ -581,7 +581,7 @@ class TestPreparedClaim:
         verdict = verdict_for_claim(model, extractor, corpus, claim, evidence)
         assert calls == {}
         assert verdict_for_claim(model, FeatureExtractor(extractor.index), corpus, claim, evidence) == verdict
-        assert calls == {"Counter": 1, "tfidf_norm": 1, "tokenize": 1}
+        assert calls == {"_token_counts": 1, "tfidf_norm": 1, "tokenize": 1}
 
 
 def test_documents_share_their_sentence_ids_with_the_index(fixture_world):
