@@ -31,30 +31,34 @@ cues and numerals, computed when `pair_features` first pairs the unit
 A selection vector is made in two steps. The held pass
 (`FeatureExtractor.held`), cheap and run for every sentence, goes term
 by term, in the claim's order: for each posted claim term it reads the
-term's pairs on the page once and adds count * tf * idf^2 into the dot
-of each position holding it, and ORs the term's bit into that position's
-mask. So each sentence's dot adds its terms in the claim's order, and
-the mask holds the claim terms the sentence holds. Each distinct mask is
-worked out once per call: the shared-term count and idf overlap, the
-features built from them, and upper counts of the claim bigrams and
+term's pairs on the page once and adds weight * tf * idf (weight =
+count * idf) into the dot of each position holding it, and ORs the
+term's bit into that position's mask. So each sentence's dot adds its
+terms in the claim's order, and the mask holds the claim terms the
+sentence holds. The package has two claim-unit TF-IDF dot sites, this
+pass and util.tfidf_dots (behind corpus.IndexScorer, which retrieval and
+negative sampling read), and both take that one chain, so a held cosine
+equals IndexScorer.scores' for the sentence bit for bit. Each distinct
+mask is worked out once per call: the shared-term count and idf overlap,
+the features built from them, and upper counts of the claim bigrams and
 entity spans the sentence can contain, since one can occur only where
 the sentence holds all of its query tokens. The pass gives one flat list
-of held candidates, in page then position order, and no vector: each
-is (row, cosine, mask record, page record), where the mask record (the
-mask and its five features) and the page record (the document and its
-two title values) are each one tuple shared by the candidates that have
+of held candidates, in page then position order, and no vector: each is
+(row, cosine, mask record, page record), where the mask record (the
+mask's five features) and the page record (the document and its two
+title values) are each one tuple shared by the candidates that have
 them. A candidate's ceiling (`ceiling`) is its vector with
 bigram_overlap and entity_spans_in_body at those upper counts, every
-other feature exact; `logistic_bounds` gives the logits of ceilings from
-products shared per mask and per page without building them. `finish`
-builds a candidate's ceiling, counts the bigrams and spans where it is
-above 0, and gives the vector. Only this module reads a mask or page
-record. `selection_vectors`, the one method that gives the vectors of
-listed pages, is the held pass then `finish`; `selection.rank_candidates`
-holds every candidate and finishes only those whose bound can reach a
-model's top k. `pair_features` adds the polarity cues, from the claim's
-and each unit's stored pair side, to copies of the selection vectors, a
-page's positions per call.
+other feature exact; `logistic_bounds` gives the logits of ceilings,
+each the one chain util.logistic_scores takes, without building them.
+`finish` builds a candidate's ceiling, counts the bigrams and spans
+where it is above 0, and gives the vector. Only this module reads a mask
+or page record. `selection_vectors`, the one method that gives the
+vectors of listed pages, is the held pass then `finish`;
+`selection.rank_candidates` holds every candidate and finishes only
+those whose bound can reach a model's top k. `pair_features` adds the
+polarity cues, from the claim's and each unit's stored pair side, to
+copies of the selection vectors, a page's positions per call.
 
 Selection vectors live on the claim: each `PreparedClaim` holds the
 memo `{SentenceId: vector}` of the sentences finished against it, and
@@ -207,9 +211,10 @@ def prepared_counts(claims: Mapping[str, PreparedClaim]) -> tuple[int, int]:
 
 # A held candidate, always an index unit: (row, cosine, mask record, page
 # record), row the page store's (sid, position, norm, log_body_length,
-# sentence_position), the mask record (mask, unigram_overlap, bigram_overlap's
-# upper count, idf_weighted_overlap, entity_spans_in_body's upper count,
-# claim_tokens_missing) and the page record (document,
+# sentence_position), cosine the unit's IndexScorer.scores cosine (the dot
+# in util.tfidf_dots' chain), the mask record (unigram_overlap,
+# bigram_overlap's upper count, idf_weighted_overlap, entity_spans_in_body's
+# upper count, claim_tokens_missing) and the page record (document,
 # entity_spans_in_title, title_in_claim). See FeatureExtractor.held.
 HeldCandidate = tuple[tuple, float, tuple, tuple]
 
@@ -218,7 +223,7 @@ def ceiling(candidate: HeldCandidate) -> list[float]:
     """A held candidate's ceiling: its selection vector with bigram_overlap
     and entity_spans_in_body at their upper counts, every other feature exact."""
     row, cosine, mask, page = candidate
-    _, unigram, bigram_ceiling, idf_overlap, spans_ceiling, missing = mask
+    unigram, bigram_ceiling, idf_overlap, spans_ceiling, missing = mask
     _, spans_in_title, title_in_claim = page
     return [
         unigram,
@@ -240,29 +245,17 @@ def logistic_bounds(w: Sequence[float], bias: float, candidates: Iterable[HeldCa
     ceiling, though no ceiling is built: util.sigmoid(z) has the bits of
     the ceiling's score.
 
-    w has one weight per selection feature. The products a mask record's
-    candidates share (features 0, 1, 3, 5 and 9) are taken once per mask,
-    and those a page record's share (4 and 7) once per run of its
-    candidates, which held gives together, and z adds every product in
-    feature order from 0.0, left to right, as logistic_scores does: bias +
-    (0.0 + p0 + p1 + ... + p9). No exp is taken: a ranking takes the
-    sigmoid only of the logits it reaches.
+    w has one weight per selection feature, and z = bias + (0.0 + w0 * f0
+    + ... + w9 * f9) over the ceiling's features, left to right, as
+    logistic_scores takes it. No exp is taken: a ranking takes the sigmoid
+    only of the logits it reaches.
     """
     w0, w1, w2, w3, w4, w5, w6, w7, w8, w9 = w
-    partials: dict[int, tuple[float, float, float, float]] = {}
-    last = None
     out: list[float] = []
     append = out.append
-    for row, cosine, mask, page in candidates:
-        if page is not last:
-            last = page
-            p4, p7 = w4 * page[1], w7 * page[2]
-        partial = partials.get(mask[0])
-        if partial is None:
-            _, unigram, bigrams, overlap, spans, missing = mask
-            partial = partials[mask[0]] = (0.0 + w0 * unigram + w1 * bigrams, w3 * overlap, w5 * spans, w9 * missing)
-        head, p3, p5, p9 = partial
-        append(bias + (head + w2 * cosine + p3 + p4 + p5 + w6 * row[3] + p7 + w8 * row[4] + p9))
+    for row, cosine, (unigram, bigrams, overlap, spans, missing), (_, in_title, title_in_claim) in candidates:
+        z = 0.0 + w0 * unigram + w1 * bigrams + w2 * cosine + w3 * overlap + w4 * in_title + w5 * spans
+        append(bias + (z + w6 * row[3] + w7 * title_in_claim + w8 * row[4] + w9 * missing))
     return out
 
 
@@ -350,20 +343,21 @@ class FeatureExtractor:
         claim_size = max(1, n_claim)
         query_norm, idf_mass = query.norm, claim.idf_mass
         # An out-of-vocabulary term has no postings, so no sentence holds it.
-        posted = [(token, count, idf * idf, bits[token]) for token, count, idf, postings in terms if postings]
+        posted = [(token, count * idf, idf, bits[token]) for token, count, idf, postings in terms if postings]
         records: dict[int, tuple] = {}
         held: list[HeldCandidate] = []
         for document, positions in pages:
             _, store, rows, _ = self._page(document)
             # Term-major, in the claim's term order, so each sentence's dot
-            # adds its terms in that order, never in a set's hash order.
+            # adds its terms in that order, never in a set's hash order, each
+            # as weight * tf * idf: util.tfidf_dots' chain.
             dots, held_masks = [0.0] * len(rows), [0] * len(rows)
-            for token, count, idf_squared, bit in posted:
+            for token, weight, idf, bit in posted:
                 pairs = store.get(token)
                 if pairs is not None:
                     at = iter(pairs)
                     for position, tf in zip(at, at):
-                        dots[position] += count * tf * idf_squared
+                        dots[position] += weight * tf * idf
                         held_masks[position] |= bit
             # Most pages share no title token with the claim: no set is built,
             # and no subsequence sought, for them.
@@ -397,7 +391,6 @@ class FeatureExtractor:
                         if needed & mask == needed:
                             spans_in += 1
                     record = records[mask] = (
-                        mask,
                         shared / claim_size,
                         bigrams_in / n_bigrams,
                         overlap / idf_mass if idf_mass > 0 else 0.0,

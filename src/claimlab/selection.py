@@ -29,10 +29,12 @@ pools, and each draw's new sentences are featurized a page at a time.
 Ranking (`rank_candidates`) takes one held pass over a claim's candidate
 sentences (see `features`), which gives one flat list of held
 candidates, each its row, cosine, mask record and page record, but no
-vector. Per model it then takes every candidate's ceiling logit, in one
-call of `features.logistic_bounds`, which adds products shared per mask
-and per page in the ceiling's own chain, and sorts the candidates by
-falling logit; a candidate's bound, the score of its ceiling, is the
+vector; the held cosine's dot takes util.tfidf_dots' chain, the one the
+pools' `IndexScorer` ranks negatives by, so both dot sites agree bit
+for bit. Per model it then takes every candidate's ceiling logit, in one
+call of `features.logistic_bounds`, which adds the ceiling's products
+in the one chain `util.logistic_scores` takes, and sorts the candidates
+by falling logit; a candidate's bound, the score of its ceiling, is the
 sigmoid of its logit, taken only when the candidate is reached. It
 finishes candidates in that order and stops when the next bound, with a
 slack that covers rounding, is below the k-th best exact score: the top
@@ -193,8 +195,9 @@ class NegativePool:
         self._population = scorer.pages(self._query)
 
     def _ranked(self, pages: Iterable[str]) -> list[SentenceId]:
-        documents = self._corpus.documents
-        sids = [sid for page_id in pages for sid in documents[page_id].sids]
+        # Only a page's candidates are index units; its empty lines would score nothing.
+        documents = [self._corpus.documents[page_id] for page_id in pages]
+        sids = [doc.sids[p] for doc in documents for p in doc.candidate_positions]
         return [sid for sid, _ in sorted(self._scorer.scores(self._query, sids).items(), key=rank_key)]
 
     def draw(self, rng_seed: int, per_group: int) -> list[SentenceId]:
@@ -398,15 +401,16 @@ def rank_candidates(
     Duplicate pages are ranked once; unknown pages are skipped. The claim
     side is FeatureExtractor.prepare_claim's. One held pass gives every
     candidate its row, cosine, mask record and page record
-    (features.FeatureExtractor.held, term-major; a sentence the index does
-    not hold raises there). A model bounds each candidate's score by the
-    score of its ceiling (features.ceiling) under the model's weights with
-    those of bigram_overlap and entity_spans_in_body raised to 0 if
-    negative. One features.logistic_bounds call gives every ceiling's
-    logit: it takes the products logistic_scores would take of the
-    ceiling, once per mask, page or candidate, and adds them in the
-    ceiling's feature order, left to right from 0.0, then the bias: the
-    same operations, so the same bits. This z is the score's chain of
+    (features.FeatureExtractor.held, term-major, its dot in the chain of
+    util.tfidf_dots, the package's other dot site, so the cosine is
+    IndexScorer.scores' bit for bit; a sentence the index does not hold
+    raises there). A model bounds each candidate's score by the score of
+    its ceiling (features.ceiling) under the model's weights with those of
+    bigram_overlap and entity_spans_in_body raised to 0 if negative. One
+    features.logistic_bounds call gives every ceiling's logit: it takes
+    the products logistic_scores would take of the ceiling and adds them
+    in the ceiling's feature order, left to right from 0.0, then the bias:
+    the same operations, so the same bits. This z is the score's chain of
     products and sums, left to right, with no term smaller (a ceiling is
     at least its count, and a raised weight's term is 0.0 where the true
     one is at most 0), and rounding to nearest is monotone, so it is no

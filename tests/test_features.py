@@ -234,7 +234,7 @@ def reference_selection_features(extractor, claim_text, title, body, position=0.
         idf = extractor.index.idf(token)
         claim_idf_mass += idf
         if token in right_tf:
-            dot += count * right_tf[token] * (idf * idf)
+            dot += count * idf * right_tf[token] * idf
             shared_idf_mass += idf
     if dot == 0.0:
         cosine = 0.0
@@ -649,6 +649,34 @@ class TestOneNorm:
         for position, claim in enumerate(claims):
             [(_, features)] = extractor.selection_vectors(extractor.prepare_claim(claim.text), [(page, [position])])
             assert features[idx("idf_weighted_overlap")] == 1.0
+
+
+# Few words, so a unit or claim repeats one up to about 6 times; the
+# count * tf * idf² chain differs from count * idf * tf * idf in the last
+# bit on many such pairs.
+REPEATED_TEXTS = st.lists(st.sampled_from(("alpha", "beta", "gamma", "Foo")), max_size=14).map(" ".join)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    pages=st.dictionaries(st.sampled_from(PAGE_IDS), st.lists(REPEATED_TEXTS, min_size=1, max_size=4), min_size=1),
+    claim_text=REPEATED_TEXTS,
+)
+def test_held_cosines_are_the_scorer_cosines(pages, claim_text):
+    """The package's two claim-unit TF-IDF dot sites take one chain: every
+    held candidate's cosine (FeatureExtractor.held, over the page store) is
+    IndexScorer.scores' cosine of its sentence (util.tfidf_dots) bit for
+    bit, and 0.0 where scores has no entry, on every unit of random
+    corpora whose units and claims repeat tokens."""
+    corpus = make_corpus(pages)
+    index = build_index(corpus, "sentence")
+    extractor = FeatureExtractor(index)
+    claim = extractor.prepare_claim(claim_text)
+    held = extractor.held(claim, [(doc, doc.candidate_positions) for doc in corpus.documents.values()])
+    sids = [row[0] for row, *_ in held]
+    assert sorted(sids) == sorted(index.norms)
+    scores = IndexScorer(index).scores(claim.query, sids)
+    assert [cosine.hex() for _, cosine, *_ in held] == [scores.get(sid, 0.0).hex() for sid in sids]
 
 
 def test_page_store_is_the_index_units(fixture_world):

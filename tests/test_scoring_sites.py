@@ -3,11 +3,15 @@ util.logistic_scores, and no module but util computes a sigmoid; the NLI
 classifier's logits and probabilities come from one kernel,
 util.softmax_probabilities. Lists are ranked by a batch scoring, never
 by sorting with a per-item score call; both models train through one SGD
-loop, selection.sgd_epochs; TF-IDF dots come from one kernel,
-util.tfidf_dots; and no function but these three kernels compiles source. The
-feature and selection kernels name sentences by the SentenceId objects
-each corpus.Document holds, never by ids built per candidate, and only
-features reads or writes a claim's memo of selection vectors."""
+loop, selection.sgd_epochs; claim-unit TF-IDF dots come from two sites in
+one chain, weight * tf * idf with weight = count * idf added in the query's
+term order: the kernel util.tfidf_dots (behind corpus.IndexScorer) and
+features.FeatureExtractor.held's page-store pass (tests/test_features.py
+checks the two cosines are equal); and no function but these three
+kernels compiles source. The feature and selection kernels name
+sentences by the SentenceId objects each corpus.Document holds, never by
+ids built per candidate, and only features reads or writes a claim's
+memo of selection vectors."""
 
 import ast
 from pathlib import Path
